@@ -951,7 +951,7 @@ mod tests {
                 stats: false,
             }
         );
-        assert!(p(&["lint", "--rule", "L9"]).is_err());
+        assert!(p(&["lint", "--rule", "no-such-family"]).is_err());
         assert!(p(&["lint", "--rule"]).is_err());
         assert!(p(&["lint", "--frobnicate"]).is_err());
     }

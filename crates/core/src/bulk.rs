@@ -12,14 +12,13 @@
 //! one (`verify::check` passes), so all query code is shared.
 
 use sr_geometry::Point;
+use sr_query::paged::{Entry, LeafEntry, Node, Paged, Result};
 
-use crate::error::Result;
-use crate::node::{InnerEntry, LeafEntry, Node};
-use crate::tree::SrTree;
+use crate::region::{region_of, SrRegion};
 
 /// Bulk-load `points` into the (empty) tree. Called via
-/// [`SrTree::bulk_load`].
-pub(crate) fn bulk_load(tree: &mut SrTree, points: Vec<(Point, u64)>) -> Result<()> {
+/// [`crate::SrTree::bulk_load`].
+pub(crate) fn bulk_load(tree: &mut Paged<SrRegion>, points: Vec<(Point, u64)>) -> Result<()> {
     // srlint: allow(assert) -- documented `# Panics` contract of the
     // public `SrTree::bulk_load` API; the tree is caller-owned state,
     // not decoded data.
@@ -28,9 +27,15 @@ pub(crate) fn bulk_load(tree: &mut SrTree, points: Vec<(Point, u64)>) -> Result<
         return Ok(());
     }
     // The empty root leaf created by `create_from` is replaced wholesale.
-    tree.pf.free(tree.root)?;
+    tree.free(tree.root)?;
     let n = points.len();
-    let rule = tree.params.radius_rule;
+    let rule = tree.params.policy.radius_rule;
+    // Allocate `node`, returning the entry its parent records for it.
+    let place = |node: Node<SrRegion>| -> Result<Entry<SrRegion>> {
+        let region = region_of(&node, rule)?;
+        let child = tree.allocate_node(&node)?;
+        Ok(Entry { region, child })
+    };
 
     // --- leaf level -----------------------------------------------------
     let mut entries: Vec<LeafEntry> = points
@@ -40,47 +45,31 @@ pub(crate) fn bulk_load(tree: &mut SrTree, points: Vec<(Point, u64)>) -> Result<
     let k = n.div_ceil(tree.params.max_leaf);
     let mut chunks: Vec<&mut [LeafEntry]> = Vec::with_capacity(k);
     split_balanced(&mut entries, k, &|e| e.point.coords(), &mut chunks);
-
-    let mut level_entries: Vec<InnerEntry> = Vec::with_capacity(k);
-    for chunk in chunks {
-        let node = Node::Leaf(chunk.to_vec());
-        let region = node.region(rule)?;
-        let id = tree.allocate_node(&node)?;
-        level_entries.push(InnerEntry {
-            sphere: region.sphere,
-            rect: region.rect,
-            weight: node.weight(),
-            child: id,
-        });
-    }
+    let mut level_entries = chunks
+        .into_iter()
+        .map(|chunk| place(Node::Leaf(chunk.to_vec())))
+        .collect::<Result<Vec<_>>>()?;
 
     // --- upper levels ----------------------------------------------------
     let mut level = 1u16;
     while level_entries.len() > tree.params.max_node {
         let k = level_entries.len().div_ceil(tree.params.max_node);
-        let mut chunks: Vec<&mut [InnerEntry]> = Vec::with_capacity(k);
+        let mut chunks: Vec<&mut [Entry<SrRegion>]> = Vec::with_capacity(k);
         split_balanced(
             &mut level_entries,
             k,
-            &|e| e.sphere.center().coords(),
+            &|e| e.region.sphere.center().coords(),
             &mut chunks,
         );
-        let mut next: Vec<InnerEntry> = Vec::with_capacity(k);
-        for chunk in chunks {
-            let node = Node::Inner {
-                level,
-                entries: chunk.to_vec(),
-            };
-            let region = node.region(rule)?;
-            let id = tree.allocate_node(&node)?;
-            next.push(InnerEntry {
-                sphere: region.sphere,
-                rect: region.rect,
-                weight: node.weight(),
-                child: id,
-            });
-        }
-        level_entries = next;
+        level_entries = chunks
+            .into_iter()
+            .map(|chunk| {
+                place(Node::Inner {
+                    level,
+                    entries: chunk.to_vec(),
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
         level += 1;
     }
 
@@ -96,13 +85,12 @@ pub(crate) fn bulk_load(tree: &mut SrTree, points: Vec<(Point, u64)>) -> Result<
             level,
             entries: level_entries,
         })?;
-        (id, (level + 1) as u32)
+        (id, u32::from(level) + 1)
     };
     tree.root = root;
     tree.height = height;
     tree.count = n as u64;
-    tree.save_meta()?;
-    Ok(())
+    tree.save_meta()
 }
 
 /// Partition `items` into `k` contiguous chunks of balanced size (±1) by

@@ -14,17 +14,23 @@
 //!
 //! Intersecting them yields regions with both small volume and short
 //! diameter, improving region disjointness and therefore nearest-neighbor
-//! pruning. Concretely (paper §4):
+//! pruning. The shared paged core (`sr_query::paged`) holds everything
+//! the five trees have in common; this crate keeps what §4 says is the
+//! SR-tree's own:
 //!
-//! * a node entry stores sphere + rectangle + subtree point count + child
-//!   pointer — three times the SS-tree entry, giving ⅓ of its fanout (the
-//!   "fanout problem" of §5.3 that the leaf-read savings more than repay);
-//! * insertion is the SS-tree's centroid algorithm; on updates the parent
-//!   sphere radius is `min(d_s, d_r)` where `d_s` encloses the child
-//!   spheres and `d_r = max MAXDIST(center, child rect)` encloses the
-//!   child rectangles (§4.2);
-//! * the query-to-region distance is `max(d_sphere, d_rect)` — a tighter
-//!   lower bound than either baseline uses (§4.4).
+//! * **Region** — sphere + rectangle + subtree point count per entry,
+//!   three times the SS-tree entry, giving ⅓ of its fanout (the "fanout
+//!   problem" of §5.3 that the leaf-read savings more than repay);
+//! * **Region update** — the parent sphere is centered on the weighted
+//!   centroid with radius `min(d_s, d_r)`, where `d_s` encloses the
+//!   child spheres and `d_r = max MAXDIST(center, child rect)` encloses
+//!   the child rectangles (§4.2);
+//! * **Search bound** — `max(d_sphere, d_rect)`, a tighter lower bound
+//!   than either baseline uses (§4.4);
+//! * **Insertion** — the SS-tree's centroid algorithm, unchanged
+//!   (`sr_query::paged::centroid`);
+//! * **Bulk build** — an extension: balanced variance splits, packed
+//!   pages, every dynamic invariant kept.
 //!
 //! ```
 //! use sr_tree::SrTree;
@@ -39,26 +45,32 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// Tree internals index into child/entry vectors whose bounds are
-// maintained as structural invariants (checked by `verify`); the
-// clippy index ban applies to the audited geometry/pager hot paths.
+// The bulk builder indexes into chunks whose bounds are structural
+// invariants (checked by `verify`); the clippy index ban applies to the
+// audited geometry/pager hot paths.
 #![allow(clippy::indexing_slicing)]
 
 mod bulk;
-mod delete;
-mod error;
-mod insert;
-mod node;
-mod params;
-mod search;
-mod split;
+mod region;
 mod tree;
-pub mod verify;
 
-pub use error::{Result, TreeError};
-pub use params::RadiusRule;
-pub use params::SrParams;
-pub use search::DistanceBound;
-pub use tree::{SrOptions, SrTree};
+pub use region::{DistanceBound, RadiusRule, SrOptions, SrRegion};
+pub use sr_query::paged::TreeError;
 
+/// Result alias for tree operations.
+pub type Result<T> = std::result::Result<T, TreeError>;
 pub use sr_query::Neighbor;
+pub use tree::SrTree;
+
+/// Capacity parameters of an SR-tree (Table 1). A node entry stores
+/// both region shapes: bounding sphere (`(D+1)·8` bytes) + bounding
+/// rectangle (`2·D·8`) + subtree point count (4) + child pointer (8) —
+/// 404 bytes at `D = 16`, so 20 entries per 8 KiB node. Leaves match the
+/// other structures (12 entries).
+pub type SrParams = sr_query::paged::Params<SrRegion>;
+
+/// Structural-invariant checker: the shared walker plus the §4.2
+/// recomputation of every recorded sphere, rectangle and weight.
+pub mod verify {
+    pub use sr_query::paged::{verify as check, VerifyReport};
+}

@@ -1,0 +1,353 @@
+//! The SR-tree region — the intersection of a bounding sphere and a
+//! bounding rectangle — with its §4.2 update rule and §4.4 search bound.
+
+use sr_geometry::{
+    bounding_rect_of_points, bounding_sphere_of_points, enclosing_radius_rects,
+    enclosing_radius_spheres, next_radius_up, rect_min_dist2_f64le, sphere_min_dist2_f64le,
+    GeometryError, Point, Rect, Sphere, CONTAINMENT_EPS,
+};
+use sr_pager::{PageCodec, PageReader};
+use sr_query::paged::centroid::{self, Centered};
+use sr_query::paged::{get_rect, get_sphere, put_rect, put_sphere, LeafEntry, Node, Region};
+use sr_query::paged::{Result, TreeError};
+use sr_query::Expansion;
+
+/// How the parent bounding-sphere radius is computed — an ablation knob
+/// for the paper's §4.2 rule.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum RadiusRule {
+    /// `min(d_s, d_r)` — the SR-tree rule; `d_r` (the rectangle bound)
+    /// is what shrinks spheres below what the SS-tree can achieve.
+    #[default]
+    MinDsDr,
+    /// `d_s` only — the SS-tree rule, retained inside an SR-tree to
+    /// measure how much the §4.2 radius refinement contributes.
+    SphereOnly,
+}
+
+/// Construction options for ablation studies, persisted in the metadata
+/// flags word. The defaults are the paper's SR-tree; the variants exist
+/// to measure each design choice's contribution (see the `ablation`
+/// experiment in `sr-bench`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SrOptions {
+    /// Parent-sphere radius rule (§4.2).
+    pub radius_rule: RadiusRule,
+    /// Disable forced reinsertion (always split on overflow).
+    pub disable_reinsertion: bool,
+}
+
+/// Which lower bound scores a region during search — an ablation knob
+/// for the paper's §4.4 design choice. [`DistanceBound::Both`] is the
+/// SR-tree's bound and the default everywhere; the single-shape bounds
+/// exist to measure how much each shape contributes (see the `ablation`
+/// experiment in `sr-bench`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum DistanceBound {
+    /// `max(d_sphere, d_rect)` — the SR-tree rule (§4.4).
+    #[default]
+    Both,
+    /// Sphere distance only — what the SS-tree would prune with.
+    SphereOnly,
+    /// Rectangle `MINDIST` only — what the R\*-tree would prune with.
+    RectOnly,
+}
+
+/// An SR-tree entry's region — the paper's `(S, R, w)` of the
+/// `(S, R, w, child_pointer)` tuple: bounding sphere, bounding rectangle
+/// and subtree point count. The actual region is the intersection of the
+/// two shapes. On disk it takes `(D+1)·8 + 2·D·8 + 4` bytes, three times
+/// the SS-tree entry — the fanout problem of §5.3.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SrRegion {
+    /// Bounding sphere of the subtree.
+    pub sphere: Sphere,
+    /// Bounding rectangle of the subtree.
+    pub rect: Rect,
+    /// Points in the subtree.
+    pub weight: u64,
+}
+
+fn corrupt(e: GeometryError) -> TreeError {
+    TreeError::Corrupt(e.to_string())
+}
+
+impl Region for SrRegion {
+    type Policy = SrOptions;
+    type Bound = DistanceBound;
+
+    fn bytes(dim: usize) -> usize {
+        (dim + 1) * 8 + 2 * dim * 8 + 4
+    }
+
+    fn encode(&self, c: &mut PageCodec<'_>) -> Result<()> {
+        put_sphere(c, &self.sphere)?;
+        put_rect(c, &self.rect)?;
+        centroid::put_weight(c, self.weight)
+    }
+
+    fn decode(c: &mut PageReader<'_>, dim: usize) -> Result<Self> {
+        let sphere = get_sphere(c, dim)?;
+        let rect = get_rect(c, dim, false)?;
+        let weight = u64::from(c.get_u32()?);
+        Ok(SrRegion {
+            sphere,
+            rect,
+            weight,
+        })
+    }
+
+    /// "Because a region of the SR-tree is the intersection of a bounding
+    /// sphere and a bounding rectangle, the minimum distance from a
+    /// search point to a region is defined as the longer one between the
+    /// minimum distance to its bounding sphere and the minimum distance
+    /// to its bounding rectangle" (§4.4): `max(d_s, d_r)`, a valid lower
+    /// bound for the intersection and tighter than either shape alone.
+    /// The combined form keeps both components so prune events can be
+    /// attributed to the shape that earned them.
+    fn push_branch<N>(
+        raw: &[u8],
+        query: &[f32],
+        bound: DistanceBound,
+        node: N,
+        out: &mut Expansion<N>,
+    ) -> Result<()> {
+        let row = query.len() * 8;
+        let mut r = PageReader::new(raw);
+        let center = r.get_bytes(row)?;
+        let radius = r.get_f64()?;
+        let lo = r.get_bytes(row)?;
+        let hi = r.get_bytes(row)?;
+        let sphere = || sphere_min_dist2_f64le(center, radius, query).map_err(corrupt);
+        let rect = || rect_min_dist2_f64le(lo, hi, query).map_err(corrupt);
+        match bound {
+            DistanceBound::Both => out.push_max_branch(sphere()?, rect()?, node),
+            DistanceBound::SphereOnly => out.push_sphere_branch(sphere()?, node),
+            DistanceBound::RectOnly => out.push_rect_branch(rect()?, node),
+        }
+        Ok(())
+    }
+
+    /// The rectangle is maintained with exact f32 min/max, so its test
+    /// is authoritative; the sphere is rebuilt from rounded centroids, so
+    /// a stored point can sit a few ulps outside it and the test needs
+    /// tolerance or live entries become unfindable.
+    fn contains_point(&self, p: &[f32]) -> bool {
+        self.rect.contains_point(p) && self.sphere.contains_point(p, CONTAINMENT_EPS)
+    }
+
+    fn policy_flags(options: &SrOptions) -> Option<u32> {
+        let sphere_only = u32::from(options.radius_rule == RadiusRule::SphereOnly);
+        Some(sphere_only | u32::from(options.disable_reinsertion) << 1)
+    }
+
+    fn policy_from_flags(flags: u32) -> SrOptions {
+        SrOptions {
+            radius_rule: if flags & 1 != 0 {
+                RadiusRule::SphereOnly
+            } else {
+                RadiusRule::MinDsDr
+            },
+            disable_reinsertion: flags & 2 != 0,
+        }
+    }
+}
+
+impl Centered for SrRegion {
+    fn center(&self) -> &Point {
+        self.sphere.center()
+    }
+
+    fn weight(&self) -> u64 {
+        self.weight
+    }
+}
+
+/// The bounding sphere and rectangle of a leaf's points, or `None` for
+/// an empty leaf.
+pub(crate) fn leaf_shapes(entries: &[LeafEntry]) -> Option<(Sphere, Rect)> {
+    let pts: Vec<&[f32]> = entries.iter().map(|e| e.point.coords()).collect();
+    Some((
+        bounding_sphere_of_points(&pts)?,
+        bounding_rect_of_points(pts.iter().copied())?,
+    ))
+}
+
+/// The §4.2 region computation.
+///
+/// * Center: the weighted centroid of the children (the points, for a
+///   leaf).
+/// * Radius: `min(d_s, d_r)` — `d_s` encloses the child spheres,
+///   `d_r = max_k MAXDIST(center, R_k)` encloses the child rectangles.
+///   Choosing the smaller is what "permits the radius of the SR-tree to
+///   be smaller than that of the SS-tree".
+/// * Rectangle: the minimum bounding rectangle of the child rectangles
+///   (R-tree rule).
+///
+/// # Errors
+/// [`TreeError::Corrupt`] for an empty or zero-weight node — both are
+/// reachable from a corrupted page, never from a well-formed tree.
+pub(crate) fn region_of(node: &Node<SrRegion>, rule: RadiusRule) -> Result<SrRegion> {
+    let weight = centroid::weight(node);
+    match node {
+        Node::Leaf(entries) => {
+            let (sphere, rect) = leaf_shapes(entries)
+                .ok_or_else(|| TreeError::Corrupt("region of an empty leaf".into()))?;
+            Ok(SrRegion {
+                sphere,
+                rect,
+                weight,
+            })
+        }
+        Node::Inner { entries, .. } => {
+            let center = centroid::centroid(node)?;
+            let d_s = enclosing_radius_spheres(
+                &center,
+                entries
+                    .iter()
+                    .map(|e| (e.region.sphere.center().coords(), e.region.sphere.radius())),
+            );
+            let radius = match rule {
+                RadiusRule::MinDsDr => {
+                    let d_r =
+                        enclosing_radius_rects(&center, entries.iter().map(|e| &e.region.rect));
+                    next_radius_up(d_s.min(d_r))
+                }
+                RadiusRule::SphereOnly => next_radius_up(d_s),
+            };
+            let (first, rest) = entries
+                .split_first()
+                .ok_or_else(|| TreeError::Corrupt("region of an empty node".into()))?;
+            let mut rect = first.region.rect.clone();
+            for e in rest {
+                rect.expand_to_rect(&e.region.rect);
+            }
+            Ok(SrRegion {
+                sphere: Sphere::new(center, radius),
+                rect,
+                weight,
+            })
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sr_query::paged::{Entry, Params};
+
+    fn entry(x: f32, y: f32, r: f32, w: u64) -> Entry<SrRegion> {
+        Entry {
+            region: SrRegion {
+                sphere: Sphere::new(Point::new(vec![x, y]), r),
+                rect: Rect::new(vec![x - r, y - r], vec![x + r, y + r]),
+                weight: w,
+            },
+            child: 1,
+        }
+    }
+
+    #[test]
+    fn inner_roundtrip() {
+        let p = Params::<SrRegion>::derive(8187, 2, 512);
+        let node = Node::Inner {
+            level: 4,
+            entries: vec![entry(1.0, 2.0, 0.5, 17)],
+        };
+        let back = Node::decode(&node.encode(&p, 8187).unwrap(), &p).unwrap();
+        let Node::Inner { entries, level } = back else {
+            panic!("expected inner")
+        };
+        assert_eq!(level, 4);
+        assert_eq!(entries[0].region, entry(1.0, 2.0, 0.5, 17).region);
+    }
+
+    #[test]
+    fn leaf_region_is_sphere_and_rect_of_points() {
+        let node = Node::Leaf(
+            [[0.0, 0.0], [2.0, 0.0]]
+                .iter()
+                .enumerate()
+                .map(|(i, c)| LeafEntry {
+                    point: Point::new(c.to_vec()),
+                    data: i as u64,
+                })
+                .collect(),
+        );
+        let r = region_of(&node, RadiusRule::MinDsDr).unwrap();
+        assert_eq!(
+            (r.rect.min(), r.rect.max()),
+            (&[0.0, 0.0][..], &[2.0, 0.0][..])
+        );
+        assert_eq!(r.sphere.center().coords(), &[1.0, 0.0]);
+        assert!((r.sphere.radius() - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn sr_radius_is_at_most_the_ss_radius() {
+        // A child whose sphere is much larger than its rectangle: the SR
+        // rule must use the rectangle bound d_r.
+        let child = Entry {
+            region: SrRegion {
+                sphere: Sphere::new(Point::new(vec![3.0, 0.0]), 5.0), // loose sphere
+                rect: Rect::new(vec![2.9, -0.1], vec![3.1, 0.1]),     // tight rect
+                weight: 4,
+            },
+            child: 1,
+        };
+        let node = Node::Inner {
+            level: 1,
+            entries: vec![child.clone()],
+        };
+        let r = region_of(&node, RadiusRule::MinDsDr).unwrap();
+        // d_s = 5.0; d_r = MAXDIST from (3,0) to the farthest corner ≈ 0.1414.
+        assert!(r.sphere.radius() < 0.2, "radius {}", r.sphere.radius());
+        assert_eq!(r.rect, child.region.rect);
+        let ss = region_of(&node, RadiusRule::SphereOnly).unwrap();
+        assert!(ss.sphere.radius() >= 5.0);
+    }
+
+    #[test]
+    fn region_encloses_points_of_child_intersections() {
+        // The region only has to contain points lying in *both* child
+        // shapes (the child region is their intersection). Child centers
+        // qualify by construction; so do axis-aligned points at the
+        // sphere boundary, which sit inside the rect too.
+        let entries = vec![entry(0.0, 0.0, 0.5, 3), entry(4.0, 1.0, 0.25, 9)];
+        let node = Node::Inner {
+            level: 1,
+            entries: entries.clone(),
+        };
+        let r = region_of(&node, RadiusRule::MinDsDr).unwrap();
+        for e in &entries {
+            let (c, rad) = (e.region.sphere.center(), e.region.sphere.radius());
+            for p in [
+                vec![c[0], c[1]],
+                vec![c[0] + rad, c[1]],
+                vec![c[0] - rad, c[1]],
+                vec![c[0], c[1] + rad],
+                vec![c[0], c[1] - rad],
+            ] {
+                assert!(e.region.contains_point(&p));
+                assert!(r.contains_point(&p), "point {p:?} escapes {r:?}");
+            }
+        }
+        // The weighted centroid: (0·3 + 4·9) / 12 = 3.
+        assert!((r.sphere.center()[0] - 3.0).abs() < 1e-6);
+        assert_eq!(r.weight, 12);
+    }
+
+    #[test]
+    fn policy_flags_roundtrip() {
+        for options in [
+            SrOptions::default(),
+            SrOptions {
+                radius_rule: RadiusRule::SphereOnly,
+                disable_reinsertion: true,
+            },
+        ] {
+            let flags = SrRegion::policy_flags(&options).unwrap();
+            assert_eq!(SrRegion::policy_from_flags(flags), options);
+        }
+    }
+}

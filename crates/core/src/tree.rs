@@ -1,43 +1,31 @@
-//! The public [`SrTree`] type: lifecycle, metadata, and page helpers.
+//! The public [`SrTree`] type: the shared paged core plus the SR-tree's
+//! policies.
 
+use std::collections::HashSet;
+use std::ops::Deref;
 use std::path::Path;
 
 use sr_geometry::{Point, Rect, Sphere};
-use sr_pager::{PageCodec, PageFile, PageId, PageKind};
-use sr_query::Neighbor;
+use sr_obs::{Noop, Recorder};
+use sr_pager::{PageFile, PageId};
+use sr_query::paged::centroid;
+use sr_query::paged::{AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result};
+use sr_query::{IndexError, LeafScan, Neighbor, QuerySpec};
 
-use crate::error::{Result, TreeError};
-use crate::node::Node;
-use crate::params::{RadiusRule, SrParams};
-use crate::{delete, insert, search};
+use crate::region::{leaf_shapes, region_of, DistanceBound, SrOptions, SrRegion};
 
-/// Construction options for ablation studies. The defaults are the
-/// paper's SR-tree; the variants exist to measure each design choice's
-/// contribution (see the `ablation` experiment in `sr-bench`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SrOptions {
-    /// Parent-sphere radius rule (§4.2).
-    pub radius_rule: RadiusRule,
-    /// Disable forced reinsertion (always split on overflow).
-    pub disable_reinsertion: bool,
-}
-
-const META_MAGIC: u32 = 0x5352_5442; // "SRTB"
-/// Version 2: leaves are columnar (dimension-major). Version-1 files are
-/// rejected with [`TreeError::NotThisIndex`] rather than silently
-/// misread — the byte totals match, but the entry layout moved.
-const META_VERSION: u32 = 2;
+const KIND: Kind = Kind {
+    magic: 0x5352_5442, // "SRTB"
+    name: "SR-tree",
+};
 
 /// A disk-based SR-tree over points — the paper's contribution: regions
 /// are the intersection of a bounding sphere and a bounding rectangle.
-// srlint: send-sync -- queries take &self and go through the internally synchronized PageFile; params/root/height/count only change via &mut self (insert/delete), which the borrow checker serializes
+/// The shared core's methods (`knn`, `range`, `contains`, `len`,
+/// `pager`, …) are reached through `Deref`.
+// srlint: send-sync -- all state is the noted Paged core; mutation goes through &mut self
 pub struct SrTree {
-    pub(crate) pf: PageFile,
-    pub(crate) params: SrParams, // srlint: guarded-by(owner)
-    pub(crate) root: PageId,     // srlint: guarded-by(owner)
-    /// Number of levels; 1 means the root is a leaf.
-    pub(crate) height: u32, // srlint: guarded-by(owner)
-    pub(crate) count: u64,       // srlint: guarded-by(owner)
+    core: Paged<SrRegion>,
 }
 
 impl SrTree {
@@ -64,20 +52,8 @@ impl SrTree {
         data_area: usize,
         options: SrOptions,
     ) -> Result<Self> {
-        let mut params = SrParams::derive(pf.capacity(), dim, data_area);
-        params.radius_rule = options.radius_rule;
-        params.reinsert_enabled = !options.disable_reinsertion;
-        let root = pf.allocate(PageKind::Leaf)?;
-        let tree = SrTree {
-            pf,
-            params,
-            root,
-            height: 1,
-            count: 0,
-        };
-        tree.write_node(root, &Node::Leaf(Vec::new()))?;
-        tree.save_meta()?;
-        Ok(tree)
+        let core = Paged::create(pf, KIND, dim, data_area, options)?;
+        Ok(SrTree { core })
     }
 
     /// Reopen a tree previously created with [`SrTree::create`].
@@ -87,241 +63,38 @@ impl SrTree {
 
     /// Reopen a tree from an already-open page file.
     pub fn open_from(pf: PageFile) -> Result<Self> {
-        let mut meta = pf.user_meta();
-        if meta.len() < 40 {
-            return Err(TreeError::NotThisIndex("metadata too short".into()));
-        }
-        let mut c = PageCodec::new(&mut meta);
-        if c.get_u32()? != META_MAGIC {
-            return Err(TreeError::NotThisIndex("not an SR-tree file".into()));
-        }
-        if c.get_u32()? != META_VERSION {
-            return Err(TreeError::NotThisIndex(
-                "unsupported SR-tree version".into(),
-            ));
-        }
-        let dim = c.get_u32()? as usize;
-        let data_area = c.get_u32()? as usize;
-        let root = c.get_u64()?;
-        let height = c.get_u32()?;
-        let count = c.get_u64()?;
-        let flags = c.get_u32()?;
-        let mut params = SrParams::try_derive(pf.capacity(), dim, data_area).ok_or_else(|| {
-            TreeError::NotThisIndex(format!(
-                "stored parameters (dim {dim}, data area {data_area}) do not fit a {}-byte page",
-                pf.capacity()
-            ))
-        })?;
-        params.radius_rule = if flags & 1 != 0 {
-            RadiusRule::SphereOnly
-        } else {
-            RadiusRule::MinDsDr
-        };
-        params.reinsert_enabled = flags & 2 == 0;
-        Ok(SrTree {
-            pf,
-            params,
-            root,
-            height,
-            count,
-        })
+        let core = Paged::open(pf, KIND)?;
+        Ok(SrTree { core })
     }
 
-    pub(crate) fn save_meta(&self) -> Result<()> {
-        let mut buf = vec![0u8; 40];
-        let mut c = PageCodec::new(&mut buf);
-        c.put_u32(META_MAGIC)?;
-        c.put_u32(META_VERSION)?;
-        c.put_u32(self.params.dim as u32)?;
-        c.put_u32(self.params.data_area as u32)?;
-        c.put_u64(self.root)?;
-        c.put_u32(self.height)?;
-        c.put_u64(self.count)?;
-        let mut flags = 0u32;
-        if self.params.radius_rule == RadiusRule::SphereOnly {
-            flags |= 1;
-        }
-        if !self.params.reinsert_enabled {
-            flags |= 2;
-        }
-        c.put_u32(flags)?;
-        self.pf.set_user_meta(&buf)?;
-        Ok(())
-    }
-
-    /// Dimensionality of indexed points.
-    pub fn dim(&self) -> usize {
-        self.params.dim
-    }
-
-    /// Number of points in the tree.
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether the tree holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Tree height in levels (1 = the root is a leaf).
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Capacity parameters in force (Table 1).
-    pub fn params(&self) -> &SrParams {
-        &self.params
-    }
-
-    /// The underlying page file (I/O statistics, cache control).
-    pub fn pager(&self) -> &PageFile {
-        &self.pf
-    }
-
-    /// Flush all dirty pages and metadata.
-    pub fn flush(&self) -> Result<()> {
-        self.pf.flush()?;
-        Ok(())
-    }
-
-    pub(crate) fn check_dim(&self, got: usize) -> Result<()> {
-        if got != self.params.dim {
-            return Err(TreeError::DimensionMismatch {
-                expected: self.params.dim,
-                got,
-            });
-        }
-        Ok(())
-    }
-
-    /// Read a leaf's raw payload for the columnar scan — a zero-copy view
-    /// into the buffer pool ([`sr_pager::PageBuf`]); the kernels score it
-    /// without decoding entries.
-    pub(crate) fn leaf_payload(&self, id: PageId) -> Result<sr_pager::PageBuf> {
-        Ok(self.pf.read(id, PageKind::Leaf)?)
-    }
-
-    /// Read an inner node's raw payload for the zero-copy bound scan —
-    /// same zero-copy view as [`SrTree::leaf_payload`], one logical read
-    /// per expansion so `node_expansions == node_reads` holds unchanged.
-    pub(crate) fn node_payload(&self, id: PageId) -> Result<sr_pager::PageBuf> {
-        Ok(self.pf.read(id, PageKind::Node)?)
-    }
-
-    pub(crate) fn read_node(&self, id: PageId, level: u16) -> Result<Node> {
-        let kind = if level == 0 {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let payload = self.pf.read(id, kind)?;
-        let node = Node::decode(&payload, &self.params)?;
-        debug_assert_eq!(node.level(), level, "page {id} level mismatch");
-        Ok(node)
-    }
-
-    pub(crate) fn write_node(&self, id: PageId, node: &Node) -> Result<()> {
-        let kind = if node.is_leaf() {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let payload = node.encode(&self.params, self.pf.capacity())?;
-        self.pf.write(id, kind, &payload)?;
-        Ok(())
-    }
-
-    pub(crate) fn allocate_node(&self, node: &Node) -> Result<PageId> {
-        let kind = if node.is_leaf() {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let id = self.pf.allocate(kind)?;
-        self.write_node(id, node)?;
-        Ok(id)
-    }
-
-    pub(crate) fn max_for(&self, node: &Node) -> usize {
-        if node.is_leaf() {
-            self.params.max_leaf
-        } else {
-            self.params.max_node
-        }
-    }
-
-    pub(crate) fn min_for(&self, node: &Node) -> usize {
-        if node.is_leaf() {
-            self.params.min_leaf
-        } else {
-            self.params.min_node
-        }
+    /// The ablation options in force (persisted in the metadata).
+    pub fn options(&self) -> SrOptions {
+        self.core.params.policy
     }
 
     /// Bulk-load a complete data set into this (empty) tree — the static
-    /// construction path (see `bulk` module docs). Pages come out packed
-    /// to capacity, like the VAMSplit R-tree's, while keeping every
-    /// SR-tree invariant, so dynamic inserts and deletes keep working
-    /// afterwards.
+    /// construction path (see the `bulk` module docs). Pages come out
+    /// packed to capacity, like the VAMSplit R-tree's, while keeping
+    /// every SR-tree invariant, so dynamic inserts and deletes keep
+    /// working afterwards.
     ///
     /// # Panics
     /// Panics if the tree already contains points.
     pub fn bulk_load(&mut self, points: Vec<(Point, u64)>) -> Result<()> {
         for (p, _) in &points {
-            self.check_dim(p.dim())?;
+            self.core.check_dim(p.dim())?;
         }
-        crate::bulk::bulk_load(self, points)
+        crate::bulk::bulk_load(&mut self.core, points)
     }
 
     /// Insert a point with a `u64` payload.
     pub fn insert(&mut self, point: Point, data: u64) -> Result<()> {
-        self.check_dim(point.dim())?;
-        insert::insert_point(self, point, data)
+        Dynamic::insert(self, point, data)
     }
 
     /// Delete the exact entry `(point, data)`; returns whether it existed.
     pub fn delete(&mut self, point: &Point, data: u64) -> Result<bool> {
-        self.check_dim(point.dim())?;
-        delete::delete(self, point, data)
-    }
-
-    /// Whether an exact entry `(point, data)` is stored.
-    pub fn contains(&self, point: &Point, data: u64) -> Result<bool> {
-        self.check_dim(point.dim())?;
-        search::contains(self, point, data)
-    }
-
-    /// The `k` nearest neighbors of `query`, sorted by ascending distance.
-    pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        self.knn_with(query, k, &sr_obs::Noop)
-    }
-
-    /// [`SrTree::knn`] with a metrics recorder (node expansions, prune
-    /// breakdown by shape, heap high-water — see `sr-obs`).
-    pub fn knn_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::knn(self, query, k, rec)
-    }
-
-    /// [`SrTree::knn_with`] with an explicit leaf-scan kernel — the
-    /// ablation knob for the columnar layout. All modes return
-    /// bit-identical neighbors; they differ only in scan time (and in the
-    /// `EarlyAbandons` counter the pruning mode reports).
-    pub fn knn_scan_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        scan: sr_query::LeafScan,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::knn_with_scan(self, query, k, scan, rec)
+        Dynamic::delete(self, point, data)
     }
 
     /// k-NN via best-first ("distance browsing", Hjaltason & Samet)
@@ -329,18 +102,19 @@ impl SrTree {
     /// extension. Returns exactly the same neighbors; reads no more
     /// pages than any traversal order can (I/O-optimal for the tree).
     pub fn knn_best_first(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        self.knn_best_first_with(query, k, &sr_obs::Noop)
+        self.knn_best_first_with(query, k, &Noop)
     }
 
     /// [`SrTree::knn_best_first`] with a metrics recorder.
-    pub fn knn_best_first_with<R: sr_obs::Recorder + ?Sized>(
+    pub fn knn_best_first_with<R: Recorder + ?Sized>(
         &self,
         query: &[f32],
         k: usize,
         rec: &R,
     ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::knn_best_first(self, query, k, rec)
+        self.core.check_dim(query.len())?;
+        let src = self.core.source(DistanceBound::Both, LeafScan::default());
+        sr_query::knn_best_first_with(&src, query, k, rec)
     }
 
     /// k-NN with an explicit region-distance bound — the ablation knob
@@ -351,40 +125,25 @@ impl SrTree {
         &self,
         query: &[f32],
         k: usize,
-        bound: crate::search::DistanceBound,
+        bound: DistanceBound,
     ) -> Result<Vec<Neighbor>> {
-        self.knn_bounded_with(query, k, bound, &sr_obs::Noop)
+        self.knn_bounded_with(query, k, bound, &Noop)
     }
 
     /// [`SrTree::knn_with_bound`] with a metrics recorder — the pairing
     /// that measures the §4.4 pruning advantage directly (prune events
     /// split by which shape's bound achieved them).
-    pub fn knn_bounded_with<R: sr_obs::Recorder + ?Sized>(
+    pub fn knn_bounded_with<R: Recorder + ?Sized>(
         &self,
         query: &[f32],
         k: usize,
-        bound: crate::search::DistanceBound,
+        bound: DistanceBound,
         rec: &R,
     ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::knn_with_bound(self, query, k, bound, rec)
-    }
-
-    /// Every point within `radius` of `query`. A negative or NaN radius
-    /// is rejected with [`TreeError::InvalidRadius`].
-    pub fn range(&self, query: &[f32], radius: f64) -> Result<Vec<Neighbor>> {
-        self.range_with(query, radius, &sr_obs::Noop)
-    }
-
-    /// [`SrTree::range`] with a metrics recorder.
-    pub fn range_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        radius: f64,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::range(self, query, radius, rec)
+        Ok(self
+            .core
+            .search(&QuerySpec::knn(query, k), bound, rec)?
+            .rows)
     }
 
     /// The (sphere, rectangle) region pairs of all non-empty leaves.
@@ -393,131 +152,97 @@ impl SrTree {
     /// (Figures 12, 13) as upper bounds on the true intersection region.
     pub fn leaf_regions(&self) -> Result<Vec<(Sphere, Rect)>> {
         let mut out = Vec::new();
-        let rule = self.params.radius_rule;
-        self.walk_leaves(self.root, (self.height - 1) as u16, &mut |node| {
-            if node.len() > 0 {
-                let r = node.region(rule)?;
-                out.push((r.sphere, r.rect));
-            }
+        self.core.walk_leaves(|entries| {
+            out.extend(leaf_shapes(entries));
             Ok(())
         })?;
         Ok(out)
     }
+}
 
-    /// Total number of leaf pages.
-    pub fn num_leaves(&self) -> Result<u64> {
-        let mut n = 0u64;
-        self.walk_leaves(self.root, (self.height - 1) as u16, &mut |_| {
-            n += 1;
-            Ok(())
-        })?;
-        Ok(n)
-    }
+impl Deref for SrTree {
+    type Target = Paged<SrRegion>;
 
-    fn walk_leaves(
-        &self,
-        id: PageId,
-        level: u16,
-        f: &mut impl FnMut(&Node) -> Result<()>,
-    ) -> Result<()> {
-        let node = self.read_node(id, level)?;
-        match &node {
-            Node::Leaf(_) => f(&node)?,
-            Node::Inner { entries, .. } => {
-                for e in entries {
-                    self.walk_leaves(e.child, level - 1, f)?;
-                }
-            }
-        }
-        Ok(())
+    fn deref(&self) -> &Paged<SrRegion> {
+        &self.core
     }
 }
 
-impl sr_query::SpatialIndex for SrTree {
-    fn kind_name(&self) -> &'static str {
-        "SR-tree"
+impl PagedTree for SrTree {
+    type Region = SrRegion;
+
+    fn core(&self) -> &Paged<SrRegion> {
+        &self.core
     }
 
-    fn dim(&self) -> usize {
-        SrTree::dim(self)
-    }
-
-    fn len(&self) -> u64 {
-        SrTree::len(self)
-    }
-
-    fn height(&self) -> u32 {
-        SrTree::height(self)
-    }
-
-    fn num_leaves(&self) -> std::result::Result<u64, sr_query::IndexError> {
-        Ok(SrTree::num_leaves(self)?)
-    }
-
-    fn insert(
-        &mut self,
-        point: &[f32],
-        data: u64,
-    ) -> std::result::Result<(), sr_query::IndexError> {
-        if point.is_empty() {
-            return Err(sr_query::IndexError::DimensionMismatch {
-                expected: SrTree::dim(self),
-                got: 0,
-            });
-        }
-        Ok(SrTree::insert(self, Point::new(point), data)?)
-    }
-
-    fn delete(
-        &mut self,
-        point: &[f32],
-        data: u64,
-    ) -> std::result::Result<bool, sr_query::IndexError> {
-        if point.is_empty() {
-            return Err(sr_query::IndexError::DimensionMismatch {
-                expected: SrTree::dim(self),
-                got: 0,
-            });
-        }
-        Ok(SrTree::delete(self, &Point::new(point), data)?)
-    }
-
-    fn query(
+    /// Every recorded (sphere, rect, weight) equals the §4.2
+    /// recomputation from the child under the persisted radius rule;
+    /// with the shared walker's check that every point lies in *both*
+    /// recorded shapes, this is the correctness precondition of the
+    /// `max(d_s, d_r)` pruning bound.
+    fn check_node(
         &self,
-        spec: &sr_query::QuerySpec<'_>,
-        rec: &dyn sr_obs::Recorder,
-    ) -> std::result::Result<sr_query::QueryOutput, sr_query::IndexError> {
-        let rows = match spec.shape {
-            sr_query::QueryShape::Knn { k } => {
-                SrTree::knn_scan_with(self, spec.point, k, spec.scan, rec)?
-            }
-            sr_query::QueryShape::Range { radius } => {
-                SrTree::range_with(self, spec.point, radius, rec)?
-            }
-        };
-        Ok(sr_query::QueryOutput::from_rows(rows))
+        id: PageId,
+        node: &Node<SrRegion>,
+        stored: Option<&SrRegion>,
+    ) -> Result<()> {
+        self.check_fill_and_region(id, node, stored)
     }
 
-    fn pager(&self) -> &PageFile {
-        SrTree::pager(self)
+    fn insert_point(&mut self, point: Point, data: u64) -> std::result::Result<(), IndexError> {
+        Ok(self.insert(point, data)?)
     }
 
-    fn flush(&self) -> std::result::Result<(), sr_query::IndexError> {
-        Ok(SrTree::flush(self)?)
+    fn delete_point(&mut self, point: &Point, data: u64) -> std::result::Result<bool, IndexError> {
+        Ok(self.delete(point, data)?)
+    }
+}
+
+/// The SS-tree's centroid algorithm, "applied to the SR-tree" (§4.2),
+/// with forced reinsertion switchable off for the ablation; only the
+/// region update differs.
+impl Dynamic for SrTree {
+    type Budget = HashSet<PageId>;
+
+    fn core_mut(&mut self) -> &mut Paged<SrRegion> {
+        &mut self.core
     }
 
-    fn verify(&self) -> std::result::Result<String, sr_query::IndexError> {
-        let r = crate::verify::check(self)?;
-        Ok(format!(
-            "{} nodes, {} leaves, {} points",
-            r.nodes, r.leaves, r.points
-        ))
+    fn budget(&self) -> HashSet<PageId> {
+        HashSet::new()
+    }
+
+    fn may_reinsert(&self, budget: &mut HashSet<PageId>, page: PageId, _level: u16) -> bool {
+        !self.options().disable_reinsertion && centroid::reinsert_once_per_node(budget, page)
+    }
+
+    fn choose_subtree(
+        &self,
+        entries: &[Entry<SrRegion>],
+        entry: &AnyEntry<SrRegion>,
+        _level: u16,
+    ) -> usize {
+        centroid::choose_nearest(entries, entry)
+    }
+
+    fn region_of(&self, node: &Node<SrRegion>) -> Result<SrRegion> {
+        region_of(node, self.options().radius_rule)
+    }
+
+    fn split(&self, node: Node<SrRegion>) -> (Node<SrRegion>, Node<SrRegion>) {
+        centroid::variance_split(node, &self.core.params)
+    }
+
+    fn take_reinsert(&self, node: &mut Node<SrRegion>) -> Result<Vec<AnyEntry<SrRegion>>> {
+        centroid::take_farthest_from_centroid(node, &self.core.params)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RadiusRule;
+    use sr_query::paged::TreeError;
 
     #[test]
     fn options_default_is_the_paper_configuration() {
@@ -529,19 +254,26 @@ mod tests {
     #[test]
     fn empty_tree_roundtrips_metadata() {
         let t = SrTree::create_in_memory(7, 4096).unwrap();
-        assert_eq!(t.dim(), 7);
-        assert!(t.is_empty());
-        assert_eq!(t.height(), 1);
-        assert!(t.params().reinsert_enabled);
+        assert_eq!((t.dim(), t.len(), t.height()), (7, 0, 1));
+        assert_eq!(t.options(), SrOptions::default());
     }
 
     #[test]
     fn open_rejects_foreign_magic() {
-        let pf = sr_pager::PageFile::create_in_memory(4096).unwrap();
+        let pf = PageFile::create_in_memory(4096).unwrap();
         pf.set_user_meta(&[0u8; 40]).unwrap();
         assert!(matches!(
             SrTree::open_from(pf),
             Err(TreeError::NotThisIndex(_))
         ));
+    }
+
+    #[test]
+    fn paper_capacities_at_16_dimensions() {
+        let p = crate::SrParams::derive(8187, 16, 512);
+        // node entry = 136 + 256 + 12 = 404 → (8187-4)/404 = 20: one
+        // third of the SS-tree's 55, two thirds of the R*-tree's 30.
+        assert_eq!((p.max_node, p.min_node, p.reinsert_node), (20, 8, 6));
+        assert_eq!((p.max_leaf, p.min_leaf, p.reinsert_leaf), (12, 4, 3));
     }
 }

@@ -161,8 +161,8 @@ fn options_survive_reopen() {
         t.flush().unwrap();
     }
     let t = SrTree::open(&path).unwrap();
-    assert_eq!(t.params().radius_rule, RadiusRule::SphereOnly);
-    assert!(!t.params().reinsert_enabled);
+    assert_eq!(t.options().radius_rule, RadiusRule::SphereOnly);
+    assert!(t.options().disable_reinsertion);
     // The verifier recomputes regions with the persisted rule; a rule
     // mismatch would fail here.
     verify::check(&t).unwrap();

@@ -10,12 +10,17 @@
 use sr_geometry::Rect;
 use sr_pager::PageId;
 
-use crate::error::{Result, TreeError};
-use crate::node::{clip_above, clip_below, full_space, kdb_contains, LeafEntry, Node, RegionEntry};
-use crate::tree::KdbTree;
+use sr_query::paged::{Entry, LeafEntry, Node, Paged, Result, TreeError};
+
+use crate::tree::{clip_above, clip_below, full_space, kdb_contains, KdbRegion};
 
 /// Insert one point.
-pub(crate) fn insert_point(tree: &mut KdbTree, point: sr_geometry::Point, data: u64) -> Result<()> {
+pub(crate) fn insert_point(
+    tree: &mut Paged<KdbRegion>,
+    point: sr_geometry::Point,
+    data: u64,
+) -> Result<()> {
+    tree.check_dim(point.dim())?;
     // Descend the unique containing path, remembering each page's region
     // (needed to derive the regions of split halves).
     let mut path: Vec<(PageId, Rect)> = Vec::with_capacity(tree.height as usize);
@@ -26,7 +31,7 @@ pub(crate) fn insert_point(tree: &mut KdbTree, point: sr_geometry::Point, data: 
     while level > 0 {
         let node = tree.read_node(id, level)?;
         let entries = match &node {
-            Node::Region { entries, .. } => entries,
+            Node::Inner { entries, .. } => entries,
             Node::Leaf(_) => {
                 return Err(TreeError::Corrupt(
                     "point page found above the leaf level while descending".into(),
@@ -35,12 +40,12 @@ pub(crate) fn insert_point(tree: &mut KdbTree, point: sr_geometry::Point, data: 
         };
         let e = entries
             .iter()
-            .find(|e| kdb_contains(&e.rect, point.coords()))
+            .find(|e| kdb_contains(&e.region.0, point.coords()))
             .ok_or_else(|| {
                 TreeError::Corrupt("coverage hole: no region contains the point".into())
             })?;
         id = e.child;
-        region = e.rect.clone();
+        region = e.region.0.clone();
         path.push((id, region.clone()));
         level -= 1;
     }
@@ -73,20 +78,20 @@ pub(crate) fn insert_point(tree: &mut KdbTree, point: sr_geometry::Point, data: 
             // Root split: the tree grows one level.
             let left_id = tree.allocate_node(&left)?;
             let right_id = tree.allocate_node(&right)?;
-            let new_root = Node::Region {
+            let new_root = Node::Inner {
                 level: level + 1,
                 entries: vec![
-                    RegionEntry {
-                        rect: left_rect,
+                    Entry {
+                        region: KdbRegion(left_rect),
                         child: left_id,
                     },
-                    RegionEntry {
-                        rect: right_rect,
+                    Entry {
+                        region: KdbRegion(right_rect),
                         child: right_id,
                     },
                 ],
             };
-            tree.pf.free(tree.root)?;
+            tree.free(tree.root)?;
             tree.root = tree.allocate_node(&new_root)?;
             tree.height += 1;
             break;
@@ -95,17 +100,17 @@ pub(crate) fn insert_point(tree: &mut KdbTree, point: sr_geometry::Point, data: 
         let right_id = tree.allocate_node(&right)?;
         let parent_level = level + 1;
         let mut parent = tree.read_node(path[idx - 1].0, parent_level)?;
-        if let Node::Region { entries, .. } = &mut parent {
+        if let Node::Inner { entries, .. } = &mut parent {
             let pos = entries
                 .iter()
                 .position(|e| e.child == path[idx].0)
                 .ok_or_else(|| TreeError::Corrupt("parent lost track of its child".into()))?;
-            entries[pos] = RegionEntry {
-                rect: left_rect,
+            entries[pos] = Entry {
+                region: KdbRegion(left_rect),
                 child: path[idx].0,
             };
-            entries.push(RegionEntry {
-                rect: right_rect,
+            entries.push(Entry {
+                region: KdbRegion(right_rect),
                 child: right_id,
             });
         }
@@ -119,10 +124,10 @@ pub(crate) fn insert_point(tree: &mut KdbTree, point: sr_geometry::Point, data: 
 }
 
 /// Choose the split plane for an overflowing page.
-fn choose_plane(node: &Node) -> Result<(usize, f32)> {
+fn choose_plane(node: &Node<KdbRegion>) -> Result<(usize, f32)> {
     match node {
         Node::Leaf(entries) => choose_point_plane(entries),
-        Node::Region { entries, .. } => choose_region_plane(entries),
+        Node::Inner { entries, .. } => choose_region_plane(entries),
     }
 }
 
@@ -161,17 +166,17 @@ fn choose_point_plane(entries: &[LeafEntry]) -> Result<(usize, f32)> {
 /// the plane minimizing forced splits (crossing children), requiring at
 /// least one child fully on each side so the split makes progress; break
 /// ties by balance.
-fn choose_region_plane(entries: &[RegionEntry]) -> Result<(usize, f32)> {
-    let dim = entries[0].rect.dim();
+fn choose_region_plane(entries: &[Entry<KdbRegion>]) -> Result<(usize, f32)> {
+    let dim = entries[0].region.0.dim();
     let mut best: Option<((usize, i64), usize, f32)> = None; // ((crossings, imbalance), dim, value)
     for d in 0..dim {
         let mut candidates: Vec<f32> = Vec::new();
         for e in entries {
-            if e.rect.min()[d].is_finite() {
-                candidates.push(e.rect.min()[d]);
+            if e.region.0.min()[d].is_finite() {
+                candidates.push(e.region.0.min()[d]);
             }
-            if e.rect.max()[d].is_finite() {
-                candidates.push(e.rect.max()[d]);
+            if e.region.0.max()[d].is_finite() {
+                candidates.push(e.region.0.max()[d]);
             }
         }
         candidates.sort_by(|a, b| a.total_cmp(b));
@@ -181,9 +186,9 @@ fn choose_region_plane(entries: &[RegionEntry]) -> Result<(usize, f32)> {
             let mut right = 0usize;
             let mut cross = 0usize;
             for e in entries {
-                if e.rect.max()[d] <= v {
+                if e.region.0.max()[d] <= v {
                     left += 1;
-                } else if e.rect.min()[d] >= v {
+                } else if e.region.0.min()[d] >= v {
                     right += 1;
                 } else {
                     cross += 1;
@@ -205,41 +210,46 @@ fn choose_region_plane(entries: &[RegionEntry]) -> Result<(usize, f32)> {
 /// Split a materialized page by the plane `x[dim] = value`, recursively
 /// force-splitting children that cross it. Returns the two halves (the
 /// caller assigns page ids).
-fn split_in_memory(tree: &KdbTree, node: Node, dim: usize, value: f32) -> Result<(Node, Node)> {
+fn split_in_memory(
+    tree: &Paged<KdbRegion>,
+    node: Node<KdbRegion>,
+    dim: usize,
+    value: f32,
+) -> Result<(Node<KdbRegion>, Node<KdbRegion>)> {
     match node {
         Node::Leaf(entries) => {
             let (l, r): (Vec<LeafEntry>, Vec<LeafEntry>) =
                 entries.into_iter().partition(|e| e.point[dim] < value);
             Ok((Node::Leaf(l), Node::Leaf(r)))
         }
-        Node::Region { level, entries } => {
+        Node::Inner { level, entries } => {
             let mut left = Vec::new();
             let mut right = Vec::new();
             for e in entries {
-                if e.rect.max()[dim] <= value {
+                if e.region.0.max()[dim] <= value {
                     left.push(e);
-                } else if e.rect.min()[dim] >= value {
+                } else if e.region.0.min()[dim] >= value {
                     right.push(e);
                 } else {
                     // Forced split: the child page itself is divided by
                     // the same plane, all the way down.
                     let (l_id, r_id) = force_split_page(tree, e.child, level - 1, dim, value)?;
-                    left.push(RegionEntry {
-                        rect: clip_below(&e.rect, dim, value),
+                    left.push(Entry {
+                        region: KdbRegion(clip_below(&e.region.0, dim, value)),
                         child: l_id,
                     });
-                    right.push(RegionEntry {
-                        rect: clip_above(&e.rect, dim, value),
+                    right.push(Entry {
+                        region: KdbRegion(clip_above(&e.region.0, dim, value)),
                         child: r_id,
                     });
                 }
             }
             Ok((
-                Node::Region {
+                Node::Inner {
                     level,
                     entries: left,
                 },
-                Node::Region {
+                Node::Inner {
                     level,
                     entries: right,
                 },
@@ -253,7 +263,7 @@ fn split_in_memory(tree: &KdbTree, node: Node, dim: usize, value: f32) -> Result
 /// or oversized-but-legal — forced splits are exactly why the K-D-B-tree
 /// cannot guarantee minimum utilization.
 fn force_split_page(
-    tree: &KdbTree,
+    tree: &Paged<KdbRegion>,
     id: PageId,
     level: u16,
     dim: usize,
@@ -326,8 +336,8 @@ mod tests {
     fn region_plane_prefers_no_crossings() {
         // Three regions: two separable on x without crossing, and a
         // plane on y would cross all of them.
-        let mk = |x0: f32, x1: f32| RegionEntry {
-            rect: Rect::new(vec![x0, 0.0], vec![x1, 10.0]),
+        let mk = |x0: f32, x1: f32| Entry {
+            region: KdbRegion(Rect::new(vec![x0, 0.0], vec![x1, 10.0])),
             child: 0,
         };
         let entries = vec![mk(0.0, 1.0), mk(1.0, 2.0), mk(2.0, 3.0)];
@@ -335,7 +345,7 @@ mod tests {
         assert_eq!(dim, 0);
         let crossings = entries
             .iter()
-            .filter(|e| e.rect.min()[dim] < value && value < e.rect.max()[dim])
+            .filter(|e| e.region.0.min()[dim] < value && value < e.region.0.max()[dim])
             .count();
         assert_eq!(crossings, 0);
     }

@@ -16,6 +16,11 @@
 //! dimensions, which were reported to cause excessive forced splits:
 //! the dimension with the greatest spread is cut near the median.
 //!
+//! The shared paged core (`sr_query::paged`) supplies the page codec,
+//! search and the verify walker; this crate keeps the region (a
+//! half-open rectangle whose bounds may be infinite), the plane and
+//! forced splits, the never-merging delete, and the disjointness checks.
+//!
 //! ```
 //! use sr_kdbtree::KdbTree;
 //! use sr_geometry::Point;
@@ -34,16 +39,24 @@
 // clippy index ban applies to the audited geometry/pager hot paths.
 #![allow(clippy::indexing_slicing)]
 
-mod error;
 mod insert;
-mod node;
-mod params;
-mod search;
 mod tree;
-pub mod verify;
 
-pub use error::{Result, TreeError};
-pub use params::KdbParams;
-pub use tree::KdbTree;
+pub use sr_query::paged::TreeError;
 
+/// Result alias for tree operations.
+pub type Result<T> = std::result::Result<T, TreeError>;
 pub use sr_query::Neighbor;
+pub use tree::{KdbRegion, KdbTree};
+
+/// Capacity parameters of a K-D-B-tree: a region-page entry is the
+/// region rectangle plus a child pointer, like an R\*-tree node entry.
+/// The minimum-fill fields go unused — forced splits can empty pages
+/// arbitrarily.
+pub type KdbParams = sr_query::paged::Params<KdbRegion>;
+
+/// Structural-invariant checker: the shared walker plus disjointness,
+/// region nesting and single-path routing.
+pub mod verify {
+    pub use sr_query::paged::{verify as check, VerifyReport};
+}

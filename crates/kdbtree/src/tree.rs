@@ -1,33 +1,106 @@
-//! The public [`KdbTree`] type.
+//! The public [`KdbTree`] type and its region: a half-open partition
+//! cell whose bounds may be infinite.
 
+use std::ops::Deref;
 use std::path::Path;
 
 use sr_geometry::{Point, Rect};
-use sr_pager::{PageCodec, PageFile, PageId, PageKind};
-use sr_query::Neighbor;
+use sr_pager::{PageCodec, PageFile, PageId, PageReader};
+use sr_query::paged::{
+    get_rect, put_rect, Kind, Node, Paged, PagedTree, Region, Result, TreeError,
+};
+use sr_query::{Expansion, IndexError};
 
-use crate::error::{Result, TreeError};
 use crate::insert;
-use crate::node::{full_space, kdb_contains, Node};
-use crate::params::KdbParams;
-use crate::search;
 
-const META_MAGIC: u32 = 0x4B44_4254; // "KDBT"
-/// Version 2: leaves are columnar (dimension-major). Version-1 files
-/// are rejected rather than silently misread — the byte totals match,
-/// but the entry layout moved.
-const META_VERSION: u32 = 2;
+const KIND: Kind = Kind {
+    magic: 0x4B44_4254, // "KDBT"
+    name: "K-D-B-tree",
+};
+
+/// A K-D-B-tree region: the rectangle of space a page covers. Sibling
+/// regions share boundary planes, so containment is half-open (see
+/// [`kdb_contains`]); the root's region is all of space.
+#[derive(Clone, Debug, PartialEq)]
+pub struct KdbRegion(pub Rect);
+
+impl Region for KdbRegion {
+    type Policy = ();
+    type Bound = ();
+
+    fn bytes(dim: usize) -> usize {
+        Rect::bytes(dim)
+    }
+
+    fn encode(&self, c: &mut PageCodec<'_>) -> Result<()> {
+        put_rect(c, &self.0)
+    }
+
+    /// Region bounds may be infinite (the root region covers all of
+    /// space) but never NaN, and must be ordered per axis.
+    fn decode(c: &mut PageReader<'_>, dim: usize) -> Result<Self> {
+        Ok(KdbRegion(get_rect(c, dim, true)?))
+    }
+
+    fn push_branch<N>(
+        raw: &[u8],
+        query: &[f32],
+        bound: (),
+        node: N,
+        out: &mut Expansion<N>,
+    ) -> Result<()> {
+        // Regions are disjoint, so at most one per level has
+        // `MINDIST = 0` — what makes point queries single-path.
+        Rect::push_branch(raw, query, bound, node, out)
+    }
+
+    fn contains_point(&self, p: &[f32]) -> bool {
+        kdb_contains(&self.0, p)
+    }
+}
+
+/// Half-open containment: `min <= x < max` per dimension, except that an
+/// infinite upper bound is inclusive. Sibling regions share boundary
+/// planes; this rule routes every point to exactly one of them.
+pub(crate) fn kdb_contains(rect: &Rect, p: &[f32]) -> bool {
+    p.iter()
+        .zip(rect.min().iter().zip(rect.max()))
+        .all(|(&x, (&lo, &hi))| x >= lo && (x < hi || !hi.is_finite()))
+}
+
+/// The rectangle covering all of `dim`-dimensional space — the region of
+/// the root.
+pub(crate) fn full_space(dim: usize) -> Rect {
+    Rect::new(vec![f32::NEG_INFINITY; dim], vec![f32::INFINITY; dim])
+}
+
+/// Clip `rect` to the half below / above the plane `x[dim] = value`.
+pub(crate) fn clip_below(rect: &Rect, dim: usize, value: f32) -> Rect {
+    let mut max = rect.max().to_vec();
+    max[dim] = value;
+    Rect::new(rect.min().to_vec(), max)
+}
+
+/// See [`clip_below`].
+pub(crate) fn clip_above(rect: &Rect, dim: usize, value: f32) -> Rect {
+    let mut min = rect.min().to_vec();
+    min[dim] = value;
+    Rect::new(min, rect.max().to_vec())
+}
+
+/// Disjoint under half-open semantics: some dimension separates them
+/// (allowing a shared boundary plane).
+fn half_open_disjoint(a: &Rect, b: &Rect) -> bool {
+    (0..a.dim()).any(|d| a.max()[d] <= b.min()[d] || b.max()[d] <= a.min()[d])
+}
 
 /// A disk-based K-D-B-tree over points: disjoint subregions, forced
-/// splits, no minimum storage utilization.
-// srlint: send-sync -- queries take &self and go through the internally synchronized PageFile; params/root/height/count only change via &mut self (insert/delete), which the borrow checker serializes
+/// splits, no minimum storage utilization. The shared core's methods
+/// (`knn`, `range`, `contains`, `len`, `pager`, …) are reached through
+/// `Deref`.
+// srlint: send-sync -- all state is the noted Paged core; mutation goes through &mut self
 pub struct KdbTree {
-    pub(crate) pf: PageFile,
-    pub(crate) params: KdbParams, // srlint: guarded-by(owner)
-    pub(crate) root: PageId,      // srlint: guarded-by(owner)
-    /// Number of levels; 1 means the root is a point page.
-    pub(crate) height: u32, // srlint: guarded-by(owner)
-    pub(crate) count: u64,        // srlint: guarded-by(owner)
+    core: Paged<KdbRegion>,
 }
 
 impl KdbTree {
@@ -44,18 +117,8 @@ impl KdbTree {
 
     /// Create a new tree over an empty [`PageFile`].
     pub fn create_from(pf: PageFile, dim: usize, data_area: usize) -> Result<Self> {
-        let params = KdbParams::derive(pf.capacity(), dim, data_area);
-        let root = pf.allocate(PageKind::Leaf)?;
-        let tree = KdbTree {
-            pf,
-            params,
-            root,
-            height: 1,
-            count: 0,
-        };
-        tree.write_node(root, &Node::Leaf(Vec::new()))?;
-        tree.save_meta()?;
-        Ok(tree)
+        let core = Paged::create(pf, KIND, dim, data_area, ())?;
+        Ok(KdbTree { core })
     }
 
     /// Reopen a tree previously created with [`KdbTree::create`].
@@ -65,145 +128,8 @@ impl KdbTree {
 
     /// Reopen a tree from an already-open page file.
     pub fn open_from(pf: PageFile) -> Result<Self> {
-        let mut meta = pf.user_meta();
-        if meta.len() < 36 {
-            return Err(TreeError::NotThisIndex("metadata too short".into()));
-        }
-        let mut c = PageCodec::new(&mut meta);
-        if c.get_u32()? != META_MAGIC {
-            return Err(TreeError::NotThisIndex("not a K-D-B-tree file".into()));
-        }
-        if c.get_u32()? != META_VERSION {
-            return Err(TreeError::NotThisIndex(
-                "unsupported K-D-B-tree version".into(),
-            ));
-        }
-        let dim = c.get_u32()? as usize;
-        let data_area = c.get_u32()? as usize;
-        let root = c.get_u64()?;
-        let height = c.get_u32()?;
-        let count = c.get_u64()?;
-        let params = KdbParams::try_derive(pf.capacity(), dim, data_area).ok_or_else(|| {
-            TreeError::NotThisIndex(format!(
-                "stored parameters (dim {dim}, data area {data_area}) do not fit a {}-byte page",
-                pf.capacity()
-            ))
-        })?;
-        Ok(KdbTree {
-            pf,
-            params,
-            root,
-            height,
-            count,
-        })
-    }
-
-    pub(crate) fn save_meta(&self) -> Result<()> {
-        let mut buf = vec![0u8; 36];
-        let mut c = PageCodec::new(&mut buf);
-        c.put_u32(META_MAGIC)?;
-        c.put_u32(META_VERSION)?;
-        c.put_u32(self.params.dim as u32)?;
-        c.put_u32(self.params.data_area as u32)?;
-        c.put_u64(self.root)?;
-        c.put_u32(self.height)?;
-        c.put_u64(self.count)?;
-        self.pf.set_user_meta(&buf)?;
-        Ok(())
-    }
-
-    /// Dimensionality of indexed points.
-    pub fn dim(&self) -> usize {
-        self.params.dim
-    }
-
-    /// Number of points in the tree.
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether the tree holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Tree height in levels (1 = the root is a point page).
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Capacity parameters in force (Table 1).
-    pub fn params(&self) -> &KdbParams {
-        &self.params
-    }
-
-    /// The underlying page file (I/O statistics, cache control).
-    pub fn pager(&self) -> &PageFile {
-        &self.pf
-    }
-
-    /// Flush all dirty pages and metadata.
-    pub fn flush(&self) -> Result<()> {
-        self.pf.flush()?;
-        Ok(())
-    }
-
-    pub(crate) fn check_dim(&self, got: usize) -> Result<()> {
-        if got != self.params.dim {
-            return Err(TreeError::DimensionMismatch {
-                expected: self.params.dim,
-                got,
-            });
-        }
-        Ok(())
-    }
-
-    /// Read a leaf's raw payload for the columnar scan — a zero-copy view
-    /// into the buffer pool ([`sr_pager::PageBuf`]); the kernels score it
-    /// without decoding entries.
-    pub(crate) fn leaf_payload(&self, id: PageId) -> Result<sr_pager::PageBuf> {
-        Ok(self.pf.read(id, PageKind::Leaf)?)
-    }
-
-    /// Read an inner node's raw payload for the zero-copy bound scan —
-    /// same zero-copy view as the leaf path, one logical read per
-    /// expansion so `node_expansions == node_reads` holds unchanged.
-    pub(crate) fn node_payload(&self, id: PageId) -> Result<sr_pager::PageBuf> {
-        Ok(self.pf.read(id, PageKind::Node)?)
-    }
-
-    pub(crate) fn read_node(&self, id: PageId, level: u16) -> Result<Node> {
-        let kind = if level == 0 {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let payload = self.pf.read(id, kind)?;
-        let node = Node::decode(&payload, &self.params)?;
-        debug_assert_eq!(node.level(), level, "page {id} level mismatch");
-        Ok(node)
-    }
-
-    pub(crate) fn write_node(&self, id: PageId, node: &Node) -> Result<()> {
-        let kind = if node.is_leaf() {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let payload = node.encode(&self.params, self.pf.capacity())?;
-        self.pf.write(id, kind, &payload)?;
-        Ok(())
-    }
-
-    pub(crate) fn allocate_node(&self, node: &Node) -> Result<PageId> {
-        let kind = if node.is_leaf() {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let id = self.pf.allocate(kind)?;
-        self.write_node(id, node)?;
-        Ok(id)
+        let core = Paged::open(pf, KIND)?;
+        Ok(KdbTree { core })
     }
 
     /// Insert a point with a `u64` payload.
@@ -212,246 +138,193 @@ impl KdbTree {
     /// with more coincident points than one page can hold (no coordinate
     /// plane can separate them).
     pub fn insert(&mut self, point: Point, data: u64) -> Result<()> {
-        self.check_dim(point.dim())?;
-        insert::insert_point(self, point, data)
+        insert::insert_point(&mut self.core, point, data)
     }
 
     /// Delete the exact entry `(point, data)`; returns whether it
     /// existed. Pages are never merged (the classic K-D-B-tree leaves
     /// reorganization to offline rebuilds), so deletion cannot underflow.
     pub fn delete(&mut self, point: &Point, data: u64) -> Result<bool> {
-        self.check_dim(point.dim())?;
-        if self.is_empty() || self.height == 0 {
-            return Ok(false);
-        }
+        self.core.check_dim(point.dim())?;
         // Disjointness: exactly one root-to-leaf path can hold the point.
-        let mut id = self.root;
-        let mut level = (self.height - 1) as u16;
-        let mut path = vec![id];
-        while level > 0 {
-            let node = self.read_node(id, level)?;
-            let entries = match &node {
-                Node::Region { entries, .. } => entries,
-                Node::Leaf(_) => {
-                    return Err(TreeError::Corrupt(
-                        "point page found above the leaf level while descending".into(),
-                    ))
-                }
-            };
-            let Some(e) = entries
-                .iter()
-                .find(|e| kdb_contains(&e.rect, point.coords()))
-            else {
-                return Ok(false);
-            };
-            id = e.child;
-            path.push(id);
-            level -= 1;
-        }
-        let mut leaf = self.read_node(id, 0)?;
+        let Some(path) = self.core.find_leaf(point, data)? else {
+            return Ok(false);
+        };
+        let Some(&id) = path.last() else {
+            return Ok(false);
+        };
+        let mut leaf = self.core.read_node(id, 0)?;
         if let Node::Leaf(entries) = &mut leaf {
-            let Some(pos) = entries
+            if let Some(pos) = entries
                 .iter()
                 .position(|e| e.point == *point && e.data == data)
-            else {
-                return Ok(false);
-            };
-            entries.remove(pos);
+            {
+                entries.remove(pos);
+            }
         }
-        self.write_node(id, &leaf)?;
-        self.count -= 1;
-        self.save_meta()?;
+        self.core.write_node(id, &leaf)?;
+        self.core.count -= 1;
+        self.core.save_meta()?;
         Ok(true)
-    }
-
-    /// Whether an exact entry `(point, data)` is stored. Single-path
-    /// descent — the disjointness property the paper highlights.
-    pub fn contains(&self, point: &Point, data: u64) -> Result<bool> {
-        self.check_dim(point.dim())?;
-        if self.is_empty() || self.height == 0 {
-            return Ok(false);
-        }
-        let mut id = self.root;
-        let mut level = (self.height - 1) as u16;
-        while level > 0 {
-            let node = self.read_node(id, level)?;
-            let entries = match &node {
-                Node::Region { entries, .. } => entries,
-                Node::Leaf(_) => {
-                    return Err(TreeError::Corrupt(
-                        "point page found above the leaf level while descending".into(),
-                    ))
-                }
-            };
-            let Some(e) = entries
-                .iter()
-                .find(|e| kdb_contains(&e.rect, point.coords()))
-            else {
-                return Ok(false);
-            };
-            id = e.child;
-            level -= 1;
-        }
-        match self.read_node(id, 0)? {
-            Node::Leaf(entries) => Ok(entries.iter().any(|e| e.point == *point && e.data == data)),
-            Node::Region { .. } => Err(TreeError::Corrupt(
-                "region page found at the point-page level".into(),
-            )),
-        }
-    }
-
-    /// The `k` nearest neighbors of `query`, sorted by ascending distance.
-    pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        self.knn_with(query, k, &sr_obs::Noop)
-    }
-
-    /// [`KdbTree::knn`] with a metrics recorder (node expansions, prune
-    /// events, heap high-water — see `sr-obs`).
-    pub fn knn_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::knn(self, query, k, rec)
-    }
-
-    /// [`KdbTree::knn_with`] with an explicit leaf-scan kernel — the
-    /// ablation knob for the columnar layout. All modes return
-    /// bit-identical neighbors; they differ only in scan time (and in the
-    /// `EarlyAbandons` counter the pruning mode reports).
-    pub fn knn_scan_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        scan: sr_query::LeafScan,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::knn_with_scan(self, query, k, scan, rec)
-    }
-
-    /// Every point within `radius` of `query`. A negative or NaN radius
-    /// is rejected with [`TreeError::InvalidRadius`].
-    pub fn range(&self, query: &[f32], radius: f64) -> Result<Vec<Neighbor>> {
-        self.range_with(query, radius, &sr_obs::Noop)
-    }
-
-    /// [`KdbTree::range`] with a metrics recorder.
-    pub fn range_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        radius: f64,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::range(self, query, radius, rec)
     }
 
     /// The region rectangle of the root (all of space).
     pub fn root_region(&self) -> Rect {
-        full_space(self.params.dim)
+        full_space(self.core.dim())
     }
 
-    /// Total number of point pages, including empty ones left behind by
-    /// forced splits.
-    pub fn num_leaves(&self) -> Result<u64> {
-        fn walk(tree: &KdbTree, id: PageId, level: u16) -> Result<u64> {
-            if level == 0 {
-                return Ok(1);
+    /// The unique root-to-leaf descent for a point.
+    fn route(&self, p: &[f32]) -> Result<PageId> {
+        let mut id = self.core.root;
+        for level in (1..self.core.height).rev() {
+            if let Node::Inner { entries, .. } = self.core.read_node(id, level as u16)? {
+                id = entries
+                    .iter()
+                    .find(|e| kdb_contains(&e.region.0, p))
+                    .ok_or_else(|| {
+                        TreeError::Corrupt("coverage hole: no region contains the point".into())
+                    })?
+                    .child;
             }
-            let node = tree.read_node(id, level)?;
-            let mut n = 0;
-            if let Node::Region { entries, .. } = node {
-                for e in entries {
-                    n += walk(tree, e.child, level - 1)?;
-                }
-            }
-            Ok(n)
         }
-        walk(self, self.root, (self.height - 1) as u16)
+        Ok(id)
     }
 }
 
-impl sr_query::SpatialIndex for KdbTree {
-    fn kind_name(&self) -> &'static str {
-        "K-D-B-tree"
+impl Deref for KdbTree {
+    type Target = Paged<KdbRegion>;
+
+    fn deref(&self) -> &Paged<KdbRegion> {
+        &self.core
+    }
+}
+
+/// The K-D-B invariants (§2.1): sibling regions are pairwise disjoint
+/// under half-open containment, every child region lies inside its
+/// parent's, and every stored point is reached by the single-path root
+/// descent (disjointness plus coverage). There is *no* minimum-fill
+/// check — forced splits legitimately leave nearly-empty pages.
+impl PagedTree for KdbTree {
+    type Region = KdbRegion;
+
+    fn core(&self) -> &Paged<KdbRegion> {
+        &self.core
     }
 
-    fn dim(&self) -> usize {
-        KdbTree::dim(self)
-    }
-
-    fn len(&self) -> u64 {
-        KdbTree::len(self)
-    }
-
-    fn height(&self) -> u32 {
-        KdbTree::height(self)
-    }
-
-    fn num_leaves(&self) -> std::result::Result<u64, sr_query::IndexError> {
-        Ok(KdbTree::num_leaves(self)?)
-    }
-
-    fn insert(
-        &mut self,
-        point: &[f32],
-        data: u64,
-    ) -> std::result::Result<(), sr_query::IndexError> {
-        if point.is_empty() {
-            return Err(sr_query::IndexError::DimensionMismatch {
-                expected: KdbTree::dim(self),
-                got: 0,
-            });
-        }
-        Ok(KdbTree::insert(self, Point::new(point), data)?)
-    }
-
-    fn delete(
-        &mut self,
-        point: &[f32],
-        data: u64,
-    ) -> std::result::Result<bool, sr_query::IndexError> {
-        if point.is_empty() {
-            return Err(sr_query::IndexError::DimensionMismatch {
-                expected: KdbTree::dim(self),
-                got: 0,
-            });
-        }
-        Ok(KdbTree::delete(self, &Point::new(point), data)?)
-    }
-
-    fn query(
+    fn check_node(
         &self,
-        spec: &sr_query::QuerySpec<'_>,
-        rec: &dyn sr_obs::Recorder,
-    ) -> std::result::Result<sr_query::QueryOutput, sr_query::IndexError> {
-        let rows = match spec.shape {
-            sr_query::QueryShape::Knn { k } => {
-                KdbTree::knn_scan_with(self, spec.point, k, spec.scan, rec)?
+        id: PageId,
+        node: &Node<KdbRegion>,
+        stored: Option<&KdbRegion>,
+    ) -> Result<()> {
+        match node {
+            Node::Leaf(entries) => {
+                for e in entries {
+                    let found = self.route(e.point.coords())?;
+                    if found != id {
+                        return Err(TreeError::Corrupt(format!(
+                            "point {:?} stored in page {id} but routed to page {found}",
+                            e.point
+                        )));
+                    }
+                }
             }
-            sr_query::QueryShape::Range { radius } => {
-                KdbTree::range_with(self, spec.point, radius, rec)?
+            Node::Inner { entries, .. } => {
+                let region = stored.map_or_else(|| self.root_region(), |r| r.0.clone());
+                for (i, a) in entries.iter().enumerate() {
+                    if !region.contains_rect(&a.region.0) {
+                        return Err(TreeError::Corrupt(format!(
+                            "page {id}: child region {:?} escapes parent {region:?}",
+                            a.region
+                        )));
+                    }
+                    if let Some(b) = entries[i + 1..]
+                        .iter()
+                        .find(|b| !half_open_disjoint(&a.region.0, &b.region.0))
+                    {
+                        return Err(TreeError::Corrupt(format!(
+                            "page {id}: sibling regions overlap: {:?} and {:?}",
+                            a.region, b.region
+                        )));
+                    }
+                }
             }
+        }
+        Ok(())
+    }
+
+    fn insert_point(&mut self, point: Point, data: u64) -> std::result::Result<(), IndexError> {
+        Ok(self.insert(point, data)?)
+    }
+
+    fn delete_point(&mut self, point: &Point, data: u64) -> std::result::Result<bool, IndexError> {
+        Ok(self.delete(point, data)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sr_query::paged::{Entry, LeafEntry, Params};
+
+    #[test]
+    fn half_open_containment() {
+        let r = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
+        assert!(kdb_contains(&r, &[0.0, 0.0])); // lower bound inclusive
+        assert!(kdb_contains(&r, &[0.5, 0.999]));
+        assert!(!kdb_contains(&r, &[1.0, 0.5])); // upper bound exclusive
+        assert!(!kdb_contains(&r, &[-0.1, 0.5]));
+    }
+
+    #[test]
+    fn infinite_upper_bound_is_inclusive() {
+        let r = full_space(2);
+        assert!(kdb_contains(&r, &[f32::MAX, -1.0e30]));
+        assert!(kdb_contains(&r, &[0.0, 0.0]));
+    }
+
+    #[test]
+    fn boundary_point_belongs_to_exactly_one_side() {
+        let whole = Rect::new(vec![0.0], vec![10.0]);
+        let p = [5.0f32];
+        assert!(!kdb_contains(&clip_below(&whole, 0, 5.0), &p));
+        assert!(kdb_contains(&clip_above(&whole, 0, 5.0), &p));
+    }
+
+    #[test]
+    fn clip_preserves_other_dimensions() {
+        let r = Rect::new(vec![0.0, -1.0], vec![4.0, 1.0]);
+        let lo = clip_below(&r, 0, 2.0);
+        let hi = clip_above(&r, 0, 2.0);
+        assert_eq!((lo.min(), lo.max()), (&[0.0, -1.0][..], &[2.0, 1.0][..]));
+        assert_eq!((hi.min(), hi.max()), (&[2.0, -1.0][..], &[4.0, 1.0][..]));
+    }
+
+    #[test]
+    fn codec_roundtrip_with_infinite_bounds() {
+        let p = Params::<KdbRegion>::derive(8187, 2, 512);
+        let node = Node::Inner {
+            level: 1,
+            entries: vec![Entry {
+                region: KdbRegion(full_space(2)),
+                child: 3,
+            }],
         };
-        Ok(sr_query::QueryOutput::from_rows(rows))
-    }
-
-    fn pager(&self) -> &PageFile {
-        KdbTree::pager(self)
-    }
-
-    fn flush(&self) -> std::result::Result<(), sr_query::IndexError> {
-        Ok(KdbTree::flush(self)?)
-    }
-
-    fn verify(&self) -> std::result::Result<String, sr_query::IndexError> {
-        let r = crate::verify::check(self)?;
-        Ok(format!(
-            "{} nodes, {} leaves ({} empty), {} points",
-            r.nodes, r.leaves, r.empty_leaves, r.points
-        ))
+        let back = Node::decode(&node.encode(&p, 8187).unwrap(), &p).unwrap();
+        let Node::Inner { entries, .. } = back else {
+            panic!("expected region page")
+        };
+        assert_eq!(
+            (&entries[0].region.0, entries[0].child),
+            (&full_space(2), 3)
+        );
+        // A rectangle tree refuses the same infinite bounds.
+        let rect = Params::<Rect>::derive(8187, 2, 512);
+        assert!(Node::<Rect>::decode(&node.encode(&p, 8187).unwrap(), &rect).is_err());
+        let leaf: Node<KdbRegion> = Node::Leaf(vec![LeafEntry {
+            point: Point::new(vec![3.5, -1.25]),
+            data: 77,
+        }]);
+        assert!(Node::decode(&leaf.encode(&p, 8187).unwrap(), &p).is_ok());
     }
 }

@@ -4,8 +4,8 @@
 //! harness, the batch-query executor — used to dispatch over the concrete
 //! tree types with five-arm `match` blocks. [`SpatialIndex`] replaces
 //! that: a `Box<dyn SpatialIndex>` (or a generic bound) gives callers the
-//! whole read/write surface, and [`IndexError`] folds the per-crate
-//! `TreeError` enums into one type they can actually handle.
+//! whole read/write surface, and [`IndexError`] folds the trees'
+//! [`crate::paged::TreeError`] into one type they can actually handle.
 //!
 //! The trait is deliberately object-safe (recorders are passed as
 //! `&dyn Recorder`) and its query methods take `&self`: with the sharded
@@ -99,8 +99,8 @@ impl QueryOutput {
     }
 }
 
-/// Errors from operations on a [`SpatialIndex`], folding each tree
-/// crate's own error enum into one API-level type.
+/// Errors from operations on a [`SpatialIndex`], folding the trees'
+/// [`crate::paged::TreeError`] into one API-level type.
 #[derive(Debug)]
 pub enum IndexError {
     /// Underlying page I/O failed.
@@ -206,45 +206,6 @@ pub trait SpatialIndex: Send + Sync {
     /// ascending distance (ties broken by payload id); every
     /// [`LeafScan`] mode returns bit-identical neighbors.
     fn query(&self, spec: &QuerySpec<'_>, rec: &dyn Recorder) -> Result<QueryOutput, IndexError>;
-
-    /// The `k` nearest neighbors of `query` with a metrics recorder.
-    #[deprecated(note = "build a QuerySpec and call query()")]
-    // srlint: allow(stale-deprecated) -- deprecated this PR (unified query()); shim and hatch both go next PR
-    fn knn_with(
-        &self,
-        query: &[f32],
-        k: usize,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<Neighbor>, IndexError> {
-        self.query(&QuerySpec::knn(query, k), rec).map(|o| o.rows)
-    }
-
-    /// kNN with an explicit leaf-scan kernel.
-    #[deprecated(note = "build a QuerySpec with .with_scan() and call query()")]
-    // srlint: allow(stale-deprecated) -- deprecated this PR (unified query()); shim and hatch both go next PR
-    fn knn_scan_with(
-        &self,
-        query: &[f32],
-        k: usize,
-        scan: LeafScan,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<Neighbor>, IndexError> {
-        self.query(&QuerySpec::knn(query, k).with_scan(scan), rec)
-            .map(|o| o.rows)
-    }
-
-    /// Every point within `radius` of `query` with a metrics recorder.
-    #[deprecated(note = "build a QuerySpec and call query()")]
-    // srlint: allow(stale-deprecated) -- deprecated this PR (unified query()); shim and hatch both go next PR
-    fn range_with(
-        &self,
-        query: &[f32],
-        radius: f64,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<Neighbor>, IndexError> {
-        self.query(&QuerySpec::range(query, radius), rec)
-            .map(|o| o.rows)
-    }
 
     /// kNN without instrumentation.
     fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, IndexError> {

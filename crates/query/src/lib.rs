@@ -24,6 +24,8 @@
 //! [`SpatialIndex`] is the unified, object-safe API all five tree crates
 //! implement on top of these engines — the single dispatch surface the
 //! CLI, the benchmark harness, and the `sr-exec` batch executor use.
+//! [`paged`] is the paged-tree core those crates share: page codec,
+//! `expand()`, verification and the one `SpatialIndex` implementation.
 //!
 //! [`brute_force_knn`] provides exact linear-scan answers used as ground
 //! truth by every correctness test in the workspace.
@@ -37,6 +39,7 @@ mod heap;
 mod index;
 mod knn;
 mod leaf_scan;
+pub mod paged;
 mod range;
 
 pub use best_first::{knn_best_first, knn_best_first_with};

@@ -1,13 +1,15 @@
-//! Error type for K-D-B-tree operations.
+//! The error type of every paged tree.
 
 use std::fmt;
 
 use sr_pager::PagerError;
 
-/// Result alias for K-D-B-tree operations.
+use crate::IndexError;
+
+/// Result alias for paged-tree operations.
 pub type Result<T> = std::result::Result<T, TreeError>;
 
-/// Errors from tree operations.
+/// Errors from tree operations, shared by all five structures.
 #[derive(Debug)]
 pub enum TreeError {
     /// Underlying page I/O failed.
@@ -19,20 +21,21 @@ pub enum TreeError {
         /// Dimensionality of the offending point.
         got: usize,
     },
-    /// The page file does not contain this kind of index.
+    /// The page file does not contain this kind of index (bad magic or
+    /// incompatible version in the tree metadata).
     NotThisIndex(String),
     /// A range query was asked with a negative or NaN radius.
     InvalidRadius(f64),
-    /// A page overflowed but no coordinate plane can separate its
-    /// entries — more coincident points than fit in one page. This is an
-    /// inherent limitation of space-partitioning structures: the
+    /// A K-D-B-tree page overflowed but no coordinate plane can separate
+    /// its entries — more coincident points than fit in one page. The
     /// K-D-B-tree splits *space*, and coincident points cannot be
     /// separated by any plane.
     Unsplittable,
     /// A structural invariant of the tree does not hold — a decoded page
-    /// contradicts itself or its parent (coverage hole, overlapping
-    /// siblings, invalid region geometry). Always a sign of on-disk
-    /// corruption or an internal bug; never raised on well-formed input.
+    /// contradicts itself or its parent (empty node, dangling child link,
+    /// invalid region geometry, overlapping K-D-B siblings). Always a
+    /// sign of on-disk corruption or an internal bug; never raised on
+    /// well-formed input.
     Corrupt(String),
 }
 
@@ -74,9 +77,8 @@ impl From<PagerError> for TreeError {
     }
 }
 
-impl From<TreeError> for sr_query::IndexError {
+impl From<TreeError> for IndexError {
     fn from(e: TreeError) -> Self {
-        use sr_query::IndexError;
         match e {
             TreeError::Pager(p) => IndexError::Pager(p),
             TreeError::DimensionMismatch { expected, got } => {
@@ -100,9 +102,13 @@ mod tests {
     fn display_is_informative() {
         assert!(TreeError::Unsplittable.to_string().contains("coincident"));
         let e = TreeError::DimensionMismatch {
-            expected: 2,
-            got: 5,
+            expected: 16,
+            got: 3,
         };
-        assert!(e.to_string().contains('5'));
+        assert!(e.to_string().contains("16") && e.to_string().contains('3'));
+        assert!(matches!(
+            IndexError::from(TreeError::Unsplittable),
+            IndexError::Unsupported(_)
+        ));
     }
 }

@@ -1,0 +1,232 @@
+//! The in-memory node and its page codec, shared by every tree.
+//!
+//! Leaves use the columnar (dimension-major) layout of
+//! [`sr_pager::LeafColumns`]; inner nodes are a `(level, n)` header
+//! followed by `n` entries of region bytes plus a child page id.
+
+use sr_geometry::Point;
+use sr_pager::{put_leaf_columns, LeafColumns, PageCodec, PageId, PageKind, PageReader};
+
+use super::error::{Result, TreeError};
+use super::params::{Params, NODE_HEADER};
+use super::region::Region;
+
+/// One point stored in a leaf.
+#[derive(Clone, Debug)]
+pub struct LeafEntry {
+    /// The indexed point.
+    pub point: Point,
+    /// Its payload (typically a row id).
+    pub data: u64,
+}
+
+/// One child reference stored in an internal node.
+#[derive(Clone, Debug)]
+pub struct Entry<R> {
+    /// The child's region, as its parent records it.
+    pub region: R,
+    /// The child page.
+    pub child: PageId,
+}
+
+/// An entry being inserted at some level: a point (level 0) or a subtree
+/// reference (level ≥ 1, produced by forced reinsertion).
+#[derive(Clone, Debug)]
+pub enum AnyEntry<R> {
+    /// A point for a leaf.
+    Leaf(LeafEntry),
+    /// A subtree for an inner node.
+    Inner(Entry<R>),
+}
+
+/// A materialized node. Level 0 is the leaf level.
+#[derive(Clone, Debug)]
+pub enum Node<R> {
+    /// A leaf: points with payloads.
+    Leaf(Vec<LeafEntry>),
+    /// An internal node at `level` ≥ 1.
+    Inner {
+        /// Height above the leaves.
+        level: u16,
+        /// Child references.
+        entries: Vec<Entry<R>>,
+    },
+}
+
+impl<R: Region> Node<R> {
+    /// Height above the leaves (0 for a leaf).
+    pub fn level(&self) -> u16 {
+        match self {
+            Node::Leaf(_) => 0,
+            Node::Inner { level, .. } => *level,
+        }
+    }
+
+    /// Whether this is a leaf.
+    pub fn is_leaf(&self) -> bool {
+        matches!(self, Node::Leaf(_))
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        match self {
+            Node::Leaf(e) => e.len(),
+            Node::Inner { entries, .. } => entries.len(),
+        }
+    }
+
+    /// Whether the node holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The page kind this node is stored as.
+    pub fn kind(&self) -> PageKind {
+        if self.is_leaf() {
+            PageKind::Leaf
+        } else {
+            PageKind::Node
+        }
+    }
+
+    /// Serialize into a page payload.
+    ///
+    /// # Errors
+    /// [`TreeError::Corrupt`] when the node violates the on-disk format's
+    /// field widths or the encoded entries overrun `capacity`.
+    pub fn encode(&self, params: &Params<R>, capacity: usize) -> Result<Vec<u8>> {
+        let mut buf = vec![0u8; capacity];
+        let mut c = PageCodec::new(&mut buf);
+        match self {
+            Node::Leaf(entries) => {
+                let refs: Vec<(&[f32], u64)> =
+                    entries.iter().map(|e| (e.point.coords(), e.data)).collect();
+                put_leaf_columns(&mut c, params.dim, params.data_area, &refs)?;
+            }
+            Node::Inner { level, entries } => {
+                c.put_u16(*level)?;
+                let n = u16::try_from(entries.len()).map_err(|_| {
+                    TreeError::Corrupt(format!("{} entries overflow the u16 count", entries.len()))
+                })?;
+                c.put_u16(n)?;
+                for e in entries {
+                    e.region.encode(&mut c)?;
+                    c.put_u64(e.child)?;
+                }
+            }
+        }
+        let len = c.pos();
+        buf.truncate(len);
+        Ok(buf)
+    }
+
+    /// Deserialize from a page payload, validating every field whose
+    /// misvalue would later feed a panicking constructor.
+    pub fn decode(payload: &[u8], params: &Params<R>) -> Result<Self> {
+        if payload.len() < NODE_HEADER {
+            return Err(TreeError::NotThisIndex("node page too short".into()));
+        }
+        let mut c = PageReader::new(payload);
+        let level = c.get_u16()?;
+        let n = usize::from(c.get_u16()?);
+        let dim = params.dim;
+        if level == 0 {
+            if c.remaining() < n * Params::<R>::leaf_entry_bytes(dim, params.data_area) {
+                return Err(TreeError::NotThisIndex("truncated leaf page".into()));
+            }
+            let cols = LeafColumns::parse(payload, dim)?;
+            let mut entries = Vec::with_capacity(n);
+            let mut coords = Vec::with_capacity(dim);
+            for (i, data) in cols.data_ids().enumerate() {
+                cols.point_into(i, &mut coords)?;
+                if !coords.iter().all(|v| v.is_finite()) {
+                    return Err(TreeError::Corrupt("non-finite leaf coordinate".into()));
+                }
+                // On-disk bytes are untrusted input: the fallible
+                // constructor turns a zero-dimensional page into a typed
+                // error instead of a panic.
+                let point = Point::try_new(coords.as_slice())
+                    .map_err(|e| TreeError::Corrupt(e.to_string()))?;
+                entries.push(LeafEntry { point, data });
+            }
+            Ok(Node::Leaf(entries))
+        } else {
+            if c.remaining() < n * Params::<R>::node_entry_bytes(dim) {
+                return Err(TreeError::NotThisIndex("truncated node page".into()));
+            }
+            let mut entries = Vec::with_capacity(n);
+            for _ in 0..n {
+                let region = R::decode(&mut c, dim)?;
+                let child = c.get_u64()?;
+                entries.push(Entry { region, child });
+            }
+            Ok(Node::Inner { level, entries })
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sr_geometry::Rect;
+
+    fn params() -> Params<Rect> {
+        Params::derive(8187, 4, 512)
+    }
+
+    #[test]
+    fn leaf_roundtrip() {
+        let p = params();
+        let node: Node<Rect> = Node::Leaf(vec![
+            LeafEntry {
+                point: Point::new(vec![1.0, 2.0, 3.0, 4.0]),
+                data: 42,
+            },
+            LeafEntry {
+                point: Point::new(vec![-1.0, 0.5, 0.0, 9.0]),
+                data: u64::MAX,
+            },
+        ]);
+        let back = Node::decode(&node.encode(&p, 8187).unwrap(), &p).unwrap();
+        let Node::Leaf(entries) = back else {
+            panic!("expected leaf")
+        };
+        assert_eq!(entries[0].point.coords(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((entries[0].data, entries[1].data), (42, u64::MAX));
+    }
+
+    #[test]
+    fn inner_roundtrip() {
+        let p = params();
+        let rect = Rect::new(vec![0.0, 0.0, 0.0, 0.0], vec![1.0, 2.0, 3.0, 4.0]);
+        let node = Node::Inner {
+            level: 3,
+            entries: vec![Entry {
+                region: rect.clone(),
+                child: 77,
+            }],
+        };
+        let back = Node::decode(&node.encode(&p, 8187).unwrap(), &p).unwrap();
+        assert_eq!(back.level(), 3);
+        let Node::Inner { entries, .. } = back else {
+            panic!("expected inner")
+        };
+        assert_eq!((entries[0].child, &entries[0].region), (77, &rect));
+    }
+
+    #[test]
+    fn empty_leaf_roundtrip() {
+        let p = params();
+        let back = Node::decode(&Node::<Rect>::Leaf(vec![]).encode(&p, 8187).unwrap(), &p);
+        assert!(back.unwrap().is_empty());
+    }
+
+    #[test]
+    fn decode_rejects_garbage() {
+        let p = params();
+        assert!(Node::decode(&[1], &p).is_err());
+        // claims 100 entries but has no bytes
+        assert!(Node::decode(&[0, 0, 100, 0], &p).is_err());
+        assert!(Node::decode(&[1, 0, 100, 0], &p).is_err());
+    }
+}

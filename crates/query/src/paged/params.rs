@@ -1,23 +1,29 @@
 //! Capacity parameters, derived from the page size exactly as the paper
 //! does (Table 1).
 //!
-//! On-disk sizes per entry (coordinates are stored as 8-byte floats, see
-//! `sr_pager::PageCodec::put_coords`):
+//! On-disk sizes per entry (coordinates are stored as 8-byte floats):
 //!
-//! * node entry = bounding rectangle (`2·D·8` bytes) + child pointer (8);
-//! * leaf entry = point (`D·8` bytes) + data area (512 bytes by default —
-//!   "the size of the data area associated to each leaf entry is 512
-//!   bytes", §3.1 — the first 8 of which hold the `u64` payload).
+//! * node entry = the region's bytes ([`Region::bytes`]) + child pointer
+//!   (8);
+//! * leaf entry = point (`D·8`) + data area (512 bytes by default — "the
+//!   size of the data area associated to each leaf entry is 512 bytes",
+//!   §3.1 — the first 8 of which hold the `u64` payload).
 //!
-//! With `D = 16` and 8 KiB pages this yields 30 node entries and 12 leaf
-//! entries, matching the paper's Table 1 arithmetic for the R\*-tree.
+//! At `D = 16` with 8 KiB pages this yields 30 node entries for the
+//! rectangle trees, 55 for the SS-tree and 20 for the SR-tree, and 12
+//! leaf entries for all of them.
+
+use std::fmt;
+use std::marker::PhantomData;
+
+use super::region::Region;
 
 /// Per-node header: level (u16) + entry count (u16).
-pub(crate) const NODE_HEADER: usize = 4;
+pub(super) const NODE_HEADER: usize = 4;
 
-/// Capacity and policy parameters of an R\*-tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RstarParams {
+/// Capacity and policy parameters of a tree whose inner entries hold
+/// regions of type `R`.
+pub struct Params<R: Region> {
     /// Dimensionality of indexed points.
     pub dim: usize,
     /// Bytes reserved per leaf entry for the data record (≥ 8).
@@ -34,16 +40,42 @@ pub struct RstarParams {
     pub reinsert_node: usize,
     /// Entries removed by forced reinsertion from a leaf.
     pub reinsert_leaf: usize,
+    /// The tree's persisted policy knobs (the SR-tree's ablation
+    /// options; `()` elsewhere).
+    pub policy: R::Policy,
+    region: PhantomData<fn() -> R>,
 }
 
-impl RstarParams {
+impl<R: Region> Clone for Params<R> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<R: Region> Copy for Params<R> {}
+
+impl<R: Region> fmt::Debug for Params<R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Params")
+            .field("dim", &self.dim)
+            .field("data_area", &self.data_area)
+            .field("max_node", &self.max_node)
+            .field("min_node", &self.min_node)
+            .field("max_leaf", &self.max_leaf)
+            .field("min_leaf", &self.min_leaf)
+            .field("policy", &self.policy)
+            .finish()
+    }
+}
+
+impl<R: Region> Params<R> {
     /// Derive parameters from the usable page payload (see
     /// `PageFile::capacity`), the dimensionality, and the per-entry data
-    /// area.
+    /// area, with the default policy.
     ///
     /// # Panics
-    /// Panics if the page is too small to hold at least 2 entries per
-    /// node and per leaf, or if `data_area < 8`.
+    /// Panics if the page cannot hold at least 2 entries per node and
+    /// per leaf, or if `data_area < 8`.
     #[allow(clippy::panic)] // documented contract panic; fallible callers use try_derive
     pub fn derive(page_capacity: usize, dim: usize, data_area: usize) -> Self {
         match Self::try_derive(page_capacity, dim, data_area) {
@@ -59,10 +91,10 @@ impl RstarParams {
         }
     }
 
-    /// Non-panicking variant of [`RstarParams::derive`] for parameters
-    /// read back from disk, where every precondition violation is a
-    /// corruption symptom rather than a caller bug: returns `None`
-    /// wherever `derive` would panic.
+    /// Non-panicking variant of [`Params::derive`] for parameters read
+    /// back from disk, where every precondition violation is a corruption
+    /// symptom rather than a caller bug: returns `None` wherever `derive`
+    /// would panic.
     pub fn try_derive(page_capacity: usize, dim: usize, data_area: usize) -> Option<Self> {
         if dim == 0 || data_area < 8 {
             return None;
@@ -73,7 +105,7 @@ impl RstarParams {
         if max_node < 2 || max_leaf < 2 {
             return None;
         }
-        Some(RstarParams {
+        Some(Params {
             dim,
             data_area,
             max_node,
@@ -82,54 +114,64 @@ impl RstarParams {
             min_leaf: min_fill(max_leaf),
             reinsert_node: reinsert_count(max_node),
             reinsert_leaf: reinsert_count(max_leaf),
+            policy: R::Policy::default(),
+            region: PhantomData,
         })
     }
 
-    /// Bytes of one internal-node entry on disk.
+    /// Bytes of one internal-node entry on disk: region + child pointer.
     pub fn node_entry_bytes(dim: usize) -> usize {
-        2 * 8 * dim + 8
+        R::bytes(dim) + 8
     }
 
     /// Bytes of one leaf entry on disk.
     pub fn leaf_entry_bytes(dim: usize, data_area: usize) -> usize {
         8 * dim + data_area
     }
+
+    /// Maximum entries of a node at `level` (0 = leaf).
+    pub fn max_at(&self, level: u16) -> usize {
+        if level == 0 {
+            self.max_leaf
+        } else {
+            self.max_node
+        }
+    }
+
+    /// Minimum entries of a non-root node at `level` (0 = leaf).
+    pub fn min_at(&self, level: u16) -> usize {
+        if level == 0 {
+            self.min_leaf
+        } else {
+            self.min_node
+        }
+    }
 }
 
 /// 40% minimum utilization, as the paper sets for every structure, but at
 /// least 2 so splits are possible.
-pub(crate) fn min_fill(max: usize) -> usize {
+fn min_fill(max: usize) -> usize {
     ((max * 2) / 5).max(2).min(max / 2)
 }
 
 /// 30% reinsert fraction, as the paper sets.
-pub(crate) fn reinsert_count(max: usize) -> usize {
+fn reinsert_count(max: usize) -> usize {
     ((max * 3) / 10).max(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sr_geometry::Rect;
 
     #[test]
-    fn paper_capacities_at_16_dimensions() {
+    fn rectangle_capacities_at_16_dimensions() {
         // 8192-byte page, 5-byte page header → 8187 usable.
-        let p = RstarParams::derive(8187, 16, 512);
+        let p = Params::<Rect>::derive(8187, 16, 512);
         // node entry = 2*8*16 + 8 = 264 → (8187-4)/264 = 30
-        assert_eq!(p.max_node, 30);
+        assert_eq!((p.max_node, p.min_node, p.reinsert_node), (30, 12, 9));
         // leaf entry = 8*16 + 512 = 640 → (8187-4)/640 = 12
-        assert_eq!(p.max_leaf, 12);
-        assert_eq!(p.min_node, 12); // 40%
-        assert_eq!(p.min_leaf, 4);
-        assert_eq!(p.reinsert_node, 9); // 30%
-        assert_eq!(p.reinsert_leaf, 3);
-    }
-
-    #[test]
-    fn fanout_shrinks_with_dimensionality() {
-        let lo = RstarParams::derive(8187, 8, 512);
-        let hi = RstarParams::derive(8187, 64, 512);
-        assert!(hi.max_node < lo.max_node);
+        assert_eq!((p.max_leaf, p.min_leaf, p.reinsert_leaf), (12, 4, 3));
     }
 
     #[test]
@@ -145,6 +187,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid parameters")]
     fn tiny_page_rejected() {
-        let _ = RstarParams::derive(300, 64, 512);
+        let _ = Params::<Rect>::derive(300, 64, 512);
+    }
+
+    #[test]
+    fn try_derive_refuses_what_derive_panics_on() {
+        assert!(Params::<Rect>::try_derive(300, 64, 512).is_none());
+        assert!(Params::<Rect>::try_derive(8187, 0, 512).is_none());
+        assert!(Params::<Rect>::try_derive(8187, 16, 4).is_none());
     }
 }

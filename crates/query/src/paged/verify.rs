@@ -1,0 +1,117 @@
+//! The structural-invariant walker shared by every tree.
+//!
+//! The walk itself checks what holds for all five structures — every
+//! inner node is non-empty, every leaf sits at level 0 below a
+//! height-consistent path, every stored point lies inside the region
+//! each ancestor entry records for it, and the metadata count matches
+//! the points on disk — and hands each node to the tree's
+//! [`PagedTree::check_node`] for the structure's own invariants (fanout
+//! bounds, exact region recomputation, K-D-B disjointness).
+
+use std::fmt;
+
+use sr_pager::PageId;
+
+use super::error::{Result, TreeError};
+use super::index::PagedTree;
+use super::node::Node;
+use super::region::Region;
+
+/// Summary of a verified tree.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VerifyReport {
+    /// Internal nodes visited.
+    pub nodes: u64,
+    /// Leaves visited.
+    pub leaves: u64,
+    /// Points counted.
+    pub points: u64,
+    /// Empty leaves (K-D-B forced-split debris, or an empty root).
+    pub empty_leaves: u64,
+    /// Leaves filled to capacity (the VAMSplit guarantee makes these the
+    /// overwhelming majority of a bulk-built tree).
+    pub full_leaves: u64,
+}
+
+impl fmt::Display for VerifyReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} nodes, {} leaves ({} empty, {} full), {} points",
+            self.nodes, self.leaves, self.empty_leaves, self.full_leaves, self.points
+        )
+    }
+}
+
+/// Walk the whole tree, validating every structural invariant.
+///
+/// # Errors
+/// [`TreeError::Corrupt`] naming the offending page and invariant;
+/// [`TreeError::Pager`] when a page cannot be read at all.
+pub fn verify<T: PagedTree>(tree: &T) -> Result<VerifyReport> {
+    let core = tree.core();
+    if core.height == 0 {
+        return Err(TreeError::Corrupt("metadata records height 0".into()));
+    }
+    let mut report = VerifyReport::default();
+    let root_level = (core.height - 1) as u16;
+    walk(tree, core.root, root_level, &mut Vec::new(), &mut report)?;
+    if report.points != core.len() {
+        return Err(TreeError::Corrupt(format!(
+            "metadata says {} points, tree holds {}",
+            core.len(),
+            report.points
+        )));
+    }
+    Ok(report)
+}
+
+/// Check the node at `id`; `path` holds the regions every ancestor entry
+/// records for this subtree, nearest last.
+fn walk<T: PagedTree>(
+    tree: &T,
+    id: PageId,
+    level: u16,
+    path: &mut Vec<T::Region>,
+    report: &mut VerifyReport,
+) -> Result<()> {
+    let core = tree.core();
+    let node = core.read_node(id, level)?;
+    if node.level() != level {
+        return Err(TreeError::Corrupt(format!(
+            "page {id}: stored level {} but expected {level}",
+            node.level()
+        )));
+    }
+    tree.check_node(id, &node, path.last())?;
+    match &node {
+        Node::Leaf(entries) => {
+            report.leaves += 1;
+            report.points += entries.len() as u64;
+            report.empty_leaves += u64::from(entries.is_empty());
+            report.full_leaves += u64::from(entries.len() == core.params.max_leaf);
+            for e in entries {
+                if let Some(r) = path.iter().find(|r| !r.contains_point(e.point.coords())) {
+                    return Err(TreeError::Corrupt(format!(
+                        "page {id}: point {:?} escapes the recorded region {r:?}",
+                        e.point
+                    )));
+                }
+            }
+        }
+        Node::Inner { entries, .. } => {
+            report.nodes += 1;
+            if entries.is_empty() {
+                return Err(TreeError::Corrupt(format!(
+                    "inner page {id} has no entries"
+                )));
+            }
+            for e in entries {
+                path.push(e.region.clone());
+                walk(tree, e.child, level - 1, path, report)?;
+                path.pop();
+            }
+        }
+    }
+    Ok(())
+}

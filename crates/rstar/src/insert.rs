@@ -1,177 +1,45 @@
-//! The R\*-tree insertion algorithm: ChooseSubtree, OverflowTreatment
-//! with forced reinsertion, and upward split propagation.
+//! The R\*-tree's insertion policies: ChooseSubtree and the "close
+//! reinsert" victim selection. The shared driver in
+//! [`sr_query::paged::Dynamic`] runs them.
 
 use sr_geometry::Rect;
-use sr_pager::PageId;
+use sr_query::paged::{mbr, take_farthest, AnyEntry, Entry, Node, Params, Result};
 
-use crate::error::{Result, TreeError};
-use crate::node::{InnerEntry, LeafEntry, Node};
-use crate::split;
-use crate::tree::RstarTree;
-
-/// An entry being inserted at some level: a point (level 0) or a subtree
-/// reference (level ≥ 1, produced by forced reinsertion).
-pub(crate) enum AnyEntry {
-    Leaf(LeafEntry),
-    Inner(InnerEntry),
-}
-
-impl AnyEntry {
-    /// The (possibly degenerate) rectangle of the entry, used by
-    /// ChooseSubtree.
-    fn rect(&self) -> Rect {
-        match self {
-            AnyEntry::Leaf(e) => Rect::from_point(&e.point),
-            AnyEntry::Inner(e) => e.rect.clone(),
-        }
+/// The (possibly degenerate) rectangle of an entry being inserted.
+fn entry_rect(entry: &AnyEntry<Rect>) -> Rect {
+    match entry {
+        AnyEntry::Leaf(e) => Rect::from_point(&e.point),
+        AnyEntry::Inner(e) => e.region.clone(),
     }
 }
 
-/// Public entry point: insert one point.
-pub(crate) fn insert_point(
-    tree: &mut RstarTree,
-    point: sr_geometry::Point,
-    data: u64,
-) -> Result<()> {
-    // One "reinserted" flag per level, for the R*-tree rule that forced
-    // reinsertion runs at most once per level per insertion.
-    let mut reinserted = vec![false; tree.height as usize];
-    insert_at_level(
-        tree,
-        AnyEntry::Leaf(LeafEntry { point, data }),
-        0,
-        &mut reinserted,
-    )?;
-    tree.count += 1;
-    tree.save_meta()?;
-    Ok(())
-}
-
-/// Insert `entry` at `target_level`, handling overflow by forced
-/// reinsertion (first time per level) or split (afterwards), and
-/// propagating splits toward the root.
-pub(crate) fn insert_at_level(
-    tree: &mut RstarTree,
-    entry: AnyEntry,
-    target_level: u16,
-    reinserted: &mut Vec<bool>,
-) -> Result<()> {
-    debug_assert!((target_level as u32) < tree.height);
-    let entry_rect = entry.rect();
-    let path = choose_path(tree, &entry_rect, target_level)?;
-    let &target = path
-        .last()
-        .ok_or_else(|| TreeError::Corrupt("empty descent path".into()))?;
-    let mut node = tree.read_node(target, target_level)?;
-    match (entry, &mut node) {
-        (AnyEntry::Leaf(e), Node::Leaf(entries)) => entries.push(e),
-        (AnyEntry::Inner(e), Node::Inner { entries, .. }) => entries.push(e),
-        _ => {
-            return Err(TreeError::Corrupt(
-                "insertion target level does not match the node kind on disk".into(),
-            ))
-        }
+/// R\* ChooseSubtree: least overlap enlargement when the children are
+/// leaves (`level == 1`), least area enlargement above.
+pub(crate) fn choose_subtree(entries: &[Entry<Rect>], entry: &AnyEntry<Rect>, level: u16) -> usize {
+    let rect = entry_rect(entry);
+    if level == 1 {
+        choose_min_overlap(entries, &rect)
+    } else {
+        choose_min_enlargement(entries, &rect)
     }
-
-    let mut idx = path.len() - 1;
-    loop {
-        if node.len() <= tree.max_for(&node) {
-            tree.write_node(path[idx], &node)?;
-            propagate_mbrs(tree, &path, idx, node.mbr()?)?;
-            return Ok(());
-        }
-        if idx == 0 {
-            split_root(tree, node)?;
-            return Ok(());
-        }
-        let level = node.level() as usize;
-        if !reinserted.get(level).copied().unwrap_or(true) {
-            // --- forced reinsertion ---
-            reinserted[level] = true;
-            let removed = remove_farthest(tree, &mut node)?;
-            tree.write_node(path[idx], &node)?;
-            propagate_mbrs(tree, &path, idx, node.mbr()?)?;
-            // "Close reinsert": re-add starting with the entry closest to
-            // the node center (removed is sorted farthest-first).
-            for e in removed.into_iter().rev() {
-                insert_at_level(tree, e, level as u16, reinserted)?;
-            }
-            return Ok(());
-        }
-        // --- split ---
-        let (a, b) = split::split_node(&tree.params, node);
-        let b_id = tree.allocate_node(&b)?;
-        tree.write_node(path[idx], &a)?;
-        let (a_mbr, b_mbr) = (a.mbr()?, b.mbr()?);
-        idx -= 1;
-        let mut parent = tree.read_node(
-            path[idx],
-            (target_level as usize + (path.len() - 1 - idx)) as u16,
-        )?;
-        if let Node::Inner { entries, .. } = &mut parent {
-            let slot = entries
-                .iter_mut()
-                .find(|e| e.child == path[idx + 1])
-                .ok_or_else(|| TreeError::Corrupt("parent lost track of its child".into()))?;
-            slot.rect = a_mbr;
-            entries.push(InnerEntry {
-                rect: b_mbr,
-                child: b_id,
-            });
-        } else {
-            return Err(TreeError::Corrupt(
-                "parent of a split node is not an inner node".into(),
-            ));
-        }
-        node = parent;
-    }
-}
-
-/// Descend from the root to `target_level`, choosing the subtree for
-/// `rect` at each step with the R\* criteria. Returns the page-id path,
-/// root first.
-fn choose_path(tree: &RstarTree, rect: &Rect, target_level: u16) -> Result<Vec<PageId>> {
-    let mut path = vec![tree.root];
-    let mut level = (tree.height - 1) as u16;
-    let mut id = tree.root;
-    while level > target_level {
-        let node = tree.read_node(id, level)?;
-        let entries = match &node {
-            Node::Inner { entries, .. } => entries,
-            Node::Leaf(_) => {
-                return Err(TreeError::Corrupt(
-                    "leaf found above the target level while descending".into(),
-                ))
-            }
-        };
-        let idx = if level == 1 {
-            // children are leaves: minimize overlap enlargement
-            choose_min_overlap(entries, rect)
-        } else {
-            choose_min_enlargement(entries, rect)
-        };
-        id = entries[idx].child;
-        path.push(id);
-        level -= 1;
-    }
-    Ok(path)
 }
 
 /// R\* ChooseSubtree at the leaf-parent level: least overlap enlargement,
 /// ties by least area enlargement, then least area.
-fn choose_min_overlap(entries: &[InnerEntry], rect: &Rect) -> usize {
+fn choose_min_overlap(entries: &[Entry<Rect>], rect: &Rect) -> usize {
     let mut best = 0usize;
     let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for (i, e) in entries.iter().enumerate() {
-        let enlarged = e.rect.union(rect);
+        let enlarged = e.region.union(rect);
         let mut overlap_delta = 0.0f64;
         for (j, o) in entries.iter().enumerate() {
             if i == j {
                 continue;
             }
-            overlap_delta += enlarged.overlap_volume(&o.rect) - e.rect.overlap_volume(&o.rect);
+            overlap_delta +=
+                enlarged.overlap_volume(&o.region) - e.region.overlap_volume(&o.region);
         }
-        let area = e.rect.volume();
+        let area = e.region.volume();
         let key = (overlap_delta, enlarged.volume() - area, area);
         if key < best_key {
             best_key = key;
@@ -183,12 +51,12 @@ fn choose_min_overlap(entries: &[InnerEntry], rect: &Rect) -> usize {
 
 /// ChooseSubtree above the leaf-parent level: least area enlargement,
 /// ties by least area.
-fn choose_min_enlargement(entries: &[InnerEntry], rect: &Rect) -> usize {
+fn choose_min_enlargement(entries: &[Entry<Rect>], rect: &Rect) -> usize {
     let mut best = 0usize;
     let mut best_key = (f64::INFINITY, f64::INFINITY);
     for (i, e) in entries.iter().enumerate() {
-        let area = e.rect.volume();
-        let key = (e.rect.union(rect).volume() - area, area);
+        let area = e.region.volume();
+        let key = (e.region.union(rect).volume() - area, area);
         if key < best_key {
             best_key = key;
             best = i;
@@ -197,156 +65,39 @@ fn choose_min_enlargement(entries: &[InnerEntry], rect: &Rect) -> usize {
     best
 }
 
-/// After writing the node at `path[idx]`, refresh the bounding rectangles
-/// recorded for it (and transitively its ancestors) up to the root.
-pub(crate) fn propagate_mbrs(
-    tree: &RstarTree,
-    path: &[PageId],
-    idx: usize,
-    mut child_mbr: Rect,
-) -> Result<()> {
-    let mut child_id = path[idx];
-    for j in (0..idx).rev() {
-        // Level bookkeeping: path runs root..target, so path[j] sits
-        // `path.len()-1-j` levels above the target.
-        let level = (tree.height as usize - 1 - j) as u16;
-        let mut parent = tree.read_node(path[j], level)?;
-        if let Node::Inner { entries, .. } = &mut parent {
-            let slot = entries
-                .iter_mut()
-                .find(|e| e.child == child_id)
-                .ok_or_else(|| TreeError::Corrupt("parent lost track of its child".into()))?;
-            if slot.rect == child_mbr {
-                return Ok(()); // nothing changed; ancestors are exact
-            }
-            slot.rect = child_mbr;
-        }
-        tree.write_node(path[j], &parent)?;
-        child_mbr = parent.mbr()?;
-        child_id = path[j];
-    }
-    Ok(())
-}
-
-/// Remove the reinsert-fraction of entries farthest from the node's MBR
-/// center, returning them farthest-first.
-fn remove_farthest(tree: &RstarTree, node: &mut Node) -> Result<Vec<AnyEntry>> {
-    let center = node.mbr()?.center();
-    let p = if node.is_leaf() {
-        tree.params.reinsert_leaf
-    } else {
-        tree.params.reinsert_node
-    };
-    match node {
-        Node::Leaf(entries) => {
-            let mut order: Vec<usize> = (0..entries.len()).collect();
-            order.sort_by(|&a, &b| {
-                let da = entries[a].point.dist2(&center);
-                let db = entries[b].point.dist2(&center);
-                db.total_cmp(&da)
-            });
-            let victims: Vec<usize> = order.into_iter().take(p).collect();
-            Ok(extract(entries, &victims)
-                .into_iter()
-                .map(AnyEntry::Leaf)
-                .collect())
-        }
-        Node::Inner { entries, .. } => {
-            let mut order: Vec<usize> = (0..entries.len()).collect();
-            order.sort_by(|&a, &b| {
-                let da = entries[a].rect.center().dist2(&center);
-                let db = entries[b].rect.center().dist2(&center);
-                db.total_cmp(&da)
-            });
-            let victims: Vec<usize> = order.into_iter().take(p).collect();
-            Ok(extract(entries, &victims)
-                .into_iter()
-                .map(AnyEntry::Inner)
-                .collect())
-        }
-    }
-}
-
-/// Remove `victims` (indices into `entries`) preserving the victims'
-/// given order in the returned vector.
-fn extract<T>(entries: &mut Vec<T>, victims: &[usize]) -> Vec<T> {
-    let mut sorted = victims.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let mut removed: Vec<(usize, T)> = sorted.into_iter().map(|i| (i, entries.remove(i))).collect();
-    // restore the caller's requested order
-    let mut out = Vec::with_capacity(victims.len());
-    for &v in victims {
-        // `victims` holds distinct indices, so every lookup hits.
-        if let Some(pos) = removed.iter().position(|(i, _)| *i == v) {
-            out.push(removed.remove(pos).1);
-        }
-    }
-    out
-}
-
-/// Split an overflowing root, growing the tree by one level.
-fn split_root(tree: &mut RstarTree, node: Node) -> Result<()> {
-    let level = node.level();
-    let (a, b) = split::split_node(&tree.params, node);
-    let a_id = tree.allocate_node(&a)?;
-    let b_id = tree.allocate_node(&b)?;
-    let new_root = Node::Inner {
-        level: level + 1,
-        entries: vec![
-            InnerEntry {
-                rect: a.mbr()?,
-                child: a_id,
-            },
-            InnerEntry {
-                rect: b.mbr()?,
-                child: b_id,
-            },
-        ],
-    };
-    // Reuse the old root page for the new root so the meta root pointer
-    // stays stable only when we choose; simpler: free it and point meta at
-    // a fresh page.
-    tree.pf.free(tree.root)?;
-    let root_id = tree.allocate_node(&new_root)?;
-    tree.root = root_id;
-    tree.height += 1;
-    tree.save_meta()?;
-    Ok(())
+/// Remove the reinsert fraction of entries farthest from the node's MBR
+/// center (not its centroid), farthest first.
+pub(crate) fn take_reinsert(
+    node: &mut Node<Rect>,
+    params: &Params<Rect>,
+) -> Result<Vec<AnyEntry<Rect>>> {
+    let center = mbr(node)?.center();
+    Ok(take_farthest(
+        node,
+        params,
+        |e| e.point.dist2(&center),
+        |e| e.region.center().dist2(&center),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::LeafEntry;
     use sr_geometry::Point;
+    use sr_query::paged::LeafEntry;
 
-    #[test]
-    fn extract_preserves_requested_order() {
-        let mut entries = vec!["a", "b", "c", "d", "e"];
-        let got = extract(&mut entries, &[4, 1, 2]);
-        assert_eq!(got, vec!["e", "b", "c"]);
-        assert_eq!(entries, vec!["a", "d"]);
-    }
-
-    #[test]
-    fn extract_single_and_empty() {
-        let mut entries = vec![1, 2, 3];
-        assert!(extract(&mut entries, &[]).is_empty());
-        assert_eq!(extract(&mut entries, &[0]), vec![1]);
-        assert_eq!(entries, vec![2, 3]);
+    fn entry(lo: [f32; 2], hi: [f32; 2], child: u64) -> Entry<Rect> {
+        Entry {
+            region: Rect::new(lo.to_vec(), hi.to_vec()),
+            child,
+        }
     }
 
     #[test]
     fn choose_min_enlargement_prefers_containing_rect() {
         let entries = vec![
-            InnerEntry {
-                rect: Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]),
-                child: 1,
-            },
-            InnerEntry {
-                rect: Rect::new(vec![5.0, 5.0], vec![6.0, 6.0]),
-                child: 2,
-            },
+            entry([0.0, 0.0], [1.0, 1.0], 1),
+            entry([5.0, 5.0], [6.0, 6.0], 2),
         ];
         let target = Rect::from_point(&Point::new(vec![0.5, 0.5]));
         assert_eq!(choose_min_enlargement(&entries, &target), 0);
@@ -356,31 +107,19 @@ mod tests {
 
     #[test]
     fn choose_min_overlap_avoids_creating_overlap() {
-        // Two adjacent rects; a point between them. Enlarging the left
-        // rect to take the point overlaps the right rect less than the
-        // converse (the right rect is bigger).
+        // Enlarging the left rect to x=1.5 does not touch the right one
+        // (which starts at x=2); the converse would.
         let entries = vec![
-            InnerEntry {
-                rect: Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]),
-                child: 1,
-            },
-            InnerEntry {
-                rect: Rect::new(vec![2.0, 0.0], vec![5.0, 5.0]),
-                child: 2,
-            },
+            entry([0.0, 0.0], [1.0, 1.0], 1),
+            entry([2.0, 0.0], [5.0, 5.0], 2),
         ];
         let target = Rect::from_point(&Point::new(vec![1.5, 0.5]));
-        let got = choose_min_overlap(&entries, &target);
-        // enlarging entry 0 to x=1.5 does not touch entry 1 (starts at 2)
-        assert_eq!(got, 0);
+        assert_eq!(choose_min_overlap(&entries, &target), 0);
     }
 
     #[test]
-    fn remove_farthest_takes_outliers() {
-        // Build a fake tree handle cheaply: remove_farthest needs params
-        // only for the count, so use a leaf with a known outlier.
-        let pf = sr_pager::PageFile::create_in_memory(1024).unwrap();
-        let tree = crate::tree::RstarTree::create_from(pf, 2, 64).unwrap();
+    fn take_reinsert_takes_entries_farthest_from_the_mbr_center() {
+        let params = crate::RstarParams::derive(1024, 2, 64);
         let mut node = Node::Leaf(
             (0..8)
                 .map(|i| LeafEntry {
@@ -393,28 +132,27 @@ mod tests {
                 })
                 .collect(),
         );
-        let center = node.mbr().unwrap().center();
-        let removed = remove_farthest(&tree, &mut node).unwrap();
+        let center = mbr(&node).unwrap().center();
+        let removed = take_reinsert(&mut node, &params).unwrap();
         assert!(!removed.is_empty());
-        // Contract: every removed entry is at least as far from the
-        // (pre-removal) MBR center as every kept entry. (Note the R*
-        // rule measures from the MBR *center*, not the centroid — with
-        // one extreme outlier, the near-origin cluster is what is
-        // farthest from that center.)
-        let dist = |e: &AnyEntry| match e {
+        // Every removed entry is at least as far from the (pre-removal)
+        // MBR center as every kept entry. With one extreme outlier, the
+        // near-origin cluster is what is farthest from that center.
+        let dist = |e: &AnyEntry<Rect>| match e {
             AnyEntry::Leaf(le) => le.point.dist2(&center),
-            AnyEntry::Inner(ie) => ie.rect.center().dist2(&center),
+            AnyEntry::Inner(ie) => ie.region.center().dist2(&center),
         };
-        let min_removed = removed.iter().map(&dist).fold(f64::INFINITY, f64::min);
-        if let Node::Leaf(kept) = &node {
-            let max_kept = kept
-                .iter()
-                .map(|e| e.point.dist2(&center))
-                .fold(0.0f64, f64::max);
-            assert!(
-                min_removed >= max_kept,
-                "removed {min_removed} < kept {max_kept}"
-            );
-        }
+        let min_removed = removed.iter().map(dist).fold(f64::INFINITY, f64::min);
+        let Node::Leaf(kept) = &node else {
+            panic!("expected leaf")
+        };
+        let max_kept = kept
+            .iter()
+            .map(|e| e.point.dist2(&center))
+            .fold(0.0f64, f64::max);
+        assert!(
+            min_removed >= max_kept,
+            "removed {min_removed} < kept {max_kept}"
+        );
     }
 }

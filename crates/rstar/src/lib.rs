@@ -2,8 +2,9 @@
 //! point mode — the rectangle-region baseline of the SR-tree paper (§2.2).
 //!
 //! A disk-based, height-balanced tree of nested minimum bounding
-//! rectangles. This implementation follows the original R\*-tree
-//! algorithms:
+//! rectangles. The shared paged core (`sr_query::paged`) supplies the
+//! page codec, search, verification and the R-tree-family update
+//! driver; this crate keeps the original R\*-tree policies:
 //!
 //! * **ChooseSubtree** — minimum overlap enlargement at the level above
 //!   the leaves, minimum area enlargement elsewhere;
@@ -12,11 +13,7 @@
 //!   reinserted instead of splitting ("close reinsert");
 //! * **R\*-split** — axis chosen by minimum margin sum, distribution by
 //!   minimum overlap, ties by minimum area;
-//! * **Deletion** — the R-tree condense-tree algorithm with orphan
-//!   reinsertion.
-//!
-//! Nearest-neighbor queries run the Roussopoulos et al. depth-first
-//! search from [`sr_query`], scoring regions with rectangle `MINDIST`.
+//! * **Region update** — exact MBRs, scored by rectangle `MINDIST`.
 //!
 //! ```
 //! use sr_rstar::RstarTree;
@@ -36,18 +33,23 @@
 // clippy index ban applies to the audited geometry/pager hot paths.
 #![allow(clippy::indexing_slicing)]
 
-mod delete;
-mod error;
 mod insert;
-mod node;
-mod params;
-mod search;
 mod split;
 mod tree;
-pub mod verify;
 
-pub use error::{Result, TreeError};
-pub use params::RstarParams;
+pub use sr_query::paged::TreeError;
+
+/// Result alias for tree operations.
+pub type Result<T> = std::result::Result<T, TreeError>;
+pub use sr_query::Neighbor;
 pub use tree::RstarTree;
 
-pub use sr_query::Neighbor;
+/// Capacity parameters of an R\*-tree (Table 1): a node entry is a
+/// bounding rectangle (`2·D·8` bytes) plus a child pointer.
+pub type RstarParams = sr_query::paged::Params<sr_geometry::Rect>;
+
+/// Structural-invariant checker: the shared walker plus exact MBRs and
+/// the `[min, max]` fanout bounds.
+pub mod verify {
+    pub use sr_query::paged::{verify as check, VerifyReport};
+}

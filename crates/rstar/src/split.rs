@@ -3,12 +3,12 @@
 
 use sr_geometry::Rect;
 
-use crate::node::Node;
-use crate::params::RstarParams;
+use crate::RstarParams;
+use sr_query::paged::Node;
 
 /// Split an overflowing node (holding `max + 1` entries) into two nodes,
 /// each holding at least the minimum fill.
-pub(crate) fn split_node(params: &RstarParams, node: Node) -> (Node, Node) {
+pub(crate) fn split_node(params: &RstarParams, node: Node<Rect>) -> (Node<Rect>, Node<Rect>) {
     match node {
         Node::Leaf(entries) => {
             let rects: Vec<Rect> = entries.iter().map(|e| Rect::from_point(&e.point)).collect();
@@ -17,7 +17,7 @@ pub(crate) fn split_node(params: &RstarParams, node: Node) -> (Node, Node) {
             (Node::Leaf(a), Node::Leaf(b))
         }
         Node::Inner { level, entries } => {
-            let rects: Vec<Rect> = entries.iter().map(|e| e.rect.clone()).collect();
+            let rects: Vec<Rect> = entries.iter().map(|e| e.region.clone()).collect();
             let (left_idx, right_idx) = rstar_split(&rects, params.min_node);
             let (a, b) = partition(entries, &left_idx, &right_idx);
             (
@@ -129,8 +129,8 @@ fn prefix_suffix_bbs(rects: &[Rect], order: &[usize]) -> (Vec<Rect>, Vec<Rect>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{InnerEntry, LeafEntry};
     use sr_geometry::Point;
+    use sr_query::paged::{Entry, LeafEntry};
 
     fn pt_rects(coords: &[[f32; 2]]) -> Vec<Rect> {
         coords
@@ -207,9 +207,9 @@ mod tests {
     fn split_node_preserves_inner_level() {
         let params = RstarParams::derive(8187, 2, 512);
         let n = params.max_node + 1;
-        let entries: Vec<InnerEntry> = (0..n)
-            .map(|i| InnerEntry {
-                rect: Rect::new(
+        let entries: Vec<Entry<Rect>> = (0..n)
+            .map(|i| Entry {
+                region: Rect::new(
                     vec![i as f32, 0.0],
                     vec![i as f32 + 0.5, 1.0 + (i % 5) as f32],
                 ),

@@ -1,33 +1,27 @@
-//! The public [`RstarTree`] type: lifecycle, metadata, and page helpers.
+//! The public [`RstarTree`] type: the shared paged core plus the
+//! R\*-tree's policies.
 
+use std::ops::Deref;
 use std::path::Path;
 
-use sr_geometry::{Point, Rect};
-use sr_pager::{PageCodec, PageFile, PageId, PageKind};
-use sr_query::Neighbor;
+use sr_geometry::{bounding_rect_of_points, Point, Rect};
+use sr_pager::{PageFile, PageId};
+use sr_query::paged::{mbr, AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result};
+use sr_query::IndexError;
 
-use crate::error::{Result, TreeError};
-use crate::node::Node;
-use crate::params::RstarParams;
-use crate::{delete, insert, search};
+use crate::{insert, split};
 
-const META_MAGIC: u32 = 0x5253_5452; // "RSTR"
-/// Version 2: leaves are columnar (dimension-major). Version-1 files
-/// are rejected rather than silently misread — the byte totals match,
-/// but the entry layout moved.
-const META_VERSION: u32 = 2;
+const KIND: Kind = Kind {
+    magic: 0x5253_5452, // "RSTR"
+    name: "R*-tree",
+};
 
 /// A disk-based R\*-tree over points, used by the paper as the
-/// rectangle-region baseline.
-// srlint: send-sync -- queries take &self and go through the internally synchronized PageFile; params/root/height/count only change via &mut self (insert/delete), which the borrow checker serializes
+/// rectangle-region baseline. The shared core's methods (`knn`,
+/// `range`, `contains`, `len`, `pager`, …) are reached through `Deref`.
+// srlint: send-sync -- all state is the noted Paged core; mutation goes through &mut self
 pub struct RstarTree {
-    pub(crate) pf: PageFile,
-    pub(crate) params: RstarParams, // srlint: guarded-by(owner)
-    pub(crate) root: PageId,        // srlint: guarded-by(owner)
-    /// Number of levels; 1 means the root is a leaf. The root's level
-    /// number is `height - 1` (leaves are level 0).
-    pub(crate) height: u32, // srlint: guarded-by(owner)
-    pub(crate) count: u64,          // srlint: guarded-by(owner)
+    core: Paged<Rect>,
 }
 
 impl RstarTree {
@@ -45,18 +39,8 @@ impl RstarTree {
     /// Create a new tree over an existing empty [`PageFile`], with an
     /// explicit per-leaf-entry data area (≥ 8 bytes).
     pub fn create_from(pf: PageFile, dim: usize, data_area: usize) -> Result<Self> {
-        let params = RstarParams::derive(pf.capacity(), dim, data_area);
-        let root = pf.allocate(PageKind::Leaf)?;
-        let tree = RstarTree {
-            pf,
-            params,
-            root,
-            height: 1,
-            count: 0,
-        };
-        tree.write_node(root, &Node::Leaf(Vec::new()))?;
-        tree.save_meta()?;
-        Ok(tree)
+        let core = Paged::create(pf, KIND, dim, data_area, ())?;
+        Ok(RstarTree { core })
     }
 
     /// Reopen a tree previously created with [`RstarTree::create`].
@@ -66,358 +50,99 @@ impl RstarTree {
 
     /// Reopen a tree from an already-open page file.
     pub fn open_from(pf: PageFile) -> Result<Self> {
-        let meta = pf.user_meta();
-        if meta.len() < 36 {
-            return Err(TreeError::NotThisIndex("metadata too short".into()));
-        }
-        let mut meta = meta;
-        let mut c = PageCodec::new(&mut meta);
-        if c.get_u32()? != META_MAGIC {
-            return Err(TreeError::NotThisIndex("not an R*-tree file".into()));
-        }
-        if c.get_u32()? != META_VERSION {
-            return Err(TreeError::NotThisIndex(
-                "unsupported R*-tree version".into(),
-            ));
-        }
-        let dim = c.get_u32()? as usize;
-        let data_area = c.get_u32()? as usize;
-        let root = c.get_u64()?;
-        let height = c.get_u32()?;
-        let count = c.get_u64()?;
-        let params = RstarParams::try_derive(pf.capacity(), dim, data_area).ok_or_else(|| {
-            TreeError::NotThisIndex(format!(
-                "stored parameters (dim {dim}, data area {data_area}) do not fit a {}-byte page",
-                pf.capacity()
-            ))
-        })?;
-        Ok(RstarTree {
-            pf,
-            params,
-            root,
-            height,
-            count,
-        })
-    }
-
-    pub(crate) fn save_meta(&self) -> Result<()> {
-        let mut buf = vec![0u8; 36];
-        let mut c = PageCodec::new(&mut buf);
-        c.put_u32(META_MAGIC)?;
-        c.put_u32(META_VERSION)?;
-        c.put_u32(self.params.dim as u32)?;
-        c.put_u32(self.params.data_area as u32)?;
-        c.put_u64(self.root)?;
-        c.put_u32(self.height)?;
-        c.put_u64(self.count)?;
-        self.pf.set_user_meta(&buf)?;
-        Ok(())
-    }
-
-    /// Dimensionality of indexed points.
-    pub fn dim(&self) -> usize {
-        self.params.dim
-    }
-
-    /// Number of points in the tree.
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether the tree holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Tree height in levels (1 = the root is a leaf). Reproduces the
-    /// paper's Tables 2 and 3.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Capacity parameters in force (Table 1).
-    pub fn params(&self) -> &RstarParams {
-        &self.params
-    }
-
-    /// The underlying page file, exposed for I/O statistics
-    /// ([`sr_pager::IoStats`]) and cache configuration in experiments.
-    pub fn pager(&self) -> &PageFile {
-        &self.pf
-    }
-
-    /// Flush all dirty pages and metadata to the backing store.
-    pub fn flush(&self) -> Result<()> {
-        self.pf.flush()?;
-        Ok(())
-    }
-
-    pub(crate) fn check_dim(&self, got: usize) -> Result<()> {
-        if got != self.params.dim {
-            return Err(TreeError::DimensionMismatch {
-                expected: self.params.dim,
-                got,
-            });
-        }
-        Ok(())
-    }
-
-    /// Read a leaf's raw payload for the columnar scan — a zero-copy view
-    /// into the buffer pool ([`sr_pager::PageBuf`]); the kernels score it
-    /// without decoding entries.
-    pub(crate) fn leaf_payload(&self, id: PageId) -> Result<sr_pager::PageBuf> {
-        Ok(self.pf.read(id, PageKind::Leaf)?)
-    }
-
-    /// Read an inner node's raw payload for the zero-copy bound scan —
-    /// same zero-copy view as the leaf path, one logical read per
-    /// expansion so `node_expansions == node_reads` holds unchanged.
-    pub(crate) fn node_payload(&self, id: PageId) -> Result<sr_pager::PageBuf> {
-        Ok(self.pf.read(id, PageKind::Node)?)
-    }
-
-    pub(crate) fn read_node(&self, id: PageId, level: u16) -> Result<Node> {
-        let kind = if level == 0 {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let payload = self.pf.read(id, kind)?;
-        let node = Node::decode(&payload, &self.params)?;
-        debug_assert_eq!(node.level(), level, "page {id} level mismatch");
-        Ok(node)
-    }
-
-    pub(crate) fn write_node(&self, id: PageId, node: &Node) -> Result<()> {
-        let kind = if node.is_leaf() {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let payload = node.encode(&self.params, self.pf.capacity())?;
-        self.pf.write(id, kind, &payload)?;
-        Ok(())
-    }
-
-    pub(crate) fn allocate_node(&self, node: &Node) -> Result<PageId> {
-        let kind = if node.is_leaf() {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let id = self.pf.allocate(kind)?;
-        self.write_node(id, node)?;
-        Ok(id)
-    }
-
-    pub(crate) fn max_for(&self, node: &Node) -> usize {
-        if node.is_leaf() {
-            self.params.max_leaf
-        } else {
-            self.params.max_node
-        }
-    }
-
-    pub(crate) fn min_for(&self, node: &Node) -> usize {
-        if node.is_leaf() {
-            self.params.min_leaf
-        } else {
-            self.params.min_node
-        }
+        let core = Paged::open(pf, KIND)?;
+        Ok(RstarTree { core })
     }
 
     /// Insert a point with a `u64` payload (typically a row id).
     pub fn insert(&mut self, point: Point, data: u64) -> Result<()> {
-        self.check_dim(point.dim())?;
-        insert::insert_point(self, point, data)
+        Dynamic::insert(self, point, data)
     }
 
     /// Delete the entry matching `point` (exact coordinates) and `data`.
     /// Returns `true` if an entry was removed.
     pub fn delete(&mut self, point: &Point, data: u64) -> Result<bool> {
-        self.check_dim(point.dim())?;
-        delete::delete(self, point, data)
-    }
-
-    /// Whether an exact entry `(point, data)` is stored.
-    pub fn contains(&self, point: &Point, data: u64) -> Result<bool> {
-        self.check_dim(point.dim())?;
-        search::contains(self, point, data)
-    }
-
-    /// The `k` nearest neighbors of `query`, sorted by ascending distance.
-    pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        self.knn_with(query, k, &sr_obs::Noop)
-    }
-
-    /// [`RstarTree::knn`] with a metrics recorder (node expansions, prune
-    /// events, heap high-water — see `sr-obs`).
-    pub fn knn_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::knn(self, query, k, rec)
-    }
-
-    /// [`RstarTree::knn_with`] with an explicit leaf-scan kernel — the
-    /// ablation knob for the columnar layout. All modes return
-    /// bit-identical neighbors; they differ only in scan time (and in the
-    /// `EarlyAbandons` counter the pruning mode reports).
-    pub fn knn_scan_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        scan: sr_query::LeafScan,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::knn_with_scan(self, query, k, scan, rec)
-    }
-
-    /// Every point within `radius` of `query`, sorted by ascending
-    /// distance. A negative or NaN radius is rejected with
-    /// [`TreeError::InvalidRadius`].
-    pub fn range(&self, query: &[f32], radius: f64) -> Result<Vec<Neighbor>> {
-        self.range_with(query, radius, &sr_obs::Noop)
-    }
-
-    /// [`RstarTree::range`] with a metrics recorder.
-    pub fn range_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        radius: f64,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::range(self, query, radius, rec)
+        Dynamic::delete(self, point, data)
     }
 
     /// Bounding rectangles of all (non-empty) leaves — the "leaf-level
     /// regions" whose volumes and diameters Figures 5, 12 and 13 measure.
     pub fn leaf_regions(&self) -> Result<Vec<Rect>> {
         let mut out = Vec::new();
-        self.collect_leaf_regions(self.root, (self.height - 1) as u16, &mut out)?;
+        self.core.walk_leaves(|entries| {
+            out.extend(bounding_rect_of_points(
+                entries.iter().map(|e| e.point.coords()),
+            ));
+            Ok(())
+        })?;
         Ok(out)
-    }
-
-    fn collect_leaf_regions(&self, id: PageId, level: u16, out: &mut Vec<Rect>) -> Result<()> {
-        let node = self.read_node(id, level)?;
-        match node {
-            Node::Leaf(ref entries) => {
-                if !entries.is_empty() {
-                    out.push(node.mbr()?);
-                }
-            }
-            Node::Inner { entries, level } => {
-                for e in entries {
-                    self.collect_leaf_regions(e.child, level - 1, out)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Total number of leaf pages (used by the Figure 16 leaf-access
-    /// ratio).
-    pub fn num_leaves(&self) -> Result<u64> {
-        fn walk(tree: &RstarTree, id: PageId, level: u16) -> Result<u64> {
-            if level == 0 {
-                return Ok(1);
-            }
-            let node = tree.read_node(id, level)?;
-            let mut n = 0;
-            if let Node::Inner { entries, .. } = node {
-                for e in entries {
-                    n += walk(tree, e.child, level - 1)?;
-                }
-            }
-            Ok(n)
-        }
-        walk(self, self.root, (self.height - 1) as u16)
     }
 }
 
-impl sr_query::SpatialIndex for RstarTree {
-    fn kind_name(&self) -> &'static str {
-        "R*-tree"
+impl Deref for RstarTree {
+    type Target = Paged<Rect>;
+
+    fn deref(&self) -> &Paged<Rect> {
+        &self.core
+    }
+}
+
+impl PagedTree for RstarTree {
+    type Region = Rect;
+
+    fn core(&self) -> &Paged<Rect> {
+        &self.core
     }
 
-    fn dim(&self) -> usize {
-        RstarTree::dim(self)
+    fn check_node(&self, id: PageId, node: &Node<Rect>, stored: Option<&Rect>) -> Result<()> {
+        self.check_fill_and_region(id, node, stored)
     }
 
-    fn len(&self) -> u64 {
-        RstarTree::len(self)
+    fn insert_point(&mut self, point: Point, data: u64) -> std::result::Result<(), IndexError> {
+        Ok(self.insert(point, data)?)
     }
 
-    fn height(&self) -> u32 {
-        RstarTree::height(self)
+    fn delete_point(&mut self, point: &Point, data: u64) -> std::result::Result<bool, IndexError> {
+        Ok(self.delete(point, data)?)
+    }
+}
+
+/// Forced reinsertion runs at most once per level per insertion (the
+/// R\*-tree rule); levels the tree grows into mid-insertion split.
+impl Dynamic for RstarTree {
+    type Budget = Vec<bool>;
+
+    fn core_mut(&mut self) -> &mut Paged<Rect> {
+        &mut self.core
     }
 
-    fn num_leaves(&self) -> std::result::Result<u64, sr_query::IndexError> {
-        Ok(RstarTree::num_leaves(self)?)
+    fn budget(&self) -> Vec<bool> {
+        vec![false; self.core.height as usize]
     }
 
-    fn insert(
-        &mut self,
-        point: &[f32],
-        data: u64,
-    ) -> std::result::Result<(), sr_query::IndexError> {
-        if point.is_empty() {
-            return Err(sr_query::IndexError::DimensionMismatch {
-                expected: RstarTree::dim(self),
-                got: 0,
-            });
-        }
-        Ok(RstarTree::insert(self, Point::new(point), data)?)
-    }
-
-    fn delete(
-        &mut self,
-        point: &[f32],
-        data: u64,
-    ) -> std::result::Result<bool, sr_query::IndexError> {
-        if point.is_empty() {
-            return Err(sr_query::IndexError::DimensionMismatch {
-                expected: RstarTree::dim(self),
-                got: 0,
-            });
-        }
-        Ok(RstarTree::delete(self, &Point::new(point), data)?)
-    }
-
-    fn query(
-        &self,
-        spec: &sr_query::QuerySpec<'_>,
-        rec: &dyn sr_obs::Recorder,
-    ) -> std::result::Result<sr_query::QueryOutput, sr_query::IndexError> {
-        let rows = match spec.shape {
-            sr_query::QueryShape::Knn { k } => {
-                RstarTree::knn_scan_with(self, spec.point, k, spec.scan, rec)?
+    fn may_reinsert(&self, budget: &mut Vec<bool>, _page: PageId, level: u16) -> bool {
+        match budget.get_mut(usize::from(level)) {
+            Some(used) if !*used => {
+                *used = true;
+                true
             }
-            sr_query::QueryShape::Range { radius } => {
-                RstarTree::range_with(self, spec.point, radius, rec)?
-            }
-        };
-        Ok(sr_query::QueryOutput::from_rows(rows))
+            _ => false,
+        }
     }
 
-    fn pager(&self) -> &PageFile {
-        RstarTree::pager(self)
+    fn choose_subtree(&self, entries: &[Entry<Rect>], entry: &AnyEntry<Rect>, level: u16) -> usize {
+        insert::choose_subtree(entries, entry, level)
     }
 
-    fn flush(&self) -> std::result::Result<(), sr_query::IndexError> {
-        Ok(RstarTree::flush(self)?)
+    fn region_of(&self, node: &Node<Rect>) -> Result<Rect> {
+        mbr(node)
     }
 
-    fn verify(&self) -> std::result::Result<String, sr_query::IndexError> {
-        let r = crate::verify::check(self)?;
-        Ok(format!(
-            "{} nodes, {} leaves, {} points",
-            r.nodes, r.leaves, r.points
-        ))
+    fn split(&self, node: Node<Rect>) -> (Node<Rect>, Node<Rect>) {
+        split::split_node(&self.core.params, node)
+    }
+
+    fn take_reinsert(&self, node: &mut Node<Rect>) -> Result<Vec<AnyEntry<Rect>>> {
+        insert::take_reinsert(node, &self.core.params)
     }
 }

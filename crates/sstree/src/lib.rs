@@ -2,24 +2,19 @@
 //! baseline the SR-tree improves on (paper §2.3).
 //!
 //! A disk-based, height-balanced tree whose regions are **bounding
-//! spheres** centered on the centroid of the underlying points:
+//! spheres** centered on the centroid of the underlying points. What the
+//! shared paged core (`sr_query::paged`) leaves to this crate:
 //!
-//! * **Insertion** descends to the subtree whose centroid is nearest to
-//!   the new point;
-//! * **Forced reinsertion** runs on overflow *unless reinsertion has
-//!   already been made at the same node or leaf* during this insertion —
-//!   more aggressive than the R\*-tree's once-per-level rule, promoting
-//!   dynamic reorganization;
-//! * **Split** picks the dimension with the highest variance of the child
-//!   centroids and the split position minimizing the two groups' summed
-//!   variance;
-//! * a node entry stores `D + 1` floats (center + radius) against a
-//!   rectangle's `2·D`, nearly doubling fanout — 55 vs the R\*-tree's 30
-//!   entries at `D = 16` with 8 KiB pages.
-//!
-//! Nearest-neighbor queries run the Roussopoulos et al. depth-first
-//! search from [`sr_query`], scoring regions with the distance to the
-//! sphere surface.
+//! * **Region** — center + radius + subtree weight, `D + 1` floats
+//!   against a rectangle's `2·D`, nearly doubling fanout: 55 vs the
+//!   R\*-tree's 30 entries at `D = 16` with 8 KiB pages;
+//! * **Region update** — the weighted centroid, radius `d_s` enclosing
+//!   every child sphere;
+//! * **Insertion** — the centroid policies of
+//!   `sr_query::paged::centroid`: descend to the nearest centroid;
+//!   force-reinsert on overflow *unless the same node already reinserted
+//!   during this insertion*; split on the dimension of highest centroid
+//!   variance at the position of least summed variance.
 //!
 //! ```
 //! use sr_sstree::SsTree;
@@ -34,23 +29,23 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// Tree internals index into child/entry vectors whose bounds are
-// maintained as structural invariants (checked by `verify`); the
-// clippy index ban applies to the audited geometry/pager hot paths.
-#![allow(clippy::indexing_slicing)]
 
-mod delete;
-mod error;
-mod insert;
-mod node;
-mod params;
-mod search;
-mod split;
 mod tree;
-pub mod verify;
 
-pub use error::{Result, TreeError};
-pub use params::SsParams;
-pub use tree::SsTree;
+pub use sr_query::paged::TreeError;
 
+/// Result alias for tree operations.
+pub type Result<T> = std::result::Result<T, TreeError>;
 pub use sr_query::Neighbor;
+pub use tree::{SsRegion, SsTree};
+
+/// Capacity parameters of an SS-tree (Table 1): a node entry is the
+/// bounding sphere (`(D+1)·8` bytes) + subtree point count (4) + child
+/// pointer (8).
+pub type SsParams = sr_query::paged::Params<SsRegion>;
+
+/// Structural-invariant checker: the shared walker plus exact sphere
+/// recomputation, weights and the `[min, max]` fanout bounds.
+pub mod verify {
+    pub use sr_query::paged::{verify as check, VerifyReport};
+}

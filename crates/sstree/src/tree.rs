@@ -1,32 +1,129 @@
-//! The public [`SsTree`] type: lifecycle, metadata, and page helpers.
+//! The public [`SsTree`] type and its region: a bounding sphere centered
+//! on the centroid, with the subtree's point count.
 
+use std::collections::HashSet;
+use std::ops::Deref;
 use std::path::Path;
 
-use sr_geometry::{Point, Sphere};
-use sr_pager::{PageCodec, PageFile, PageId, PageKind};
-use sr_query::Neighbor;
+use sr_geometry::{
+    bounding_rect_of_points, bounding_sphere_of_points, enclosing_radius_spheres, next_radius_up,
+    sphere_min_dist2_f64le, Point, Rect, Sphere, CONTAINMENT_EPS,
+};
+use sr_pager::{PageCodec, PageFile, PageId, PageReader};
+use sr_query::paged::centroid::{self, Centered};
+use sr_query::paged::{
+    get_sphere, put_sphere, AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Region, Result,
+    TreeError,
+};
+use sr_query::{Expansion, IndexError};
 
-use crate::error::{Result, TreeError};
-use crate::node::Node;
-use crate::params::SsParams;
-use crate::{delete, insert, search};
+const KIND: Kind = Kind {
+    magic: 0x5353_5452, // "SSTR"
+    name: "SS-tree",
+};
 
-const META_MAGIC: u32 = 0x5353_5452; // "SSTR"
-/// Version 2: leaves are columnar (dimension-major). Version-1 files
-/// are rejected rather than silently misread — the byte totals match,
-/// but the entry layout moved.
-const META_VERSION: u32 = 2;
+/// An SS-tree entry's region: the child's bounding sphere and the number
+/// of points beneath it (the `w` that weights the centroid). On disk:
+/// center and radius as f64s, then the weight as a u32 — `(D+1)·8 + 4`
+/// bytes, nearly half a rectangle's `2·D·8`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SsRegion {
+    /// Bounding sphere of the subtree.
+    pub sphere: Sphere,
+    /// Points in the subtree.
+    pub weight: u64,
+}
+
+impl Region for SsRegion {
+    type Policy = ();
+    type Bound = ();
+
+    fn bytes(dim: usize) -> usize {
+        (dim + 1) * 8 + 4
+    }
+
+    fn encode(&self, c: &mut PageCodec<'_>) -> Result<()> {
+        put_sphere(c, &self.sphere)?;
+        centroid::put_weight(c, self.weight)
+    }
+
+    fn decode(c: &mut PageReader<'_>, dim: usize) -> Result<Self> {
+        let sphere = get_sphere(c, dim)?;
+        let weight = u64::from(c.get_u32()?);
+        Ok(SsRegion { sphere, weight })
+    }
+
+    /// Distance to the sphere surface.
+    fn push_branch<N>(
+        raw: &[u8],
+        query: &[f32],
+        _bound: (),
+        node: N,
+        out: &mut Expansion<N>,
+    ) -> Result<()> {
+        let mut r = PageReader::new(raw);
+        let center = r.get_bytes(query.len() * 8)?;
+        let d2 = sphere_min_dist2_f64le(center, r.get_f64()?, query)
+            .map_err(|e| TreeError::Corrupt(e.to_string()))?;
+        out.push_sphere_branch(d2, node);
+        Ok(())
+    }
+
+    /// Spheres are rebuilt from rounded f32 centroids, so a stored point
+    /// can sit a few ulps outside its sphere; an exact test made
+    /// contains/delete miss live entries.
+    fn contains_point(&self, p: &[f32]) -> bool {
+        self.sphere.contains_point(p, CONTAINMENT_EPS)
+    }
+}
+
+impl Centered for SsRegion {
+    fn center(&self) -> &Point {
+        self.sphere.center()
+    }
+
+    fn weight(&self) -> u64 {
+        self.weight
+    }
+}
+
+/// The SS-tree region of a node: a sphere centered on the weighted
+/// centroid with radius `d_s` — just enough to enclose every child
+/// sphere (every point, for a leaf).
+///
+/// # Errors
+/// [`TreeError::Corrupt`] for an empty or zero-weight node — both are
+/// reachable from a corrupted page, never from a well-formed tree.
+fn region_of(node: &Node<SsRegion>) -> Result<SsRegion> {
+    let sphere = match node {
+        Node::Leaf(entries) => {
+            let pts: Vec<&[f32]> = entries.iter().map(|e| e.point.coords()).collect();
+            bounding_sphere_of_points(&pts)
+                .ok_or_else(|| TreeError::Corrupt("region of an empty leaf".into()))?
+        }
+        Node::Inner { entries, .. } => {
+            let center = centroid::centroid(node)?;
+            let d_s = enclosing_radius_spheres(
+                &center,
+                entries
+                    .iter()
+                    .map(|e| (e.region.sphere.center().coords(), e.region.sphere.radius())),
+            );
+            Sphere::new(center, next_radius_up(d_s))
+        }
+    };
+    Ok(SsRegion {
+        sphere,
+        weight: centroid::weight(node),
+    })
+}
 
 /// A disk-based SS-tree over points — bounding-sphere regions, centroid
-/// insertion.
-// srlint: send-sync -- queries take &self and go through the internally synchronized PageFile; params/root/height/count only change via &mut self (insert/delete), which the borrow checker serializes
+/// insertion. The shared core's methods (`knn`, `range`, `contains`,
+/// `len`, `pager`, …) are reached through `Deref`.
+// srlint: send-sync -- all state is the noted Paged core; mutation goes through &mut self
 pub struct SsTree {
-    pub(crate) pf: PageFile,
-    pub(crate) params: SsParams, // srlint: guarded-by(owner)
-    pub(crate) root: PageId,     // srlint: guarded-by(owner)
-    /// Number of levels; 1 means the root is a leaf.
-    pub(crate) height: u32, // srlint: guarded-by(owner)
-    pub(crate) count: u64,       // srlint: guarded-by(owner)
+    core: Paged<SsRegion>,
 }
 
 impl SsTree {
@@ -43,18 +140,8 @@ impl SsTree {
 
     /// Create a new tree over an empty [`PageFile`].
     pub fn create_from(pf: PageFile, dim: usize, data_area: usize) -> Result<Self> {
-        let params = SsParams::derive(pf.capacity(), dim, data_area);
-        let root = pf.allocate(PageKind::Leaf)?;
-        let tree = SsTree {
-            pf,
-            params,
-            root,
-            height: 1,
-            count: 0,
-        };
-        tree.write_node(root, &Node::Leaf(Vec::new()))?;
-        tree.save_meta()?;
-        Ok(tree)
+        let core = Paged::create(pf, KIND, dim, data_area, ())?;
+        Ok(SsTree { core })
     }
 
     /// Reopen a tree previously created with [`SsTree::create`].
@@ -64,239 +151,27 @@ impl SsTree {
 
     /// Reopen a tree from an already-open page file.
     pub fn open_from(pf: PageFile) -> Result<Self> {
-        let mut meta = pf.user_meta();
-        if meta.len() < 36 {
-            return Err(TreeError::NotThisIndex("metadata too short".into()));
-        }
-        let mut c = PageCodec::new(&mut meta);
-        if c.get_u32()? != META_MAGIC {
-            return Err(TreeError::NotThisIndex("not an SS-tree file".into()));
-        }
-        if c.get_u32()? != META_VERSION {
-            return Err(TreeError::NotThisIndex(
-                "unsupported SS-tree version".into(),
-            ));
-        }
-        let dim = c.get_u32()? as usize;
-        let data_area = c.get_u32()? as usize;
-        let root = c.get_u64()?;
-        let height = c.get_u32()?;
-        let count = c.get_u64()?;
-        let params = SsParams::try_derive(pf.capacity(), dim, data_area).ok_or_else(|| {
-            TreeError::NotThisIndex(format!(
-                "stored parameters (dim {dim}, data area {data_area}) do not fit a {}-byte page",
-                pf.capacity()
-            ))
-        })?;
-        Ok(SsTree {
-            pf,
-            params,
-            root,
-            height,
-            count,
-        })
-    }
-
-    pub(crate) fn save_meta(&self) -> Result<()> {
-        let mut buf = vec![0u8; 36];
-        let mut c = PageCodec::new(&mut buf);
-        c.put_u32(META_MAGIC)?;
-        c.put_u32(META_VERSION)?;
-        c.put_u32(self.params.dim as u32)?;
-        c.put_u32(self.params.data_area as u32)?;
-        c.put_u64(self.root)?;
-        c.put_u32(self.height)?;
-        c.put_u64(self.count)?;
-        self.pf.set_user_meta(&buf)?;
-        Ok(())
-    }
-
-    /// Dimensionality of indexed points.
-    pub fn dim(&self) -> usize {
-        self.params.dim
-    }
-
-    /// Number of points in the tree.
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether the tree holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Tree height in levels (1 = the root is a leaf).
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Capacity parameters in force (Table 1).
-    pub fn params(&self) -> &SsParams {
-        &self.params
-    }
-
-    /// The underlying page file (I/O statistics, cache control).
-    pub fn pager(&self) -> &PageFile {
-        &self.pf
-    }
-
-    /// Flush all dirty pages and metadata.
-    pub fn flush(&self) -> Result<()> {
-        self.pf.flush()?;
-        Ok(())
-    }
-
-    pub(crate) fn check_dim(&self, got: usize) -> Result<()> {
-        if got != self.params.dim {
-            return Err(TreeError::DimensionMismatch {
-                expected: self.params.dim,
-                got,
-            });
-        }
-        Ok(())
-    }
-
-    /// Read a leaf's raw payload for the columnar scan — a zero-copy view
-    /// into the buffer pool ([`sr_pager::PageBuf`]); the kernels score it
-    /// without decoding entries.
-    pub(crate) fn leaf_payload(&self, id: PageId) -> Result<sr_pager::PageBuf> {
-        Ok(self.pf.read(id, PageKind::Leaf)?)
-    }
-
-    /// Read an inner node's raw payload for the zero-copy bound scan —
-    /// same zero-copy view as the leaf path, one logical read per
-    /// expansion so `node_expansions == node_reads` holds unchanged.
-    pub(crate) fn node_payload(&self, id: PageId) -> Result<sr_pager::PageBuf> {
-        Ok(self.pf.read(id, PageKind::Node)?)
-    }
-
-    pub(crate) fn read_node(&self, id: PageId, level: u16) -> Result<Node> {
-        let kind = if level == 0 {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let payload = self.pf.read(id, kind)?;
-        let node = Node::decode(&payload, &self.params)?;
-        debug_assert_eq!(node.level(), level, "page {id} level mismatch");
-        Ok(node)
-    }
-
-    pub(crate) fn write_node(&self, id: PageId, node: &Node) -> Result<()> {
-        let kind = if node.is_leaf() {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let payload = node.encode(&self.params, self.pf.capacity())?;
-        self.pf.write(id, kind, &payload)?;
-        Ok(())
-    }
-
-    pub(crate) fn allocate_node(&self, node: &Node) -> Result<PageId> {
-        let kind = if node.is_leaf() {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let id = self.pf.allocate(kind)?;
-        self.write_node(id, node)?;
-        Ok(id)
-    }
-
-    pub(crate) fn max_for(&self, node: &Node) -> usize {
-        if node.is_leaf() {
-            self.params.max_leaf
-        } else {
-            self.params.max_node
-        }
-    }
-
-    pub(crate) fn min_for(&self, node: &Node) -> usize {
-        if node.is_leaf() {
-            self.params.min_leaf
-        } else {
-            self.params.min_node
-        }
+        let core = Paged::open(pf, KIND)?;
+        Ok(SsTree { core })
     }
 
     /// Insert a point with a `u64` payload.
     pub fn insert(&mut self, point: Point, data: u64) -> Result<()> {
-        self.check_dim(point.dim())?;
-        insert::insert_point(self, point, data)
+        Dynamic::insert(self, point, data)
     }
 
     /// Delete the exact entry `(point, data)`; returns whether it existed.
     pub fn delete(&mut self, point: &Point, data: u64) -> Result<bool> {
-        self.check_dim(point.dim())?;
-        delete::delete(self, point, data)
-    }
-
-    /// Whether an exact entry `(point, data)` is stored.
-    pub fn contains(&self, point: &Point, data: u64) -> Result<bool> {
-        self.check_dim(point.dim())?;
-        search::contains(self, point, data)
-    }
-
-    /// The `k` nearest neighbors of `query`, sorted by ascending distance.
-    pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        self.knn_with(query, k, &sr_obs::Noop)
-    }
-
-    /// [`SsTree::knn`] with a metrics recorder (node expansions, prune
-    /// events, heap high-water — see `sr-obs`).
-    pub fn knn_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::knn(self, query, k, rec)
-    }
-
-    /// [`SsTree::knn_with`] with an explicit leaf-scan kernel — the
-    /// ablation knob for the columnar layout. All modes return
-    /// bit-identical neighbors; they differ only in scan time (and in the
-    /// `EarlyAbandons` counter the pruning mode reports).
-    pub fn knn_scan_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        scan: sr_query::LeafScan,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::knn_with_scan(self, query, k, scan, rec)
-    }
-
-    /// Every point within `radius` of `query`, sorted by ascending
-    /// distance. A negative or NaN radius is rejected with
-    /// [`TreeError::InvalidRadius`].
-    pub fn range(&self, query: &[f32], radius: f64) -> Result<Vec<Neighbor>> {
-        self.range_with(query, radius, &sr_obs::Noop)
-    }
-
-    /// [`SsTree::range`] with a metrics recorder.
-    pub fn range_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        radius: f64,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::range(self, query, radius, rec)
+        Dynamic::delete(self, point, data)
     }
 
     /// Bounding spheres of all non-empty leaves — the leaf-level regions
     /// of Figures 5, 12, 13.
     pub fn leaf_regions(&self) -> Result<Vec<Sphere>> {
         let mut out = Vec::new();
-        self.walk_leaves(self.root, (self.height - 1) as u16, &mut |node| {
-            if node.len() > 0 {
-                out.push(node.region()?);
-            }
+        self.core.walk_leaves(|entries| {
+            let pts: Vec<&[f32]> = entries.iter().map(|e| e.point.coords()).collect();
+            out.extend(bounding_sphere_of_points(&pts));
             Ok(())
         })?;
         Ok(out)
@@ -305,128 +180,182 @@ impl SsTree {
     /// Bounding *rectangles* of all non-empty leaves — the hypothetical
     /// measurement of the paper's Figure 6 (what SS-tree leaf regions
     /// would be if determined by rectangles instead of spheres).
-    pub fn leaf_bounding_rects(&self) -> Result<Vec<sr_geometry::Rect>> {
+    pub fn leaf_bounding_rects(&self) -> Result<Vec<Rect>> {
         let mut out = Vec::new();
-        self.walk_leaves(self.root, (self.height - 1) as u16, &mut |node| {
-            if let Node::Leaf(entries) = node {
-                if let Some(rect) =
-                    sr_geometry::bounding_rect_of_points(entries.iter().map(|e| e.point.coords()))
-                {
-                    out.push(rect);
-                }
-            }
+        self.core.walk_leaves(|entries| {
+            out.extend(bounding_rect_of_points(
+                entries.iter().map(|e| e.point.coords()),
+            ));
             Ok(())
         })?;
         Ok(out)
     }
+}
 
-    /// Total number of leaf pages.
-    pub fn num_leaves(&self) -> Result<u64> {
-        let mut n = 0u64;
-        self.walk_leaves(self.root, (self.height - 1) as u16, &mut |_| {
-            n += 1;
-            Ok(())
-        })?;
-        Ok(n)
-    }
+impl Deref for SsTree {
+    type Target = Paged<SsRegion>;
 
-    fn walk_leaves(
-        &self,
-        id: PageId,
-        level: u16,
-        f: &mut impl FnMut(&Node) -> Result<()>,
-    ) -> Result<()> {
-        let node = self.read_node(id, level)?;
-        match &node {
-            Node::Leaf(_) => f(&node)?,
-            Node::Inner { entries, .. } => {
-                for e in entries {
-                    self.walk_leaves(e.child, level - 1, f)?;
-                }
-            }
-        }
-        Ok(())
+    fn deref(&self) -> &Paged<SsRegion> {
+        &self.core
     }
 }
 
-impl sr_query::SpatialIndex for SsTree {
-    fn kind_name(&self) -> &'static str {
-        "SS-tree"
+impl PagedTree for SsTree {
+    type Region = SsRegion;
+
+    fn core(&self) -> &Paged<SsRegion> {
+        &self.core
     }
 
-    fn dim(&self) -> usize {
-        SsTree::dim(self)
-    }
-
-    fn len(&self) -> u64 {
-        SsTree::len(self)
-    }
-
-    fn height(&self) -> u32 {
-        SsTree::height(self)
-    }
-
-    fn num_leaves(&self) -> std::result::Result<u64, sr_query::IndexError> {
-        Ok(SsTree::num_leaves(self)?)
-    }
-
-    fn insert(
-        &mut self,
-        point: &[f32],
-        data: u64,
-    ) -> std::result::Result<(), sr_query::IndexError> {
-        if point.is_empty() {
-            return Err(sr_query::IndexError::DimensionMismatch {
-                expected: SsTree::dim(self),
-                got: 0,
-            });
-        }
-        Ok(SsTree::insert(self, Point::new(point), data)?)
-    }
-
-    fn delete(
-        &mut self,
-        point: &[f32],
-        data: u64,
-    ) -> std::result::Result<bool, sr_query::IndexError> {
-        if point.is_empty() {
-            return Err(sr_query::IndexError::DimensionMismatch {
-                expected: SsTree::dim(self),
-                got: 0,
-            });
-        }
-        Ok(SsTree::delete(self, &Point::new(point), data)?)
-    }
-
-    fn query(
+    fn check_node(
         &self,
-        spec: &sr_query::QuerySpec<'_>,
-        rec: &dyn sr_obs::Recorder,
-    ) -> std::result::Result<sr_query::QueryOutput, sr_query::IndexError> {
-        let rows = match spec.shape {
-            sr_query::QueryShape::Knn { k } => {
-                SsTree::knn_scan_with(self, spec.point, k, spec.scan, rec)?
-            }
-            sr_query::QueryShape::Range { radius } => {
-                SsTree::range_with(self, spec.point, radius, rec)?
-            }
+        id: PageId,
+        node: &Node<SsRegion>,
+        stored: Option<&SsRegion>,
+    ) -> Result<()> {
+        self.check_fill_and_region(id, node, stored)
+    }
+
+    fn insert_point(&mut self, point: Point, data: u64) -> std::result::Result<(), IndexError> {
+        Ok(self.insert(point, data)?)
+    }
+
+    fn delete_point(&mut self, point: &Point, data: u64) -> std::result::Result<bool, IndexError> {
+        Ok(self.delete(point, data)?)
+    }
+}
+
+/// The SS-tree's policies (§2.3): nearest-centroid ChooseSubtree,
+/// forced reinsertion unless the same node already reinserted during
+/// this insertion, and the variance split.
+impl Dynamic for SsTree {
+    type Budget = HashSet<PageId>;
+
+    fn core_mut(&mut self) -> &mut Paged<SsRegion> {
+        &mut self.core
+    }
+
+    fn budget(&self) -> HashSet<PageId> {
+        HashSet::new()
+    }
+
+    fn may_reinsert(&self, budget: &mut HashSet<PageId>, page: PageId, _level: u16) -> bool {
+        centroid::reinsert_once_per_node(budget, page)
+    }
+
+    fn choose_subtree(
+        &self,
+        entries: &[Entry<SsRegion>],
+        entry: &AnyEntry<SsRegion>,
+        _level: u16,
+    ) -> usize {
+        centroid::choose_nearest(entries, entry)
+    }
+
+    fn region_of(&self, node: &Node<SsRegion>) -> Result<SsRegion> {
+        region_of(node)
+    }
+
+    fn split(&self, node: Node<SsRegion>) -> (Node<SsRegion>, Node<SsRegion>) {
+        centroid::variance_split(node, &self.core.params)
+    }
+
+    fn take_reinsert(&self, node: &mut Node<SsRegion>) -> Result<Vec<AnyEntry<SsRegion>>> {
+        centroid::take_farthest_from_centroid(node, &self.core.params)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sr_query::paged::LeafEntry;
+
+    #[test]
+    fn leaf_region_contains_points() {
+        let node = Node::Leaf(
+            [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.3, 0.9]]
+                .iter()
+                .enumerate()
+                .map(|(i, c)| LeafEntry {
+                    point: Point::new(c.to_vec()),
+                    data: i as u64,
+                })
+                .collect(),
+        );
+        let r = region_of(&node).unwrap();
+        let Node::Leaf(entries) = &node else {
+            unreachable!()
         };
-        Ok(sr_query::QueryOutput::from_rows(rows))
+        assert!(entries
+            .iter()
+            .all(|e| r.sphere.contains_point(e.point.coords(), 0.0)));
+        assert_eq!(r.weight, 3);
     }
 
-    fn pager(&self) -> &PageFile {
-        SsTree::pager(self)
+    #[test]
+    fn inner_region_contains_child_spheres() {
+        let mk = |x: f32, r: f32, w: u64| Entry {
+            region: SsRegion {
+                sphere: Sphere::new(Point::new(vec![x, 0.0, 0.0]), r),
+                weight: w,
+            },
+            child: 0,
+        };
+        let node = Node::Inner {
+            level: 1,
+            entries: vec![mk(0.0, 0.5, 10), mk(4.0, 1.0, 30)],
+        };
+        let r = region_of(&node).unwrap();
+        let Node::Inner { entries, .. } = &node else {
+            unreachable!()
+        };
+        for e in entries {
+            assert!(r.sphere.contains_sphere(&e.region.sphere, 1e-6));
+        }
+        // centroid weighted 10:30 toward x=4 → x = 3.0
+        assert!((r.sphere.center()[0] - 3.0).abs() < 1e-6);
+        assert_eq!(r.weight, 40);
     }
 
-    fn flush(&self) -> std::result::Result<(), sr_query::IndexError> {
-        Ok(SsTree::flush(self)?)
+    #[test]
+    fn inner_roundtrip() {
+        let p = crate::SsParams::derive(8187, 3, 512);
+        let region = SsRegion {
+            sphere: Sphere::new(Point::new(vec![0.5, 0.5, 0.5]), 1.25),
+            weight: 99,
+        };
+        let node = Node::Inner {
+            level: 2,
+            entries: vec![Entry {
+                region: region.clone(),
+                child: 31,
+            }],
+        };
+        let back = Node::decode(&node.encode(&p, 8187).unwrap(), &p).unwrap();
+        let Node::Inner { entries, .. } = back else {
+            panic!("expected inner")
+        };
+        assert_eq!((&entries[0].region, entries[0].child), (&region, 31));
     }
 
-    fn verify(&self) -> std::result::Result<String, sr_query::IndexError> {
-        let r = crate::verify::check(self)?;
-        Ok(format!(
-            "{} nodes, {} leaves, {} points",
-            r.nodes, r.leaves, r.points
-        ))
+    #[test]
+    fn take_reinsert_removes_the_centroid_outlier_first() {
+        // Unlike the R*-tree, the SS-tree measures from the *centroid*,
+        // so a single extreme outlier is removed first.
+        let t = SsTree::create_from(PageFile::create_in_memory(1024).unwrap(), 2, 64).unwrap();
+        let mut node = Node::Leaf(
+            (0..9)
+                .map(|i| LeafEntry {
+                    point: Point::new(if i == 8 {
+                        vec![1000.0, 1000.0]
+                    } else {
+                        vec![i as f32 * 0.1, 0.0]
+                    }),
+                    data: i as u64,
+                })
+                .collect(),
+        );
+        let removed = t.take_reinsert(&mut node).unwrap();
+        assert!(matches!(&removed[0], AnyEntry::Leaf(e) if e.data == 8));
     }
 }

@@ -22,7 +22,7 @@ use sr_sstree::SsTree;
 use sr_tree::SrTree;
 use sr_vamsplit::VamTree;
 
-use sr_query::LeafScan;
+use sr_query::{LeafScan, QuerySpec, SpatialIndex};
 
 use crate::model::Model;
 use crate::workload::{Op, OpTape};
@@ -288,9 +288,11 @@ pub fn run_tape(tape: &OpTape, cfg: &DiffConfig) -> Result<DiffReport, Divergenc
                             .map_err(|e| div(step, op, $name, e))?;
                         if cfg.compare_scans {
                             for scan in [LeafScan::Scalar, LeafScan::Columnar] {
+                                let spec = QuerySpec::knn(q.coords(), *k).with_scan(scan);
                                 let alt = $tree
-                                    .knn_scan_with(q.coords(), *k, scan, &sr_obs::Noop)
-                                    .map_err(|e| div(step, op, $name, e.to_string()))?;
+                                    .query(&spec, &sr_obs::Noop)
+                                    .map_err(|e| div(step, op, $name, e.to_string()))?
+                                    .rows;
                                 check_scan_identical(&got, &alt, scan)
                                     .map_err(|e| div(step, op, $name, e))?;
                                 report.scan_checks += 1;

@@ -6,18 +6,16 @@
 //! except the last fills its disk blocks completely, guaranteeing the
 //! minimum block count (§2.4 of the paper).
 
-use sr_geometry::Point;
+use sr_geometry::{Point, Rect};
 use sr_pager::PageId;
-
-use sr_geometry::{bounding_rect_of_points, Rect};
-
-use crate::error::{Result, TreeError};
-use crate::node::{InnerEntry, LeafEntry, Node};
-use crate::tree::VamTree;
+use sr_query::paged::{mbr, Entry, LeafEntry, Node, Paged, Result};
 
 /// Build the tree structure for `points`, returning the root page id and
 /// the height.
-pub(crate) fn bulk_build(tree: &VamTree, mut points: Vec<(Point, u64)>) -> Result<(PageId, u32)> {
+pub(crate) fn bulk_build(
+    tree: &Paged<Rect>,
+    mut points: Vec<(Point, u64)>,
+) -> Result<(PageId, u32)> {
     let m_l = tree.params.max_leaf;
     let m_n = tree.params.max_node;
     if points.is_empty() {
@@ -37,49 +35,43 @@ pub(crate) fn bulk_build(tree: &VamTree, mut points: Vec<(Point, u64)>) -> Resul
 
 /// Build a subtree of exactly `height` levels over `points`, returning
 /// its page id and exact MBR.
-fn build_rec(tree: &VamTree, points: &mut [(Point, u64)], height: u32) -> Result<(PageId, Rect)> {
-    if height == 1 {
+fn build_rec(
+    tree: &Paged<Rect>,
+    points: &mut [(Point, u64)],
+    height: u32,
+) -> Result<(PageId, Rect)> {
+    let node = if height == 1 {
         debug_assert!(points.len() <= tree.params.max_leaf);
-        debug_assert!(!points.is_empty());
-        let mbr = bounding_rect_of_points(points.iter().map(|(p, _)| p.coords()))
-            .ok_or_else(|| TreeError::Corrupt("bulk build produced an empty leaf chunk".into()))?;
-        let entries: Vec<LeafEntry> = points
-            .iter()
-            .map(|(p, d)| LeafEntry {
-                point: p.clone(),
-                data: *d,
-            })
-            .collect();
-        let id = tree.allocate_node(&Node::Leaf(entries))?;
-        return Ok((id, mbr));
-    }
-    // Capacity of one full child subtree.
-    let child_cap =
-        (tree.params.max_leaf as u64 * (tree.params.max_node as u64).pow(height - 2)) as usize;
-    let mut entries: Vec<InnerEntry> = Vec::new();
-    vam_partition(points, child_cap, &mut |chunk| {
-        let (child, rect) = build_rec(tree, chunk, height - 1)?;
-        entries.push(InnerEntry { rect, child });
-        Ok(())
-    })?;
-    debug_assert!(
-        entries.len() <= tree.params.max_node,
-        "chunking overflowed a node"
-    );
-    let mut it = entries.iter();
-    let mut mbr = it
-        .next()
-        .ok_or_else(|| TreeError::Corrupt("bulk build produced an empty inner node".into()))?
-        .rect
-        .clone();
-    for e in it {
-        mbr.expand_to_rect(&e.rect);
-    }
-    let id = tree.allocate_node(&Node::Inner {
-        level: (height - 1) as u16,
-        entries,
-    })?;
-    Ok((id, mbr))
+        Node::Leaf(
+            points
+                .iter()
+                .map(|(p, d)| LeafEntry {
+                    point: p.clone(),
+                    data: *d,
+                })
+                .collect(),
+        )
+    } else {
+        // Capacity of one full child subtree.
+        let child_cap =
+            (tree.params.max_leaf as u64 * (tree.params.max_node as u64).pow(height - 2)) as usize;
+        let mut entries = Vec::new();
+        vam_partition(points, child_cap, &mut |chunk| {
+            let (child, region) = build_rec(tree, chunk, height - 1)?;
+            entries.push(Entry { region, child });
+            Ok(())
+        })?;
+        debug_assert!(
+            entries.len() <= tree.params.max_node,
+            "chunking overflowed a node"
+        );
+        Node::Inner {
+            level: (height - 1) as u16,
+            entries,
+        }
+    };
+    let region = mbr(&node)?;
+    Ok((tree.allocate_node(&node)?, region))
 }
 
 /// Recursively split `points` by variance-approximate-median planes until

@@ -10,9 +10,11 @@
 //! The paper finds it outperforms every dynamic structure on uniform
 //! data, while the SR-tree edges it out on the real data set.
 //!
-//! The built tree answers queries exactly like an R-tree (rectangle
-//! MINDIST); it supports no insertion or deletion — rebuild to change the
-//! data, which is the honest cost of a static structure.
+//! The build is all this crate adds to the shared paged core
+//! (`sr_query::paged`): the built tree stores R\*-tree-shaped pages and
+//! answers queries exactly like an R-tree (rectangle MINDIST); it
+//! supports no insertion or deletion — rebuild to change the data, which
+//! is the honest cost of a static structure.
 //!
 //! ```
 //! use sr_vamsplit::VamTree;
@@ -33,15 +35,22 @@
 #![allow(clippy::indexing_slicing)]
 
 mod build;
-mod error;
-mod node;
-mod params;
-mod search;
 mod tree;
-pub mod verify;
 
-pub use error::{Result, TreeError};
-pub use params::VamParams;
+pub use sr_query::paged::TreeError;
+
+/// Result alias for tree operations.
+pub type Result<T> = std::result::Result<T, TreeError>;
+pub use sr_query::Neighbor;
 pub use tree::VamTree;
 
-pub use sr_query::Neighbor;
+/// Capacity parameters of a VAMSplit R-tree — entry layout identical to
+/// the R\*-tree's (rectangle + child pointer). The static build packs
+/// pages fully, so the minimum-fill fields go unused.
+pub type VamParams = sr_query::paged::Params<sr_geometry::Rect>;
+
+/// Structural-invariant checker: the shared walker plus exact MBRs and
+/// page capacities.
+pub mod verify {
+    pub use sr_query::paged::{verify as check, VerifyReport};
+}

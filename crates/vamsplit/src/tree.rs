@@ -1,32 +1,25 @@
 //! The public [`VamTree`] type — bulk-built, read-only.
 
+use std::ops::Deref;
 use std::path::Path;
 
-use sr_geometry::{Point, Rect};
-use sr_pager::{PageCodec, PageFile, PageId, PageKind};
-use sr_query::Neighbor;
+use sr_geometry::{bounding_rect_of_points, Point, Rect};
+use sr_pager::{PageFile, PageId};
+use sr_query::paged::{mbr, Kind, Node, Paged, PagedTree, Params, Result, TreeError};
 
 use crate::build;
-use crate::error::{Result, TreeError};
-use crate::node::Node;
-use crate::params::VamParams;
-use crate::search;
 
-const META_MAGIC: u32 = 0x5641_4D54; // "VAMT"
-/// Version 2: leaves are columnar (dimension-major). Version-1 files
-/// are rejected rather than silently misread — the byte totals match,
-/// but the entry layout moved.
-const META_VERSION: u32 = 2;
+const KIND: Kind = Kind {
+    magic: 0x5641_4D54, // "VAMT"
+    name: "VAMSplit R-tree",
+};
 
-/// A static VAMSplit R-tree, bulk-built from a complete data set.
-// srlint: send-sync -- queries take &self and go through the internally synchronized PageFile; the tree is bulk-built before sharing, and params/root/height/count never change afterwards
+/// A static VAMSplit R-tree, bulk-built from a complete data set. The
+/// shared core's methods (`knn`, `range`, `contains`, `len`, `pager`, …)
+/// are reached through `Deref`.
+// srlint: send-sync -- all state is the noted Paged core; the tree is bulk-built before sharing and never changes afterwards
 pub struct VamTree {
-    pub(crate) pf: PageFile,
-    pub(crate) params: VamParams, // srlint: guarded-by(owner)
-    pub(crate) root: PageId,      // srlint: guarded-by(owner)
-    /// Number of levels; 1 means the root is a leaf.
-    pub(crate) height: u32, // srlint: guarded-by(owner)
-    pub(crate) count: u64,        // srlint: guarded-by(owner)
+    core: Paged<Rect>,
 }
 
 impl VamTree {
@@ -52,28 +45,18 @@ impl VamTree {
         dim: usize,
         data_area: usize,
     ) -> Result<Self> {
-        for (p, _) in &points {
-            if p.dim() != dim {
-                return Err(TreeError::DimensionMismatch {
-                    expected: dim,
-                    got: p.dim(),
-                });
-            }
+        if let Some((p, _)) = points.iter().find(|(p, _)| p.dim() != dim) {
+            return Err(TreeError::DimensionMismatch {
+                expected: dim,
+                got: p.dim(),
+            });
         }
-        let params = VamParams::derive(pf.capacity(), dim, data_area);
-        let count = points.len() as u64;
-        let mut tree = VamTree {
-            pf,
-            params,
-            root: 0,
-            height: 1,
-            count,
-        };
-        let (root, height) = build::bulk_build(&tree, points)?;
-        tree.root = root;
-        tree.height = height;
-        tree.save_meta()?;
-        Ok(tree)
+        let params = Params::derive(pf.capacity(), dim, data_area);
+        let mut core = Paged::new(pf, KIND, params);
+        core.count = points.len() as u64;
+        (core.root, core.height) = build::bulk_build(&core, points)?;
+        core.save_meta()?;
+        Ok(VamTree { core })
     }
 
     /// Reopen a tree previously built with [`VamTree::build_at`].
@@ -83,314 +66,63 @@ impl VamTree {
 
     /// Reopen a tree from an already-open page file.
     pub fn open_from(pf: PageFile) -> Result<Self> {
-        let mut meta = pf.user_meta();
-        if meta.len() < 36 {
-            return Err(TreeError::NotThisIndex("metadata too short".into()));
-        }
-        let mut c = PageCodec::new(&mut meta);
-        if c.get_u32()? != META_MAGIC {
-            return Err(TreeError::NotThisIndex("not a VAMSplit R-tree file".into()));
-        }
-        if c.get_u32()? != META_VERSION {
-            return Err(TreeError::NotThisIndex(
-                "unsupported VAMSplit R-tree version".into(),
-            ));
-        }
-        let dim = c.get_u32()? as usize;
-        let data_area = c.get_u32()? as usize;
-        let root = c.get_u64()?;
-        let height = c.get_u32()?;
-        let count = c.get_u64()?;
-        let params = VamParams::try_derive(pf.capacity(), dim, data_area).ok_or_else(|| {
-            TreeError::NotThisIndex(format!(
-                "stored parameters (dim {dim}, data area {data_area}) do not fit a {}-byte page",
-                pf.capacity()
-            ))
-        })?;
-        Ok(VamTree {
-            pf,
-            params,
-            root,
-            height,
-            count,
-        })
-    }
-
-    fn save_meta(&self) -> Result<()> {
-        let mut buf = vec![0u8; 36];
-        let mut c = PageCodec::new(&mut buf);
-        c.put_u32(META_MAGIC)?;
-        c.put_u32(META_VERSION)?;
-        c.put_u32(self.params.dim as u32)?;
-        c.put_u32(self.params.data_area as u32)?;
-        c.put_u64(self.root)?;
-        c.put_u32(self.height)?;
-        c.put_u64(self.count)?;
-        self.pf.set_user_meta(&buf)?;
-        Ok(())
-    }
-
-    /// Dimensionality of indexed points.
-    pub fn dim(&self) -> usize {
-        self.params.dim
-    }
-
-    /// Number of points in the tree.
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether the tree holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Tree height in levels (1 = the root is a leaf).
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Capacity parameters in force (Table 1).
-    pub fn params(&self) -> &VamParams {
-        &self.params
-    }
-
-    /// The underlying page file (I/O statistics, cache control).
-    pub fn pager(&self) -> &PageFile {
-        &self.pf
-    }
-
-    /// Flush all dirty pages and metadata.
-    pub fn flush(&self) -> Result<()> {
-        self.pf.flush()?;
-        Ok(())
-    }
-
-    pub(crate) fn check_dim(&self, got: usize) -> Result<()> {
-        if got != self.params.dim {
-            return Err(TreeError::DimensionMismatch {
-                expected: self.params.dim,
-                got,
-            });
-        }
-        Ok(())
-    }
-
-    /// Read a leaf's raw payload for the columnar scan — a zero-copy view
-    /// into the buffer pool ([`sr_pager::PageBuf`]); the kernels score it
-    /// without decoding entries.
-    pub(crate) fn leaf_payload(&self, id: PageId) -> Result<sr_pager::PageBuf> {
-        Ok(self.pf.read(id, PageKind::Leaf)?)
-    }
-
-    /// Read an inner node's raw payload for the zero-copy bound scan —
-    /// same zero-copy view as the leaf path, one logical read per
-    /// expansion so `node_expansions == node_reads` holds unchanged.
-    pub(crate) fn node_payload(&self, id: PageId) -> Result<sr_pager::PageBuf> {
-        Ok(self.pf.read(id, PageKind::Node)?)
-    }
-
-    pub(crate) fn read_node(&self, id: PageId, level: u16) -> Result<Node> {
-        let kind = if level == 0 {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let payload = self.pf.read(id, kind)?;
-        let node = Node::decode(&payload, &self.params)?;
-        debug_assert_eq!(node.level(), level, "page {id} level mismatch");
-        Ok(node)
-    }
-
-    pub(crate) fn allocate_node(&self, node: &Node) -> Result<PageId> {
-        let kind = if node.is_leaf() {
-            PageKind::Leaf
-        } else {
-            PageKind::Node
-        };
-        let id = self.pf.allocate(kind)?;
-        let payload = node.encode(&self.params, self.pf.capacity())?;
-        self.pf.write(id, kind, &payload)?;
-        Ok(id)
-    }
-
-    /// Whether an exact entry `(point, data)` is stored.
-    pub fn contains(&self, point: &Point, data: u64) -> Result<bool> {
-        self.check_dim(point.dim())?;
-        fn walk(tree: &VamTree, id: PageId, level: u16, point: &Point, data: u64) -> Result<bool> {
-            match tree.read_node(id, level)? {
-                Node::Leaf(entries) => {
-                    Ok(entries.iter().any(|e| e.point == *point && e.data == data))
-                }
-                Node::Inner { entries, .. } => {
-                    for e in &entries {
-                        if e.rect.contains_point(point.coords())
-                            && walk(tree, e.child, level - 1, point, data)?
-                        {
-                            return Ok(true);
-                        }
-                    }
-                    Ok(false)
-                }
-            }
-        }
-        if self.is_empty() || self.height == 0 {
-            return Ok(false);
-        }
-        walk(self, self.root, (self.height - 1) as u16, point, data)
-    }
-
-    /// The `k` nearest neighbors of `query`, sorted by ascending distance.
-    pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        self.knn_with(query, k, &sr_obs::Noop)
-    }
-
-    /// [`VamTree::knn`] with a metrics recorder (node expansions, prune
-    /// events, heap high-water — see `sr-obs`).
-    pub fn knn_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::knn(self, query, k, rec)
-    }
-
-    /// [`VamTree::knn_with`] with an explicit leaf-scan kernel — the
-    /// ablation knob for the columnar layout. All modes return
-    /// bit-identical neighbors; they differ only in scan time (and in the
-    /// `EarlyAbandons` counter the pruning mode reports).
-    pub fn knn_scan_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        scan: sr_query::LeafScan,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::knn_with_scan(self, query, k, scan, rec)
-    }
-
-    /// Every point within `radius` of `query`. A negative or NaN radius
-    /// is rejected with [`TreeError::InvalidRadius`].
-    pub fn range(&self, query: &[f32], radius: f64) -> Result<Vec<Neighbor>> {
-        self.range_with(query, radius, &sr_obs::Noop)
-    }
-
-    /// [`VamTree::range`] with a metrics recorder.
-    pub fn range_with<R: sr_obs::Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        radius: f64,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_dim(query.len())?;
-        search::range(self, query, radius, rec)
+        let core = Paged::open(pf, KIND)?;
+        Ok(VamTree { core })
     }
 
     /// Bounding rectangles of all (non-empty) leaves.
     pub fn leaf_regions(&self) -> Result<Vec<Rect>> {
         let mut out = Vec::new();
-        fn walk(tree: &VamTree, id: PageId, level: u16, out: &mut Vec<Rect>) -> Result<()> {
-            let node = tree.read_node(id, level)?;
-            match node {
-                Node::Leaf(ref entries) => {
-                    if !entries.is_empty() {
-                        out.push(node.mbr()?);
-                    }
-                }
-                Node::Inner { entries, level } => {
-                    for e in entries {
-                        walk(tree, e.child, level - 1, out)?;
-                    }
-                }
-            }
+        self.core.walk_leaves(|entries| {
+            out.extend(bounding_rect_of_points(
+                entries.iter().map(|e| e.point.coords()),
+            ));
             Ok(())
-        }
-        walk(self, self.root, (self.height - 1) as u16, &mut out)?;
+        })?;
         Ok(out)
-    }
-
-    /// Total number of leaf pages.
-    pub fn num_leaves(&self) -> Result<u64> {
-        fn walk(tree: &VamTree, id: PageId, level: u16) -> Result<u64> {
-            if level == 0 {
-                return Ok(1);
-            }
-            let node = tree.read_node(id, level)?;
-            let mut n = 0;
-            if let Node::Inner { entries, .. } = node {
-                for e in entries {
-                    n += walk(tree, e.child, level - 1)?;
-                }
-            }
-            Ok(n)
-        }
-        walk(self, self.root, (self.height - 1) as u16)
     }
 }
 
-impl sr_query::SpatialIndex for VamTree {
-    fn kind_name(&self) -> &'static str {
-        "VAMSplit R-tree"
+impl Deref for VamTree {
+    type Target = Paged<Rect>;
+
+    fn deref(&self) -> &Paged<Rect> {
+        &self.core
+    }
+}
+
+/// The static build packs pages, so instead of a minimum fill the
+/// checks are: within capacity, no empty page below the root, and exact
+/// MBRs. Insertion and deletion keep the default refusals.
+impl PagedTree for VamTree {
+    type Region = Rect;
+
+    fn core(&self) -> &Paged<Rect> {
+        &self.core
     }
 
-    fn dim(&self) -> usize {
-        VamTree::dim(self)
-    }
-
-    fn len(&self) -> u64 {
-        VamTree::len(self)
-    }
-
-    fn height(&self) -> u32 {
-        VamTree::height(self)
-    }
-
-    fn num_leaves(&self) -> std::result::Result<u64, sr_query::IndexError> {
-        Ok(VamTree::num_leaves(self)?)
-    }
-
-    fn insert(
-        &mut self,
-        _point: &[f32],
-        _data: u64,
-    ) -> std::result::Result<(), sr_query::IndexError> {
-        Err(sr_query::IndexError::Unsupported(
-            "the VAMSplit R-tree is bulk-load only",
-        ))
-    }
-
-    fn query(
-        &self,
-        spec: &sr_query::QuerySpec<'_>,
-        rec: &dyn sr_obs::Recorder,
-    ) -> std::result::Result<sr_query::QueryOutput, sr_query::IndexError> {
-        let rows = match spec.shape {
-            sr_query::QueryShape::Knn { k } => {
-                VamTree::knn_scan_with(self, spec.point, k, spec.scan, rec)?
-            }
-            sr_query::QueryShape::Range { radius } => {
-                VamTree::range_with(self, spec.point, radius, rec)?
-            }
+    fn check_node(&self, id: PageId, node: &Node<Rect>, stored: Option<&Rect>) -> Result<()> {
+        let max = self.core.params.max_at(node.level());
+        if node.len() > max {
+            return Err(TreeError::Corrupt(format!(
+                "page {id}: {} entries exceed capacity {max}",
+                node.len()
+            )));
+        }
+        let Some(stored) = stored else {
+            return Ok(());
         };
-        Ok(sr_query::QueryOutput::from_rows(rows))
-    }
-
-    fn pager(&self) -> &PageFile {
-        VamTree::pager(self)
-    }
-
-    fn flush(&self) -> std::result::Result<(), sr_query::IndexError> {
-        Ok(VamTree::flush(self)?)
-    }
-
-    fn verify(&self) -> std::result::Result<String, sr_query::IndexError> {
-        let r = crate::verify::check(self)?;
-        Ok(format!(
-            "{} nodes, {} leaves ({} full), {} points",
-            r.nodes, r.leaves, r.full_leaves, r.points
-        ))
+        if node.is_empty() {
+            return Err(TreeError::Corrupt(format!(
+                "page {id} is an empty non-root page"
+            )));
+        }
+        let region = mbr(node)?;
+        if region != *stored {
+            return Err(TreeError::Corrupt(format!(
+                "page {id}: stored rect {stored:?} differs from the MBR {region:?}"
+            )));
+        }
+        Ok(())
     }
 }

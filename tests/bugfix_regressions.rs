@@ -268,7 +268,7 @@ fn near_tie_points(dim: usize) -> Vec<Point> {
 
 #[test]
 fn near_ties_resolve_identically_across_trees_and_scan_modes() {
-    use srtree::query::{brute_force_knn, LeafScan, Neighbor};
+    use srtree::query::{brute_force_knn, LeafScan, Neighbor, QuerySpec, SpatialIndex};
 
     let dim = 16;
     let points = near_tie_points(dim);
@@ -337,16 +337,18 @@ fn near_ties_resolve_identically_across_trees_and_scan_modes() {
         for k in [1usize, 4, 32, 60] {
             let want = brute_force_knn(with_ids.iter().map(|(p, i)| (p.coords(), *i)), q, k);
             assert_eq!(want.len(), k.min(points.len()), "query {qi} oracle size");
-            let rec = &srtree::obs::Noop;
-            type ScanFn<'a> = &'a dyn Fn(LeafScan) -> Vec<Neighbor>;
-            let trees: [(&str, ScanFn); 5] = [
-                ("sr", &|s| sr.knn_scan_with(q, k, s, rec).unwrap()),
-                ("ss", &|s| ss.knn_scan_with(q, k, s, rec).unwrap()),
-                ("rstar", &|s| rs.knn_scan_with(q, k, s, rec).unwrap()),
-                ("kdb", &|s| kdb.knn_scan_with(q, k, s, rec).unwrap()),
-                ("vam", &|s| vam.knn_scan_with(q, k, s, rec).unwrap()),
+            let trees: [(&str, &dyn SpatialIndex); 5] = [
+                ("sr", &sr),
+                ("ss", &ss),
+                ("rstar", &rs),
+                ("kdb", &kdb),
+                ("vam", &vam),
             ];
-            for (name, knn) in trees {
+            for (name, tree) in trees {
+                let knn = |scan: LeafScan| -> Vec<Neighbor> {
+                    let spec = QuerySpec::knn(q, k).with_scan(scan);
+                    tree.query(&spec, &srtree::obs::Noop).unwrap().rows
+                };
                 // The drift regression proper: all three kernels must
                 // return the *same* answer, bit for bit, id for id.
                 let scalar = knn(LeafScan::Scalar);

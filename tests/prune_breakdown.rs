@@ -12,7 +12,7 @@
 use srtree::dataset::{sample_queries, uniform};
 use srtree::obs::{Counter, StatsRecorder};
 use srtree::pager::PageKind;
-use srtree::query::LeafScan;
+use srtree::query::{LeafScan, QuerySpec, SpatialIndex};
 use srtree::tree::{DistanceBound, SrTree};
 
 fn build(n: usize, dim: usize, seed: u64) -> SrTree {
@@ -140,8 +140,10 @@ fn scan_modes_agree_bitwise_and_report_identical_work() {
         let answers = queries
             .iter()
             .map(|q| {
-                tree.knn_scan_with(q.coords(), 10, scan, &rec)
+                let spec = QuerySpec::knn(q.coords(), 10).with_scan(scan);
+                tree.query(&spec, &rec)
                     .unwrap()
+                    .rows
                     .iter()
                     .map(|n| (n.dist2.to_bits(), n.data))
                     .collect()
@@ -201,7 +203,8 @@ fn expansions_match_page_reads_in_every_scan_mode() {
         let rec = StatsRecorder::new();
         tree.pager().reset_stats();
         for q in &queries {
-            let _ = tree.knn_scan_with(q.coords(), 10, scan, &rec).unwrap();
+            let spec = QuerySpec::knn(q.coords(), 10).with_scan(scan);
+            let _ = tree.query(&spec, &rec).unwrap();
         }
         let s = rec.snapshot();
         let io = tree.pager().stats();
