@@ -30,8 +30,9 @@ pub(crate) fn bulk_load(tree: &mut Paged<SrRegion>, points: Vec<(Point, u64)>) -
     tree.free(tree.root)?;
     let n = points.len();
     let rule = tree.params.policy.radius_rule;
+    let (max_leaf, max_node) = (tree.params.max_leaf, tree.params.max_node);
     // Allocate `node`, returning the entry its parent records for it.
-    let place = |node: Node<SrRegion>| -> Result<Entry<SrRegion>> {
+    let mut place = |node: Node<SrRegion>| -> Result<Entry<SrRegion>> {
         let region = region_of(&node, rule)?;
         let child = tree.allocate_node(&node)?;
         Ok(Entry { region, child })
@@ -42,7 +43,7 @@ pub(crate) fn bulk_load(tree: &mut Paged<SrRegion>, points: Vec<(Point, u64)>) -
         .into_iter()
         .map(|(point, data)| LeafEntry { point, data })
         .collect();
-    let k = n.div_ceil(tree.params.max_leaf);
+    let k = n.div_ceil(max_leaf);
     let mut chunks: Vec<&mut [LeafEntry]> = Vec::with_capacity(k);
     split_balanced(&mut entries, k, &|e| e.point.coords(), &mut chunks);
     let mut level_entries = chunks
@@ -52,8 +53,8 @@ pub(crate) fn bulk_load(tree: &mut Paged<SrRegion>, points: Vec<(Point, u64)>) -
 
     // --- upper levels ----------------------------------------------------
     let mut level = 1u16;
-    while level_entries.len() > tree.params.max_node {
-        let k = level_entries.len().div_ceil(tree.params.max_node);
+    while level_entries.len() > max_node {
+        let k = level_entries.len().div_ceil(max_node);
         let mut chunks: Vec<&mut [Entry<SrRegion>]> = Vec::with_capacity(k);
         split_balanced(
             &mut level_entries,

@@ -276,4 +276,15 @@ mod tests {
         assert_eq!((p.max_node, p.min_node, p.reinsert_node), (20, 8, 6));
         assert_eq!((p.max_leaf, p.min_leaf, p.reinsert_leaf), (12, 4, 3));
     }
+
+    #[test]
+    fn fanout_relationship_of_section_5_3() {
+        // SR fanout ≈ 1/3 of the SS-tree's, 2/3 of the R*-tree's.
+        let sr = crate::SrParams::derive(8187, 16, 512).max_node as f64;
+        let ss = 55.0; // SS-tree at the same page size (sr-sstree tests)
+        let rstar = sr_query::paged::Params::<sr_geometry::Rect>::derive(8187, 16, 512).max_node;
+        assert_eq!(rstar, 30);
+        assert!((sr / ss - 1.0 / 3.0).abs() < 0.05);
+        assert!((sr / rstar as f64 - 2.0 / 3.0).abs() < 0.05);
+    }
 }

@@ -14,6 +14,36 @@ use sr_query::paged::{Entry, LeafEntry, Node, Paged, Result, TreeError};
 
 use crate::tree::{clip_above, clip_below, full_space, kdb_contains, KdbRegion};
 
+/// The unique root-to-leaf path whose half-open regions contain `p`,
+/// root first, with each page's region (the root's is all of space).
+///
+/// # Errors
+/// [`TreeError::Corrupt`] on a coverage hole or a point page above the
+/// leaf level.
+pub(crate) fn descend(tree: &Paged<KdbRegion>, p: &[f32]) -> Result<Vec<(PageId, Rect)>> {
+    let mut path = Vec::with_capacity(tree.height as usize);
+    let mut id = tree.root;
+    let mut region = full_space(tree.params.dim);
+    for level in (1..tree.height).rev() {
+        let Node::Inner { entries, .. } = tree.read_node(id, level as u16)? else {
+            return Err(TreeError::Corrupt(
+                "point page found above the leaf level while descending".into(),
+            ));
+        };
+        let e = entries
+            .into_iter()
+            .find(|e| kdb_contains(&e.region.0, p))
+            .ok_or_else(|| {
+                TreeError::Corrupt("coverage hole: no region contains the point".into())
+            })?;
+        path.push((id, region));
+        id = e.child;
+        region = e.region.0;
+    }
+    path.push((id, region));
+    Ok(path)
+}
+
 /// Insert one point.
 pub(crate) fn insert_point(
     tree: &mut Paged<KdbRegion>,
@@ -21,34 +51,9 @@ pub(crate) fn insert_point(
     data: u64,
 ) -> Result<()> {
     tree.check_dim(point.dim())?;
-    // Descend the unique containing path, remembering each page's region
-    // (needed to derive the regions of split halves).
-    let mut path: Vec<(PageId, Rect)> = Vec::with_capacity(tree.height as usize);
-    let mut id = tree.root;
-    let mut region = full_space(tree.params.dim);
-    let mut level = (tree.height - 1) as u16;
-    path.push((id, region.clone()));
-    while level > 0 {
-        let node = tree.read_node(id, level)?;
-        let entries = match &node {
-            Node::Inner { entries, .. } => entries,
-            Node::Leaf(_) => {
-                return Err(TreeError::Corrupt(
-                    "point page found above the leaf level while descending".into(),
-                ))
-            }
-        };
-        let e = entries
-            .iter()
-            .find(|e| kdb_contains(&e.region.0, point.coords()))
-            .ok_or_else(|| {
-                TreeError::Corrupt("coverage hole: no region contains the point".into())
-            })?;
-        id = e.child;
-        region = e.region.0.clone();
-        path.push((id, region.clone()));
-        level -= 1;
-    }
+    // The regions along the path derive the regions of split halves.
+    let path = descend(tree, point.coords())?;
+    let id = path[path.len() - 1].0;
 
     let mut node = tree.read_node(id, 0)?;
     if let Node::Leaf(entries) = &mut node {
@@ -211,7 +216,7 @@ fn choose_region_plane(entries: &[Entry<KdbRegion>]) -> Result<(usize, f32)> {
 /// force-splitting children that cross it. Returns the two halves (the
 /// caller assigns page ids).
 fn split_in_memory(
-    tree: &Paged<KdbRegion>,
+    tree: &mut Paged<KdbRegion>,
     node: Node<KdbRegion>,
     dim: usize,
     value: f32,
@@ -263,7 +268,7 @@ fn split_in_memory(
 /// or oversized-but-legal — forced splits are exactly why the K-D-B-tree
 /// cannot guarantee minimum utilization.
 fn force_split_page(
-    tree: &Paged<KdbRegion>,
+    tree: &mut Paged<KdbRegion>,
     id: PageId,
     level: u16,
     dim: usize,

@@ -146,22 +146,22 @@ impl KdbTree {
     /// reorganization to offline rebuilds), so deletion cannot underflow.
     pub fn delete(&mut self, point: &Point, data: u64) -> Result<bool> {
         self.core.check_dim(point.dim())?;
-        // Disjointness: exactly one root-to-leaf path can hold the point.
-        let Some(path) = self.core.find_leaf(point, data)? else {
-            return Ok(false);
-        };
-        let Some(&id) = path.last() else {
-            return Ok(false);
-        };
+        // Disjointness: only the point's own root-to-leaf path can hold it.
+        let path = insert::descend(&self.core, point.coords())?;
+        let id = path[path.len() - 1].0;
         let mut leaf = self.core.read_node(id, 0)?;
-        if let Node::Leaf(entries) = &mut leaf {
-            if let Some(pos) = entries
-                .iter()
-                .position(|e| e.point == *point && e.data == data)
-            {
-                entries.remove(pos);
-            }
-        }
+        let Node::Leaf(entries) = &mut leaf else {
+            return Err(TreeError::Corrupt(
+                "descent ended above the leaf level".into(),
+            ));
+        };
+        let Some(pos) = entries
+            .iter()
+            .position(|e| e.point == *point && e.data == data)
+        else {
+            return Ok(false);
+        };
+        entries.remove(pos);
         self.core.write_node(id, &leaf)?;
         self.core.count -= 1;
         self.core.save_meta()?;
@@ -171,23 +171,6 @@ impl KdbTree {
     /// The region rectangle of the root (all of space).
     pub fn root_region(&self) -> Rect {
         full_space(self.core.dim())
-    }
-
-    /// The unique root-to-leaf descent for a point.
-    fn route(&self, p: &[f32]) -> Result<PageId> {
-        let mut id = self.core.root;
-        for level in (1..self.core.height).rev() {
-            if let Node::Inner { entries, .. } = self.core.read_node(id, level as u16)? {
-                id = entries
-                    .iter()
-                    .find(|e| kdb_contains(&e.region.0, p))
-                    .ok_or_else(|| {
-                        TreeError::Corrupt("coverage hole: no region contains the point".into())
-                    })?
-                    .child;
-            }
-        }
-        Ok(id)
     }
 }
 
@@ -220,7 +203,8 @@ impl PagedTree for KdbTree {
         match node {
             Node::Leaf(entries) => {
                 for e in entries {
-                    let found = self.route(e.point.coords())?;
+                    let path = insert::descend(&self.core, e.point.coords())?;
+                    let found = path[path.len() - 1].0;
                     if found != id {
                         return Err(TreeError::Corrupt(format!(
                             "point {:?} stored in page {id} but routed to page {found}",
@@ -298,6 +282,14 @@ mod tests {
         let hi = clip_above(&r, 0, 2.0);
         assert_eq!((lo.min(), lo.max()), (&[0.0, -1.0][..], &[2.0, 1.0][..]));
         assert_eq!((hi.min(), hi.max()), (&[2.0, -1.0][..], &[4.0, 1.0][..]));
+    }
+
+    #[test]
+    fn paper_capacities_at_16_dimensions() {
+        let p = crate::KdbParams::derive(8187, 16, 512);
+        // Same entry size as the R*-tree: region pages hold 30, point
+        // pages 12.
+        assert_eq!((p.max_node, p.max_leaf), (30, 12));
     }
 
     #[test]

@@ -175,6 +175,13 @@ mod tests {
     }
 
     #[test]
+    fn fanout_shrinks_with_dimensionality() {
+        let lo = Params::<Rect>::derive(8187, 8, 512);
+        let hi = Params::<Rect>::derive(8187, 64, 512);
+        assert!(hi.max_node < lo.max_node);
+    }
+
+    #[test]
     fn min_fill_bounds() {
         for max in 2..200 {
             let m = min_fill(max);

@@ -170,3 +170,42 @@ pub fn mbr(node: &Node<Rect>) -> Result<Rect> {
     };
     rect.ok_or_else(|| TreeError::Corrupt("MBR of an empty node".into()))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::paged::{Entry, LeafEntry};
+
+    #[test]
+    fn mbr_of_leaf_and_inner() {
+        let leaf = Node::Leaf(vec![
+            LeafEntry {
+                point: Point::new(vec![0.0, 5.0]),
+                data: 0,
+            },
+            LeafEntry {
+                point: Point::new(vec![3.0, -1.0]),
+                data: 1,
+            },
+        ]);
+        let r = mbr(&leaf).unwrap();
+        assert_eq!((r.min(), r.max()), (&[0.0, -1.0][..], &[3.0, 5.0][..]));
+
+        let inner = Node::Inner {
+            level: 1,
+            entries: vec![
+                Entry {
+                    region: Rect::new(vec![0.0], vec![1.0]),
+                    child: 1,
+                },
+                Entry {
+                    region: Rect::new(vec![5.0], vec![9.0]),
+                    child: 2,
+                },
+            ],
+        };
+        let r = mbr(&inner).unwrap();
+        assert_eq!((r.min(), r.max()), (&[0.0][..], &[9.0][..]));
+        assert!(mbr(&Node::<Rect>::Leaf(Vec::new())).is_err());
+    }
+}

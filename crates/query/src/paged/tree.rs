@@ -35,7 +35,7 @@ pub struct Kind {
 
 /// The disk-resident state every paged tree shares: the page file, the
 /// capacity parameters, and the root/height/count metadata.
-// srlint: send-sync -- queries take &self and go through the internally synchronized PageFile; params/root/height/count only change via &mut self (insert/delete/build), which the borrow checker serializes
+// srlint: send-sync -- queries take &self and go through the internally synchronized PageFile; pages and params/root/height/count only change via &mut self (insert/delete/build), which the borrow checker serializes
 pub struct Paged<R: Region> {
     pf: PageFile,
     kind: Kind, // srlint: guarded-by(owner)
@@ -129,7 +129,7 @@ impl<R: Region> Paged<R> {
     }
 
     /// Write the metadata header (committed with the next flush).
-    pub fn save_meta(&self) -> Result<()> {
+    pub fn save_meta(&mut self) -> Result<()> {
         let flags = R::policy_flags(&self.params.policy);
         let mut buf = vec![0u8; META_BYTES + if flags.is_some() { 4 } else { 0 }];
         let mut c = PageCodec::new(&mut buf);
@@ -222,21 +222,21 @@ impl<R: Region> Paged<R> {
     }
 
     /// Encode and write `node` to page `id`.
-    pub fn write_node(&self, id: PageId, node: &Node<R>) -> Result<()> {
+    pub fn write_node(&mut self, id: PageId, node: &Node<R>) -> Result<()> {
         let payload = node.encode(&self.params, self.pf.capacity())?;
         self.pf.write(id, node.kind(), &payload)?;
         Ok(())
     }
 
     /// Write `node` to a freshly allocated page.
-    pub fn allocate_node(&self, node: &Node<R>) -> Result<PageId> {
+    pub fn allocate_node(&mut self, node: &Node<R>) -> Result<PageId> {
         let id = self.pf.allocate(node.kind())?;
         self.write_node(id, node)?;
         Ok(id)
     }
 
     /// Return page `id` to the free list.
-    pub fn free(&self, id: PageId) -> Result<()> {
+    pub fn free(&mut self, id: PageId) -> Result<()> {
         self.pf.free(id)?;
         Ok(())
     }

@@ -88,7 +88,7 @@ pub trait Dynamic: PagedTree + Sized {
         }
         let mut orphans = Vec::new();
         loop {
-            let core = self.core();
+            let core = self.core_mut();
             if idx == 0 {
                 core.write_node(path[0], &node)?;
                 break;
@@ -186,7 +186,7 @@ fn insert_at<T: Dynamic>(
     loop {
         let level = node.level();
         if node.len() <= t.core().params.max_at(level) {
-            t.core().write_node(path[idx], &node)?;
+            t.core_mut().write_node(path[idx], &node)?;
             return propagate(t, &path, idx, &node);
         }
         if idx == 0 {
@@ -194,7 +194,7 @@ fn insert_at<T: Dynamic>(
         }
         if t.may_reinsert(budget, path[idx], level) {
             let removed = t.take_reinsert(&mut node)?;
-            t.core().write_node(path[idx], &node)?;
+            t.core_mut().write_node(path[idx], &node)?;
             propagate(t, &path, idx, &node)?;
             for e in removed.into_iter().rev() {
                 insert_at(t, e, level, budget)?;
@@ -202,8 +202,8 @@ fn insert_at<T: Dynamic>(
             return Ok(());
         }
         let (a, b) = t.split(node);
-        let b_id = t.core().allocate_node(&b)?;
-        t.core().write_node(path[idx], &a)?;
+        let b_id = t.core_mut().allocate_node(&b)?;
+        t.core_mut().write_node(path[idx], &a)?;
         let (a_region, b_region) = (t.region_of(&a)?, t.region_of(&b)?);
         idx -= 1;
         let mut parent = t.core().read_node(path[idx], level + 1)?;
@@ -255,16 +255,20 @@ fn choose_path<T: Dynamic>(
 
 /// After writing `node` at `path[idx]`, refresh the region recorded for
 /// it in every ancestor, stopping as soon as one is already current.
-fn propagate<T: Dynamic>(t: &T, path: &[PageId], idx: usize, node: &Node<T::Region>) -> Result<()> {
+fn propagate<T: Dynamic>(
+    t: &mut T,
+    path: &[PageId],
+    idx: usize,
+    node: &Node<T::Region>,
+) -> Result<()> {
     if idx == 0 {
         return Ok(());
     }
-    let core = t.core();
     let mut child_region = t.region_of(node)?;
     let mut child_id = path[idx];
     for j in (0..idx).rev() {
-        let level = (core.height as usize - 1 - j) as u16;
-        let mut parent = core.read_node(path[j], level)?;
+        let level = (t.core().height as usize - 1 - j) as u16;
+        let mut parent = t.core().read_node(path[j], level)?;
         if let Node::Inner { entries, .. } = &mut parent {
             let slot = entries
                 .iter_mut()
@@ -275,7 +279,7 @@ fn propagate<T: Dynamic>(t: &T, path: &[PageId], idx: usize, node: &Node<T::Regi
             }
             slot.region = child_region;
         }
-        core.write_node(path[j], &parent)?;
+        t.core_mut().write_node(path[j], &parent)?;
         child_region = t.region_of(&parent)?;
         child_id = path[j];
     }
@@ -286,26 +290,23 @@ fn propagate<T: Dynamic>(t: &T, path: &[PageId], idx: usize, node: &Node<T::Regi
 fn split_root<T: Dynamic>(t: &mut T, node: Node<T::Region>) -> Result<()> {
     let level = node.level();
     let (a, b) = t.split(node);
-    let core = t.core();
-    let a_id = core.allocate_node(&a)?;
-    let b_id = core.allocate_node(&b)?;
+    let (a_region, b_region) = (t.region_of(&a)?, t.region_of(&b)?);
+    let core = t.core_mut();
     let entries = vec![
         Entry {
-            region: t.region_of(&a)?,
-            child: a_id,
+            region: a_region,
+            child: core.allocate_node(&a)?,
         },
         Entry {
-            region: t.region_of(&b)?,
-            child: b_id,
+            region: b_region,
+            child: core.allocate_node(&b)?,
         },
     ];
     core.free(core.root)?;
-    let root = core.allocate_node(&Node::Inner {
+    core.root = core.allocate_node(&Node::Inner {
         level: level + 1,
         entries,
     })?;
-    let core = t.core_mut();
-    core.root = root;
     core.height += 1;
     core.save_meta()
 }
@@ -313,7 +314,7 @@ fn split_root<T: Dynamic>(t: &mut T, node: Node<T::Region>) -> Result<()> {
 /// Free every page of `node`'s subtree (the node's own page is freed by
 /// the caller) and collect the points it held.
 fn collect_points<R: Region>(
-    core: &Paged<R>,
+    core: &mut Paged<R>,
     node: &Node<R>,
     out: &mut Vec<LeafEntry>,
 ) -> Result<()> {

@@ -318,6 +318,15 @@ mod tests {
     }
 
     #[test]
+    fn paper_capacities_at_16_dimensions() {
+        let p = crate::SsParams::derive(8187, 16, 512);
+        // node entry = 17*8 + 12 = 148 → (8187-4)/148 = 55: nearly double
+        // the R*-tree's 30 (§2.3). Minimums are 40%, reinsertion 30%.
+        assert_eq!((p.max_node, p.min_node, p.reinsert_node), (55, 22, 16));
+        assert_eq!((p.max_leaf, p.min_leaf, p.reinsert_leaf), (12, 4, 3));
+    }
+
+    #[test]
     fn inner_roundtrip() {
         let p = crate::SsParams::derive(8187, 3, 512);
         let region = SsRegion {

@@ -13,7 +13,7 @@ use sr_query::paged::{mbr, Entry, LeafEntry, Node, Paged, Result};
 /// Build the tree structure for `points`, returning the root page id and
 /// the height.
 pub(crate) fn bulk_build(
-    tree: &Paged<Rect>,
+    tree: &mut Paged<Rect>,
     mut points: Vec<(Point, u64)>,
 ) -> Result<(PageId, u32)> {
     let m_l = tree.params.max_leaf;
@@ -36,7 +36,7 @@ pub(crate) fn bulk_build(
 /// Build a subtree of exactly `height` levels over `points`, returning
 /// its page id and exact MBR.
 fn build_rec(
-    tree: &Paged<Rect>,
+    tree: &mut Paged<Rect>,
     points: &mut [(Point, u64)],
     height: u32,
 ) -> Result<(PageId, Rect)> {

@@ -54,7 +54,7 @@ impl VamTree {
         let params = Params::derive(pf.capacity(), dim, data_area);
         let mut core = Paged::new(pf, KIND, params);
         core.count = points.len() as u64;
-        (core.root, core.height) = build::bulk_build(&core, points)?;
+        (core.root, core.height) = build::bulk_build(&mut core, points)?;
         core.save_meta()?;
         Ok(VamTree { core })
     }
