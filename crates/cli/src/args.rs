@@ -33,7 +33,7 @@ srtool — build, query, and serve SR-tree-family index files
   srtool client  ping|knn|range|insert|stats|shutdown --addr HOST:PORT
                  [--k N] [--query v,..] [--batch q.tsv] [--radius R] [--data d.tsv]
   srtool fuzz    --seed 0xd1ff0001 --ops 2000 --dim 8 --dist uniform|cluster|real
-  srtool lint    [--json] [--root <workspace-root>] [--rule <id>] [--stats]
+  srtool lint    [--json] [--root <workspace-root>] [--rule <id>] [--stats] [--timings]
 
 Data files are TSV: one point per line, `id <TAB> c0 <TAB> c1 ...`.
 
@@ -214,6 +214,8 @@ pub enum Command {
         rule: Option<String>,
         /// Append a one-line run summary (files, findings, elapsed ms).
         stats: bool,
+        /// Append a one-line per-pass wall-clock summary.
+        timings: bool,
     },
     /// Serve an index over TCP until a `shutdown` request drains it.
     Serve {
@@ -355,7 +357,7 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
         "fuzz" => parse_fuzz(&rest),
         "lint" => {
             let mut json = false;
-            let mut stats = false;
+            let (mut stats, mut timings) = (false, false);
             let mut root = None;
             let mut rule = None;
             let mut i = 0;
@@ -367,6 +369,10 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                     }
                     "--stats" => {
                         stats = true;
+                        i += 1;
+                    }
+                    "--timings" => {
+                        timings = true;
                         i += 1;
                     }
                     "--root" => {
@@ -394,7 +400,7 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                             flag: "lint",
                             detail: format!(
                                 "unknown argument {other:?} (--json, --root <dir>, --rule <id>, \
-                                 --stats)"
+                                 --stats, --timings)"
                             ),
                         })
                     }
@@ -405,6 +411,7 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                 root,
                 rule,
                 stats,
+                timings,
             })
         }
         other => Err(ArgError::UnknownCommand(other.to_string())),
@@ -922,6 +929,7 @@ mod tests {
                 root: None,
                 rule: None,
                 stats: false,
+                timings: false,
             }
         );
         assert_eq!(
@@ -931,15 +939,17 @@ mod tests {
                 root: Some(PathBuf::from("/tmp/ws")),
                 rule: None,
                 stats: false,
+                timings: false,
             }
         );
         assert_eq!(
-            p(&["lint", "--rule", "L7", "--stats"]).unwrap(),
+            p(&["lint", "--rule", "L7", "--stats", "--timings"]).unwrap(),
             Command::Lint {
                 json: false,
                 root: None,
                 rule: Some("L7".to_string()),
                 stats: true,
+                timings: true,
             }
         );
         assert_eq!(
@@ -949,6 +959,7 @@ mod tests {
                 root: None,
                 rule: Some("L7/unguarded-access".to_string()),
                 stats: false,
+                timings: false,
             }
         );
         assert!(p(&["lint", "--rule", "no-such-family"]).is_err());

@@ -498,6 +498,7 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
             root,
             rule,
             stats,
+            timings,
         } => {
             let root = root
                 .or_else(|| {
@@ -543,6 +544,13 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
                     report.files_scanned, findings, elapsed_ms
                 )
                 .map_err(|e| e.to_string())?;
+            }
+            if timings {
+                let per_pass: Vec<String> = (report.timings.iter())
+                    .map(|(name, d)| format!("{name}={:.1}ms", d.as_secs_f64() * 1000.0))
+                    .collect();
+                writeln!(out, "srlint-timings: {}", per_pass.join(" "))
+                    .map_err(|e| e.to_string())?;
             }
             if report.is_clean() {
                 Ok(())

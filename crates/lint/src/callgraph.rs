@@ -20,19 +20,42 @@
 //! name-match edges — the std-wrapper shims would otherwise alias every
 //! call through them (the same exclusion L4 applies to its summaries).
 //!
-//! Propagation queries ([`CallGraph::reaches`]) condense the graph into
-//! strongly connected components first, so recursion and mutual
-//! recursion terminate: an SCC has a property iff any member has it
-//! directly or any out-edge target SCC has it.
+//! Each fn's direct facts — the lock classes it acquires and its
+//! first allocation, lock and I/O site — are computed once, when the
+//! registry is built. Propagation queries ([`CallGraph::reaches`],
+//! [`CallGraph::propagate`]) condense the graph into strongly connected
+//! components first, so recursion and mutual recursion terminate: an
+//! SCC has a fact iff any member has it directly or any out-edge target
+//! SCC has it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use crate::lexer::{Kind, Lexed, Token};
+use crate::lexer::{close_of, split_commas, Kind, Lexed, NoteKind, Token};
+use crate::locks::{is_acquisition, receiver_class};
 use crate::parser::{Block, Item, ItemKind};
 use crate::ParsedFile;
 
+/// Method names whose call allocates a fresh heap block.
+const ALLOC_METHODS: &[&str] = &["to_vec", "collect", "clone"];
+
+/// Macro names that allocate.
+const ALLOC_MACROS: &[&str] = &["format", "vec"];
+
+/// Indices into [`FnMeta::sites`].
+pub const ALLOC: usize = 0;
+pub const LOCK: usize = 1;
+pub const IO: usize = 2;
+
+/// A direct fact's position and description.
+#[derive(Clone, Debug)]
+pub struct Site {
+    pub line: u32,
+    pub col: u32,
+    pub desc: String,
+}
+
 /// One function definition extracted at prep time and shared across
-/// the passes (L4 guard walk, call-graph construction, L9, L10).
+/// the passes (L4 guard walk, L7, call-graph construction, L9, L10).
 #[derive(Clone, Debug)]
 pub struct FnMeta {
     pub name: String,
@@ -41,49 +64,127 @@ pub struct FnMeta {
     /// `(name, type identifier tokens)` per named parameter.
     pub params: Vec<(String, Vec<String>)>,
     pub body: Block,
-    /// First source line covered by the item (attributes included).
-    pub start_line: u32,
     /// Position of the fn name.
     pub line: u32,
     pub col: u32,
     /// Whether the item sits inside test-masked code.
     pub is_test: bool,
-    /// Whether the item carries `#[doc = "srlint: io"]`.
-    pub is_io_marked: bool,
+    /// A `// srlint: hot` note attaches (L10 root).
+    pub hot: bool,
+    /// A `// srlint: untrusted-source` note attaches (L9 source).
+    pub untrusted: bool,
+    /// Lock classes the body acquires directly.
+    pub locks: BTreeSet<String>,
+    /// First direct allocation, lock acquisition and I/O site, indexed
+    /// by [`ALLOC`], [`LOCK`] and [`IO`].
+    pub sites: [Option<Site>; 3],
 }
 
 /// Collect every fn item (with a body) into the shared registry, in
-/// item-tree order, tracking the enclosing impl's self type.
-pub fn collect_fn_metas(items: &[Item], lexed: &Lexed) -> Vec<FnMeta> {
+/// item-tree order, tracking the enclosing impl's self type. `io_fns`
+/// is the workspace I/O registry. `hot` and `untrusted-source` notes
+/// attach here, to a non-test fn starting on a line they cover.
+pub fn collect_fn_metas(
+    items: &[Item],
+    lexed: &mut Lexed,
+    io_fns: &HashSet<String>,
+) -> Vec<FnMeta> {
     let mut out = Vec::new();
-    collect_inner(items, lexed, None, &mut out);
+    collect_inner(items, lexed, io_fns, None, &mut out);
     out
 }
 
-fn collect_inner(items: &[Item], lexed: &Lexed, self_ty: Option<&str>, out: &mut Vec<FnMeta>) {
+fn collect_inner(
+    items: &[Item],
+    lexed: &mut Lexed,
+    io_fns: &HashSet<String>,
+    self_ty: Option<&str>,
+    out: &mut Vec<FnMeta>,
+) {
     for item in items {
-        if item.kind == ItemKind::Fn {
-            if let Some(b) = &item.body {
-                out.push(FnMeta {
-                    name: item.name.clone(),
-                    self_ty: self_ty.map(str::to_string),
-                    params: fn_params(&lexed.tokens, item.first, b.open),
-                    body: b.clone(),
-                    start_line: item.start_line(&lexed.tokens),
-                    line: item.line,
-                    col: item.col,
-                    is_test: lexed.test_mask.get(item.first).copied().unwrap_or(false),
-                    is_io_marked: item.has_doc_marker("srlint: io"),
-                });
-            }
+        if let (ItemKind::Fn, Some(b)) = (item.kind, &item.body) {
+            let is_test = lexed.test_mask.get(item.first).copied().unwrap_or(false);
+            let start = item.start_line(&lexed.tokens);
+            let mut attach = |kind| !is_test && lexed.attach(kind, |n| n.covers.contains(&start));
+            let (hot, untrusted) = (attach(NoteKind::Hot), attach(NoteKind::Untrusted));
+            let marked = item.has_doc_marker("srlint: io").then(|| Site {
+                line: item.line,
+                col: item.col,
+                desc: format!("`{}()` is `#[doc = \"srlint: io\"]`-marked", item.name),
+            });
+            let (locks, sites) = body_facts(&lexed.tokens, b, io_fns, marked);
+            out.push(FnMeta {
+                name: item.name.clone(),
+                self_ty: self_ty.map(str::to_string),
+                params: fn_params(&lexed.tokens, item.first, b.open),
+                body: b.clone(),
+                line: item.line,
+                col: item.col,
+                is_test,
+                hot,
+                untrusted,
+                locks,
+                sites,
+            });
         }
         let child_self = if item.kind == ItemKind::Impl {
             item.impl_ty.first().map(String::as_str)
         } else {
             self_ty
         };
-        collect_inner(&item.children, lexed, child_self, out);
+        collect_inner(&item.children, lexed, io_fns, child_self, out);
     }
+}
+
+/// Scan a body once for its direct facts: the lock classes it acquires
+/// and its first allocation, lock and I/O site (`io` starts as the
+/// fn's own `srlint: io` marker, which outranks any call).
+fn body_facts(
+    tokens: &[Token],
+    body: &Block,
+    io_fns: &HashSet<String>,
+    io: Option<Site>,
+) -> (BTreeSet<String>, [Option<Site>; 3]) {
+    let mut locks = BTreeSet::new();
+    let mut sites = [None, None, io];
+    for k in body.open + 1..body.close.min(tokens.len()) {
+        let t = &tokens[k];
+        let next_is = |c: char| tokens.get(k + 1).is_some_and(|x| x.is_punct(c));
+        if t.kind != Kind::Ident {
+            continue;
+        }
+        let (fact, desc) = if ALLOC_MACROS.contains(&t.text.as_str()) && next_is('!') {
+            (ALLOC, format!("`{}!` expansion", t.text))
+        } else if !next_is('(') {
+            continue;
+        } else if t.text == "new"
+            && k >= 3
+            && tokens[k - 1].is_punct(':')
+            && tokens[k - 2].is_punct(':')
+            && (tokens[k - 3].is_ident("Vec") || tokens[k - 3].is_ident("Box"))
+        {
+            (ALLOC, format!("`{}::new()`", tokens[k - 3].text))
+        } else if ALLOC_METHODS.contains(&t.text.as_str()) && k > 0 && tokens[k - 1].is_punct('.') {
+            (ALLOC, format!("`.{}()`", t.text))
+        } else if is_acquisition(tokens, k) {
+            let class = receiver_class(tokens, k - 1);
+            locks.extend(class.clone());
+            (
+                LOCK,
+                format!("`.{}()` on `{}`", t.text, class.unwrap_or_default()),
+            )
+        } else if io_fns.contains(&t.text) {
+            (IO, format!("I/O call `{}()`", t.text))
+        } else {
+            continue;
+        };
+        sites[fact].get_or_insert(Site {
+            line: t.line,
+            col: t.col,
+            desc,
+        });
+    }
+    (locks, sites)
 }
 
 /// Parse `(name, type idents)` for each named parameter of a fn item:
@@ -112,22 +213,8 @@ pub(crate) fn fn_params(
         }
     }
     let Some(open) = open else { return out };
-    let close = match_paren(tokens, open, body_open);
-    let mut seg = open + 1;
-    while seg < close {
-        let mut depth = 0usize;
-        let mut end = seg;
-        while end < close {
-            let t = &tokens[end];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') || t.is_punct('}') {
-                depth = depth.saturating_sub(1);
-            } else if t.is_punct(',') && depth == 0 {
-                break;
-            }
-            end += 1;
-        }
+    let close = close_of(&tokens[..body_open], open);
+    for (seg, end) in split_commas(tokens, open, close, true) {
         // One parameter in [seg, end): `mut? name : type...`.
         let mut p = seg;
         if tokens.get(p).is_some_and(|t| t.is_ident("mut")) {
@@ -143,30 +230,8 @@ pub(crate) fn fn_params(
                 out.push((name.text.clone(), tidents));
             }
         }
-        seg = end + 1;
     }
     out
-}
-
-/// Index of the `)` matching the `(` at `open`, clamped to `end`.
-pub(crate) fn match_paren(tokens: &[Token], open: usize, end: usize) -> usize {
-    let mut depth = 0usize;
-    for (k, t) in tokens
-        .iter()
-        .enumerate()
-        .take(end.min(tokens.len()))
-        .skip(open)
-    {
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return k;
-            }
-        }
-    }
-    end.min(tokens.len())
 }
 
 /// One graph node: which file and which entry of that file's shared
@@ -249,9 +314,9 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Build the graph over parsed files; `crate_of[i]` names the crate
-    /// of `files[i]`. Test-masked functions are excluded.
-    pub fn build(files: &[ParsedFile], crate_of: &[String]) -> CallGraph {
+    /// Build the graph over parsed files. Test-masked functions are
+    /// excluded.
+    pub fn build(files: &[ParsedFile]) -> CallGraph {
         let mut defs = Vec::new();
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut by_ty: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
@@ -273,7 +338,7 @@ impl CallGraph {
                     idx: mi,
                     name: fm.name.clone(),
                     self_ty: fm.self_ty.clone(),
-                    krate: crate_of.get(fi).cloned().unwrap_or_default(),
+                    krate: f.krate.clone(),
                 });
             }
         }
@@ -370,95 +435,35 @@ impl CallGraph {
         self.by_name.get(name).cloned().unwrap_or_default()
     }
 
-    /// Strongly connected components, emitted callees-first: every
-    /// out-edge of a component targets an earlier-emitted component
-    /// (iterative Tarjan, so recursion in the analyzed code cannot
-    /// overflow the analyzer's stack).
-    pub fn sccs(&self) -> Vec<Vec<usize>> {
-        let n = self.defs.len();
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut out: Vec<Vec<usize>> = Vec::new();
-        // Explicit DFS frames: (node, next-edge cursor).
-        let mut frames: Vec<(usize, usize)> = Vec::new();
-        for start in 0..n {
-            if index[start] != usize::MAX {
-                continue;
-            }
-            frames.push((start, 0));
-            index[start] = next_index;
-            low[start] = next_index;
-            next_index += 1;
-            stack.push(start);
-            on_stack[start] = true;
-            while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
-                if *cursor < self.calls[v].len() {
-                    let w = self.calls[v][*cursor].callee;
-                    *cursor += 1;
-                    if index[w] == usize::MAX {
-                        index[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&(parent, _)) = frames.last() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut comp = Vec::new();
-                        while let Some(w) = stack.pop() {
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp.sort_unstable();
-                        out.push(comp);
-                    }
-                }
-            }
-        }
-        out
+    /// Callee lists per node, keeping only the edges `follow` accepts.
+    pub fn adj(&self, follow: impl Fn(usize, &Edge) -> bool) -> Vec<Vec<usize>> {
+        let edges = self.calls.iter().enumerate();
+        edges
+            .map(|(v, es)| {
+                es.iter()
+                    .filter(|e| follow(v, e))
+                    .map(|e| e.callee)
+                    .collect()
+            })
+            .collect()
     }
 
     /// For each node, whether it reaches (itself included) a node with
-    /// `direct[..]` set, walking call edges. Condenses to SCCs first so
-    /// cycles terminate.
+    /// `direct[..]` set, walking call edges.
     pub fn reaches(&self, direct: &[bool]) -> Vec<bool> {
-        let sccs = self.sccs();
-        let n = self.defs.len();
-        let mut comp_of = vec![0usize; n];
-        for (ci, comp) in sccs.iter().enumerate() {
-            for &v in comp {
-                comp_of[v] = ci;
-            }
-        }
-        let mut comp_reaches = vec![false; sccs.len()];
-        // Tarjan emits callee components before caller components, so a
-        // single forward pass settles the DAG.
-        for (ci, comp) in sccs.iter().enumerate() {
-            let mut hit = comp
-                .iter()
-                .any(|&v| direct.get(v).copied().unwrap_or(false));
-            if !hit {
-                hit = comp
-                    .iter()
-                    .flat_map(|&v| self.calls[v].iter())
-                    .any(|e| comp_reaches[comp_of[e.callee]]);
-            }
-            comp_reaches[ci] = hit;
-        }
-        (0..n).map(|v| comp_reaches[comp_of[v]]).collect()
+        fold_reach(&self.adj(|_, _| true), direct.to_vec(), |a, b| *a |= *b)
+    }
+
+    /// For each node, the union of `direct` over every node it reaches
+    /// (itself included) along the edges `follow` accepts.
+    pub fn propagate(
+        &self,
+        direct: Vec<BTreeSet<String>>,
+        follow: impl Fn(usize, &Edge) -> bool,
+    ) -> Vec<BTreeSet<String>> {
+        fold_reach(&self.adj(follow), direct, |a, b| {
+            a.extend(b.iter().cloned())
+        })
     }
 
     /// Shortest call chain (BFS over edges) from `from` to any node
@@ -498,6 +503,14 @@ impl CallGraph {
         None
     }
 
+    /// The run of `id`'s edges anchored at call-site token `k` (edges
+    /// are sorted by token; name-match fan-out shares one site).
+    pub fn edges_at(&self, id: usize, k: usize) -> &[Edge] {
+        let edges = &self.calls[id];
+        let start = edges.partition_point(|e| e.token < k);
+        &edges[start..edges.partition_point(|e| e.token <= k)]
+    }
+
     /// The edge in `from`'s body that begins the chain toward `next`
     /// (for anchoring interprocedural diagnostics at a call site).
     pub fn edge_to(&self, from: usize, next: usize) -> Option<&Edge> {
@@ -505,33 +518,106 @@ impl CallGraph {
     }
 }
 
+/// Strongly connected components of `adj`, emitted callees-first:
+/// every out-edge of a component targets an earlier-emitted component
+/// (iterative Tarjan, so recursion in the analyzed code cannot overflow
+/// the analyzer's stack).
+pub fn sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let n = adj.len();
+    let mut index = vec![usize::MAX; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut next_index = 0usize;
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    // Explicit DFS frames: (node, next-edge cursor).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    for start in 0..n {
+        if index[start] != usize::MAX {
+            continue;
+        }
+        frames.push((start, 0));
+        index[start] = next_index;
+        low[start] = next_index;
+        next_index += 1;
+        stack.push(start);
+        on_stack[start] = true;
+        while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
+            if let Some(&w) = adj[v].get(*cursor) {
+                *cursor += 1;
+                if index[w] == usize::MAX {
+                    index[w] = next_index;
+                    low[w] = next_index;
+                    next_index += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+            } else {
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let mut comp = Vec::new();
+                    while let Some(w) = stack.pop() {
+                        on_stack[w] = false;
+                        comp.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    comp.sort_unstable();
+                    out.push(comp);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `direct` joined, per node, over every node it reaches along `adj`
+/// (itself included). Tarjan emits callee components before callers,
+/// so one forward pass over the components settles the DAG.
+fn fold_reach<T: Clone>(adj: &[Vec<usize>], direct: Vec<T>, join: impl Fn(&mut T, &T)) -> Vec<T> {
+    let sccs = sccs(adj);
+    let mut comp_of = vec![0usize; adj.len()];
+    for (ci, comp) in sccs.iter().enumerate() {
+        for &v in comp {
+            comp_of[v] = ci;
+        }
+    }
+    let mut acc: Vec<T> = Vec::with_capacity(sccs.len());
+    for comp in &sccs {
+        let mut fact = direct[comp[0]].clone();
+        for &v in comp {
+            join(&mut fact, &direct[v]);
+            for &w in &adj[v] {
+                if let Some(earlier) = acc.get(comp_of[w]) {
+                    join(&mut fact, earlier);
+                }
+            }
+        }
+        acc.push(fact);
+    }
+    comp_of.iter().map(|&c| acc[c].clone()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{guarded, lexer, parser};
-
-    fn parse_one(path: &str, src: &str) -> ParsedFile {
-        let mut lx = lexer::lex(src);
-        let items = parser::parse(&lx.tokens);
-        let structs = guarded::collect_structs(&mut lx, &items);
-        let fns = collect_fn_metas(&items, &lx);
-        ParsedFile {
-            path: path.to_string(),
-            lexed: lx,
-            items,
-            structs,
-            fns,
-        }
-    }
 
     fn build(sources: &[(&str, &str, &str)]) -> (CallGraph, Vec<ParsedFile>) {
-        let files: Vec<ParsedFile> = sources
+        let mut files: Vec<ParsedFile> = sources
             .iter()
-            .map(|(_, path, src)| parse_one(path, src))
+            .map(|(krate, path, src)| ParsedFile::parse(path, krate, false, src))
             .collect();
-        let crate_of: Vec<String> = sources.iter().map(|(k, _, _)| k.to_string()).collect();
-        let graph = CallGraph::build(&files, &crate_of);
-        (graph, files)
+        for f in &mut files {
+            f.fns = collect_fn_metas(&f.items, &mut f.lexed, &HashSet::new());
+        }
+        (CallGraph::build(&files), files)
     }
 
     fn id_of(graph: &CallGraph, name: &str) -> usize {
@@ -619,7 +705,7 @@ mod tests {
              pub fn rec(n: u32) { rec(n); }\n\
              pub fn leaf() {}\n",
         )]);
-        let sccs = graph.sccs();
+        let sccs = sccs(&graph.adj(|_, _| true));
         let ping = id_of(&graph, "ping");
         let pong = id_of(&graph, "pong");
         let rec = id_of(&graph, "rec");

@@ -21,23 +21,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use crate::lexer::{Kind, Lexed, Token};
+use crate::lexer::{open_of, Kind, Lexed, Token};
+use crate::locks::is_acquisition;
 use crate::parser::{Item, ItemKind};
 use crate::{Diagnostic, ParsedFile};
 
 /// Methods that silently discard a `Result`'s error.
 const SWALLOWERS: &[&str] = &["ok", "unwrap_or_default", "unwrap_or", "unwrap_or_else"];
-
-/// A zero-argument `.lock()` / `.read()` / `.write()` method call is a
-/// lock acquisition (L4's model), never a call into the fallible-fn
-/// registry — `self.0.read()` must not alias `PageFile::read(id, kind)`.
-fn is_lock_acquisition(tokens: &[Token], name_idx: usize) -> bool {
-    let t = &tokens[name_idx];
-    matches!(t.text.as_str(), "lock" | "read" | "write")
-        && name_idx > 0
-        && tokens[name_idx - 1].is_punct('.')
-        && tokens.get(name_idx + 2).is_some_and(|n| n.is_punct(')'))
-}
 
 /// Workspace registry of public fallible functions and `From` chains.
 #[derive(Debug, Default)]
@@ -218,8 +208,10 @@ pub fn l6_errors(
     alias_error: Option<&str>,
     diags: &mut Vec<Diagnostic>,
 ) {
+    // Findings are collected first (the item walk borrows `lexed`), then
+    // flagged.
+    let mut found: Vec<((u32, u32), &str, String)> = Vec::new();
     // `?` conversion inside public fns with a concrete error type.
-    let mut checks: Vec<(u32, u32, String, String, String)> = Vec::new();
     walk_items(items, false, &mut |item, _| {
         if item.kind != ItemKind::Fn
             || !item.is_pub
@@ -246,28 +238,17 @@ pub fn l6_errors(
             };
             if !reg.converts(x, &own) {
                 let t = &lexed.tokens[k];
-                checks.push((t.line, t.col, callee, x.to_string(), own.clone()));
-            }
-        }
-    });
-    for (line, col, callee, x, own) in checks {
-        if !lexed.allow("error-conversion", line) {
-            diags.push(Diagnostic {
-                file: path.to_string(),
-                line,
-                col,
-                rule: "L6/error-conversion".to_string(),
-                message: format!(
+                let message = format!(
                     "`?` on `{callee}()` propagates `{x}` but the function returns \
                      `Result<_, {own}>` and no `From<{x}> for {own}` chain exists; \
                      convert with `map_err` or add the impl"
-                ),
-            });
+                );
+                found.push(((t.line, t.col), "L6/error-conversion", message));
+            }
         }
-    }
+    });
 
     // Swallowed typed errors, anywhere in non-test code.
-    let mut swallows: Vec<(u32, u32, String, String, String)> = Vec::new();
     for k in 0..lexed.tokens.len() {
         let t = &lexed.tokens[k];
         if t.kind != Kind::Ident
@@ -293,48 +274,32 @@ pub fn l6_errors(
             continue;
         };
         if let Some(err) = reg.error_of(&callee) {
-            swallows.push((t.line, t.col, t.text.clone(), callee, err.to_string()));
-        }
-    }
-    for (line, col, method, callee, err) in swallows {
-        if !lexed.allow("swallowed-error", line) {
-            diags.push(Diagnostic {
-                file: path.to_string(),
-                line,
-                col,
-                rule: "L6/swallowed-error".to_string(),
-                message: format!(
-                    "`.{method}(..)` silently discards the `{err}` from `{callee}()`; \
-                     match on the error or propagate it"
-                ),
-            });
+            let message = format!(
+                "`.{}(..)` silently discards the `{err}` from `{callee}()`; \
+                 match on the error or propagate it",
+                t.text
+            );
+            found.push(((t.line, t.col), "L6/swallowed-error", message));
         }
     }
 
     // Stale `#[deprecated]` items.
-    let mut stale: Vec<(u32, u32, String)> = Vec::new();
     walk_items(items, false, &mut |item, _| {
         if lexed.test_mask.get(item.first).copied().unwrap_or(false) {
             return;
         }
         if item.has_attr_ident("deprecated") {
-            stale.push((item.line, item.col, item.name.clone()));
+            let message = format!(
+                "`#[deprecated]` item `{}` has outlived its one-PR grace period; \
+                 delete it (hatch with allow(stale-deprecated) only in the PR that \
+                 deprecates it)",
+                item.name
+            );
+            found.push(((item.line, item.col), "L6/stale-deprecated", message));
         }
     });
-    for (line, col, name) in stale {
-        if !lexed.allow("stale-deprecated", line) {
-            diags.push(Diagnostic {
-                file: path.to_string(),
-                line,
-                col,
-                rule: "L6/stale-deprecated".to_string(),
-                message: format!(
-                    "`#[deprecated]` item `{name}` has outlived its one-PR grace period; \
-                     delete it (hatch with allow(stale-deprecated) only in the PR that \
-                     deprecates it)"
-                ),
-            });
-        }
+    for (pos, rule, message) in found {
+        lexed.flag(diags, path, pos, rule, message);
     }
 }
 
@@ -343,28 +308,14 @@ pub fn l6_errors(
 /// preceding token is not a call's `)`, or the call is a lock
 /// acquisition rather than a registry candidate.
 fn call_before(tokens: &[Token], k: usize) -> Option<String> {
-    let mut j = k.checked_sub(1)?;
-    if !tokens.get(j)?.is_punct(')') {
+    let close = k.checked_sub(1)?;
+    if !tokens.get(close)?.is_punct(')') {
         return None;
     }
-    let mut depth = 0i32;
-    loop {
-        let t = tokens.get(j)?;
-        if t.is_punct(')') {
-            depth += 1;
-        } else if t.is_punct('(') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        }
-        j = j.checked_sub(1)?;
-    }
-    let name_idx = j.checked_sub(1)?;
+    // A zero-argument `.lock()` / `.read()` / `.write()` is a lock
+    // acquisition (L4's model), never a call into the registry —
+    // `self.0.read()` must not alias `PageFile::read(id, kind)`.
+    let name_idx = open_of(tokens, close)?.checked_sub(1)?;
     let name = tokens.get(name_idx)?;
-    if name.kind == Kind::Ident && !is_lock_acquisition(tokens, name_idx) {
-        Some(name.text.clone())
-    } else {
-        None
-    }
+    (name.kind == Kind::Ident && !is_acquisition(tokens, name_idx)).then(|| name.text.clone())
 }

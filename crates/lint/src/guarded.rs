@@ -26,7 +26,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::lexer::{Kind, Lexed, Token};
+use crate::lexer::{close_of, split_commas, Kind, Lexed, Note, NoteKind, Token};
 use crate::parser::{Item, ItemKind};
 use crate::{Diagnostic, ParsedFile};
 
@@ -91,36 +91,40 @@ impl FieldMaps {
     }
 }
 
-/// Collect every named-field struct in the file, attaching guarded-by
-/// notes to their fields. Runs once per file at parse time.
+/// Collect every named-field struct in the file, attaching its notes:
+/// guarded-by notes to fields (first by the note's own line, a trailing
+/// comment, then by the covered next code line), and send-sync notes to
+/// the struct whose span contains them or that starts on the next code
+/// line. Runs once per file at parse time.
 pub fn collect_structs(lexed: &mut Lexed, items: &[Item]) -> Vec<StructInfo> {
     let mut out = Vec::new();
     collect_structs_rec(lexed, items, &mut out);
-    // Attach guarded-by notes: first by the note's own line (trailing
-    // comment on the field), then by the covered next code line.
     for exact in [true, false] {
-        for s in out.iter_mut() {
-            for fld in s.fields.iter_mut() {
-                if fld.guarded_by.is_some() {
-                    continue;
-                }
-                for note in lexed.guarded_notes.iter_mut() {
-                    if note.used {
-                        continue;
-                    }
-                    let hit = if exact {
-                        note.covers[0] == fld.line
-                    } else {
-                        note.covers.contains(&fld.line)
-                    };
-                    if hit {
-                        note.used = true;
-                        fld.guarded_by = Some(note.lock.clone());
-                        break;
-                    }
-                }
+        for fld in out.iter_mut().flat_map(|s| s.fields.iter_mut()) {
+            if fld.guarded_by.is_some() {
+                continue;
             }
+            // Only the first matching note attaches; a second one stays
+            // unused and is reported as an orphan.
+            let line = fld.line;
+            lexed.attach(NoteKind::GuardedBy, |n| {
+                let on = if exact {
+                    n.covers[0] == line
+                } else {
+                    n.covers.contains(&line)
+                };
+                let take = on && !n.used && fld.guarded_by.is_none();
+                if take {
+                    fld.guarded_by = Some(n.arg.clone());
+                }
+                take
+            });
         }
+    }
+    for s in out.iter_mut() {
+        let (start, end) = (s.start_line, s.end_line);
+        let hit = |n: &Note| !n.used && ((start..=end).contains(&n.line) || start == n.covers[1]);
+        s.has_note = lexed.attach(NoteKind::SendSync, hit);
     }
     out
 }
@@ -176,57 +180,17 @@ fn scan_struct(tokens: &[Token], item: &Item) -> Option<StructInfo> {
     let open = open?;
     let close = item.last; // parser ends struct items at the matching `}`
     let mut fields = Vec::new();
-    let mut seg = open + 1;
-    while seg < close {
-        // One field declaration per top-level comma.
-        let mut depth = 0usize;
-        let mut end = seg;
-        while end < close {
-            let t = &tokens[end];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') || t.is_punct('<') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') || t.is_punct('>') {
-                depth = depth.saturating_sub(1);
-            } else if t.is_punct(',') && depth == 0 {
-                break;
-            }
-            end += 1;
-        }
+    for (seg, end) in split_commas(tokens, open, close, true) {
         // Within [seg, end): skip attributes and visibility, then
         // expect `name : type...`.
         let mut p = seg;
         while p < end {
             if tokens[p].is_punct('#') && tokens.get(p + 1).is_some_and(|t| t.is_punct('[')) {
-                let mut d = 0usize;
-                p += 1;
-                while p < end {
-                    if tokens[p].is_punct('[') {
-                        d += 1;
-                    } else if tokens[p].is_punct(']') {
-                        d -= 1;
-                        if d == 0 {
-                            p += 1;
-                            break;
-                        }
-                    }
-                    p += 1;
-                }
+                p = close_of(&tokens[..end], p + 1) + 1;
             } else if tokens[p].is_ident("pub") {
                 p += 1;
                 if tokens.get(p).is_some_and(|t| t.is_punct('(')) {
-                    let mut d = 0usize;
-                    while p < end {
-                        if tokens[p].is_punct('(') {
-                            d += 1;
-                        } else if tokens[p].is_punct(')') {
-                            d -= 1;
-                            if d == 0 {
-                                p += 1;
-                                break;
-                            }
-                        }
-                        p += 1;
-                    }
+                    p = close_of(&tokens[..end], p) + 1;
                 }
             } else {
                 break;
@@ -253,7 +217,6 @@ fn scan_struct(tokens: &[Token], item: &Item) -> Option<StructInfo> {
                 guarded_by: None,
             });
         }
-        seg = end + 1;
     }
     Some(StructInfo {
         name: item.name.clone(),
@@ -266,25 +229,12 @@ fn scan_struct(tokens: &[Token], item: &Item) -> Option<StructInfo> {
     })
 }
 
-/// Every acquisition class observed in the crate (`self.meta.lock()`
-/// contributes `meta`) — the vocabulary valid guarded-by names come
-/// from, alongside lock-typed field names.
+/// Every acquisition class observed in the crate's fns, test code
+/// included (`self.meta.lock()` contributes `meta`) — the vocabulary
+/// valid guarded-by names come from, alongside lock-typed field names.
 pub fn acquisition_classes(files: &[ParsedFile]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for f in files {
-        let toks = &f.lexed.tokens;
-        for k in 0..toks.len() {
-            if toks[k].kind == Kind::Ident
-                && toks.get(k + 1).is_some_and(|t| t.is_punct('('))
-                && crate::locks::is_acquisition(toks, k)
-            {
-                if let Some(c) = crate::locks::receiver_class(toks, k - 1) {
-                    out.insert(c);
-                }
-            }
-        }
-    }
-    out
+    let fns = files.iter().flat_map(|f| &f.fns);
+    fns.flat_map(|fm| fm.locks.iter().cloned()).collect()
 }
 
 /// Types that protect themselves: a field of one of these needs no
@@ -326,7 +276,6 @@ pub fn l7_annotations(
 
     let mut maps = FieldMaps::default();
     for f in files.iter_mut() {
-        let path = f.path.clone();
         for s in &f.structs {
             for fld in &s.fields {
                 let Some(lock) = &fld.guarded_by else {
@@ -334,45 +283,19 @@ pub fn l7_annotations(
                 };
                 let known = lock == "owner" || classes.contains(lock) || lock_fields.contains(lock);
                 if !known {
-                    if !f.lexed.allow("bad-annotation", fld.line) {
-                        diags.push(Diagnostic {
-                            file: path.clone(),
-                            line: fld.line,
-                            col: fld.col,
-                            rule: "L7/bad-annotation".to_string(),
-                            message: format!(
-                                "guarded-by names unknown lock `{lock}`; expected an acquisition \
-                                 class seen in this crate, a Mutex/RwLock field name, or `owner`"
-                            ),
-                        });
-                    }
+                    let message = format!(
+                        "guarded-by names unknown lock `{lock}`; expected an acquisition \
+                         class seen in this crate, a Mutex/RwLock field name, or `owner`"
+                    );
+                    let pos = (fld.line, fld.col);
+                    f.lexed
+                        .flag(diags, &f.path, pos, "L7/bad-annotation", message);
                     continue;
                 }
                 maps.by_struct
                     .entry(s.name.clone())
                     .or_default()
                     .insert(fld.name.clone(), lock.clone());
-            }
-        }
-        // Notes that attached to nothing are annotation bugs too.
-        let mut orphans = Vec::new();
-        for note in &f.lexed.guarded_notes {
-            if !note.used {
-                orphans.push((note.line, note.col, note.lock.clone()));
-            }
-        }
-        for (line, col, lock) in orphans {
-            if !f.lexed.allow("bad-annotation", line) {
-                diags.push(Diagnostic {
-                    file: path.clone(),
-                    line,
-                    col,
-                    rule: "L7/bad-annotation".to_string(),
-                    message: format!(
-                        "guarded-by({lock}) note attaches to no struct field; place it on the \
-                         field's line or the line above it"
-                    ),
-                });
             }
         }
     }
@@ -382,32 +305,20 @@ pub fn l7_annotations(
 /// L7/unprotected-shared: every field of a send-sync-noted struct must
 /// be guarded, atomic/lock-typed, or itself a noted struct.
 pub fn l7_unprotected(f: &mut ParsedFile, noted: &BTreeSet<String>, diags: &mut Vec<Diagnostic>) {
-    let path = f.path.clone();
-    let mut findings = Vec::new();
-    for s in &f.structs {
-        if !s.has_note {
-            continue;
-        }
+    for s in f.structs.iter().filter(|s| s.has_note) {
         for fld in &s.fields {
             if fld.guarded_by.is_some() || self_protecting(&fld.type_idents, noted) {
                 continue;
             }
-            findings.push((fld.line, fld.col, s.name.clone(), fld.name.clone()));
-        }
-    }
-    for (line, col, sname, fname) in findings {
-        if !f.lexed.allow("unprotected-shared", line) {
-            diags.push(Diagnostic {
-                file: path.clone(),
-                line,
-                col,
-                rule: "L7/unprotected-shared".to_string(),
-                message: format!(
-                    "`{sname}` crosses thread boundaries (send-sync note) but field `{fname}` is \
-                     neither guarded-by-annotated nor of a self-protecting type; annotate the \
-                     lock that guards it (or `owner` if only written through `&mut self`)"
-                ),
-            });
+            let message = format!(
+                "`{}` crosses thread boundaries (send-sync note) but field `{}` is \
+                 neither guarded-by-annotated nor of a self-protecting type; annotate the \
+                 lock that guards it (or `owner` if only written through `&mut self`)",
+                s.name, fld.name
+            );
+            let pos = (fld.line, fld.col);
+            f.lexed
+                .flag(diags, &f.path, pos, "L7/unprotected-shared", message);
         }
     }
 }

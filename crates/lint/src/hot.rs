@@ -22,154 +22,25 @@
 //! hot contract is "no fresh heap blocks, no blocking", not "no writes
 //! into reusable buffers".
 
-use std::collections::{BTreeSet, HashSet};
-
-use crate::callgraph::CallGraph;
-use crate::lexer::Kind;
-use crate::locks::{is_acquisition, receiver_class};
+use crate::callgraph::{CallGraph, ALLOC, IO, LOCK};
 use crate::{Diagnostic, ParsedFile};
 
-/// Method names whose call allocates a fresh heap block.
-const ALLOC_METHODS: &[&str] = &["to_vec", "collect", "clone"];
-
-/// Macro names that allocate.
-const ALLOC_MACROS: &[&str] = &["format", "vec"];
-
-/// A direct property site inside one function.
-#[derive(Clone)]
-struct Site {
-    line: u32,
-    col: u32,
-    desc: String,
-}
-
-struct Family {
-    tail: &'static str,
-    what: &'static str,
-    direct: Vec<Option<Site>>,
-}
+/// The three families: rule tail, what is banned, and the index of the
+/// fn's direct site ([`crate::callgraph::FnMeta::sites`]).
+const FAMILIES: &[(&str, &str, usize)] = &[
+    ("hot-alloc", "heap allocation", ALLOC),
+    ("hot-lock", "lock acquisition", LOCK),
+    ("hot-io", "store I/O", IO),
+];
 
 /// Run the L10 pass over the whole workspace.
-pub fn l10_hot(
-    graph: &CallGraph,
-    io_fns: &HashSet<String>,
-    files: &mut [ParsedFile],
-    diags: &mut Vec<Diagnostic>,
-) {
+pub fn l10_hot(graph: &CallGraph, files: &mut [ParsedFile], diags: &mut Vec<Diagnostic>) {
     let n = graph.defs.len();
-
-    // Hot roots: fns whose item starts on a line covered by a
-    // `// srlint: hot` note.
-    let mut roots: Vec<usize> = Vec::new();
-    let mut hot_used: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for id in 0..n {
-        let def = &graph.defs[id];
-        let fm = graph.meta(files, id);
-        for (ni, note) in files[def.file].lexed.hot_notes.iter().enumerate() {
-            if note.covers.contains(&fm.start_line) {
-                roots.push(id);
-                hot_used.insert((def.file, ni));
-            }
-        }
-    }
-
-    // Direct property sites per function (first site each).
-    let mut alloc: Vec<Option<Site>> = vec![None; n];
-    let mut lock: Vec<Option<Site>> = vec![None; n];
-    let mut io: Vec<Option<Site>> = vec![None; n];
-    for id in 0..n {
-        let def = &graph.defs[id];
-        let fm = graph.meta(files, id);
-        let tokens = &files[def.file].lexed.tokens;
-        if fm.is_io_marked {
-            io[id] = Some(Site {
-                line: fm.line,
-                col: fm.col,
-                desc: format!("`{}()` is `#[doc = \"srlint: io\"]`-marked", def.name),
-            });
-        }
-        for k in fm.body.open + 1..fm.body.close.min(tokens.len()) {
-            let t = &tokens[k];
-            if t.kind != Kind::Ident {
-                continue;
-            }
-            let site = |desc: String| Site {
-                line: t.line,
-                col: t.col,
-                desc,
-            };
-            let next_is = |c: char| tokens.get(k + 1).is_some_and(|x| x.is_punct(c));
-            // Macros: `format!` / `vec!`.
-            if ALLOC_MACROS.contains(&t.text.as_str()) && next_is('!') {
-                if alloc[id].is_none() {
-                    alloc[id] = Some(site(format!("`{}!` expansion", t.text)));
-                }
-                continue;
-            }
-            if !next_is('(') {
-                continue;
-            }
-            // `Vec::new(` / `Box::new(`.
-            if t.text == "new"
-                && k >= 3
-                && tokens[k - 1].is_punct(':')
-                && tokens[k - 2].is_punct(':')
-                && tokens
-                    .get(k - 3)
-                    .is_some_and(|p| p.is_ident("Vec") || p.is_ident("Box"))
-            {
-                if alloc[id].is_none() {
-                    alloc[id] = Some(site(format!("`{}::new()`", tokens[k - 3].text)));
-                }
-                continue;
-            }
-            // `.to_vec(` / `.collect(` / `.clone(`.
-            if ALLOC_METHODS.contains(&t.text.as_str()) && k > 0 && tokens[k - 1].is_punct('.') {
-                if alloc[id].is_none() {
-                    alloc[id] = Some(site(format!("`.{}()`", t.text)));
-                }
-                continue;
-            }
-            // Zero-argument `.lock()` / `.read()` / `.write()`.
-            if is_acquisition(tokens, k) {
-                if lock[id].is_none() {
-                    let class = receiver_class(tokens, k - 1).unwrap_or_default();
-                    lock[id] = Some(site(format!("`.{}()` on `{class}`", t.text)));
-                }
-                continue;
-            }
-            // I/O registry calls.
-            if io_fns.contains(&t.text) && io[id].is_none() {
-                io[id] = Some(site(format!("I/O call `{}()`", t.text)));
-            }
-        }
-    }
-
-    for (fi, ni) in hot_used {
-        files[fi].lexed.hot_notes[ni].used = true;
-    }
-
-    let families = [
-        Family {
-            tail: "hot-alloc",
-            what: "heap allocation",
-            direct: alloc,
-        },
-        Family {
-            tail: "hot-lock",
-            what: "lock acquisition",
-            direct: lock,
-        },
-        Family {
-            tail: "hot-io",
-            what: "store I/O",
-            direct: io,
-        },
-    ];
-
+    let roots: Vec<usize> = (0..n).filter(|&id| graph.meta(files, id).hot).collect();
     let mut findings: Vec<(usize, u32, u32, &'static str, String)> = Vec::new();
-    for fam in &families {
-        let flags: Vec<bool> = fam.direct.iter().map(Option::is_some).collect();
+    for &(tail, what, fact) in FAMILIES {
+        let site = |id: usize| graph.meta(files, id).sites[fact].as_ref();
+        let flags: Vec<bool> = (0..n).map(|id| site(id).is_some()).collect();
         let reach = graph.reaches(&flags);
         for &root in &roots {
             if !reach[root] {
@@ -179,7 +50,7 @@ pub fn l10_hot(
                 continue;
             };
             let offender = *path.last().unwrap_or(&root);
-            let Some(op) = &fam.direct[offender] else {
+            let Some(op) = site(offender) else {
                 continue;
             };
             let chain: Vec<&str> = path.iter().map(|&v| graph.defs[v].name.as_str()).collect();
@@ -188,7 +59,7 @@ pub fn l10_hot(
                 (
                     op.line,
                     op.col,
-                    format!("{} on the hot path: {}", fam.what, op.desc),
+                    format!("{} on the hot path: {}", what, op.desc),
                 )
             } else {
                 let e = graph.edge_to(root, path[1]);
@@ -198,7 +69,7 @@ pub fn l10_hot(
                     c,
                     format!(
                         "reaches {} in `{}()` (call chain: {}): {} at {}:{}",
-                        fam.what,
+                        what,
                         graph.defs[offender].name,
                         chain.join(" -> "),
                         op.desc,
@@ -211,11 +82,11 @@ pub fn l10_hot(
                 root_def.file,
                 line,
                 col,
-                fam.tail,
+                tail,
                 format!(
                     "hot fn `{}()` {how}; hot regions must stay free of allocation, \
                      locks, and store I/O — restructure, or hatch with `allow({})`",
-                    root_def.name, fam.tail
+                    root_def.name, tail
                 ),
             ));
         }
@@ -223,14 +94,8 @@ pub fn l10_hot(
 
     findings.sort_by(|a, b| (a.0, a.1, a.2, a.3).cmp(&(b.0, b.1, b.2, b.3)));
     for (fi, line, col, tail, message) in findings {
-        if !files[fi].lexed.allow(tail, line) {
-            diags.push(Diagnostic {
-                file: files[fi].path.clone(),
-                line,
-                col,
-                rule: format!("L10/{tail}"),
-                message,
-            });
-        }
+        let f = &mut files[fi];
+        f.lexed
+            .flag(diags, &f.path, (line, col), &format!("L10/{tail}"), message);
     }
 }

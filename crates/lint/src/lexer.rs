@@ -5,12 +5,14 @@
 //! punctuation) with exact line/column positions, strips comments so
 //! rule passes never match inside them (string literals keep their
 //! source text so attribute markers like `#[doc = "srlint: io"]` stay
-//! visible, but they lex as a single `Lit` token), extracts the
-//! `// srlint:` directives (`allow(<rule>) -- <reason>` escape hatches,
-//! `ordering -- <reason>` atomic-ordering justifications, and
-//! `lock-order(<a> < <b>) -- <reason>` lock-order declarations), and
-//! computes a per-token "test code" mask by matching `#[cfg(test)]` /
-//! `#[test]` / `#[bench]` attributes to the item that follows them.
+//! visible, but they lex as a single `Lit` token), extracts every
+//! `// srlint:` directive into one [`Note`] list, and computes a
+//! per-token "test code" mask by matching `#[cfg(test)]` / `#[test]` /
+//! `#[bench]` attributes to the item that follows them. It also holds
+//! the token toolkit every pass shares: [`close_of`], [`open_of`] and
+//! [`split_commas`].
+
+use crate::Diagnostic;
 
 /// Token classes the rule passes distinguish.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,131 +48,150 @@ impl Token {
     }
 }
 
-/// One `// srlint: allow(<rule>) -- <reason>` escape hatch. It suppresses
-/// matching diagnostics on its own line (trailing comment) and on the
-/// line of the next token after the comment block (preceding comment).
-#[derive(Clone, Debug)]
-pub struct Hatch {
-    pub rule: String,
-    /// Lines the hatch covers: its own and the next code line.
-    pub covers: [u32; 2],
-    /// Line of the hatch comment itself (for reporting).
-    pub line: u32,
-    /// Set by the rule passes when the hatch suppresses a diagnostic.
-    pub used: bool,
+/// The delimiter pair a token opens or closes.
+fn pair(t: &Token) -> Option<(char, char)> {
+    match t.kind {
+        Kind::Punct('(' | ')') => Some(('(', ')')),
+        Kind::Punct('[' | ']') => Some(('[', ']')),
+        Kind::Punct('{' | '}') => Some(('{', '}')),
+        Kind::Punct('<' | '>') => Some(('<', '>')),
+        _ => None,
+    }
 }
 
-/// One `// srlint: ordering -- <reason>` justification comment. The L5
-/// pass attaches it to the innermost item containing its line.
+/// Index of the delimiter closing the `(`, `[`, `{` or `<` at `open`,
+/// counting only delimiters of the same kind (a `>` after `-` closes
+/// nothing), or `tokens.len()` when it is unbalanced. Pass a shorter
+/// slice to stop the search early.
+pub fn close_of(tokens: &[Token], open: usize) -> usize {
+    let Some((o, c)) = tokens.get(open).and_then(pair) else {
+        return tokens.len();
+    };
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().skip(open) {
+        if t.is_punct(o) {
+            depth += 1;
+        } else if t.is_punct(c) && !(c == '>' && j > 0 && tokens[j - 1].is_punct('-')) {
+            depth -= 1;
+            if depth == 0 {
+                return j;
+            }
+        }
+    }
+    tokens.len()
+}
+
+/// Index of the delimiter opening the one that closes at `close`,
+/// walking backwards; `None` when it is unbalanced.
+pub fn open_of(tokens: &[Token], close: usize) -> Option<usize> {
+    let (o, c) = pair(tokens.get(close)?)?;
+    let mut depth = 0usize;
+    for j in (0..=close).rev() {
+        if tokens[j].is_punct(c) {
+            depth += 1;
+        } else if tokens[j].is_punct(o) {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j);
+            }
+        }
+    }
+    None
+}
+
+/// The non-empty comma-separated ranges `[start, end)` between the
+/// delimiters at `open` and `close`, splitting only at nesting depth
+/// zero. `angles` counts `<`/`>` as nesting (types), which call
+/// arguments must not (comparisons).
+pub fn split_commas(
+    tokens: &[Token],
+    open: usize,
+    close: usize,
+    angles: bool,
+) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut seg = open + 1;
+    let mut depth = 0usize;
+    for (k, t) in tokens.iter().enumerate().take(close).skip(open + 1) {
+        match t.kind {
+            Kind::Punct('(' | '[' | '{') => depth += 1,
+            Kind::Punct('<') if angles => depth += 1,
+            Kind::Punct(')' | ']' | '}') => depth = depth.saturating_sub(1),
+            Kind::Punct('>') if angles => depth = depth.saturating_sub(1),
+            Kind::Punct(',') if depth == 0 => {
+                if k > seg {
+                    out.push((seg, k));
+                }
+                seg = k + 1;
+            }
+            _ => {}
+        }
+    }
+    if close > seg {
+        out.push((seg, close));
+    }
+    out
+}
+
+/// The `// srlint:` directive kinds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NoteKind {
+    /// `allow(<rule>) -- <reason>`: an escape hatch.
+    Allow,
+    /// `ordering -- <reason>`: justifies the enclosing item's atomics (L5).
+    Ordering,
+    /// `lock-order(<a> < <b>) -- <reason>`: `a` is taken before `b` (L4).
+    LockOrder,
+    /// `guarded-by(<lock>)`: the lock protecting a struct field (L7).
+    GuardedBy,
+    /// `send-sync -- <reason>`: why a struct is safe to share (L8).
+    SendSync,
+    /// `untrusted-source -- <reason>`: a fn returning attacker bytes (L9).
+    Untrusted,
+    /// `validated(<expr>) -- <reason>`: a sanitizer hatch (L9).
+    Validated,
+    /// `hot`: a fn that must stay allocation-, lock- and I/O-free (L10).
+    Hot,
+}
+
+/// Each directive: keyword, kind, whether it takes a `(<arg>)`, and
+/// whether it needs a ` -- <reason>` tail (the others take no tail).
+const DIRECTIVES: &[(&str, NoteKind, bool, bool)] = &[
+    ("allow", NoteKind::Allow, true, true),
+    ("lock-order", NoteKind::LockOrder, true, true),
+    ("guarded-by", NoteKind::GuardedBy, true, false),
+    ("validated", NoteKind::Validated, true, true),
+    ("untrusted-source", NoteKind::Untrusted, false, true),
+    ("send-sync", NoteKind::SendSync, false, true),
+    ("ordering", NoteKind::Ordering, false, true),
+    ("hot", NoteKind::Hot, false, false),
+];
+
+/// One `// srlint:` directive. Every kind covers its own line (trailing
+/// comment) and the line of the next token after it (preceding
+/// comment); the passes attach it to an item or a diagnostic there.
 #[derive(Clone, Debug)]
-pub struct OrderingNote {
-    pub line: u32,
-    pub col: u32,
+pub struct Note {
+    pub kind: NoteKind,
+    /// The parenthesized argument: the rule tail, `earlier<later`, the
+    /// lock name, or the validated expression; empty for other kinds.
+    pub arg: String,
     pub reason: String,
-    /// Set by L5 when the note justifies at least one `Ordering::` use.
-    pub used: bool,
-}
-
-/// One `// srlint: lock-order(<earlier> < <later>) -- <reason>`
-/// declaration: acquiring `earlier` while already holding `later` is a
-/// violation; the declared direction is legal.
-#[derive(Clone, Debug)]
-pub struct LockOrderDecl {
-    pub earlier: String,
-    pub later: String,
-    pub line: u32,
-}
-
-/// One `// srlint: guarded-by(<lock>)` field annotation. Like a hatch it
-/// covers its own line (trailing comment) and the next code line
-/// (preceding comment); the L7 pass attaches it to the struct field
-/// declared on a covered line.
-#[derive(Clone, Debug)]
-pub struct GuardedByNote {
-    /// Name of the lock field (or the reserved class `owner`).
-    pub lock: String,
     /// Lines the note covers: its own and the next code line.
     pub covers: [u32; 2],
     pub line: u32,
     pub col: u32,
-    /// Set by L7 when the note attaches to a struct field.
-    pub used: bool,
-}
-
-/// One `// srlint: send-sync -- <reason>` note declaring why a type is
-/// safe to share across the executor's thread scope. The L8 pass
-/// attaches it to the struct whose span contains it (or that starts on
-/// the next code line).
-#[derive(Clone, Debug)]
-pub struct SendSyncNote {
-    /// Lines the note covers: its own and the next code line.
-    pub covers: [u32; 2],
-    pub line: u32,
-    pub col: u32,
-    pub reason: String,
-    /// Set by L8 when the note attaches to a struct.
-    pub used: bool,
-}
-
-/// One `// srlint: untrusted-source -- <reason>` note marking a
-/// function as a taint source for L9: its return value derives from
-/// bytes an attacker controls. Covers its own line and the next code
-/// line; the L9 pass attaches it to the fn item starting on a covered
-/// line.
-#[derive(Clone, Debug)]
-pub struct UntrustedNote {
-    /// Lines the note covers: its own and the next code line.
-    pub covers: [u32; 2],
-    pub line: u32,
-    pub col: u32,
-    pub reason: String,
-    /// Set by L9 when the note attaches to a fn item.
-    pub used: bool,
-}
-
-/// One `// srlint: validated(<expr>) -- <reason>` sanitizer hatch for
-/// L9: the named expression has been bounds-checked by logic the taint
-/// pass cannot see. Covers its own line and the next code line; clears
-/// taint for the named variable from the covered line onward.
-#[derive(Clone, Debug)]
-pub struct ValidatedNote {
-    /// The validated expression (usually a variable name).
-    pub expr: String,
-    /// Lines the note covers: its own and the next code line.
-    pub covers: [u32; 2],
-    pub line: u32,
-    pub col: u32,
-    /// Set by L9 when the note suppresses at least one sink.
-    pub used: bool,
-}
-
-/// One `// srlint: hot` annotation marking the next fn item as a
-/// hot-region root for L10: it must be transitively free of heap
-/// allocation, lock acquisition, and store I/O.
-#[derive(Clone, Debug)]
-pub struct HotNote {
-    /// Lines the note covers: its own and the next code line.
-    pub covers: [u32; 2],
-    pub line: u32,
-    pub col: u32,
-    /// Set by L10 when the note attaches to a fn item.
+    /// Set by the pass the note attaches to, or by a suppressed finding.
     pub used: bool,
 }
 
 /// A lexed source file.
 pub struct Lexed {
     pub tokens: Vec<Token>,
-    pub hatches: Vec<Hatch>,
-    pub ordering_notes: Vec<OrderingNote>,
-    pub lock_orders: Vec<LockOrderDecl>,
-    pub guarded_notes: Vec<GuardedByNote>,
-    pub send_sync_notes: Vec<SendSyncNote>,
-    pub untrusted_notes: Vec<UntrustedNote>,
-    pub validated_notes: Vec<ValidatedNote>,
-    pub hot_notes: Vec<HotNote>,
+    pub notes: Vec<Note>,
     /// Positions of comments that start with `srlint:` but do not parse
     /// as a well-formed directive.
-    pub malformed_hatches: Vec<(u32, u32)>,
+    pub malformed: Vec<(u32, u32)>,
     /// `true` for tokens inside `#[cfg(test)]` / `#[test]` items.
     pub test_mask: Vec<bool>,
 }
@@ -178,13 +199,45 @@ pub struct Lexed {
 impl Lexed {
     /// Consume a hatch for `rule` covering `line`, if one exists.
     pub fn allow(&mut self, rule: &str, line: u32) -> bool {
-        for h in &mut self.hatches {
-            if h.rule == rule && h.covers.contains(&line) {
-                h.used = true;
-                return true;
+        let hatch = self
+            .notes
+            .iter_mut()
+            .find(|n| n.kind == NoteKind::Allow && n.arg == rule && n.covers.contains(&line));
+        hatch.map(|n| n.used = true).is_some()
+    }
+
+    /// Report a finding of `rule` (`L4/lock-io`) at `pos`, unless a
+    /// hatch for the rule's tail (`lock-io`) covers its line.
+    pub fn flag(
+        &mut self,
+        diags: &mut Vec<Diagnostic>,
+        file: &str,
+        (line, col): (u32, u32),
+        rule: &str,
+        message: String,
+    ) {
+        if !self.allow(rule.split_once('/').map_or(rule, |(_, tail)| tail), line) {
+            diags.push(Diagnostic {
+                file: file.to_string(),
+                line,
+                col,
+                rule: rule.to_string(),
+                message,
+            });
+        }
+    }
+
+    /// Attach notes of `kind` to an item: mark every note `hit` accepts
+    /// as used, and say whether there was one.
+    pub fn attach(&mut self, kind: NoteKind, mut hit: impl FnMut(&Note) -> bool) -> bool {
+        let mut any = false;
+        for n in self.notes.iter_mut().filter(|n| n.kind == kind) {
+            if hit(n) {
+                n.used = true;
+                any = true;
             }
         }
-        false
+        any
     }
 }
 
@@ -192,66 +245,23 @@ impl Lexed {
 pub fn lex(src: &str) -> Lexed {
     let chars: Vec<char> = src.chars().collect();
     let mut tokens = Vec::new();
-    let mut hatches: Vec<Hatch> = Vec::new();
-    let mut ordering_notes: Vec<OrderingNote> = Vec::new();
-    let mut lock_orders: Vec<LockOrderDecl> = Vec::new();
-    let mut guarded_notes: Vec<GuardedByNote> = Vec::new();
-    let mut send_sync_notes: Vec<SendSyncNote> = Vec::new();
-    let mut untrusted_notes: Vec<UntrustedNote> = Vec::new();
-    let mut validated_notes: Vec<ValidatedNote> = Vec::new();
-    let mut hot_notes: Vec<HotNote> = Vec::new();
+    let mut notes: Vec<Note> = Vec::new();
     let mut malformed = Vec::new();
-    // Hatches and notes waiting for the next token to learn which line
-    // they cover.
-    let mut pending: Vec<usize> = Vec::new();
-    let mut pending_guarded: Vec<usize> = Vec::new();
-    let mut pending_send_sync: Vec<usize> = Vec::new();
-    let mut pending_untrusted: Vec<usize> = Vec::new();
-    let mut pending_validated: Vec<usize> = Vec::new();
-    let mut pending_hot: Vec<usize> = Vec::new();
-
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;
 
-    macro_rules! push_tok {
-        ($kind:expr, $text:expr, $line:expr, $col:expr) => {{
-            for &h in &pending {
-                hatches[h].covers[1] = $line;
-            }
-            pending.clear();
-            for &g in &pending_guarded {
-                guarded_notes[g].covers[1] = $line;
-            }
-            pending_guarded.clear();
-            for &s in &pending_send_sync {
-                send_sync_notes[s].covers[1] = $line;
-            }
-            pending_send_sync.clear();
-            for &u in &pending_untrusted {
-                untrusted_notes[u].covers[1] = $line;
-            }
-            pending_untrusted.clear();
-            for &v in &pending_validated {
-                validated_notes[v].covers[1] = $line;
-            }
-            pending_validated.clear();
-            for &h in &pending_hot {
-                hot_notes[h].covers[1] = $line;
-            }
-            pending_hot.clear();
-            tokens.push(Token {
-                kind: $kind,
-                text: $text,
-                line: $line,
-                col: $col,
-            });
-        }};
-    }
-
     while i < chars.len() {
         let c = chars[i];
         let (tl, tc) = (line, col);
+        let mut tok = |kind: Kind, text: String| {
+            tokens.push(Token {
+                kind,
+                text,
+                line: tl,
+                col: tc,
+            })
+        };
         match c {
             '\n' => {
                 line += 1;
@@ -263,89 +273,25 @@ pub fn lex(src: &str) -> Lexed {
                 i += 1;
             }
             '/' if chars.get(i + 1) == Some(&'/') => {
-                // Line comment: scan to end of line, check for a hatch.
+                // Line comment: scan to end of line, check for a directive.
                 let start = i + 2;
                 let mut j = start;
                 while j < chars.len() && chars[j] != '\n' {
                     j += 1;
                 }
-                let text: String = chars[start..j].iter().collect();
-                let trimmed = text.trim_start_matches(['/', '!']).trim();
-                if let Some(rest) = trimmed.strip_prefix("srlint:") {
-                    match parse_directive(rest) {
-                        Some(Directive::Allow(rule)) => {
-                            hatches.push(Hatch {
-                                rule,
-                                covers: [tl, tl],
-                                line: tl,
-                                used: false,
-                            });
-                            pending.push(hatches.len() - 1);
-                        }
-                        Some(Directive::Ordering(reason)) => {
-                            ordering_notes.push(OrderingNote {
-                                line: tl,
-                                col: tc,
-                                reason,
-                                used: false,
-                            });
-                        }
-                        Some(Directive::LockOrder(earlier, later)) => {
-                            lock_orders.push(LockOrderDecl {
-                                earlier,
-                                later,
-                                line: tl,
-                            });
-                        }
-                        Some(Directive::GuardedBy(lock)) => {
-                            guarded_notes.push(GuardedByNote {
-                                lock,
-                                covers: [tl, tl],
-                                line: tl,
-                                col: tc,
-                                used: false,
-                            });
-                            pending_guarded.push(guarded_notes.len() - 1);
-                        }
-                        Some(Directive::SendSync(reason)) => {
-                            send_sync_notes.push(SendSyncNote {
-                                covers: [tl, tl],
-                                line: tl,
-                                col: tc,
-                                reason,
-                                used: false,
-                            });
-                            pending_send_sync.push(send_sync_notes.len() - 1);
-                        }
-                        Some(Directive::Untrusted(reason)) => {
-                            untrusted_notes.push(UntrustedNote {
-                                covers: [tl, tl],
-                                line: tl,
-                                col: tc,
-                                reason,
-                                used: false,
-                            });
-                            pending_untrusted.push(untrusted_notes.len() - 1);
-                        }
-                        Some(Directive::Validated(expr)) => {
-                            validated_notes.push(ValidatedNote {
-                                expr,
-                                covers: [tl, tl],
-                                line: tl,
-                                col: tc,
-                                used: false,
-                            });
-                            pending_validated.push(validated_notes.len() - 1);
-                        }
-                        Some(Directive::Hot) => {
-                            hot_notes.push(HotNote {
-                                covers: [tl, tl],
-                                line: tl,
-                                col: tc,
-                                used: false,
-                            });
-                            pending_hot.push(hot_notes.len() - 1);
-                        }
+                // Past the `/` and `!` markers and blanks, only a
+                // `srlint:` comment is collected and parsed.
+                let mut k = start;
+                while k < j && matches!(chars[k], '/' | '!') {
+                    k += 1;
+                }
+                while k < j && chars[k].is_whitespace() {
+                    k += 1;
+                }
+                if "srlint:".chars().eq(chars[k..j].iter().copied().take(7)) {
+                    let rest: String = chars[k + 7..j].iter().collect();
+                    match parse_directive(&rest, tl, tc) {
+                        Some(note) => notes.push(note),
                         None => malformed.push((tl, tc)),
                     }
                 }
@@ -384,8 +330,7 @@ pub fn lex(src: &str) -> Lexed {
                 // attribute markers such as `#[doc = "srlint: io"]`
                 // remain visible to the passes; the token still lexes
                 // as one `Lit`, so rules never match inside it.
-                let text: String = chars[i..j.min(chars.len())].iter().collect();
-                push_tok!(Kind::Lit, text, tl, tc);
+                tok(Kind::Lit, chars[i..j.min(chars.len())].iter().collect());
                 i = j;
             }
             '\'' => {
@@ -406,7 +351,7 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     j += 1; // closing quote
                     col += (j - i) as u32;
-                    push_tok!(Kind::Lit, String::new(), tl, tc);
+                    tok(Kind::Lit, String::new());
                     i = j;
                 } else {
                     // Lifetime: consume ident chars after the quote.
@@ -415,15 +360,14 @@ pub fn lex(src: &str) -> Lexed {
                         j += 1;
                     }
                     col += (j - i) as u32;
-                    push_tok!(Kind::Lifetime, String::new(), tl, tc);
+                    tok(Kind::Lifetime, String::new());
                     i = j;
                 }
             }
             c if c.is_alphabetic() || c == '_' => {
                 // Raw/byte string prefixes lex as literals, not idents.
                 if let Some(j) = scan_prefixed_string(&chars, i, &mut line, &mut col) {
-                    let text: String = chars[i..j.min(chars.len())].iter().collect();
-                    push_tok!(Kind::Lit, text, tl, tc);
+                    tok(Kind::Lit, chars[i..j.min(chars.len())].iter().collect());
                     i = j;
                     continue;
                 }
@@ -431,9 +375,8 @@ pub fn lex(src: &str) -> Lexed {
                 while j < chars.len() && (chars[j].is_alphanumeric() || chars[j] == '_') {
                     j += 1;
                 }
-                let text: String = chars[i..j].iter().collect();
                 col += (j - i) as u32;
-                push_tok!(Kind::Ident, text, tl, tc);
+                tok(Kind::Ident, chars[i..j].iter().collect());
                 i = j;
             }
             c if c.is_ascii_digit() => {
@@ -452,149 +395,95 @@ pub fn lex(src: &str) -> Lexed {
                         break;
                     }
                 }
-                let text: String = chars[i..j].iter().collect();
                 col += (j - i) as u32;
-                push_tok!(Kind::Num, text, tl, tc);
+                tok(Kind::Num, chars[i..j].iter().collect());
                 i = j;
             }
             c => {
                 col += 1;
-                push_tok!(Kind::Punct(c), String::new(), tl, tc);
+                tok(Kind::Punct(c), String::new());
                 i += 1;
             }
         }
     }
 
+    // A note also covers the line of the first token after it.
+    for n in &mut notes {
+        let next = tokens.partition_point(|t| (t.line, t.col) < (n.line, n.col));
+        n.covers[1] = tokens.get(next).map_or(n.line, |t| t.line);
+    }
     let test_mask = test_mask(&tokens);
     Lexed {
         tokens,
-        hatches,
-        ordering_notes,
-        lock_orders,
-        guarded_notes,
-        send_sync_notes,
-        untrusted_notes,
-        validated_notes,
-        hot_notes,
-        malformed_hatches: malformed,
+        notes,
+        malformed,
         test_mask,
     }
 }
 
-/// A parsed `// srlint:` comment directive.
-enum Directive {
-    Allow(String),
-    Ordering(String),
-    LockOrder(String, String),
-    GuardedBy(String),
-    SendSync(String),
-    Untrusted(String),
-    Validated(String),
-    Hot,
-}
-
-/// Parse the tail of a `// srlint:` comment: `allow(<rule>) -- <reason>`,
-/// `ordering -- <reason>`, `lock-order(<a> < <b>) -- <reason>`,
-/// `guarded-by(<lock>)` (self-documenting, no reason tail),
-/// `send-sync -- <reason>`, `untrusted-source -- <reason>`,
-/// `validated(<expr>) -- <reason>`, or `hot` (self-documenting, no
-/// reason tail).
-fn parse_directive(rest: &str) -> Option<Directive> {
+/// Parse the tail of a `// srlint:` comment found at `line`/`col`
+/// against [`DIRECTIVES`]; `None` when it is malformed.
+fn parse_directive(rest: &str, line: u32, col: u32) -> Option<Note> {
     let rest = rest.trim();
-    if let Some(tail) = rest.strip_prefix("allow(") {
-        let close = tail.find(')')?;
-        let rule = tail.get(..close)?.trim();
-        if rule.is_empty() || !rule.chars().all(|c| c.is_ascii_alphanumeric() || c == '-') {
-            return None;
-        }
-        reason_after(tail.get(close + 1..)?)?;
-        return Some(Directive::Allow(rule.to_string()));
-    }
-    if let Some(tail) = rest.strip_prefix("lock-order(") {
-        let close = tail.find(')')?;
-        let pair = tail.get(..close)?;
-        let (a, b) = pair.split_once('<')?;
-        let (a, b) = (a.trim(), b.trim());
-        let ok =
-            |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-        if !ok(a) || !ok(b) {
-            return None;
-        }
-        reason_after(tail.get(close + 1..)?)?;
-        return Some(Directive::LockOrder(a.to_string(), b.to_string()));
-    }
-    if let Some(tail) = rest.strip_prefix("guarded-by(") {
-        let close = tail.find(')')?;
-        let lock = tail.get(..close)?.trim();
-        if lock.is_empty() || !lock.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return None;
-        }
-        // The lock name is the documentation; no reason tail, and no
-        // trailing text either.
-        if !tail.get(close + 1..)?.trim().is_empty() {
-            return None;
-        }
-        return Some(Directive::GuardedBy(lock.to_string()));
-    }
-    if let Some(tail) = rest.strip_prefix("validated(") {
-        // The expression may itself contain call parens
+    let &(kw, kind, takes_arg, reasoned) = DIRECTIVES.iter().find(|d| rest.starts_with(d.0))?;
+    let mut tail = rest.get(kw.len()..)?;
+    let mut arg = String::new();
+    if takes_arg {
+        // The argument may itself contain call parens
         // (`validated(buf.len())`), so find the balancing close.
+        let inner = tail.strip_prefix('(')?;
         let mut depth = 1usize;
-        let mut close = None;
-        for (k, c) in tail.char_indices() {
-            match c {
-                '(' => depth += 1,
-                ')' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = Some(k);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let close = close?;
-        let expr = tail.get(..close)?.trim();
-        if expr.is_empty() {
-            return None;
-        }
-        reason_after(tail.get(close + 1..)?)?;
-        return Some(Directive::Validated(expr.to_string()));
+        let close = inner.find(|c| {
+            depth = match c {
+                '(' => depth + 1,
+                ')' => depth - 1,
+                _ => depth,
+            };
+            depth == 0
+        })?;
+        arg = note_arg(kind, inner.get(..close)?.trim())?;
+        tail = inner.get(close + 1..)?;
     }
-    if let Some(tail) = rest.strip_prefix("untrusted-source") {
-        let reason = reason_after(tail)?;
-        return Some(Directive::Untrusted(reason));
-    }
-    if let Some(tail) = rest.strip_prefix("send-sync") {
-        let reason = reason_after(tail)?;
-        return Some(Directive::SendSync(reason));
-    }
-    if let Some(tail) = rest.strip_prefix("ordering") {
-        let reason = reason_after(tail)?;
-        return Some(Directive::Ordering(reason));
-    }
-    if let Some(tail) = rest.strip_prefix("hot") {
-        // Self-documenting like `guarded-by`: no reason, no trailing
-        // text (so `hotfix`-style prose never parses as a directive —
-        // the prefix match already requires the literal `hot`, and the
-        // empty-tail check rejects anything longer).
-        if !tail.trim().is_empty() {
-            return None;
-        }
-        return Some(Directive::Hot);
-    }
-    None
+    let reason = if reasoned {
+        let reason = tail.trim_start().strip_prefix("--")?.trim();
+        (!reason.is_empty()).then(|| reason.to_string())?
+    } else if tail.trim().is_empty() {
+        // `guarded-by` and `hot` document themselves: no reason tail,
+        // and no trailing text either (so `hotfix`-style prose never
+        // parses as a directive).
+        String::new()
+    } else {
+        return None;
+    };
+    Some(Note {
+        kind,
+        arg,
+        reason,
+        covers: [line, line],
+        line,
+        col,
+        used: false,
+    })
 }
 
-/// Parse the ` -- <reason>` tail shared by every directive; `None` when
-/// the reason is missing or empty.
-fn reason_after(tail: &str) -> Option<String> {
-    let reason = tail.trim_start().strip_prefix("--")?.trim();
-    if reason.is_empty() {
-        return None;
-    }
-    Some(reason.to_string())
+/// Validate a directive argument: a rule tail (`[A-Za-z0-9-]+`), an
+/// `a < b` pair or a lock (`[A-Za-z0-9_]+` names), or any non-empty
+/// validated expression.
+fn note_arg(kind: NoteKind, arg: &str) -> Option<String> {
+    let name = |s: &str, extra: char| {
+        !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == extra)
+    };
+    let ok = match kind {
+        NoteKind::Allow => name(arg, '-'),
+        NoteKind::LockOrder => {
+            let (a, b) = arg.split_once('<')?;
+            let (a, b) = (a.trim(), b.trim());
+            return (name(a, '_') && name(b, '_')).then(|| format!("{a}<{b}"));
+        }
+        NoteKind::GuardedBy => name(arg, '_'),
+        _ => !arg.is_empty(),
+    };
+    ok.then(|| arg.to_string())
 }
 
 /// Scan a plain `"..."` string starting at `start`; returns the index
@@ -605,7 +494,13 @@ fn scan_string(chars: &[char], start: usize, line: &mut u32, col: &mut u32) -> u
     while j < chars.len() {
         match chars[j] {
             '\\' => {
-                *col += 2;
+                // A `\`-newline continuation starts a new source line.
+                if chars.get(j + 1) == Some(&'\n') {
+                    *line += 1;
+                    *col = 1;
+                } else {
+                    *col += 2;
+                }
                 j += 2;
             }
             '"' => {
@@ -724,7 +619,7 @@ fn test_mask(tokens: &[Token]) -> Vec<bool> {
             i += 1;
             continue;
         }
-        let close = match_bracket(tokens, open);
+        let close = close_of(tokens, open);
         if !attr_is_test(&tokens[open + 1..close.min(n)]) {
             i = close + 1;
             continue;
@@ -740,7 +635,7 @@ fn test_mask(tokens: &[Token]) -> Vec<bool> {
         let mut j = close + 1;
         while j < n && tokens[j].is_punct('#') && tokens.get(j + 1).is_some_and(|t| t.is_punct('['))
         {
-            j = match_bracket(tokens, j + 1) + 1;
+            j = close_of(tokens, j + 1) + 1;
         }
         let mut depth = 0usize;
         while j < n {
@@ -780,24 +675,6 @@ fn attr_is_test(attr: &[Token]) -> bool {
     saw_test
 }
 
-/// Index of the `]` matching the `[` at `open` (or `tokens.len()`).
-fn match_bracket(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < tokens.len() {
-        if tokens[j].is_punct('[') {
-            depth += 1;
-        } else if tokens[j].is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-        j += 1;
-    }
-    tokens.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -807,6 +684,16 @@ mod tests {
         let l = lex("let x = foo.unwrap();\n");
         let unwrap = l.tokens.iter().find(|t| t.is_ident("unwrap")).unwrap();
         assert_eq!((unwrap.line, unwrap.col), (1, 13));
+    }
+
+    #[test]
+    fn string_continuation_advances_the_line() {
+        // A `\`-newline inside a string literal starts a new source line.
+        let l = lex("const S: &str = \"a \\\n    b \\\n    c\";\nfn f() {\n    x.unwrap();\n}\n");
+        let unwrap = l.tokens.iter().find(|t| t.is_ident("unwrap")).unwrap();
+        assert_eq!((unwrap.line, unwrap.col), (5, 7));
+        let f = l.tokens.iter().find(|t| t.is_ident("fn")).unwrap();
+        assert_eq!((f.line, f.col), (4, 1));
     }
 
     #[test]
@@ -824,21 +711,130 @@ mod tests {
         assert!(l.tokens.iter().any(|t| t.kind == Kind::Lifetime));
     }
 
+    /// Lexes `src` and checks it yields exactly one well-formed, unused note
+    /// of `kind` on line 1 with the given argument, reason and covered lines.
+    fn assert_note(src: &str, kind: NoteKind, arg: &str, reason: &str, covers: [u32; 2]) {
+        let l = lex(src);
+        assert!(l.malformed.is_empty(), "{src:?} parsed as malformed");
+        assert_eq!(l.notes.len(), 1, "{src:?}");
+        let n = &l.notes[0];
+        assert_eq!(
+            (n.kind, n.arg.as_str(), n.reason.as_str()),
+            (kind, arg, reason)
+        );
+        assert_eq!((n.covers, n.line, n.used), (covers, 1, false), "{src:?}");
+    }
+
+    /// Lexes `src` and checks it is reported as malformed, not parsed as a note.
+    fn assert_malformed(src: &str) {
+        let l = lex(src);
+        assert!(l.notes.is_empty(), "{src:?} parsed as a note");
+        assert_eq!(l.malformed.len(), 1, "{src:?}");
+    }
+
     #[test]
     fn hatch_parses_and_covers_next_code_line() {
         let src = "// srlint: allow(panic) -- tested invariant\nx.unwrap();\n";
-        let l = lex(src);
-        assert_eq!(l.hatches.len(), 1);
-        assert_eq!(l.hatches[0].rule, "panic");
-        assert_eq!(l.hatches[0].covers, [1, 2]);
-        assert!(l.malformed_hatches.is_empty());
+        assert_note(src, NoteKind::Allow, "panic", "tested invariant", [1, 2]);
     }
 
     #[test]
     fn hatch_without_reason_is_malformed() {
-        let l = lex("// srlint: allow(panic)\nx.unwrap();\n");
-        assert!(l.hatches.is_empty());
-        assert_eq!(l.malformed_hatches.len(), 1);
+        assert_malformed("// srlint: allow(panic)\nx.unwrap();\n");
+    }
+
+    #[test]
+    fn ordering_directive_parses_with_reason() {
+        let src = "// srlint: ordering -- monotonic counter, no sync needed\nx.load(Ordering::Relaxed);\n";
+        let reason = "monotonic counter, no sync needed";
+        assert_note(src, NoteKind::Ordering, "", reason, [1, 2]);
+    }
+
+    #[test]
+    fn ordering_directive_without_reason_is_malformed() {
+        assert_malformed("// srlint: ordering\nx.load(Ordering::Relaxed);\n");
+    }
+
+    #[test]
+    fn lock_order_directive_parses() {
+        let src = "// srlint: lock-order(meta < shard) -- meta decides, shard caches\n";
+        let reason = "meta decides, shard caches";
+        assert_note(src, NoteKind::LockOrder, "meta<shard", reason, [1, 1]);
+    }
+
+    #[test]
+    fn lock_order_directive_without_reason_is_malformed() {
+        assert_malformed("// srlint: lock-order(meta < shard)\n");
+    }
+
+    #[test]
+    fn guarded_by_covers_next_code_line() {
+        let src = "// srlint: guarded-by(meta)\nfree_head: PageId,\n";
+        assert_note(src, NoteKind::GuardedBy, "meta", "", [1, 2]);
+    }
+
+    #[test]
+    fn guarded_by_trailing_comment_covers_own_line() {
+        let src = "free_head: PageId, // srlint: guarded-by(meta)\n";
+        assert_note(src, NoteKind::GuardedBy, "meta", "", [1, 1]);
+    }
+
+    #[test]
+    fn guarded_by_with_trailing_text_is_malformed() {
+        assert_malformed("// srlint: guarded-by(meta) extra words\n");
+        assert_malformed("// srlint: guarded-by()\n");
+    }
+
+    #[test]
+    fn send_sync_directive_parses_with_reason() {
+        let src = "// srlint: send-sync -- shards are lock-striped\npub struct PageFile {}\n";
+        assert_note(
+            src,
+            NoteKind::SendSync,
+            "",
+            "shards are lock-striped",
+            [1, 2],
+        );
+    }
+
+    #[test]
+    fn send_sync_without_reason_is_malformed() {
+        assert_malformed("// srlint: send-sync\nstruct S {}\n");
+    }
+
+    #[test]
+    fn untrusted_source_covers_next_code_line() {
+        let src = "// srlint: untrusted-source -- reads attacker bytes\nfn u32(&mut self) {}\n";
+        assert_note(src, NoteKind::Untrusted, "", "reads attacker bytes", [1, 2]);
+    }
+
+    #[test]
+    fn untrusted_source_without_reason_is_malformed() {
+        assert_malformed("// srlint: untrusted-source\nfn u32(&mut self) {}\n");
+    }
+
+    #[test]
+    fn validated_parses_expr_with_nested_parens() {
+        let src = "// srlint: validated(n.min(cap())) -- header check above\nlet m = n;\n";
+        let reason = "header check above";
+        assert_note(src, NoteKind::Validated, "n.min(cap())", reason, [1, 2]);
+    }
+
+    #[test]
+    fn validated_without_reason_or_expr_is_malformed() {
+        assert_malformed("// srlint: validated(n)\nlet m = n;\n");
+        assert_malformed("// srlint: validated() -- reason\nlet m = n;\n");
+    }
+
+    #[test]
+    fn hot_covers_next_code_line() {
+        let src = "// srlint: hot\nfn dist2(a: &[f64]) -> f64 { 0.0 }\n";
+        assert_note(src, NoteKind::Hot, "", "", [1, 2]);
+    }
+
+    #[test]
+    fn hot_with_trailing_text_is_malformed() {
+        assert_malformed("// srlint: hot path here\nfn f() {}\n");
     }
 
     #[test]
@@ -901,138 +897,24 @@ mod tests {
     }
 
     #[test]
-    fn ordering_directive_parses_with_reason() {
-        let l = lex("// srlint: ordering -- monotonic counter, no sync needed\nx.load(Ordering::Relaxed);\n");
-        assert_eq!(l.ordering_notes.len(), 1);
-        assert_eq!(l.ordering_notes[0].line, 1);
+    fn delimiter_matchers_skip_nesting_and_arrows() {
+        let l = lex("f(a, g(b, c), [d, e]) < T<Fn() -> U, V> >");
+        let t = &l.tokens;
+        let close = close_of(t, 1);
+        assert!(t[close].is_punct(')'));
+        assert_eq!(open_of(t, close), Some(1));
+        let names = |r: &[(usize, usize)]| {
+            r.iter()
+                .map(|&(s, _)| t[s].text.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&split_commas(t, 1, close, false)), ["a", "g", ""]);
+        let angle = t.iter().position(|x| x.is_punct('<')).unwrap() + 2;
+        assert_eq!(close_of(t, angle), t.len() - 2, "`->` closes nothing");
         assert_eq!(
-            l.ordering_notes[0].reason,
-            "monotonic counter, no sync needed"
+            close_of(&t[..5], 1),
+            5,
+            "an unbalanced open runs to the end"
         );
-        assert!(!l.ordering_notes[0].used);
-        assert!(l.malformed_hatches.is_empty());
-    }
-
-    #[test]
-    fn ordering_directive_without_reason_is_malformed() {
-        let l = lex("// srlint: ordering\nx.load(Ordering::Relaxed);\n");
-        assert!(l.ordering_notes.is_empty());
-        assert_eq!(l.malformed_hatches.len(), 1);
-    }
-
-    #[test]
-    fn lock_order_directive_parses() {
-        let l = lex("// srlint: lock-order(meta < shard) -- meta decides, shard caches\n");
-        assert_eq!(l.lock_orders.len(), 1);
-        assert_eq!(l.lock_orders[0].earlier, "meta");
-        assert_eq!(l.lock_orders[0].later, "shard");
-        assert_eq!(l.lock_orders[0].line, 1);
-    }
-
-    #[test]
-    fn lock_order_directive_without_reason_is_malformed() {
-        let l = lex("// srlint: lock-order(meta < shard)\n");
-        assert!(l.lock_orders.is_empty());
-        assert_eq!(l.malformed_hatches.len(), 1);
-    }
-
-    #[test]
-    fn guarded_by_covers_next_code_line() {
-        let src = "// srlint: guarded-by(meta)\nfree_head: PageId,\n";
-        let l = lex(src);
-        assert_eq!(l.guarded_notes.len(), 1);
-        assert_eq!(l.guarded_notes[0].lock, "meta");
-        assert_eq!(l.guarded_notes[0].covers, [1, 2]);
-        assert!(!l.guarded_notes[0].used);
-        assert!(l.malformed_hatches.is_empty());
-    }
-
-    #[test]
-    fn guarded_by_trailing_comment_covers_own_line() {
-        let l = lex("free_head: PageId, // srlint: guarded-by(meta)\n");
-        assert_eq!(l.guarded_notes.len(), 1);
-        assert_eq!(l.guarded_notes[0].covers[0], 1);
-    }
-
-    #[test]
-    fn guarded_by_with_trailing_text_is_malformed() {
-        let l = lex("// srlint: guarded-by(meta) extra words\n");
-        assert!(l.guarded_notes.is_empty());
-        assert_eq!(l.malformed_hatches.len(), 1);
-        let l = lex("// srlint: guarded-by()\n");
-        assert!(l.guarded_notes.is_empty());
-        assert_eq!(l.malformed_hatches.len(), 1);
-    }
-
-    #[test]
-    fn send_sync_directive_parses_with_reason() {
-        let src = "// srlint: send-sync -- shards are lock-striped\npub struct PageFile {}\n";
-        let l = lex(src);
-        assert_eq!(l.send_sync_notes.len(), 1);
-        assert_eq!(l.send_sync_notes[0].reason, "shards are lock-striped");
-        assert_eq!(l.send_sync_notes[0].covers, [1, 2]);
-        assert!(!l.send_sync_notes[0].used);
-    }
-
-    #[test]
-    fn send_sync_without_reason_is_malformed() {
-        let l = lex("// srlint: send-sync\nstruct S {}\n");
-        assert!(l.send_sync_notes.is_empty());
-        assert_eq!(l.malformed_hatches.len(), 1);
-    }
-
-    #[test]
-    fn untrusted_source_covers_next_code_line() {
-        let src = "// srlint: untrusted-source -- reads attacker bytes\nfn u32(&mut self) {}\n";
-        let l = lex(src);
-        assert_eq!(l.untrusted_notes.len(), 1);
-        assert_eq!(l.untrusted_notes[0].reason, "reads attacker bytes");
-        assert_eq!(l.untrusted_notes[0].covers, [1, 2]);
-        assert!(!l.untrusted_notes[0].used);
-        assert!(l.malformed_hatches.is_empty());
-    }
-
-    #[test]
-    fn untrusted_source_without_reason_is_malformed() {
-        let l = lex("// srlint: untrusted-source\nfn u32(&mut self) {}\n");
-        assert!(l.untrusted_notes.is_empty());
-        assert_eq!(l.malformed_hatches.len(), 1);
-    }
-
-    #[test]
-    fn validated_parses_expr_with_nested_parens() {
-        let src = "// srlint: validated(n.min(cap())) -- header check above\nlet m = n;\n";
-        let l = lex(src);
-        assert_eq!(l.validated_notes.len(), 1);
-        assert_eq!(l.validated_notes[0].expr, "n.min(cap())");
-        assert_eq!(l.validated_notes[0].covers, [1, 2]);
-        assert!(!l.validated_notes[0].used);
-        assert!(l.malformed_hatches.is_empty());
-    }
-
-    #[test]
-    fn validated_without_reason_or_expr_is_malformed() {
-        let l = lex("// srlint: validated(n)\nlet m = n;\n");
-        assert!(l.validated_notes.is_empty());
-        assert_eq!(l.malformed_hatches.len(), 1);
-        let l = lex("// srlint: validated() -- reason\nlet m = n;\n");
-        assert!(l.validated_notes.is_empty());
-        assert_eq!(l.malformed_hatches.len(), 1);
-    }
-
-    #[test]
-    fn hot_covers_next_code_line() {
-        let l = lex("// srlint: hot\nfn dist2(a: &[f64]) -> f64 { 0.0 }\n");
-        assert_eq!(l.hot_notes.len(), 1);
-        assert_eq!(l.hot_notes[0].covers, [1, 2]);
-        assert!(!l.hot_notes[0].used);
-        assert!(l.malformed_hatches.is_empty());
-    }
-
-    #[test]
-    fn hot_with_trailing_text_is_malformed() {
-        let l = lex("// srlint: hot path here\nfn f() {}\n");
-        assert!(l.hot_notes.is_empty());
-        assert_eq!(l.malformed_hatches.len(), 1);
     }
 }

@@ -4,9 +4,10 @@
 //! hand-rolled Rust lexer. Three rule families guard the invariants the
 //! fault-injection and differential-fuzz suites rely on:
 //!
-//! * **L1/panic** — library crates must not call `unwrap()`, `expect()`,
-//!   `panic!`, `unreachable!`, `todo!`, or `unimplemented!` outside test
-//!   code; every fallible path returns a typed error.
+//! * **L1/panic, L1/assert** — library crates must not call `unwrap()`,
+//!   `expect()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` or
+//!   a release-mode `assert!` outside test code; every fallible path
+//!   returns a typed error.
 //! * **L2/index, L2/cast** — the geometry distance kernels and the pager
 //!   page codec (the files where an out-of-bounds access or silent
 //!   narrowing corrupts query results) must not use slice indexing or
@@ -88,7 +89,7 @@ pub mod rules;
 pub mod sendsync;
 pub mod taint;
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -131,18 +132,42 @@ pub const IO_FNS: &[&str] = &[
 ];
 
 /// One lexed and parsed source file, threaded through the passes.
-/// Everything here is computed exactly once per file (in the parallel
-/// prep phase) and shared by all ten passes.
+/// Everything here is computed exactly once per file and shared by all
+/// ten passes.
 pub struct ParsedFile {
     /// Path relative to the workspace root.
     pub path: String,
+    /// Library crate the file belongs to.
+    pub krate: String,
+    /// Whether the file is under the L2 hot-path audit.
+    pub l2: bool,
     pub lexed: Lexed,
     pub items: Vec<Item>,
-    /// Named-field structs with attached guarded-by notes (L7/L8).
+    /// Named-field structs with their guarded-by and send-sync notes
+    /// attached (L7/L8).
     pub structs: Vec<guarded::StructInfo>,
-    /// Function registry: bodies with signature context, shared by the
-    /// L4 guard walk, the call graph, and the L9/L10 passes.
+    /// Function registry: bodies with signature context and direct
+    /// facts, shared by the L4 guard walk, L7, the call graph, and the
+    /// L9/L10 passes. Filled once the workspace I/O registry is known.
     pub fns: Vec<callgraph::FnMeta>,
+}
+
+impl ParsedFile {
+    /// Lex and parse one file and collect its structs.
+    pub(crate) fn parse(path: &str, krate: &str, l2: bool, source: &str) -> ParsedFile {
+        let mut lexed = lexer::lex(source);
+        let items = parser::parse(&lexed.tokens);
+        let structs = guarded::collect_structs(&mut lexed, &items);
+        ParsedFile {
+            path: path.to_string(),
+            krate: krate.to_string(),
+            l2,
+            lexed,
+            items,
+            structs,
+            fns: Vec::new(),
+        }
+    }
 }
 
 /// One lint finding.
@@ -287,243 +312,149 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Per-crate bookkeeping over the flat parsed-file list.
-struct CrateSpan {
-    /// Index range into the parsed-file vector.
-    range: std::ops::Range<usize>,
-    /// L2 flags, parallel to the range.
-    l2: Vec<bool>,
-    has_alias: bool,
-    alias_error: Option<String>,
-    /// `lock-order(a < b)` declarations collected crate-wide.
-    decls: Vec<(String, String)>,
+/// Per-pass wall clock, accumulated across crates, in run order.
+struct Timer {
+    lap: std::time::Instant,
+    table: Vec<(String, std::time::Duration)>,
 }
 
-/// Per-file output of the parallel lex/parse phase.
-struct Prepped {
-    lexed: Lexed,
-    items: Vec<Item>,
-    structs: Vec<guarded::StructInfo>,
-    fns: Vec<callgraph::FnMeta>,
-    has_alias: bool,
-    decls: Vec<(String, String)>,
-}
-
-/// Lex, parse, struct-scan, and fn-scan one source file. Pure per-file
-/// work — this is the unit the thread pool distributes, and the only
-/// place a file's tokens are produced: every later pass shares these
-/// artifacts.
-fn prep_file(source: &str) -> Prepped {
-    let mut lx = lexer::lex(source);
-    let has_alias = rules::has_result_alias(&lx);
-    let decls = lx
-        .lock_orders
-        .iter()
-        .map(|d| (d.earlier.clone(), d.later.clone()))
-        .collect();
-    let items = parser::parse(&lx.tokens);
-    let structs = guarded::collect_structs(&mut lx, &items);
-    let fns = callgraph::collect_fn_metas(&items, &lx);
-    Prepped {
-        lexed: lx,
-        items,
-        structs,
-        fns,
-        has_alias,
-        decls,
-    }
-}
-
-/// Run [`prep_file`] over every source, optionally across threads.
-/// Results land in input order regardless of thread count, so reports
-/// are byte-identical to a serial run.
-fn prep_all(jobs: &[&SourceFile], threads: usize) -> Vec<Prepped> {
-    let threads = threads.clamp(1, jobs.len().max(1));
-    if threads <= 1 {
-        return jobs.iter().map(|f| prep_file(&f.source)).collect();
-    }
-    let mut slots: Vec<Option<Prepped>> = Vec::new();
-    slots.resize_with(jobs.len(), || None);
-    let chunk = jobs.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for (job_chunk, slot_chunk) in jobs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (f, slot) in job_chunk.iter().zip(slot_chunk.iter_mut()) {
-                    *slot = Some(prep_file(&f.source));
-                }
-            });
+impl Timer {
+    /// Charge the time since the previous lap to pass `name`.
+    fn lap(&mut self, name: &str) {
+        let d = self.lap.elapsed();
+        self.lap = std::time::Instant::now();
+        match self.table.iter_mut().find(|(n, _)| n == name) {
+            Some(e) => e.1 += d,
+            None => self.table.push((name.to_string(), d)),
         }
-    });
-    slots.into_iter().flatten().collect()
+    }
 }
 
 /// Lint a set of library crates. `extra_sources` (tests, benches, other
 /// crates) feed the L3 dead-variant construction census only.
-/// Single-threaded; see [`lint_crates_with`] for the parallel front
-/// half.
 pub fn lint_crates(crates: &[CrateSources], extra_sources: &[SourceFile]) -> LintReport {
-    lint_crates_with(crates, extra_sources, 1)
-}
-
-/// [`lint_crates`] with the per-file lex/parse phase spread over up to
-/// `threads` OS threads. The analysis phases stay serial (they are
-/// cross-file); output is byte-identical for any thread count.
-pub fn lint_crates_with(
-    crates: &[CrateSources],
-    extra_sources: &[SourceFile],
-    threads: usize,
-) -> LintReport {
     let mut diags = Vec::new();
-    let mut enums = Vec::new();
-    let mut constructed: HashSet<(String, String)> = HashSet::new();
-    let mut timings: Vec<(String, std::time::Duration)> = Vec::new();
+    let mut t = Timer {
+        lap: std::time::Instant::now(),
+        table: Vec::new(),
+    };
 
-    // Phase 1: lex and parse every file (in parallel — per-file work
-    // with no shared state), then fold the workspace-wide context the
-    // scope-aware passes need — the I/O registry, the public-function
-    // error registry with its `From` chains, and each crate's
-    // lock-order declarations.
-    let t0 = std::time::Instant::now();
-    let jobs: Vec<&SourceFile> = crates.iter().flat_map(|k| k.files.iter()).collect();
-    let mut prepped = prep_all(&jobs, threads).into_iter();
+    // Prep: lex and parse every file once, then fold the workspace-wide
+    // context the passes share — the I/O registry, each fn's direct
+    // facts, the call graph, and the set of send-sync-noted structs (a
+    // tree's `pf: PageFile` field is self-protecting only because the
+    // pager crate's note says so).
     let mut files: Vec<ParsedFile> = Vec::new();
-    let mut crate_of: Vec<String> = Vec::new();
-    let mut spans: Vec<CrateSpan> = Vec::new();
     let mut io_fns: HashSet<String> = IO_FNS.iter().map(|s| (*s).to_string()).collect();
+    let mut spans = Vec::new();
     for krate in crates {
         let start = files.len();
-        let mut l2 = Vec::new();
-        let mut has_alias = false;
-        let mut decls = Vec::new();
         for file in &krate.files {
-            let p = prepped.next().expect("one prep result per job");
-            has_alias |= p.has_alias;
-            decls.extend(p.decls);
-            collect_io_markers(&p.items, &mut io_fns);
-            l2.push(file.l2);
-            crate_of.push(krate.name.clone());
-            files.push(ParsedFile {
-                path: file.path.clone(),
-                lexed: p.lexed,
-                items: p.items,
-                structs: p.structs,
-                fns: p.fns,
-            });
+            let f = ParsedFile::parse(&file.path, &krate.name, file.l2, &file.source);
+            collect_io_markers(&f.items, &mut io_fns);
+            files.push(f);
         }
-        let alias_error = errors::crate_alias_error(&files[start..]);
-        spans.push(CrateSpan {
-            range: start..files.len(),
-            l2,
-            has_alias,
-            alias_error,
-            decls,
-        });
+        spans.push(start..files.len());
     }
+    for f in &mut files {
+        f.fns = callgraph::collect_fn_metas(&f.items, &mut f.lexed, &io_fns);
+    }
+    let noted: BTreeSet<String> = (files.iter().flat_map(|f| &f.structs))
+        .filter(|s| s.has_note)
+        .map(|s| s.name.clone())
+        .collect();
+    let alias_errors: Vec<Option<String>> = (spans.iter())
+        .map(|span| errors::crate_alias_error(&files[span.clone()]))
+        .collect();
     let mut registry = errors::ErrorRegistry::default();
-    for span in &spans {
-        errors::collect_registry(
-            &files[span.range.clone()],
-            span.alias_error.as_deref(),
-            &mut registry,
-        );
+    for (span, alias) in spans.iter().zip(&alias_errors) {
+        errors::collect_registry(&files[span.clone()], alias.as_deref(), &mut registry);
     }
-    // Send-sync notes attach workspace-wide before the per-crate
-    // passes: a tree's `pf: PageFile` field is self-protecting only
-    // because the pager crate's note says so.
-    let noted = sendsync::collect_noted(&mut files);
-    add_timing(&mut timings, "prep", t0.elapsed());
+    t.lap("prep");
+    let graph = callgraph::CallGraph::build(&files);
+    let lock_summaries = locks::lock_summaries(&graph, &files);
+    t.lap("callgraph");
 
-    // Phase 2: run the per-crate passes.
-    for span in &spans {
-        let crate_files = &mut files[span.range.clone()];
-        let t = std::time::Instant::now();
-        for (f, &l2) in crate_files.iter_mut().zip(&span.l2) {
+    // Per-crate passes.
+    let mut enums = Vec::new();
+    let mut constructed: HashSet<(String, String)> = HashSet::new();
+    for (span, alias_error) in spans.iter().zip(&alias_errors) {
+        let crate_files = &mut files[span.clone()];
+        let has_alias = crate_files
+            .iter()
+            .any(|f| rules::has_result_alias(&f.lexed));
+        for f in crate_files.iter_mut() {
             rules::l1_panic(&mut f.lexed, &f.path, &mut diags);
-            rules::l1_assert(&mut f.lexed, &f.path, &mut diags);
-            if l2 {
+            if f.l2 {
                 rules::l2_hot_path(&mut f.lexed, &f.path, &mut diags);
             }
-            rules::l3_result_signatures(&mut f.lexed, &f.path, span.has_alias, &mut diags);
+            rules::l3_result_signatures(&mut f.lexed, &f.path, has_alias, &mut diags);
             enums.extend(rules::collect_error_enums(&f.lexed, &f.path));
             rules::collect_constructions(&f.lexed, &mut constructed);
         }
-        add_timing(&mut timings, "L1-L3", t.elapsed());
-        let t = std::time::Instant::now();
+        t.lap("L1-L3");
         let classes = guarded::acquisition_classes(crate_files);
         let maps = guarded::l7_annotations(crate_files, &classes, &mut diags);
-        add_timing(&mut timings, "L7", t.elapsed());
-        let t = std::time::Instant::now();
-        locks::l4_locks(crate_files, &io_fns, &span.decls, &maps, &mut diags);
-        add_timing(&mut timings, "L4", t.elapsed());
-        for f in crate_files.iter_mut() {
+        let decls: Vec<(String, String)> = (crate_files.iter().flat_map(|f| &f.lexed.notes))
+            .filter(|n| n.kind == lexer::NoteKind::LockOrder)
+            .filter_map(|n| n.arg.split_once('<'))
+            .map(|(a, b)| (a.to_string(), b.to_string()))
+            .collect();
+        t.lap("L7");
+        let (range, summaries) = (span.clone(), &lock_summaries);
+        locks::l4_locks(
+            &mut files, range, &graph, summaries, &io_fns, &decls, &maps, &mut diags,
+        );
+        t.lap("L4");
+        for f in &mut files[span.clone()] {
             let accounting = ACCOUNTING_FILES.contains(&f.path.as_str());
-            let t = std::time::Instant::now();
             ordering::l5_ordering(&f.path, &mut f.lexed, &f.items, accounting, &mut diags);
-            add_timing(&mut timings, "L5", t.elapsed());
-            let t = std::time::Instant::now();
+            t.lap("L5");
+            let alias = alias_error.as_deref();
             errors::l6_errors(
                 &f.path,
                 &mut f.lexed,
                 &f.items,
                 &registry,
-                span.alias_error.as_deref(),
+                alias,
                 &mut diags,
             );
-            add_timing(&mut timings, "L6", t.elapsed());
-            let t = std::time::Instant::now();
+            t.lap("L6");
             guarded::l7_unprotected(f, &noted, &mut diags);
-            add_timing(&mut timings, "L7", t.elapsed());
-            let t = std::time::Instant::now();
+            t.lap("L7");
             sendsync::l8_boundary(f, &mut diags);
-            add_timing(&mut timings, "L8", t.elapsed());
+            t.lap("L8");
         }
     }
-    let t = std::time::Instant::now();
     for file in extra_sources {
-        let lx = lexer::lex(&file.source);
-        rules::collect_constructions(&lx, &mut constructed);
+        rules::collect_constructions(&lexer::lex(&file.source), &mut constructed);
     }
     rules::l3_dead_variants(&enums, &constructed, &mut files, &mut diags);
-    add_timing(&mut timings, "L3-census", t.elapsed());
+    t.lap("L3-census");
 
-    // Phase 3: workspace-wide interprocedural passes over the call
-    // graph (built once, shared by L9 and L10).
-    let t = std::time::Instant::now();
-    let graph = callgraph::CallGraph::build(&files, &crate_of);
-    add_timing(&mut timings, "callgraph", t.elapsed());
-    let t = std::time::Instant::now();
+    // Workspace-wide interprocedural passes over the call graph.
     taint::l9_taint(&graph, &mut files, &mut diags);
-    add_timing(&mut timings, "L9", t.elapsed());
-    let t = std::time::Instant::now();
-    hot::l10_hot(&graph, &io_fns, &mut files, &mut diags);
-    add_timing(&mut timings, "L10", t.elapsed());
+    t.lap("L9");
+    hot::l10_hot(&graph, &mut files, &mut diags);
+    t.lap("L10");
 
-    let t = std::time::Instant::now();
     let mut hatches_used = 0;
-    for f in &files {
-        rules::hatch_hygiene(&f.lexed, &f.path, &mut diags);
-        hatches_used += f.lexed.hatches.iter().filter(|h| h.used).count();
-        hatches_used += f.lexed.validated_notes.iter().filter(|n| n.used).count();
+    for f in &mut files {
+        rules::unused_notes(&mut f.lexed, &f.path, &mut diags);
+        // Used `validated(...)` notes are suppressions too: same budget.
+        hatches_used += (f.lexed.notes.iter())
+            .filter(|n| {
+                n.used && matches!(n.kind, lexer::NoteKind::Allow | lexer::NoteKind::Validated)
+            })
+            .count();
     }
-    add_timing(&mut timings, "hygiene", t.elapsed());
+    t.lap("hygiene");
     diags.sort_by(|a, b| (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule)));
     LintReport {
         diagnostics: diags,
         hatches_used,
         files_scanned: files.len() + extra_sources.len(),
-        timings,
-    }
-}
-
-/// Fold a pass duration into the per-pass accumulator.
-fn add_timing(
-    timings: &mut Vec<(String, std::time::Duration)>,
-    name: &str,
-    d: std::time::Duration,
-) {
-    match timings.iter_mut().find(|(n, _)| n == name) {
-        Some(e) => e.1 += d,
-        None => timings.push((name.to_string(), d)),
+        timings: t.table,
     }
 }
 
@@ -582,10 +513,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
             });
         }
     }
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    Ok(lint_crates_with(&crates, &extra, threads))
+    Ok(lint_crates(&crates, &extra))
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {

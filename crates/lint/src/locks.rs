@@ -46,10 +46,12 @@
 //! immediate `return`.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::ops::Range;
 
+use crate::callgraph::{sccs, CallGraph};
 use crate::guarded::FieldMaps;
-use crate::lexer::{Kind, Lexed, Token};
-use crate::parser::{Block, Stmt};
+use crate::lexer::{open_of, Kind, Lexed, Token};
+use crate::parser::{Block, Part, Stmt};
 use crate::{Diagnostic, ParsedFile};
 
 /// Methods whose zero-argument calls acquire a guard.
@@ -89,133 +91,97 @@ struct WalkCtx<'a> {
     path: &'a str,
     io_fns: &'a HashSet<String>,
     decls: &'a [(String, String)],
-    summaries: &'a BTreeMap<String, BTreeSet<String>>,
+    graph: &'a CallGraph,
+    /// Call-graph node of the walked fn.
+    id: usize,
+    /// Per node: the lock classes it acquires, itself or through
+    /// same-crate callees ([`lock_summaries`]).
+    summaries: &'a [BTreeSet<String>],
     maps: &'a FieldMaps,
     fn_name: String,
     self_ty: Option<String>,
     locals: BTreeMap<String, Local>,
 }
 
-/// Run the L4 pass (and the L7 field-access check) over one crate's
-/// parsed files. `io_fns` is the workspace I/O registry (built-in names
-/// plus `#[doc = "srlint: io"]` markers); `decls` the crate's
-/// `lock-order(a < b)` declarations; `maps` the crate's field→lock
-/// annotations from [`crate::guarded`].
+/// Per call-graph node, the lock classes it acquires directly or
+/// through any chain of same-crate callees. Callees named `lock` /
+/// `read` / `write` are skipped so the std-wrapper shims do not alias
+/// every lock to their inner class.
+pub fn lock_summaries(graph: &CallGraph, files: &[ParsedFile]) -> Vec<BTreeSet<String>> {
+    let direct = (0..graph.defs.len()).map(|id| graph.meta(files, id).locks.clone());
+    graph.propagate(direct.collect(), |v, e| {
+        let (caller, callee) = (&graph.defs[v], &graph.defs[e.callee]);
+        caller.krate == callee.krate && !LOCK_METHODS.contains(&callee.name.as_str())
+    })
+}
+
+/// Run the L4 pass (and the L7 field-access check) over the crate whose
+/// files are `files[range]`. `io_fns` is the workspace I/O registry
+/// (built-in names plus `#[doc = "srlint: io"]` markers); `decls` the
+/// crate's `lock-order(a < b)` declarations; `maps` the crate's
+/// field→lock annotations from [`crate::guarded`].
+#[allow(clippy::too_many_arguments)]
 pub fn l4_locks(
     files: &mut [ParsedFile],
+    range: Range<usize>,
+    graph: &CallGraph,
+    summaries: &[BTreeSet<String>],
     io_fns: &HashSet<String>,
     decls: &[(String, String)],
     maps: &FieldMaps,
     diags: &mut Vec<Diagnostic>,
 ) {
-    // Phase 1: per-function direct acquisitions and callees, for the
-    // interprocedural summaries.
-    let mut direct: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut calls: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for f in files.iter() {
-        for fm in &f.fns {
-            if fm.is_test {
-                continue;
-            }
-            let (acq, callees) = scan_flat(&f.lexed.tokens, fm.body.open + 1, fm.body.close);
-            direct.entry(fm.name.clone()).or_default().extend(acq);
-            calls.entry(fm.name.clone()).or_default().extend(callees);
-        }
-    }
-    let mut summaries = direct;
-    loop {
-        let mut changed = false;
-        for (f, cs) in &calls {
-            let mut add = BTreeSet::new();
-            for c in cs {
-                if LOCK_METHODS.contains(&c.as_str()) {
-                    continue;
-                }
-                if let Some(s) = summaries.get(c) {
-                    add.extend(s.iter().cloned());
-                }
-            }
-            let entry = summaries.entry(f.clone()).or_default();
-            for a in add {
-                changed |= entry.insert(a);
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Phase 2: guard-tracking walk, emitting order/io/escape/guarded
-    // diagnostics and collecting the acquisition graph.
+    // Guard-tracking walk, emitting order/io/escape/guarded diagnostics
+    // and collecting the acquisition graph.
     let mut edges: BTreeMap<(String, String), Site> = BTreeMap::new();
-    for f in files.iter_mut() {
+    for (id, def) in graph.defs.iter().enumerate() {
+        if !range.contains(&def.file) {
+            continue;
+        }
         // Split borrows: walk the shared fn registry immutably while
         // the lexed side stays mutable for hatch consumption.
         let ParsedFile {
             path, lexed, fns, ..
-        } = f;
-        for fm in fns.iter() {
-            if fm.is_test {
+        } = &mut files[def.file];
+        let fm = &fns[def.idx];
+        let mut ctx = WalkCtx {
+            path,
+            io_fns,
+            decls,
+            graph,
+            id,
+            summaries,
+            maps,
+            fn_name: fm.name.clone(),
+            self_ty: fm.self_ty.clone(),
+            locals: BTreeMap::new(),
+        };
+        let mut held: Vec<Guard> = Vec::new();
+        // A parameter typed as a guarded struct can only exist while
+        // that struct's locks are held by the caller.
+        for (pname, tidents) in &fm.params {
+            let Some(ty) = tidents.iter().find(|t| maps.has_struct(t)) else {
                 continue;
-            }
-            let mut ctx = WalkCtx {
-                path,
-                io_fns,
-                decls,
-                summaries: &summaries,
-                maps,
-                fn_name: fm.name.clone(),
-                self_ty: fm.self_ty.clone(),
-                locals: BTreeMap::new(),
             };
-            let mut held: Vec<Guard> = Vec::new();
-            // A parameter typed as a guarded struct can only exist while
-            // that struct's locks are held by the caller.
-            for (pname, tidents) in &fm.params {
-                let Some(ty) = tidents.iter().find(|t| maps.has_struct(t)) else {
-                    continue;
-                };
-                ctx.locals.insert(pname.clone(), Local::Guarded(ty.clone()));
-                for class in maps.classes_of(ty) {
-                    if class != "owner" && !held.iter().any(|g| g.class == class) {
-                        held.push(Guard {
-                            class,
-                            binding: None,
-                            temp: false,
-                            assumed: true,
-                        });
-                    }
+            ctx.locals.insert(pname.clone(), Local::Guarded(ty.clone()));
+            for class in maps.classes_of(ty) {
+                if class != "owner" && !held.iter().any(|g| g.class == class) {
+                    held.push(Guard {
+                        class,
+                        binding: None,
+                        temp: false,
+                        assumed: true,
+                    });
                 }
             }
-            walk_block(
-                &fm.body, &mut ctx, lexed, &mut held, &mut edges, diags, true,
-            );
         }
+        walk_block(
+            &fm.body, &mut ctx, lexed, &mut held, &mut edges, diags, true,
+        );
     }
 
-    // Phase 3: cycles in the acquisition graph.
-    report_cycles(&edges, files, diags);
-}
-
-/// Flat scan of a token range for acquisitions (classes) and call
-/// names — no guard tracking; feeds the summaries.
-fn scan_flat(tokens: &[Token], start: usize, end: usize) -> (BTreeSet<String>, BTreeSet<String>) {
-    let mut acq = BTreeSet::new();
-    let mut callees = BTreeSet::new();
-    for k in start..end.min(tokens.len()) {
-        let t = &tokens[k];
-        if t.kind != Kind::Ident || !tokens.get(k + 1).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        if is_acquisition(tokens, k) {
-            if let Some(class) = receiver_class(tokens, k - 1) {
-                acq.insert(class);
-            }
-        } else {
-            callees.insert(t.text.clone());
-        }
-    }
-    (acq, callees)
+    // Cycles in the acquisition graph.
+    report_cycles(&edges, &mut files[range], diags);
 }
 
 /// Is the ident at `k` (known to be followed by `(`) a zero-argument
@@ -238,20 +204,8 @@ pub(crate) fn receiver_class(tokens: &[Token], dot: usize) -> Option<String> {
             continue;
         }
         if t.is_punct(')') {
-            let mut depth = 0i32;
-            while j > 0 {
-                if tokens[j].is_punct(')') {
-                    depth += 1;
-                } else if tokens[j].is_punct('(') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j -= 1;
-            }
-            // Step over the call name to its receiver `.`, then once
-            // more to the field/name that classifies the lock.
+            j = open_of(tokens, j)?;
+            // The call name before the parens classifies the lock.
             j = j.checked_sub(1)?;
             continue;
         }
@@ -269,18 +223,13 @@ fn walk_block(
     held: &mut Vec<Guard>,
     edges: &mut BTreeMap<(String, String), Site>,
     diags: &mut Vec<Diagnostic>,
-    fn_tail: bool,
+    fn_body: bool,
 ) {
     let base = held.len();
-    let n = block.stmts.len();
-    for (si, stmt) in block.stmts.iter().enumerate() {
-        let is_tail =
-            fn_tail && si + 1 == n && !lexed.tokens.get(stmt.last).is_some_and(|t| t.is_punct(';'));
+    for (stmt, is_tail) in block.stmts_tail(&lexed.tokens, fn_body) {
         scan_stmt(stmt, ctx, lexed, held, edges, diags, is_tail);
     }
-    if held.len() > base {
-        held.truncate(base);
-    }
+    held.truncate(base);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -308,16 +257,14 @@ fn scan_stmt(
     }
 
     let stmt_base = held.len();
-    let mut k = stmt.first;
-    let mut bi = 0;
-    while k <= stmt.last {
-        if bi < stmt.blocks.len() && k == stmt.blocks[bi].open {
-            let b = stmt.blocks[bi].clone();
-            walk_block(&b, ctx, lexed, held, edges, diags, false);
-            k = b.close + 1;
-            bi += 1;
-            continue;
-        }
+    for part in stmt.parts() {
+        let k = match part {
+            Part::Block(b) => {
+                walk_block(b, ctx, lexed, held, edges, diags, false);
+                continue;
+            }
+            Part::Tok(k) => k,
+        };
         let Some(t) = lexed.tokens.get(k) else { break };
         let followed_by_paren = lexed.tokens.get(k + 1).is_some_and(|n| n.is_punct('('));
         if t.kind == Kind::Ident && followed_by_paren {
@@ -362,37 +309,34 @@ fn scan_stmt(
                             .filter(|g| !g.assumed)
                             .map(|g| g.class.as_str())
                             .collect();
-                        if !lexed.allow("lock-io", line) {
-                            diags.push(Diagnostic {
-                                file: ctx.path.to_string(),
-                                line,
-                                col,
-                                rule: "L4/lock-io".to_string(),
-                                message: format!(
-                                    "I/O call `{name}()` while holding lock `{}`; move the I/O \
-                                     outside the guard (only the sanctioned read-through may \
-                                     hatch this)",
-                                    classes.join("`, `")
-                                ),
-                            });
-                        }
+                        let message = format!(
+                            "I/O call `{name}()` while holding lock `{}`; move the I/O outside \
+                             the guard (only the sanctioned read-through may hatch this)",
+                            classes.join("`, `")
+                        );
+                        lexed.flag(diags, ctx.path, (line, col), "L4/lock-io", message);
                     }
                     if !LOCK_METHODS.contains(&name.as_str()) {
-                        if let Some(classes) = ctx.summaries.get(&name) {
-                            for class in classes.clone() {
-                                on_acquire(
-                                    &class,
-                                    Some(&name),
-                                    ctx.path,
-                                    line,
-                                    col,
-                                    lexed,
-                                    ctx.decls,
-                                    held,
-                                    edges,
-                                    diags,
-                                );
-                            }
+                        let graph = ctx.graph;
+                        let classes: BTreeSet<&String> = graph
+                            .edges_at(ctx.id, k)
+                            .iter()
+                            .filter(|e| graph.defs[e.callee].krate == graph.defs[ctx.id].krate)
+                            .flat_map(|e| &ctx.summaries[e.callee])
+                            .collect();
+                        for class in classes {
+                            on_acquire(
+                                class,
+                                Some(&name),
+                                ctx.path,
+                                line,
+                                col,
+                                lexed,
+                                ctx.decls,
+                                held,
+                                edges,
+                                diags,
+                            );
                         }
                     }
                 }
@@ -400,7 +344,6 @@ fn scan_stmt(
         } else if (t.kind == Kind::Ident || t.kind == Kind::Num) && !followed_by_paren {
             check_field_access(k, ctx, lexed, held, diags);
         }
-        k += 1;
     }
 
     check_guard_escape(stmt, ctx, lexed, held, diags, is_tail);
@@ -466,8 +409,7 @@ fn check_field_access(
         }
     } else if recv.is_punct(')') {
         // `x.lock().field`: the receiver is a fresh temporary guard.
-        let open = open_paren_of(&lexed.tokens, k - 2);
-        match open.checked_sub(1) {
+        match open_of(&lexed.tokens, k - 2).and_then(|open| open.checked_sub(1)) {
             Some(m) if is_acquisition(&lexed.tokens, m) => receiver_class(&lexed.tokens, m - 1),
             _ => None,
         }
@@ -479,38 +421,11 @@ fn check_field_access(
         return;
     }
     let (line, col) = (lexed.tokens[k].line, lexed.tokens[k].col);
-    if !lexed.allow("unguarded-access", line) {
-        diags.push(Diagnostic {
-            file: ctx.path.to_string(),
-            line,
-            col,
-            rule: "L7/unguarded-access".to_string(),
-            message: format!(
-                "field `{field}` is guarded by `{class}`, which is not held here; \
-                 acquire `{class}` (or restructure so the access happens under the guard)"
-            ),
-        });
-    }
-}
-
-/// Index of the `(` matching the `)` at `close` (walking backwards).
-fn open_paren_of(tokens: &[Token], close: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = close;
-    loop {
-        if tokens[j].is_punct(')') {
-            depth += 1;
-        } else if tokens[j].is_punct('(') {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-        match j.checked_sub(1) {
-            Some(p) => j = p,
-            None => return 0,
-        }
-    }
+    let message = format!(
+        "field `{field}` is guarded by `{class}`, which is not held here; \
+         acquire `{class}` (or restructure so the access happens under the guard)"
+    );
+    lexed.flag(diags, ctx.path, (line, col), "L7/unguarded-access", message);
 }
 
 /// L4/guard-escape: a guard leaving the function via `return` or the
@@ -569,19 +484,12 @@ fn check_guard_escape(
     let Some((class, line, col)) = escaped else {
         return;
     };
-    if !lexed.allow("guard-escape", line) {
-        diags.push(Diagnostic {
-            file: ctx.path.to_string(),
-            line,
-            col,
-            rule: "L4/guard-escape".to_string(),
-            message: format!(
-                "guard for lock `{class}` escapes `{}()`; callers inherit a held lock the \
-                 analysis cannot see — return the data, not the guard",
-                ctx.fn_name
-            ),
-        });
-    }
+    let message = format!(
+        "guard for lock `{class}` escapes `{}()`; callers inherit a held lock the \
+         analysis cannot see — return the data, not the guard",
+        ctx.fn_name
+    );
+    lexed.flag(diags, ctx.path, (line, col), "L4/guard-escape", message);
 }
 
 /// Record edges and check declared orders for one acquisition of
@@ -611,21 +519,16 @@ fn on_acquire(
         let violated = decls
             .iter()
             .any(|(earlier, later)| earlier == class && later == &g.class);
-        if violated && !lexed.allow("lock-order", line) {
+        if violated {
             let how = match via {
                 Some(callee) => format!("call to `{callee}()` acquires lock `{class}`"),
                 None => format!("lock `{class}` acquired"),
             };
-            diags.push(Diagnostic {
-                file: path.to_string(),
-                line,
-                col,
-                rule: "L4/lock-order".to_string(),
-                message: format!(
-                    "{how} while `{}` is held; declared order is `{class} < {}`",
-                    g.class, g.class
-                ),
-            });
+            let message = format!(
+                "{how} while `{}` is held; declared order is `{class} < {}`",
+                g.class, g.class
+            );
+            lexed.flag(diags, path, (line, col), "L4/lock-order", message);
         }
     }
 }
@@ -637,71 +540,41 @@ fn report_cycles(
     files: &mut [ParsedFile],
     diags: &mut Vec<Diagnostic>,
 ) {
-    let mut succ: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for (a, b) in edges.keys() {
-        succ.entry(a.as_str()).or_default().insert(b.as_str());
-    }
-    // Transitive closure by BFS from every node (the graph is tiny).
-    let mut reach: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for &n in succ.keys() {
-        let mut seen = BTreeSet::new();
-        let mut stack: Vec<&str> = succ
-            .get(n)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        while let Some(m) = stack.pop() {
-            if seen.insert(m) {
-                if let Some(next) = succ.get(m) {
-                    stack.extend(next.iter().copied());
-                }
-            }
-        }
-        reach.insert(n, seen);
-    }
-    // Nodes on a cycle reach themselves; group them into SCCs.
-    let cyclic: Vec<&str> = reach
-        .iter()
-        .filter(|(n, r)| r.contains(**n))
-        .map(|(n, _)| *n)
+    let classes: BTreeSet<&str> = edges
+        .keys()
+        .flat_map(|(a, b)| [a.as_str(), b.as_str()])
         .collect();
-    let mut assigned: BTreeSet<&str> = BTreeSet::new();
-    for &n in &cyclic {
-        if assigned.contains(n) {
-            continue;
-        }
-        let scc: Vec<&str> = cyclic
-            .iter()
-            .copied()
-            .filter(|&m| m == n || (reach[n].contains(m) && reach[m].contains(n)))
-            .collect();
-        assigned.extend(scc.iter().copied());
+    let classes: Vec<&str> = classes.into_iter().collect();
+    let idx = |c: &String| classes.partition_point(|&x| x < c.as_str());
+    let mut adj = vec![Vec::new(); classes.len()];
+    for (a, b) in edges.keys() {
+        adj[idx(a)].push(idx(b));
+    }
+    // Components on a cycle, in order of their smallest class name.
+    let mut cycles: Vec<Vec<usize>> = sccs(&adj)
+        .into_iter()
+        .filter(|c| c.len() > 1 || adj[c[0]].contains(&c[0]))
+        .collect();
+    cycles.sort();
+    for scc in cycles {
         // Internal edges of the SCC, anchored at the earliest site.
         let site = edges
             .iter()
-            .filter(|((a, b), _)| scc.contains(&a.as_str()) && scc.contains(&b.as_str()))
-            .map(|(_, s)| s.clone())
+            .filter(|((a, b), _)| scc.contains(&idx(a)) && scc.contains(&idx(b)))
+            .map(|(_, s)| s)
             .min();
         let Some(site) = site else { continue };
-        let cycle = {
-            let mut c: Vec<&str> = scc.clone();
-            c.sort_unstable();
-            let mut p = c.join(" -> ");
-            p.push_str(" -> ");
-            p.push_str(c[0]);
-            p
-        };
-        let allowed = files
-            .iter_mut()
-            .find(|f| f.path == site.file)
-            .is_some_and(|f| f.lexed.allow("lock-cycle", site.line));
-        if !allowed {
-            diags.push(Diagnostic {
-                file: site.file,
-                line: site.line,
-                col: site.col,
-                rule: "L4/lock-cycle".to_string(),
-                message: format!("lock acquisition cycle: {cycle}"),
-            });
+        let names: Vec<&str> = scc.iter().map(|&c| classes[c]).collect();
+        let message = format!(
+            "lock acquisition cycle: {} -> {}",
+            names.join(" -> "),
+            names[0]
+        );
+        // Sites come from this crate's files, so the lookup hits.
+        if let Some(f) = files.iter_mut().find(|f| f.path == site.file) {
+            let pos = (site.line, site.col);
+            f.lexed
+                .flag(diags, &site.file, pos, "L4/lock-cycle", message);
         }
     }
 }

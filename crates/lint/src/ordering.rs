@@ -9,13 +9,14 @@
 //! files (the counters behind the paper's misses == physical-reads
 //! exactness claim), `Relaxed` additionally requires the note's reason
 //! to spell out the invariant (the reason must contain the word
-//! `invariant`). Notes that justify nothing are themselves flagged.
+//! `invariant`). Notes that justify nothing are themselves flagged
+//! (L5/ordering-unused, reported by [`crate::rules::unused_notes`]).
 //!
 //! Only the five atomic variants are matched, so `std::cmp::Ordering`
 //! paths (`Ordering::Less` and friends, heavy in the query crates)
 //! never trip the rule.
 
-use crate::lexer::{Kind, Lexed};
+use crate::lexer::{Kind, Lexed, NoteKind};
 use crate::parser::Item;
 use crate::Diagnostic;
 
@@ -72,10 +73,9 @@ pub fn l5_ordering(
 
     // Precompute each note's coverage span (whole file when the note
     // sits outside every item).
-    let note_spans: Vec<Option<Span>> = lexed
-        .ordering_notes
-        .iter()
-        .map(|n| innermost(&spans, n.line))
+    let note_spans: Vec<(usize, Option<Span>)> = (lexed.notes.iter().enumerate())
+        .filter(|(_, n)| n.kind == NoteKind::Ordering)
+        .map(|(i, n)| (i, innermost(&spans, n.line)))
         .collect();
 
     // Find `Ordering::<atomic variant>` uses outside test code.
@@ -99,61 +99,31 @@ pub fn l5_ordering(
         // file, for top-level notes) contains the site's line.
         let mut justified = false;
         let mut invariant_note = false;
-        for (n, span) in lexed.ordering_notes.iter_mut().zip(&note_spans) {
-            let covers = span.is_none_or(|s| s.contains(line));
-            if covers {
+        for &(i, span) in &note_spans {
+            if span.is_none_or(|s| s.contains(line)) {
+                let n = &mut lexed.notes[i];
                 n.used = true;
                 justified = true;
                 invariant_note |= n.reason.contains("invariant");
             }
         }
         if !justified {
-            if !lexed.allow("ordering", line) {
-                diags.push(Diagnostic {
-                    file: path.to_string(),
-                    line,
-                    col,
-                    rule: "L5/ordering".to_string(),
-                    message: format!(
-                        "`Ordering::{variant}` without a `// srlint: ordering -- <reason>` \
-                         note on the enclosing item"
-                    ),
-                });
-            }
-        } else if accounting
-            && variant == "Relaxed"
-            && !invariant_note
-            && !lexed.allow("ordering-relaxed", line)
-        {
-            diags.push(Diagnostic {
-                file: path.to_string(),
-                line,
-                col,
-                rule: "L5/ordering-relaxed".to_string(),
-                message: "`Ordering::Relaxed` on accounting state needs an ordering note \
-                          stating the invariant it preserves (reason must name the \
-                          `invariant`)"
-                    .to_string(),
-            });
-        }
-    }
-
-    let unused: Vec<(u32, u32)> = lexed
-        .ordering_notes
-        .iter()
-        .filter(|n| !n.used)
-        .map(|n| (n.line, n.col))
-        .collect();
-    for (line, col) in unused {
-        if !lexed.allow("ordering-unused", line) {
-            diags.push(Diagnostic {
-                file: path.to_string(),
-                line,
-                col,
-                rule: "L5/ordering-unused".to_string(),
-                message: "srlint ordering note justifies no `Ordering::` use; remove it"
-                    .to_string(),
-            });
+            let message = format!(
+                "`Ordering::{variant}` without a `// srlint: ordering -- <reason>` \
+                 note on the enclosing item"
+            );
+            lexed.flag(diags, path, (line, col), "L5/ordering", message);
+        } else if accounting && variant == "Relaxed" && !invariant_note {
+            let message = "`Ordering::Relaxed` on accounting state needs an ordering note \
+                           stating the invariant it preserves (reason must name the \
+                           `invariant`)";
+            lexed.flag(
+                diags,
+                path,
+                (line, col),
+                "L5/ordering-relaxed",
+                message.to_string(),
+            );
         }
     }
 }

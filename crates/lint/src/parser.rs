@@ -10,7 +10,7 @@
 //! constructs are skipped token by token, so a partially parsed file
 //! still yields every item the passes can anchor to.
 
-use crate::lexer::{Kind, Token};
+use crate::lexer::{close_of, Kind, Token};
 
 /// Item classes the passes distinguish.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,6 +66,56 @@ pub struct Stmt {
     pub let_name: Option<String>,
     /// Nested `{ ... }` blocks inside this statement, in source order.
     pub blocks: Vec<Block>,
+}
+
+/// One piece of a statement in source order: a head token (outside
+/// every nested block), or a whole nested block.
+pub enum Part<'a> {
+    Tok(usize),
+    Block(&'a Block),
+}
+
+impl Block {
+    /// The statements, each with whether it is the tail expression of a
+    /// fn body (`fn_body`): the last statement, not ended by `;`.
+    pub fn stmts_tail(&self, tokens: &[Token], fn_body: bool) -> Vec<(&Stmt, bool)> {
+        let n = self.stmts.len();
+        let tail = |si, s: &Stmt| {
+            fn_body && si + 1 == n && !tokens.get(s.last).is_some_and(|t| t.is_punct(';'))
+        };
+        (self.stmts.iter().enumerate())
+            .map(|(si, s)| (s, tail(si, s)))
+            .collect()
+    }
+}
+
+impl Stmt {
+    /// The statement's head tokens and nested blocks, in source order.
+    pub fn parts(&self) -> impl Iterator<Item = Part<'_>> + '_ {
+        let (mut k, mut bi) = (self.first, 0);
+        std::iter::from_fn(move || {
+            if k > self.last {
+                return None;
+            }
+            if let Some(b) = self.blocks.get(bi).filter(|b| b.open == k) {
+                k = b.close + 1;
+                bi += 1;
+                return Some(Part::Block(b));
+            }
+            k += 1;
+            Some(Part::Tok(k - 1))
+        })
+    }
+
+    /// The head tokens: [`Stmt::parts`] without the nested blocks.
+    pub fn head(&self) -> Vec<usize> {
+        self.parts()
+            .filter_map(|p| match p {
+                Part::Tok(k) => Some(k),
+                Part::Block(_) => None,
+            })
+            .collect()
+    }
 }
 
 /// One parsed item.
@@ -166,7 +216,7 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
             if !tokens.get(open).is_some_and(|t| t.is_punct('[')) {
                 break;
             }
-            let close = match_delim(tokens, open, '[', ']', end);
+            let close = close_of(&tokens[..end], open);
             attrs.push(read_attr(tokens, open + 1, close));
             i = close + 1;
         }
@@ -185,7 +235,7 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
                 q += 1;
                 // `pub(crate)` / `pub(super)` etc.
                 if q < end && tokens[q].is_punct('(') {
-                    q = match_delim(tokens, q, '(', ')', end) + 1;
+                    q = close_of(&tokens[..end], q) + 1;
                 }
             } else if QUALIFIERS.contains(&t) {
                 is_unsafe |= t == "unsafe";
@@ -263,12 +313,7 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
             if t.is_punct('(') || t.is_punct('[') {
                 // Skip parameter lists / array types wholesale so `;`
                 // and `{` inside them never terminate the signature.
-                let (open, close) = if t.is_punct('(') {
-                    ('(', ')')
-                } else {
-                    ('[', ']')
-                };
-                j = match_delim(tokens, j, open, close, end) + 1;
+                j = close_of(&tokens[..end], j) + 1;
                 continue;
             }
             if t.is_punct('-') && tokens.get(j + 1).is_some_and(|n| n.is_punct('>')) {
@@ -318,7 +363,7 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
         let mut children = Vec::new();
         let last;
         if has_body {
-            let close = match_delim(tokens, sig_end, '{', '}', end);
+            let close = close_of(&tokens[..end], sig_end);
             match kind {
                 ItemKind::Fn => body = Some(parse_block(tokens, sig_end, end)),
                 ItemKind::Impl | ItemKind::Trait | ItemKind::Mod => {
@@ -372,7 +417,7 @@ fn read_attr(tokens: &[Token], start: usize, end: usize) -> Attr {
 /// `;` and `,` at bracket depth zero and treating every nested brace
 /// pair as a child block.
 fn parse_block(tokens: &[Token], open: usize, end: usize) -> Block {
-    let close = match_delim(tokens, open, '{', '}', end);
+    let close = close_of(&tokens[..end], open);
     let mut stmts = Vec::new();
     let mut j = open + 1;
     while j < close {
@@ -388,7 +433,7 @@ fn parse_block(tokens: &[Token], open: usize, end: usize) -> Block {
             } else if t.is_punct(')') || t.is_punct(']') {
                 depth = depth.saturating_sub(1);
             } else if t.is_punct('{') {
-                let bclose = match_delim(tokens, k, '{', '}', close);
+                let bclose = close_of(&tokens[..close], k);
                 blocks.push(parse_block(tokens, k, close));
                 // A control-flow statement ends at its block's `}`
                 // unless an `else` (or method/`?` chain) continues it.
@@ -443,25 +488,6 @@ fn stmt_let_name(tokens: &[Token], first: usize, last: usize) -> Option<String> 
     } else {
         None
     }
-}
-
-/// Index of the closing delimiter matching the opener at `open`,
-/// clamped to `end` when unbalanced.
-fn match_delim(tokens: &[Token], open: usize, oc: char, cc: char, end: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < end.min(tokens.len()) {
-        if tokens[j].is_punct(oc) {
-            depth += 1;
-        } else if tokens[j].is_punct(cc) {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-        j += 1;
-    }
-    end.min(tokens.len())
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 
 use std::collections::HashSet;
 
-use crate::lexer::{Kind, Lexed, Token};
+use crate::lexer::{close_of, Kind, Lexed, NoteKind, Token};
 use crate::Diagnostic;
 
 /// Identifiers that L1 flags when invoked as `.name(`.
@@ -34,85 +34,46 @@ const NUMERIC_TYPES: &[&str] = &[
     "f64",
 ];
 
-fn diag(file: &str, t: &Token, rule: &str, message: String) -> Diagnostic {
-    Diagnostic {
-        file: file.to_string(),
-        line: t.line,
-        col: t.col,
-        rule: rule.to_string(),
-        message,
-    }
-}
-
-/// L1: panic-freedom in non-test library code.
+/// L1: panic-freedom in non-test library code — no `.unwrap()` /
+/// `.expect()`, no aborting macro, and no release-mode assert.
+///
+/// Asserts were once exempt as caller-contract guards, which let
+/// `Point::new`'s `assert!` ship unreviewed: an assert is a panic
+/// whenever its input can come from data (decoded pages, parsed files,
+/// CLI arguments). Validate with a typed error, use `debug_assert!` for
+/// true internal invariants, or hatch a deliberate contract panic with
+/// `// srlint: allow(assert) -- <reason>`.
 pub fn l1_panic(lexed: &mut Lexed, file: &str, diags: &mut Vec<Diagnostic>) {
     for i in 0..lexed.tokens.len() {
-        if lexed.test_mask[i] || lexed.tokens[i].kind != Kind::Ident {
+        let t = &lexed.tokens[i];
+        if lexed.test_mask[i] || t.kind != Kind::Ident {
             continue;
         }
-        let name = lexed.tokens[i].text.clone();
-        let prev_dot = i > 0 && lexed.tokens[i - 1].is_punct('.');
-        let next_paren = lexed.tokens.get(i + 1).is_some_and(|t| t.is_punct('('));
-        let next_bang = lexed.tokens.get(i + 1).is_some_and(|t| t.is_punct('!'));
-        let flagged = if L1_METHODS.contains(&name.as_str()) {
-            prev_dot && next_paren
-        } else {
-            L1_MACROS.contains(&name.as_str()) && next_bang
-        };
-        if !flagged {
-            continue;
-        }
-        let line = lexed.tokens[i].line;
-        if lexed.allow("panic", line) {
-            continue;
-        }
-        let what = if L1_METHODS.contains(&name.as_str()) {
-            format!("`.{name}()` can panic")
-        } else {
-            format!("`{name}!` aborts")
-        };
-        diags.push(diag(
-            file,
-            &lexed.tokens[i],
-            "L1/panic",
-            format!("{what} in non-test library code; return a typed error instead"),
-        ));
-    }
-}
-
-/// L1: no release-mode asserts in non-test library code.
-///
-/// Closes the gap that let `Point::new`'s `assert!` ship unreviewed: the
-/// original L1 pass treated every assert as a caller-contract guard, but
-/// an assert is a panic whenever its input can come from data (decoded
-/// pages, parsed files, CLI arguments). Validate with a typed error, use
-/// `debug_assert!` for true internal invariants, or hatch a deliberate
-/// contract panic with `// srlint: allow(assert) -- <reason>`.
-pub fn l1_assert(lexed: &mut Lexed, file: &str, diags: &mut Vec<Diagnostic>) {
-    for i in 0..lexed.tokens.len() {
-        if lexed.test_mask[i] || lexed.tokens[i].kind != Kind::Ident {
-            continue;
-        }
-        let name = lexed.tokens[i].text.clone();
-        if !L1_ASSERTS.contains(&name.as_str()) {
-            continue;
-        }
-        if !lexed.tokens.get(i + 1).is_some_and(|t| t.is_punct('!')) {
-            continue;
-        }
-        let line = lexed.tokens[i].line;
-        if lexed.allow("assert", line) {
-            continue;
-        }
-        diags.push(diag(
-            file,
-            &lexed.tokens[i],
-            "L1/assert",
-            format!(
+        let name = t.text.as_str();
+        let next = |c: char| lexed.tokens.get(i + 1).is_some_and(|n| n.is_punct(c));
+        let (rule, message) = if L1_METHODS.contains(&name) {
+            if !(i > 0 && lexed.tokens[i - 1].is_punct('.') && next('(')) {
+                continue;
+            }
+            let m = format!(
+                "`.{name}()` can panic in non-test library code; return a typed error instead"
+            );
+            ("L1/panic", m)
+        } else if L1_MACROS.contains(&name) && next('!') {
+            let m =
+                format!("`{name}!` aborts in non-test library code; return a typed error instead");
+            ("L1/panic", m)
+        } else if L1_ASSERTS.contains(&name) && next('!') {
+            let m = format!(
                 "`{name}!` panics in release builds; return a typed error, use `debug_assert!`, \
                  or hatch a deliberate contract panic"
-            ),
-        ));
+            );
+            ("L1/assert", m)
+        } else {
+            continue;
+        };
+        let pos = (t.line, t.col);
+        lexed.flag(diags, file, pos, rule, message);
     }
 }
 
@@ -134,35 +95,24 @@ pub fn l2_hot_path(lexed: &mut Lexed, file: &str, diags: &mut Vec<Diagnostic>) {
                 || prev.is_punct(']')
                 || prev.is_punct(')');
             if indexing {
-                let line = t.line;
-                let pos = t.clone();
-                if !lexed.allow("index", line) {
-                    diags.push(diag(
-                        file,
-                        &pos,
-                        "L2/index",
-                        "slice indexing in an audited hot path; use `get`/iterators or a checked split".to_string(),
-                    ));
-                }
+                let message = "slice indexing in an audited hot path; use `get`/iterators or a \
+                               checked split";
+                let pos = (t.line, t.col);
+                lexed.flag(diags, file, pos, "L2/index", message.to_string());
                 continue;
             }
         }
-        if t.is_ident("as")
-            && lexed
-                .tokens
-                .get(i + 1)
-                .is_some_and(|n| n.kind == Kind::Ident && NUMERIC_TYPES.contains(&n.text.as_str()))
-        {
-            let line = t.line;
-            let pos = t.clone();
-            let target = lexed.tokens[i + 1].text.clone();
-            if !lexed.allow("cast", line) {
-                diags.push(diag(
-                    file,
-                    &pos,
-                    "L2/cast",
-                    format!("`as {target}` cast in an audited hot path; use `From`/`try_from` or a widening helper"),
-                ));
+        if t.is_ident("as") {
+            let Some(target) = lexed.tokens.get(i + 1) else {
+                continue;
+            };
+            if target.kind == Kind::Ident && NUMERIC_TYPES.contains(&target.text.as_str()) {
+                let message = format!(
+                    "`as {}` cast in an audited hot path; use `From`/`try_from` or a widening helper",
+                    target.text
+                );
+                let pos = (t.line, t.col);
+                lexed.flag(diags, file, pos, "L2/cast", message);
             }
         }
     }
@@ -218,20 +168,7 @@ pub fn collect_error_enums(lexed: &Lexed, file: &str) -> Vec<ErrorEnum> {
                 } else if t.is_punct('#') {
                     // Skip a variant attribute.
                     if toks.get(j + 1).is_some_and(|t| t.is_punct('[')) {
-                        let mut bd = 0usize;
-                        let mut k = j + 1;
-                        while k < toks.len() {
-                            if toks[k].is_punct('[') {
-                                bd += 1;
-                            } else if toks[k].is_punct(']') {
-                                bd -= 1;
-                                if bd == 0 {
-                                    break;
-                                }
-                            }
-                            k += 1;
-                        }
-                        j = k;
+                        j = close_of(toks, j + 1);
                     }
                 } else if expect_variant && t.kind == Kind::Ident {
                     variants.push((t.text.clone(), t.line, t.col));
@@ -285,24 +222,7 @@ pub fn collect_constructions(lexed: &Lexed, out: &mut HashSet<(String, String)>)
             .get(j)
             .is_some_and(|t| t.is_punct('(') || t.is_punct('{'))
         {
-            let (open, close) = if toks[j].is_punct('(') {
-                ('(', ')')
-            } else {
-                ('{', '}')
-            };
-            let mut depth = 0usize;
-            while j < toks.len() {
-                if toks[j].is_punct(open) {
-                    depth += 1;
-                } else if toks[j].is_punct(close) {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            j += 1;
+            j = close_of(toks, j) + 1;
         }
         // `=> ...` or `= ...` after the path means a match/let pattern,
         // not a construction.
@@ -317,7 +237,7 @@ pub fn collect_constructions(lexed: &Lexed, out: &mut HashSet<(String, String)>)
 pub fn l3_dead_variants(
     enums: &[ErrorEnum],
     constructed: &HashSet<(String, String)>,
-    hatch_files: &mut [crate::ParsedFile],
+    files: &mut [crate::ParsedFile],
     diags: &mut Vec<Diagnostic>,
 ) {
     for e in enums {
@@ -327,23 +247,15 @@ pub fn l3_dead_variants(
             if live {
                 continue;
             }
-            let hatched = hatch_files
-                .iter_mut()
-                .find(|f| f.path == e.file)
-                .is_some_and(|f| f.lexed.allow("dead-variant", *line));
-            if hatched {
-                continue;
-            }
-            diags.push(Diagnostic {
-                file: e.file.clone(),
-                line: *line,
-                col: *col,
-                rule: "L3/dead-variant".to_string(),
-                message: format!(
+            // Enums are collected from these files, so the lookup hits.
+            if let Some(f) = files.iter_mut().find(|f| f.path == e.file) {
+                let message = format!(
                     "error variant `{}::{variant}` is never constructed; delete it or construct it",
                     e.name
-                ),
-            });
+                );
+                f.lexed
+                    .flag(diags, &e.file, (*line, *col), "L3/dead-variant", message);
+            }
         }
     }
 }
@@ -367,19 +279,7 @@ pub fn l3_result_signatures(
         let mut j = i + 1;
         // `pub(crate)` / `pub(in ...)` restriction.
         if lexed.tokens.get(j).is_some_and(|t| t.is_punct('(')) {
-            let mut depth = 0usize;
-            while j < lexed.tokens.len() {
-                if lexed.tokens[j].is_punct('(') {
-                    depth += 1;
-                } else if lexed.tokens[j].is_punct(')') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            j += 1;
+            j = close_of(&lexed.tokens, j) + 1;
         }
         // Qualifiers before `fn`.
         while lexed.tokens.get(j).is_some_and(|t| {
@@ -397,25 +297,11 @@ pub fn l3_result_signatures(
             .map(|t| t.text.clone())
             .unwrap_or_default();
         j += 2;
-        // Generics.
-        if lexed.tokens.get(j).is_some_and(|t| t.is_punct('<')) {
-            j = skip_angles(&lexed.tokens, j);
-        }
-        // Parameter list.
-        if lexed.tokens.get(j).is_some_and(|t| t.is_punct('(')) {
-            let mut depth = 0usize;
-            while j < lexed.tokens.len() {
-                if lexed.tokens[j].is_punct('(') {
-                    depth += 1;
-                } else if lexed.tokens[j].is_punct(')') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
+        // Generics, then the parameter list.
+        for open in ['<', '('] {
+            if lexed.tokens.get(j).is_some_and(|t| t.is_punct(open)) {
+                j = close_of(&lexed.tokens, j) + 1;
             }
-            j += 1;
         }
         // Return type, if any.
         if !(lexed.tokens.get(j).is_some_and(|t| t.is_punct('-'))
@@ -433,42 +319,15 @@ pub fn l3_result_signatures(
             }
             end += 1;
         }
-        let sig_line = lexed.tokens[i].line;
-        let sig_tok = lexed.tokens[i].clone();
         if let Some(problem) = untyped_result_error(&lexed.tokens[ret_start..end], crate_has_alias)
         {
-            if !lexed.allow("error-type", sig_line) {
-                diags.push(diag(
-                    file,
-                    &sig_tok,
-                    "L3/error-type",
-                    format!(
-                        "public fn `{fn_name}` returns {problem}; name a crate-local typed error"
-                    ),
-                ));
-            }
+            let message =
+                format!("public fn `{fn_name}` returns {problem}; name a crate-local typed error");
+            let pos = (lexed.tokens[i].line, lexed.tokens[i].col);
+            lexed.flag(diags, file, pos, "L3/error-type", message);
         }
         i = end;
     }
-}
-
-/// Skip a `<...>` generic group starting at `open`; `->` inside bounds
-/// does not close the group.
-fn skip_angles(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < toks.len() {
-        if toks[j].is_punct('<') {
-            depth += 1;
-        } else if toks[j].is_punct('>') && !(j > 0 && toks[j - 1].is_punct('-')) {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    toks.len()
 }
 
 /// Inspect a return-type token slice. Returns a description of the
@@ -540,66 +399,83 @@ fn untyped_result_error(ret: &[Token], crate_has_alias: bool) -> Option<String> 
     }
 }
 
-/// Report malformed `srlint:` comments and hatches that suppressed
-/// nothing (an unused hatch hides future violations, so it is itself a
-/// violation).
-pub fn hatch_hygiene(lexed: &Lexed, file: &str, diags: &mut Vec<Diagnostic>) {
-    for &(line, col) in &lexed.malformed_hatches {
+/// Report malformed `srlint:` comments and every note that attached to
+/// nothing: an unused hatch or note hides future violations (or has
+/// gone stale), so it is itself a violation. The L5, L7 and L8 notes
+/// report under their own rule, and those findings may be hatched, so
+/// they are checked before the hatches themselves.
+pub fn unused_notes(lexed: &mut Lexed, file: &str, diags: &mut Vec<Diagnostic>) {
+    let mut push = |line, col, rule: &str, message: String| {
         diags.push(Diagnostic {
             file: file.to_string(),
             line,
             col,
-            rule: "hatch/malformed".to_string(),
-            message: "malformed srlint comment: expected `allow(<rule>)`, `ordering`, \
-                      `lock-order(<a> < <b>)`, `send-sync`, `untrusted-source`, or \
-                      `validated(<expr>)`, each followed by ` -- <reason>`, or \
-                      `guarded-by(<lock>)` / `hot` with no reason"
+            rule: rule.to_string(),
+            message,
+        })
+    };
+    for &(line, col) in &lexed.malformed {
+        push(
+            line,
+            col,
+            "hatch/malformed",
+            "malformed srlint comment: expected `allow(<rule>)`, `ordering`, \
+             `lock-order(<a> < <b>)`, `send-sync`, `untrusted-source`, or \
+             `validated(<expr>)`, each followed by ` -- <reason>`, or \
+             `guarded-by(<lock>)` / `hot` with no reason"
                 .to_string(),
-        });
+        );
     }
-    for h in &lexed.hatches {
-        if !h.used {
-            diags.push(Diagnostic {
-                file: file.to_string(),
-                line: h.line,
-                col: 1,
-                rule: "hatch/unused".to_string(),
-                message: format!(
-                    "srlint hatch `allow({})` suppresses nothing; remove it",
-                    h.rule
+    let unused: Vec<_> = lexed.notes.iter().filter(|n| !n.used).cloned().collect();
+    for n in unused.iter().filter(|n| n.kind != NoteKind::Allow) {
+        let (rule, message) = match n.kind {
+            NoteKind::Ordering => (
+                "L5/ordering-unused",
+                "srlint ordering note justifies no `Ordering::` use; remove it".to_string(),
+            ),
+            NoteKind::GuardedBy => (
+                "L7/bad-annotation",
+                format!(
+                    "guarded-by({}) note attaches to no struct field; place it on the \
+                     field's line or the line above it",
+                    n.arg
                 ),
-            });
+            ),
+            NoteKind::SendSync => (
+                "L8/send-sync-unused",
+                "send-sync note attaches to no struct; place it directly above the \
+                 struct it vouches for"
+                    .to_string(),
+            ),
+            NoteKind::Untrusted => (
+                "hatch/unused",
+                "srlint note `untrusted-source` marks no function item; remove it".to_string(),
+            ),
+            NoteKind::Validated => (
+                "hatch/unused",
+                "srlint note `validated` validates no questioned value; remove it".to_string(),
+            ),
+            NoteKind::Hot => (
+                "hatch/unused",
+                "srlint note `hot` marks no function item; remove it".to_string(),
+            ),
+            NoteKind::Allow | NoteKind::LockOrder => continue,
+        };
+        if rule == "hatch/unused" {
+            push(n.line, 1, rule, message);
+        } else if !lexed.allow(rule.split('/').nth(1).unwrap_or(rule), n.line) {
+            push(n.line, n.col, rule, message);
         }
     }
-    // The L9/L10 annotations are subject to the same hygiene: a note
-    // that attaches to nothing (or validates a value the pass never
-    // questioned) is stale and hides drift.
-    let unused_notes = lexed
-        .untrusted_notes
+    for n in lexed
+        .notes
         .iter()
-        .filter(|n| !n.used)
-        .map(|n| (n.line, "untrusted-source", "marks no function item"))
-        .chain(
-            lexed
-                .validated_notes
-                .iter()
-                .filter(|n| !n.used)
-                .map(|n| (n.line, "validated", "validates no questioned value")),
-        )
-        .chain(
-            lexed
-                .hot_notes
-                .iter()
-                .filter(|n| !n.used)
-                .map(|n| (n.line, "hot", "marks no function item")),
+        .filter(|n| n.kind == NoteKind::Allow && !n.used)
+    {
+        let message = format!(
+            "srlint hatch `allow({})` suppresses nothing; remove it",
+            n.arg
         );
-    for (line, kind, why) in unused_notes {
-        diags.push(Diagnostic {
-            file: file.to_string(),
-            line,
-            col: 1,
-            rule: "hatch/unused".to_string(),
-            message: format!("srlint note `{kind}` {why}; remove it"),
-        });
+        push(n.line, 1, "hatch/unused", message);
     }
 }

@@ -20,9 +20,8 @@
 //! * **L8/interior-mutability** — a raw-pointer / `Cell` / `RefCell` /
 //!   `UnsafeCell` / `Rc` field in a (would-be) noted struct: these
 //!   defeat or forbid `Sync` and need restructuring, not a note.
-//! * **L8/send-sync-unused** — a note attached to no struct.
-
-use std::collections::BTreeSet;
+//! * **L8/send-sync-unused** — a note attached to no struct (reported
+//!   with the other unused notes, [`crate::rules::unused_notes`]).
 
 use crate::parser::{Item, ItemKind};
 use crate::{Diagnostic, ParsedFile};
@@ -39,61 +38,27 @@ pub const BOUNDARY_TYPES: &[&str] = &[
     "VamTree",
 ];
 
-/// Attach send-sync notes to structs (marking `StructInfo::has_note`)
-/// and return the workspace-wide set of noted struct names. Runs over
-/// ALL files before the per-crate passes so cross-crate fields
-/// (`pf: PageFile` inside each tree) resolve as self-protecting.
-pub fn collect_noted(files: &mut [ParsedFile]) -> BTreeSet<String> {
-    let mut noted = BTreeSet::new();
-    for f in files.iter_mut() {
-        for note in f.lexed.send_sync_notes.iter_mut() {
-            // A note belongs to the struct whose span contains it, or
-            // whose first line is the next code line it covers.
-            let target = f
-                .structs
-                .iter_mut()
-                .find(|s| {
-                    (s.start_line <= note.line && note.line <= s.end_line)
-                        || s.start_line == note.covers[1]
-                })
-                .map(|s| {
-                    s.has_note = true;
-                    s.name.clone()
-                });
-            if let Some(name) = target {
-                note.used = true;
-                noted.insert(name);
-            }
-        }
-    }
-    noted
-}
-
 /// Run the L8 audit over one file.
 pub fn l8_boundary(f: &mut ParsedFile, diags: &mut Vec<Diagnostic>) {
-    let path = f.path.clone();
-
+    let ParsedFile {
+        path,
+        lexed,
+        items,
+        structs,
+        ..
+    } = f;
     // Literal `unsafe impl Send/Sync`.
     let mut unsafe_impls = Vec::new();
-    find_unsafe_impls(&f.items, &f.lexed, &mut unsafe_impls);
-    for (line, col, trait_name, ty) in unsafe_impls {
-        if !f.lexed.allow("unsafe-impl", line) {
-            diags.push(Diagnostic {
-                file: path.clone(),
-                line,
-                col,
-                rule: "L8/unsafe-impl".to_string(),
-                message: format!(
-                    "`unsafe impl {trait_name}` for `{ty}`: hand-written thread-safety claims \
-                     are forbidden here; make the type structurally Send/Sync instead"
-                ),
-            });
-        }
+    find_unsafe_impls(items, lexed, &mut unsafe_impls);
+    for (pos, trait_name, ty) in unsafe_impls {
+        let message = format!(
+            "`unsafe impl {trait_name}` for `{ty}`: hand-written thread-safety claims \
+             are forbidden here; make the type structurally Send/Sync instead"
+        );
+        lexed.flag(diags, path, pos, "L8/unsafe-impl", message);
     }
 
-    let mut missing = Vec::new();
-    let mut interior = Vec::new();
-    for s in &f.structs {
+    for s in structs.iter() {
         let owns_sync = s.fields.iter().any(|fld| {
             fld.type_idents
                 .iter()
@@ -101,73 +66,41 @@ pub fn l8_boundary(f: &mut ParsedFile, diags: &mut Vec<Diagnostic>) {
         });
         let needs_note = BOUNDARY_TYPES.contains(&s.name.as_str()) || owns_sync;
         if needs_note && !s.has_note {
-            missing.push((s.line, s.col, s.name.clone(), owns_sync));
-        }
-        if needs_note || s.has_note {
-            for fld in &s.fields {
-                let bad = fld.has_raw_ptr
-                    || fld
-                        .type_idents
-                        .iter()
-                        .any(|t| t == "Cell" || t == "RefCell" || t == "UnsafeCell" || t == "Rc");
-                if bad {
-                    interior.push((fld.line, fld.col, s.name.clone(), fld.name.clone()));
-                }
-            }
-        }
-    }
-    for (line, col, name, owns_sync) in missing {
-        if !f.lexed.allow("missing-note", line) {
             let why = if owns_sync {
                 "owns synchronization state"
             } else {
                 "crosses the executor thread boundary"
             };
-            diags.push(Diagnostic {
-                file: path.clone(),
-                line,
-                col,
-                rule: "L8/missing-note".to_string(),
-                message: format!(
-                    "`{name}` {why} but has no `// srlint: send-sync -- <reason>` note stating \
-                     why concurrent access is sound"
-                ),
-            });
+            let message = format!(
+                "`{}` {why} but has no `// srlint: send-sync -- <reason>` note stating \
+                 why concurrent access is sound",
+                s.name
+            );
+            lexed.flag(diags, path, (s.line, s.col), "L8/missing-note", message);
         }
-    }
-    for (line, col, sname, fname) in interior {
-        if !f.lexed.allow("interior-mutability", line) {
-            diags.push(Diagnostic {
-                file: path.clone(),
-                line,
-                col,
-                rule: "L8/interior-mutability".to_string(),
-                message: format!(
-                    "field `{fname}` of boundary type `{sname}` uses non-Sync interior \
-                     mutability (raw pointer / Cell / RefCell / Rc); use a lock or atomic"
-                ),
-            });
+        if !(needs_note || s.has_note) {
+            continue;
         }
-    }
-
-    // Orphaned notes.
-    let mut orphans = Vec::new();
-    for note in &f.lexed.send_sync_notes {
-        if !note.used {
-            orphans.push((note.line, note.col));
-        }
-    }
-    for (line, col) in orphans {
-        if !f.lexed.allow("send-sync-unused", line) {
-            diags.push(Diagnostic {
-                file: path.clone(),
-                line,
-                col,
-                rule: "L8/send-sync-unused".to_string(),
-                message: "send-sync note attaches to no struct; place it directly above the \
-                          struct it vouches for"
-                    .to_string(),
-            });
+        for fld in &s.fields {
+            let bad = fld.has_raw_ptr
+                || fld
+                    .type_idents
+                    .iter()
+                    .any(|t| t == "Cell" || t == "RefCell" || t == "UnsafeCell" || t == "Rc");
+            if bad {
+                let message = format!(
+                    "field `{}` of boundary type `{}` uses non-Sync interior \
+                     mutability (raw pointer / Cell / RefCell / Rc); use a lock or atomic",
+                    fld.name, s.name
+                );
+                lexed.flag(
+                    diags,
+                    path,
+                    (fld.line, fld.col),
+                    "L8/interior-mutability",
+                    message,
+                );
+            }
         }
     }
 }
@@ -175,7 +108,7 @@ pub fn l8_boundary(f: &mut ParsedFile, diags: &mut Vec<Diagnostic>) {
 fn find_unsafe_impls(
     items: &[Item],
     lexed: &crate::lexer::Lexed,
-    out: &mut Vec<(u32, u32, String, String)>,
+    out: &mut Vec<((u32, u32), String, String)>,
 ) {
     for item in items {
         if item.kind == ItemKind::Impl
@@ -187,7 +120,7 @@ fn find_unsafe_impls(
                 .iter()
                 .find(|t| *t == "Send" || *t == "Sync")
             {
-                out.push((item.line, item.col, t.clone(), item.impl_ty.join("::")));
+                out.push(((item.line, item.col), t.clone(), item.impl_ty.join("::")));
             }
         }
         find_unsafe_impls(&item.children, lexed, out);

@@ -34,8 +34,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{match_paren, CallGraph, Edge};
-use crate::lexer::{Kind, Token, ValidatedNote};
+use crate::callgraph::CallGraph;
+use crate::lexer::{close_of, split_commas, Kind, Note, NoteKind, Token};
 use crate::parser::{Block, Stmt};
 use crate::{Diagnostic, ParsedFile};
 
@@ -88,23 +88,14 @@ struct Finding {
 pub fn l9_taint(graph: &CallGraph, files: &mut [ParsedFile], diags: &mut Vec<Diagnostic>) {
     let n = graph.defs.len();
 
-    // Sources: built-ins by (crate, name), plus `untrusted-source`
-    // notes attached to a fn item starting on a covered line.
-    let mut is_source = vec![false; n];
-    let mut untrusted_used: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for (id, src) in is_source.iter_mut().enumerate() {
-        let def = &graph.defs[id];
-        let fm = graph.meta(files, id);
-        if BUILTIN_SOURCES.contains(&(def.krate.as_str(), def.name.as_str())) {
-            *src = true;
-        }
-        for (ni, note) in files[def.file].lexed.untrusted_notes.iter().enumerate() {
-            if note.covers.contains(&fm.start_line) {
-                *src = true;
-                untrusted_used.insert((def.file, ni));
-            }
-        }
-    }
+    // Sources: built-ins by (crate, name), plus fns an
+    // `untrusted-source` note attaches to.
+    let is_source: Vec<bool> = (graph.defs.iter().enumerate())
+        .map(|(id, def)| {
+            BUILTIN_SOURCES.contains(&(def.krate.as_str(), def.name.as_str()))
+                || graph.meta(files, id).untrusted
+        })
+        .collect();
 
     // Interprocedural fixpoint: which fns return taint, and which
     // params receive tainted arguments. Both sets only grow, so the
@@ -151,34 +142,22 @@ pub fn l9_taint(graph: &CallGraph, files: &mut [ParsedFile], diags: &mut Vec<Dia
         );
     }
 
-    for (fi, ni) in untrusted_used {
-        files[fi].lexed.untrusted_notes[ni].used = true;
-    }
     for (fi, ni) in validated_used {
-        files[fi].lexed.validated_notes[ni].used = true;
+        files[fi].lexed.notes[ni].used = true;
     }
 
     findings.sort_by(|a, b| (a.file, a.line, a.col, a.tail).cmp(&(b.file, b.line, b.col, b.tail)));
     findings.dedup_by(|a, b| (a.file, a.line, a.col, a.tail) == (b.file, b.line, b.col, b.tail));
     for f in findings {
-        let lexed = &mut files[f.file].lexed;
+        let file = &mut files[f.file];
         // A `validated(<expr>)` note on the sink line suppresses too.
-        let mut suppressed = false;
-        for note in lexed.validated_notes.iter_mut() {
-            if note.covers.contains(&f.line) {
-                note.used = true;
-                suppressed = true;
-            }
-        }
-        if !suppressed && !lexed.allow(f.tail, f.line) {
-            let path = files[f.file].path.clone();
-            diags.push(Diagnostic {
-                file: path,
-                line: f.line,
-                col: f.col,
-                rule: format!("L9/{}", f.tail),
-                message: f.message,
-            });
+        if !file
+            .lexed
+            .attach(NoteKind::Validated, |n| n.covers.contains(&f.line))
+        {
+            let rule = format!("L9/{}", f.tail);
+            file.lexed
+                .flag(diags, &file.path, (f.line, f.col), &rule, f.message);
         }
     }
 }
@@ -187,13 +166,14 @@ pub fn l9_taint(graph: &CallGraph, files: &mut [ParsedFile], diags: &mut Vec<Dia
 struct Walk<'a> {
     graph: &'a CallGraph,
     tokens: &'a [Token],
-    /// Caller's outgoing edges, in token order.
-    edges: &'a [Edge],
+    /// Call-graph node of the walked fn.
+    id: usize,
     returns_taint: &'a [bool],
     /// Settled param metadata of every def, for arg→param mapping.
     file: usize,
     fn_name: &'a str,
-    validated: &'a [ValidatedNote],
+    /// The file's notes (only `validated` ones are read).
+    notes: &'a [Note],
     /// Var name → human-readable origin.
     tainted: BTreeMap<String, String>,
     /// Var name → tainted vars that fed its value (`let need = n * eb`
@@ -220,11 +200,11 @@ fn intra(
     let mut w = Walk {
         graph,
         tokens: &file.lexed.tokens,
-        edges: &graph.calls[id],
+        id,
         returns_taint,
         file: def.file,
         fn_name: &def.name,
-        validated: &file.lexed.validated_notes,
+        notes: &file.lexed.notes,
         tainted: BTreeMap::new(),
         derived: BTreeMap::new(),
         arg_taints: Vec::new(),
@@ -244,12 +224,9 @@ fn walk_block(
     files: &[ParsedFile],
     validated_used: &mut BTreeSet<(usize, usize)>,
     findings: &mut Option<&mut Vec<Finding>>,
-    fn_tail: bool,
+    fn_body: bool,
 ) {
-    let n = block.stmts.len();
-    for (si, stmt) in block.stmts.iter().enumerate() {
-        let is_tail =
-            fn_tail && si + 1 == n && !w.tokens.get(stmt.last).is_some_and(|t| t.is_punct(';'));
+    for (stmt, is_tail) in block.stmts_tail(w.tokens, fn_body) {
         walk_stmt(stmt, w, files, validated_used, findings, is_tail);
     }
 }
@@ -262,33 +239,19 @@ fn walk_stmt(
     findings: &mut Option<&mut Vec<Finding>>,
     is_tail: bool,
 ) {
-    // Head token indices: the statement's tokens outside nested blocks.
-    let mut head: Vec<usize> = Vec::new();
-    {
-        let mut k = stmt.first;
-        let mut bi = 0;
-        while k <= stmt.last {
-            if bi < stmt.blocks.len() && k == stmt.blocks[bi].open {
-                k = stmt.blocks[bi].close + 1;
-                bi += 1;
-                continue;
-            }
-            head.push(k);
-            k += 1;
-        }
-    }
+    let head = stmt.head();
 
     // 1. `validated(<expr>)` notes covering this statement clear the
     //    named variable.
     let first_line = w.tokens.get(stmt.first).map_or(0, |t| t.line);
     let last_line = w.tokens.get(stmt.last).map_or(first_line, |t| t.line);
-    for (ni, note) in w.validated.iter().enumerate() {
+    for (ni, note) in w.notes.iter().enumerate() {
         let covered = note
             .covers
             .iter()
             .any(|&l| l >= first_line && l <= last_line);
-        if covered && w.tainted.contains_key(&note.expr) {
-            clear_taint(w, vec![note.expr.clone()]);
+        if note.kind == NoteKind::Validated && covered && w.tainted.contains_key(&note.arg) {
+            clear_taint(w, vec![note.arg.clone()]);
             validated_used.insert((w.file, ni));
         }
     }
@@ -312,13 +275,11 @@ fn walk_stmt(
 
     // 4. Interprocedural argument taint at call sites in the head.
     for &k in &head {
-        let site = edges_at(w.edges, k);
+        let site = w.graph.edges_at(w.id, k);
         if site.is_empty() {
             continue;
         }
-        let open = k + 1;
-        let close = match_paren(w.tokens, open, w.tokens.len());
-        let args = split_args(w.tokens, open, close);
+        let args = split_commas(w.tokens, k + 1, close_of(w.tokens, k + 1), false);
         for e in site {
             let callee_meta = w.graph.meta(files, e.callee);
             for (ai, (astart, aend)) in args.iter().enumerate() {
@@ -475,7 +436,7 @@ fn range_tainted(w: &Walk<'_>, start: usize, end: usize) -> Option<(usize, Strin
         let Some(origin) = w.tainted.get(&t.text) else {
             // A call that returns taint also taints the range.
             if w.tokens.get(k + 1).is_some_and(|n| n.is_punct('(')) {
-                for e in edges_at(w.edges, k) {
+                for e in w.graph.edges_at(w.id, k) {
                     if w.returns_taint[e.callee] {
                         return Some((
                             k,
@@ -550,7 +511,7 @@ fn rhs_taint(w: &Walk<'_>, expr: &[usize]) -> Option<String> {
         }
         // Calls that return taint.
         if expr.get(i + 1).is_some_and(|&k2| k2 == k + 1) && w.tokens[k + 1].is_punct('(') {
-            for e in edges_at(w.edges, k) {
+            for e in w.graph.edges_at(w.id, k) {
                 if w.returns_taint[e.callee] {
                     return Some(format!(
                         "return value of `{}()`",
@@ -561,39 +522,6 @@ fn rhs_taint(w: &Walk<'_>, expr: &[usize]) -> Option<String> {
         }
     }
     None
-}
-
-/// The run of edges anchored at call-site token `k` (edges are sorted
-/// by token; name-match fan-out shares one site).
-fn edges_at(edges: &[Edge], k: usize) -> &[Edge] {
-    let start = edges.partition_point(|e| e.token < k);
-    let end = edges.partition_point(|e| e.token <= k);
-    &edges[start..end]
-}
-
-/// Split the depth-0 comma-separated argument ranges of the call parens
-/// at `open`..`close` (token-index ranges, exclusive end).
-fn split_args(tokens: &[Token], open: usize, close: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut seg = open + 1;
-    let mut depth = 0usize;
-    let end = close.min(tokens.len());
-    for (k, t) in tokens.iter().enumerate().take(end).skip(open + 1) {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth = depth.saturating_sub(1);
-        } else if t.is_punct(',') && depth == 0 {
-            if k > seg {
-                out.push((seg, k));
-            }
-            seg = k + 1;
-        }
-    }
-    if close > seg {
-        out.push((seg, close));
-    }
-    out
 }
 
 /// Scan a statement head for the three sink shapes and report tainted
@@ -622,7 +550,7 @@ fn scan_sinks(
                     None
                 };
             if let Some((tail, what)) = tail {
-                let close = match_paren(tokens, k + 1, tokens.len());
+                let close = close_of(tokens, k + 1);
                 if let Some((mk, var, origin)) = range_tainted(w, k + 2, close) {
                     push_finding(out, w, mk, tail, &var, &origin, what, &t.text);
                 }
@@ -633,7 +561,7 @@ fn scan_sinks(
             && tokens.get(k + 1).is_some_and(|n| n.is_punct('!'))
             && tokens.get(k + 2).is_some_and(|n| n.is_punct('['))
         {
-            let close = match_bracket_sq(tokens, k + 2);
+            let close = close_of(tokens, k + 2);
             if let Some(semi) = (k + 3..close).find(|&j| tokens[j].is_punct(';')) {
                 if let Some((mk, var, origin)) = range_tainted(w, semi + 1, close) {
                     push_finding(
@@ -658,7 +586,7 @@ fn scan_sinks(
                 || prev.is_punct(')')
                 || prev.is_punct(']');
             if indexing && !prev.is_ident("vec") {
-                let close = match_bracket_sq(tokens, k);
+                let close = close_of(tokens, k);
                 if let Some((mk, var, origin)) = range_tainted(w, k + 1, close) {
                     push_finding(
                         out,
@@ -741,20 +669,4 @@ fn push_finding(
             w.fn_name
         ),
     });
-}
-
-/// Index of the `]` matching the `[` at `open`.
-fn match_bracket_sq(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (k, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                return k;
-            }
-        }
-    }
-    tokens.len()
 }
