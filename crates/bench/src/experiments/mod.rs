@@ -19,12 +19,9 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig9;
-pub mod obs;
-pub mod serve_load;
 pub mod table1;
 pub mod table2;
 pub mod table3;
-pub mod throughput;
 
 use sr_dataset::{real_sim, sample_queries, uniform};
 use sr_geometry::Point;

@@ -144,12 +144,6 @@ impl AnyIndex {
         self.kind
     }
 
-    /// The trait object itself, for callers (the batch executor) that
-    /// want the [`SpatialIndex`] API directly.
-    pub fn index(&self) -> &dyn SpatialIndex {
-        self.index.as_ref()
-    }
-
     /// k-nearest-neighbor query.
     pub fn knn(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         self.knn_with(query, k, &sr_obs::Noop)

@@ -28,29 +28,8 @@ pub use measure::{BuildCost, QueryCost, Scale};
 
 /// All experiment ids, in paper order.
 pub const ALL_EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "ablation",
-    "bulkload",
-    "obs",
-    "throughput",
-    "serve_load",
+    "table1", "table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11",
+    "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "ablation", "bulkload",
 ];
 
 /// Run one experiment by id. `paper` selects the paper-exact scale.
@@ -77,9 +56,6 @@ pub fn run_experiment(id: &str, paper: bool) -> Result<(), String> {
         "fig19" => experiments::fig19::run(&scale),
         "ablation" => experiments::ablation::run(&scale),
         "bulkload" => experiments::bulkload::run(&scale),
-        "obs" => experiments::obs::run(&scale),
-        "throughput" => experiments::throughput::run(&scale),
-        "serve_load" => experiments::serve_load::run(&scale),
         other => Err(format!(
             "unknown experiment {other:?}; known: {}",
             ALL_EXPERIMENTS.join(", ")

@@ -7,7 +7,7 @@ use sr_geometry::Point;
 use sr_obs::{Counter, StatsRecorder};
 use sr_pager::PageKind;
 
-use crate::index::{AnyIndex, TreeKind, DATA_AREA, PAGE_SIZE};
+use crate::index::{AnyIndex, TreeKind};
 
 /// The paper queries "the nearest 21 points".
 pub const K: usize = 21;
@@ -186,12 +186,6 @@ pub fn measure_build(kind: TreeKind, points: &[Point]) -> (AnyIndex, BuildCost) 
             accesses: stats.tree_accesses() as f64 / n,
         },
     )
-}
-
-/// Assert the paper's workload parameters are in force (compile-time
-/// documentation; referenced by tests).
-pub fn paper_layout() -> (usize, usize) {
-    (PAGE_SIZE, DATA_AREA)
 }
 
 #[cfg(test)]

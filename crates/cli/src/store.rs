@@ -8,6 +8,8 @@ use std::path::Path;
 
 use sr_geometry::Point;
 use sr_kdbtree::KdbTree;
+use sr_pager::DEFAULT_PAGE_SIZE;
+use sr_query::paged::TreeError;
 use sr_query::SpatialIndex;
 use sr_rstar::RstarTree;
 use sr_sstree::SsTree;
@@ -15,6 +17,7 @@ use sr_tree::SrTree;
 use sr_vamsplit::VamTree;
 
 use crate::args::IndexKind;
+use crate::commands::CmdError;
 
 /// Any on-disk index, dispatched through [`SpatialIndex`].
 pub struct AnyStore {
@@ -23,47 +26,57 @@ pub struct AnyStore {
 
 impl AnyStore {
     /// Create an index of `kind` at `path` and load `points`.
+    ///
+    /// A dimensionality the page cannot hold is a usage error; every
+    /// other failure is an execution failure.
     pub fn build(
         kind: IndexKind,
         path: &Path,
         dim: usize,
         points: Vec<(Point, u64)>,
-    ) -> Result<AnyStore, String> {
-        let e = |err: &dyn std::fmt::Display| format!("{}: {err}", path.display());
+    ) -> Result<AnyStore, CmdError> {
+        let e = |err: TreeError| match err {
+            TreeError::InvalidParams { .. } => CmdError::Usage(format!(
+                "--dim {dim} is too large for {DEFAULT_PAGE_SIZE}-byte index pages: {err}"
+            )),
+            err => CmdError::Failure(format!("{}: {err}", path.display())),
+        };
         // Construction is the one per-kind step: the VAMSplit R-tree
         // bulk-loads, the four dynamic trees insert point by point.
         let index: Box<dyn SpatialIndex> = match kind {
-            IndexKind::Vam => Box::new(VamTree::build_at(path, points, dim).map_err(|x| e(&x))?),
+            IndexKind::Vam => Box::new(VamTree::build_at(path, points, dim).map_err(e)?),
             IndexKind::Sr => {
-                let mut t = SrTree::create(path, dim).map_err(|x| e(&x))?;
+                let mut t = SrTree::create(path, dim).map_err(e)?;
                 for (p, id) in points {
-                    t.insert(p, id).map_err(|x| e(&x))?;
+                    t.insert(p, id).map_err(e)?;
                 }
                 Box::new(t)
             }
             IndexKind::Ss => {
-                let mut t = SsTree::create(path, dim).map_err(|x| e(&x))?;
+                let mut t = SsTree::create(path, dim).map_err(e)?;
                 for (p, id) in points {
-                    t.insert(p, id).map_err(|x| e(&x))?;
+                    t.insert(p, id).map_err(e)?;
                 }
                 Box::new(t)
             }
             IndexKind::Rstar => {
-                let mut t = RstarTree::create(path, dim).map_err(|x| e(&x))?;
+                let mut t = RstarTree::create(path, dim).map_err(e)?;
                 for (p, id) in points {
-                    t.insert(p, id).map_err(|x| e(&x))?;
+                    t.insert(p, id).map_err(e)?;
                 }
                 Box::new(t)
             }
             IndexKind::Kdb => {
-                let mut t = KdbTree::create(path, dim).map_err(|x| e(&x))?;
+                let mut t = KdbTree::create(path, dim).map_err(e)?;
                 for (p, id) in points {
-                    t.insert(p, id).map_err(|x| e(&x))?;
+                    t.insert(p, id).map_err(e)?;
                 }
                 Box::new(t)
             }
         };
-        index.flush().map_err(|x| e(&x))?;
+        index
+            .flush()
+            .map_err(|x| CmdError::Failure(format!("{}: {x}", path.display())))?;
         Ok(AnyStore { index })
     }
 

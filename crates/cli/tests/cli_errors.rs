@@ -273,6 +273,48 @@ fn missing_data_file_exits_1() {
 }
 
 #[test]
+fn dimension_too_large_for_the_page_exits_2() {
+    // 600-d points are valid data, but no 8 KiB page holds two 600-d
+    // leaf entries: a usage error naming the dimension and the page
+    // size, for the dynamic trees and the bulk-loaded one alike.
+    let data = tmpfile("wide.tsv");
+    let gen = srtool(&[
+        "gen",
+        "--kind",
+        "uniform",
+        "--n",
+        "10",
+        "--dim",
+        "600",
+        "--seed",
+        "3",
+        data.to_str().unwrap(),
+    ]);
+    assert_eq!(gen.status.code(), Some(0));
+    for kind in ["sr", "rstar", "vam"] {
+        let index = tmpfile(&format!("wide-{kind}.pages"));
+        let out = srtool(&[
+            "build",
+            "--index",
+            kind,
+            "--dim",
+            "600",
+            index.to_str().unwrap(),
+            data.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{kind}: {stderr}");
+        assert!(
+            stderr.contains("--dim 600") && stderr.contains("8192-byte"),
+            "{kind}: {stderr}"
+        );
+        std::fs::remove_file(&index).ok();
+        std::fs::remove_file(format!("{}.wal", index.display())).ok();
+    }
+    std::fs::remove_file(&data).ok();
+}
+
+#[test]
 fn lint_rejects_unknown_rule_family() {
     // A name outside the `L<n>` scheme, so no future rule family can
     // make it valid.

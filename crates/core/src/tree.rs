@@ -10,7 +10,7 @@ use sr_obs::{Noop, Recorder};
 use sr_pager::{PageFile, PageId};
 use sr_query::paged::centroid;
 use sr_query::paged::{AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result};
-use sr_query::{IndexError, LeafScan, Neighbor, QuerySpec};
+use sr_query::{IndexError, Neighbor, QuerySpec};
 
 use crate::region::{leaf_shapes, region_of, DistanceBound, SrOptions, SrRegion};
 
@@ -113,7 +113,7 @@ impl SrTree {
         rec: &R,
     ) -> Result<Vec<Neighbor>> {
         self.core.check_dim(query.len())?;
-        let src = self.core.source(DistanceBound::Both, LeafScan::default());
+        let src = self.core.source(DistanceBound::Both);
         sr_query::knn_best_first_with(&src, query, k, rec)
     }
 

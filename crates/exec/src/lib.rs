@@ -280,7 +280,7 @@ pub fn run_range_batch<I: SpatialIndex + ?Sized>(
 }
 
 /// Answer a heterogeneous batch of [`QuerySpec`]s — mixed k-NN and
-/// range, each with its own leaf-scan kernel — against one index in
+/// range — against one index in
 /// parallel. This is the fan-out the `sr-serve` coalescer uses when it
 /// folds adjacent read requests from one connection into a single
 /// batch; results come back in input order exactly like

@@ -89,7 +89,8 @@ pub fn dist2_f64le(point: &[u8], query: &[f32]) -> Result<f64, GeometryError> {
 
 /// `d_s²`: squared distance from `query` to the surface of a bounding
 /// sphere stored raw (`center` as row-major f64-LE, `radius` as the
-/// stored f64), zero inside — bit-identical to
+/// stored f64), zero inside, less the rounding allowance that keeps it a
+/// lower bound — bit-identical to
 /// [`Sphere::min_dist2`](crate::Sphere::min_dist2) of the decoded sphere.
 // srlint: hot
 pub fn sphere_min_dist2_f64le(
@@ -97,8 +98,10 @@ pub fn sphere_min_dist2_f64le(
     radius: f64,
     query: &[f32],
 ) -> Result<f64, GeometryError> {
-    let d = dist2_f64le(center, query)?.sqrt() - radius;
-    Ok(if d <= 0.0 { 0.0 } else { d * d })
+    Ok(crate::sphere::surface_dist2(
+        dist2_f64le(center, query)?,
+        radius,
+    ))
 }
 
 /// `MINDIST²`: squared distance from `query` to a bounding rectangle
@@ -160,43 +163,21 @@ fn accumulate_column(acc: &mut [f64], col: &[u8], q: f64) {
 }
 
 /// Squared Euclidean distance from `query` to each of `n` points stored
-/// as a dimension-major f64-LE block.
-///
-/// On success `out` holds exactly `n` distances, `out[i]` belonging to
-/// the block's `i`-th point, each bit-identical to
-/// [`dist2`](crate::dist2) of the materialised entry.
-// srlint: hot
-pub fn dist2_columnar(
-    coords: &[u8],
-    n: usize,
-    query: &[f32],
-    out: &mut Vec<f64>,
-) -> Result<(), GeometryError> {
-    check_layout(coords, n, query.len())?;
-    out.clear();
-    out.resize(n, 0.0);
-    if n == 0 {
-        return Ok(());
-    }
-    for (qd, col) in query.iter().zip(coords.chunks_exact(n * 8)) {
-        accumulate_column(out, col, f64::from(*qd));
-    }
-    Ok(())
-}
-
-/// Early-abandoning variant of [`dist2_columnar`].
+/// as a dimension-major f64-LE block, abandoning points that cannot
+/// beat `threshold`.
 ///
 /// Scores the first [`EARLY_ABANDON_HEAD_DIMS`] dimensions columnar for
 /// every point, then finishes each point individually, abandoning as soon
 /// as its partial sum strictly exceeds `threshold`. Returns the number of
-/// abandoned points. After the call, `alive[i]` is `true` iff point `i`
-/// survived, in which case `out[i]` is its full squared distance
-/// (bit-identical to the scalar path); for abandoned points `out[i]` is a
-/// partial sum, already `> threshold`, and must not be used as a
-/// distance.
+/// abandoned points. After the call, `out` and `alive` hold exactly `n`
+/// values, index `i` belonging to the block's `i`-th point: `alive[i]` is
+/// `true` iff point `i` survived, in which case `out[i]` is its full
+/// squared distance, bit-identical to [`dist2`](crate::dist2) of the
+/// materialised entry; for abandoned points `out[i]` is a partial sum,
+/// already `> threshold`, and must not be used as a distance.
 ///
-/// Pass `threshold = f64::INFINITY` to disable abandonment, in which case
-/// the results equal [`dist2_columnar`]'s exactly.
+/// Pass `threshold = f64::INFINITY` to disable abandonment: every point
+/// then survives with its full distance.
 // srlint: hot
 pub fn dist2_columnar_early_abandon(
     coords: &[u8],
@@ -267,22 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_matches_scalar_bitwise() {
-        let points = vec![
-            vec![0.25f32, -1.5, 7.0],
-            vec![1e-3, 1e3, -0.0],
-            vec![3.0, 4.0, 5.0],
-        ];
-        let q = [0.1f32, 0.2, 0.3];
-        let block = columnar(&points, 3);
-        let mut out = Vec::new();
-        dist2_columnar(&block, 3, &q, &mut out).unwrap();
-        for (p, got) in points.iter().zip(&out) {
-            assert_eq!(got.to_bits(), dist2(p, &q).to_bits());
-        }
-    }
-
-    #[test]
     fn early_abandon_infinite_threshold_is_exact() {
         let points: Vec<Vec<f32>> = (0..7)
             .map(|i| (0..13).map(|d| (i * 13 + d) as f32 * 0.37 - 2.0).collect())
@@ -320,8 +285,16 @@ mod tests {
     #[test]
     fn layout_mismatch_is_an_error() {
         let block = vec![0u8; 24];
-        let mut out = Vec::new();
-        let err = dist2_columnar(&block, 2, &[0.0, 0.0], &mut out).unwrap_err();
+        let (mut out, mut alive) = (Vec::new(), Vec::new());
+        let err = dist2_columnar_early_abandon(
+            &block,
+            2,
+            &[0.0, 0.0],
+            f64::INFINITY,
+            &mut out,
+            &mut alive,
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             GeometryError::Layout {
@@ -333,8 +306,10 @@ mod tests {
 
     #[test]
     fn empty_block_is_fine() {
-        let mut out = vec![1.0];
-        dist2_columnar(&[], 0, &[1.0, 2.0], &mut out).unwrap();
-        assert!(out.is_empty());
+        let (mut out, mut alive) = (vec![1.0], vec![true]);
+        let ab =
+            dist2_columnar_early_abandon(&[], 0, &[1.0, 2.0], 0.0, &mut out, &mut alive).unwrap();
+        assert_eq!(ab, 0);
+        assert!(out.is_empty() && alive.is_empty());
     }
 }

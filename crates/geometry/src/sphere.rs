@@ -17,6 +17,30 @@ use crate::vector::{dist2, Point};
 /// the sphere test a useful filter during `contains`/`delete` walks.
 pub const CONTAINMENT_EPS: f64 = 1e-5;
 
+/// `d_s²` from the squared distance `center_dist2` between a query and a
+/// sphere's center: the squared distance to the surface, zero inside.
+///
+/// The bound is conservative by construction. It measures to the surface
+/// of the sphere that [`Sphere::contains_point`] tests against, radius
+/// `r·(1 + ε) + ε` with `ε` = [`CONTAINMENT_EPS`], because a stored point
+/// may sit that far outside its recomputed sphere. It then subtracts a
+/// further `ε·‖q − c‖` for the rounding of `d²` and of its square root,
+/// and only then squares. Computed as plain `(√d² − r)²`, the bound
+/// could round above the distance of a point on the surface (a sphere of
+/// radius 0 around duplicates of (1, 1) scored 2.0000000000000004 from
+/// the origin), and a search that visits regions *at* the k-th distance
+/// would still miss that tied point.
+#[inline]
+pub(crate) fn surface_dist2(center_dist2: f64, radius: f64) -> f64 {
+    let dc = center_dist2.sqrt();
+    let d = dc - radius - CONTAINMENT_EPS * (1.0 + radius + dc);
+    if d <= 0.0 {
+        0.0
+    } else {
+        d * d
+    }
+}
+
 /// A bounding sphere: center + radius.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sphere {
@@ -91,15 +115,12 @@ impl Sphere {
     ///
     /// This is the sphere distance of the SS-tree's k-NN search and the
     /// `d_s` term of the SR-tree's region distance (paper §4.4):
-    /// `d_s = max(0, ||p − center|| − r)`.
+    /// `d_s = max(0, ||p − center|| − r)`, less the rounding allowance
+    /// that keeps it a lower bound for every stored point (see
+    /// [`CONTAINMENT_EPS`] and the search bound in DESIGN.md).
     #[inline]
     pub fn min_dist2(&self, p: &[f32]) -> f64 {
-        let d = dist2(self.center.coords(), p).sqrt() - f64::from(self.radius);
-        if d <= 0.0 {
-            0.0
-        } else {
-            d * d
-        }
+        surface_dist2(dist2(self.center.coords(), p), f64::from(self.radius))
     }
 
     /// Squared distance from `p` to the farthest point of the sphere:
@@ -203,8 +224,20 @@ mod tests {
     #[test]
     fn min_dist2_outside() {
         let a = s(&[0.0, 0.0], 1.0);
-        assert!((a.min_dist2(&[3.0, 0.0]) - 4.0).abs() < 1e-9);
-        assert!((a.min_dist2(&[3.0, 4.0]) - 16.0).abs() < 1e-9);
+        // (d − r − ε·(1 + r + d))² with d = 3 and d = 5.
+        let want = |d: f64| (d - 1.0 - CONTAINMENT_EPS * (2.0 + d)).powi(2);
+        assert!((a.min_dist2(&[3.0, 0.0]) - want(3.0)).abs() < 1e-9);
+        assert!((a.min_dist2(&[3.0, 4.0]) - want(5.0)).abs() < 1e-9);
+        assert!(a.min_dist2(&[3.0, 4.0]) < 16.0);
+    }
+
+    #[test]
+    fn min_dist2_never_exceeds_a_point_on_the_surface() {
+        // √2 rounds up, so the uncorrected (√2 − 0)² is 2.0000000000000004.
+        let a = s(&[1.0, 1.0], 0.0);
+        assert!(a.min_dist2(&[0.0, 0.0]) <= 2.0);
+        let b = s(&[0.0, 0.0], 1105.0);
+        assert!(b.min_dist2(&[1105.0, 1105.0]) <= dist2(&[0.0, 1105.0], &[1105.0, 1105.0]));
     }
 
     #[test]

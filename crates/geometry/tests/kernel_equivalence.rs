@@ -1,8 +1,9 @@
-//! Kernel-equivalence suite: the columnar distance kernels must be
-//! **bit-identical** to the canonical scalar [`dist2`] for every
+//! Kernel-equivalence suite: the columnar early-abandon leaf kernel and
+//! the raw-bounds kernels must be **bit-identical** to the canonical
+//! scalar [`dist2`] (the brute-force oracle's distance) for every
 //! dimensionality, threshold, and special value — not merely close.
-//! Every index structure's answers flow through one of these three
-//! paths, and the candidate set breaks ties on exact `f64` equality, so
+//! Every index structure's leaf answers flow through the early-abandon
+//! kernel, and the candidate set breaks ties on exact `f64` equality, so
 //! a single reassociated addition would silently reorder near-tied
 //! neighbor lists (the drift bug this suite pins down).
 //!
@@ -11,7 +12,7 @@
 //! dimension that reproduce it.
 
 use sr_dataset::SeededRng;
-use sr_geometry::{dist2, dist2_columnar, dist2_columnar_early_abandon, EARLY_ABANDON_HEAD_DIMS};
+use sr_geometry::{dist2, dist2_columnar_early_abandon, EARLY_ABANDON_HEAD_DIMS};
 
 /// Build a dimension-major f64-LE block from row-major points — the
 /// exact layout `put_leaf_columns` writes into a leaf page.
@@ -49,30 +50,26 @@ fn columnar_matches_scalar_bitwise_for_dims_1_to_64() {
             let query: Vec<f32> = (0..dim).map(|_| rng.random::<f32>() * 10.0).collect();
             let block = columnar(&points, dim);
 
-            let mut out = Vec::new();
-            dist2_columnar(&block, n, &query, &mut out).unwrap();
+            let (mut out, mut alive) = (Vec::new(), Vec::new());
+            let abandoned = dist2_columnar_early_abandon(
+                &block,
+                n,
+                &query,
+                f64::INFINITY,
+                &mut out,
+                &mut alive,
+            )
+            .unwrap();
+            assert_eq!(abandoned, 0, "dim {dim} n {n}: nothing beats +inf");
             for (i, p) in points.iter().enumerate() {
                 let want = dist2(p, &query);
+                assert!(alive[i]);
                 assert_eq!(
                     out[i].to_bits(),
                     want.to_bits(),
                     "dim {dim} n {n} point {i} seed {seed:#x}: \
                      columnar {} != scalar {want}",
                     out[i]
-                );
-            }
-
-            let (mut ea, mut alive) = (Vec::new(), Vec::new());
-            let abandoned =
-                dist2_columnar_early_abandon(&block, n, &query, f64::INFINITY, &mut ea, &mut alive)
-                    .unwrap();
-            assert_eq!(abandoned, 0, "dim {dim} n {n}: nothing beats +inf");
-            for (i, p) in points.iter().enumerate() {
-                assert!(alive[i]);
-                assert_eq!(
-                    ea[i].to_bits(),
-                    dist2(p, &query).to_bits(),
-                    "dim {dim} n {n} point {i} seed {seed:#x}: early-abandon drifted"
                 );
             }
         }
@@ -159,8 +156,9 @@ fn non_finite_coordinates_match_scalar_and_never_abandon() {
         let query: Vec<f32> = (0..dim).map(|_| rng.random::<f32>()).collect();
         let block = columnar(&points, dim);
 
-        let mut out = Vec::new();
-        dist2_columnar(&block, 5, &query, &mut out).unwrap();
+        let (mut out, mut alive) = (Vec::new(), Vec::new());
+        dist2_columnar_early_abandon(&block, 5, &query, f64::INFINITY, &mut out, &mut alive)
+            .unwrap();
         for (i, p) in points.iter().enumerate() {
             let want = dist2(p, &query);
             assert_eq!(
@@ -208,8 +206,8 @@ fn non_finite_query_matches_scalar() {
     query[0] = f32::NAN;
     query[dim - 1] = f32::INFINITY;
     let block = columnar(&points, dim);
-    let mut out = Vec::new();
-    dist2_columnar(&block, 6, &query, &mut out).unwrap();
+    let (mut out, mut alive) = (Vec::new(), Vec::new());
+    dist2_columnar_early_abandon(&block, 6, &query, f64::INFINITY, &mut out, &mut alive).unwrap();
     for (i, p) in points.iter().enumerate() {
         assert_eq!(out[i].to_bits(), dist2(p, &query).to_bits(), "point {i}");
     }

@@ -1,8 +1,9 @@
 //! L10 — hot-path purity over the workspace call graph.
 //!
-//! Functions annotated `// srlint: hot` (the PR-8 distance kernels, the
-//! shared columnar leaf scan, each tree's leaf fast path) are *hot
-//! regions*: the 5.6–6.8× qps win in BENCH_PR8.json lives or dies on
+//! Functions annotated `// srlint: hot` (the distance kernels and the
+//! shared columnar leaf scan) are *hot
+//! regions*: the per-point and per-query costs perfbench measures
+//! (`geometry.kernel_ns_per_point`, `tree.query_us`) live or dies on
 //! them staying allocation-free and lock-free. The pass checks the
 //! property *transitively*: a hot root must not reach, through any call
 //! chain the graph resolves, a function that

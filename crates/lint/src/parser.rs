@@ -457,6 +457,10 @@ fn parse_block(tokens: &[Token], open: usize, end: usize) -> Block {
             last = k;
             k += 1;
         }
+        // An unclosed nested block ends at this block's own `close`,
+        // which may be one past the last token; a statement never
+        // includes its block's closing token.
+        let last = last.min(close - 1);
         let let_name = stmt_let_name(tokens, first, last);
         stmts.push(Stmt {
             first,

@@ -450,3 +450,17 @@ fn l8_exact_diagnostics_from_fixture() {
         l8[2].message
     );
 }
+
+#[test]
+fn unbalanced_braces_finish_without_a_panic() {
+    // Truncated files: statement ranges must stay inside the token list
+    // even when a block never closes. Any diagnostic is acceptable; a
+    // panic is not.
+    for source in [
+        "fn f() { { {",
+        "fn f() { if x { return a.lock()",
+        "fn f(m: &Mutex<u8>) -> u8 { let g = m.lock(); { g",
+    ] {
+        let _ = lint_one("crates/pager/src/lib.rs", source, false);
+    }
+}

@@ -28,7 +28,7 @@ pub enum Counter {
     /// partial squared distance already exceeded the pruning threshold,
     /// so the remaining dimensions were never accumulated. Every such
     /// point still counts toward `PointsScored` (the scan visited it),
-    /// keeping `points_scored` identical across scan modes.
+    /// so `points_scored` counts every entry of every expanded leaf.
     EarlyAbandons,
     /// Buffer-pool hits observed by the caller (mirrored from `IoStats`).
     CacheHits,

@@ -112,8 +112,8 @@ impl<'a> LeafColumns<'a> {
     }
 
     /// Materialise entry `i`'s coordinates (narrowed back to `f32`) into
-    /// `out` — the row-major view the insert/delete/verify paths and the
-    /// scalar scan mode still work with.
+    /// `out` — the row-major view the insert/delete/verify paths work
+    /// with.
     pub fn point_into(&self, i: usize, out: &mut Vec<f32>) -> Result<()> {
         if i >= self.n {
             return Err(PagerError::Corrupt(format!(

@@ -84,6 +84,9 @@ pub fn knn_best_first_with<S: KnnSource, R: Recorder + ?Sized>(
     rec: &R,
 ) -> Result<Vec<Neighbor>, S::Error> {
     let _span = SpanTimer::start(rec, Hist::QueryNs);
+    if k == 0 {
+        return Ok(Vec::new());
+    }
     let mut cands = CandidateSet::new(k);
     let mut heap: BinaryHeap<QueueEntry<S::Node>> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -99,15 +102,18 @@ pub fn knn_best_first_with<S: KnnSource, R: Recorder + ?Sized>(
     }
     let mut exp = Expansion::default();
     while let Some(entry) = heap.pop() {
-        if entry.dist2 >= cands.prune_dist2() {
-            // Nothing closer can ever surface. Every region still queued
-            // is a prune event: best-first skips it exactly the way DFS
-            // skips a branch that cannot beat the k-th candidate.
+        if entry.dist2 > cands.prune_dist2() {
+            // Nothing at or inside the k-th distance can surface any
+            // more. Every region still queued is a prune event:
+            // best-first skips it exactly the way DFS skips a branch
+            // beyond the k-th candidate. An entry *at* that distance is
+            // still drained: a tied point with a smaller id can win the
+            // candidate set's tie-break.
             if rec.enabled() {
                 let thr = cands.prune_dist2();
                 for e in std::iter::once(entry).chain(heap.drain()) {
                     if let Item::Node(_, bound) = e.item {
-                        record_prune(rec, bound, |c| c >= thr);
+                        record_prune(rec, bound, |c| c > thr);
                     }
                 }
             }
@@ -130,7 +136,7 @@ pub fn knn_best_first_with<S: KnnSource, R: Recorder + ?Sized>(
                 }
                 for b in exp.branches.drain(..) {
                     let thr = cands.prune_dist2();
-                    if b.dist2 < thr {
+                    if b.dist2 <= thr {
                         seq += 1;
                         heap.push(QueueEntry {
                             dist2: b.dist2,
@@ -139,7 +145,7 @@ pub fn knn_best_first_with<S: KnnSource, R: Recorder + ?Sized>(
                             item: Item::Node(b.node, b.bound),
                         });
                     } else {
-                        record_prune(rec, b.bound, |c| c >= thr);
+                        record_prune(rec, b.bound, |c| c > thr);
                     }
                 }
                 rec.gauge_max(Gauge::HeapHighWater, heap.len() as u64);

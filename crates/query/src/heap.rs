@@ -55,15 +55,10 @@ pub struct CandidateSet {
 }
 
 impl CandidateSet {
-    /// A candidate set for the `k` nearest neighbors.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
+    /// A candidate set for the `k` nearest neighbors. With `k == 0` it
+    /// holds nothing; the engines answer a 0-NN query before reading a
+    /// page.
     pub fn new(k: usize) -> Self {
-        // srlint: allow(assert) -- contract panic on an internal engine
-        // type; both public engines resolve k == 0 to an empty result
-        // before ever constructing a CandidateSet.
-        assert!(k > 0, "k-NN with k = 0 is meaningless");
         CandidateSet {
             k,
             heap: BinaryHeap::with_capacity(k + 1),
@@ -75,17 +70,20 @@ impl CandidateSet {
     ///
     /// **Tie-break contract.** Candidates are ordered by the lexicographic
     /// pair `(dist2, data)`: a candidate at exactly the k-th distance but
-    /// with a smaller data id *replaces* the current worst. Two
-    /// consequences every scan kernel must respect:
+    /// with a smaller data id *replaces* the current worst. Three
+    /// consequences every search must respect:
     ///
     /// 1. `dist2` must be computed in the pinned accumulation order
     ///    (ascending dimension, one f64 accumulator — see
     ///    `sr_geometry::dist2`) so equal points produce bit-equal
-    ///    distances in every scan mode.
+    ///    distances in the leaf kernel and the brute-force oracle.
     /// 2. Early-abandon may drop an entry only when its *partial* distance
     ///    strictly exceeds [`CandidateSet::prune_dist2`]. An entry whose
     ///    full distance ties the threshold must complete, because the data
     ///    tie-break can still admit it.
+    /// 3. For the same reason a region may be pruned only when its lower
+    ///    bound strictly exceeds [`CandidateSet::prune_dist2`], and that
+    ///    bound must never round above a stored point's distance.
     pub fn offer(&mut self, dist2: f64, data: u64) {
         if self.heap.len() < self.k {
             self.heap.push(HeapEntry(Neighbor { dist2, data }));
@@ -193,8 +191,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k = 0")]
-    fn zero_k_rejected() {
-        let _ = CandidateSet::new(0);
+    fn zero_k_holds_nothing() {
+        let mut c = CandidateSet::new(0);
+        c.offer(1.0, 1);
+        assert!(c.is_empty());
+        assert!(c.into_sorted().is_empty());
     }
 }

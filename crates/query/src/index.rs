@@ -18,7 +18,6 @@ use sr_obs::{Noop, Recorder};
 use sr_pager::{IoStats, PageFile, PagerError};
 
 use crate::heap::Neighbor;
-use crate::LeafScan;
 
 /// What a query wants back: the `k` nearest neighbors, or every point
 /// within a radius. Carried by [`QuerySpec`] so one [`SpatialIndex::query`]
@@ -37,12 +36,10 @@ pub enum QueryShape {
     },
 }
 
-/// A fully-specified query: the point, the shape (kNN or range), and the
-/// leaf-scan kernel to use. This is the one argument of
-/// [`SpatialIndex::query`], replacing the old `knn_with` / `range_with` /
-/// `knn_scan_with` method sprawl — callers that used to pick a method now
-/// build a value, which is what lets the wire layer, the CLI, and the
-/// batch executor share a single dispatch path.
+/// A fully-specified query: the point and the shape (kNN or range). This
+/// is the one argument of [`SpatialIndex::query`], which is what lets the
+/// wire layer, the CLI, and the batch executor share a single dispatch
+/// path.
 ///
 /// The query point is borrowed, so building a spec is free: batch drivers
 /// can construct one per query without cloning coordinate buffers.
@@ -52,34 +49,23 @@ pub struct QuerySpec<'q> {
     pub point: &'q [f32],
     /// What to return: kNN or range.
     pub shape: QueryShape,
-    /// Leaf-scan kernel (the columnar/early-abandon ablation knob).
-    /// Ignored by indexes without a paged columnar leaf path.
-    pub scan: LeafScan,
 }
 
 impl<'q> QuerySpec<'q> {
-    /// A k-nearest-neighbor spec with the default leaf-scan kernel.
+    /// A k-nearest-neighbor spec.
     pub fn knn(point: &'q [f32], k: usize) -> Self {
         QuerySpec {
             point,
             shape: QueryShape::Knn { k },
-            scan: LeafScan::default(),
         }
     }
 
-    /// A range spec with the default leaf-scan kernel.
+    /// A range spec.
     pub fn range(point: &'q [f32], radius: f64) -> Self {
         QuerySpec {
             point,
             shape: QueryShape::Range { radius },
-            scan: LeafScan::default(),
         }
-    }
-
-    /// Same spec with an explicit leaf-scan kernel.
-    pub fn with_scan(mut self, scan: LeafScan) -> Self {
-        self.scan = scan;
-        self
     }
 }
 
@@ -200,11 +186,10 @@ pub trait SpatialIndex: Send + Sync {
     }
 
     /// Answer one query. This is the single query entry point: the spec
-    /// carries the point, the shape (kNN or range), and the leaf-scan
-    /// kernel, so every caller — CLI, wire dispatch, batch executor,
-    /// fuzzer — goes through the same method. Results are sorted by
-    /// ascending distance (ties broken by payload id); every
-    /// [`LeafScan`] mode returns bit-identical neighbors.
+    /// carries the point and the shape (kNN or range), so every caller —
+    /// CLI, wire dispatch, batch executor, fuzzer — goes through the same
+    /// method. Results are sorted by ascending distance (ties broken by
+    /// payload id).
     fn query(&self, spec: &QuerySpec<'_>, rec: &dyn Recorder) -> Result<QueryOutput, IndexError>;
 
     /// kNN without instrumentation.

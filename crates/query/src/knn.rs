@@ -41,27 +41,6 @@ pub struct Branch<N> {
     pub node: N,
 }
 
-/// How a tree scans leaf entries during a query.
-///
-/// The on-disk leaves are columnar (dimension-major); the scan mode picks
-/// the kernel that scores them. All three modes produce bit-identical
-/// result sets — the ablation difference is time, not answers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LeafScan {
-    /// Materialise every entry through the node codec and score it with
-    /// the scalar kernel. The ablation baseline and differential-fuzz
-    /// reference.
-    Scalar,
-    /// Score the whole leaf with the columnar kernel straight off the
-    /// page buffer; every entry's full distance is computed.
-    Columnar,
-    /// Columnar kernel with early-abandon partial-distance pruning
-    /// against the engine's current threshold (the running k-th candidate
-    /// distance, or a range query's squared radius).
-    #[default]
-    EarlyAbandon,
-}
-
 /// What a node expands into: scored child branches (internal node) or
 /// scored points (leaf). A tree fills exactly one of the two vectors per
 /// call; the metrics layer classifies an expansion with no branches as a
@@ -73,9 +52,9 @@ pub struct Expansion<N> {
     pub points: Vec<Neighbor>,
     /// Leaf entries the early-abandon kernel dropped before their full
     /// distance was accumulated. They still count as scanned — the
-    /// metrics layer adds them to `PointsScored` so the counter is
-    /// identical across scan modes — and are also credited to their own
-    /// `EarlyAbandons` counter.
+    /// metrics layer adds them to `PointsScored`, so the counter counts
+    /// every entry of every expanded leaf — and are also credited to
+    /// their own `EarlyAbandons` counter.
     pub abandoned: u64,
     /// Scratch distances for the columnar kernels, owned here so a
     /// query's leaf scans reuse one allocation.
@@ -178,9 +157,8 @@ pub(crate) fn record_expansion<N, R: Recorder + ?Sized>(rec: &R, exp: &Expansion
         rec.observe(Hist::NodeFanout, exp.branches.len() as u64);
     }
     // Abandoned entries were visited by the scan — only their distance
-    // accumulation stopped early — so they stay in `PointsScored`,
-    // keeping the counter identical across scan modes, and are credited
-    // to their own counter on top.
+    // accumulation stopped early — so they stay in `PointsScored` and
+    // are credited to their own counter on top.
     rec.incr(
         Counter::PointsScored,
         exp.points.len() as u64 + exp.abandoned,
@@ -190,7 +168,7 @@ pub(crate) fn record_expansion<N, R: Recorder + ?Sized>(rec: &R, exp: &Expansion
 
 /// Count one pruned branch, attributing the event to every shape whose
 /// bound would have pruned on its own (`would_prune` applies the engine's
-/// prune comparison — `>= thr` for k-NN, `> r²` for range).
+/// prune comparison — `> thr` for k-NN, `> r²` for range).
 pub(crate) fn record_prune<R: Recorder + ?Sized>(
     rec: &R,
     bound: RegionBound,
@@ -234,8 +212,8 @@ pub fn knn_with<S: KnnSource, R: Recorder + ?Sized>(
 ) -> Result<Vec<Neighbor>, S::Error> {
     let _span = SpanTimer::start(rec, Hist::QueryNs);
     if k == 0 {
-        // A 0-NN query has exactly one right answer; resolving it here
-        // keeps `CandidateSet::new`'s k > 0 contract intact.
+        // A 0-NN query has exactly one right answer, known without
+        // reading a page.
         return Ok(Vec::new());
     }
     let mut cands = CandidateSet::new(k);
@@ -272,13 +250,14 @@ fn visit<S: KnnSource, R: Recorder + ?Sized>(
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     for b in &exp.branches {
-        // A region at exactly the k-th distance cannot contain a strictly
-        // better point, so strict inequality is the correct prune.
+        // Prune only a region strictly beyond the k-th distance: one at
+        // exactly that distance can hold a tied point with a smaller id,
+        // which `CandidateSet::offer`'s tie-break admits.
         let thr = cands.prune_dist2();
-        if b.dist2 < thr {
+        if b.dist2 <= thr {
             visit(src, &b.node, query, cands, rec, pool)?;
         } else {
-            record_prune(rec, b.bound, |c| c >= thr);
+            record_prune(rec, b.bound, |c| c > thr);
         }
     }
     pool.push(exp);
@@ -528,7 +507,7 @@ mod tests {
                 sphere2: 12.0,
                 rect2: 5.0,
             },
-            |c| c >= thr,
+            |c| c > thr,
         );
         // Both suffice.
         record_prune(
@@ -537,7 +516,7 @@ mod tests {
                 sphere2: 11.0,
                 rect2: 13.0,
             },
-            |c| c >= thr,
+            |c| c > thr,
         );
         let s = rec.snapshot();
         assert_eq!(s.counter(Counter::PruneEvents), 2);

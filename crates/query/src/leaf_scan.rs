@@ -1,28 +1,26 @@
 //! The shared columnar leaf scan — one hot loop for all five trees.
 //!
 //! Every index crate stores its leaves in the same dimension-major layout
-//! ([`sr_pager::LeafColumns`]), so the kernel dispatch lives here once
+//! ([`sr_pager::LeafColumns`]), so the kernel call lives here once
 //! instead of five times. The tree's `KnnSource::expand` parses the leaf
 //! payload straight off the page buffer and hands the view to
-//! [`scan_leaf_columns`], which scores every entry with the columnar
-//! kernels from `sr-geometry` and pushes survivors into the expansion.
+//! [`scan_leaf_columns`], which scores every entry with the early-abandon
+//! kernel from `sr-geometry` and pushes survivors into the expansion.
 
-use sr_geometry::{dist2_columnar, dist2_columnar_early_abandon, GeometryError};
+use sr_geometry::{dist2_columnar_early_abandon, GeometryError};
 use sr_pager::LeafColumns;
 
 use crate::heap::Neighbor;
-use crate::knn::{Expansion, LeafScan};
+use crate::knn::Expansion;
 
 /// Score one leaf's entries against `query`, pushing scored points into
 /// `out.points` and crediting early-abandoned entries to `out.abandoned`.
 ///
 /// `prune2` is the engine's current pruning threshold (the running k-th
-/// candidate's squared distance, or a range query's squared radius); only
-/// [`LeafScan::EarlyAbandon`] consults it, and only with the strict `>`
-/// comparison the [`crate::CandidateSet::offer`] tie-break contract
-/// requires. [`LeafScan::Scalar`] is handled by the trees themselves
-/// (they score through their node codec); if it reaches this function it
-/// degrades to the full columnar scan, which is bit-identical anyway.
+/// candidate's squared distance, or a range query's squared radius). An
+/// entry is abandoned only once its partial distance strictly exceeds
+/// it, the comparison the [`crate::CandidateSet::offer`] tie-break
+/// contract requires; at `+inf` every entry is scored in full.
 ///
 /// The scratch vectors inside `out` are reused across calls, so a whole
 /// query's leaf scans allocate at most once.
@@ -31,38 +29,25 @@ pub fn scan_leaf_columns<N>(
     cols: &LeafColumns<'_>,
     query: &[f32],
     prune2: f64,
-    scan: LeafScan,
     out: &mut Expansion<N>,
 ) -> Result<(), GeometryError> {
-    let n = cols.len();
-    let coords = cols.coords();
-    match scan {
-        LeafScan::Scalar | LeafScan::Columnar => {
-            dist2_columnar(coords, n, query, &mut out.dist_scratch)?;
-            for (d, data) in out.dist_scratch.iter().zip(cols.data_ids()) {
-                out.points.push(Neighbor { dist2: *d, data });
-            }
-        }
-        LeafScan::EarlyAbandon => {
-            let abandoned = dist2_columnar_early_abandon(
-                coords,
-                n,
-                query,
-                prune2,
-                &mut out.dist_scratch,
-                &mut out.alive_scratch,
-            )?;
-            out.abandoned += abandoned;
-            for ((d, alive), data) in out
-                .dist_scratch
-                .iter()
-                .zip(out.alive_scratch.iter())
-                .zip(cols.data_ids())
-            {
-                if *alive {
-                    out.points.push(Neighbor { dist2: *d, data });
-                }
-            }
+    let abandoned = dist2_columnar_early_abandon(
+        cols.coords(),
+        cols.len(),
+        query,
+        prune2,
+        &mut out.dist_scratch,
+        &mut out.alive_scratch,
+    )?;
+    out.abandoned += abandoned;
+    for ((d, alive), data) in out
+        .dist_scratch
+        .iter()
+        .zip(out.alive_scratch.iter())
+        .zip(cols.data_ids())
+    {
+        if *alive {
+            out.points.push(Neighbor { dist2: *d, data });
         }
     }
     Ok(())
@@ -83,7 +68,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_scan_scores_every_entry() {
+    fn unbounded_scan_scores_every_entry() {
         let entries = vec![
             (vec![0.0f32, 0.0], 1u64),
             (vec![3.0, 4.0], 2),
@@ -92,14 +77,7 @@ mod tests {
         let payload = leaf_payload(2, &entries);
         let cols = LeafColumns::parse(&payload, 2).unwrap();
         let mut out: Expansion<()> = Expansion::default();
-        scan_leaf_columns(
-            &cols,
-            &[0.0, 0.0],
-            f64::INFINITY,
-            LeafScan::Columnar,
-            &mut out,
-        )
-        .unwrap();
+        scan_leaf_columns(&cols, &[0.0, 0.0], f64::INFINITY, &mut out).unwrap();
         assert_eq!(out.abandoned, 0);
         let got: Vec<(f64, u64)> = out.points.iter().map(|n| (n.dist2, n.data)).collect();
         assert_eq!(got, vec![(0.0, 1), (25.0, 2), (2.0, 3)]);
@@ -120,7 +98,7 @@ mod tests {
         let cols = LeafColumns::parse(&payload, dim).unwrap();
         let mut out: Expansion<()> = Expansion::default();
         let q = vec![0.0f32; dim];
-        scan_leaf_columns(&cols, &q, 4.0, LeafScan::EarlyAbandon, &mut out).unwrap();
+        scan_leaf_columns(&cols, &q, 4.0, &mut out).unwrap();
         assert_eq!(out.abandoned, 1, "only the far entry is abandoned");
         let got: Vec<(f64, u64)> = out.points.iter().map(|n| (n.dist2, n.data)).collect();
         assert_eq!(got, vec![(0.0, 1), (4.0, 3)], "the tied entry completes");

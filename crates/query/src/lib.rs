@@ -47,6 +47,6 @@ pub use bruteforce::{brute_force_knn, brute_force_range, pairwise_distance_stats
 pub use error::QueryError;
 pub use heap::{CandidateSet, Neighbor};
 pub use index::{IndexError, QueryOutput, QueryShape, QuerySpec, SpatialIndex};
-pub use knn::{knn, knn_with, Branch, Expansion, KnnSource, LeafScan, RegionBound};
+pub use knn::{knn, knn_with, Branch, Expansion, KnnSource, RegionBound};
 pub use leaf_scan::scan_leaf_columns;
 pub use range::{range, range_with};

@@ -26,6 +26,17 @@ pub enum TreeError {
     NotThisIndex(String),
     /// A range query was asked with a negative or NaN radius.
     InvalidRadius(f64),
+    /// The page cannot hold two entries per node and per leaf at this
+    /// dimensionality and data area (or `dim` is 0, or the data area is
+    /// under the 8-byte payload).
+    InvalidParams {
+        /// Usable payload bytes per page.
+        page_capacity: usize,
+        /// The requested dimensionality.
+        dim: usize,
+        /// The requested per-entry data area in bytes.
+        data_area: usize,
+    },
     /// A K-D-B-tree page overflowed but no coordinate plane can separate
     /// its entries — more coincident points than fit in one page. The
     /// K-D-B-tree splits *space*, and coincident points cannot be
@@ -53,6 +64,16 @@ impl fmt::Display for TreeError {
             TreeError::InvalidRadius(r) => {
                 write!(f, "invalid range radius {r}: must be non-negative")
             }
+            TreeError::InvalidParams {
+                page_capacity,
+                dim,
+                data_area,
+            } => write!(
+                f,
+                "{dim}-d points with {data_area}-byte data areas do not fit two entries \
+                 per node and leaf in a {page_capacity}-byte page payload (need dim > 0 \
+                 and data area >= 8)"
+            ),
             TreeError::Unsplittable => write!(
                 f,
                 "page overflow cannot be resolved: too many coincident points for one page"
@@ -86,6 +107,9 @@ impl From<TreeError> for IndexError {
             }
             TreeError::NotThisIndex(s) => IndexError::NotThisIndex(s),
             TreeError::InvalidRadius(r) => IndexError::InvalidRadius(r),
+            TreeError::InvalidParams { .. } => {
+                IndexError::Unsupported("page too small for this dimensionality and data area")
+            }
             TreeError::Unsplittable => {
                 IndexError::Unsupported("K-D-B-tree point page cannot split (coincident points)")
             }

@@ -16,6 +16,7 @@
 use std::fmt;
 use std::marker::PhantomData;
 
+use super::error::{Result, TreeError};
 use super::region::Region;
 
 /// Per-node header: level (u16) + entry count (u16).
@@ -71,41 +72,47 @@ impl<R: Region> fmt::Debug for Params<R> {
 impl<R: Region> Params<R> {
     /// Derive parameters from the usable page payload (see
     /// `PageFile::capacity`), the dimensionality, and the per-entry data
-    /// area, with the default policy.
+    /// area, with the default policy, for a configuration known to fit.
     ///
     /// # Panics
-    /// Panics if the page cannot hold at least 2 entries per node and
-    /// per leaf, or if `data_area < 8`.
+    /// Panics where [`Params::try_derive`] returns an error.
     #[allow(clippy::panic)] // documented contract panic; fallible callers use try_derive
     pub fn derive(page_capacity: usize, dim: usize, data_area: usize) -> Self {
         match Self::try_derive(page_capacity, dim, data_area) {
-            Some(p) => p,
-            // srlint: allow(panic) -- documented contract panic on
-            // construction-time configuration; fallible callers (the
-            // on-disk open path) go through `try_derive`.
-            None => panic!(
-                "invalid parameters: page_capacity={page_capacity} dim={dim} \
-                 data_area={data_area} (need dim > 0, data_area >= 8, and at \
-                 least 2 entries per node and leaf)"
-            ),
+            Ok(p) => p,
+            // srlint: allow(panic) -- documented contract panic for
+            // constant configurations (tests, Table 1, the benchmark);
+            // every path that takes a size from a user or a file goes
+            // through `try_derive`.
+            Err(e) => panic!("{e}"),
         }
     }
 
-    /// Non-panicking variant of [`Params::derive`] for parameters read
-    /// back from disk, where every precondition violation is a corruption
-    /// symptom rather than a caller bug: returns `None` wherever `derive`
-    /// would panic.
-    pub fn try_derive(page_capacity: usize, dim: usize, data_area: usize) -> Option<Self> {
+    /// Derive parameters from the usable page payload, the
+    /// dimensionality, and the per-entry data area, with the default
+    /// policy.
+    ///
+    /// # Errors
+    /// [`TreeError::InvalidParams`] unless `dim > 0`, `data_area >= 8`,
+    /// and the page holds at least 2 entries per node and per leaf.
+    pub fn try_derive(page_capacity: usize, dim: usize, data_area: usize) -> Result<Self> {
+        let invalid = TreeError::InvalidParams {
+            page_capacity,
+            dim,
+            data_area,
+        };
         if dim == 0 || data_area < 8 {
-            return None;
+            return Err(invalid);
         }
-        let usable = page_capacity.checked_sub(NODE_HEADER)?;
+        let Some(usable) = page_capacity.checked_sub(NODE_HEADER) else {
+            return Err(invalid);
+        };
         let max_node = usable / Self::node_entry_bytes(dim);
         let max_leaf = usable / Self::leaf_entry_bytes(dim, data_area);
         if max_node < 2 || max_leaf < 2 {
-            return None;
+            return Err(invalid);
         }
-        Some(Params {
+        Ok(Params {
             dim,
             data_area,
             max_node,
@@ -192,15 +199,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid parameters")]
+    #[should_panic(expected = "300-byte page")]
     fn tiny_page_rejected() {
         let _ = Params::<Rect>::derive(300, 64, 512);
     }
 
     #[test]
     fn try_derive_refuses_what_derive_panics_on() {
-        assert!(Params::<Rect>::try_derive(300, 64, 512).is_none());
-        assert!(Params::<Rect>::try_derive(8187, 0, 512).is_none());
-        assert!(Params::<Rect>::try_derive(8187, 16, 4).is_none());
+        let err = Params::<Rect>::try_derive(300, 64, 512).unwrap_err();
+        assert!(matches!(
+            err,
+            TreeError::InvalidParams {
+                page_capacity: 300,
+                dim: 64,
+                data_area: 512
+            }
+        ));
+        assert!(Params::<Rect>::try_derive(8187, 0, 512).is_err());
+        assert!(Params::<Rect>::try_derive(8187, 16, 4).is_err());
+        assert!(Params::<Rect>::try_derive(3, 16, 512).is_err());
     }
 }

@@ -68,8 +68,8 @@ impl<R: Region> Paged<R> {
     /// Create an empty tree (one empty root leaf) over an empty page
     /// file.
     ///
-    /// # Panics
-    /// Panics, like [`Params::derive`], if the page is too small for the
+    /// # Errors
+    /// [`TreeError::InvalidParams`] if the page is too small for the
     /// dimensionality and data area.
     pub fn create(
         pf: PageFile,
@@ -78,7 +78,7 @@ impl<R: Region> Paged<R> {
         data_area: usize,
         policy: R::Policy,
     ) -> Result<Self> {
-        let mut params = Params::derive(pf.capacity(), dim, data_area);
+        let mut params = Params::try_derive(pf.capacity(), dim, data_area)?;
         params.policy = policy;
         let mut core = Paged::new(pf, kind, params);
         core.root = core.allocate_node(&Node::Leaf(Vec::new()))?;
@@ -109,12 +109,8 @@ impl<R: Region> Paged<R> {
         let root = c.get_u64()?;
         let height = c.get_u32()?;
         let count = c.get_u64()?;
-        let mut params = Params::try_derive(pf.capacity(), dim, data_area).ok_or_else(|| {
-            TreeError::NotThisIndex(format!(
-                "stored parameters (dim {dim}, data area {data_area}) do not fit a {}-byte page",
-                pf.capacity()
-            ))
-        })?;
+        let mut params = Params::try_derive(pf.capacity(), dim, data_area)
+            .map_err(|e| TreeError::NotThisIndex(format!("stored parameters: {e}")))?;
         if flagged {
             params.policy = R::policy_from_flags(c.get_u32()?);
         }
@@ -328,13 +324,9 @@ impl<R: Region> Paged<R> {
     }
 
     /// The k-NN / range engines' view of this tree, scoring regions with
-    /// `bound` and leaves with `spec`'s scan kernel.
-    pub fn source(&self, bound: R::Bound, scan: crate::LeafScan) -> Source<'_, R> {
-        Source {
-            tree: self,
-            bound,
-            scan,
-        }
+    /// `bound`.
+    pub fn source(&self, bound: R::Bound) -> Source<'_, R> {
+        Source { tree: self, bound }
     }
 
     /// Answer one query — the single search entry point behind
@@ -347,7 +339,7 @@ impl<R: Region> Paged<R> {
         rec: &Rec,
     ) -> Result<QueryOutput> {
         self.check_dim(spec.point.len())?;
-        let src = self.source(bound, spec.scan);
+        let src = self.source(bound);
         let rows = match spec.shape {
             QueryShape::Knn { k } => knn_with(&src, spec.point, k, rec)?,
             QueryShape::Range { radius } => {

@@ -22,7 +22,7 @@ use sr_sstree::SsTree;
 use sr_tree::SrTree;
 use sr_vamsplit::VamTree;
 
-use sr_query::{LeafScan, QuerySpec, SpatialIndex};
+use sr_query::SpatialIndex;
 
 use crate::model::Model;
 use crate::workload::{Op, OpTape};
@@ -47,13 +47,6 @@ pub struct DiffConfig {
     /// distances. All structures share deterministic tie-breaking, so
     /// this holds and catches payload mix-ups distances cannot.
     pub check_ids: bool,
-    /// After the default (early-abandon) answer is checked against the
-    /// oracle, re-run each k-NN through the `Scalar` and `Columnar`
-    /// leaf-scan kernels and require bit-identical results — `dist2`
-    /// equal by `to_bits`, ids equal rank by rank. The kernels share one
-    /// pinned accumulation order, so anything short of bitwise equality
-    /// is a kernel bug, not floating-point noise.
-    pub compare_scans: bool,
 }
 
 impl Default for DiffConfig {
@@ -63,7 +56,6 @@ impl Default for DiffConfig {
             verify_every: 500,
             vam_every: 8,
             check_ids: true,
-            compare_scans: true,
         }
     }
 }
@@ -85,9 +77,6 @@ pub struct DiffReport {
     pub verifies: usize,
     /// VAMSplit rebuilds performed.
     pub vam_rebuilds: usize,
-    /// Scalar/Columnar kernel answers proven bit-identical to the
-    /// default scan (two per k-NN per structure when `compare_scans`).
-    pub scan_checks: usize,
     /// Live entries at the end of the tape.
     pub final_live: usize,
 }
@@ -165,30 +154,6 @@ pub fn check_answer(
         }
     }
     let _ = structure;
-    Ok(())
-}
-
-/// Require `alt` to be bit-identical to `base`: same length, same ids,
-/// same `dist2` bit patterns rank by rank. Used by the kernel-ablation
-/// arm: the three leaf-scan kernels pin one accumulation order, so this
-/// is an equality the implementation promises, not a tolerance check.
-fn check_scan_identical(base: &[Neighbor], alt: &[Neighbor], scan: LeafScan) -> Result<(), String> {
-    if base.len() != alt.len() {
-        return Err(format!(
-            "{scan:?} scan returned {} results, default scan {}",
-            alt.len(),
-            base.len()
-        ));
-    }
-    for (i, (b, a)) in base.iter().zip(alt.iter()).enumerate() {
-        if b.dist2.to_bits() != a.dist2.to_bits() || b.data != a.data {
-            return Err(format!(
-                "{scan:?} scan rank {i}: ({}, id {}) not bit-identical to \
-                 default scan ({}, id {})",
-                a.dist2, a.data, b.dist2, b.data
-            ));
-        }
-    }
     Ok(())
 }
 
@@ -276,9 +241,6 @@ pub fn run_tape(tape: &OpTape, cfg: &DiffConfig) -> Result<DiffReport, Divergenc
             Op::Knn(q, k) => {
                 queries_seen += 1;
                 let want = model.knn(q.coords(), *k);
-                // Check the default (early-abandon) answer against the
-                // oracle, then prove the Scalar and Columnar kernels
-                // bit-identical to it — the kernel-ablation fuzz arm.
                 macro_rules! check_knn {
                     ($name:literal, $tree:expr) => {{
                         let got = $tree
@@ -286,18 +248,6 @@ pub fn run_tape(tape: &OpTape, cfg: &DiffConfig) -> Result<DiffReport, Divergenc
                             .map_err(|e| div(step, op, $name, e.to_string()))?;
                         check_answer($name, &got, &want, cfg.check_ids)
                             .map_err(|e| div(step, op, $name, e))?;
-                        if cfg.compare_scans {
-                            for scan in [LeafScan::Scalar, LeafScan::Columnar] {
-                                let spec = QuerySpec::knn(q.coords(), *k).with_scan(scan);
-                                let alt = $tree
-                                    .query(&spec, &sr_obs::Noop)
-                                    .map_err(|e| div(step, op, $name, e.to_string()))?
-                                    .rows;
-                                check_scan_identical(&got, &alt, scan)
-                                    .map_err(|e| div(step, op, $name, e))?;
-                                report.scan_checks += 1;
-                            }
-                        }
                     }};
                 }
                 check_knn!("sr-tree", fleet.sr);

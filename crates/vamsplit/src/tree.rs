@@ -51,7 +51,7 @@ impl VamTree {
                 got: p.dim(),
             });
         }
-        let params = Params::derive(pf.capacity(), dim, data_area);
+        let params = Params::try_derive(pf.capacity(), dim, data_area)?;
         let mut core = Paged::new(pf, KIND, params);
         core.count = points.len() as u64;
         (core.root, core.height) = build::bulk_build(&mut core, points)?;

@@ -1,5 +1,4 @@
-//! Regression tests for three correctness bugs the observability work
-//! exposed:
+//! Regression tests for correctness bugs in the query paths:
 //!
 //! 1. **Zero-tolerance sphere containment** — `contains`/`delete`
 //!    descend by testing the stored point against each child's bounding
@@ -15,19 +14,21 @@
 //! 3. **Negative-radius panic** — `range` used to `assert!` on a
 //!    negative radius. It is now a typed error (`InvalidRadius`) on all
 //!    five indexes.
-//! 4. **Distance-accumulation drift** — the columnar kernels could have
+//! 4. **Distance-accumulation drift** — the columnar kernel could have
 //!    reassociated the per-point sum (chunked partial sums), which
 //!    drifts `dist2` by ulps and silently reorders near-tied neighbor
 //!    lists (the candidate set breaks exact-distance ties by data id).
-//!    The kernels pin the canonical accumulation order instead; this
-//!    suite holds all five trees, in all three leaf-scan modes, to
-//!    bit-identical distances against the brute-force oracle on
-//!    adversarially tie-heavy data, with exact id agreement below the
-//!    k-th distance. *At* the k-th distance the traversal may keep any
-//!    tied point — a region at exactly the k-th distance is pruned
-//!    (`knn.rs`), so the data-id tie-break only arbitrates within the
-//!    leaves actually visited — and the test checks group membership
-//!    there instead.
+//!    The kernel pins the canonical accumulation order instead; this
+//!    suite holds all five trees to bit-identical distances and equal
+//!    ids against the brute-force oracle on adversarially tie-heavy
+//!    data.
+//! 5. **k-NN ties across leaves** — both searches pruned a region whose
+//!    bound *equalled* the k-th distance, and the sphere bound could
+//!    round above a point's distance, so the trees returned other tied
+//!    ids than the oracle. Regions are now pruned only strictly beyond
+//!    the k-th distance, under a sphere bound with a rounding allowance.
+//! 6. **k = 0** — best-first and the brute-force oracle panicked; every
+//!    engine now answers it with nothing, reading no page.
 
 use srtree::dataset::{cluster, uniform, ClusterSpec};
 use srtree::geometry::Point;
@@ -145,6 +146,51 @@ fn empty_trees_answer_every_query_shape() {
     assert!(vam.knn(&q, 5).unwrap().is_empty());
     assert!(vam.range(&q, 1.0).unwrap().is_empty());
     assert!(!vam.contains(&p, 0).unwrap());
+}
+
+/// A 0-NN query has an empty answer in every engine — depth-first,
+/// best-first and the brute-force oracle — and no engine reads a page
+/// to find that out.
+#[test]
+fn zero_k_answers_empty_without_reading_a_page() {
+    use srtree::query::{brute_force_knn, SpatialIndex};
+
+    let points = uniform(200, 4, 53);
+    let with_ids: Vec<(Point, u64)> = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.clone(), i as u64))
+        .collect();
+    let q = vec![0.5f32; 4];
+    assert!(brute_force_knn(with_ids.iter().map(|(p, i)| (p.coords(), *i)), &q, 0).is_empty());
+
+    let mut sr = SrTree::create_in_memory(4, 4096).unwrap();
+    let mut ss = SsTree::create_in_memory(4, 4096).unwrap();
+    let mut rs = RstarTree::create_in_memory(4, 4096).unwrap();
+    let mut kdb = KdbTree::create_in_memory(4, 4096).unwrap();
+    for (p, i) in &with_ids {
+        sr.insert(p.clone(), *i).unwrap();
+        ss.insert(p.clone(), *i).unwrap();
+        rs.insert(p.clone(), *i).unwrap();
+        kdb.insert(p.clone(), *i).unwrap();
+    }
+    let vam = VamTree::build_in_memory(with_ids.clone(), 4, 4096).unwrap();
+
+    sr.pager().reset_stats();
+    assert!(sr.knn_best_first(&q, 0).unwrap().is_empty());
+    assert_eq!(sr.pager().stats().tree_reads(), 0, "best-first read a page");
+    let trees: [(&str, &dyn SpatialIndex); 5] = [
+        ("sr", &sr),
+        ("ss", &ss),
+        ("rstar", &rs),
+        ("kdb", &kdb),
+        ("vam", &vam),
+    ];
+    for (name, tree) in trees {
+        tree.pager().reset_stats();
+        assert!(tree.knn(&q, 0).unwrap().is_empty(), "{name}");
+        assert_eq!(tree.pager().stats().tree_reads(), 0, "{name} read a page");
+    }
 }
 
 /// Deleting the last entry takes a tree back to empty; queries must
@@ -267,8 +313,8 @@ fn near_tie_points(dim: usize) -> Vec<Point> {
 }
 
 #[test]
-fn near_ties_resolve_identically_across_trees_and_scan_modes() {
-    use srtree::query::{brute_force_knn, LeafScan, Neighbor, QuerySpec, SpatialIndex};
+fn near_ties_resolve_identically_across_trees() {
+    use srtree::query::{brute_force_knn, SpatialIndex};
 
     let dim = 16;
     let points = near_tie_points(dim);
@@ -301,42 +347,15 @@ fn near_ties_resolve_identically_across_trees_and_scan_modes() {
     ];
     queries.push((0..dim).map(|d| 1.0 + (d as f32) * 0.125 * 0.5).collect());
 
-    // Oracle agreement: distances bit-equal rank by rank; ids exact
-    // below the k-th distance; ids at the k-th distance must belong to
-    // the dataset's tied group (the traversal prunes regions at exactly
-    // the k-th distance, so *which* tied point survives is its choice).
-    let check = |name: &str, got: &[Neighbor], want: &[Neighbor], q: &[f32], scan: LeafScan| {
-        use srtree::geometry::dist2;
-        assert_eq!(got.len(), want.len(), "{name} {scan:?}: length");
-        let boundary = want.last().map(|n| n.dist2.to_bits());
-        for (rank, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-            assert_eq!(
-                g.dist2.to_bits(),
-                w.dist2.to_bits(),
-                "{name} {scan:?} rank {rank}: dist {} vs oracle {}",
-                g.dist2,
-                w.dist2
-            );
-            if Some(g.dist2.to_bits()) != boundary {
-                assert_eq!(
-                    g.data, w.data,
-                    "{name} {scan:?} rank {rank}: interior id drifted"
-                );
-            } else {
-                assert!(
-                    with_ids.iter().any(|(p, i)| *i == g.data
-                        && dist2(p.coords(), q).to_bits() == g.dist2.to_bits()),
-                    "{name} {scan:?} rank {rank}: id {} is not in the tied group",
-                    g.data
-                );
-            }
-        }
-    };
-
+    // Oracle agreement, rank by rank: distances bit-equal (the leaf
+    // kernel keeps the oracle's accumulation order) and ids equal, the
+    // k-th distance included (a region at exactly the k-th distance is
+    // visited, so the smallest tied ids win as in the oracle).
     for (qi, q) in queries.iter().enumerate() {
         for k in [1usize, 4, 32, 60] {
             let want = brute_force_knn(with_ids.iter().map(|(p, i)| (p.coords(), *i)), q, k);
             assert_eq!(want.len(), k.min(points.len()), "query {qi} oracle size");
+            let want: Vec<(u64, u64)> = want.iter().map(|n| (n.dist2.to_bits(), n.data)).collect();
             let trees: [(&str, &dyn SpatialIndex); 5] = [
                 ("sr", &sr),
                 ("ss", &ss),
@@ -345,26 +364,117 @@ fn near_ties_resolve_identically_across_trees_and_scan_modes() {
                 ("vam", &vam),
             ];
             for (name, tree) in trees {
-                let knn = |scan: LeafScan| -> Vec<Neighbor> {
-                    let spec = QuerySpec::knn(q, k).with_scan(scan);
-                    tree.query(&spec, &srtree::obs::Noop).unwrap().rows
-                };
-                // The drift regression proper: all three kernels must
-                // return the *same* answer, bit for bit, id for id.
-                let scalar = knn(LeafScan::Scalar);
-                for scan in [LeafScan::Columnar, LeafScan::EarlyAbandon] {
-                    let alt = knn(scan);
-                    assert_eq!(scalar.len(), alt.len(), "{name} {scan:?} length");
-                    for (rank, (a, b)) in scalar.iter().zip(alt.iter()).enumerate() {
-                        assert_eq!(
-                            (a.dist2.to_bits(), a.data),
-                            (b.dist2.to_bits(), b.data),
-                            "{name} {scan:?} rank {rank}: kernel drifted from scalar"
-                        );
-                    }
-                    check(name, &alt, &want, q, scan);
+                let got: Vec<(u64, u64)> = (tree.knn(q, k).unwrap().iter())
+                    .map(|n| (n.dist2.to_bits(), n.data))
+                    .collect();
+                assert_eq!(
+                    got, want,
+                    "{name} query {qi} k {k}: drifted from the oracle"
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bug 5: k-NN ties across leaves.
+// ---------------------------------------------------------------------
+
+/// Every query engine must return the oracle's ids when the k-th
+/// distance is shared by points in different leaves. Both searches used
+/// to prune a region whose bound *equals* the k-th distance, although
+/// the candidate set admits a tied point with a smaller id; and the
+/// sphere bound `(sqrt(d²) - r)²` could round above the distance of a
+/// point on the sphere, dropping tied points in the SS- and SR-trees.
+///
+/// Two point sets, both inserted with ids in descending order so the
+/// smallest tied ids arrive last:
+/// - every even id a duplicate of (1, 1) (dist² 2 from the query),
+///   every odd id farther away. The K-D-B-tree cannot store more
+///   coincident points than one page holds, so it sits this one out;
+/// - 108 distinct lattice points on the circle x² + y² = 1105², every
+///   one at exactly the same distance from the query, for all five
+///   trees. A range query of radius 1105 must return each of them.
+#[test]
+fn knn_ties_across_leaves_match_the_oracle() {
+    use srtree::query::{brute_force_knn, brute_force_range, Neighbor, SpatialIndex};
+
+    let n = 2_000u64;
+    let far = uniform(n as usize, 2, 59);
+    let point_at = |id: u64, tie: &dyn Fn(u64) -> Vec<f32>| -> Point {
+        if id.is_multiple_of(2) {
+            Point::new(tie(id))
+        } else {
+            let c = far[id as usize].coords();
+            Point::new(vec![3000.0 + c[0], 3000.0 + c[1]])
+        }
+    };
+    let shell: Vec<Vec<f32>> = {
+        let r = 1105i64;
+        let mut v = Vec::new();
+        for x in -r..=r {
+            let y2 = r * r - x * x;
+            let y = (y2 as f64).sqrt() as i64;
+            if y * y == y2 {
+                v.push(vec![x as f32, y as f32]);
+                if y != 0 {
+                    v.push(vec![x as f32, -y as f32]);
                 }
-                check(name, &scalar, &want, q, LeafScan::Scalar);
+            }
+        }
+        v
+    };
+    assert_eq!(shell.len(), 108);
+    let duplicates: Vec<(Point, u64)> = (0..n)
+        .rev()
+        .map(|id| (point_at(id, &|_| vec![1.0, 1.0]), id))
+        .collect();
+    let lattice: Vec<(Point, u64)> = (0..2 * shell.len() as u64)
+        .rev()
+        .map(|id| (point_at(id, &|id| shell[(id / 2) as usize].clone()), id))
+        .collect();
+
+    let ids = |v: &[Neighbor]| {
+        v.iter()
+            .map(|n| (n.dist2.to_bits(), n.data))
+            .collect::<Vec<_>>()
+    };
+    let q = [0.0f32, 0.0];
+    for (set, with_ids) in [("duplicates", &duplicates), ("lattice", &lattice)] {
+        let mut sr = SrTree::create_in_memory(2, 2048).unwrap();
+        let mut ss = SsTree::create_in_memory(2, 2048).unwrap();
+        let mut rs = RstarTree::create_in_memory(2, 2048).unwrap();
+        let mut kdb = KdbTree::create_in_memory(2, 2048).unwrap();
+        for (p, i) in with_ids.iter() {
+            sr.insert(p.clone(), *i).unwrap();
+            ss.insert(p.clone(), *i).unwrap();
+            rs.insert(p.clone(), *i).unwrap();
+            if set == "lattice" {
+                kdb.insert(p.clone(), *i).unwrap();
+            }
+        }
+        let vam = VamTree::build_in_memory(with_ids.clone(), 2, 2048).unwrap();
+        let mut trees: Vec<(&str, &dyn SpatialIndex)> =
+            vec![("sr", &sr), ("ss", &ss), ("rstar", &rs), ("vam", &vam)];
+        if set == "lattice" {
+            trees.push(("kdb", &kdb));
+        }
+        let flat = || with_ids.iter().map(|(p, i)| (p.coords(), *i));
+        for k in [1usize, 3, 21, 150] {
+            let want = ids(&brute_force_knn(flat(), &q, k));
+            for (name, tree) in &trees {
+                let got = ids(&tree.knn(&q, k).unwrap());
+                assert_eq!(got, want, "{set}: {name} k = {k}");
+            }
+            let got = ids(&sr.knn_best_first(&q, k).unwrap());
+            assert_eq!(got, want, "{set}: sr best-first k = {k}");
+        }
+        if set == "lattice" {
+            let want = ids(&brute_force_range(flat(), &q, 1105.0));
+            assert_eq!(want.len(), shell.len());
+            for (name, tree) in &trees {
+                let got = ids(&tree.range(&q, 1105.0).unwrap());
+                assert_eq!(got, want, "{set}: {name} range on the shell");
             }
         }
     }

@@ -45,12 +45,6 @@ fn assert_exercised(report: &DiffReport, ops: usize) {
         report.vam_rebuilds > 0,
         "VAMSplit never rebuilt: {report:?}"
     );
-    // Two kernel comparisons (Scalar, Columnar) per k-NN per structure:
-    // the columnar-layout arm must actually have run.
-    assert!(
-        report.scan_checks >= report.knns * 8,
-        "kernel-ablation arm underran: {report:?}"
-    );
 }
 
 #[test]

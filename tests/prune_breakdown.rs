@@ -12,7 +12,7 @@
 use srtree::dataset::{sample_queries, uniform};
 use srtree::obs::{Counter, StatsRecorder};
 use srtree::pager::PageKind;
-use srtree::query::{LeafScan, QuerySpec, SpatialIndex};
+use srtree::query::{brute_force_knn, QuerySpec, SpatialIndex};
 use srtree::tree::{DistanceBound, SrTree};
 
 fn build(n: usize, dim: usize, seed: u64) -> SrTree {
@@ -117,106 +117,70 @@ fn results_identical_across_bounds_while_counters_differ() {
     assert!(s.counter(Counter::PointsScored) >= 10);
 }
 
-/// The leaf-scan kernels are a pure ablation: identical answers
-/// (bitwise), identical `points_scored`, and identical traversal
-/// counters across all three modes. Only the early-abandon mode may
-/// report `early_abandons`, and abandoned points still count as scored —
-/// the under-reporting bug this pins down made early-abandon queries
-/// look cheaper than they were.
+/// Early-abandoned leaf entries still count as scored work: a query
+/// reports every entry of every leaf it expands in `points_scored`, and
+/// the abandoned ones once more in `early_abandons`. The under-reporting
+/// bug this pins down made early-abandon queries look cheaper than they
+/// were. Answers match the brute-force oracle bit for bit, id for id.
 #[test]
-fn scan_modes_agree_bitwise_and_report_identical_work() {
+fn abandoned_entries_count_as_scored_work() {
     let dim = 16; // > EARLY_ABANDON_HEAD_DIMS, so the pruning tail runs
+    let points = uniform(3_000, dim, 83);
     let tree = build(3_000, dim, 83);
-    let queries = sample_queries(&uniform(3_000, dim, 83), 12, 89);
+    let queries = sample_queries(&points, 12, 89);
+    let flat = || (points.iter().enumerate()).map(|(i, p)| (p.coords(), i as u64));
 
-    struct ModeRun {
-        answers: Vec<Vec<(u64, u64)>>, // per query: (dist2 bits, id)
-        scored: u64,
-        abandoned: u64,
-        expansions: u64,
+    let rec = StatsRecorder::new();
+    for q in &queries {
+        let got = tree.query(&QuerySpec::knn(q.coords(), 10), &rec).unwrap();
+        assert_eq!(got.rows, brute_force_knn(flat(), q.coords(), 10));
     }
-    let run = |scan: LeafScan| -> ModeRun {
-        let rec = StatsRecorder::new();
-        let answers = queries
-            .iter()
-            .map(|q| {
-                let spec = QuerySpec::knn(q.coords(), 10).with_scan(scan);
-                tree.query(&spec, &rec)
-                    .unwrap()
-                    .rows
-                    .iter()
-                    .map(|n| (n.dist2.to_bits(), n.data))
-                    .collect()
-            })
-            .collect();
-        let s = rec.snapshot();
-        ModeRun {
-            answers,
-            scored: s.counter(Counter::PointsScored),
-            abandoned: s.counter(Counter::EarlyAbandons),
-            expansions: s.counter(Counter::NodeExpansions) + s.counter(Counter::LeafExpansions),
-        }
-    };
-
-    let scalar = run(LeafScan::Scalar);
-    let columnar = run(LeafScan::Columnar);
-    let early = run(LeafScan::EarlyAbandon);
-
-    assert_eq!(scalar.answers, columnar.answers, "columnar answers drifted");
-    assert_eq!(
-        scalar.answers, early.answers,
-        "early-abandon answers drifted"
-    );
-
-    // Scan mode must not change what the traversal visits or how much
-    // work is attributed: abandoned points still count as scored.
-    assert_eq!(scalar.abandoned, 0, "scalar mode cannot abandon");
-    assert_eq!(columnar.abandoned, 0, "plain columnar mode cannot abandon");
+    let s = rec.snapshot();
+    let scored = s.counter(Counter::PointsScored);
+    let abandoned = s.counter(Counter::EarlyAbandons);
+    assert!(abandoned > 0, "a 16-dim workload must abandon some tails");
+    assert!(abandoned < scored, "abandons are a subset of scored points");
+    // Every leaf of a tree taller than one level holds at least
+    // `min_leaf` entries, and each of them is scored.
+    let min_leaf = tree.params().min_leaf as u64;
     assert!(
-        early.abandoned > 0,
-        "a 16-dim workload must abandon some tails"
+        scored >= s.counter(Counter::LeafExpansions) * min_leaf,
+        "points_scored {scored} under-reports the expanded leaves"
     );
-    assert_eq!(scalar.scored, columnar.scored);
-    assert_eq!(
-        scalar.scored, early.scored,
-        "early-abandon under-reports points_scored"
-    );
-    assert_eq!(scalar.expansions, columnar.expansions);
-    assert_eq!(scalar.expansions, early.expansions);
-    assert!(
-        early.abandoned < early.scored,
-        "abandons are a subset of scored points"
-    );
+
+    // A range query over everything scores each stored point exactly once.
+    let rec = StatsRecorder::new();
+    let all = tree.query(&QuerySpec::range(queries[0].coords(), f64::INFINITY), &rec);
+    assert_eq!(all.unwrap().rows.len(), points.len());
+    let s = rec.snapshot();
+    assert_eq!(s.counter(Counter::PointsScored), points.len() as u64);
+    assert_eq!(s.counter(Counter::EarlyAbandons), 0);
 }
 
-/// The columnar fast path reads each expanded page exactly once, like
-/// the scalar path: `node_expansions == node reads` and
-/// `leaf_expansions == leaf reads` hold in every scan mode (the CI
-/// accounting gate checks the same identities on the bench artifact).
+/// The columnar leaf scan reads each expanded page exactly once:
+/// `node_expansions == node reads` and `leaf_expansions == leaf reads`
+/// (the CI accounting gate checks the same identities on a trace).
 #[test]
-fn expansions_match_page_reads_in_every_scan_mode() {
+fn expansions_match_page_reads() {
     let dim = 16;
     let tree = build(2_000, dim, 97);
     let queries = sample_queries(&uniform(2_000, dim, 97), 10, 101);
 
-    for scan in [LeafScan::Scalar, LeafScan::Columnar, LeafScan::EarlyAbandon] {
-        let rec = StatsRecorder::new();
-        tree.pager().reset_stats();
-        for q in &queries {
-            let spec = QuerySpec::knn(q.coords(), 10).with_scan(scan);
-            let _ = tree.query(&spec, &rec).unwrap();
-        }
-        let s = rec.snapshot();
-        let io = tree.pager().stats();
-        assert_eq!(
-            s.counter(Counter::NodeExpansions),
-            io.logical_reads(PageKind::Node),
-            "{scan:?}: node expansions != node reads"
-        );
-        assert_eq!(
-            s.counter(Counter::LeafExpansions),
-            io.logical_reads(PageKind::Leaf),
-            "{scan:?}: leaf expansions != leaf reads"
-        );
+    let rec = StatsRecorder::new();
+    tree.pager().reset_stats();
+    for q in &queries {
+        let _ = tree.query(&QuerySpec::knn(q.coords(), 10), &rec).unwrap();
     }
+    let s = rec.snapshot();
+    let io = tree.pager().stats();
+    assert_eq!(
+        s.counter(Counter::NodeExpansions),
+        io.logical_reads(PageKind::Node),
+        "node expansions != node reads"
+    );
+    assert_eq!(
+        s.counter(Counter::LeafExpansions),
+        io.logical_reads(PageKind::Leaf),
+        "leaf expansions != leaf reads"
+    );
 }
