@@ -8,7 +8,10 @@ use sr_geometry::{
 };
 use sr_pager::{PageCodec, PageReader};
 use sr_query::paged::centroid::{self, Centered};
-use sr_query::paged::{get_rect, get_sphere, put_rect, put_sphere, LeafEntry, Node, Region};
+use sr_query::paged::{
+    get_rect, get_sphere, put_rect, put_sphere, rect_contains_raw, sphere_contains_raw, LeafEntry,
+    Node, Region,
+};
 use sr_query::paged::{Result, TreeError};
 use sr_query::Expansion;
 
@@ -134,6 +137,15 @@ impl Region for SrRegion {
     /// tolerance or live entries become unfindable.
     fn contains_point(&self, p: &[f32]) -> bool {
         self.rect.contains_point(p) && self.sphere.contains_point(p, CONTAINMENT_EPS)
+    }
+
+    /// Sphere then rectangle, in `decode`'s order, so a region with both
+    /// shapes corrupt fails with the sphere's error as it does there.
+    fn contains_raw(raw: &[u8], p: &[f32]) -> Result<bool> {
+        let mut c = PageReader::new(raw);
+        let in_sphere = sphere_contains_raw(&mut c, p)?;
+        let in_rect = rect_contains_raw(&mut c, p, false, Rect::contains_coord)?;
+        Ok(in_rect && in_sphere)
     }
 
     fn policy_flags(options: &SrOptions) -> Option<u32> {

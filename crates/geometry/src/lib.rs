@@ -38,7 +38,7 @@ pub use mbr::{
     enclosing_radius_spheres, next_radius_up, Centroid,
 };
 pub use rect::Rect;
-pub use sphere::{Sphere, CONTAINMENT_EPS};
+pub use sphere::{within_radius, Sphere, CONTAINMENT_EPS};
 pub use vector::{dist, dist2, Point};
 
 /// Widen a dimension count to `f64`.

@@ -101,7 +101,15 @@ impl Rect {
             .iter()
             .zip(self.max.iter())
             .zip(p.iter())
-            .all(|((&lo, &hi), &x)| lo <= x && x <= hi)
+            .all(|((&lo, &hi), &x)| Rect::contains_coord(lo, hi, x))
+    }
+
+    /// Whether `x` lies in `[lo, hi]`: one axis of
+    /// [`Rect::contains_point`], for callers that read the bounds straight
+    /// off page bytes.
+    #[inline]
+    pub fn contains_coord(lo: f32, hi: f32, x: f32) -> bool {
+        lo <= x && x <= hi
     }
 
     /// Whether `other` lies entirely inside `self` (boundary inclusive).

@@ -41,6 +41,16 @@ pub(crate) fn surface_dist2(center_dist2: f64, radius: f64) -> f64 {
     }
 }
 
+/// Whether a point at squared distance `center_dist2` from a sphere's
+/// center lies within its `radius` widened by the relative tolerance
+/// `eps` — the test of [`Sphere::contains_point`], for callers that hold
+/// the center as raw page bytes rather than as a [`Sphere`].
+#[inline]
+pub fn within_radius(center_dist2: f64, radius: f32, eps: f64) -> bool {
+    let r = f64::from(radius) * (1.0 + eps) + eps;
+    center_dist2 <= r * r
+}
+
 /// A bounding sphere: center + radius.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sphere {
@@ -107,8 +117,7 @@ impl Sphere {
     /// sphere, and an exact test would silently skip the only subtree
     /// that holds it.
     pub fn contains_point(&self, p: &[f32], eps: f64) -> bool {
-        let r = f64::from(self.radius) * (1.0 + eps) + eps;
-        dist2(self.center.coords(), p) <= r * r
+        within_radius(dist2(self.center.coords(), p), self.radius, eps)
     }
 
     /// Squared distance from `p` to the sphere surface, `0` inside.

@@ -7,7 +7,7 @@ use std::path::Path;
 use sr_geometry::{Point, Rect};
 use sr_pager::{PageCodec, PageFile, PageId, PageReader};
 use sr_query::paged::{
-    get_rect, put_rect, Kind, Node, Paged, PagedTree, Region, Result, TreeError,
+    get_rect, put_rect, rect_contains_raw, Kind, Node, Paged, PagedTree, Region, Result, TreeError,
 };
 use sr_query::{Expansion, IndexError};
 
@@ -57,6 +57,10 @@ impl Region for KdbRegion {
     fn contains_point(&self, p: &[f32]) -> bool {
         kdb_contains(&self.0, p)
     }
+
+    fn contains_raw(raw: &[u8], p: &[f32]) -> Result<bool> {
+        rect_contains_raw(&mut PageReader::new(raw), p, true, kdb_axis)
+    }
 }
 
 /// Half-open containment: `min <= x < max` per dimension, except that an
@@ -65,7 +69,12 @@ impl Region for KdbRegion {
 pub(crate) fn kdb_contains(rect: &Rect, p: &[f32]) -> bool {
     p.iter()
         .zip(rect.min().iter().zip(rect.max()))
-        .all(|(&x, (&lo, &hi))| x >= lo && (x < hi || !hi.is_finite()))
+        .all(|(&x, (&lo, &hi))| kdb_axis(lo, hi, x))
+}
+
+/// [`kdb_contains`] on one axis.
+fn kdb_axis(lo: f32, hi: f32, x: f32) -> bool {
+    x >= lo && (x < hi || !hi.is_finite())
 }
 
 /// The rectangle covering all of `dim`-dimensional space — the region of

@@ -160,10 +160,13 @@ impl<'a> PageCodec<'a> {
 
     /// Append coordinates widened to `f64` — the on-disk coordinate format
     /// of every index crate, reproducing the paper's 8-byte-per-coordinate
-    /// fanout arithmetic (Table 1).
+    /// fanout arithmetic (Table 1). The whole row is claimed once and
+    /// written lane by lane.
     pub fn put_coords(&mut self, vs: &[f32]) -> Result<()> {
-        for &v in vs {
-            self.put_f64(f64::from(v))?;
+        // An f32 slice is at most isize::MAX / 4 long, so this cannot wrap.
+        let (lanes, _) = self.take(vs.len() * 8)?.as_chunks_mut::<8>();
+        for (lane, &v) in lanes.iter_mut().zip(vs) {
+            *lane = f64::from(v).to_le_bytes();
         }
         Ok(())
     }
@@ -214,16 +217,6 @@ impl<'a> PageCodec<'a> {
     /// Read an `f64`.
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_le_bytes(self.take_array()?))
-    }
-
-    /// Read `n` coordinates stored as `f64`, narrowing back to `f32`.
-    pub fn get_coords(&mut self, n: usize) -> Result<Vec<f32>> {
-        (0..n)
-            // srlint: allow(cast) -- on-disk f64 coordinates narrow back to
-            // the in-memory f32 format by design (paper Table 1 layout);
-            // every stored value originated as an f32, so this is lossless.
-            .map(|_| self.get_f64().map(|v| v as f32))
-            .collect()
     }
 
     /// Skip `n` bytes.
@@ -329,27 +322,20 @@ impl<'a> PageReader<'a> {
         Ok(f64::from_le_bytes(self.take_array()?))
     }
 
-    /// Read `n` coordinates stored as `f64`, narrowing back to `f32`.
+    /// Read `n` coordinates stored as `f64`, narrowing back to `f32`. The
+    /// whole row is claimed once and narrowed lane by lane into a vector
+    /// of exactly `n` values.
     pub fn get_coords(&mut self, n: usize) -> Result<Vec<f32>> {
-        (0..n)
+        // A saturated length overruns any buffer, so a huge `n` fails in
+        // `take` like any other overrun.
+        let (lanes, _) = self.take(n.saturating_mul(8))?.as_chunks::<8>();
+        Ok(lanes
+            .iter()
             // srlint: allow(cast) -- on-disk f64 coordinates narrow back to
             // the in-memory f32 format by design (paper Table 1 layout);
             // every stored value originated as an f32, so this is lossless.
-            .map(|_| self.get_f64().map(|v| v as f32))
-            .collect()
-    }
-
-    /// Read `n` coordinates into a caller-provided buffer, avoiding the
-    /// per-call allocation of [`PageReader::get_coords`].
-    pub fn get_coords_into(&mut self, n: usize, out: &mut Vec<f32>) -> Result<()> {
-        out.clear();
-        out.reserve(n);
-        for _ in 0..n {
-            // srlint: allow(cast) -- same lossless f64 -> f32 narrowing as
-            // `get_coords`; see the note there.
-            out.push(self.get_f64().map(|v| v as f32)?);
-        }
-        Ok(())
+            .map(|lane| f64::from_le_bytes(*lane) as f32)
+            .collect())
     }
 
     /// Skip `n` bytes.
@@ -428,9 +414,42 @@ mod tests {
         let mut buf = vec![0u8; 64];
         let coords = [0.1f32, -1.0e-20, 3.4e38, 0.0];
         let mut w = PageCodec::new(&mut buf);
+        w.put_u8(9).unwrap();
         w.put_coords(&coords).unwrap();
-        let mut r = PageCodec::new(&mut buf);
-        assert_eq!(r.get_coords(4).unwrap(), coords);
+        assert_eq!(w.pos(), 1 + 4 * 8);
+        let mut r = PageReader::new(&buf);
+        assert_eq!(r.get_u8().unwrap(), 9);
+        let back = r.get_coords(4).unwrap();
+        assert_eq!((back.as_slice(), back.capacity()), (&coords[..], 4));
+        assert_eq!(r.pos(), 1 + 4 * 8);
+        // The row is the f64 widening of each value, little-endian.
+        let mut f = PageReader::new(&buf);
+        f.skip(1).unwrap();
+        for &c in &coords {
+            assert_eq!(f.get_f64().unwrap(), f64::from(c));
+        }
+    }
+
+    #[test]
+    fn coords_overrun_claims_nothing() {
+        let mut buf = vec![0u8; 20];
+        let mut w = PageCodec::new(&mut buf);
+        assert!(matches!(
+            w.put_coords(&[1.0, 2.0, 3.0]),
+            Err(PagerError::CodecOverrun {
+                pos: 0,
+                want: 24,
+                len: 20
+            })
+        ));
+        assert_eq!(w.pos(), 0);
+        w.put_coords(&[1.0, 2.0]).unwrap();
+        let mut r = PageReader::new(&buf);
+        assert!(r.get_coords(3).is_err());
+        assert_eq!(r.pos(), 0);
+        assert!(r.get_coords(usize::MAX).is_err());
+        assert_eq!(r.get_coords(2).unwrap(), [1.0, 2.0]);
+        assert!(r.get_coords(0).unwrap().is_empty());
     }
 
     #[test]

@@ -110,6 +110,17 @@ struct WalState {
     commit_seq: u64, // srlint: guarded-by(wal)
 }
 
+/// Build a page image in one allocation: `len` zero bytes, shared as the
+/// `Arc<[u8]>` the buffer pool and the log append hold, and filled by
+/// `fill` before anyone else can see them.
+fn build_page(len: usize, fill: impl FnOnce(&mut [u8]) -> Result<()>) -> Result<Arc<[u8]>> {
+    let mut page: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+    let bytes = Arc::get_mut(&mut page)
+        .ok_or_else(|| PagerError::Corrupt("a fresh page image is already shared".into()))?;
+    fill(bytes)?;
+    Ok(page)
+}
+
 /// A zero-copy view of one page's payload.
 ///
 /// Holds a shared reference to the buffer pool's immutable page image
@@ -559,13 +570,12 @@ impl PageFile {
             self.shard(id)?.lock().remove(id);
             state.free_head
         };
-        let mut page = vec![0u8; self.page_size].into_boxed_slice();
-        {
-            let mut c = PageCodec::new(&mut page);
+        let page = build_page(self.page_size, |page| {
+            let mut c = PageCodec::new(page);
             c.put_u8(PageKind::Free.as_u8())?;
             c.put_u32(8)?;
-            c.put_u64(head)?;
-        }
+            c.put_u64(head)
+        })?;
         // The log append lands before the in-memory head moves, so a
         // failed append leaves the free list pointing at the old chain.
         self.log_page(id, page)?;
@@ -579,8 +589,7 @@ impl PageFile {
     /// install the image as a *clean* cache entry. This is the only
     /// mutation path to page data between checkpoints — the store itself
     /// is written exclusively by [`PageFile::flush`] and replay.
-    fn log_page(&self, id: PageId, page: Box<[u8]>) -> Result<()> {
-        let page: Arc<[u8]> = Arc::from(page);
+    fn log_page(&self, id: PageId, page: Arc<[u8]>) -> Result<()> {
         // Stage the append under the WAL lock, run the log I/O after
         // releasing it (mutations are single-writer by contract, so the
         // append offset cannot move in between), publish on success. A
@@ -626,13 +635,12 @@ impl PageFile {
             return Ok(data);
         }
         self.stats.record_cache_miss();
-        let mut buf = vec![0u8; self.page_size].into_boxed_slice();
         self.stats.record_physical_read();
         let frame_off = self.wal.lock().index.get(&id).copied();
-        match frame_off {
+        let buf = build_page(self.page_size, |buf| match frame_off {
             Some(off) => {
                 // srlint: allow(lock-io) -- the sanctioned read-through, WAL arm: releasing the shard between probe and log read would double-fetch concurrent misses and break misses == physical_reads
-                let res = self.log.read_log_at(off + FRAME_HEADER as u64, &mut buf);
+                let res = self.log.read_log_at(off + FRAME_HEADER as u64, buf);
                 if let Err(e) = res {
                     if self.wal.lock().index.get(&id).copied() == Some(off) {
                         return Err(e);
@@ -641,15 +649,15 @@ impl PageFile {
                     // the index probe and the read; its images are in the
                     // store now.
                     // srlint: allow(lock-io) -- read-through fallback after a checkpoint race, under the same shard guard for the same exactness reason
-                    self.store.read_page(id, &mut buf)?;
+                    self.store.read_page(id, buf)?;
                 }
+                Ok(())
             }
             None => {
                 // srlint: allow(lock-io) -- the sanctioned read-through, store arm: releasing the shard between probe and store read would double-fetch concurrent misses and break misses == physical_reads
-                self.store.read_page(id, &mut buf)?;
+                self.store.read_page(id, buf)
             }
-        }
-        let buf: Arc<[u8]> = Arc::from(buf);
+        })?;
         if cache.insert(id, Arc::clone(&buf)) {
             self.stats.record_cache_evictions(1);
         }
@@ -707,32 +715,31 @@ impl PageFile {
             len: payload.len(),
             capacity: self.capacity(),
         })?;
-        let mut page = vec![0u8; self.page_size].into_boxed_slice();
-        {
-            let mut c = PageCodec::new(&mut page);
+        let page = build_page(self.page_size, |page| {
+            let mut c = PageCodec::new(page);
             c.put_u8(kind.as_u8())?;
             c.put_u32(len)?;
-            c.put_bytes(payload)?;
-        }
+            c.put_bytes(payload)
+        })?;
         self.stats.record_logical_write(kind);
         self.log_page(id, page)
     }
 
     /// Serialize the meta page from the guarded state.
-    fn encode_meta_page(page_size: usize, state: &MetaState) -> Result<Vec<u8>> {
+    fn encode_meta_page(page_size: usize, state: &MetaState) -> Result<Arc<[u8]>> {
         let ps = u32::try_from(page_size)
             .map_err(|_| PagerError::Corrupt("page size does not fit u32".into()))?;
         let meta_len = u32::try_from(state.user_meta.len())
             .map_err(|_| PagerError::Corrupt("user metadata length does not fit u32".into()))?;
-        let mut page = vec![0u8; page_size];
-        let mut c = PageCodec::new(&mut page);
-        c.put_u32(MAGIC)?;
-        c.put_u32(VERSION)?;
-        c.put_u32(ps)?;
-        c.put_u64(state.free_head)?;
-        c.put_u32(meta_len)?;
-        c.put_bytes(&state.user_meta)?;
-        Ok(page)
+        build_page(page_size, |page| {
+            let mut c = PageCodec::new(page);
+            c.put_u32(MAGIC)?;
+            c.put_u32(VERSION)?;
+            c.put_u32(ps)?;
+            c.put_u64(state.free_head)?;
+            c.put_u32(meta_len)?;
+            c.put_bytes(&state.user_meta)
+        })
     }
 
     /// Commit and checkpoint: append a commit marker sealing every frame
@@ -753,7 +760,7 @@ impl PageFile {
             }
         };
         if let Some(page) = meta_page {
-            self.log_page(0, page.into_boxed_slice())?;
+            self.log_page(0, page)?;
             // The image is staged in the log; whichever flush next seals
             // a commit marker persists it, so the dirty bit can drop now.
             self.meta.lock().meta_dirty = false;

@@ -51,10 +51,17 @@ pub const FRAME_COMMIT: u8 = 2;
 
 const CRC_INIT: u32 = 0xFFFF_FFFF;
 
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        std::array::from_fn(|i| {
+/// Bytes folded per step of the slicing kernel in [`crc32_update`].
+const SLICE: usize = 16;
+
+/// The slicing tables: `t[0]` is the classic bytewise table of the
+/// reflected IEEE polynomial, and `t[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so one step folds [`SLICE`] bytes with one
+/// lookup per byte and no dependency between the lookups.
+fn crc_tables() -> &'static [[u32; 256]; SLICE] {
+    static TABLES: OnceLock<[[u32; 256]; SLICE]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let base: [u32; 256] = std::array::from_fn(|i| {
             let mut crc = i as u32;
             for _ in 0..8 {
                 crc = if crc & 1 != 0 {
@@ -64,18 +71,48 @@ fn crc_table() -> &'static [u32; 256] {
                 };
             }
             crc
+        });
+        let mut prev = base;
+        std::array::from_fn(|k| {
+            if k > 0 {
+                prev = prev.map(|crc| lookup(&base, crc as u8) ^ (crc >> 8));
+            }
+            prev
         })
     })
 }
 
+#[inline(always)]
+fn lookup(table: &[u32; 256], byte: u8) -> u32 {
+    table.get(usize::from(byte)).copied().unwrap_or(0)
+}
+
 /// Fold `bytes` into a running CRC-32 state (start from [`crc32_begin`],
 /// finish with [`crc32_finish`]).
+///
+/// Slicing-by-16: each step XORs the state into the first four bytes of
+/// a 16-byte block and sums sixteen independent table lookups, one per
+/// byte. The tail shorter than a block goes bytewise through `t[0]`. The
+/// values are exactly those of the bytewise CRC-32 (IEEE), so frame and
+/// header checksums on disk do not change.
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
-    let table = crc_table();
+    let tables = crc_tables();
     let mut crc = state;
-    for &b in bytes {
-        let idx = usize::from((crc ^ u32::from(b)) as u8);
-        crc = table.get(idx).copied().unwrap_or(0) ^ (crc >> 8);
+    let (blocks, tail) = bytes.as_chunks::<SLICE>();
+    for block in blocks {
+        let [b0, b1, b2, b3, rest @ ..] = *block;
+        let head = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        // Byte j of the block is followed by SLICE - 1 - j more bytes, so
+        // it looks up table SLICE - 1 - j.
+        crc = head
+            .iter()
+            .chain(rest.iter())
+            .zip(tables.iter().rev())
+            .fold(0, |acc, (&b, table)| acc ^ lookup(table, b));
+    }
+    let [base, ..] = tables;
+    for &b in tail {
+        crc = lookup(base, crc as u8 ^ b) ^ (crc >> 8);
     }
     crc
 }
@@ -416,6 +453,88 @@ mod tests {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The textbook bytewise CRC-32 (IEEE) state update, bit by bit: the
+    /// reference the slicing kernel must agree with.
+    fn crc32_update_reference(state: u32, bytes: &[u8]) -> u32 {
+        let mut crc = state;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc
+    }
+
+    fn reference_crc32(bytes: &[u8]) -> u32 {
+        !crc32_update_reference(CRC_INIT, bytes)
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64*).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut s = seed | 1;
+        (0..len)
+            .map(|_| {
+                s ^= s >> 12;
+                s ^= s << 25;
+                s ^= s >> 27;
+                s.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes()[7]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slicing_kernel_equals_bytewise_reference() {
+        let buf = noise(3 * 8192 + 64, 0x5EED);
+        // Every short length, at every start offset within a block, so
+        // each split of a buffer into blocks and a tail is covered.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    reference_crc32(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        // Random lengths up to three 8 KiB pages, random starts.
+        let picks = noise(400, 0xC0FFEE);
+        for pair in picks.chunks_exact(4) {
+            let len = usize::from(u16::from_le_bytes([pair[0], pair[1]])) % (3 * 8192 + 1);
+            let start = usize::from(pair[2]) % 8;
+            let bytes = &buf[start..start + len];
+            assert_eq!(
+                crc32(bytes),
+                reference_crc32(bytes),
+                "start {start} len {len}"
+            );
+        }
+        // Non-initial states, as the epoch-salted frame checksums use.
+        for state in [0, 0x1234_5678, u32::MAX] {
+            let bytes = &buf[..1000];
+            assert_eq!(
+                crc32_update(state, bytes),
+                crc32_update_reference(state, bytes)
+            );
+        }
+    }
+
+    #[test]
+    fn chained_updates_equal_one_shot_at_every_split() {
+        let buf = noise(100, 0xAB);
+        let whole = reference_crc32(&buf);
+        for cut in 0..=buf.len() {
+            let (a, b) = buf.split_at(cut);
+            let state = crc32_update(crc32_update(crc32_begin(), a), b);
+            assert_eq!(crc32_finish(state), whole, "split at {cut}");
+        }
     }
 
     #[test]

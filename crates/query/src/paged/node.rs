@@ -123,45 +123,81 @@ impl<R: Region> Node<R> {
     /// Deserialize from a page payload, validating every field whose
     /// misvalue would later feed a panicking constructor.
     pub fn decode(payload: &[u8], params: &Params<R>) -> Result<Self> {
+        let dim = params.dim;
+        match Layout::parse(payload, params)? {
+            Layout::Leaf(cols) => {
+                let mut entries = Vec::with_capacity(cols.len());
+                let mut coords = Vec::with_capacity(dim);
+                for (i, data) in cols.data_ids().enumerate() {
+                    cols.point_into(i, &mut coords)?;
+                    if !coords.iter().all(|v| v.is_finite()) {
+                        return Err(non_finite_leaf());
+                    }
+                    // On-disk bytes are untrusted input: the fallible
+                    // constructor turns a zero-dimensional page into a
+                    // typed error instead of a panic.
+                    let point = Point::try_new(coords.as_slice())
+                        .map_err(|e| TreeError::Corrupt(e.to_string()))?;
+                    entries.push(LeafEntry { point, data });
+                }
+                Ok(Node::Leaf(entries))
+            }
+            Layout::Inner { level, n, mut rest } => {
+                let mut entries = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let region = R::decode(&mut rest, dim)?;
+                    let child = rest.get_u64()?;
+                    entries.push(Entry { region, child });
+                }
+                Ok(Node::Inner { level, entries })
+            }
+        }
+    }
+}
+
+/// The error of a leaf holding a NaN or infinite coordinate.
+pub(super) fn non_finite_leaf() -> TreeError {
+    TreeError::Corrupt("non-finite leaf coordinate".into())
+}
+
+/// A node page with its header checked and its entries left on the page:
+/// the validation [`Node::decode`] runs before it reads an entry, shared
+/// with the zero-copy lookup so both reject the same pages.
+pub(super) enum Layout<'a> {
+    /// A columnar leaf.
+    Leaf(LeafColumns<'a>),
+    /// An inner node whose payload holds all `n` entries.
+    Inner {
+        /// The stored level (never 0).
+        level: u16,
+        /// The entry count.
+        n: usize,
+        /// A reader at the first entry.
+        rest: PageReader<'a>,
+    },
+}
+
+impl<'a> Layout<'a> {
+    /// Check the `(level, n)` header and that the payload covers `n`
+    /// entries of the level's size.
+    pub(super) fn parse<R: Region>(payload: &'a [u8], params: &Params<R>) -> Result<Self> {
         if payload.len() < NODE_HEADER {
             return Err(TreeError::NotThisIndex("node page too short".into()));
         }
-        let mut c = PageReader::new(payload);
-        let level = c.get_u16()?;
-        let n = usize::from(c.get_u16()?);
+        let mut rest = PageReader::new(payload);
+        let level = rest.get_u16()?;
+        let n = usize::from(rest.get_u16()?);
         let dim = params.dim;
         if level == 0 {
-            if c.remaining() < n * Params::<R>::leaf_entry_bytes(dim, params.data_area) {
+            if rest.remaining() < n * Params::<R>::leaf_entry_bytes(dim, params.data_area) {
                 return Err(TreeError::NotThisIndex("truncated leaf page".into()));
             }
-            let cols = LeafColumns::parse(payload, dim)?;
-            let mut entries = Vec::with_capacity(n);
-            let mut coords = Vec::with_capacity(dim);
-            for (i, data) in cols.data_ids().enumerate() {
-                cols.point_into(i, &mut coords)?;
-                if !coords.iter().all(|v| v.is_finite()) {
-                    return Err(TreeError::Corrupt("non-finite leaf coordinate".into()));
-                }
-                // On-disk bytes are untrusted input: the fallible
-                // constructor turns a zero-dimensional page into a typed
-                // error instead of a panic.
-                let point = Point::try_new(coords.as_slice())
-                    .map_err(|e| TreeError::Corrupt(e.to_string()))?;
-                entries.push(LeafEntry { point, data });
-            }
-            Ok(Node::Leaf(entries))
-        } else {
-            if c.remaining() < n * Params::<R>::node_entry_bytes(dim) {
-                return Err(TreeError::NotThisIndex("truncated node page".into()));
-            }
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let region = R::decode(&mut c, dim)?;
-                let child = c.get_u64()?;
-                entries.push(Entry { region, child });
-            }
-            Ok(Node::Inner { level, entries })
+            return Ok(Layout::Leaf(LeafColumns::parse(payload, dim)?));
         }
+        if rest.remaining() < n * Params::<R>::node_entry_bytes(dim) {
+            return Err(TreeError::NotThisIndex("truncated node page".into()));
+        }
+        Ok(Layout::Inner { level, n, rest })
     }
 }
 

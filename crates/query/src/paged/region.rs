@@ -3,7 +3,10 @@
 
 use std::fmt;
 
-use sr_geometry::{bounding_rect_of_points, rect_min_dist2_f64le, Point, Rect, Sphere};
+use sr_geometry::{
+    bounding_rect_of_points, rect_min_dist2_f64le, within_radius, Point, Rect, Sphere,
+    CONTAINMENT_EPS,
+};
 use sr_pager::{PageCodec, PageReader};
 
 use super::error::{Result, TreeError};
@@ -50,6 +53,13 @@ pub trait Region: Clone + PartialEq + fmt::Debug {
     /// exact-match lookup and deletion.
     fn contains_point(&self, p: &[f32]) -> bool;
 
+    /// [`Region::decode`] then [`Region::contains_point`], straight off
+    /// the raw region bytes (`Self::bytes(dim)` of them) and without
+    /// allocating: the same answer for every region `decode` accepts, and
+    /// the same error for every region it rejects. `p` has the tree's
+    /// dimensionality.
+    fn contains_raw(raw: &[u8], p: &[f32]) -> Result<bool>;
+
     /// The policy as the metadata flags word, or `None` for trees whose
     /// metadata has no flags word.
     fn policy_flags(policy: &Self::Policy) -> Option<u32> {
@@ -68,6 +78,17 @@ fn corrupt(e: impl fmt::Display) -> TreeError {
     TreeError::Corrupt(e.to_string())
 }
 
+const BAD_RECT: &str = "invalid rectangle bound on disk";
+const INVERTED_RECT: &str = "inverted bounding rectangle on disk";
+const BAD_SPHERE: &str = "invalid bounding sphere on disk";
+
+/// The next `dim` on-disk coordinates, narrowed back to `f32` exactly as
+/// [`PageReader::get_coords`] narrows them, without collecting them.
+fn coords<'a>(c: &mut PageReader<'a>, dim: usize) -> Result<impl Iterator<Item = f32> + 'a> {
+    let (lanes, _) = c.get_bytes(dim * 8)?.as_chunks::<8>();
+    Ok(lanes.iter().map(|lane| f64::from_le_bytes(*lane) as f32))
+}
+
 /// Write a rectangle as its `min` then `max` corner.
 pub fn put_rect(c: &mut PageCodec<'_>, r: &Rect) -> Result<()> {
     c.put_coords(r.min())?;
@@ -83,14 +104,42 @@ pub fn get_rect(c: &mut PageReader<'_>, dim: usize, allow_infinite: bool) -> Res
     let max = c.get_coords(dim)?;
     let valid = |v: &f32| v.is_finite() || (allow_infinite && !v.is_nan());
     if !min.iter().chain(max.iter()).all(valid) {
-        return Err(TreeError::Corrupt("invalid rectangle bound on disk".into()));
+        return Err(TreeError::Corrupt(BAD_RECT.into()));
     }
     if !min.iter().zip(max.iter()).all(|(lo, hi)| lo <= hi) {
-        return Err(TreeError::Corrupt(
-            "inverted bounding rectangle on disk".into(),
-        ));
+        return Err(TreeError::Corrupt(INVERTED_RECT.into()));
     }
     Ok(Rect::new(min, max))
+}
+
+/// [`get_rect`] then a containment test, over the rectangle bytes at the
+/// cursor and without allocating: the same error for the same bytes, and
+/// otherwise whether `inside(lo, hi, x)` holds on every axis. Every axis
+/// is read, so a bad bound after an axis that already misses still fails
+/// as it does in `get_rect`.
+pub fn rect_contains_raw(
+    c: &mut PageReader<'_>,
+    p: &[f32],
+    allow_infinite: bool,
+    inside: impl Fn(f32, f32, f32) -> bool,
+) -> Result<bool> {
+    let min = coords(c, p.len())?;
+    let max = coords(c, p.len())?;
+    let valid = |v: f32| v.is_finite() || (allow_infinite && !v.is_nan());
+    let (mut invalid, mut inverted, mut hit) = (false, false, true);
+    for ((lo, hi), &x) in min.zip(max).zip(p) {
+        invalid |= !valid(lo) || !valid(hi);
+        // NaN is already `invalid`, which takes precedence.
+        inverted |= lo > hi;
+        hit &= inside(lo, hi, x);
+    }
+    if invalid {
+        return Err(TreeError::Corrupt(BAD_RECT.into()));
+    }
+    if inverted {
+        return Err(TreeError::Corrupt(INVERTED_RECT.into()));
+    }
+    Ok(hit)
 }
 
 /// Write a sphere as its center then its radius (as f64).
@@ -106,12 +155,30 @@ pub fn get_sphere(c: &mut PageReader<'_>, dim: usize) -> Result<Sphere> {
     let center = c.get_coords(dim)?;
     let radius = c.get_f64()? as f32;
     if !center.iter().all(|v| v.is_finite()) || !radius.is_finite() || radius < 0.0 {
-        return Err(TreeError::Corrupt("invalid bounding sphere on disk".into()));
+        return Err(TreeError::Corrupt(BAD_SPHERE.into()));
     }
     Ok(Sphere::new(
         Point::try_new(center).map_err(corrupt)?,
         radius,
     ))
+}
+
+/// [`get_sphere`] then the [`CONTAINMENT_EPS`]-tolerant test every tree
+/// probes stored points with, over the sphere bytes at the cursor and
+/// without allocating: the same error for the same bytes, and otherwise
+/// the answer of [`Sphere::contains_point`].
+pub fn sphere_contains_raw(c: &mut PageReader<'_>, p: &[f32]) -> Result<bool> {
+    let (mut finite, mut d2) = (true, 0.0f64);
+    for (v, &x) in coords(c, p.len())?.zip(p) {
+        finite &= v.is_finite();
+        let d = f64::from(v) - f64::from(x);
+        d2 += d * d;
+    }
+    let radius = c.get_f64()? as f32;
+    if !finite || !radius.is_finite() || radius < 0.0 {
+        return Err(TreeError::Corrupt(BAD_SPHERE.into()));
+    }
+    Ok(within_radius(d2, radius, CONTAINMENT_EPS))
 }
 
 /// Minimum bounding rectangles: the R\*-tree's and the VAMSplit
@@ -148,6 +215,10 @@ impl Region for Rect {
 
     fn contains_point(&self, p: &[f32]) -> bool {
         Rect::contains_point(self, p)
+    }
+
+    fn contains_raw(raw: &[u8], p: &[f32]) -> Result<bool> {
+        rect_contains_raw(&mut PageReader::new(raw), p, false, Rect::contains_coord)
     }
 }
 

@@ -3,10 +3,10 @@
 
 use sr_geometry::Point;
 use sr_obs::{Noop, Recorder};
-use sr_pager::{PageCodec, PageFile, PageId, PageKind, PageReader};
+use sr_pager::{LeafColumns, PageBuf, PageCodec, PageFile, PageId, PageKind, PageReader};
 
 use super::error::{Result, TreeError};
-use super::node::{LeafEntry, Node};
+use super::node::{non_finite_leaf, Layout, LeafEntry, Node};
 use super::params::Params;
 use super::region::Region;
 use super::search::Source;
@@ -207,14 +207,19 @@ impl<R: Region> Paged<R> {
         Some((self.height - 1) as u16)
     }
 
-    /// Read and decode the node at `id`, expected at `level`.
-    pub fn read_node(&self, id: PageId, level: u16) -> Result<Node<R>> {
+    /// Read the payload of the node at `id`, expected at `level`.
+    fn read_payload(&self, id: PageId, level: u16) -> Result<PageBuf> {
         let kind = if level == 0 {
             PageKind::Leaf
         } else {
             PageKind::Node
         };
-        Node::decode(&self.pf.read(id, kind)?, &self.params)
+        Ok(self.pf.read(id, kind)?)
+    }
+
+    /// Read and decode the node at `id`, expected at `level`.
+    pub fn read_node(&self, id: PageId, level: u16) -> Result<Node<R>> {
+        Node::decode(&self.read_payload(id, level)?, &self.params)
     }
 
     /// Encode and write `node` to page `id`.
@@ -285,6 +290,13 @@ impl<R: Region> Paged<R> {
     /// entry `(point, data)`, or `None`. Children are probed only when
     /// their region may contain the point; regions can overlap, so
     /// several may be.
+    ///
+    /// The walk is zero-copy, like `expand()`: regions are probed with
+    /// [`Region::contains_raw`] and leaves matched on their id and
+    /// coordinate lanes, straight off the page buffers. It validates
+    /// every page it reads exactly as [`Node::decode`] would, so it finds
+    /// the same path and fails on the same corrupt pages as a walk over
+    /// decoded nodes.
     pub fn find_leaf(&self, point: &Point, data: u64) -> Result<Option<Vec<PageId>>> {
         fn walk<R: Region>(
             t: &Paged<R>,
@@ -293,23 +305,31 @@ impl<R: Region> Paged<R> {
             point: &Point,
             data: u64,
         ) -> Result<Option<Vec<PageId>>> {
-            match t.read_node(id, level)? {
-                Node::Leaf(entries) => {
-                    let found = entries.iter().any(|e| e.point == *point && e.data == data);
-                    Ok(found.then(|| vec![id]))
-                }
-                Node::Inner { entries, .. } => {
-                    for e in &entries {
-                        if e.region.contains_point(point.coords()) {
-                            if let Some(mut path) = walk(t, e.child, level - 1, point, data)? {
-                                path.insert(0, id);
-                                return Ok(Some(path));
-                            }
-                        }
-                    }
-                    Ok(None)
+            let payload = t.read_payload(id, level)?;
+            let (n, mut rest) = match Layout::parse(&payload, &t.params)? {
+                Layout::Leaf(cols) => return Ok(leaf_holds(&cols, point, data)?.then(|| vec![id])),
+                Layout::Inner { n, rest, .. } => (n, rest),
+            };
+            let below = level.checked_sub(1).ok_or_else(|| {
+                TreeError::Corrupt(format!("page {id} is an inner node at the leaf level"))
+            })?;
+            // Probe every entry before descending into any: a region that
+            // `decode` rejects fails the lookup wherever it sits.
+            let mut hits = Vec::new();
+            for _ in 0..n {
+                let raw = rest.get_bytes(R::bytes(t.params.dim))?;
+                let child = rest.get_u64()?;
+                if R::contains_raw(raw, point.coords())? {
+                    hits.push(child);
                 }
             }
+            for child in hits {
+                if let Some(mut path) = walk(t, child, below, point, data)? {
+                    path.insert(0, id);
+                    return Ok(Some(path));
+                }
+            }
+            Ok(None)
         }
         match self.root_level() {
             Some(level) => walk(self, self.root, level, point, data),
@@ -318,6 +338,10 @@ impl<R: Region> Paged<R> {
     }
 
     /// Whether an exact entry `(point, data)` is stored.
+    ///
+    /// # Errors
+    /// [`TreeError::Corrupt`] or [`TreeError::NotThisIndex`] for a page
+    /// on the lookup's path that [`Node::decode`] rejects.
     pub fn contains(&self, point: &Point, data: u64) -> Result<bool> {
         self.check_dim(point.dim())?;
         Ok(self.find_leaf(point, data)?.is_some())
@@ -367,4 +391,24 @@ impl<R: Region> Paged<R> {
             .search(&QuerySpec::range(query, radius), R::Bound::default(), &Noop)?
             .rows)
     }
+}
+
+/// Whether the leaf holds the entry `(point, data)`, matched on its data
+/// id and coordinate lanes. Like [`Node::decode`], it rejects a leaf with
+/// any non-finite coordinate, whether or not that entry matches.
+fn leaf_holds(cols: &LeafColumns<'_>, point: &[f32], data: u64) -> Result<bool> {
+    let (lanes, _) = cols.coords().as_chunks::<8>();
+    let narrow = |lane: &[u8; 8]| f64::from_le_bytes(*lane) as f32;
+    if !lanes.iter().all(|lane| narrow(lane).is_finite()) {
+        return Err(non_finite_leaf());
+    }
+    // Coordinate `d` of entry `i` is lane `d * n + i` (dimension-major).
+    let n = cols.len();
+    Ok(cols.data_ids().enumerate().any(|(i, id)| {
+        id == data
+            && point
+                .iter()
+                .enumerate()
+                .all(|(d, &x)| lanes.get(d * n + i).map(narrow) == Some(x))
+    }))
 }

@@ -12,8 +12,8 @@ use sr_geometry::{
 use sr_pager::{PageCodec, PageFile, PageId, PageReader};
 use sr_query::paged::centroid::{self, Centered};
 use sr_query::paged::{
-    get_sphere, put_sphere, AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Region, Result,
-    TreeError,
+    get_sphere, put_sphere, sphere_contains_raw, AnyEntry, Dynamic, Entry, Kind, Node, Paged,
+    PagedTree, Region, Result, TreeError,
 };
 use sr_query::{Expansion, IndexError};
 
@@ -74,6 +74,10 @@ impl Region for SsRegion {
     /// contains/delete miss live entries.
     fn contains_point(&self, p: &[f32]) -> bool {
         self.sphere.contains_point(p, CONTAINMENT_EPS)
+    }
+
+    fn contains_raw(raw: &[u8], p: &[f32]) -> Result<bool> {
+        sphere_contains_raw(&mut PageReader::new(raw), p)
     }
 }
 

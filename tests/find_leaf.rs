@@ -1,0 +1,380 @@
+//! Integration: the zero-copy `find_leaf` (region probes and leaf
+//! matching straight off the page buffers) finds exactly what a walk over
+//! decoded nodes finds, and fails exactly where decoding fails.
+//!
+//! * Differential, over the SR-, SS- and R\*-trees built by insertion
+//!   (so forced reinsertion and splits occur) and then thinned by
+//!   deletion: for every stored entry and for absent probes, the path
+//!   equals the one of a decoded reference walk kept here.
+//! * Region level: `Region::contains_raw` equals `decode` +
+//!   `contains_point` on points on a rectangle face, an ulp outside a
+//!   sphere but within `CONTAINMENT_EPS`, and on random region bytes,
+//!   corrupt ones included (same answer, or the same error).
+//! * Corruption: an inner node whose region has a NaN coordinate,
+//!   inverted corners or a negative radius makes `delete` and `contains`
+//!   fail with `TreeError::Corrupt`, even when the corrupt entry is not
+//!   the one the lookup descends into.
+
+use srtree::dataset::{uniform, SeededRng};
+use srtree::geometry::{Point, Rect, Sphere, CONTAINMENT_EPS};
+use srtree::pager::{PageCodec, PageId, PageKind, PageReader};
+use srtree::query::paged::{Dynamic, Node, Paged, Region, TreeError};
+use srtree::rstar::RstarTree;
+use srtree::sstree::{SsRegion, SsTree};
+use srtree::tree::{SrRegion, SrTree};
+
+const DIM: usize = 4;
+const PAGE: usize = 4096;
+
+type Path = Option<Vec<PageId>>;
+
+/// The lookup `find_leaf` replaced: decode every node on the way, probe
+/// regions with `contains_point`, and compare materialised leaf entries.
+fn reference<R: Region>(t: &Paged<R>, point: &Point, data: u64) -> Result<Path, TreeError> {
+    fn walk<R: Region>(
+        t: &Paged<R>,
+        id: PageId,
+        level: u16,
+        point: &Point,
+        data: u64,
+    ) -> Result<Path, TreeError> {
+        match t.read_node(id, level)? {
+            Node::Leaf(entries) => {
+                let found = entries.iter().any(|e| e.point == *point && e.data == data);
+                Ok(found.then(|| vec![id]))
+            }
+            Node::Inner { entries, .. } => {
+                for e in &entries {
+                    if e.region.contains_point(point.coords()) {
+                        if let Some(mut path) = walk(t, e.child, level - 1, point, data)? {
+                            path.insert(0, id);
+                            return Ok(Some(path));
+                        }
+                    }
+                }
+                Ok(None)
+            }
+        }
+    }
+    match t.root_level() {
+        Some(level) => walk(t, t.root, level, point, data),
+        None => Ok(None),
+    }
+}
+
+/// Points with duplicates, so coincident entries with different ids
+/// share leaves and overlapping regions.
+fn points(n: usize, seed: u64) -> Vec<Point> {
+    let mut pts = uniform(n, DIM, seed);
+    for i in (0..n).step_by(7).skip(1) {
+        pts[i] = pts[i - 1].clone();
+    }
+    pts
+}
+
+fn differential<T: Dynamic>(mut tree: T, seed: u64) {
+    let name = tree.core().kind().name;
+    let pts = points(1500, seed);
+    for (i, p) in pts.iter().enumerate() {
+        tree.insert(p.clone(), i as u64).unwrap();
+    }
+    let mut rng = SeededRng::seed_from_u64(seed);
+    let mut live = vec![true; pts.len()];
+    for i in 0..pts.len() {
+        if rng.random_bool(0.35) {
+            assert!(
+                tree.delete(&pts[i], i as u64).unwrap(),
+                "{name}: delete {i}"
+            );
+            live[i] = false;
+        }
+    }
+    let core = tree.core();
+    assert!(
+        core.height() >= 3,
+        "{name}: tree too shallow to exercise the walk"
+    );
+    for (i, p) in pts.iter().enumerate() {
+        let got = core.find_leaf(p, i as u64).unwrap();
+        assert_eq!(
+            got,
+            reference(core, p, i as u64).unwrap(),
+            "{name}: entry {i}"
+        );
+        assert_eq!(got.is_some(), live[i], "{name}: entry {i} live {}", live[i]);
+        // The right point under a wrong id is absent.
+        let wrong = core.find_leaf(p, u64::MAX).unwrap();
+        assert_eq!(wrong, None, "{name}: entry {i} under a wrong id");
+    }
+    for (j, q) in uniform(300, DIM, seed ^ 0xABCD).iter().enumerate() {
+        let got = core.find_leaf(q, j as u64).unwrap();
+        assert_eq!(
+            got,
+            reference(core, q, j as u64).unwrap(),
+            "{name}: probe {j}"
+        );
+    }
+}
+
+#[test]
+fn find_leaf_matches_decoded_walk_sr() {
+    differential(SrTree::create_in_memory(DIM, PAGE).unwrap(), 11);
+}
+
+#[test]
+fn find_leaf_matches_decoded_walk_ss() {
+    differential(SsTree::create_in_memory(DIM, PAGE).unwrap(), 12);
+}
+
+#[test]
+fn find_leaf_matches_decoded_walk_rstar() {
+    differential(RstarTree::create_in_memory(DIM, PAGE).unwrap(), 13);
+}
+
+fn encode<R: Region>(region: &R) -> Vec<u8> {
+    let mut buf = vec![0u8; R::bytes(DIM)];
+    region.encode(&mut PageCodec::new(&mut buf)).unwrap();
+    buf
+}
+
+/// `contains_raw` on `raw` gives the answer of `decode` +
+/// `contains_point`, or the error `decode` gives; returns the answer.
+fn agree<R: Region>(raw: &[u8], p: &[f32]) -> Option<bool> {
+    let fast = R::contains_raw(raw, p);
+    let slow = R::decode(&mut PageReader::new(raw), p.len()).map(|r| r.contains_point(p));
+    match (fast, slow) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a, b, "raw {raw:?} p {p:?}");
+            Some(a)
+        }
+        (Err(a), Err(b)) => {
+            assert!(matches!(a, TreeError::Corrupt(_)), "{a}");
+            assert_eq!(a.to_string(), b.to_string(), "raw {raw:?} p {p:?}");
+            None
+        }
+        (a, b) => panic!("raw probe {a:?} but decode {b:?}, raw {raw:?} p {p:?}"),
+    }
+}
+
+fn unit_rect() -> Rect {
+    Rect::new(vec![0.0; DIM], vec![1.0; DIM])
+}
+
+fn unit_sphere() -> Sphere {
+    Sphere::new(Point::new(vec![0.0; DIM]), 1.0)
+}
+
+fn sr(sphere: Sphere, rect: Rect) -> SrRegion {
+    SrRegion {
+        sphere,
+        rect,
+        weight: 3,
+    }
+}
+
+#[test]
+fn point_on_a_rectangle_face_is_inside() {
+    let face = [1.0f32, 0.5, 0.0, 0.25];
+    let beyond = [1.0f32.next_up(), 0.5, 0.0, 0.25];
+    let rect = encode(&unit_rect());
+    assert_eq!(agree::<Rect>(&rect, &face), Some(true));
+    assert_eq!(agree::<Rect>(&rect, &beyond), Some(false));
+    // An SR region whose sphere holds the face: the rectangle decides.
+    let big = Sphere::new(Point::new(vec![0.5; DIM]), 2.0);
+    let region = encode(&sr(big, unit_rect()));
+    assert_eq!(agree::<SrRegion>(&region, &face), Some(true));
+    assert_eq!(agree::<SrRegion>(&region, &beyond), Some(false));
+}
+
+#[test]
+fn point_an_ulp_outside_a_sphere_is_inside_within_tolerance() {
+    let outside = [1.0f32.next_up(), 0.0, 0.0, 0.0];
+    assert!(
+        !unit_sphere().contains_point(&outside, 0.0),
+        "must be outside"
+    );
+    let past = [1.0 + 10.0 * CONTAINMENT_EPS as f32, 0.0, 0.0, 0.0];
+    let ss = encode(&SsRegion {
+        sphere: unit_sphere(),
+        weight: 9,
+    });
+    assert_eq!(agree::<SsRegion>(&ss, &outside), Some(true));
+    assert_eq!(agree::<SsRegion>(&ss, &past), Some(false));
+    let wide = Rect::new(vec![-2.0; DIM], vec![2.0; DIM]);
+    let region = encode(&sr(unit_sphere(), wide));
+    assert_eq!(agree::<SrRegion>(&region, &outside), Some(true));
+    assert_eq!(agree::<SrRegion>(&region, &past), Some(false));
+}
+
+/// One random f64 lane at `near + offset`: mostly an ordinary value, now
+/// and then exactly `near` or an ulp past it, and rarely a value decoding
+/// must reject or narrow (NaN, ±∞, beyond the f32 range).
+fn lane(rng: &mut SeededRng, near: f32, offset: f64) -> f64 {
+    match rng.random_range(0..64) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => 1e300,
+        4..=7 => f64::from(near),
+        8..=11 => f64::from(near.next_up()),
+        _ => f64::from(near) + offset,
+    }
+}
+
+#[test]
+fn raw_probe_equals_decode_on_random_region_bytes() {
+    let mut rng = SeededRng::seed_from_u64(0x5EED);
+    let (mut inside, mut outside, mut errors) = (0, 0, 0);
+    for _ in 0..20_000 {
+        let p: Vec<f32> = (0..DIM).map(|_| rng.random::<f32>()).collect();
+        let mut corners = Vec::new();
+        for side in [-1.0, 1.0] {
+            for &x in &p {
+                // Mostly on the probe's side of each corner; sometimes
+                // past it, which misses or inverts the rectangle.
+                let offset = side * (rng.random::<f64>() - 0.03);
+                corners.extend(lane(&mut rng, x, offset).to_le_bytes());
+            }
+        }
+        let mut sphere = Vec::new();
+        for &x in &p {
+            let offset = 0.5 * (rng.random::<f64>() - 0.5);
+            sphere.extend(lane(&mut rng, x, offset).to_le_bytes());
+        }
+        let radius = match rng.random_range(0..40) {
+            0 => -0.5,
+            1 => f64::NAN,
+            2 => f64::INFINITY,
+            _ => rng.random::<f64>() * 0.8,
+        };
+        sphere.extend(radius.to_le_bytes());
+        let weight = rng.random::<u32>().to_le_bytes();
+        let results = [
+            agree::<Rect>(&corners, &p),
+            agree::<SsRegion>(&[&sphere[..], &weight].concat(), &p),
+            agree::<SrRegion>(&[&sphere[..], &corners, &weight].concat(), &p),
+        ];
+        for r in results {
+            match r {
+                Some(true) => inside += 1,
+                Some(false) => outside += 1,
+                None => errors += 1,
+            }
+        }
+    }
+    assert!(
+        inside > 1000 && outside > 1000 && errors > 1000,
+        "{inside} inside, {outside} outside, {errors} errors"
+    );
+}
+
+/// Build a tree of height ≥ 2 and return a stored entry that sits under
+/// the root's first child.
+fn built<T: Dynamic>(mut tree: T) -> (T, Point, u64) {
+    let pts = points(600, 21);
+    for (i, p) in pts.iter().enumerate() {
+        tree.insert(p.clone(), i as u64).unwrap();
+    }
+    let core = tree.core();
+    let level = core.root_level().unwrap();
+    assert!(level >= 1);
+    let Node::Inner { entries, .. } = core.read_node(core.root, level).unwrap() else {
+        panic!("root is not inner")
+    };
+    let (i, p) = pts
+        .iter()
+        .enumerate()
+        .find(|(i, p)| {
+            core.find_leaf(p, *i as u64)
+                .unwrap()
+                .is_some_and(|path| path[1] == entries[0].child)
+        })
+        .expect("an entry under the first child");
+    let p = p.clone();
+    (tree, p, i as u64)
+}
+
+/// Overwrite `(lane, value)` f64 lanes of the region of the root's *last*
+/// entry, then check that `delete` and `contains` of an entry under the
+/// *first* child fail with `Corrupt`, as the decoded walk does.
+fn corrupt_root<T: Dynamic>(tree: T, lanes: &[(usize, f64)]) {
+    let (mut tree, p, id) = built(tree);
+    let core = tree.core();
+    let name = core.kind().name;
+    let level = core.root_level().unwrap();
+    let mut payload = core
+        .pager()
+        .read(core.root, PageKind::Node)
+        .unwrap()
+        .to_vec();
+    let n = usize::from(u16::from_le_bytes([payload[2], payload[3]]));
+    let entry = 4 + (n - 1) * (T::Region::bytes(DIM) + 8);
+    for &(lane, v) in lanes {
+        let at = entry + lane * 8;
+        payload[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+    core.pager()
+        .write(core.root, PageKind::Node, &payload)
+        .unwrap();
+    assert!(
+        matches!(core.read_node(core.root, level), Err(TreeError::Corrupt(_))),
+        "{name}: decode must reject the patched root"
+    );
+    assert!(matches!(
+        reference(core, &p, id),
+        Err(TreeError::Corrupt(_))
+    ));
+    let contains = core.contains(&p, id);
+    assert!(
+        matches!(contains, Err(TreeError::Corrupt(_))),
+        "{name}: contains gave {contains:?}"
+    );
+    let deleted = tree.delete(&p, id);
+    assert!(
+        matches!(deleted, Err(TreeError::Corrupt(_))),
+        "{name}: delete gave {deleted:?}"
+    );
+}
+
+// Region lanes: SR = center[DIM], radius, min[DIM], max[DIM];
+// SS = center[DIM], radius; Rect = min[DIM], max[DIM].
+
+#[test]
+fn nan_region_coordinate_is_corrupt() {
+    corrupt_root(
+        SrTree::create_in_memory(DIM, PAGE).unwrap(),
+        &[(1, f64::NAN)],
+    );
+    corrupt_root(
+        SrTree::create_in_memory(DIM, PAGE).unwrap(),
+        &[(DIM + 2, f64::NAN)],
+    );
+    corrupt_root(
+        SsTree::create_in_memory(DIM, PAGE).unwrap(),
+        &[(2, f64::NAN)],
+    );
+    corrupt_root(
+        RstarTree::create_in_memory(DIM, PAGE).unwrap(),
+        &[(DIM + 3, f64::NAN)],
+    );
+}
+
+#[test]
+fn inverted_region_corners_are_corrupt() {
+    // min[0] = 5 > max[0] = -5.
+    let (sr_min, sr_max) = (DIM + 1, 2 * DIM + 1);
+    corrupt_root(
+        SrTree::create_in_memory(DIM, PAGE).unwrap(),
+        &[(sr_min, 5.0), (sr_max, -5.0)],
+    );
+    corrupt_root(
+        RstarTree::create_in_memory(DIM, PAGE).unwrap(),
+        &[(0, 5.0), (DIM, -5.0)],
+    );
+}
+
+#[test]
+fn negative_region_radius_is_corrupt() {
+    corrupt_root(SrTree::create_in_memory(DIM, PAGE).unwrap(), &[(DIM, -1.0)]);
+    corrupt_root(SsTree::create_in_memory(DIM, PAGE).unwrap(), &[(DIM, -1.0)]);
+}
