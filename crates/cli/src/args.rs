@@ -9,7 +9,7 @@
 use std::fmt;
 use std::path::PathBuf;
 
-use sr_testkit::DataDist;
+use sr_testkit::{DataDist, TreeKind};
 
 /// The usage banner printed alongside argument errors.
 pub const USAGE: &str =
@@ -87,37 +87,6 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Which index structure a command targets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IndexKind {
-    /// The SR-tree (default).
-    Sr,
-    /// The SS-tree.
-    Ss,
-    /// The R\*-tree.
-    Rstar,
-    /// The K-D-B-tree.
-    Kdb,
-    /// The static VAMSplit R-tree.
-    Vam,
-}
-
-impl IndexKind {
-    fn from_str(s: &str) -> Result<Self, ArgError> {
-        match s {
-            "sr" => Ok(IndexKind::Sr),
-            "ss" => Ok(IndexKind::Ss),
-            "rstar" | "r*" => Ok(IndexKind::Rstar),
-            "kdb" => Ok(IndexKind::Kdb),
-            "vam" => Ok(IndexKind::Vam),
-            other => Err(ArgError::BadValue {
-                flag: "--index",
-                detail: format!("unknown index kind {other:?} (sr|ss|rstar|kdb|vam)"),
-            }),
-        }
-    }
-}
-
 /// Which synthetic data set `gen` produces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GenKind {
@@ -157,7 +126,7 @@ pub enum Command {
     },
     /// Create an index file and load a TSV into it.
     Build {
-        index: IndexKind,
+        index: TreeKind,
         dim: usize,
         index_path: PathBuf,
         data_path: PathBuf,
@@ -442,10 +411,17 @@ fn parse_gen(rest: &[&str]) -> Result<Command, ArgError> {
     })
 }
 
+fn parse_index_kind(s: &str) -> Result<TreeKind, ArgError> {
+    TreeKind::parse(s).ok_or_else(|| ArgError::BadValue {
+        flag: "--index",
+        detail: format!("unknown index kind {s:?} (sr|ss|rstar|kdb|vam)"),
+    })
+}
+
 fn parse_build(rest: &[&str]) -> Result<Command, ArgError> {
     let pos = positionals(rest, 2)?;
     Ok(Command::Build {
-        index: IndexKind::from_str(flag(rest, "--index")?.unwrap_or("sr"))?,
+        index: parse_index_kind(flag(rest, "--index")?.unwrap_or("sr"))?,
         dim: flag(rest, "--dim")?
             .unwrap_or("16")
             .parse()
@@ -753,7 +729,7 @@ mod tests {
         let cmd = p(&["build", "--index", "ss", "--dim", "4", "i.pages", "d.tsv"]).unwrap();
         match cmd {
             Command::Build { index, dim, .. } => {
-                assert_eq!(index, IndexKind::Ss);
+                assert_eq!(index, TreeKind::Ss);
                 assert_eq!(dim, 4);
             }
             _ => panic!("wrong command"),

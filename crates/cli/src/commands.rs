@@ -2,17 +2,21 @@
 
 use std::fmt;
 use std::io::Write;
+use std::path::Path;
 
 use sr_dataset::{cluster, real_sim, uniform, ClusterSpec};
 use sr_geometry::Point;
 use sr_obs::{Counter, Recorder, StatsRecorder};
-use sr_pager::{IoStats, PageKind, WalStats};
-use sr_testkit::{failure_report, generate, minimize, run_tape, DiffConfig, WorkloadSpec};
+use sr_pager::{IoStats, PageFile, PageKind, WalStats, DEFAULT_PAGE_SIZE};
+use sr_query::paged::DEFAULT_DATA_AREA;
+use sr_query::{IndexError, SpatialIndex};
+use sr_testkit::{
+    failure_report, generate, minimize, run_tape, DiffConfig, TreeKind, WorkloadSpec,
+};
 use sr_wire::{io_json, RemoteError, Request, Response};
 
 use crate::args::{ClientOp, Command, GenKind, HELP};
 use crate::data::{read_points, write_points};
-use crate::store::AnyStore;
 
 /// A failed command, split by exit code: usage errors (bad input the
 /// user can fix — exit 2), execution failures (exit 1), and remote
@@ -43,6 +47,39 @@ impl From<String> for CmdError {
     fn from(s: String) -> Self {
         CmdError::Failure(s)
     }
+}
+
+/// Open the index at `path`: the pager first, so its own error (a
+/// truncated or foreign file) is what the user sees, then whichever tree
+/// the metadata names.
+fn open_index(path: &Path) -> Result<Box<dyn SpatialIndex>, CmdError> {
+    let failure = |e: &dyn fmt::Display| CmdError::Failure(format!("{}: {e}", path.display()));
+    let pf = PageFile::open(path).map_err(|e| failure(&e))?;
+    TreeKind::open(pf).map_err(|e| match e {
+        IndexError::NotThisIndex(why) => failure(&format!("not a recognizable index file ({why})")),
+        e => failure(&e),
+    })
+}
+
+/// Create the index file at `path` and load `points` into a `kind` tree.
+/// A dimensionality the page cannot hold is a usage error; every other
+/// failure is an execution failure.
+fn build_index(
+    kind: TreeKind,
+    path: &Path,
+    dim: usize,
+    points: Vec<(Point, u64)>,
+) -> Result<Box<dyn SpatialIndex>, CmdError> {
+    let e = |err: IndexError| match err {
+        IndexError::InvalidParams(_) => CmdError::Usage(format!(
+            "--dim {dim} is too large for {DEFAULT_PAGE_SIZE}-byte index pages: {err}"
+        )),
+        err => CmdError::Failure(format!("{}: {err}", path.display())),
+    };
+    let pf = PageFile::create(path).map_err(|err| e(err.into()))?;
+    let index = kind.build(pf, dim, DEFAULT_DATA_AREA, points).map_err(e)?;
+    index.flush().map_err(e)?;
+    Ok(index)
 }
 
 /// Mirror the pager's [`WalStats`] into the metric counters, the same
@@ -118,7 +155,7 @@ fn results_json(hits: &[(u64, f64)]) -> String {
 /// Shared tail of `knn` and `range`: run the (possibly traced) query
 /// and print TSV rows or a JSON object.
 fn run_query(
-    store: &AnyStore,
+    index: &dyn SpatialIndex,
     cmd_name: &str,
     trace: bool,
     json: bool,
@@ -126,16 +163,16 @@ fn run_query(
     query: impl FnOnce(&dyn sr_obs::Recorder) -> Result<Vec<(u64, f64)>, CmdError>,
 ) -> Result<(), CmdError> {
     let rec = StatsRecorder::new();
-    let before = store.pager().stats();
+    let before = index.pager().stats();
     let hits = if trace {
         query(&rec)?
     } else {
         query(&sr_obs::Noop)?
     };
-    let io = store.pager().stats().since(&before);
-    let cap = store.pager().cache_capacity();
+    let io = index.pager().stats().since(&before);
+    let cap = index.pager().cache_capacity();
     if trace {
-        mirror_wal(&rec, &store.pager().wal_stats());
+        mirror_wal(&rec, &index.pager().wal_stats());
     }
     let e = |err: std::io::Error| CmdError::Failure(err.to_string());
     if json {
@@ -170,7 +207,7 @@ fn run_query(
 /// `sr-exec`. Output rows are `qidx <TAB> id <TAB> dist`, in input
 /// order regardless of thread count.
 fn run_knn_batch(
-    store: &AnyStore,
+    index: &dyn SpatialIndex,
     batch_path: &std::path::Path,
     k: usize,
     threads: usize,
@@ -184,9 +221,9 @@ fn run_knn_batch(
         .map(|(p, _)| p.coords().to_vec())
         .collect();
     let n_queries = queries.len();
-    let result = sr_exec::run_knn_batch(store.index(), &queries, k, threads)
+    let result = sr_exec::run_knn_batch(index, &queries, k, threads)
         .map_err(|e| CmdError::Failure(format!("{}: {e}", batch_path.display())))?;
-    let cap = store.pager().cache_capacity();
+    let cap = index.pager().cache_capacity();
     let total: usize = result.results.iter().map(Vec::len).sum();
     let e = |err: std::io::Error| CmdError::Failure(err.to_string());
     if json {
@@ -289,7 +326,7 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
             .map_err(|e| CmdError::Failure(e.to_string()))
         }
         Command::Build {
-            index,
+            index: kind,
             dim,
             index_path,
             data_path,
@@ -305,13 +342,14 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
                 }
             }
             let n = points.len();
-            let store = AnyStore::build(index, &index_path, dim, points)?;
-            let (_, len, height) = store.summary();
+            let index = build_index(kind, &index_path, dim, points)?;
             writeln!(
                 out,
-                "built {} at {}: {n} points loaded, {len} stored, height {height}",
-                store.kind_name(),
-                index_path.display()
+                "built {} at {}: {n} points loaded, {} stored, height {}",
+                index.kind_name(),
+                index_path.display(),
+                index.len(),
+                index.height()
             )
             .map_err(|e| CmdError::Failure(e.to_string()))
         }
@@ -321,14 +359,14 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
         } => {
             let points = read_points(&data_path).map_err(|e| e.to_string())?;
             let n = points.len();
-            let mut store = AnyStore::open(&index_path)?;
+            let mut index = open_index(&index_path)?;
             // Same typed requests the server executes, one per point.
             for (p, id) in &points {
                 let req = Request::Insert {
                     point: p.coords().to_vec(),
                     data: *id,
                 };
-                match sr_wire::execute(&req, store.index_mut(), &sr_obs::Noop) {
+                match sr_wire::execute(&req, index.as_mut(), &sr_obs::Noop) {
                     Response::Ack { .. } => {}
                     Response::Error(RemoteError::Unsupported(_)) => {
                         return Err(CmdError::Failure(
@@ -344,14 +382,14 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
                     }
                 }
             }
-            store
-                .index()
+            index
                 .flush()
                 .map_err(|e| CmdError::Failure(e.to_string()))?;
-            let (_, len, height) = store.summary();
             writeln!(
                 out,
-                "inserted {n} points; index now holds {len}, height {height}"
+                "inserted {n} points; index now holds {}, height {}",
+                index.len(),
+                index.height()
             )
             .map_err(|e| CmdError::Failure(e.to_string()))
         }
@@ -364,19 +402,19 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
             trace,
             json,
         } => {
-            let store = AnyStore::open(&index_path)?;
+            let index = open_index(&index_path)?;
             if let Some(batch_path) = batch {
-                return run_knn_batch(&store, &batch_path, k, threads, trace, json, out);
+                return run_knn_batch(index.as_ref(), &batch_path, k, threads, trace, json, out);
             }
             let query = query.ok_or_else(|| CmdError::Usage("missing --query".into()))?;
             let k = u32::try_from(k)
                 .map_err(|_| CmdError::Usage(format!("--k {k} exceeds the wire limit")))?;
-            run_query(&store, "knn", trace, json, out, |rec| {
+            run_query(index.as_ref(), "knn", trace, json, out, |rec| {
                 let req = Request::Knn {
                     query: query.clone(),
                     k,
                 };
-                response_rows(sr_wire::execute_read(&req, store.index(), rec))
+                response_rows(sr_wire::execute_read(&req, index.as_ref(), rec))
             })
         }
         Command::Range {
@@ -386,32 +424,34 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
             trace,
             json,
         } => {
-            let store = AnyStore::open(&index_path)?;
-            run_query(&store, "range", trace, json, out, |rec| {
+            let index = open_index(&index_path)?;
+            run_query(index.as_ref(), "range", trace, json, out, |rec| {
                 let req = Request::Range {
                     query: query.clone(),
                     radius,
                 };
-                response_rows(sr_wire::execute_read(&req, store.index(), rec))
+                response_rows(sr_wire::execute_read(&req, index.as_ref(), rec))
             })
         }
         Command::Stats { index_path, json } => {
-            let store = AnyStore::open(&index_path)?;
-            let (dim, len, height) = store.summary();
-            let io = store.pager().stats();
-            let cap = store.pager().cache_capacity();
-            let page_size = store.pager().page_size();
-            let ws = store.pager().wal_stats();
+            let index = open_index(&index_path)?;
+            let io = index.pager().stats();
+            let cap = index.pager().cache_capacity();
+            let page_size = index.pager().page_size();
+            let ws = index.pager().wal_stats();
             let e = |err: std::io::Error| CmdError::Failure(err.to_string());
             if json {
                 // Same document a served Stats request answers with
                 // (minus the service-lifetime "metrics" member).
-                writeln!(out, "{}", sr_wire::stats_json(store.index())).map_err(e)
+                writeln!(out, "{}", sr_wire::stats_json(index.as_ref())).map_err(e)
             } else {
                 writeln!(
                     out,
-                    "{}: {len} points, {dim} dimensions, height {height}",
-                    store.kind_name()
+                    "{}: {} points, {} dimensions, height {}",
+                    index.kind_name(),
+                    index.len(),
+                    index.dim(),
+                    index.height()
                 )
                 .map_err(e)?;
                 writeln!(out, "pager: {page_size} B pages, buffer pool {cap} pages").map_err(e)?;
@@ -449,9 +489,11 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
             }
         }
         Command::Verify { index_path } => {
-            let store = AnyStore::open(&index_path)?;
-            let summary = store.verify()?;
-            writeln!(out, "{} OK: {summary}", store.kind_name())
+            let index = open_index(&index_path)?;
+            let summary = index
+                .verify()
+                .map_err(|e| CmdError::Failure(e.to_string()))?;
+            writeln!(out, "{} OK: {summary}", index.kind_name())
                 .map_err(|e| CmdError::Failure(e.to_string()))
         }
         Command::Fuzz {
@@ -568,9 +610,9 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
             max_conns,
             max_batch,
         } => {
-            let store = AnyStore::open(&index_path)?;
-            let kind = store.kind_name();
-            let (_, len, _) = store.summary();
+            let index = open_index(&index_path)?;
+            let kind = index.kind_name();
+            let len = index.len();
             let cfg = sr_serve::ServeConfig {
                 addr,
                 threads,
@@ -578,7 +620,7 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
                 max_batch,
                 max_body: sr_wire::DEFAULT_MAX_BODY,
             };
-            let server = sr_serve::Server::start(store.into_index(), cfg)
+            let server = sr_serve::Server::start(index, cfg)
                 .map_err(|e| CmdError::Failure(e.to_string()))?;
             // One parseable line, flushed before blocking, so scripts
             // (and the CI smoke job) can discover the bound port.

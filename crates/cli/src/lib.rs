@@ -27,7 +27,6 @@
 pub mod args;
 pub mod commands;
 pub mod data;
-pub mod store;
 
 pub use args::{parse, ArgError, ClientOp, Command};
 pub use commands::CmdError;

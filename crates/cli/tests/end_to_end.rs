@@ -261,3 +261,38 @@ fn dim_mismatch_reported_at_build() {
     std::fs::remove_file(&data).ok();
     std::fs::remove_file(&index).ok();
 }
+
+#[test]
+fn truncated_index_reports_the_pager_error() {
+    let dir = tmpdir();
+    let data = dir.join("trunc.tsv");
+    sh(&["gen", "--n", "300", "--dim", "4", data.to_str().unwrap()]).unwrap();
+    let index = dir.join("trunc.pages");
+    sh(&[
+        "build",
+        "--index",
+        "sr",
+        "--dim",
+        "4",
+        index.to_str().unwrap(),
+        data.to_str().unwrap(),
+    ])
+    .unwrap();
+    // Cut the file mid-page: the header still reads as a page file, so
+    // the error must be the pager's own, not a guess at the tree type.
+    let len = std::fs::metadata(&index).unwrap().len();
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&index)
+        .unwrap();
+    file.set_len(len - 100).unwrap();
+    let err = sh(&["stats", index.to_str().unwrap()]).unwrap_err();
+    assert!(
+        err.contains("page file corrupt: file length")
+            && err.contains("is not a multiple of page size"),
+        "{err}"
+    );
+    std::fs::remove_file(&data).ok();
+    std::fs::remove_file(&index).ok();
+    std::fs::remove_file(dir.join("trunc.pages.wal")).ok();
+}

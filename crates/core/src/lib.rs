@@ -60,7 +60,7 @@ pub use sr_query::paged::TreeError;
 /// Result alias for tree operations.
 pub type Result<T> = std::result::Result<T, TreeError>;
 pub use sr_query::Neighbor;
-pub use tree::SrTree;
+pub use tree::{SrTree, KIND};
 
 /// Capacity parameters of an SR-tree (Table 1). A node entry stores
 /// both region shapes: bounding sphere (`(D+1)·8` bytes) + bounding

@@ -9,12 +9,15 @@ use sr_geometry::{Point, Rect, Sphere};
 use sr_obs::{Noop, Recorder};
 use sr_pager::{PageFile, PageId};
 use sr_query::paged::centroid;
-use sr_query::paged::{AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result};
+use sr_query::paged::{
+    AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result, DEFAULT_DATA_AREA,
+};
 use sr_query::{IndexError, Neighbor, QuerySpec};
 
 use crate::region::{leaf_shapes, region_of, DistanceBound, SrOptions, SrRegion};
 
-const KIND: Kind = Kind {
+/// The identity this tree writes into its page file's metadata.
+pub const KIND: Kind = Kind {
     magic: 0x5352_5442, // "SRTB"
     name: "SR-tree",
 };
@@ -31,13 +34,17 @@ pub struct SrTree {
 impl SrTree {
     /// Create a new tree in an in-memory page file.
     pub fn create_in_memory(dim: usize, page_size: usize) -> Result<Self> {
-        Self::create_from(PageFile::create_in_memory(page_size)?, dim, 512)
+        Self::create_from(
+            PageFile::create_in_memory(page_size)?,
+            dim,
+            DEFAULT_DATA_AREA,
+        )
     }
 
     /// Create a new tree at `path` with 8 KiB pages and the paper's
     /// 512-byte per-entry data area.
     pub fn create(path: &Path, dim: usize) -> Result<Self> {
-        Self::create_from(PageFile::create(path)?, dim, 512)
+        Self::create_from(PageFile::create(path)?, dim, DEFAULT_DATA_AREA)
     }
 
     /// Create a new tree over an empty [`PageFile`].

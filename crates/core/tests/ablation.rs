@@ -1,6 +1,8 @@
 //! Tests of the ablation knobs: every variant must stay *correct* (k-NN
 //! equals brute force, invariants hold); only the efficiency differs.
 
+#![cfg(test)]
+
 use sr_dataset::{real_sim, sample_queries, uniform};
 use sr_pager::PageFile;
 use sr_query::brute_force_knn;

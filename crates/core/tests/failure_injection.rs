@@ -8,6 +8,8 @@
 //! volume. The repo-level `tests/fault_injection.rs` covers targeted
 //! single-write faults, torn writes, and reopen-after-crash.
 
+#![cfg(test)]
+
 use sr_dataset::uniform;
 use sr_pager::{FaultInjector, FaultKind, MemLogStore, MemPageStore, PageFile, PagerError};
 use sr_tree::{SrTree, TreeError};

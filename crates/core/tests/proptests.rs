@@ -5,6 +5,8 @@
 //! registry dependencies, so there is no proptest); every assertion
 //! message carries the case seed, which reproduces the inputs exactly.
 
+#![cfg(test)]
+
 use sr_dataset::SeededRng;
 use sr_geometry::Point;
 use sr_pager::PageFile;

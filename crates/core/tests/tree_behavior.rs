@@ -2,6 +2,8 @@
 //! mutation, query correctness against brute force, deletion, and
 //! persistence.
 
+#![cfg(test)]
+
 use sr_dataset::{cluster, real_sim, uniform, ClusterSpec};
 use sr_geometry::Point;
 use sr_pager::PageFile;

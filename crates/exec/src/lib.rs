@@ -34,9 +34,8 @@
 //! [`run_batch`] is the generic core (any `Fn(index, query, recorder)`
 //! job); [`run_query_batch`] fans a heterogeneous batch of
 //! [`QuerySpec`]s (mixed k-NN and range — what the `sr-serve` request
-//! coalescer produces) over one index, and [`run_knn_batch`] /
-//! [`run_range_batch`] are the homogeneous entry points the CLI and
-//! `sr-bench` use.
+//! coalescer produces) over one index, and [`run_knn_batch`] is the
+//! homogeneous k-NN entry point the CLI and `sr-bench` use.
 //!
 //! [`StatsRecorder`]: sr_obs::StatsRecorder
 
@@ -115,7 +114,7 @@ pub struct BatchOutput<T> {
     pub threads: usize,
 }
 
-/// Outcome of [`run_knn_batch`] / [`run_range_batch`]: results plus the
+/// Outcome of [`run_knn_batch`] / [`run_query_batch`]: results plus the
 /// pager I/O window spanning the whole batch.
 #[derive(Debug)]
 pub struct BatchResult {
@@ -249,27 +248,6 @@ pub fn run_knn_batch<I: SpatialIndex + ?Sized>(
     let before = index.io_stats();
     let out = run_batch(queries, threads, |_, q, rec| {
         index.query(&QuerySpec::knn(q, k), rec).map(|o| o.rows)
-    })?;
-    Ok(BatchResult {
-        results: out.results,
-        metrics: out.metrics,
-        io: index.io_stats().since(&before),
-        threads: out.threads,
-    })
-}
-
-/// Answer a batch of range queries against one index in parallel.
-pub fn run_range_batch<I: SpatialIndex + ?Sized>(
-    index: &I,
-    queries: &[Vec<f32>],
-    radius: f64,
-    threads: usize,
-) -> Result<BatchResult, ExecError> {
-    let before = index.io_stats();
-    let out = run_batch(queries, threads, |_, q, rec| {
-        index
-            .query(&QuerySpec::range(q, radius), rec)
-            .map(|o| o.rows)
     })?;
     Ok(BatchResult {
         results: out.results,

@@ -11,6 +11,8 @@
 //! registry dependencies); each failure message carries the seed and
 //! dimension that reproduce it.
 
+#![cfg(test)]
+
 use sr_dataset::SeededRng;
 use sr_geometry::{dist2, dist2_columnar_early_abandon, EARLY_ABANDON_HEAD_DIMS};
 

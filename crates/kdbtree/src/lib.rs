@@ -47,7 +47,7 @@ pub use sr_query::paged::TreeError;
 /// Result alias for tree operations.
 pub type Result<T> = std::result::Result<T, TreeError>;
 pub use sr_query::Neighbor;
-pub use tree::{KdbRegion, KdbTree};
+pub use tree::{KdbRegion, KdbTree, KIND};
 
 /// Capacity parameters of a K-D-B-tree: a region-page entry is the
 /// region rectangle plus a child pointer, like an R\*-tree node entry.

@@ -8,12 +8,14 @@ use sr_geometry::{Point, Rect};
 use sr_pager::{PageCodec, PageFile, PageId, PageReader};
 use sr_query::paged::{
     get_rect, put_rect, rect_contains_raw, Kind, Node, Paged, PagedTree, Region, Result, TreeError,
+    DEFAULT_DATA_AREA,
 };
 use sr_query::{Expansion, IndexError};
 
 use crate::insert;
 
-const KIND: Kind = Kind {
+/// The identity this tree writes into its page file's metadata.
+pub const KIND: Kind = Kind {
     magic: 0x4B44_4254, // "KDBT"
     name: "K-D-B-tree",
 };
@@ -115,13 +117,17 @@ pub struct KdbTree {
 impl KdbTree {
     /// Create a new tree in an in-memory page file.
     pub fn create_in_memory(dim: usize, page_size: usize) -> Result<Self> {
-        Self::create_from(PageFile::create_in_memory(page_size)?, dim, 512)
+        Self::create_from(
+            PageFile::create_in_memory(page_size)?,
+            dim,
+            DEFAULT_DATA_AREA,
+        )
     }
 
     /// Create a new tree at `path` with 8 KiB pages and the paper's
     /// 512-byte data area.
     pub fn create(path: &Path, dim: usize) -> Result<Self> {
-        Self::create_from(PageFile::create(path)?, dim, 512)
+        Self::create_from(PageFile::create(path)?, dim, DEFAULT_DATA_AREA)
     }
 
     /// Create a new tree over an empty [`PageFile`].

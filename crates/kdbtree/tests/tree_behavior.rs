@@ -1,5 +1,7 @@
 //! Behavioral tests of the K-D-B-tree.
 
+#![cfg(test)]
+
 use sr_dataset::{cluster, real_sim, uniform, ClusterSpec};
 use sr_geometry::Point;
 use sr_kdbtree::{verify, KdbTree, TreeError};

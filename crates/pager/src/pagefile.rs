@@ -57,6 +57,7 @@
 // srlint: lock-order(shard < wal) -- the read-through probes the WAL index while holding the page's shard lock; acquiring a shard while holding the WAL lock would invert the order and deadlock
 
 use std::collections::HashMap;
+use std::io::Read;
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -313,12 +314,15 @@ impl PageFile {
     /// metadata from the metadata page.
     pub fn open(path: &Path) -> Result<PageFile> {
         // The page size lives inside the meta page; peek at the raw header
-        // first.
-        let mut raw = std::fs::read(path)?;
+        // first, reading only its bytes.
+        let mut raw = Vec::with_capacity(META_HEADER);
+        std::fs::File::open(path)?
+            .take(META_HEADER as u64)
+            .read_to_end(&mut raw)?;
         if raw.len() < META_HEADER {
             return Err(PagerError::Corrupt("file too short for a meta page".into()));
         }
-        let mut c = PageCodec::new(raw.as_mut_slice());
+        let mut c = PageReader::new(&raw);
         let magic = c.get_u32()?;
         let version = c.get_u32()?;
         let page_size = usize::try_from(c.get_u32()?)
@@ -1033,7 +1037,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.pages");
         std::fs::write(&path, vec![0x55u8; 1024]).unwrap();
-        assert!(matches!(PageFile::open(&path), Err(PagerError::Corrupt(_))));
+        match PageFile::open(&path) {
+            Err(PagerError::Corrupt(msg)) => assert_eq!(msg, "bad magic 0x55555555"),
+            other => panic!("expected bad magic, got {:?}", other.err()),
+        }
+        std::fs::write(&path, [0u8; META_HEADER - 1]).unwrap();
+        match PageFile::open(&path) {
+            Err(PagerError::Corrupt(msg)) => assert_eq!(msg, "file too short for a meta page"),
+            other => panic!("expected a short-file error, got {:?}", other.err()),
+        }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(wal_file_path(&path)).ok();
     }

@@ -105,6 +105,9 @@ pub enum IndexError {
     /// The operation is not supported by this index structure (e.g.
     /// inserting into the bulk-load-only VAMSplit R-tree).
     Unsupported(&'static str),
+    /// The page cannot hold two entries per node and per leaf at the
+    /// requested dimensionality and data area.
+    InvalidParams(String),
     /// A structural invariant of the index does not hold — on-disk
     /// corruption or an internal bug, never well-formed input.
     Corrupt(String),
@@ -125,6 +128,7 @@ impl fmt::Display for IndexError {
                 write!(f, "invalid range radius {r}: must be non-negative")
             }
             IndexError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
+            IndexError::InvalidParams(msg) => write!(f, "{msg}"),
             IndexError::Corrupt(msg) => write!(f, "index structure corrupt: {msg}"),
         }
     }

@@ -107,9 +107,7 @@ impl From<TreeError> for IndexError {
             }
             TreeError::NotThisIndex(s) => IndexError::NotThisIndex(s),
             TreeError::InvalidRadius(r) => IndexError::InvalidRadius(r),
-            TreeError::InvalidParams { .. } => {
-                IndexError::Unsupported("page too small for this dimensionality and data area")
-            }
+            e @ TreeError::InvalidParams { .. } => IndexError::InvalidParams(e.to_string()),
             TreeError::Unsplittable => {
                 IndexError::Unsupported("K-D-B-tree point page cannot split (coincident points)")
             }

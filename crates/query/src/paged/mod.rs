@@ -38,11 +38,11 @@ mod verify;
 pub use error::{Result, TreeError};
 pub use index::PagedTree;
 pub use node::{AnyEntry, Entry, LeafEntry, Node};
-pub use params::Params;
+pub use params::{Params, DEFAULT_DATA_AREA};
 pub use region::{
     get_rect, get_sphere, mbr, put_rect, put_sphere, rect_contains_raw, sphere_contains_raw, Region,
 };
 pub use search::Source;
-pub use tree::{Kind, Paged};
+pub use tree::{stored_magic, Kind, Paged};
 pub use update::{take_farthest, Dynamic};
 pub use verify::{verify, VerifyReport};

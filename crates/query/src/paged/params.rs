@@ -22,6 +22,10 @@ use super::region::Region;
 /// Per-node header: level (u16) + entry count (u16).
 pub(super) const NODE_HEADER: usize = 4;
 
+/// The paper's per-leaf-entry data area in bytes (§3.1), used by every
+/// tree's path and in-memory constructors.
+pub const DEFAULT_DATA_AREA: usize = 512;
+
 /// Capacity and policy parameters of a tree whose inner entries hold
 /// regions of type `R`.
 pub struct Params<R: Region> {

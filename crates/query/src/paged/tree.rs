@@ -33,6 +33,15 @@ pub struct Kind {
     pub name: &'static str,
 }
 
+/// The magic of the tree whose metadata `pf` holds, or `None` when the
+/// page file carries no tree metadata. Lets a caller pick the tree type
+/// to open from the file itself.
+pub fn stored_magic(pf: &PageFile) -> Option<u32> {
+    // The header's first field, written by `save_meta` as a
+    // little-endian u32.
+    pf.user_meta().first_chunk().map(|b| u32::from_le_bytes(*b))
+}
+
 /// The disk-resident state every paged tree shares: the page file, the
 /// capacity parameters, and the root/height/count metadata.
 // srlint: send-sync -- queries take &self and go through the internally synchronized PageFile; pages and params/root/height/count only change via &mut self (insert/delete/build), which the borrow checker serializes

@@ -42,7 +42,7 @@ pub use sr_query::paged::TreeError;
 /// Result alias for tree operations.
 pub type Result<T> = std::result::Result<T, TreeError>;
 pub use sr_query::Neighbor;
-pub use tree::RstarTree;
+pub use tree::{RstarTree, KIND};
 
 /// Capacity parameters of an R\*-tree (Table 1): a node entry is a
 /// bounding rectangle (`2·D·8` bytes) plus a child pointer.

@@ -6,12 +6,15 @@ use std::path::Path;
 
 use sr_geometry::{bounding_rect_of_points, Point, Rect};
 use sr_pager::{PageFile, PageId};
-use sr_query::paged::{mbr, AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result};
+use sr_query::paged::{
+    mbr, AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result, DEFAULT_DATA_AREA,
+};
 use sr_query::IndexError;
 
 use crate::{insert, split};
 
-const KIND: Kind = Kind {
+/// The identity this tree writes into its page file's metadata.
+pub const KIND: Kind = Kind {
     magic: 0x5253_5452, // "RSTR"
     name: "R*-tree",
 };
@@ -27,13 +30,17 @@ pub struct RstarTree {
 impl RstarTree {
     /// Create a new tree in an in-memory page file (tests, benchmarks).
     pub fn create_in_memory(dim: usize, page_size: usize) -> Result<Self> {
-        Self::create_from(PageFile::create_in_memory(page_size)?, dim, 512)
+        Self::create_from(
+            PageFile::create_in_memory(page_size)?,
+            dim,
+            DEFAULT_DATA_AREA,
+        )
     }
 
     /// Create a new tree in a page file on disk with the default 8 KiB
     /// pages and the paper's 512-byte per-entry data area.
     pub fn create(path: &Path, dim: usize) -> Result<Self> {
-        Self::create_from(PageFile::create(path)?, dim, 512)
+        Self::create_from(PageFile::create(path)?, dim, DEFAULT_DATA_AREA)
     }
 
     /// Create a new tree over an existing empty [`PageFile`], with an

@@ -3,6 +3,8 @@
 //! subtrees into orphans that must be reinserted losslessly — and check
 //! the structural invariants after every step of the churn.
 
+#![cfg(test)]
+
 use sr_dataset::{uniform, SeededRng};
 use sr_geometry::Point;
 use sr_pager::PageFile;

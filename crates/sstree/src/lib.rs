@@ -37,7 +37,7 @@ pub use sr_query::paged::TreeError;
 /// Result alias for tree operations.
 pub type Result<T> = std::result::Result<T, TreeError>;
 pub use sr_query::Neighbor;
-pub use tree::{SsRegion, SsTree};
+pub use tree::{SsRegion, SsTree, KIND};
 
 /// Capacity parameters of an SS-tree (Table 1): a node entry is the
 /// bounding sphere (`(D+1)·8` bytes) + subtree point count (4) + child

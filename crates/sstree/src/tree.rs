@@ -13,11 +13,12 @@ use sr_pager::{PageCodec, PageFile, PageId, PageReader};
 use sr_query::paged::centroid::{self, Centered};
 use sr_query::paged::{
     get_sphere, put_sphere, sphere_contains_raw, AnyEntry, Dynamic, Entry, Kind, Node, Paged,
-    PagedTree, Region, Result, TreeError,
+    PagedTree, Region, Result, TreeError, DEFAULT_DATA_AREA,
 };
 use sr_query::{Expansion, IndexError};
 
-const KIND: Kind = Kind {
+/// The identity this tree writes into its page file's metadata.
+pub const KIND: Kind = Kind {
     magic: 0x5353_5452, // "SSTR"
     name: "SS-tree",
 };
@@ -133,13 +134,17 @@ pub struct SsTree {
 impl SsTree {
     /// Create a new tree in an in-memory page file.
     pub fn create_in_memory(dim: usize, page_size: usize) -> Result<Self> {
-        Self::create_from(PageFile::create_in_memory(page_size)?, dim, 512)
+        Self::create_from(
+            PageFile::create_in_memory(page_size)?,
+            dim,
+            DEFAULT_DATA_AREA,
+        )
     }
 
     /// Create a new tree at `path` with 8 KiB pages and the paper's
     /// 512-byte data area.
     pub fn create(path: &Path, dim: usize) -> Result<Self> {
-        Self::create_from(PageFile::create(path)?, dim, 512)
+        Self::create_from(PageFile::create(path)?, dim, DEFAULT_DATA_AREA)
     }
 
     /// Create a new tree over an empty [`PageFile`].
@@ -288,7 +293,7 @@ mod tests {
         );
         let r = region_of(&node).unwrap();
         let Node::Leaf(entries) = &node else {
-            unreachable!()
+            panic!("built as a leaf")
         };
         assert!(entries
             .iter()
@@ -311,7 +316,7 @@ mod tests {
         };
         let r = region_of(&node).unwrap();
         let Node::Inner { entries, .. } = &node else {
-            unreachable!()
+            panic!("built as a leaf")
         };
         for e in entries {
             assert!(r.sphere.contains_sphere(&e.region.sphere, 1e-6));

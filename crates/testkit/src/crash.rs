@@ -6,11 +6,6 @@
 //! to either side of that commit (atomicity). This module packages the
 //! machinery the crash-recovery suites share:
 //!
-//! * [`AnyTree`] — one enum over the four dynamic index structures so a
-//!   single driver can run the identical workload through each, with
-//!   errors flattened to `String` (a crashed run surfaces whatever typed
-//!   error the tree wraps the injected fault in; the harness only cares
-//!   *that* it failed, [`FaultHandle::crashed`] tells it *why*);
 //! * [`SharedParts`] / [`faulted_parts`] / [`reopen`] — a memory-backed
 //!   page-store + log-store pair whose clones share bytes, wrapped in one
 //!   fault state spanning both halves. After the faulted `PageFile` dies,
@@ -20,204 +15,20 @@
 //!   [`Model`] must agree on length, pass the structure's own
 //!   invariant `verify`, and answer a probe set of k-NN and range
 //!   queries identically (ids and distances).
+//!
+//! The trees themselves come from [`crate::TreeKind`] as
+//! `Box<dyn SpatialIndex>`. A crashed run surfaces whatever typed error
+//! the tree wraps the injected fault in; the harness only cares *that*
+//! it failed, and [`FaultHandle::crashed`] tells it *why*.
 
 use sr_geometry::Point;
-use sr_kdbtree::KdbTree;
 use sr_pager::{
     FaultHandle, FaultInjector, LogStore, MemLogStore, MemPageStore, PageFile, PageStore,
 };
-use sr_query::Neighbor;
-use sr_rstar::RstarTree;
-use sr_sstree::SsTree;
-use sr_tree::SrTree;
-use sr_vamsplit::VamTree;
+use sr_query::SpatialIndex;
 
 use crate::diff::check_answer;
 use crate::model::Model;
-
-/// Which dynamic index structure a crash run drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TreeKind {
-    /// The paper's SR-tree (`sr-tree` crate).
-    Sr,
-    /// The SS-tree baseline.
-    Ss,
-    /// The R*-tree baseline.
-    Rstar,
-    /// The K-D-B-tree baseline.
-    Kdb,
-}
-
-/// All four dynamic structures, in fleet order.
-pub const DYNAMIC_KINDS: [TreeKind; 4] =
-    [TreeKind::Sr, TreeKind::Ss, TreeKind::Rstar, TreeKind::Kdb];
-
-impl TreeKind {
-    /// Stable name used in failure messages.
-    pub fn name(self) -> &'static str {
-        match self {
-            TreeKind::Sr => "sr-tree",
-            TreeKind::Ss => "ss-tree",
-            TreeKind::Rstar => "rstar-tree",
-            TreeKind::Kdb => "kdb-tree",
-        }
-    }
-}
-
-/// One of the four dynamic trees behind a uniform, `String`-error API.
-pub enum AnyTree {
-    /// SR-tree.
-    Sr(SrTree),
-    /// SS-tree.
-    Ss(SsTree),
-    /// R*-tree.
-    Rstar(RstarTree),
-    /// K-D-B-tree.
-    Kdb(KdbTree),
-}
-
-impl AnyTree {
-    /// Create a fresh tree of `kind` on `pf`.
-    pub fn create(
-        kind: TreeKind,
-        pf: PageFile,
-        dim: usize,
-        data_area: usize,
-    ) -> Result<Self, String> {
-        match kind {
-            TreeKind::Sr => SrTree::create_from(pf, dim, data_area)
-                .map(AnyTree::Sr)
-                .map_err(|e| e.to_string()),
-            TreeKind::Ss => SsTree::create_from(pf, dim, data_area)
-                .map(AnyTree::Ss)
-                .map_err(|e| e.to_string()),
-            TreeKind::Rstar => RstarTree::create_from(pf, dim, data_area)
-                .map(AnyTree::Rstar)
-                .map_err(|e| e.to_string()),
-            TreeKind::Kdb => KdbTree::create_from(pf, dim, data_area)
-                .map(AnyTree::Kdb)
-                .map_err(|e| e.to_string()),
-        }
-    }
-
-    /// Open an existing tree of `kind` from `pf`.
-    pub fn open(kind: TreeKind, pf: PageFile) -> Result<Self, String> {
-        match kind {
-            TreeKind::Sr => SrTree::open_from(pf)
-                .map(AnyTree::Sr)
-                .map_err(|e| e.to_string()),
-            TreeKind::Ss => SsTree::open_from(pf)
-                .map(AnyTree::Ss)
-                .map_err(|e| e.to_string()),
-            TreeKind::Rstar => RstarTree::open_from(pf)
-                .map(AnyTree::Rstar)
-                .map_err(|e| e.to_string()),
-            TreeKind::Kdb => KdbTree::open_from(pf)
-                .map(AnyTree::Kdb)
-                .map_err(|e| e.to_string()),
-        }
-    }
-
-    /// Insert one point.
-    pub fn insert(&mut self, point: Point, data: u64) -> Result<(), String> {
-        match self {
-            AnyTree::Sr(t) => t.insert(point, data).map_err(|e| e.to_string()),
-            AnyTree::Ss(t) => t.insert(point, data).map_err(|e| e.to_string()),
-            AnyTree::Rstar(t) => t.insert(point, data).map_err(|e| e.to_string()),
-            AnyTree::Kdb(t) => t.insert(point, data).map_err(|e| e.to_string()),
-        }
-    }
-
-    /// Delete one (point, id) pair; `Ok(true)` if it was present.
-    pub fn delete(&mut self, point: &Point, data: u64) -> Result<bool, String> {
-        match self {
-            AnyTree::Sr(t) => t.delete(point, data).map_err(|e| e.to_string()),
-            AnyTree::Ss(t) => t.delete(point, data).map_err(|e| e.to_string()),
-            AnyTree::Rstar(t) => t.delete(point, data).map_err(|e| e.to_string()),
-            AnyTree::Kdb(t) => t.delete(point, data).map_err(|e| e.to_string()),
-        }
-    }
-
-    /// Commit: tree meta + pager flush (WAL commit marker + checkpoint).
-    pub fn flush(&self) -> Result<(), String> {
-        match self {
-            AnyTree::Sr(t) => t.flush().map_err(|e| e.to_string()),
-            AnyTree::Ss(t) => t.flush().map_err(|e| e.to_string()),
-            AnyTree::Rstar(t) => t.flush().map_err(|e| e.to_string()),
-            AnyTree::Kdb(t) => t.flush().map_err(|e| e.to_string()),
-        }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> u64 {
-        match self {
-            AnyTree::Sr(t) => t.len(),
-            AnyTree::Ss(t) => t.len(),
-            AnyTree::Rstar(t) => t.len(),
-            AnyTree::Kdb(t) => t.len(),
-        }
-    }
-
-    /// Whether the tree holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// k nearest neighbors.
-    pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, String> {
-        match self {
-            AnyTree::Sr(t) => t.knn(query, k).map_err(|e| e.to_string()),
-            AnyTree::Ss(t) => t.knn(query, k).map_err(|e| e.to_string()),
-            AnyTree::Rstar(t) => t.knn(query, k).map_err(|e| e.to_string()),
-            AnyTree::Kdb(t) => t.knn(query, k).map_err(|e| e.to_string()),
-        }
-    }
-
-    /// All entries within `radius` of `query`.
-    pub fn range(&self, query: &[f32], radius: f64) -> Result<Vec<Neighbor>, String> {
-        match self {
-            AnyTree::Sr(t) => t.range(query, radius).map_err(|e| e.to_string()),
-            AnyTree::Ss(t) => t.range(query, radius).map_err(|e| e.to_string()),
-            AnyTree::Rstar(t) => t.range(query, radius).map_err(|e| e.to_string()),
-            AnyTree::Kdb(t) => t.range(query, radius).map_err(|e| e.to_string()),
-        }
-    }
-
-    /// Run the structure's own invariant checker.
-    pub fn verify(&self) -> Result<(), String> {
-        match self {
-            AnyTree::Sr(t) => sr_tree::verify::check(t)
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
-            AnyTree::Ss(t) => sr_sstree::verify::check(t)
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
-            AnyTree::Rstar(t) => sr_rstar::verify::check(t)
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
-            AnyTree::Kdb(t) => sr_kdbtree::verify::check(t)
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
-        }
-    }
-
-    /// The pager underneath (for stats assertions).
-    pub fn pager(&self) -> &PageFile {
-        match self {
-            AnyTree::Sr(t) => t.pager(),
-            AnyTree::Ss(t) => t.pager(),
-            AnyTree::Rstar(t) => t.pager(),
-            AnyTree::Kdb(t) => t.pager(),
-        }
-    }
-}
-
-/// Run the VAMSplit verifier on a recovered static tree.
-pub fn verify_vam(tree: &VamTree) -> Result<(), String> {
-    sr_vamsplit::verify::check(tree)
-        .map(|_| ())
-        .map_err(|e| e.to_string())
-}
 
 /// Cloneable handles on the surviving bytes of a faulted store pair.
 ///
@@ -265,7 +76,7 @@ pub fn reopen(shared: &SharedParts) -> sr_pager::Result<PageFile> {
 /// snapshot: same length, invariants hold, and identical answers (ids
 /// and distances) on every probe query.
 pub fn matches_model(
-    tree: &AnyTree,
+    tree: &dyn SpatialIndex,
     model: &Model,
     queries: &[Point],
     k: usize,

@@ -1,13 +1,13 @@
 //! The differential executor: one op tape, five index structures, one
 //! oracle.
 //!
-//! Every operation on the tape is applied to the SR-, SS-, R*-, and
-//! K-D-B-trees and to the brute-force [`Model`]; queries must agree with
-//! the oracle to within floating-point tolerance (and, thanks to the
-//! deterministic tie-breaking shared by all structures, in their id
-//! lists too). The VAMSplit R-tree is build-only, so it is rebuilt from
-//! the model's live set on a configurable query cadence and checked the
-//! same way. Each crate's invariant `verify` runs at a configurable
+//! Every operation on the tape is applied to the four dynamic trees of
+//! [`TreeKind::DYNAMIC`] and to the brute-force [`Model`]; queries must
+//! agree with the oracle to within floating-point tolerance (and, thanks
+//! to the deterministic tie-breaking shared by all structures, in their
+//! id lists too). The VAMSplit R-tree is build-only, so it is rebuilt
+//! from the model's live set on a configurable query cadence and checked
+//! the same way. Each crate's invariant `verify` runs at a configurable
 //! interval.
 //!
 //! On divergence the executor returns a [`Divergence`] naming the step,
@@ -15,15 +15,12 @@
 //! a (locally) minimal failing subsequence, and [`failure_report`]
 //! renders both plus the copy-pastable `SEED=` replay line.
 
-use sr_kdbtree::KdbTree;
-use sr_query::Neighbor;
-use sr_rstar::RstarTree;
-use sr_sstree::SsTree;
-use sr_tree::SrTree;
-use sr_vamsplit::VamTree;
+use sr_obs::Noop;
+use sr_pager::PageFile;
+use sr_query::paged::DEFAULT_DATA_AREA;
+use sr_query::{Neighbor, QuerySpec, SpatialIndex};
 
-use sr_query::SpatialIndex;
-
+use crate::kinds::TreeKind;
 use crate::model::Model;
 use crate::workload::{Op, OpTape};
 
@@ -106,28 +103,6 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-struct Fleet {
-    sr: SrTree,
-    ss: SsTree,
-    rstar: RstarTree,
-    kdb: KdbTree,
-    vam: Option<VamTree>,
-    vam_dirty: bool,
-}
-
-impl Fleet {
-    fn create(dim: usize, page_size: usize) -> Result<Fleet, String> {
-        Ok(Fleet {
-            sr: SrTree::create_in_memory(dim, page_size).map_err(|e| e.to_string())?,
-            ss: SsTree::create_in_memory(dim, page_size).map_err(|e| e.to_string())?,
-            rstar: RstarTree::create_in_memory(dim, page_size).map_err(|e| e.to_string())?,
-            kdb: KdbTree::create_in_memory(dim, page_size).map_err(|e| e.to_string())?,
-            vam: None,
-            vam_dirty: true,
-        })
-    }
-}
-
 /// Compare one query answer against the oracle's: equal length, dist²
 /// within [`DIST2_TOL`] rank by rank, and (optionally) identical id
 /// lists. Shared by the differential executor and the crash-recovery
@@ -161,12 +136,21 @@ pub fn check_answer(
 ///
 /// Returns the run's statistics, or the first [`Divergence`] found.
 pub fn run_tape(tape: &OpTape, cfg: &DiffConfig) -> Result<DiffReport, Divergence> {
-    let mut fleet = Fleet::create(tape.dim, cfg.page_size).map_err(|e| Divergence {
-        step: 0,
-        op: "create".into(),
-        structure: "fleet",
-        detail: e,
-    })?;
+    let mut trees = (TreeKind::DYNAMIC.into_iter())
+        .map(|kind| {
+            PageFile::create_in_memory(cfg.page_size)
+                .map_err(Into::into)
+                .and_then(|pf| kind.create(pf, tape.dim, DEFAULT_DATA_AREA))
+                .map_err(|e| Divergence {
+                    step: 0,
+                    op: "create".into(),
+                    structure: kind.kind_name(),
+                    detail: e.to_string(),
+                })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    // The static VAMSplit tree, dropped whenever the live set changes.
+    let mut vam: Option<Box<dyn SpatialIndex>> = None;
     let mut model = Model::new();
     let mut report = DiffReport::default();
     let mut queries_seen = 0usize;
@@ -179,201 +163,119 @@ pub fn run_tape(tape: &OpTape, cfg: &DiffConfig) -> Result<DiffReport, Divergenc
     };
 
     for (step, op) in tape.ops.iter().enumerate() {
-        match op {
+        let spec = match op {
             Op::Insert(p, id) => {
-                fleet
-                    .sr
-                    .insert(p.clone(), *id)
-                    .map_err(|e| div(step, op, "sr-tree", e.to_string()))?;
-                fleet
-                    .ss
-                    .insert(p.clone(), *id)
-                    .map_err(|e| div(step, op, "ss-tree", e.to_string()))?;
-                fleet
-                    .rstar
-                    .insert(p.clone(), *id)
-                    .map_err(|e| div(step, op, "rstar-tree", e.to_string()))?;
-                fleet
-                    .kdb
-                    .insert(p.clone(), *id)
-                    .map_err(|e| div(step, op, "kdb-tree", e.to_string()))?;
+                for tree in &mut trees {
+                    tree.insert(p.coords(), *id)
+                        .map_err(|e| div(step, op, tree.kind_name(), e.to_string()))?;
+                }
                 model.insert(p.clone(), *id);
-                fleet.vam_dirty = true;
+                vam = None;
                 report.inserts += 1;
+                None
             }
             Op::Delete(p, id) => {
                 let want = model.delete(p, *id);
-                let results = [
-                    (
-                        "sr-tree",
-                        fleet.sr.delete(p, *id).map_err(|e| e.to_string()),
-                    ),
-                    (
-                        "ss-tree",
-                        fleet.ss.delete(p, *id).map_err(|e| e.to_string()),
-                    ),
-                    (
-                        "rstar-tree",
-                        fleet.rstar.delete(p, *id).map_err(|e| e.to_string()),
-                    ),
-                    (
-                        "kdb-tree",
-                        fleet.kdb.delete(p, *id).map_err(|e| e.to_string()),
-                    ),
-                ];
-                for (name, r) in results {
-                    match r {
+                for tree in &mut trees {
+                    match tree.delete(p.coords(), *id) {
                         Ok(found) if found == want => {}
                         Ok(found) => {
                             return Err(div(
                                 step,
                                 op,
-                                name,
+                                tree.kind_name(),
                                 format!("delete returned {found}, oracle says {want}"),
                             ))
                         }
-                        Err(e) => return Err(div(step, op, name, e)),
+                        Err(e) => return Err(div(step, op, tree.kind_name(), e.to_string())),
                     }
                 }
-                fleet.vam_dirty = want || fleet.vam_dirty;
+                if want {
+                    vam = None;
+                }
                 report.deletes += 1;
+                None
             }
             Op::Knn(q, k) => {
-                queries_seen += 1;
-                let want = model.knn(q.coords(), *k);
-                macro_rules! check_knn {
-                    ($name:literal, $tree:expr) => {{
-                        let got = $tree
-                            .knn(q.coords(), *k)
-                            .map_err(|e| div(step, op, $name, e.to_string()))?;
-                        check_answer($name, &got, &want, cfg.check_ids)
-                            .map_err(|e| div(step, op, $name, e))?;
-                    }};
-                }
-                check_knn!("sr-tree", fleet.sr);
-                check_knn!("ss-tree", fleet.ss);
-                check_knn!("rstar-tree", fleet.rstar);
-                check_knn!("kdb-tree", fleet.kdb);
-                if let Some(vam) = vam_for_query(&mut fleet, &model, cfg, queries_seen, &mut report)
-                    .map_err(|e| div(step, op, "vam-tree", e))?
-                {
-                    check_knn!("vam-tree", vam);
-                }
                 report.knns += 1;
+                Some(QuerySpec::knn(q.coords(), *k))
             }
             Op::Range(q, radius) => {
-                queries_seen += 1;
-                let want = model.range(q.coords(), *radius);
-                let answers = [
-                    (
-                        "sr-tree",
-                        fleet
-                            .sr
-                            .range(q.coords(), *radius)
-                            .map_err(|e| e.to_string()),
-                    ),
-                    (
-                        "ss-tree",
-                        fleet
-                            .ss
-                            .range(q.coords(), *radius)
-                            .map_err(|e| e.to_string()),
-                    ),
-                    (
-                        "rstar-tree",
-                        fleet
-                            .rstar
-                            .range(q.coords(), *radius)
-                            .map_err(|e| e.to_string()),
-                    ),
-                    (
-                        "kdb-tree",
-                        fleet
-                            .kdb
-                            .range(q.coords(), *radius)
-                            .map_err(|e| e.to_string()),
-                    ),
-                ];
-                for (name, r) in answers {
-                    let got = r.map_err(|e| div(step, op, name, e))?;
-                    check_answer(name, &got, &want, cfg.check_ids)
-                        .map_err(|e| div(step, op, name, e))?;
-                }
-                if let Some(vam) = vam_for_query(&mut fleet, &model, cfg, queries_seen, &mut report)
-                    .map_err(|e| div(step, op, "vam-tree", e))?
-                {
-                    let got = vam
-                        .range(q.coords(), *radius)
-                        .map_err(|e| div(step, op, "vam-tree", e.to_string()))?;
-                    check_answer("vam-tree", &got, &want, cfg.check_ids)
-                        .map_err(|e| div(step, op, "vam-tree", e))?;
-                }
                 report.ranges += 1;
+                Some(QuerySpec::range(q.coords(), *radius))
+            }
+        };
+        if let Some(spec) = spec {
+            queries_seen += 1;
+            let want = model.query(&spec);
+            let vam = vam_for_query(&mut vam, &model, cfg, queries_seen, &mut report)
+                .map_err(|e| div(step, op, TreeKind::Vam.kind_name(), e))?;
+            for tree in trees.iter().map(Box::as_ref).chain(vam) {
+                let name = tree.kind_name();
+                let got = tree
+                    .query(&spec, &Noop)
+                    .map_err(|e| div(step, op, name, e.to_string()))?;
+                check_answer(name, &got.rows, &want, cfg.check_ids)
+                    .map_err(|e| div(step, op, name, e))?;
             }
         }
 
         if cfg.verify_every > 0 && (step + 1) % cfg.verify_every == 0 {
-            verify_fleet(&fleet, &model, step + 1)?;
+            verify_fleet(&trees, vam.as_deref(), &model, step + 1)?;
             report.verifies += 1;
         }
         report.ops += 1;
     }
 
-    verify_fleet(&fleet, &model, tape.ops.len())?;
+    verify_fleet(&trees, vam.as_deref(), &model, tape.ops.len())?;
     report.verifies += 1;
     report.final_live = model.len();
     Ok(report)
 }
 
 /// The VAMSplit tree is static: rebuild it from the oracle's live set
-/// when dirty, on the configured query cadence.
+/// when it is stale, on the configured query cadence.
 fn vam_for_query<'a>(
-    fleet: &'a mut Fleet,
+    vam: &'a mut Option<Box<dyn SpatialIndex>>,
     model: &Model,
     cfg: &DiffConfig,
     queries_seen: usize,
     report: &mut DiffReport,
-) -> Result<Option<&'a VamTree>, String> {
+) -> Result<Option<&'a dyn SpatialIndex>, String> {
     if cfg.vam_every == 0 || !queries_seen.is_multiple_of(cfg.vam_every) || model.is_empty() {
         return Ok(None);
     }
-    if fleet.vam_dirty {
-        let vam =
-            VamTree::build_in_memory(model.live.clone(), model.live[0].0.dim(), cfg.page_size)
-                .map_err(|e| format!("rebuild failed: {e}"))?;
-        fleet.vam = Some(vam);
-        fleet.vam_dirty = false;
+    if vam.is_none() {
+        let pf = PageFile::create_in_memory(cfg.page_size)
+            .map_err(|e| format!("rebuild failed: {e}"))?;
+        let dim = model.live[0].0.dim();
+        let tree = TreeKind::Vam
+            .build(pf, dim, DEFAULT_DATA_AREA, model.live.clone())
+            .map_err(|e| format!("rebuild failed: {e}"))?;
+        *vam = Some(tree);
         report.vam_rebuilds += 1;
     }
-    Ok(fleet.vam.as_ref())
+    Ok(vam.as_deref())
 }
 
 /// Run every structure's invariant checker and compare live counts.
-fn verify_fleet(fleet: &Fleet, model: &Model, step: usize) -> Result<(), Divergence> {
-    let vdiv = |structure: &'static str, detail: String| Divergence {
-        step,
-        op: "verify".into(),
-        structure,
-        detail,
-    };
-    sr_tree::verify::check(&fleet.sr).map_err(|e| vdiv("sr-tree", e.to_string()))?;
-    sr_sstree::verify::check(&fleet.ss).map_err(|e| vdiv("ss-tree", e.to_string()))?;
-    sr_rstar::verify::check(&fleet.rstar).map_err(|e| vdiv("rstar-tree", e.to_string()))?;
-    sr_kdbtree::verify::check(&fleet.kdb).map_err(|e| vdiv("kdb-tree", e.to_string()))?;
-    if let Some(vam) = &fleet.vam {
-        if !fleet.vam_dirty {
-            sr_vamsplit::verify::check(vam).map_err(|e| vdiv("vam-tree", e.to_string()))?;
-        }
-    }
+fn verify_fleet(
+    trees: &[Box<dyn SpatialIndex>],
+    vam: Option<&dyn SpatialIndex>,
+    model: &Model,
+    step: usize,
+) -> Result<(), Divergence> {
     let want = model.len() as u64;
-    for (name, len) in [
-        ("sr-tree", fleet.sr.len()),
-        ("ss-tree", fleet.ss.len()),
-        ("rstar-tree", fleet.rstar.len()),
-        ("kdb-tree", fleet.kdb.len()),
-    ] {
-        if len != want {
-            return Err(vdiv(name, format!("len {len}, oracle has {want}")));
+    for tree in trees.iter().map(Box::as_ref).chain(vam) {
+        let vdiv = |detail: String| Divergence {
+            step,
+            op: "verify".into(),
+            structure: tree.kind_name(),
+            detail,
+        };
+        tree.verify().map_err(|e| vdiv(e.to_string()))?;
+        if tree.len() != want {
+            return Err(vdiv(format!("len {}, oracle has {want}", tree.len())));
         }
     }
     Ok(())

@@ -13,10 +13,12 @@
 //!   the oracle, run each crate's invariant `verify` on an interval,
 //!   and on failure shrink the tape and print a replayable `SEED=`
 //!   line;
+//! * [`kinds`] — the tree registry: [`TreeKind`] creates, builds and
+//!   reopens each of the five structures as a `Box<dyn SpatialIndex>`,
+//!   the one place outside the tree crates that names them;
 //! * [`crash`] — the crash-point recovery harness: a fault-wrapped
 //!   store pair whose surviving bytes can be reopened like a process
-//!   restart, one [`AnyTree`] API over the four dynamic structures,
-//!   and oracle-exact recovery checking ([`matches_model`]);
+//!   restart, and oracle-exact recovery checking ([`matches_model`]);
 //! * [`stress`] — the seeded-schedule concurrency stress harness:
 //!   N threads of deterministic mixed query traffic over one shared
 //!   index, yield/spin perturbation drawn from per-thread seeds, and
@@ -35,18 +37,18 @@
 
 pub mod crash;
 pub mod diff;
+pub mod kinds;
 pub mod model;
 pub mod stress;
 pub mod tempdir;
 pub mod workload;
 
-pub use crash::{
-    faulted_parts, matches_model, reopen, AnyTree, SharedParts, TreeKind, DYNAMIC_KINDS,
-};
+pub use crash::{faulted_parts, matches_model, reopen, SharedParts};
 pub use diff::{
     check_answer, failure_report, minimize, run_tape, seed_line, DiffConfig, DiffReport,
     Divergence, DIST2_TOL,
 };
+pub use kinds::TreeKind;
 pub use model::Model;
 pub use sr_pager::{FaultHandle, FaultInjector, FaultKind, FaultStats};
 pub use stress::{run_stress, total_logical_reads, StressConfig, StressReport};

@@ -6,7 +6,7 @@
 //! against this single source of truth.
 
 use sr_geometry::Point;
-use sr_query::{brute_force_knn, brute_force_range, Neighbor};
+use sr_query::{brute_force_knn, brute_force_range, Neighbor, QueryShape, QuerySpec};
 
 /// Reference set mirroring what every index should contain.
 #[derive(Clone, Debug, Default)]
@@ -51,6 +51,14 @@ impl Model {
     /// Ground-truth k-NN over the live set.
     pub fn knn(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         brute_force_knn(self.live.iter().map(|(p, id)| (p.coords(), *id)), query, k)
+    }
+
+    /// Ground-truth answer to either query shape.
+    pub fn query(&self, spec: &QuerySpec<'_>) -> Vec<Neighbor> {
+        match spec.shape {
+            QueryShape::Knn { k } => self.knn(spec.point, k),
+            QueryShape::Range { radius } => self.range(spec.point, radius),
+        }
     }
 
     /// Ground-truth range query over the live set.

@@ -42,7 +42,7 @@ pub use sr_query::paged::TreeError;
 /// Result alias for tree operations.
 pub type Result<T> = std::result::Result<T, TreeError>;
 pub use sr_query::Neighbor;
-pub use tree::VamTree;
+pub use tree::{VamTree, KIND};
 
 /// Capacity parameters of a VAMSplit R-tree — entry layout identical to
 /// the R\*-tree's (rectangle + child pointer). The static build packs

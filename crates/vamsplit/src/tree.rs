@@ -5,11 +5,14 @@ use std::path::Path;
 
 use sr_geometry::{bounding_rect_of_points, Point, Rect};
 use sr_pager::{PageFile, PageId};
-use sr_query::paged::{mbr, Kind, Node, Paged, PagedTree, Params, Result, TreeError};
+use sr_query::paged::{
+    mbr, Kind, Node, Paged, PagedTree, Params, Result, TreeError, DEFAULT_DATA_AREA,
+};
 
 use crate::build;
 
-const KIND: Kind = Kind {
+/// The identity this tree writes into its page file's metadata.
+pub const KIND: Kind = Kind {
     magic: 0x5641_4D54, // "VAMT"
     name: "VAMSplit R-tree",
 };
@@ -29,13 +32,18 @@ impl VamTree {
         dim: usize,
         page_size: usize,
     ) -> Result<Self> {
-        Self::build_from(PageFile::create_in_memory(page_size)?, points, dim, 512)
+        Self::build_from(
+            PageFile::create_in_memory(page_size)?,
+            points,
+            dim,
+            DEFAULT_DATA_AREA,
+        )
     }
 
     /// Bulk-build into a page file at `path` (8 KiB pages, 512-byte data
     /// areas, matching the paper).
     pub fn build_at(path: &Path, points: Vec<(Point, u64)>, dim: usize) -> Result<Self> {
-        Self::build_from(PageFile::create(path)?, points, dim, 512)
+        Self::build_from(PageFile::create(path)?, points, dim, DEFAULT_DATA_AREA)
     }
 
     /// Bulk-build over an empty [`PageFile`].

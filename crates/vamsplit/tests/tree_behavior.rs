@@ -1,5 +1,7 @@
 //! Behavioral tests of the VAMSplit R-tree bulk build.
 
+#![cfg(test)]
+
 use sr_dataset::{cluster, real_sim, uniform, ClusterSpec};
 use sr_geometry::Point;
 use sr_pager::PageFile;

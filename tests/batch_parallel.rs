@@ -11,15 +11,11 @@
 use srtree::dataset::{sample_queries, uniform};
 use srtree::exec::{run_knn_batch, ExecError};
 use srtree::geometry::Point;
-use srtree::kdbtree::KdbTree;
 use srtree::pager::{FaultInjector, MemLogStore, MemPageStore, PageFile, PagerError};
 use srtree::query::{IndexError, SpatialIndex};
-use srtree::rstar::RstarTree;
-use srtree::sstree::SsTree;
 use srtree::tree::SrTree;
-use srtree::vamsplit::VamTree;
 
-use sr_testkit::Model;
+use sr_testkit::{Model, TreeKind};
 
 const DIM: usize = 8;
 const K: usize = 10;
@@ -32,32 +28,14 @@ fn pagefile() -> PageFile {
 
 /// Build all five structures over the same seeded point set.
 fn build_all(points: &[Point]) -> Vec<Box<dyn SpatialIndex>> {
-    let with_ids = |points: &[Point]| -> Vec<(Point, u64)> {
-        points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), i as u64))
-            .collect()
-    };
-    let mut out: Vec<Box<dyn SpatialIndex>> = Vec::new();
-    let mut sr = SrTree::create_from(pagefile(), DIM, DATA_AREA).unwrap();
-    let mut ss = SsTree::create_from(pagefile(), DIM, DATA_AREA).unwrap();
-    let mut rs = RstarTree::create_from(pagefile(), DIM, DATA_AREA).unwrap();
-    let mut kdb = KdbTree::create_from(pagefile(), DIM, DATA_AREA).unwrap();
-    for (i, p) in points.iter().enumerate() {
-        sr.insert(p.clone(), i as u64).unwrap();
-        ss.insert(p.clone(), i as u64).unwrap();
-        rs.insert(p.clone(), i as u64).unwrap();
-        kdb.insert(p.clone(), i as u64).unwrap();
-    }
-    out.push(Box::new(sr));
-    out.push(Box::new(ss));
-    out.push(Box::new(rs));
-    out.push(Box::new(kdb));
-    out.push(Box::new(
-        VamTree::build_from(pagefile(), with_ids(points), DIM, DATA_AREA).unwrap(),
-    ));
-    out
+    let with_ids: Vec<(Point, u64)> = points.iter().cloned().zip(0u64..).collect();
+    TreeKind::ALL
+        .into_iter()
+        .map(|kind| {
+            kind.build(pagefile(), DIM, DATA_AREA, with_ids.clone())
+                .unwrap()
+        })
+        .collect()
 }
 
 fn query_batch(points: &[Point], n: usize) -> Vec<Vec<f32>> {

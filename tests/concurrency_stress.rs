@@ -13,15 +13,11 @@
 
 use srtree::dataset::{sample_queries, uniform};
 use srtree::geometry::Point;
-use srtree::kdbtree::KdbTree;
 use srtree::pager::PageFile;
 use srtree::query::SpatialIndex;
-use srtree::rstar::RstarTree;
-use srtree::sstree::SsTree;
 use srtree::tree::SrTree;
-use srtree::vamsplit::VamTree;
 
-use sr_testkit::{run_stress, total_logical_reads, Model, StressConfig};
+use sr_testkit::{run_stress, total_logical_reads, Model, StressConfig, TreeKind};
 
 const DIM: usize = 8;
 const N_POINTS: usize = 1_500;
@@ -36,29 +32,14 @@ fn pagefile() -> PageFile {
 
 /// Build all five structures over the same seeded point set.
 fn build_all(points: &[Point]) -> Vec<Box<dyn SpatialIndex>> {
-    let with_ids: Vec<(Point, u64)> = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.clone(), i as u64))
-        .collect();
-    let mut sr = SrTree::create_from(pagefile(), DIM, DATA_AREA).unwrap();
-    let mut ss = SsTree::create_from(pagefile(), DIM, DATA_AREA).unwrap();
-    let mut rs = RstarTree::create_from(pagefile(), DIM, DATA_AREA).unwrap();
-    let mut kdb = KdbTree::create_from(pagefile(), DIM, DATA_AREA).unwrap();
-    for (i, p) in points.iter().enumerate() {
-        sr.insert(p.clone(), i as u64).unwrap();
-        ss.insert(p.clone(), i as u64).unwrap();
-        rs.insert(p.clone(), i as u64).unwrap();
-        kdb.insert(p.clone(), i as u64).unwrap();
-    }
-    let vam = VamTree::build_from(pagefile(), with_ids, DIM, DATA_AREA).unwrap();
-    vec![
-        Box::new(sr),
-        Box::new(ss),
-        Box::new(rs),
-        Box::new(kdb),
-        Box::new(vam),
-    ]
+    let with_ids: Vec<(Point, u64)> = points.iter().cloned().zip(0u64..).collect();
+    TreeKind::ALL
+        .into_iter()
+        .map(|kind| {
+            kind.build(pagefile(), DIM, DATA_AREA, with_ids.clone())
+                .unwrap()
+        })
+        .collect()
 }
 
 /// Eight threads, three seeds, five trees: oracle-exact answers and

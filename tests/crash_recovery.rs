@@ -20,11 +20,11 @@
 //! A typed open failure is acceptable only when *no* tree state was
 //! ever durably committed (the crash hit creation itself).
 
-use sr_testkit::{faulted_parts, matches_model, reopen, AnyTree, FaultHandle, Model, TreeKind};
+use sr_testkit::{faulted_parts, matches_model, reopen, FaultHandle, Model, TreeKind};
 use srtree::dataset::{sample_queries, uniform};
 use srtree::geometry::Point;
 use srtree::pager::{LogStore, PageFile, PageStore};
-use srtree::vamsplit::VamTree;
+use srtree::query::IndexError;
 
 const DIM: usize = 4;
 const PAGE: usize = 1024;
@@ -103,7 +103,7 @@ fn run_dynamic(
         }
     };
     let _ = pf.set_cache_capacity(CACHE_PAGES);
-    let mut tree = match AnyTree::create(kind, pf, DIM, DATA_AREA) {
+    let mut tree = match kind.create(pf, DIM, DATA_AREA) {
         Ok(t) => t,
         Err(_) => {
             return Outcome {
@@ -125,7 +125,7 @@ fn run_dynamic(
     for op in ops {
         match *op {
             WlOp::Insert(i) => {
-                if tree.insert(points[i].clone(), i as u64).is_err() {
+                if tree.insert(points[i].coords(), i as u64).is_err() {
                     return Outcome {
                         committed,
                         pending: None,
@@ -134,14 +134,14 @@ fn run_dynamic(
                 }
                 model.insert(points[i].clone(), i as u64);
             }
-            WlOp::Delete(i) => match tree.delete(&points[i], i as u64) {
+            WlOp::Delete(i) => match tree.delete(points[i].coords(), i as u64) {
                 Ok(hit) => {
                     let oracle_hit = model.delete(&points[i], i as u64);
                     assert_eq!(
                         hit,
                         oracle_hit,
                         "{}: delete({i}) disagreed with oracle",
-                        kind.name()
+                        kind.kind_name()
                     );
                 }
                 Err(_) => {
@@ -168,6 +168,21 @@ fn run_dynamic(
         committed,
         pending: None,
         errored: false,
+    }
+}
+
+/// Drive `kind`'s workload: the scripted ops for a dynamic tree, the
+/// bulk build for the VAMSplit R-tree.
+fn run(
+    kind: TreeKind,
+    points: &[Point],
+    ops: &[WlOp],
+    store: Box<dyn PageStore>,
+    log: Box<dyn LogStore>,
+) -> Outcome {
+    match kind {
+        TreeKind::Vam => run_vam(points, store, log),
+        _ => run_dynamic(kind, points, ops, store, log),
     }
 }
 
@@ -199,8 +214,8 @@ fn keep_for(w: u64) -> usize {
     }
 }
 
-/// Crash one dynamic-tree run at `point`, reopen, and check recovery.
-fn check_dynamic_crash_point(
+/// Crash one run at `point`, reopen, and check recovery.
+fn check_crash_point(
     kind: TreeKind,
     points: &[Point],
     ops: &[WlOp],
@@ -209,11 +224,11 @@ fn check_dynamic_crash_point(
 ) {
     let (store, log, handle, shared) = faulted_parts(PAGE);
     arm(&handle, point);
-    let outcome = run_dynamic(kind, points, ops, store, log);
+    let outcome = run(kind, points, ops, store, log);
     assert!(
         outcome.errored && handle.crashed(),
         "{} {point:?}: armed crash never fired",
-        kind.name()
+        kind.kind_name()
     );
     // The "process" is dead; reopen from the surviving bytes. The open
     // replays committed WAL frames and discards the torn tail.
@@ -223,30 +238,35 @@ fn check_dynamic_crash_point(
             assert!(
                 outcome.committed.is_none(),
                 "{} {point:?}: store unreadable after a committed state existed: {e}",
-                kind.name()
+                kind.kind_name()
             );
             return;
         }
     };
     let _ = pf.set_cache_capacity(CACHE_PAGES);
-    let tree = match AnyTree::open(kind, pf) {
+    let tree = match TreeKind::open(pf) {
         Ok(t) => t,
         Err(e) => {
             assert!(
                 outcome.committed.is_none(),
                 "{} {point:?}: tree unopenable after a committed state existed: {e}",
-                kind.name()
+                kind.kind_name()
             );
             return;
         }
     };
+    assert_eq!(
+        tree.kind_name(),
+        kind.kind_name(),
+        "{point:?}: reopened as another kind"
+    );
     let mut failures = Vec::new();
     for (label, cand) in [
         ("committed", &outcome.committed),
         ("pending", &outcome.pending),
     ] {
         if let Some(m) = cand {
-            match matches_model(&tree, m, queries, K, RADIUS) {
+            match matches_model(tree.as_ref(), m, queries, K, RADIUS) {
                 Ok(()) => return,
                 Err(e) => failures.push(format!("vs {label} ({} pts): {e}", m.len())),
             }
@@ -254,7 +274,7 @@ fn check_dynamic_crash_point(
     }
     panic!(
         "{} {point:?}: recovered tree (len {}) matches no legal state: {}",
-        kind.name(),
+        kind.kind_name(),
         tree.len(),
         failures.join("; ")
     );
@@ -262,29 +282,39 @@ fn check_dynamic_crash_point(
 
 /// Count the workload's I/O points with a clean (unfaulted) run, then
 /// crash at every single one of them.
-fn crash_sweep_dynamic(kind: TreeKind) {
+fn crash_sweep(kind: TreeKind) {
     let points = uniform(N, DIM, SEED);
     let queries = sample_queries(&points, 6, SEED ^ 0x9E37_79B9);
     let ops = script(N);
 
     let (store, log, handle, _shared) = faulted_parts(PAGE);
-    let clean = run_dynamic(kind, &points, &ops, store, log);
-    assert!(!clean.errored, "{}: clean run must not error", kind.name());
-    let io = handle.stats();
+    let clean = run(kind, &points, &ops, store, log);
     assert!(
-        io.writes > 20 && io.syncs > 3,
+        !clean.errored,
+        "{}: clean run must not error",
+        kind.kind_name()
+    );
+    let io = handle.stats();
+    // The VAMSplit build commits once; the dynamic script every
+    // FLUSH_EVERY inserts.
+    let (min_writes, min_syncs) = match kind {
+        TreeKind::Vam => (10, 0),
+        _ => (20, 3),
+    };
+    assert!(
+        io.writes > min_writes && io.syncs > min_syncs,
         "{}: workload too small to be interesting ({io:?})",
-        kind.name()
+        kind.kind_name()
     );
 
     eprintln!(
         "{}: sweeping {} writes + {} syncs",
-        kind.name(),
+        kind.kind_name(),
         io.writes,
         io.syncs
     );
     for w in 0..io.writes {
-        check_dynamic_crash_point(
+        check_crash_point(
             kind,
             &points,
             &ops,
@@ -293,136 +323,55 @@ fn crash_sweep_dynamic(kind: TreeKind) {
         );
     }
     for s in 0..io.syncs {
-        check_dynamic_crash_point(kind, &points, &ops, &queries, CrashPoint::Sync(s));
+        check_crash_point(kind, &points, &ops, &queries, CrashPoint::Sync(s));
     }
 }
 
 #[test]
 fn sr_tree_recovers_from_every_crash_point() {
-    crash_sweep_dynamic(TreeKind::Sr);
+    crash_sweep(TreeKind::Sr);
 }
 
 #[test]
 fn ss_tree_recovers_from_every_crash_point() {
-    crash_sweep_dynamic(TreeKind::Ss);
+    crash_sweep(TreeKind::Ss);
 }
 
 #[test]
 fn rstar_tree_recovers_from_every_crash_point() {
-    crash_sweep_dynamic(TreeKind::Rstar);
+    crash_sweep(TreeKind::Rstar);
 }
 
 #[test]
 fn kdb_tree_recovers_from_every_crash_point() {
-    crash_sweep_dynamic(TreeKind::Kdb);
-}
-
-/// VAMSplit build, crashed at every I/O point. The static tree has a
-/// single commit (the post-build flush), so a recovered open either
-/// fails typed (nothing committed) or serves the full point set.
-fn run_vam(points: &[Point], store: Box<dyn PageStore>, log: Box<dyn LogStore>) -> Outcome {
-    let full = {
-        let mut m = Model::new();
-        for (i, p) in points.iter().enumerate() {
-            m.insert(p.clone(), i as u64);
-        }
-        m
-    };
-    let pf = match PageFile::create_from_parts(store, log) {
-        Ok(pf) => pf,
-        Err(_) => {
-            return Outcome {
-                committed: None,
-                pending: Some(full),
-                errored: true,
-            }
-        }
-    };
-    let _ = pf.set_cache_capacity(CACHE_PAGES);
-    let data: Vec<(Point, u64)> = points.iter().cloned().zip(0u64..).collect();
-    let tree = match VamTree::build_from(pf, data, DIM, DATA_AREA) {
-        Ok(t) => t,
-        Err(_) => {
-            return Outcome {
-                committed: None,
-                pending: Some(full),
-                errored: true,
-            }
-        }
-    };
-    if tree.flush().is_err() {
-        return Outcome {
-            committed: None,
-            pending: Some(full),
-            errored: true,
-        };
-    }
-    Outcome {
-        committed: Some(full),
-        pending: None,
-        errored: false,
-    }
+    crash_sweep(TreeKind::Kdb);
 }
 
 #[test]
 fn vam_tree_recovers_from_every_crash_point() {
-    let points = uniform(N, DIM, SEED);
-    let queries = sample_queries(&points, 6, SEED ^ 0x9E37_79B9);
+    crash_sweep(TreeKind::Vam);
+}
 
-    let (store, log, handle, _shared) = faulted_parts(PAGE);
-    let clean = run_vam(&points, store, log);
-    assert!(!clean.errored, "vam-tree: clean build must not error");
-    let io = handle.stats();
-    assert!(
-        io.writes > 10 && io.syncs > 0,
-        "vam-tree: build too small ({io:?})"
-    );
-    let full = clean.committed.unwrap();
-
-    let mut crash_points: Vec<CrashPoint> = (0..io.writes)
-        .map(|w| CrashPoint::Write(w, keep_for(w)))
-        .collect();
-    crash_points.extend((0..io.syncs).map(CrashPoint::Sync));
-
-    for point in crash_points {
-        let (store, log, handle, shared) = faulted_parts(PAGE);
-        arm(&handle, point);
-        let outcome = run_vam(&points, store, log);
-        assert!(
-            outcome.errored && handle.crashed(),
-            "vam-tree {point:?}: armed crash never fired"
-        );
-        let pf = match reopen(&shared) {
-            Ok(pf) => pf,
-            // Nothing tree-level was ever committed in a crashed build,
-            // so an unreadable store is always legal here.
-            Err(_) => continue,
-        };
-        let _ = pf.set_cache_capacity(CACHE_PAGES);
-        let tree = match VamTree::open_from(pf) {
-            Ok(t) => t,
-            // The single commit never landed: a typed failure is the
-            // correct answer.
-            Err(_) => continue,
-        };
-        // The commit landed in its entirety: the recovered tree must
-        // serve the full build, oracle-exactly.
-        sr_testkit::crash::verify_vam(&tree)
-            .unwrap_or_else(|e| panic!("vam-tree {point:?}: verify: {e}"));
-        assert_eq!(tree.len(), full.len() as u64, "vam-tree {point:?}: len");
-        for (qi, q) in queries.iter().enumerate() {
-            let got = tree
-                .knn(q.coords(), K)
-                .unwrap_or_else(|e| panic!("vam-tree {point:?}: knn[{qi}]: {e}"));
-            let want = full.knn(q.coords(), K);
-            sr_testkit::check_answer("vam-tree", &got, &want, true)
-                .unwrap_or_else(|e| panic!("vam-tree {point:?}: knn[{qi}]: {e}"));
-            let got = tree
-                .range(q.coords(), RADIUS)
-                .unwrap_or_else(|e| panic!("vam-tree {point:?}: range[{qi}]: {e}"));
-            let want = full.range(q.coords(), RADIUS);
-            sr_testkit::check_answer("vam-tree", &got, &want, true)
-                .unwrap_or_else(|e| panic!("vam-tree {point:?}: range[{qi}]: {e}"));
-        }
+/// Drive the VAMSplit build over a faulted store pair. The static tree
+/// has a single commit (the post-build flush), so a crashed build leaves
+/// nothing committed and the full point set pending: a recovered open
+/// either fails typed or serves the full build.
+fn run_vam(points: &[Point], store: Box<dyn PageStore>, log: Box<dyn LogStore>) -> Outcome {
+    let mut full = Model::new();
+    for (i, p) in points.iter().enumerate() {
+        full.insert(p.clone(), i as u64);
+    }
+    let built = PageFile::create_from_parts(store, log)
+        .map_err(IndexError::from)
+        .and_then(|pf| {
+            let _ = pf.set_cache_capacity(CACHE_PAGES);
+            TreeKind::Vam.build(pf, DIM, DATA_AREA, full.live.clone())
+        })
+        .and_then(|tree| tree.flush());
+    let errored = built.is_err();
+    Outcome {
+        committed: (!errored).then(|| full.clone()),
+        pending: errored.then_some(full),
+        errored,
     }
 }

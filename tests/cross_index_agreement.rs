@@ -2,52 +2,28 @@
 //! on identical workloads — the precondition for every comparison the
 //! paper makes.
 
+use sr_testkit::TreeKind;
 use srtree::dataset::{cluster, real_sim, sample_queries, uniform, ClusterSpec};
 use srtree::geometry::Point;
-use srtree::kdbtree::KdbTree;
-use srtree::query::brute_force_knn;
-use srtree::rstar::RstarTree;
-use srtree::sstree::SsTree;
-use srtree::tree::SrTree;
-use srtree::vamsplit::VamTree;
+use srtree::pager::PageFile;
+use srtree::query::paged::DEFAULT_DATA_AREA;
+use srtree::query::{brute_force_knn, SpatialIndex};
 
-struct Fleet {
-    kdb: KdbTree,
-    rstar: RstarTree,
-    ss: SsTree,
-    sr: SrTree,
-    vam: VamTree,
-}
-
-fn build_fleet(points: &[Point]) -> Fleet {
-    let dim = points[0].dim();
-    let mut kdb = KdbTree::create_in_memory(dim, 4096).unwrap();
-    let mut rstar = RstarTree::create_in_memory(dim, 4096).unwrap();
-    let mut ss = SsTree::create_in_memory(dim, 4096).unwrap();
-    let mut sr = SrTree::create_in_memory(dim, 4096).unwrap();
-    for (i, p) in points.iter().enumerate() {
-        kdb.insert(p.clone(), i as u64).unwrap();
-        rstar.insert(p.clone(), i as u64).unwrap();
-        ss.insert(p.clone(), i as u64).unwrap();
-        sr.insert(p.clone(), i as u64).unwrap();
-    }
-    let with_ids: Vec<(Point, u64)> = points
+/// One tree of each of `kinds` over `points`.
+fn build_fleet(kinds: &[TreeKind], points: &[Point]) -> Vec<Box<dyn SpatialIndex>> {
+    let with_ids: Vec<(Point, u64)> = points.iter().cloned().zip(0u64..).collect();
+    kinds
         .iter()
-        .enumerate()
-        .map(|(i, p)| (p.clone(), i as u64))
-        .collect();
-    let vam = VamTree::build_in_memory(with_ids, dim, 4096).unwrap();
-    Fleet {
-        kdb,
-        rstar,
-        ss,
-        sr,
-        vam,
-    }
+        .map(|kind| {
+            let pf = PageFile::create_in_memory(4096).unwrap();
+            kind.build(pf, points[0].dim(), DEFAULT_DATA_AREA, with_ids.clone())
+                .unwrap()
+        })
+        .collect()
 }
 
 fn check_agreement(points: &[Point], queries: &[Point], k: usize) {
-    let fleet = build_fleet(points);
+    let fleet = build_fleet(&TreeKind::ALL, points);
     let flat: Vec<(&[f32], u64)> = points
         .iter()
         .enumerate()
@@ -55,19 +31,14 @@ fn check_agreement(points: &[Point], queries: &[Point], k: usize) {
         .collect();
     for q in queries {
         let truth = brute_force_knn(flat.iter().copied(), q.coords(), k);
-        let answers = [
-            fleet.kdb.knn(q.coords(), k).unwrap(),
-            fleet.rstar.knn(q.coords(), k).unwrap(),
-            fleet.ss.knn(q.coords(), k).unwrap(),
-            fleet.sr.knn(q.coords(), k).unwrap(),
-            fleet.vam.knn(q.coords(), k).unwrap(),
-        ];
-        for (i, got) in answers.iter().enumerate() {
-            assert_eq!(got.len(), truth.len(), "structure {i} length");
+        for tree in &fleet {
+            let name = tree.kind_name();
+            let got = tree.knn(q.coords(), k).unwrap();
+            assert_eq!(got.len(), truth.len(), "{name} length");
             for (g, w) in got.iter().zip(truth.iter()) {
                 assert!(
                     (g.dist2 - w.dist2).abs() < 1e-9,
-                    "structure {i}: {} vs {}",
+                    "{name}: {} vs {}",
                     g.dist2,
                     w.dist2
                 );
@@ -76,7 +47,7 @@ fn check_agreement(points: &[Point], queries: &[Point], k: usize) {
             assert_eq!(
                 got.iter().map(|n| n.data).collect::<Vec<_>>(),
                 truth.iter().map(|n| n.data).collect::<Vec<_>>(),
-                "structure {i} ids"
+                "{name} ids"
             );
         }
     }
@@ -123,14 +94,13 @@ fn agreement_after_deletions() {
     // Delete a third of the points from every dynamic structure and
     // re-check agreement against the surviving ground truth.
     let points = uniform(900, 4, 113);
-    let mut fleet = build_fleet(&points);
+    let mut fleet = build_fleet(&TreeKind::DYNAMIC, &points);
     let mut survivors: Vec<(Point, u64)> = Vec::new();
     for (i, p) in points.iter().enumerate() {
         if i % 3 == 0 {
-            assert!(fleet.kdb.delete(p, i as u64).unwrap());
-            assert!(fleet.rstar.delete(p, i as u64).unwrap());
-            assert!(fleet.ss.delete(p, i as u64).unwrap());
-            assert!(fleet.sr.delete(p, i as u64).unwrap());
+            for tree in &mut fleet {
+                assert!(tree.delete(p.coords(), i as u64).unwrap());
+            }
         } else {
             survivors.push((p.clone(), i as u64));
         }
@@ -138,12 +108,8 @@ fn agreement_after_deletions() {
     let flat: Vec<(&[f32], u64)> = survivors.iter().map(|(p, i)| (p.coords(), *i)).collect();
     for (q, _) in survivors.iter().step_by(97) {
         let truth = brute_force_knn(flat.iter().copied(), q.coords(), 9);
-        for got in [
-            fleet.kdb.knn(q.coords(), 9).unwrap(),
-            fleet.rstar.knn(q.coords(), 9).unwrap(),
-            fleet.ss.knn(q.coords(), 9).unwrap(),
-            fleet.sr.knn(q.coords(), 9).unwrap(),
-        ] {
+        for tree in &fleet {
+            let got = tree.knn(q.coords(), 9).unwrap();
             for (g, w) in got.iter().zip(truth.iter()) {
                 assert!((g.dist2 - w.dist2).abs() < 1e-9);
             }
@@ -154,7 +120,7 @@ fn agreement_after_deletions() {
 #[test]
 fn range_agreement_across_structures() {
     let points = uniform(800, 4, 127);
-    let fleet = build_fleet(&points);
+    let fleet = build_fleet(&TreeKind::ALL, &points);
     let flat: Vec<(&[f32], u64)> = points
         .iter()
         .enumerate()
@@ -167,10 +133,13 @@ fn range_agreement_across_structures() {
             .map(|n| n.data)
             .collect();
         let ids = |v: Vec<srtree::query::Neighbor>| v.iter().map(|n| n.data).collect::<Vec<_>>();
-        assert_eq!(ids(fleet.kdb.range(q, radius).unwrap()), truth);
-        assert_eq!(ids(fleet.rstar.range(q, radius).unwrap()), truth);
-        assert_eq!(ids(fleet.ss.range(q, radius).unwrap()), truth);
-        assert_eq!(ids(fleet.sr.range(q, radius).unwrap()), truth);
-        assert_eq!(ids(fleet.vam.range(q, radius).unwrap()), truth);
+        for tree in &fleet {
+            assert_eq!(
+                ids(tree.range(q, radius).unwrap()),
+                truth,
+                "{}",
+                tree.kind_name()
+            );
+        }
     }
 }

@@ -8,11 +8,12 @@
 //! failure; the fixed default seeds below make CI deterministic.
 
 use sr_testkit::{
-    check_answer, faulted_parts, fuzz_case, generate, matches_model, reopen, seed_line, AnyTree,
-    DataDist, DiffConfig, DiffReport, Model, Op, OpTape, WorkloadSpec, DYNAMIC_KINDS,
+    check_answer, faulted_parts, fuzz_case, generate, matches_model, reopen, seed_line, DataDist,
+    DiffConfig, DiffReport, Model, Op, OpTape, TreeKind, WorkloadSpec,
 };
 use srtree::geometry::Point;
 use srtree::pager::PageFile;
+use srtree::query::SpatialIndex;
 
 /// Per-tape op count. The issue floor is 2,000 ops per tape.
 const OPS: usize = 2_000;
@@ -99,7 +100,7 @@ const CRASH_ARM_FLUSH_EVERY: usize = 97;
 /// `pending` is the oracle snapshot a failing *commit* was writing.
 /// `committed` tracks the snapshot at the last successful commit.
 fn replay_tape(
-    tree: &mut AnyTree,
+    tree: &mut dyn SpatialIndex,
     model: &mut Model,
     tape: &OpTape,
     from: usize,
@@ -109,12 +110,12 @@ fn replay_tape(
     for (step, op) in tape.ops.iter().enumerate().skip(from) {
         match op {
             Op::Insert(p, id) => {
-                if tree.insert(p.clone(), *id).is_err() {
+                if tree.insert(p.coords(), *id).is_err() {
                     return (Some(step), None);
                 }
                 model.insert(p.clone(), *id);
             }
-            Op::Delete(p, id) => match tree.delete(p, *id) {
+            Op::Delete(p, id) => match tree.delete(p.coords(), *id) {
                 Ok(hit) => {
                     let oracle_hit = model.delete(p, *id);
                     assert_eq!(hit, oracle_hit, "step {step}: delete disagreed\n{ctx}");
@@ -154,8 +155,8 @@ fn crash_mid_tape_recovers_and_continues_matching_oracle() {
     let seed = seed_for(0xD1FF_0005);
     let spec = WorkloadSpec::standard(600, 4, DataDist::Uniform);
     let tape = generate(&spec, seed);
-    let kind = DYNAMIC_KINDS[(seed % 4) as usize];
-    let ctx = format!("structure={} {}", kind.name(), seed_line(&tape));
+    let kind = TreeKind::DYNAMIC[(seed % 4) as usize];
+    let ctx = format!("structure={} {}", kind.kind_name(), seed_line(&tape));
     let probes: Vec<Point> = tape
         .ops
         .iter()
@@ -171,12 +172,12 @@ fn crash_mid_tape_recovers_and_continues_matching_oracle() {
     // mid-tape (creation crashes are tests/crash_recovery.rs territory).
     let (store, log, handle, _shared) = faulted_parts(2048);
     let pf = PageFile::create_from_parts(store, log).unwrap();
-    let mut tree = AnyTree::create(kind, pf, tape.dim, 64).unwrap();
+    let mut tree = kind.create(pf, tape.dim, 64).unwrap();
     tree.flush().unwrap();
     let writes_at_baseline = handle.stats().writes;
     let mut model = Model::new();
     let mut committed = Model::new();
-    let (crashed, _) = replay_tape(&mut tree, &mut model, &tape, 0, &mut committed, &ctx);
+    let (crashed, _) = replay_tape(tree.as_mut(), &mut model, &tape, 0, &mut committed, &ctx);
     assert!(crashed.is_none(), "clean run errored\n{ctx}");
     let total_writes = handle.stats().writes;
     assert!(
@@ -197,11 +198,12 @@ fn crash_mid_tape_recovers_and_continues_matching_oracle() {
     let (store, log, handle, shared) = faulted_parts(2048);
     handle.crash_at_write(crash_write, keep);
     let pf = PageFile::create_from_parts(store, log).unwrap();
-    let mut tree = AnyTree::create(kind, pf, tape.dim, 64).unwrap();
+    let mut tree = kind.create(pf, tape.dim, 64).unwrap();
     tree.flush().unwrap();
     let mut model = Model::new();
     let mut committed = Model::new();
-    let (crashed_at, pending) = replay_tape(&mut tree, &mut model, &tape, 0, &mut committed, &ctx);
+    let (crashed_at, pending) =
+        replay_tape(tree.as_mut(), &mut model, &tape, 0, &mut committed, &ctx);
     let crashed_at = crashed_at
         .unwrap_or_else(|| panic!("armed crash at write {crash_write} never fired\n{ctx}"));
     assert!(
@@ -214,7 +216,7 @@ fn crash_mid_tape_recovers_and_continues_matching_oracle() {
     // state the WAL recovered.
     let pf = reopen(&shared)
         .unwrap_or_else(|e| panic!("reopen after crash at step {crashed_at}: {e}\n{ctx}"));
-    let mut tree = AnyTree::open(kind, pf)
+    let mut tree = TreeKind::open(pf)
         .unwrap_or_else(|e| panic!("open after crash at step {crashed_at}: {e}\n{ctx}"));
     let mut candidates = vec![("committed", committed.clone())];
     if let Some(p) = pending {
@@ -223,7 +225,7 @@ fn crash_mid_tape_recovers_and_continues_matching_oracle() {
     let mut model = None;
     let mut failures = Vec::new();
     for (label, cand) in candidates {
-        match matches_model(&tree, &cand, &probes, 5, 0.6) {
+        match matches_model(tree.as_ref(), &cand, &probes, 5, 0.6) {
             Ok(()) => {
                 model = Some(cand);
                 break;
@@ -243,7 +245,7 @@ fn crash_mid_tape_recovers_and_continues_matching_oracle() {
     // all the way to the end.
     let mut committed = model.clone();
     let (crashed, _) = replay_tape(
-        &mut tree,
+        tree.as_mut(),
         &mut model,
         &tape,
         crashed_at,
@@ -256,7 +258,7 @@ fn crash_mid_tape_recovers_and_continues_matching_oracle() {
     );
     tree.flush()
         .unwrap_or_else(|e| panic!("final flush: {e}\n{ctx}"));
-    matches_model(&tree, &model, &probes, 5, 0.6)
+    matches_model(tree.as_ref(), &model, &probes, 5, 0.6)
         .unwrap_or_else(|e| panic!("end state diverged from oracle: {e}\n{ctx}"));
 }
 
