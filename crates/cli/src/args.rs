@@ -179,7 +179,7 @@ pub enum Command {
     Lint {
         json: bool,
         root: Option<PathBuf>,
-        /// Keep only one family (`L7`) or exact rule (`L7/unguarded-access`).
+        /// Keep only one family (`L4`) or exact rule (`L4/lock-io`).
         rule: Option<String>,
         /// Append a one-line run summary (files, findings, elapsed ms).
         stats: bool,
@@ -919,26 +919,27 @@ mod tests {
             }
         );
         assert_eq!(
-            p(&["lint", "--rule", "L7", "--stats", "--timings"]).unwrap(),
+            p(&["lint", "--rule", "L4", "--stats", "--timings"]).unwrap(),
             Command::Lint {
                 json: false,
                 root: None,
-                rule: Some("L7".to_string()),
+                rule: Some("L4".to_string()),
                 stats: true,
                 timings: true,
             }
         );
         assert_eq!(
-            p(&["lint", "--rule", "L7/unguarded-access"]).unwrap(),
+            p(&["lint", "--rule", "L4/lock-io"]).unwrap(),
             Command::Lint {
                 json: false,
                 root: None,
-                rule: Some("L7/unguarded-access".to_string()),
+                rule: Some("L4/lock-io".to_string()),
                 stats: false,
                 timings: false,
             }
         );
         assert!(p(&["lint", "--rule", "no-such-family"]).is_err());
+        assert!(p(&["lint", "--rule", "L7"]).is_err());
         assert!(p(&["lint", "--rule"]).is_err());
         assert!(p(&["lint", "--frobnicate"]).is_err());
     }

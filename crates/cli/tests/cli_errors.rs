@@ -315,13 +315,61 @@ fn dimension_too_large_for_the_page_exits_2() {
 }
 
 #[test]
+fn huge_k_answers_every_point_instead_of_aborting() {
+    // The largest `k` a wire `Knn` frame can carry (`u32::MAX`) once
+    // aborted the process allocating the candidate heap; `srtool serve`
+    // answers through the same path.
+    let data = tmpfile("hugek.tsv");
+    let index = tmpfile("hugek.pages");
+    let gen = srtool(&[
+        "gen",
+        "--n",
+        "500",
+        "--dim",
+        "4",
+        "--seed",
+        "13",
+        data.to_str().unwrap(),
+    ]);
+    assert!(gen.status.success());
+    let build = srtool(&[
+        "build",
+        "--index",
+        "sr",
+        "--dim",
+        "4",
+        index.to_str().unwrap(),
+        data.to_str().unwrap(),
+    ]);
+    assert!(build.status.success());
+    let out = srtool(&[
+        "knn",
+        index.to_str().unwrap(),
+        "--k",
+        "4294967295",
+        "--query",
+        "0.1,0.2,0.3,0.4",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8(out.stdout).unwrap().lines().count(), 500);
+}
+
+#[test]
 fn lint_rejects_unknown_rule_family() {
     // A name outside the `L<n>` scheme, so no future rule family can
-    // make it valid.
-    let out = srtool(&["lint", "--rule", "no-such-family"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("no-such-family"), "{stderr}");
+    // make it valid, and the retired families whose checks rustc and
+    // clippy now make.
+    for family in ["no-such-family", "L2", "L7", "L8", "L7/unguarded-access"] {
+        let out = srtool(&["lint", "--rule", family]);
+        assert_eq!(out.status.code(), Some(2), "--rule {family}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(family), "{stderr}");
+    }
     assert!(matches!(
         parse_err(&["lint", "--rule", "no-such-family"]),
         ArgError::BadValue { flag: "--rule", .. }
@@ -347,7 +395,7 @@ fn lint_rule_filter_and_stats_line() {
         "--root",
         root.to_str().unwrap(),
         "--rule",
-        "L7",
+        "L4",
         "--stats",
     ]);
     assert_eq!(
@@ -368,7 +416,7 @@ fn lint_rule_filter_and_stats_line() {
 }
 
 #[test]
-fn lint_json_reports_all_eight_families() {
+fn lint_json_reports_every_family() {
     let root = env!("CARGO_MANIFEST_DIR");
     let root = std::path::Path::new(root)
         .parent()
@@ -383,11 +431,14 @@ fn lint_json_reports_all_eight_families() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).unwrap();
-    for fam in ["L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8"] {
+    for fam in ["L1", "L3", "L4", "L5", "L6", "L9", "L10"] {
         assert!(
             stdout.contains(&format!("\"{fam}\": 0")),
             "{fam} missing: {stdout}"
         );
+    }
+    for retired in ["L2", "L7", "L8"] {
+        assert!(!stdout.contains(&format!("\"{retired}\"")), "{stdout}");
     }
     assert!(stdout.contains("\"files_scanned\":"), "{stdout}");
 }

@@ -26,7 +26,6 @@ pub const KIND: Kind = Kind {
 /// are the intersection of a bounding sphere and a bounding rectangle.
 /// The shared core's methods (`knn`, `range`, `contains`, `len`,
 /// `pager`, …) are reached through `Deref`.
-// srlint: send-sync -- all state is the noted Paged core; mutation goes through &mut self
 pub struct SrTree {
     core: Paged<SrRegion>,
 }

@@ -39,6 +39,8 @@
 //! validate coordinates on insert, so that case only arises from page
 //! corruption.)
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::error::GeometryError;
 
 /// Leading dimensions scored columnar for every point before the first

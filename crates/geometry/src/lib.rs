@@ -43,8 +43,9 @@ pub use vector::{dist, dist2, Point};
 
 /// Widen a dimension count to `f64`.
 ///
-/// Lives here (outside the srlint L2-audited distance-kernel files) so the
-/// kernels themselves stay free of `as` casts; `u32::MAX` dimensions is far
+/// Lives here (outside the distance-kernel files, which deny
+/// `clippy::as_conversions`) so the kernels themselves stay free of `as`
+/// casts; `u32::MAX` dimensions is far
 /// beyond anything representable, so the conversion is always exact in
 /// practice.
 #[inline]

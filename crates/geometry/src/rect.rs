@@ -8,6 +8,8 @@
 //! ([`Rect::max_dist2`]) that the SR-tree's bounding-sphere radius rule
 //! (paper §4.2, the `MAXDIST` term of `d_r`) relies on.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::vector::Point;
 
 /// An axis-aligned hyper-rectangle, stored as per-dimension `[min, max]`.

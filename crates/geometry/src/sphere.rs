@@ -6,6 +6,8 @@
 //! which is exactly the fanout advantage §2.3 of the paper credits the
 //! SS-tree with.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::ln_unit_ball_volume;
 use crate::rect::Rect;
 use crate::vector::{dist2, Point};

@@ -4,6 +4,8 @@
 //! clone only when explicitly asked, and free of the extra capacity word a
 //! `Vec<f32>` would carry into every node entry.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use std::fmt;
 use std::ops::{Deref, Index};
 
@@ -99,8 +101,8 @@ impl Index<usize> for Point {
     #[inline]
     #[allow(clippy::indexing_slicing)]
     fn index(&self, i: usize) -> &f32 {
-        // srlint: allow(index) -- this IS the indexing primitive for Point;
-        // the slice access carries the same panic-on-OOB contract as [f32].
+        // This IS the indexing primitive for Point; the slice access
+        // carries the same panic-on-OOB contract as [f32].
         &self.0[i]
     }
 }

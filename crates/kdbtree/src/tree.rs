@@ -109,7 +109,6 @@ fn half_open_disjoint(a: &Rect, b: &Rect) -> bool {
 /// splits, no minimum storage utilization. The shared core's methods
 /// (`knn`, `range`, `contains`, `len`, `pager`, …) are reached through
 /// `Deref`.
-// srlint: send-sync -- all state is the noted Paged core; mutation goes through &mut self
 pub struct KdbTree {
     core: Paged<KdbRegion>,
 }

@@ -8,7 +8,7 @@
 //!
 //! 1. **Receiver-typed method calls** — `self.f()` resolves through the
 //!    enclosing impl's type, `param.f()` through the parameter's type
-//!    identifiers (the same maps L4/L7 use for guard receivers).
+//!    identifiers.
 //! 2. **Path-qualified calls** — `Ty::f()` resolves against the
 //!    registry of `impl Ty` functions.
 //! 3. **Name-match degradation** — anything else (trait-object calls,
@@ -55,7 +55,7 @@ pub struct Site {
 }
 
 /// One function definition extracted at prep time and shared across
-/// the passes (L4 guard walk, L7, call-graph construction, L9, L10).
+/// the passes (L4 guard walk, call-graph construction, L9, L10).
 #[derive(Clone, Debug)]
 pub struct FnMeta {
     pub name: String,
@@ -612,7 +612,7 @@ mod tests {
     fn build(sources: &[(&str, &str, &str)]) -> (CallGraph, Vec<ParsedFile>) {
         let mut files: Vec<ParsedFile> = sources
             .iter()
-            .map(|(krate, path, src)| ParsedFile::parse(path, krate, false, src))
+            .map(|(krate, path, src)| ParsedFile::parse(path, krate, src))
             .collect();
         for f in &mut files {
             f.fns = collect_fn_metas(&f.items, &mut f.lexed, &HashSet::new());

@@ -142,10 +142,6 @@ pub enum NoteKind {
     Ordering,
     /// `lock-order(<a> < <b>) -- <reason>`: `a` is taken before `b` (L4).
     LockOrder,
-    /// `guarded-by(<lock>)`: the lock protecting a struct field (L7).
-    GuardedBy,
-    /// `send-sync -- <reason>`: why a struct is safe to share (L8).
-    SendSync,
     /// `untrusted-source -- <reason>`: a fn returning attacker bytes (L9).
     Untrusted,
     /// `validated(<expr>) -- <reason>`: a sanitizer hatch (L9).
@@ -159,10 +155,8 @@ pub enum NoteKind {
 const DIRECTIVES: &[(&str, NoteKind, bool, bool)] = &[
     ("allow", NoteKind::Allow, true, true),
     ("lock-order", NoteKind::LockOrder, true, true),
-    ("guarded-by", NoteKind::GuardedBy, true, false),
     ("validated", NoteKind::Validated, true, true),
     ("untrusted-source", NoteKind::Untrusted, false, true),
-    ("send-sync", NoteKind::SendSync, false, true),
     ("ordering", NoteKind::Ordering, false, true),
     ("hot", NoteKind::Hot, false, false),
 ];
@@ -173,8 +167,8 @@ const DIRECTIVES: &[(&str, NoteKind, bool, bool)] = &[
 #[derive(Clone, Debug)]
 pub struct Note {
     pub kind: NoteKind,
-    /// The parenthesized argument: the rule tail, `earlier<later`, the
-    /// lock name, or the validated expression; empty for other kinds.
+    /// The parenthesized argument: the rule tail, `earlier<later`, or
+    /// the validated expression; empty for other kinds.
     pub arg: String,
     pub reason: String,
     /// Lines the note covers: its own and the next code line.
@@ -448,9 +442,8 @@ fn parse_directive(rest: &str, line: u32, col: u32) -> Option<Note> {
         let reason = tail.trim_start().strip_prefix("--")?.trim();
         (!reason.is_empty()).then(|| reason.to_string())?
     } else if tail.trim().is_empty() {
-        // `guarded-by` and `hot` document themselves: no reason tail,
-        // and no trailing text either (so `hotfix`-style prose never
-        // parses as a directive).
+        // `hot` documents itself: no reason tail, and no trailing text
+        // either (so `hotfix`-style prose never parses as a directive).
         String::new()
     } else {
         return None;
@@ -467,7 +460,7 @@ fn parse_directive(rest: &str, line: u32, col: u32) -> Option<Note> {
 }
 
 /// Validate a directive argument: a rule tail (`[A-Za-z0-9-]+`), an
-/// `a < b` pair or a lock (`[A-Za-z0-9_]+` names), or any non-empty
+/// `a < b` pair of `[A-Za-z0-9_]+` lock names, or any non-empty
 /// validated expression.
 fn note_arg(kind: NoteKind, arg: &str) -> Option<String> {
     let name = |s: &str, extra: char| {
@@ -480,7 +473,6 @@ fn note_arg(kind: NoteKind, arg: &str) -> Option<String> {
             let (a, b) = (a.trim(), b.trim());
             return (name(a, '_') && name(b, '_')).then(|| format!("{a}<{b}"));
         }
-        NoteKind::GuardedBy => name(arg, '_'),
         _ => !arg.is_empty(),
     };
     ok.then(|| arg.to_string())
@@ -739,8 +731,21 @@ mod tests {
     }
 
     #[test]
+    fn hatch_trailing_comment_covers_own_line() {
+        let src = "assert!(n > 0); // srlint: allow(assert) -- caller contract\n";
+        assert_note(src, NoteKind::Allow, "assert", "caller contract", [1, 1]);
+    }
+
+    #[test]
     fn hatch_without_reason_is_malformed() {
         assert_malformed("// srlint: allow(panic)\nx.unwrap();\n");
+    }
+
+    #[test]
+    fn hatch_without_a_rule_name_is_malformed() {
+        assert_malformed("// srlint: allow() -- reason\nx.unwrap();\n");
+        assert_malformed("// srlint: allow(lock io) -- reason\nx.unwrap();\n");
+        assert_malformed("// srlint: allow -- reason\nx.unwrap();\n");
     }
 
     #[test]
@@ -768,38 +773,12 @@ mod tests {
     }
 
     #[test]
-    fn guarded_by_covers_next_code_line() {
-        let src = "// srlint: guarded-by(meta)\nfree_head: PageId,\n";
-        assert_note(src, NoteKind::GuardedBy, "meta", "", [1, 2]);
-    }
-
-    #[test]
-    fn guarded_by_trailing_comment_covers_own_line() {
-        let src = "free_head: PageId, // srlint: guarded-by(meta)\n";
-        assert_note(src, NoteKind::GuardedBy, "meta", "", [1, 1]);
-    }
-
-    #[test]
-    fn guarded_by_with_trailing_text_is_malformed() {
-        assert_malformed("// srlint: guarded-by(meta) extra words\n");
-        assert_malformed("// srlint: guarded-by()\n");
-    }
-
-    #[test]
-    fn send_sync_directive_parses_with_reason() {
-        let src = "// srlint: send-sync -- shards are lock-striped\npub struct PageFile {}\n";
-        assert_note(
-            src,
-            NoteKind::SendSync,
-            "",
-            "shards are lock-striped",
-            [1, 2],
-        );
-    }
-
-    #[test]
-    fn send_sync_without_reason_is_malformed() {
-        assert_malformed("// srlint: send-sync\nstruct S {}\n");
+    fn retired_directive_kinds_are_malformed() {
+        // `guarded-by` and `send-sync` re-proved what the type system
+        // already enforces; a leftover annotation must not pass silently.
+        for retired in ["guarded-by(meta)", "send-sync -- lock-striped"] {
+            assert_malformed(&format!("// srlint: {retired}\nstruct S {{}}\n"));
+        }
     }
 
     #[test]

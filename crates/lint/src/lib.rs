@@ -1,17 +1,17 @@
 //! srlint — offline static analysis for the SR-tree workspace.
 //!
 //! A dependency-free lint pass (no `syn`, no registry crates) built on a
-//! hand-rolled Rust lexer. Three rule families guard the invariants the
-//! fault-injection and differential-fuzz suites rely on:
+//! hand-rolled Rust lexer. It keeps only the checks that neither rustc
+//! nor clippy makes: the workspace `[workspace.lints.clippy]` deny-set
+//! already rejects `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
+//! `unimplemented!` and slice indexing in the same library crates,
+//! `#![deny(clippy::as_conversions)]` rejects `as` casts in the geometry
+//! kernels and the page codec, the type system enforces which lock
+//! guards which state, and `#![forbid(unsafe_code)]` leaves every
+//! `Send`/`Sync` impl compiler-derived. Two token passes:
 //!
-//! * **L1/panic, L1/assert** — library crates must not call `unwrap()`,
-//!   `expect()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` or
-//!   a release-mode `assert!` outside test code; every fallible path
-//!   returns a typed error.
-//! * **L2/index, L2/cast** — the geometry distance kernels and the pager
-//!   page codec (the files where an out-of-bounds access or silent
-//!   narrowing corrupts query results) must not use slice indexing or
-//!   `as` numeric casts.
+//! * **L1/assert** — no release-mode `assert!` in non-test library
+//!   code; every fallible path returns a typed error.
 //! * **L3/error-type, L3/dead-variant** — public `Result`-returning
 //!   functions name crate-local typed errors, and every error variant is
 //!   constructed somewhere.
@@ -20,10 +20,11 @@
 //! recovers the item tree and block structure, feeding three
 //! scope-aware passes:
 //!
-//! * **L4/lock-order, L4/lock-io, L4/lock-cycle** ([`locks`]) — guard
-//!   lifetimes modeled from `Mutex`/`RwLock` bindings; violations of
-//!   `// srlint: lock-order(a < b) -- reason` declarations, I/O calls
-//!   under a guard, and cycles in the acquisition graph.
+//! * **L4/lock-order, L4/lock-io, L4/lock-cycle, L4/guard-escape**
+//!   ([`locks`]) — guard lifetimes modeled from `Mutex`/`RwLock`
+//!   bindings; violations of `// srlint: lock-order(a < b) -- reason`
+//!   declarations, I/O calls under a guard, cycles in the acquisition
+//!   graph, and guards returned out of their function.
 //! * **L5/ordering, L5/ordering-relaxed, L5/ordering-unused**
 //!   ([`ordering`]) — every atomic `Ordering::` argument needs a
 //!   same-item `// srlint: ordering -- reason` note; `Relaxed` on the
@@ -32,17 +33,6 @@
 //!   ([`errors`]) — `?` in public fns must convert into the function's
 //!   typed error through a `From` chain, typed errors must not be
 //!   silently swallowed, and `#[deprecated]` items expire after one PR.
-//! * **L7/unguarded-access, L7/bad-annotation, L7/unprotected-shared**
-//!   ([`guarded`]) — `// srlint: guarded-by(<lock>)` field annotations
-//!   checked against the L4 held-guard walk: every resolved access to a
-//!   guarded field must happen under its lock, annotations must name
-//!   real locks, and fields of thread-shared structs must be guarded,
-//!   atomic, or themselves audited.
-//! * **L8/unsafe-impl, L8/missing-note, L8/interior-mutability,
-//!   L8/send-sync-unused** ([`sendsync`]) — the Send/Sync boundary
-//!   audit: no hand-written `unsafe impl Send/Sync`, and every type
-//!   crossing the executor thread scope (or owning lock/atomic state)
-//!   carries a reasoned `// srlint: send-sync -- reason` note.
 //!
 //! A workspace call graph ([`callgraph`]) built over the shared
 //! function registry feeds two interprocedural families:
@@ -62,55 +52,41 @@
 //!   offending call chain.
 //!
 //! The escape hatch is `// srlint: allow(<rule>) -- <reason>`, where
-//! `<rule>` is the rule id's tail (`panic`, `assert`, `index`, `cast`,
-//! `error-type`, `dead-variant`, `lock-order`, `lock-io`,
-//! `lock-cycle`, `guard-escape`, `ordering`, `ordering-relaxed`,
-//! `ordering-unused`, `error-conversion`, `swallowed-error`,
-//! `stale-deprecated`, `unguarded-access`, `bad-annotation`,
-//! `unprotected-shared`, `unsafe-impl`, `missing-note`,
-//! `interior-mutability`, `send-sync-unused`, `unchecked-length`,
-//! `unchecked-offset`, `tainted-alloc`, `hot-alloc`, `hot-lock`,
-//! `hot-io`). A hatch covers its own line and the next code line;
-//! unused or malformed hatches are themselves violations. Used
-//! `validated(...)` notes count against the same hatch budget —
-//! they are suppressions, just anchored to a value instead of a line.
+//! `<rule>` is the rule id's tail (`assert`, `error-type`,
+//! `dead-variant`, `lock-order`, `lock-io`, `lock-cycle`,
+//! `guard-escape`, `ordering`, `ordering-relaxed`, `ordering-unused`,
+//! `error-conversion`, `swallowed-error`, `stale-deprecated`,
+//! `unchecked-length`, `unchecked-offset`, `tainted-alloc`,
+//! `hot-alloc`, `hot-lock`, `hot-io`). A hatch covers its own line and
+//! the next code line; unused or malformed hatches are themselves
+//! violations. Used `validated(...)` notes count against the same hatch
+//! budget — they are suppressions, just anchored to a value instead of
+//! a line.
 
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
 pub mod errors;
-pub mod guarded;
 pub mod hot;
 pub mod lexer;
 pub mod locks;
 pub mod ordering;
 pub mod parser;
 pub mod rules;
-pub mod sendsync;
 pub mod taint;
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use lexer::Lexed;
 use parser::{Item, ItemKind};
 
-/// Library crates under the L1 and L3 rules (directory names under
-/// `crates/`).
+/// Library crates under srlint (directory names under `crates/`): the
+/// same crates the clippy deny-set covers.
 pub const LIB_CRATES: &[&str] = &[
     "pager", "geometry", "core", "sstree", "rstar", "kdbtree", "vamsplit", "query", "obs", "exec",
     "wire", "serve",
-];
-
-/// Hot-path files under the L2 rules, relative to the workspace root.
-pub const L2_FILES: &[&str] = &[
-    "crates/geometry/src/kernel.rs",
-    "crates/geometry/src/rect.rs",
-    "crates/geometry/src/sphere.rs",
-    "crates/geometry/src/vector.rs",
-    "crates/pager/src/leaf.rs",
-    "crates/pager/src/page.rs",
 ];
 
 /// Files feeding the misses == physical-reads accounting: `Relaxed`
@@ -133,38 +109,30 @@ pub const IO_FNS: &[&str] = &[
 
 /// One lexed and parsed source file, threaded through the passes.
 /// Everything here is computed exactly once per file and shared by all
-/// ten passes.
+/// the passes.
 pub struct ParsedFile {
     /// Path relative to the workspace root.
     pub path: String,
     /// Library crate the file belongs to.
     pub krate: String,
-    /// Whether the file is under the L2 hot-path audit.
-    pub l2: bool,
     pub lexed: Lexed,
     pub items: Vec<Item>,
-    /// Named-field structs with their guarded-by and send-sync notes
-    /// attached (L7/L8).
-    pub structs: Vec<guarded::StructInfo>,
     /// Function registry: bodies with signature context and direct
-    /// facts, shared by the L4 guard walk, L7, the call graph, and the
+    /// facts, shared by the L4 guard walk, the call graph, and the
     /// L9/L10 passes. Filled once the workspace I/O registry is known.
     pub fns: Vec<callgraph::FnMeta>,
 }
 
 impl ParsedFile {
-    /// Lex and parse one file and collect its structs.
-    pub(crate) fn parse(path: &str, krate: &str, l2: bool, source: &str) -> ParsedFile {
-        let mut lexed = lexer::lex(source);
+    /// Lex and parse one file.
+    pub(crate) fn parse(path: &str, krate: &str, source: &str) -> ParsedFile {
+        let lexed = lexer::lex(source);
         let items = parser::parse(&lexed.tokens);
-        let structs = guarded::collect_structs(&mut lexed, &items);
         ParsedFile {
             path: path.to_string(),
             krate: krate.to_string(),
-            l2,
             lexed,
             items,
-            structs,
             fns: Vec::new(),
         }
     }
@@ -177,7 +145,7 @@ pub struct Diagnostic {
     pub file: String,
     pub line: u32,
     pub col: u32,
-    /// Rule id, e.g. `L1/panic`.
+    /// Rule id, e.g. `L1/assert`.
     pub rule: String,
     pub message: String,
 }
@@ -197,8 +165,6 @@ pub struct SourceFile {
     /// Display path (workspace-relative for real runs).
     pub path: String,
     pub source: String,
-    /// Whether the file is under the L2 hot-path audit.
-    pub l2: bool,
 }
 
 /// All sources of one library crate.
@@ -207,8 +173,9 @@ pub struct CrateSources {
     pub files: Vec<SourceFile>,
 }
 
-/// The ten rule families, for per-family reporting and `--rule`.
-pub const RULE_FAMILIES: &[&str] = &["L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10"];
+/// The rule families, for per-family reporting and `--rule`. The gaps
+/// are retired families whose checks rustc or clippy now make.
+pub const RULE_FAMILIES: &[&str] = &["L1", "L3", "L4", "L5", "L6", "L9", "L10"];
 
 /// Result of a lint run.
 #[derive(Clone, Debug, Default)]
@@ -229,8 +196,8 @@ impl LintReport {
         self.diagnostics.is_empty()
     }
 
-    /// Keep only diagnostics of one family (`L7`) or one exact rule id
-    /// (`L7/unguarded-access`). Hatch and file counts are unchanged —
+    /// Keep only diagnostics of one family (`L4`) or one exact rule id
+    /// (`L4/lock-io`). Hatch and file counts are unchanged —
     /// they describe the run, not the filter.
     pub fn retain_rule(&mut self, rule: &str) {
         let prefix = format!("{rule}/");
@@ -341,16 +308,14 @@ pub fn lint_crates(crates: &[CrateSources], extra_sources: &[SourceFile]) -> Lin
 
     // Prep: lex and parse every file once, then fold the workspace-wide
     // context the passes share — the I/O registry, each fn's direct
-    // facts, the call graph, and the set of send-sync-noted structs (a
-    // tree's `pf: PageFile` field is self-protecting only because the
-    // pager crate's note says so).
+    // facts, the error registry and the call graph.
     let mut files: Vec<ParsedFile> = Vec::new();
     let mut io_fns: HashSet<String> = IO_FNS.iter().map(|s| (*s).to_string()).collect();
     let mut spans = Vec::new();
     for krate in crates {
         let start = files.len();
         for file in &krate.files {
-            let f = ParsedFile::parse(&file.path, &krate.name, file.l2, &file.source);
+            let f = ParsedFile::parse(&file.path, &krate.name, &file.source);
             collect_io_markers(&f.items, &mut io_fns);
             files.push(f);
         }
@@ -359,10 +324,6 @@ pub fn lint_crates(crates: &[CrateSources], extra_sources: &[SourceFile]) -> Lin
     for f in &mut files {
         f.fns = callgraph::collect_fn_metas(&f.items, &mut f.lexed, &io_fns);
     }
-    let noted: BTreeSet<String> = (files.iter().flat_map(|f| &f.structs))
-        .filter(|s| s.has_note)
-        .map(|s| s.name.clone())
-        .collect();
     let alias_errors: Vec<Option<String>> = (spans.iter())
         .map(|span| errors::crate_alias_error(&files[span.clone()]))
         .collect();
@@ -384,26 +345,20 @@ pub fn lint_crates(crates: &[CrateSources], extra_sources: &[SourceFile]) -> Lin
             .iter()
             .any(|f| rules::has_result_alias(&f.lexed));
         for f in crate_files.iter_mut() {
-            rules::l1_panic(&mut f.lexed, &f.path, &mut diags);
-            if f.l2 {
-                rules::l2_hot_path(&mut f.lexed, &f.path, &mut diags);
-            }
+            rules::l1_assert(&mut f.lexed, &f.path, &mut diags);
             rules::l3_result_signatures(&mut f.lexed, &f.path, has_alias, &mut diags);
             enums.extend(rules::collect_error_enums(&f.lexed, &f.path));
             rules::collect_constructions(&f.lexed, &mut constructed);
         }
-        t.lap("L1-L3");
-        let classes = guarded::acquisition_classes(crate_files);
-        let maps = guarded::l7_annotations(crate_files, &classes, &mut diags);
+        t.lap("L1+L3");
         let decls: Vec<(String, String)> = (crate_files.iter().flat_map(|f| &f.lexed.notes))
             .filter(|n| n.kind == lexer::NoteKind::LockOrder)
             .filter_map(|n| n.arg.split_once('<'))
             .map(|(a, b)| (a.to_string(), b.to_string()))
             .collect();
-        t.lap("L7");
         let (range, summaries) = (span.clone(), &lock_summaries);
         locks::l4_locks(
-            &mut files, range, &graph, summaries, &io_fns, &decls, &maps, &mut diags,
+            &mut files, range, &graph, summaries, &io_fns, &decls, &mut diags,
         );
         t.lap("L4");
         for f in &mut files[span.clone()] {
@@ -420,10 +375,6 @@ pub fn lint_crates(crates: &[CrateSources], extra_sources: &[SourceFile]) -> Lin
                 &mut diags,
             );
             t.lap("L6");
-            guarded::l7_unprotected(f, &noted, &mut diags);
-            t.lap("L7");
-            sendsync::l8_boundary(f, &mut diags);
-            t.lap("L8");
         }
     }
     for file in extra_sources {
@@ -469,7 +420,7 @@ fn collect_io_markers(items: &[Item], io_fns: &mut HashSet<String>) {
 }
 
 /// Walk the workspace at `root` and lint it with the project
-/// configuration ([`LIB_CRATES`], [`L2_FILES`]).
+/// configuration ([`LIB_CRATES`]).
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
     let mut crates = Vec::new();
     for name in LIB_CRATES {
@@ -478,7 +429,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
         for path in rust_files(&dir)? {
             let rel = rel_path(root, &path);
             files.push(SourceFile {
-                l2: L2_FILES.contains(&rel.as_str()),
                 source: std::fs::read_to_string(&path)?,
                 path: rel,
             });
@@ -509,7 +459,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
             extra.push(SourceFile {
                 path: rel,
                 source: std::fs::read_to_string(&path)?,
-                l2: false,
             });
         }
     }

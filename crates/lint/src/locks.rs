@@ -1,5 +1,4 @@
-//! L4 — lock-discipline analysis over the parsed item tree, plus the
-//! held-set walk the L7 guarded-by pass piggybacks on.
+//! L4 — lock-discipline analysis over the parsed item tree.
 //!
 //! The pass models guard lifetimes syntactically: a *binding* guard
 //! (`let g = x.lock();`, where the acquisition is the whole
@@ -31,15 +30,6 @@
 //!   (the std-wrapper shims, whose whole point is returning a guard)
 //!   are exempt.
 //!
-//! The walk also carries the L7 guarded-by field check ([`crate::guarded`]):
-//! at every field access whose receiver type is known (`self` inside an
-//! impl, a parameter typed as a guarded struct, a guard binding, or a
-//! fresh `.lock()` temporary), the field's declared lock must be in the
-//! held set. A function taking a guarded struct by reference starts
-//! with that struct's locks *assumed* held — handing out `&MetaState`
-//! is only possible while `meta` is locked — and assumed guards do not
-//! feed order checks or the acquisition graph.
-//!
 //! Known approximation, by convention rather than analysis: `drop(g)`
 //! releases the guard for the remainder of the function even when the
 //! drop sits inside a conditional — pair conditional drops with an
@@ -49,7 +39,6 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::ops::Range;
 
 use crate::callgraph::{sccs, CallGraph};
-use crate::guarded::FieldMaps;
 use crate::lexer::{open_of, Kind, Lexed, Token};
 use crate::parser::{Block, Part, Stmt};
 use crate::{Diagnostic, ParsedFile};
@@ -63,19 +52,6 @@ struct Guard {
     /// Binding name for `let`-bound guards; `None` for temporaries.
     binding: Option<String>,
     temp: bool,
-    /// Held by assumption (guarded-struct parameter), not by an
-    /// acquisition in this body: satisfies L7, invisible to L4.
-    assumed: bool,
-}
-
-/// What the walk knows about a local name, for L7 receiver resolution.
-/// Entries persist to the end of the function (past `drop`), so an
-/// access through a dead guard binding still resolves — and fires.
-enum Local {
-    /// Parameter typed as a struct with guarded fields.
-    Guarded(String),
-    /// A guard binding for this lock class.
-    Guard(String),
 }
 
 /// Where an edge was first observed.
@@ -97,10 +73,7 @@ struct WalkCtx<'a> {
     /// Per node: the lock classes it acquires, itself or through
     /// same-crate callees ([`lock_summaries`]).
     summaries: &'a [BTreeSet<String>],
-    maps: &'a FieldMaps,
     fn_name: String,
-    self_ty: Option<String>,
-    locals: BTreeMap<String, Local>,
 }
 
 /// Per call-graph node, the lock classes it acquires directly or
@@ -115,12 +88,10 @@ pub fn lock_summaries(graph: &CallGraph, files: &[ParsedFile]) -> Vec<BTreeSet<S
     })
 }
 
-/// Run the L4 pass (and the L7 field-access check) over the crate whose
-/// files are `files[range]`. `io_fns` is the workspace I/O registry
-/// (built-in names plus `#[doc = "srlint: io"]` markers); `decls` the
-/// crate's `lock-order(a < b)` declarations; `maps` the crate's
-/// field→lock annotations from [`crate::guarded`].
-#[allow(clippy::too_many_arguments)]
+/// Run the L4 pass over the crate whose files are `files[range]`.
+/// `io_fns` is the workspace I/O registry (built-in names plus
+/// `#[doc = "srlint: io"]` markers); `decls` the crate's
+/// `lock-order(a < b)` declarations.
 pub fn l4_locks(
     files: &mut [ParsedFile],
     range: Range<usize>,
@@ -128,10 +99,9 @@ pub fn l4_locks(
     summaries: &[BTreeSet<String>],
     io_fns: &HashSet<String>,
     decls: &[(String, String)],
-    maps: &FieldMaps,
     diags: &mut Vec<Diagnostic>,
 ) {
-    // Guard-tracking walk, emitting order/io/escape/guarded diagnostics
+    // Guard-tracking walk, emitting order/io/escape diagnostics
     // and collecting the acquisition graph.
     let mut edges: BTreeMap<(String, String), Site> = BTreeMap::new();
     for (id, def) in graph.defs.iter().enumerate() {
@@ -144,40 +114,17 @@ pub fn l4_locks(
             path, lexed, fns, ..
         } = &mut files[def.file];
         let fm = &fns[def.idx];
-        let mut ctx = WalkCtx {
+        let ctx = WalkCtx {
             path,
             io_fns,
             decls,
             graph,
             id,
             summaries,
-            maps,
             fn_name: fm.name.clone(),
-            self_ty: fm.self_ty.clone(),
-            locals: BTreeMap::new(),
         };
         let mut held: Vec<Guard> = Vec::new();
-        // A parameter typed as a guarded struct can only exist while
-        // that struct's locks are held by the caller.
-        for (pname, tidents) in &fm.params {
-            let Some(ty) = tidents.iter().find(|t| maps.has_struct(t)) else {
-                continue;
-            };
-            ctx.locals.insert(pname.clone(), Local::Guarded(ty.clone()));
-            for class in maps.classes_of(ty) {
-                if class != "owner" && !held.iter().any(|g| g.class == class) {
-                    held.push(Guard {
-                        class,
-                        binding: None,
-                        temp: false,
-                        assumed: true,
-                    });
-                }
-            }
-        }
-        walk_block(
-            &fm.body, &mut ctx, lexed, &mut held, &mut edges, diags, true,
-        );
+        walk_block(&fm.body, &ctx, lexed, &mut held, &mut edges, diags, true);
     }
 
     // Cycles in the acquisition graph.
@@ -218,7 +165,7 @@ pub(crate) fn receiver_class(tokens: &[Token], dot: usize) -> Option<String> {
 
 fn walk_block(
     block: &Block,
-    ctx: &mut WalkCtx<'_>,
+    ctx: &WalkCtx<'_>,
     lexed: &mut Lexed,
     held: &mut Vec<Guard>,
     edges: &mut BTreeMap<(String, String), Site>,
@@ -235,7 +182,7 @@ fn walk_block(
 #[allow(clippy::too_many_arguments)]
 fn scan_stmt(
     stmt: &Stmt,
-    ctx: &mut WalkCtx<'_>,
+    ctx: &WalkCtx<'_>,
     lexed: &mut Lexed,
     held: &mut Vec<Guard>,
     edges: &mut BTreeMap<(String, String), Site>,
@@ -250,8 +197,6 @@ fn scan_stmt(
                 .find(|g| g.binding.as_deref() == Some(moved.as_str()))
             {
                 g.binding = Some(new_name.clone());
-                let class = g.class.clone();
-                ctx.locals.insert(new_name.clone(), Local::Guard(class));
             }
         }
     }
@@ -285,14 +230,10 @@ fn scan_stmt(
                             .is_none_or(|t| t.is_punct('?') || t.is_punct(';'))
                     })
                 });
-                if let Some(b) = &binding {
-                    ctx.locals.insert(b.clone(), Local::Guard(class.clone()));
-                }
                 held.push(Guard {
                     class,
                     temp: binding.is_none(),
                     binding,
-                    assumed: false,
                 });
             } else {
                 let name = t.text.clone();
@@ -302,13 +243,9 @@ fn scan_stmt(
                         let arg = arg.text.clone();
                         held.retain(|g| g.binding.as_deref() != Some(arg.as_str()));
                     }
-                } else if held.iter().any(|g| !g.assumed) {
+                } else if !held.is_empty() {
                     if ctx.io_fns.contains(&name) {
-                        let classes: Vec<&str> = held
-                            .iter()
-                            .filter(|g| !g.assumed)
-                            .map(|g| g.class.as_str())
-                            .collect();
+                        let classes: Vec<&str> = held.iter().map(|g| g.class.as_str()).collect();
                         let message = format!(
                             "I/O call `{name}()` while holding lock `{}`; move the I/O outside \
                              the guard (only the sanctioned read-through may hatch this)",
@@ -341,8 +278,6 @@ fn scan_stmt(
                     }
                 }
             }
-        } else if (t.kind == Kind::Ident || t.kind == Kind::Num) && !followed_by_paren {
-            check_field_access(k, ctx, lexed, held, diags);
         }
     }
 
@@ -379,53 +314,6 @@ fn rebind_source(tokens: &[Token], stmt: &Stmt) -> Option<String> {
     }
     let src = tokens.get(last)?;
     (src.kind == Kind::Ident).then(|| src.text.clone())
-}
-
-/// L7/unguarded-access: the field access at token `k` (ident/num with a
-/// `.` before it and no call parens after), when its receiver's type is
-/// known, must happen with the field's declared lock held.
-fn check_field_access(
-    k: usize,
-    ctx: &mut WalkCtx<'_>,
-    lexed: &mut Lexed,
-    held: &[Guard],
-    diags: &mut Vec<Diagnostic>,
-) {
-    if k < 2 || !lexed.tokens[k - 1].is_punct('.') {
-        return;
-    }
-    let field = lexed.tokens[k].text.clone();
-    let recv = &lexed.tokens[k - 2];
-    let required: Option<String> = if recv.is_ident("self") {
-        ctx.self_ty
-            .as_deref()
-            .and_then(|ty| ctx.maps.lock_of(ty, &field))
-            .map(str::to_string)
-    } else if recv.kind == Kind::Ident {
-        match ctx.locals.get(&recv.text) {
-            Some(Local::Guarded(ty)) => ctx.maps.lock_of(ty, &field).map(str::to_string),
-            Some(Local::Guard(class)) => Some(class.clone()),
-            None => None,
-        }
-    } else if recv.is_punct(')') {
-        // `x.lock().field`: the receiver is a fresh temporary guard.
-        match open_of(&lexed.tokens, k - 2).and_then(|open| open.checked_sub(1)) {
-            Some(m) if is_acquisition(&lexed.tokens, m) => receiver_class(&lexed.tokens, m - 1),
-            _ => None,
-        }
-    } else {
-        None
-    };
-    let Some(class) = required else { return };
-    if class == "owner" || held.iter().any(|g| g.class == class) {
-        return;
-    }
-    let (line, col) = (lexed.tokens[k].line, lexed.tokens[k].col);
-    let message = format!(
-        "field `{field}` is guarded by `{class}`, which is not held here; \
-         acquire `{class}` (or restructure so the access happens under the guard)"
-    );
-    lexed.flag(diags, ctx.path, (line, col), "L7/unguarded-access", message);
 }
 
 /// L4/guard-escape: a guard leaving the function via `return` or the
@@ -465,7 +353,7 @@ fn check_guard_escape(
     let escaped: Option<(String, u32, u32)> = if last == expr_first {
         let t = &lexed.tokens[last];
         held.iter()
-            .find(|g| !g.assumed && g.binding.as_deref() == Some(t.text.as_str()))
+            .find(|g| g.binding.as_deref() == Some(t.text.as_str()))
             .map(|g| (g.class.clone(), t.line, t.col))
     // Shape 2: the returned value IS a fresh acquisition (`return
     // self.meta.lock();` / tail `self.meta.lock()`).
@@ -493,8 +381,7 @@ fn check_guard_escape(
 }
 
 /// Record edges and check declared orders for one acquisition of
-/// `class` (directly, or through a call to `via`). Assumed guards are
-/// skipped: they are a caller's obligation, not an acquisition here.
+/// `class` (directly, or through a call to `via`).
 #[allow(clippy::too_many_arguments)]
 fn on_acquire(
     class: &str,
@@ -508,7 +395,7 @@ fn on_acquire(
     edges: &mut BTreeMap<(String, String), Site>,
     diags: &mut Vec<Diagnostic>,
 ) {
-    for g in held.iter().filter(|g| !g.assumed) {
+    for g in held {
         edges
             .entry((g.class.clone(), class.to_string()))
             .or_insert(Site {

@@ -125,9 +125,6 @@ pub struct Item {
     /// Item name; empty for impls.
     pub name: String,
     pub is_pub: bool,
-    /// Whether an `unsafe` qualifier precedes the item keyword
-    /// (`unsafe fn`, `unsafe impl`).
-    pub is_unsafe: bool,
     pub attrs: Vec<Attr>,
     /// Token index of the first token (attributes included).
     pub first: usize,
@@ -226,7 +223,6 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
 
         // Visibility and qualifiers.
         let mut is_pub = false;
-        let mut is_unsafe = false;
         let mut q = i;
         while q < end && tokens[q].kind == Kind::Ident {
             let t = tokens[q].text.as_str();
@@ -238,7 +234,6 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
                     q = close_of(&tokens[..end], q) + 1;
                 }
             } else if QUALIFIERS.contains(&t) {
-                is_unsafe |= t == "unsafe";
                 q += 1;
                 // `extern "C"`.
                 if t == "extern" && q < end && tokens[q].kind == Kind::Lit {
@@ -382,7 +377,6 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
             kind,
             name,
             is_pub,
-            is_unsafe,
             attrs,
             first: item_first,
             last,
@@ -565,16 +559,6 @@ mod tests {
         assert_eq!(body.stmts.len(), 1);
         let m = &body.stmts[0].blocks[0];
         assert!(m.stmts.len() >= 2, "arms split into statements");
-    }
-
-    #[test]
-    fn unsafe_qualifier_is_recorded() {
-        let (items, _) =
-            parse_src("unsafe impl Send for Foo {}\nimpl Bar {}\npub unsafe fn f() {}\n");
-        assert!(items[0].is_unsafe);
-        assert_eq!(items[0].impl_trait, vec!["Send"]);
-        assert!(!items[1].is_unsafe);
-        assert!(items[2].is_unsafe);
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! The three srlint rule passes.
+//! The token-level srlint rule passes.
 //!
-//! * **L1 (panic / assert)** — no `unwrap()` / `expect()` / `panic!` /
-//!   `unreachable!` / `todo!` / `unimplemented!` in non-test library
-//!   code, and no release-mode `assert!` / `assert_eq!` / `assert_ne!`
-//!   either. Asserts were originally exempt as "caller-contract guards,
-//!   not data-dependent paths" — a coverage gap: `Point::new`'s assert
-//!   was reachable from decoded page bytes, i.e. from data. Only
-//!   `debug_assert*` stays legal (it vanishes in release builds);
-//!   deliberate contract panics must hatch with a reason.
-//! * **L2 (index / cast)** — no slice indexing `[...]` and no `as`
-//!   numeric casts in the audited hot-path files (geometry distance
-//!   kernels, pager page codec).
+//! * **L1 (assert)** — no release-mode `assert!` / `assert_eq!` /
+//!   `assert_ne!` in non-test library code. Asserts were originally
+//!   exempt as "caller-contract guards, not data-dependent paths" — a
+//!   coverage gap: `Point::new`'s assert was reachable from decoded page
+//!   bytes, i.e. from data. Only `debug_assert*` stays legal (it vanishes
+//!   in release builds); deliberate contract panics must hatch with a
+//!   reason. (`unwrap`/`expect`/`panic!` and friends, slice indexing and
+//!   `as` casts are clippy's: the workspace deny-set and
+//!   `clippy::as_conversions` check them with type information.)
 //! * **L3 (error-type / dead-variant)** — every public `fn` returning
 //!   `Result` names a typed error, and every declared error-enum variant
 //!   is constructed somewhere in the workspace.
@@ -20,101 +18,36 @@ use std::collections::HashSet;
 use crate::lexer::{close_of, Kind, Lexed, NoteKind, Token};
 use crate::Diagnostic;
 
-/// Identifiers that L1 flags when invoked as `.name(`.
-const L1_METHODS: &[&str] = &["unwrap", "expect"];
-/// Identifiers that L1 flags when invoked as `name!`.
-const L1_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-/// Release-mode assert macros the L1 assert pass flags when invoked as
-/// `name!`. `debug_assert*` is deliberately absent: it compiles away in
-/// release builds and cannot panic on production data.
+/// Release-mode assert macros L1 flags when invoked as `name!`.
+/// `debug_assert*` is deliberately absent: it compiles away in release
+/// builds and cannot panic on production data.
 const L1_ASSERTS: &[&str] = &["assert", "assert_eq", "assert_ne"];
-/// Numeric primitive names for the L2 `as`-cast check.
-const NUMERIC_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
-    "f64",
-];
 
-/// L1: panic-freedom in non-test library code — no `.unwrap()` /
-/// `.expect()`, no aborting macro, and no release-mode assert.
+/// L1: no release-mode assert in non-test library code.
 ///
 /// Asserts were once exempt as caller-contract guards, which let
 /// `Point::new`'s `assert!` ship unreviewed: an assert is a panic
 /// whenever its input can come from data (decoded pages, parsed files,
 /// CLI arguments). Validate with a typed error, use `debug_assert!` for
 /// true internal invariants, or hatch a deliberate contract panic with
-/// `// srlint: allow(assert) -- <reason>`.
-pub fn l1_panic(lexed: &mut Lexed, file: &str, diags: &mut Vec<Diagnostic>) {
+/// `// srlint: allow(assert) -- <reason>`. No lint in the clippy deny-set
+/// flags an `assert!`.
+pub fn l1_assert(lexed: &mut Lexed, file: &str, diags: &mut Vec<Diagnostic>) {
     for i in 0..lexed.tokens.len() {
         let t = &lexed.tokens[i];
-        if lexed.test_mask[i] || t.kind != Kind::Ident {
+        if lexed.test_mask[i] || t.kind != Kind::Ident || !L1_ASSERTS.contains(&t.text.as_str()) {
             continue;
         }
-        let name = t.text.as_str();
-        let next = |c: char| lexed.tokens.get(i + 1).is_some_and(|n| n.is_punct(c));
-        let (rule, message) = if L1_METHODS.contains(&name) {
-            if !(i > 0 && lexed.tokens[i - 1].is_punct('.') && next('(')) {
-                continue;
-            }
-            let m = format!(
-                "`.{name}()` can panic in non-test library code; return a typed error instead"
-            );
-            ("L1/panic", m)
-        } else if L1_MACROS.contains(&name) && next('!') {
-            let m =
-                format!("`{name}!` aborts in non-test library code; return a typed error instead");
-            ("L1/panic", m)
-        } else if L1_ASSERTS.contains(&name) && next('!') {
-            let m = format!(
-                "`{name}!` panics in release builds; return a typed error, use `debug_assert!`, \
-                 or hatch a deliberate contract panic"
-            );
-            ("L1/assert", m)
-        } else {
+        if !lexed.tokens.get(i + 1).is_some_and(|n| n.is_punct('!')) {
             continue;
-        };
+        }
+        let message = format!(
+            "`{}!` panics in release builds; return a typed error, use `debug_assert!`, \
+             or hatch a deliberate contract panic",
+            t.text
+        );
         let pos = (t.line, t.col);
-        lexed.flag(diags, file, pos, rule, message);
-    }
-}
-
-/// L2: no slice indexing or `as` numeric casts in audited hot-path files.
-pub fn l2_hot_path(lexed: &mut Lexed, file: &str, diags: &mut Vec<Diagnostic>) {
-    for i in 0..lexed.tokens.len() {
-        if lexed.test_mask[i] {
-            continue;
-        }
-        let t = &lexed.tokens[i];
-        // Indexing: `[` directly after an expression tail (identifier,
-        // closing bracket, or closing paren). Array types/literals follow
-        // punctuation instead and stay legal.
-        if t.is_punct('[') && i > 0 {
-            let prev = &lexed.tokens[i - 1];
-            let indexing = prev.kind == Kind::Ident
-                && !matches!(prev.text.as_str(), "mut" | "ref" | "return" | "in" | "box")
-                || prev.kind == Kind::Num // tuple-field access like `self.0[i]`
-                || prev.is_punct(']')
-                || prev.is_punct(')');
-            if indexing {
-                let message = "slice indexing in an audited hot path; use `get`/iterators or a \
-                               checked split";
-                let pos = (t.line, t.col);
-                lexed.flag(diags, file, pos, "L2/index", message.to_string());
-                continue;
-            }
-        }
-        if t.is_ident("as") {
-            let Some(target) = lexed.tokens.get(i + 1) else {
-                continue;
-            };
-            if target.kind == Kind::Ident && NUMERIC_TYPES.contains(&target.text.as_str()) {
-                let message = format!(
-                    "`as {}` cast in an audited hot path; use `From`/`try_from` or a widening helper",
-                    target.text
-                );
-                let pos = (t.line, t.col);
-                lexed.flag(diags, file, pos, "L2/cast", message);
-            }
-        }
+        lexed.flag(diags, file, pos, "L1/assert", message);
     }
 }
 
@@ -401,9 +334,9 @@ fn untyped_result_error(ret: &[Token], crate_has_alias: bool) -> Option<String> 
 
 /// Report malformed `srlint:` comments and every note that attached to
 /// nothing: an unused hatch or note hides future violations (or has
-/// gone stale), so it is itself a violation. The L5, L7 and L8 notes
-/// report under their own rule, and those findings may be hatched, so
-/// they are checked before the hatches themselves.
+/// gone stale), so it is itself a violation. Unused L5 notes report
+/// under their own rule, and those findings may be hatched, so they
+/// are checked before the hatches themselves.
 pub fn unused_notes(lexed: &mut Lexed, file: &str, diags: &mut Vec<Diagnostic>) {
     let mut push = |line, col, rule: &str, message: String| {
         diags.push(Diagnostic {
@@ -420,9 +353,8 @@ pub fn unused_notes(lexed: &mut Lexed, file: &str, diags: &mut Vec<Diagnostic>) 
             col,
             "hatch/malformed",
             "malformed srlint comment: expected `allow(<rule>)`, `ordering`, \
-             `lock-order(<a> < <b>)`, `send-sync`, `untrusted-source`, or \
-             `validated(<expr>)`, each followed by ` -- <reason>`, or \
-             `guarded-by(<lock>)` / `hot` with no reason"
+             `lock-order(<a> < <b>)`, `untrusted-source`, or `validated(<expr>)`, \
+             each followed by ` -- <reason>`, or `hot` with no reason"
                 .to_string(),
         );
     }
@@ -432,20 +364,6 @@ pub fn unused_notes(lexed: &mut Lexed, file: &str, diags: &mut Vec<Diagnostic>) 
             NoteKind::Ordering => (
                 "L5/ordering-unused",
                 "srlint ordering note justifies no `Ordering::` use; remove it".to_string(),
-            ),
-            NoteKind::GuardedBy => (
-                "L7/bad-annotation",
-                format!(
-                    "guarded-by({}) note attaches to no struct field; place it on the \
-                     field's line or the line above it",
-                    n.arg
-                ),
-            ),
-            NoteKind::SendSync => (
-                "L8/send-sync-unused",
-                "send-sync note attaches to no struct; place it directly above the \
-                 struct it vouches for"
-                    .to_string(),
             ),
             NoteKind::Untrusted => (
                 "hatch/unused",

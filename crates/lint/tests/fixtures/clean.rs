@@ -1,5 +1,5 @@
-//! Fixture: a fully clean library file — no diagnostics expected even
-//! with the L2 audit enabled. NOT compiled.
+//! Fixture: a fully clean library file — no diagnostics expected.
+//! NOT compiled.
 
 /// The crate-local Result alias.
 pub type Result<T> = std::result::Result<T, CleanError>;

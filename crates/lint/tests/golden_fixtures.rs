@@ -12,13 +12,11 @@ use std::path::PathBuf;
 /// The seeded-violation fixtures and the display paths they are linted
 /// under (the accounting fixture runs under the stats path on purpose).
 const FIXTURES: &[(&str, &str)] = &[
-    ("l1_panic.rs", "l1_panic.rs"),
+    ("l1_assert.rs", "l1_assert.rs"),
     ("l4_locks.rs", "l4_locks.rs"),
     ("l5_ordering.rs", "l5_ordering.rs"),
     ("l5_accounting.rs", "crates/pager/src/stats.rs"),
     ("l6_errors.rs", "l6_errors.rs"),
-    ("l7_guarded.rs", "l7_guarded.rs"),
-    ("l8_sendsync.rs", "l8_sendsync.rs"),
     ("l9_taint.rs", "l9_taint.rs"),
     ("l10_hot.rs", "l10_hot.rs"),
     ("hatch.rs", "hatch.rs"),
@@ -38,7 +36,6 @@ fn render(display_path: &str, source: &str) -> String {
         files: vec![SourceFile {
             path: display_path.to_string(),
             source: source.to_string(),
-            l2: false,
         }],
     };
     let report = lint_crates(&[krate], &[]);
@@ -103,13 +100,6 @@ fn every_new_pass_fires_somewhere_in_the_goldens() {
         "L6/error-conversion",
         "L6/swallowed-error",
         "L6/stale-deprecated",
-        "L7/unguarded-access",
-        "L7/bad-annotation",
-        "L7/unprotected-shared",
-        "L8/unsafe-impl",
-        "L8/missing-note",
-        "L8/interior-mutability",
-        "L8/send-sync-unused",
         "L9/unchecked-length",
         "L9/unchecked-offset",
         "L9/tainted-alloc",
@@ -138,7 +128,6 @@ fn fixture_workspace_family_counts_match_golden_json() {
                 files: vec![SourceFile {
                     path: display_path.to_string(),
                     source,
-                    l2: false,
                 }],
             }
         })

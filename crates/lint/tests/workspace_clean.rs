@@ -30,7 +30,7 @@ fn workspace_passes_srlint_clean() {
 #[test]
 fn query_obs_and_exec_crates_are_under_the_lint_gate() {
     // The query hot path, the observability substrate, the batch
-    // executor, and the serving stack must stay under the L1/L3 rules: a
+    // executor, and the serving stack must stay under srlint: a
     // regression that drops any of them from the configuration would
     // silently exempt the code most PRs touch.
     for name in ["query", "obs", "exec", "wire", "serve"] {
@@ -51,28 +51,28 @@ fn query_obs_and_exec_crates_are_under_the_lint_gate() {
 
 #[test]
 fn hatch_budget_respected() {
-    // The original acceptance bar was < 10 total hatches. The L1/assert
-    // rule deliberately turns every release-mode `assert!` into a hatch
+    // The L1/assert rule turns every release-mode `assert!` into a hatch
     // site, so each documented contract panic (constructor contracts in
-    // sr-geometry, configuration checks in params/store) now spends one
-    // hatch; the budget grows accordingly, but stays tight enough that a
-    // PR cannot hatch its way around the gate wholesale. It shrinks as
-    // hatches go away (the pager's one-pass coordinate codec dropped two
-    // f64 -> f32 casts), so a freed hatch cannot be spent silently. The
-    // bound is the one CI gates on (`.hatches_used <= 17`).
+    // sr-geometry, configuration checks in params/store) spends one
+    // hatch; the other three are the pager's sanctioned read-through
+    // under a shard lock. The budget shrinks as hatches go away, so a
+    // freed hatch cannot be spent silently. This test is the only
+    // budget gate; CI runs it in the `test` and `lint-goldens` jobs.
     let report = sr_lint::lint_workspace(&workspace_root()).expect("lint run");
     assert!(
-        report.hatches_used <= 17,
-        "{} hatches in use; the budget is <= 17",
+        report.hatches_used <= 13,
+        "{} hatches in use; the budget is <= 13",
         report.hatches_used
     );
 }
 
 #[test]
 fn both_panic_freedom_gates_cover_the_same_crates() {
-    // Gate 1 is the clippy deny-set in the root manifest, inherited by
-    // every crate with `[lints] workspace = true`; gate 2 is srlint over
-    // LIB_CRATES. A crate under one gate but not the other is half-audited.
+    // The panic-freedom gate is the clippy deny-set in the root
+    // manifest, inherited by every crate with `[lints] workspace = true`;
+    // srlint's remaining rules (release asserts, typed errors, lock
+    // discipline, taint, hot paths) run over LIB_CRATES. A crate under
+    // one gate but not the other is half-audited.
     let crates = workspace_root().join("crates");
     let mut clippy_gated: Vec<String> = std::fs::read_dir(&crates)
         .expect("read crates/")
@@ -119,11 +119,7 @@ fn lint_with_seed(seed_file: &str, seed: &str) -> sr_lint::LintReport {
                 source.push('\n');
                 seeded = true;
             }
-            files.push(sr_lint::SourceFile {
-                l2: sr_lint::L2_FILES.contains(&rel.as_str()),
-                path: rel,
-                source,
-            });
+            files.push(sr_lint::SourceFile { path: rel, source });
         }
         crates.push(sr_lint::CrateSources {
             name: (*name).to_string(),
@@ -147,12 +143,12 @@ fn assert_fires(report: &sr_lint::LintReport, rule: &str, file: &str) {
 }
 
 #[test]
-fn seeded_unwrap_fails_the_gate() {
+fn seeded_release_assert_fails_the_gate() {
     let report = lint_with_seed(
         "crates/pager/src/pagefile.rs",
-        "pub fn seeded(v: Option<u32>) -> u32 { v.unwrap() }",
+        "pub fn seeded(v: u32) -> u32 { assert!(v > 0); v }",
     );
-    assert_fires(&report, "L1/panic", "crates/pager/src/pagefile.rs");
+    assert_fires(&report, "L1/assert", "crates/pager/src/pagefile.rs");
 }
 
 #[test]
@@ -228,34 +224,6 @@ fn walk(dir: &std::path::Path) -> Vec<PathBuf> {
 }
 
 #[test]
-fn seeded_unguarded_access_fails_the_gate() {
-    // Reading MetaState through a dropped guard binding: the guard
-    // name still resolves to the meta class, but the lock is gone.
-    let report = lint_with_seed(
-        "crates/pager/src/pagefile.rs",
-        "impl PageFile {\n    pub fn seeded_unguarded(&self) -> bool {\n        \
-         let state = self.meta.lock();\n        drop(state);\n        \
-         state.meta_dirty\n    }\n}",
-    );
-    assert_fires(
-        &report,
-        "L7/unguarded-access",
-        "crates/pager/src/pagefile.rs",
-    );
-}
-
-#[test]
-fn seeded_missing_send_sync_note_fails_the_gate() {
-    // A new lock-owning struct without a send-sync note — the shape of
-    // a PR that adds shared state without auditing the boundary.
-    let report = lint_with_seed(
-        "crates/pager/src/pagefile.rs",
-        "pub struct SeededShared {\n    inner: Mutex<u64>,\n}",
-    );
-    assert_fires(&report, "L8/missing-note", "crates/pager/src/pagefile.rs");
-}
-
-#[test]
 fn seeded_guard_escape_fails_the_gate() {
     let report = lint_with_seed(
         "crates/pager/src/pagefile.rs",
@@ -265,38 +233,124 @@ fn seeded_guard_escape_fails_the_gate() {
     assert_fires(&report, "L4/guard-escape", "crates/pager/src/pagefile.rs");
 }
 
+/// The line `lint_with_seed` puts the first line of its seed on.
+fn seed_line(seed_file: &str) -> u32 {
+    let source = std::fs::read_to_string(workspace_root().join(seed_file)).expect("read source");
+    u32::try_from(source.lines().count()).expect("line count") + 2
+}
+
 #[test]
 fn seeded_diagnostics_are_exact() {
-    // The seeded L7/L8 violations must be pinpointed: exactly one new
-    // finding each, on the seeded line, with the expected message.
-    let seed = "impl PageFile {\n    pub fn seeded_unguarded(&self) -> PageId {\n        \
-                let state = self.meta.lock();\n        drop(state);\n        \
-                state.free_head\n    }\n}";
-    let report = lint_with_seed("crates/pager/src/pagefile.rs", seed);
-    let l7: Vec<_> = report
+    // A seeded violation must be pinpointed: on a clean workspace it is
+    // the one finding, on the seeded line, with the expected message.
+    let file = "crates/pager/src/pagefile.rs";
+    let seed = "impl PageFile {\n    pub fn seeded_io(&self) -> Result<()> {\n        \
+                let g = self.meta.lock();\n        self.store.sync()?;\n        \
+                drop(g);\n        Ok(())\n    }\n}";
+    let report = lint_with_seed(file, seed);
+    let found: Vec<_> = report
         .diagnostics
         .iter()
-        .filter(|d| d.rule == "L7/unguarded-access")
+        .map(|d| (d.rule.as_str(), d.file.as_str(), d.line, d.col))
         .collect();
-    assert_eq!(l7.len(), 1, "{:#?}", report.diagnostics);
-    assert!(
-        l7[0].message.contains("`free_head` is guarded by `meta`"),
-        "{}",
-        l7[0].message
+    assert_eq!(
+        found,
+        vec![("L4/lock-io", file, seed_line(file) + 3, 20)],
+        "{:#?}",
+        report.diagnostics
+    );
+    assert_eq!(
+        report.diagnostics[0].message,
+        "I/O call `sync()` while holding lock `meta`; move the I/O outside the guard \
+         (only the sanctioned read-through may hatch this)"
     );
 
-    let seed = "pub struct SeededShared {\n    inner: Mutex<u64>,\n    plain: u64,\n}";
-    let report = lint_with_seed("crates/pager/src/pagefile.rs", seed);
-    let l8: Vec<_> = report
+    let file = "crates/pager/src/store.rs";
+    let seed = "pub fn seeded_load(x: &AtomicU64) -> u64 { x.load(Ordering::Relaxed) }";
+    let report = lint_with_seed(file, seed);
+    let found: Vec<_> = report
         .diagnostics
         .iter()
-        .filter(|d| d.rule.starts_with("L8/"))
+        .map(|d| (d.rule.as_str(), d.file.as_str(), d.line, d.col))
         .collect();
-    assert_eq!(l8.len(), 1, "{:#?}", report.diagnostics);
-    assert!(
-        l8[0].message.contains("`SeededShared`"),
-        "{}",
-        l8[0].message
+    assert_eq!(
+        found,
+        vec![("L5/ordering", file, seed_line(file), 61)],
+        "{:#?}",
+        report.diagnostics
+    );
+    assert_eq!(
+        report.diagnostics[0].message,
+        "`Ordering::Relaxed` without a `// srlint: ordering -- <reason>` note on the \
+         enclosing item"
+    );
+}
+
+#[test]
+fn seeded_retired_directive_fails_the_gate() {
+    // A `guarded-by` note copied from an old branch must not pass as a
+    // comment: the rule it fed is gone, so it is malformed.
+    let report = lint_with_seed(
+        "crates/pager/src/pagefile.rs",
+        "pub struct SeededShared {\n    // srlint: guarded-by(meta)\n    inner: u64,\n}",
+    );
+    assert_fires(&report, "hatch/malformed", "crates/pager/src/pagefile.rs");
+}
+
+/// The files whose `as` casts srlint's retired L2/cast rule audited; each
+/// now denies `clippy::as_conversions` outside its tests.
+const NO_CAST_FILES: [&str; 6] = [
+    "crates/geometry/src/kernel.rs",
+    "crates/geometry/src/rect.rs",
+    "crates/geometry/src/sphere.rs",
+    "crates/geometry/src/vector.rs",
+    "crates/pager/src/leaf.rs",
+    "crates/pager/src/page.rs",
+];
+
+#[test]
+fn audited_hot_paths_deny_as_conversions() {
+    for file in NO_CAST_FILES {
+        let source = std::fs::read_to_string(workspace_root().join(file)).expect("read source");
+        assert!(
+            source
+                .lines()
+                .any(|l| l.trim() == "#![cfg_attr(not(test), deny(clippy::as_conversions))]"),
+            "{file} no longer denies `as` casts"
+        );
+    }
+}
+
+#[test]
+fn narrow_lane_is_the_only_allowed_cast() {
+    // The one `as` the denied files may reach goes through one helper; a
+    // second `allow(clippy::as_conversions)` is a new unaudited cast.
+    let root = workspace_root();
+    let mut allows = Vec::new();
+    let dirs = std::fs::read_dir(root.join("crates"))
+        .expect("read crates/")
+        .map(|e| e.expect("crates/ entry").path().join("src"))
+        .chain([root.join("src")]);
+    for dir in dirs {
+        for path in walk(&dir) {
+            let source = std::fs::read_to_string(&path).expect("read source");
+            let lines: Vec<&str> = source.lines().collect();
+            for (i, line) in lines.iter().enumerate() {
+                let attr = line.trim_start();
+                if attr.starts_with('#') && attr.contains("allow(clippy::as_conversions") {
+                    let rel = path.strip_prefix(&root).expect("under root");
+                    let next = lines.get(i + 1).map_or("", |l| l.trim());
+                    allows.push((rel.to_string_lossy().replace('\\', "/"), next.to_string()));
+                }
+            }
+        }
+    }
+    assert_eq!(
+        allows,
+        vec![(
+            "crates/pager/src/page.rs".to_string(),
+            "pub fn narrow_lane(lane: &[u8; 8]) -> f32 {".to_string()
+        )]
     );
 }
 

@@ -28,7 +28,8 @@ fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-// srlint: send-sync -- independent atomic tallies; a racing snapshot may split count/sum by one observation, which consumers tolerate
+// A racing snapshot may split count/sum by one observation; consumers
+// tolerate that.
 struct HistCell {
     count: AtomicU64,
     sum: AtomicU64,
@@ -86,7 +87,6 @@ impl HistCell {
 
 /// A [`Recorder`] that actually keeps the numbers: relaxed atomics, no
 /// locks, shareable across threads by reference.
-// srlint: send-sync -- lock-free by construction: fixed-size arrays of atomics and HistCells, shared by reference across the executor's thread scope
 pub struct StatsRecorder {
     counters: [AtomicU64; N_COUNTERS],
     gauges: [AtomicU64; N_GAUGES],

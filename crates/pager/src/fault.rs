@@ -93,7 +93,7 @@ const DISARMED: u64 = u64::MAX;
 
 /// Shared state between the injector halves (owned by the page file)
 /// and the [`FaultHandle`] (kept by the test).
-// srlint: send-sync -- every field is a SeqCst atomic; the injector half and the test's FaultHandle race by design
+// The injector half and the test's FaultHandle race on these by design.
 #[derive(Debug)]
 struct FaultState {
     // Operation counters since creation (never reset; faults are armed

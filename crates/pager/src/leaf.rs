@@ -25,12 +25,14 @@
 //! reinterpreting the buffer, which is also what keeps the zero-copy
 //! path compatible with `forbid(unsafe_code)`.
 //!
-//! This module is inside the srlint L2 audit scope: no slice indexing
-//! and no unhatched `as` casts, so a corrupted count can only surface as
-//! a typed error, never as a panic.
+//! No slice indexing (the workspace clippy deny-set) and no `as` casts
+//! (`clippy::as_conversions`, denied below), so a corrupted count can
+//! only surface as a typed error, never as a panic.
+
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 use crate::error::{PagerError, Result};
-use crate::page::PageCodec;
+use crate::page::{narrow_lane, PageCodec};
 
 /// Bytes of the `(level, count)` leaf header — the same `NODE_HEADER`
 /// every index crate uses.
@@ -130,10 +132,7 @@ impl<'a> LeafColumns<'a> {
                 .get(off..)
                 .and_then(|s| s.first_chunk::<8>())
                 .ok_or_else(|| PagerError::Corrupt("leaf coordinate out of range".into()))?;
-            // srlint: allow(cast) -- on-disk f64 coordinates narrow back
-            // to the in-memory f32 format by design (every stored value
-            // originated as an f32, so this is lossless).
-            out.push(f64::from_le_bytes(*lane) as f32);
+            out.push(narrow_lane(lane));
         }
         Ok(())
     }

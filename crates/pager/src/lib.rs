@@ -43,7 +43,7 @@ pub use error::{PagerError, Result};
 pub use fault::{FaultHandle, FaultInjector, FaultKind, FaultStats};
 pub use leaf::{put_leaf_columns, LeafColumns, LEAF_HEADER};
 pub use logstore::{wal_file_path, FileLogStore, LogStore, MemLogStore};
-pub use page::{PageCodec, PageId, PageKind, PageReader, DEFAULT_PAGE_SIZE};
+pub use page::{narrow_lane, PageCodec, PageId, PageKind, PageReader, DEFAULT_PAGE_SIZE};
 pub use pagefile::{PageBuf, PageFile};
 pub use stats::IoStats;
 pub use store::{FilePageStore, MemPageStore, PageStore};

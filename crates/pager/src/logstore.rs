@@ -49,7 +49,6 @@ pub trait LogStore: Send + Sync {
 /// An in-memory log store. Cloning shares the underlying bytes, which is
 /// what lets crash tests keep a handle, "lose power" on the page file,
 /// and reopen a fresh pager over the very same surviving bytes.
-// srlint: send-sync -- the shared byte buffer sits behind a Mutex; clones share it by design so crash tests can reopen surviving bytes
 #[derive(Clone, Default)]
 pub struct MemLogStore {
     bytes: Arc<Mutex<Vec<u8>>>,
@@ -123,9 +122,8 @@ impl LogStore for MemLogStore {
 
 /// A file-backed log store using positioned I/O, mirroring
 /// [`crate::FilePageStore`].
-// srlint: send-sync -- positioned I/O never mutates the File handle, which is fixed at construction; the logical length advances through an atomic
 pub struct FileLogStore {
-    file: File, // srlint: guarded-by(owner)
+    file: File,
     len: AtomicU64,
 }
 

@@ -1,9 +1,12 @@
 //! Page identifiers, kinds, and a little-endian codec for page payloads.
 //!
-//! This module is inside the srlint L2 audit scope: no slice indexing and
-//! no `as` numeric casts, so a corrupted length field can only surface as
-//! a typed [`PagerError::CodecOverrun`], never as a panic or a silently
+//! No slice indexing (the workspace clippy deny-set) and no `as` numeric
+//! casts (`clippy::as_conversions`, denied below; [`narrow_lane`] is the
+//! one exception), so a corrupted length field can only surface as a
+//! typed [`PagerError::CodecOverrun`], never as a panic or a silently
 //! wrapped value.
+
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 use crate::error::{PagerError, Result};
 
@@ -329,13 +332,7 @@ impl<'a> PageReader<'a> {
         // A saturated length overruns any buffer, so a huge `n` fails in
         // `take` like any other overrun.
         let (lanes, _) = self.take(n.saturating_mul(8))?.as_chunks::<8>();
-        Ok(lanes
-            .iter()
-            // srlint: allow(cast) -- on-disk f64 coordinates narrow back to
-            // the in-memory f32 format by design (paper Table 1 layout);
-            // every stored value originated as an f32, so this is lossless.
-            .map(|lane| f64::from_le_bytes(*lane) as f32)
-            .collect())
+        Ok(lanes.iter().map(narrow_lane).collect())
     }
 
     /// Skip `n` bytes.
@@ -348,6 +345,16 @@ impl<'a> PageReader<'a> {
     pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
         self.take(n)
     }
+}
+
+/// One on-disk `f64` coordinate lane, narrowed back to the in-memory
+/// `f32` format (paper Table 1 layout). Every stored value originated as
+/// an `f32`, so this is lossless; it is the only `as` cast in the page
+/// and leaf codecs.
+#[inline]
+#[allow(clippy::as_conversions)]
+pub fn narrow_lane(lane: &[u8; 8]) -> f32 {
+    f64::from_le_bytes(*lane) as f32
 }
 
 #[cfg(test)]
@@ -477,6 +484,42 @@ mod tests {
         let mut r = PageCodec::new(&mut buf);
         assert_eq!(r.get_f32().unwrap(), f32::INFINITY);
         assert_eq!(r.get_f32().unwrap(), f32::NEG_INFINITY);
+    }
+
+    #[test]
+    fn narrow_lane_inverts_every_f32_widening() {
+        // Stored lanes are widened f32s, so narrowing one is exact: a
+        // strided sweep of the f32 bit space (normals, subnormals, both
+        // zeros, infinities) plus the extremes comes back bit for bit.
+        let extremes = [f32::MIN, f32::MAX, f32::MIN_POSITIVE, -0.0, f32::EPSILON];
+        let sweep = (0..=u32::MAX).step_by(65_521).map(f32::from_bits);
+        for x in sweep.chain(extremes).filter(|x| !x.is_nan()) {
+            let lane = f64::from(x).to_le_bytes();
+            assert_eq!(narrow_lane(&lane).to_bits(), x.to_bits(), "{x:e}");
+        }
+        assert!(narrow_lane(&f64::from(f32::NAN).to_le_bytes()).is_nan());
+    }
+
+    #[test]
+    fn narrow_lane_rounds_a_foreign_f64_like_a_cast() {
+        // A lane no f32 produced (a corrupt or hand-made page) narrows
+        // exactly as the `as f32` casts it replaced: round to nearest,
+        // overflow to an infinity (which the leaf checks reject as
+        // non-finite), underflow to zero.
+        for v in [
+            0.1,
+            -2.5e-45,
+            1.0e-50,
+            3.5e38,
+            -1.0e300,
+            f64::MAX,
+            1.0 / 3.0,
+        ] {
+            let got = narrow_lane(&v.to_le_bytes());
+            assert_eq!(got.to_bits(), (v as f32).to_bits(), "{v:e}");
+        }
+        assert_eq!(narrow_lane(&1.0e300f64.to_le_bytes()), f32::INFINITY);
+        assert_eq!(narrow_lane(&1.0e-50f64.to_le_bytes()), 0.0);
     }
 
     #[test]

@@ -88,9 +88,9 @@ const NIL: PageId = 0;
 /// Free-list head and user metadata, guarded together because both live
 /// on the meta page and are flushed as one unit.
 struct MetaState {
-    free_head: PageId,  // srlint: guarded-by(meta)
-    user_meta: Vec<u8>, // srlint: guarded-by(meta)
-    meta_dirty: bool,   // srlint: guarded-by(meta)
+    free_head: PageId,
+    user_meta: Vec<u8>,
+    meta_dirty: bool,
 }
 
 /// Append state of the current write-ahead-log generation.
@@ -98,17 +98,17 @@ struct WalState {
     /// Offset of the latest logged frame of each page in this
     /// generation. The read path serves these pages from the log; the
     /// checkpoint in [`PageFile::flush`] copies them into the store.
-    index: HashMap<PageId, u64>, // srlint: guarded-by(wal)
+    index: HashMap<PageId, u64>,
     /// Logical length of the log: the next append offset. Advanced only
     /// after the log write succeeds, so a failed or torn append is
     /// overwritten in place by the retry instead of burying garbage
     /// mid-log.
-    len: u64, // srlint: guarded-by(wal)
+    len: u64,
     /// Checksum salt of this generation; bumped on every truncation so
     /// stale frames from earlier generations can never replay.
-    epoch: u64, // srlint: guarded-by(wal)
+    epoch: u64,
     /// Commit markers appended in this generation.
-    commit_seq: u64, // srlint: guarded-by(wal)
+    commit_seq: u64,
 }
 
 /// Build a page image in one allocation: `len` zero bytes, shared as the
@@ -186,11 +186,10 @@ impl std::fmt::Debug for PageBuf {
 /// All methods take `&self`. The read path (`read`, `stats`) is safe and
 /// scalable under concurrent use; see the module docs for the locking
 /// contract.
-// srlint: send-sync -- every field is behind the meta/wal/shard locks or an atomic; the store, log, and page size are fixed at construction and only read afterwards
 pub struct PageFile {
-    store: Box<dyn PageStore>, // srlint: guarded-by(owner)
-    log: Box<dyn LogStore>,    // srlint: guarded-by(owner)
-    page_size: usize,          // srlint: guarded-by(owner)
+    store: Box<dyn PageStore>,
+    log: Box<dyn LogStore>,
+    page_size: usize,
     /// Lock-striped buffer pool; shard of page `id` is
     /// `id % CACHE_SHARDS`.
     shards: Vec<Mutex<LruCache>>,

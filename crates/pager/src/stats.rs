@@ -37,7 +37,8 @@ pub struct IoStats {
 /// [`AtomicIoStats::snapshot`] taken mid-operation may observe one counter
 /// of a pair (e.g. miss/physical-read) before the other. Snapshots taken
 /// at a quiescent point are exact.
-// srlint: send-sync -- all fields are independent atomic tallies; the misses == physical-reads pairing is kept exact by the shard lock in read_raw, not by this type
+// The misses == physical-reads pairing is kept exact by the shard lock
+// in `PageFile::read_raw`, not by this type.
 #[derive(Default)]
 pub(crate) struct AtomicIoStats {
     logical_reads: [AtomicU64; 4],

@@ -45,10 +45,9 @@ pub trait PageStore: Send + Sync {
 /// Cloning shares the underlying pages: crash-recovery tests keep a
 /// clone, "lose power" on the [`crate::PageFile`], and reopen a fresh
 /// pager over the very same surviving bytes.
-// srlint: send-sync -- the shared page bytes sit behind an RwLock; clones share them by design so crash tests can reopen surviving bytes
 #[derive(Clone)]
 pub struct MemPageStore {
-    page_size: usize, // srlint: guarded-by(owner)
+    page_size: usize,
     pages: Arc<RwLock<Vec<u8>>>,
 }
 
@@ -129,10 +128,9 @@ impl PageStore for MemPageStore {
 
 /// A file-backed page store using positioned reads/writes, so concurrent
 /// readers need no seek coordination.
-// srlint: send-sync -- positioned I/O never mutates the File handle, which is fixed at construction; the page count advances through an atomic
 pub struct FilePageStore {
-    page_size: usize, // srlint: guarded-by(owner)
-    file: File,       // srlint: guarded-by(owner)
+    page_size: usize,
+    file: File,
     num_pages: AtomicU64,
 }
 

@@ -378,7 +378,8 @@ pub struct WalStats {
 
 /// Live counters behind a `PageFile`'s WAL, mirroring the shape of
 /// [`crate::stats::AtomicIoStats`].
-// srlint: send-sync -- independent atomic tallies; cross-counter exactness only holds at quiescent points, same contract as AtomicIoStats
+// Cross-counter exactness holds only at quiescent points, the same
+// contract as `AtomicIoStats`.
 #[derive(Default)]
 pub(crate) struct AtomicWalStats {
     frames_appended: AtomicU64,

@@ -54,6 +54,11 @@ pub struct CandidateSet {
     heap: BinaryHeap<HeapEntry>,
 }
 
+/// Largest `k` whose whole heap [`CandidateSet::new`] allocates up front.
+/// A larger `k` (a wire request may carry `k: u32::MAX`) grows the heap
+/// with the candidates actually kept, which never outnumber the index.
+const PREALLOC_CAP: usize = 1 << 16;
+
 impl CandidateSet {
     /// A candidate set for the `k` nearest neighbors. With `k == 0` it
     /// holds nothing; the engines answer a 0-NN query before reading a
@@ -61,7 +66,7 @@ impl CandidateSet {
     pub fn new(k: usize) -> Self {
         CandidateSet {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(PREALLOC_CAP).saturating_add(1)),
         }
     }
 
@@ -196,5 +201,43 @@ mod tests {
         c.offer(1.0, 1);
         assert!(c.is_empty());
         assert!(c.into_sorted().is_empty());
+    }
+
+    #[test]
+    fn k_up_to_the_cap_preallocates_the_whole_heap() {
+        // Below the cap the set reserves k + 1 slots up front, as it
+        // always did, so a full set never reallocates.
+        for k in [0, 1, 10, PREALLOC_CAP - 1, PREALLOC_CAP] {
+            let c = CandidateSet::new(k);
+            assert!(c.heap.capacity() > k, "k = {k}: {}", c.heap.capacity());
+        }
+    }
+
+    #[test]
+    fn huge_k_preallocates_at_most_the_cap() {
+        // A wire request may carry k = u32::MAX; reserving k + 1 entries
+        // would ask for 64 GiB, and k = usize::MAX would overflow.
+        for k in [PREALLOC_CAP + 1, u32::MAX as usize, usize::MAX] {
+            let c = CandidateSet::new(k);
+            assert!(
+                c.heap.capacity() < 2 * (PREALLOC_CAP + 1),
+                "k = {k}: {}",
+                c.heap.capacity()
+            );
+        }
+    }
+
+    #[test]
+    fn huge_k_keeps_every_candidate_in_order() {
+        let mut c = CandidateSet::new(usize::MAX);
+        for (d, id) in [(3.0, 3), (1.0, 1), (2.0, 2), (1.0, 0)] {
+            c.offer(d, id);
+        }
+        assert_eq!(c.prune_dist2(), f64::INFINITY);
+        let got = c.into_sorted();
+        assert_eq!(
+            got.iter().map(|n| n.data).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Query engines for the SR-tree reproduction.
 //!
-//! All four tree structures in this workspace answer k-nearest-neighbor
+//! All five tree structures in this workspace answer k-nearest-neighbor
 //! queries with the *same* algorithm — the depth-first branch-and-bound
 //! search of Roussopoulos, Kelley & Vincent (SIGMOD 1995), exactly as the
 //! paper states ("the nearest neighbor search ... is performed by applying

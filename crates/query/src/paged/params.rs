@@ -84,10 +84,9 @@ impl<R: Region> Params<R> {
     pub fn derive(page_capacity: usize, dim: usize, data_area: usize) -> Self {
         match Self::try_derive(page_capacity, dim, data_area) {
             Ok(p) => p,
-            // srlint: allow(panic) -- documented contract panic for
-            // constant configurations (tests, Table 1, the benchmark);
-            // every path that takes a size from a user or a file goes
-            // through `try_derive`.
+            // Constant configurations only (tests, Table 1, the
+            // benchmark); every path that takes a size from a user or a
+            // file goes through `try_derive`.
             Err(e) => panic!("{e}"),
         }
     }

@@ -7,7 +7,7 @@ use sr_geometry::{
     bounding_rect_of_points, rect_min_dist2_f64le, within_radius, Point, Rect, Sphere,
     CONTAINMENT_EPS,
 };
-use sr_pager::{PageCodec, PageReader};
+use sr_pager::{narrow_lane, PageCodec, PageReader};
 
 use super::error::{Result, TreeError};
 use super::node::Node;
@@ -86,7 +86,7 @@ const BAD_SPHERE: &str = "invalid bounding sphere on disk";
 /// [`PageReader::get_coords`] narrows them, without collecting them.
 fn coords<'a>(c: &mut PageReader<'a>, dim: usize) -> Result<impl Iterator<Item = f32> + 'a> {
     let (lanes, _) = c.get_bytes(dim * 8)?.as_chunks::<8>();
-    Ok(lanes.iter().map(|lane| f64::from_le_bytes(*lane) as f32))
+    Ok(lanes.iter().map(narrow_lane))
 }
 
 /// Write a rectangle as its `min` then `max` corner.

@@ -3,7 +3,9 @@
 
 use sr_geometry::Point;
 use sr_obs::{Noop, Recorder};
-use sr_pager::{LeafColumns, PageBuf, PageCodec, PageFile, PageId, PageKind, PageReader};
+use sr_pager::{
+    narrow_lane, LeafColumns, PageBuf, PageCodec, PageFile, PageId, PageKind, PageReader,
+};
 
 use super::error::{Result, TreeError};
 use super::node::{non_finite_leaf, Layout, LeafEntry, Node};
@@ -44,19 +46,18 @@ pub fn stored_magic(pf: &PageFile) -> Option<u32> {
 
 /// The disk-resident state every paged tree shares: the page file, the
 /// capacity parameters, and the root/height/count metadata.
-// srlint: send-sync -- queries take &self and go through the internally synchronized PageFile; pages and params/root/height/count only change via &mut self (insert/delete/build), which the borrow checker serializes
 pub struct Paged<R: Region> {
     pf: PageFile,
-    kind: Kind, // srlint: guarded-by(owner)
+    kind: Kind,
     /// Capacity parameters in force (Table 1).
-    pub params: Params<R>, // srlint: guarded-by(owner)
+    pub params: Params<R>,
     /// Root page.
-    pub root: PageId, // srlint: guarded-by(owner)
+    pub root: PageId,
     /// Number of levels; 1 means the root is a leaf. The root's level
     /// number is `height - 1` (leaves are level 0).
-    pub height: u32, // srlint: guarded-by(owner)
+    pub height: u32,
     /// Number of stored points.
-    pub count: u64, // srlint: guarded-by(owner)
+    pub count: u64,
 }
 
 impl<R: Region> Paged<R> {
@@ -407,8 +408,7 @@ impl<R: Region> Paged<R> {
 /// any non-finite coordinate, whether or not that entry matches.
 fn leaf_holds(cols: &LeafColumns<'_>, point: &[f32], data: u64) -> Result<bool> {
     let (lanes, _) = cols.coords().as_chunks::<8>();
-    let narrow = |lane: &[u8; 8]| f64::from_le_bytes(*lane) as f32;
-    if !lanes.iter().all(|lane| narrow(lane).is_finite()) {
+    if !lanes.iter().all(|lane| narrow_lane(lane).is_finite()) {
         return Err(non_finite_leaf());
     }
     // Coordinate `d` of entry `i` is lane `d * n + i` (dimension-major).
@@ -418,6 +418,6 @@ fn leaf_holds(cols: &LeafColumns<'_>, point: &[f32], data: u64) -> Result<bool> 
             && point
                 .iter()
                 .enumerate()
-                .all(|(d, &x)| lanes.get(d * n + i).map(narrow) == Some(x))
+                .all(|(d, &x)| lanes.get(d * n + i).map(narrow_lane) == Some(x))
     }))
 }

@@ -22,7 +22,6 @@ pub const KIND: Kind = Kind {
 /// A disk-based R\*-tree over points, used by the paper as the
 /// rectangle-region baseline. The shared core's methods (`knn`,
 /// `range`, `contains`, `len`, `pager`, …) are reached through `Deref`.
-// srlint: send-sync -- all state is the noted Paged core; mutation goes through &mut self
 pub struct RstarTree {
     core: Paged<Rect>,
 }

@@ -66,14 +66,13 @@ impl Default for ServeConfig {
 }
 
 /// State shared between the accept loop and every connection thread.
-// srlint: send-sync -- shared across the accept loop and per-connection workers behind an Arc; the index is serialized by the RwLock, counters are atomics, the recorder is internally atomic, and cfg/local are fixed at construction and only read afterwards
 struct Shared {
     index: sr_pager::RwLock<Box<dyn SpatialIndex>>,
     recorder: StatsRecorder,
     shutdown: AtomicBool,
     active: AtomicU64,
-    cfg: ServeConfig,  // srlint: guarded-by(owner)
-    local: SocketAddr, // srlint: guarded-by(owner)
+    cfg: ServeConfig,
+    local: SocketAddr,
 }
 
 /// A running query service. Dropping the handle does not stop it; call

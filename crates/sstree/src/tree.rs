@@ -126,7 +126,6 @@ fn region_of(node: &Node<SsRegion>) -> Result<SsRegion> {
 /// A disk-based SS-tree over points — bounding-sphere regions, centroid
 /// insertion. The shared core's methods (`knn`, `range`, `contains`,
 /// `len`, `pager`, …) are reached through `Deref`.
-// srlint: send-sync -- all state is the noted Paged core; mutation goes through &mut self
 pub struct SsTree {
     core: Paged<SsRegion>,
 }

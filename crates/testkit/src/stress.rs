@@ -1,9 +1,10 @@
 //! Seeded-schedule concurrency stress harness.
 //!
-//! The L7/L8 lint passes reason about the shared read path statically;
-//! this module is the dynamic half of that argument. It hammers one
-//! shared index from N threads at once and checks that nothing the
-//! annotations promise is violated in practice:
+//! The type system proves the shared read path free of data races
+//! (`SpatialIndex: Send + Sync`, every shared field behind a lock or an
+//! atomic); this module checks what it cannot prove. It hammers one
+//! shared index from N threads at once and checks that the pager's
+//! contracts hold in practice:
 //!
 //! * every query answer still matches the brute-force oracle (no torn
 //!   page view can produce a wrong neighbor list);
@@ -235,8 +236,9 @@ pub fn run_stress(
     }
 
     // Quiescent-point accounting: with every worker joined, the paired
-    // counters must line up exactly — this is the dynamic witness for
-    // the guarded-by annotations on the pager's shared state.
+    // counters must line up exactly — the dynamic witness that the
+    // shard lock in the pager's read-through pairs each miss with its
+    // physical read.
     let io = &report.io;
     let kind = index.kind_name();
     let logical = total_logical_reads(io);

@@ -20,7 +20,6 @@ pub const KIND: Kind = Kind {
 /// A static VAMSplit R-tree, bulk-built from a complete data set. The
 /// shared core's methods (`knn`, `range`, `contains`, `len`, `pager`, …)
 /// are reached through `Deref`.
-// srlint: send-sync -- all state is the noted Paged core; the tree is bulk-built before sharing and never changes afterwards
 pub struct VamTree {
     core: Paged<Rect>,
 }

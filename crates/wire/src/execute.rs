@@ -202,6 +202,30 @@ mod tests {
     }
 
     #[test]
+    fn max_k_request_answers_every_row() {
+        // `k` travels as a u32; the largest one must be answered with
+        // every point, not abort the process preallocating for it.
+        let mut ix = Brute::sample();
+        let req = Request::Knn {
+            query: vec![0.0, 0.0],
+            k: u32::MAX,
+        };
+        match execute(&req, &mut ix, &sr_obs::Noop) {
+            Response::Rows(rows) => {
+                assert_eq!(
+                    rows.iter().map(|r| r.data).collect::<Vec<_>>(),
+                    vec![0, 1, 2]
+                )
+            }
+            other => panic!("expected rows, got {other:?}"),
+        }
+        assert_eq!(
+            execute_read(&Request::Ping, &ix, &sr_obs::Noop),
+            Response::Ack { n: 0 }
+        );
+    }
+
+    #[test]
     fn writes_execute_and_are_refused_on_the_read_path() {
         let mut ix = Brute::sample();
         let ins = Request::Insert {

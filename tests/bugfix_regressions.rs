@@ -29,6 +29,10 @@
 //!    the k-th distance, under a sphere bound with a rounding allowance.
 //! 6. **k = 0** — best-first and the brute-force oracle panicked; every
 //!    engine now answers it with nothing, reading no page.
+//! 7. **Huge k** — the candidate heap preallocated `k + 1` slots, so a
+//!    `k` of `u32::MAX` (a wire `Knn` request carries a `u32`) aborted the
+//!    process allocating 64 GiB, and `usize::MAX` overflowed. The heap now
+//!    preallocates at most a fixed cap and grows with what it keeps.
 
 use srtree::dataset::{cluster, uniform, ClusterSpec};
 use srtree::geometry::Point;
@@ -478,4 +482,44 @@ fn knn_ties_across_leaves_match_the_oracle() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Bug 7: huge k.
+// ---------------------------------------------------------------------
+
+/// A `k` far beyond the index's size returns every point, nearest first,
+/// from all five trees, SR best-first and the oracle alike.
+#[test]
+fn huge_k_returns_every_point() {
+    use sr_testkit::TreeKind;
+    use srtree::pager::PageFile;
+    use srtree::query::{brute_force_knn, paged::DEFAULT_DATA_AREA, Neighbor};
+
+    let with_ids: Vec<(Point, u64)> = uniform(500, 4, 61).into_iter().zip(0u64..).collect();
+    let q = [0.1f32, 0.2, 0.3, 0.4];
+    let rows = |v: &[Neighbor]| {
+        v.iter()
+            .map(|n| (n.dist2.to_bits(), n.data))
+            .collect::<Vec<_>>()
+    };
+    let want = rows(&brute_force_knn(
+        with_ids.iter().map(|(p, i)| (p.coords(), *i)),
+        &q,
+        usize::MAX,
+    ));
+    assert_eq!(want.len(), with_ids.len());
+    for kind in TreeKind::ALL {
+        let pf = PageFile::create_in_memory(4096).unwrap();
+        let tree = kind
+            .build(pf, 4, DEFAULT_DATA_AREA, with_ids.clone())
+            .unwrap();
+        let got = rows(&tree.knn(&q, usize::MAX).unwrap());
+        assert_eq!(got, want, "{}", kind.kind_name());
+    }
+    let mut sr = SrTree::create_in_memory(4, 4096).unwrap();
+    for (p, i) in &with_ids {
+        sr.insert(p.clone(), *i).unwrap();
+    }
+    assert_eq!(rows(&sr.knn_best_first(&q, usize::MAX).unwrap()), want);
 }

@@ -1,9 +1,9 @@
 //! Integration: seeded-schedule concurrency stress across all five
 //! trees.
 //!
-//! The dynamic counterpart to the L7/L8 lint passes: eight threads of
-//! deterministic mixed k-NN / range traffic hammer one shared index
-//! through a deliberately small buffer pool, with per-thread yield/spin
+//! The dynamic counterpart to the compiler's `Send + Sync` proof: eight
+//! threads of deterministic mixed k-NN / range traffic hammer one shared
+//! index through a deliberately small buffer pool, with per-thread yield/spin
 //! perturbation shuffling the interleavings between runs. After the
 //! join, the pager's accounting must be exact — every cache miss is one
 //! physical read and every logical read is one hit or one miss — and

@@ -243,3 +243,36 @@ fn over_capacity_connections_get_typed_overloaded_and_slots_recycle() {
     server.stop();
     server.wait().unwrap();
 }
+
+/// A `Knn` frame carries `k: u32`, so any peer can ask for `u32::MAX`
+/// neighbors. The server answers with every stored point, nearest
+/// first, and keeps serving (the candidate heap once preallocated `k`
+/// slots and aborted the process).
+#[test]
+fn huge_k_request_answers_every_point_and_the_server_survives() {
+    let points = uniform(300, DIM, 59);
+    let mut tree = SrTree::create_in_memory(DIM, PAGE).unwrap();
+    for (i, p) in points.iter().enumerate() {
+        tree.insert(p.clone(), i as u64).unwrap();
+    }
+    let server = Server::start(Box::new(tree), cfg(2, 4)).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let q = points[0].coords().to_vec();
+    let rows = client.knn(&q, u32::MAX).unwrap();
+    let want = brute_force_knn(
+        points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.coords(), i as u64)),
+        &q,
+        points.len(),
+    );
+    assert_eq!(rows.len(), points.len());
+    assert_eq!(
+        rows.iter().map(|r| r.data).collect::<Vec<_>>(),
+        want.iter().map(|n| n.data).collect::<Vec<_>>()
+    );
+    client.ping().unwrap();
+    server.stop();
+    server.wait().unwrap();
+}
