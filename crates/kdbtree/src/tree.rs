@@ -21,8 +21,9 @@ pub const KIND: Kind = Kind {
 };
 
 /// A K-D-B-tree region: the rectangle of space a page covers. Sibling
-/// regions share boundary planes, so containment is half-open (see
-/// [`kdb_contains`]); the root's region is all of space.
+/// regions share boundary planes, so containment is half-open
+/// (`min <= x < max`, an infinite upper bound inclusive); the root's
+/// region is all of space.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KdbRegion(pub Rect);
 

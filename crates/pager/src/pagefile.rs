@@ -56,7 +56,6 @@
 // srlint: lock-order(meta < wal) -- allocate reads free-list pages (and so probes the WAL index) while holding the free-list mutex; the WAL lock is always innermost
 // srlint: lock-order(shard < wal) -- the read-through probes the WAL index while holding the page's shard lock; acquiring a shard while holding the WAL lock would invert the order and deadlock
 
-use std::collections::HashMap;
 use std::io::Read;
 use std::ops::Deref;
 use std::path::Path;
@@ -65,7 +64,7 @@ use std::sync::Arc;
 
 use crate::sync::Mutex;
 
-use crate::cache::LruCache;
+use crate::cache::{LruCache, PageIdMap};
 use crate::error::{PagerError, Result};
 use crate::logstore::{wal_file_path, FileLogStore, LogStore, MemLogStore};
 use crate::page::{PageCodec, PageId, PageKind, PageReader, DEFAULT_PAGE_SIZE};
@@ -98,7 +97,7 @@ struct WalState {
     /// Offset of the latest logged frame of each page in this
     /// generation. The read path serves these pages from the log; the
     /// checkpoint in [`PageFile::flush`] copies them into the store.
-    index: HashMap<PageId, u64>,
+    index: PageIdMap<u64>,
     /// Logical length of the log: the next append offset. Advanced only
     /// after the log write succeeds, so a failed or torn append is
     /// overwritten in place by the retry instead of burying garbage
@@ -297,7 +296,7 @@ impl PageFile {
                 meta_dirty: true,
             }),
             wal: Mutex::new(WalState {
-                index: HashMap::new(),
+                index: PageIdMap::default(),
                 len: 0,
                 epoch: 1,
                 commit_seq: 0,
@@ -424,7 +423,7 @@ impl PageFile {
                 meta_dirty: false,
             }),
             wal: Mutex::new(WalState {
-                index: HashMap::new(),
+                index: PageIdMap::default(),
                 len: 0,
                 epoch,
                 commit_seq: 0,

@@ -335,7 +335,8 @@ fn process_batch(shared: &Shared, stream: &mut TcpStream, batch: &[Request]) -> 
 
 /// Answer `batch[start..end]` (all k-NN/range, pre-lowered to `specs`)
 /// under one shared read lock. Two or more queries go through the
-/// `sr-exec` pool as one batch; if the pool rejects the batch, fall
+/// `sr-exec` pool as one batch; if the pool rejects the batch, or a
+/// request's answer cannot fit one frame (refused before it runs), fall
 /// back to per-request execution so each request still gets its own
 /// typed answer.
 fn run_reads(
@@ -346,7 +347,9 @@ fn run_reads(
     end: usize,
 ) -> Vec<Response> {
     let guard = shared.index.read();
-    if specs.len() > 1 {
+    let reqs = batch.get(start..end).unwrap_or(&[]);
+    let fits = |req: &Request| sr_wire::oversized_answer(req, guard.as_ref()).is_none();
+    if specs.len() > 1 && reqs.iter().all(fits) {
         if let Ok(out) = sr_exec::run_query_batch(guard.as_ref(), specs, shared.cfg.threads) {
             shared.recorder.absorb(&out.metrics);
             return out
@@ -356,10 +359,7 @@ fn run_reads(
                 .collect();
         }
     }
-    batch
-        .get(start..end)
-        .unwrap_or(&[])
-        .iter()
+    reqs.iter()
         .map(|req| sr_wire::execute_read(req, guard.as_ref(), &shared.recorder))
         .collect()
 }

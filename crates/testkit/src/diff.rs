@@ -105,8 +105,8 @@ impl std::fmt::Display for Divergence {
 
 /// Compare one query answer against the oracle's: equal length, dist²
 /// within [`DIST2_TOL`] rank by rank, and (optionally) identical id
-/// lists. Shared by the differential executor and the crash-recovery
-/// harness.
+/// lists. Every error names `structure`, the tree that answered. Shared
+/// by the differential executor and the crash-recovery harness.
 pub fn check_answer(
     structure: &'static str,
     got: &[Neighbor],
@@ -114,21 +114,29 @@ pub fn check_answer(
     check_ids: bool,
 ) -> Result<(), String> {
     if got.len() != want.len() {
-        return Err(format!("{} results, oracle has {}", got.len(), want.len()));
+        return Err(format!(
+            "{structure}: {} results, oracle has {}",
+            got.len(),
+            want.len()
+        ));
     }
     for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
         if (g.dist2 - w.dist2).abs() >= DIST2_TOL {
-            return Err(format!("rank {i}: dist2 {} vs oracle {}", g.dist2, w.dist2));
+            return Err(format!(
+                "{structure}: rank {i}: dist2 {} vs oracle {}",
+                g.dist2, w.dist2
+            ));
         }
     }
     if check_ids {
         let got_ids: Vec<u64> = got.iter().map(|n| n.data).collect();
         let want_ids: Vec<u64> = want.iter().map(|n| n.data).collect();
         if got_ids != want_ids {
-            return Err(format!("ids {got_ids:?} vs oracle {want_ids:?}"));
+            return Err(format!(
+                "{structure}: ids {got_ids:?} vs oracle {want_ids:?}"
+            ));
         }
     }
-    let _ = structure;
     Ok(())
 }
 
@@ -405,6 +413,30 @@ mod tests {
         assert!(check_answer("x", &[a], &[c], true).is_err(), "id differs");
         assert!(check_answer("x", &[a], &[c], false).is_ok(), "ids off");
         assert!(check_answer("x", &[a], &[a, b], true).is_err(), "length");
+    }
+
+    #[test]
+    fn check_answer_errors_name_the_tree() {
+        let a = Neighbor {
+            dist2: 1.0,
+            data: 1,
+        };
+        let far = Neighbor {
+            dist2: 2.0,
+            data: 1,
+        };
+        let other = Neighbor {
+            dist2: 1.0,
+            data: 2,
+        };
+        for (got, want) in [
+            (vec![a], vec![a, a]),
+            (vec![a], vec![far]),
+            (vec![a], vec![other]),
+        ] {
+            let err = check_answer("SR-tree", &got, &want, true).unwrap_err();
+            assert!(err.starts_with("SR-tree: "), "{err}");
+        }
     }
 
     #[test]

@@ -53,11 +53,12 @@ pub enum RemoteError {
     },
     /// The server is draining for shutdown and takes no new work.
     ShuttingDown,
-    /// The request frame exceeded the server's size cap.
+    /// A frame exceeded the size cap: the request the server received,
+    /// or the answer it would have sent.
     TooLarge {
-        /// Declared frame body size in bytes.
+        /// Declared or computed frame body size in bytes.
         len: u64,
-        /// The server's cap.
+        /// The cap in force.
         max: u64,
     },
     /// The index does not support the operation (e.g. inserting into
@@ -79,10 +80,7 @@ impl fmt::Display for RemoteError {
             }
             RemoteError::ShuttingDown => write!(f, "server is shutting down"),
             RemoteError::TooLarge { len, max } => {
-                write!(
-                    f,
-                    "request too large: {len} B exceeds the server's {max} B cap"
-                )
+                write!(f, "frame too large: {len} B exceeds the {max} B cap")
             }
             RemoteError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
             RemoteError::BadRequest(detail) => write!(f, "bad request: {detail}"),

@@ -6,11 +6,18 @@
 //! request do" has exactly one answer regardless of transport. Every
 //! failure comes back as a [`Response::Error`] with a typed
 //! [`RemoteError`] — executing a request cannot fail out-of-band.
+//!
+//! That includes an answer too large for one frame: a `Rows` body past
+//! [`DEFAULT_MAX_BODY`], the cap a client decodes with, is answered with
+//! [`RemoteError::TooLarge`] instead of a frame the client would reject.
+//! A k-NN request whose answer is bound to exceed the cap is refused
+//! before the index does any work.
 
 use sr_obs::Recorder;
 use sr_query::{IndexError, Neighbor, QuerySpec, SpatialIndex};
 
 use crate::error::RemoteError;
+use crate::frame::DEFAULT_MAX_BODY;
 use crate::message::{Request, Response, Row};
 use crate::stats::stats_json;
 
@@ -26,10 +33,34 @@ fn remote(e: IndexError) -> RemoteError {
     }
 }
 
+/// The typed refusal for a `Rows` answer of `rows` rows, if its body —
+/// a `u32` count, then a `u64` id and an `f64` distance per row — would
+/// exceed [`DEFAULT_MAX_BODY`].
+fn rows_too_large(rows: u64) -> Option<RemoteError> {
+    let len = rows.saturating_mul(16).saturating_add(4);
+    let max = DEFAULT_MAX_BODY as u64;
+    (len > max).then_some(RemoteError::TooLarge { len, max })
+}
+
+/// The typed refusal for a request whose answer cannot fit one frame,
+/// decided before any work is done: a k-NN request answers
+/// `min(k, index.len())` rows. `None` for every other request; a range
+/// answer's size is known only after it runs.
+pub fn oversized_answer(req: &Request, index: &dyn SpatialIndex) -> Option<RemoteError> {
+    match req {
+        Request::Knn { k, .. } => rows_too_large(u64::from(*k).min(index.len())),
+        _ => None,
+    }
+}
+
 /// Fold a neighbor list into a `Rows` response. Distances cross the
 /// wire as Euclidean (`sqrt(dist2)`) `f64`s, so a client printing them
-/// matches the offline CLI byte for byte.
+/// matches the offline CLI byte for byte. A list too long for one frame
+/// becomes a typed `TooLarge` error.
 pub fn rows_response(rows: &[Neighbor]) -> Response {
+    if let Some(e) = rows_too_large(rows.len() as u64) {
+        return Response::Error(e);
+    }
     Response::Rows(
         rows.iter()
             .map(|n| Row {
@@ -69,6 +100,9 @@ pub fn execute(req: &Request, index: &mut dyn SpatialIndex, rec: &dyn Recorder) 
 /// batches. A write request arriving here is answered with a typed
 /// `BadRequest`, not executed.
 pub fn execute_read(req: &Request, index: &dyn SpatialIndex, rec: &dyn Recorder) -> Response {
+    if let Some(e) = oversized_answer(req, index) {
+        return Response::Error(e);
+    }
     match req {
         // Shutdown's side effects (drain + flush) belong to the server
         // loop; as a request *per se* it acknowledges like a ping.
@@ -223,6 +257,135 @@ mod tests {
             execute_read(&Request::Ping, &ix, &sr_obs::Noop),
             Response::Ack { n: 0 }
         );
+    }
+
+    /// An index that claims 300k points and answers every query with
+    /// `rows` rows, counting the queries it is asked to run.
+    struct Huge {
+        pager: PageFile,
+        rows: usize,
+        queries: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Huge {
+        fn new(rows: usize) -> Huge {
+            Huge {
+                pager: PageFile::create_in_memory(512).expect("in-memory pager"),
+                rows,
+                queries: std::sync::atomic::AtomicUsize::new(0),
+            }
+        }
+
+        fn queries(&self) -> usize {
+            self.queries.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl SpatialIndex for Huge {
+        fn kind_name(&self) -> &'static str {
+            "huge"
+        }
+        fn dim(&self) -> usize {
+            2
+        }
+        fn len(&self) -> u64 {
+            300_000
+        }
+        fn height(&self) -> u32 {
+            1
+        }
+        fn num_leaves(&self) -> Result<u64, IndexError> {
+            Ok(1)
+        }
+        fn insert(&mut self, _point: &[f32], _data: u64) -> Result<(), IndexError> {
+            Err(IndexError::Unsupported("insert"))
+        }
+        fn delete(&mut self, _point: &[f32], _data: u64) -> Result<bool, IndexError> {
+            Err(IndexError::Unsupported("delete"))
+        }
+        fn query(
+            &self,
+            _spec: &QuerySpec<'_>,
+            _rec: &dyn Recorder,
+        ) -> Result<QueryOutput, IndexError> {
+            self.queries
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let rows = (0..self.rows as u64)
+                .map(|data| Neighbor { dist2: 0.0, data })
+                .collect();
+            Ok(QueryOutput::from_rows(rows))
+        }
+        fn pager(&self) -> &PageFile {
+            &self.pager
+        }
+        fn flush(&self) -> Result<(), IndexError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn knn_answer_past_the_frame_cap_is_refused_before_the_query_runs() {
+        let ix = Huge::new(0);
+        let req = Request::Knn {
+            query: vec![0.0, 0.0],
+            k: u32::MAX,
+        };
+        // min(k, len) = 300k rows of 16 bytes, plus the 4-byte count.
+        let too_large = RemoteError::TooLarge {
+            len: 4 + 16 * 300_000,
+            max: DEFAULT_MAX_BODY as u64,
+        };
+        assert_eq!(oversized_answer(&req, &ix), Some(too_large.clone()));
+        assert_eq!(
+            execute_read(&req, &ix, &sr_obs::Noop),
+            Response::Error(too_large)
+        );
+        assert_eq!(ix.queries(), 0, "the index must not run the query");
+        // The largest k whose answer fits one frame still runs.
+        let fits = Request::Knn {
+            query: vec![0.0, 0.0],
+            k: u32::try_from((DEFAULT_MAX_BODY - 4) / 16).unwrap(),
+        };
+        assert_eq!(oversized_answer(&fits, &ix), None);
+        assert!(matches!(
+            execute_read(&fits, &ix, &sr_obs::Noop),
+            Response::Rows(_)
+        ));
+        assert_eq!(ix.queries(), 1);
+    }
+
+    #[test]
+    fn range_answer_past_the_frame_cap_is_a_typed_error() {
+        let ix = Huge::new(300_000);
+        let req = Request::Range {
+            query: vec![0.0, 0.0],
+            radius: 1.0,
+        };
+        assert_eq!(
+            oversized_answer(&req, &ix),
+            None,
+            "known only after it runs"
+        );
+        assert_eq!(
+            execute_read(&req, &ix, &sr_obs::Noop),
+            Response::Error(RemoteError::TooLarge {
+                len: 4 + 16 * 300_000,
+                max: DEFAULT_MAX_BODY as u64,
+            })
+        );
+        assert_eq!(ix.queries(), 1);
+        let fits = Huge::new((DEFAULT_MAX_BODY - 4) / 16);
+        let resp = execute_read(&req, &fits, &sr_obs::Noop);
+        match &resp {
+            Response::Rows(rows) => assert_eq!(rows.len(), (DEFAULT_MAX_BODY - 4) / 16),
+            other => panic!("expected rows, got {other:?}"),
+        }
+        // The largest answer that passes still decodes under the cap.
+        let frame = crate::encode_response(&resp).unwrap();
+        assert!(matches!(
+            crate::decode_response(&frame, DEFAULT_MAX_BODY),
+            Ok(crate::Decoded::Frame { .. })
+        ));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! driver — builds a typed [`Request`] value and hands it to one
 //! [`execute`] entry point over `&mut dyn SpatialIndex`. The transport
 //! is then *just* an encoding of those values: a checksummed,
-//! length-prefixed binary frame format ([`frame`]) patterned on the
+//! length-prefixed binary frame format ([`encode_request`],
+//! [`decode_request`] and their response twins) patterned on the
 //! pager's WAL frames, with the CRC salted by protocol magic + version
 //! the same way WAL frames are salted by truncation epoch.
 //!
@@ -32,7 +33,7 @@ mod message;
 mod stats;
 
 pub use error::{RemoteError, WireError};
-pub use execute::{execute, execute_read, rows_response};
+pub use execute::{execute, execute_read, oversized_answer, rows_response};
 pub use frame::{
     decode_request, decode_response, encode_request, encode_response, Decoded, DEFAULT_MAX_BODY,
     WIRE_MAGIC, WIRE_VERSION,
