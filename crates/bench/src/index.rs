@@ -104,7 +104,7 @@ impl AnyIndex {
     ///
     /// # Panics
     /// Panics on I/O errors (in-memory page files cannot fail) and on
-    /// `Unsplittable` K-D-B overflows (the paper's data sets are
+    /// K-D-B overflows of coincident points (the paper's data sets are
     /// continuous).
     pub fn build(kind: TreeKind, points: &[Point]) -> AnyIndex {
         let dim = points[0].dim();

@@ -290,7 +290,7 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                 .parse()
                 .map_err(bad("--radius"))?;
             // Reject at parse time so a bad radius is a usage error
-            // (exit 2), matching the trees' TreeError::InvalidRadius.
+            // (exit 2), matching the trees' IndexError::InvalidRadius.
             if radius.is_nan() || radius < 0.0 {
                 return Err(ArgError::BadValue {
                     flag: "--radius",
@@ -352,11 +352,13 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                     "--rule" => {
                         let v = rest.get(i + 1).ok_or(ArgError::MissingValue("--rule"))?;
                         let family = v.split('/').next().unwrap_or("");
-                        if !sr_lint::RULE_FAMILIES.contains(&family) {
+                        if !sr_lint::RULE_FAMILIES.contains(&family)
+                            || sr_lint::RETIRED_RULES.contains(v)
+                        {
                             return Err(ArgError::BadValue {
                                 flag: "--rule",
                                 detail: format!(
-                                    "{v:?} names no rule family (expected one of {})",
+                                    "{v:?} names no live rule family or rule (families: {})",
                                     sr_lint::RULE_FAMILIES.join(", ")
                                 ),
                             });
@@ -940,6 +942,7 @@ mod tests {
         );
         assert!(p(&["lint", "--rule", "no-such-family"]).is_err());
         assert!(p(&["lint", "--rule", "L7"]).is_err());
+        assert!(p(&["lint", "--rule", "L6/error-conversion"]).is_err());
         assert!(p(&["lint", "--rule"]).is_err());
         assert!(p(&["lint", "--frobnicate"]).is_err());
     }

@@ -71,7 +71,7 @@ fn build_index(
     points: Vec<(Point, u64)>,
 ) -> Result<Box<dyn SpatialIndex>, CmdError> {
     let e = |err: IndexError| match err {
-        IndexError::InvalidParams(_) => CmdError::Usage(format!(
+        IndexError::InvalidParams { .. } => CmdError::Usage(format!(
             "--dim {dim} is too large for {DEFAULT_PAGE_SIZE}-byte index pages: {err}"
         )),
         err => CmdError::Failure(format!("{}: {err}", path.display())),

@@ -6,6 +6,7 @@ use std::path::PathBuf;
 use std::process::Output;
 
 use sr_cli::{parse, ArgError};
+use sr_pager::{PageFile, PageKind};
 
 fn srtool(args: &[&str]) -> Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_srtool"))
@@ -18,6 +19,21 @@ fn tmpfile(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("srtool-errors-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
+}
+
+/// Generate `n` uniform 4-d points and build an SR-tree over them,
+/// returning the data file and the index file.
+fn sr_index(name: &str, n: &str, seed: &str) -> (PathBuf, PathBuf) {
+    let (data, index) = (
+        tmpfile(&format!("{name}.tsv")),
+        tmpfile(&format!("{name}.pages")),
+    );
+    let (d, i) = (data.to_str().unwrap(), index.to_str().unwrap());
+    let gen = srtool(&["gen", "--n", n, "--dim", "4", "--seed", seed, d]);
+    assert!(gen.status.success());
+    let build = srtool(&["build", "--index", "sr", "--dim", "4", i, d]);
+    assert!(build.status.success());
+    (data, index)
 }
 
 fn parse_err(args: &[&str]) -> ArgError {
@@ -319,29 +335,7 @@ fn huge_k_answers_every_point_instead_of_aborting() {
     // The largest `k` a wire `Knn` frame can carry (`u32::MAX`) once
     // aborted the process allocating the candidate heap; `srtool serve`
     // answers through the same path.
-    let data = tmpfile("hugek.tsv");
-    let index = tmpfile("hugek.pages");
-    let gen = srtool(&[
-        "gen",
-        "--n",
-        "500",
-        "--dim",
-        "4",
-        "--seed",
-        "13",
-        data.to_str().unwrap(),
-    ]);
-    assert!(gen.status.success());
-    let build = srtool(&[
-        "build",
-        "--index",
-        "sr",
-        "--dim",
-        "4",
-        index.to_str().unwrap(),
-        data.to_str().unwrap(),
-    ]);
-    assert!(build.status.success());
+    let (_data, index) = sr_index("hugek", "500", "13");
     let out = srtool(&[
         "knn",
         index.to_str().unwrap(),
@@ -360,11 +354,62 @@ fn huge_k_answers_every_point_instead_of_aborting() {
 }
 
 #[test]
+fn corrupt_root_entry_count_reads_as_corruption_on_every_path() {
+    // An SR-tree file whose root claims more entries than its page
+    // holds: one corruption, so `verify` and `knn` must classify it
+    // alike, as a corrupt structure rather than a foreign file.
+    let (data, index) = sr_index("badroot", "3000", "17");
+    {
+        // The metadata header: magic, version, dim, data area (u32
+        // each), then the root page id (u64).
+        let pf = PageFile::open(&index).unwrap();
+        let meta = pf.user_meta();
+        let root = u64::from_le_bytes(meta[16..24].try_into().unwrap());
+        let mut payload = pf.read(root, PageKind::Node).unwrap().to_vec();
+        // The inner-node header is (level, n), two little-endian u16s.
+        payload[2..4].copy_from_slice(&32767u16.to_le_bytes());
+        pf.write(root, PageKind::Node, &payload).unwrap();
+        pf.flush().unwrap();
+    }
+    let verify = srtool(&["verify", index.to_str().unwrap()]);
+    let stderr = String::from_utf8(verify.stderr).unwrap();
+    assert_eq!(verify.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        "srtool: index structure corrupt: truncated node page"
+    );
+    let knn = srtool(&[
+        "knn",
+        index.to_str().unwrap(),
+        "--k",
+        "3",
+        "--query",
+        "0.1,0.2,0.3,0.4",
+    ]);
+    let stderr = String::from_utf8(knn.stderr).unwrap();
+    assert!(
+        stderr.contains("index structure corrupt: inner node claims 32767 entries"),
+        "{stderr}"
+    );
+    std::fs::remove_file(&index).ok();
+    std::fs::remove_file(format!("{}.wal", index.display())).ok();
+    std::fs::remove_file(&data).ok();
+}
+
+#[test]
 fn lint_rejects_unknown_rule_family() {
     // A name outside the `L<n>` scheme, so no future rule family can
-    // make it valid, and the retired families whose checks rustc and
-    // clippy now make.
-    for family in ["no-such-family", "L2", "L7", "L8", "L7/unguarded-access"] {
+    // make it valid, and the retired families and rules whose checks
+    // rustc and clippy now make.
+    for family in [
+        "no-such-family",
+        "L2",
+        "L7",
+        "L8",
+        "L7/unguarded-access",
+        "L1/panic",
+        "L6/error-conversion",
+    ] {
         let out = srtool(&["lint", "--rule", family]);
         assert_eq!(out.status.code(), Some(2), "--rule {family}");
         let stderr = String::from_utf8(out.stderr).unwrap();

@@ -35,6 +35,7 @@
 //! ```
 //! use sr_tree::SrTree;
 //! use sr_geometry::Point;
+//! use sr_query::SpatialIndex;
 //!
 //! let mut tree = SrTree::create_in_memory(2, 8192).unwrap();
 //! for (i, xy) in [[0.0f32, 0.0], [1.0, 1.0], [0.2, 0.1]].iter().enumerate() {
@@ -55,10 +56,8 @@ mod region;
 mod tree;
 
 pub use region::{DistanceBound, RadiusRule, SrOptions, SrRegion};
-pub use sr_query::paged::TreeError;
-
 /// Result alias for tree operations.
-pub type Result<T> = std::result::Result<T, TreeError>;
+pub type Result<T> = std::result::Result<T, sr_query::IndexError>;
 pub use sr_query::Neighbor;
 pub use tree::{SrTree, KIND};
 

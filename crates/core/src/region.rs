@@ -8,12 +8,13 @@ use sr_geometry::{
 };
 use sr_pager::{PageCodec, PageReader};
 use sr_query::paged::centroid::{self, Centered};
+use sr_query::paged::Result;
 use sr_query::paged::{
     get_rect, get_sphere, put_rect, put_sphere, rect_contains_raw, sphere_contains_raw, LeafEntry,
     Node, Region,
 };
-use sr_query::paged::{Result, TreeError};
 use sr_query::Expansion;
+use sr_query::IndexError;
 
 /// How the parent bounding-sphere radius is computed — an ablation knob
 /// for the paper's §4.2 rule.
@@ -71,8 +72,8 @@ pub struct SrRegion {
     pub weight: u64,
 }
 
-fn corrupt(e: GeometryError) -> TreeError {
-    TreeError::Corrupt(e.to_string())
+fn corrupt(e: GeometryError) -> IndexError {
+    IndexError::Corrupt(e.to_string())
 }
 
 impl Region for SrRegion {
@@ -197,14 +198,14 @@ pub(crate) fn leaf_shapes(entries: &[LeafEntry]) -> Option<(Sphere, Rect)> {
 ///   (R-tree rule).
 ///
 /// # Errors
-/// [`TreeError::Corrupt`] for an empty or zero-weight node — both are
+/// [`IndexError::Corrupt`] for an empty or zero-weight node — both are
 /// reachable from a corrupted page, never from a well-formed tree.
 pub(crate) fn region_of(node: &Node<SrRegion>, rule: RadiusRule) -> Result<SrRegion> {
     let weight = centroid::weight(node);
     match node {
         Node::Leaf(entries) => {
             let (sphere, rect) = leaf_shapes(entries)
-                .ok_or_else(|| TreeError::Corrupt("region of an empty leaf".into()))?;
+                .ok_or_else(|| IndexError::Corrupt("region of an empty leaf".into()))?;
             Ok(SrRegion {
                 sphere,
                 rect,
@@ -229,7 +230,7 @@ pub(crate) fn region_of(node: &Node<SrRegion>, rule: RadiusRule) -> Result<SrReg
             };
             let (first, rest) = entries
                 .split_first()
-                .ok_or_else(|| TreeError::Corrupt("region of an empty node".into()))?;
+                .ok_or_else(|| IndexError::Corrupt("region of an empty node".into()))?;
             let mut rect = first.region.rect.clone();
             for e in rest {
                 rect.expand_to_rect(&e.region.rect);

@@ -12,7 +12,7 @@ use sr_query::paged::centroid;
 use sr_query::paged::{
     AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result, DEFAULT_DATA_AREA,
 };
-use sr_query::{IndexError, Neighbor, QuerySpec};
+use sr_query::{Neighbor, QuerySpec};
 
 use crate::region::{leaf_shapes, region_of, DistanceBound, SrOptions, SrRegion};
 
@@ -24,8 +24,9 @@ pub const KIND: Kind = Kind {
 
 /// A disk-based SR-tree over points — the paper's contribution: regions
 /// are the intersection of a bounding sphere and a bounding rectangle.
-/// The shared core's methods (`knn`, `range`, `contains`, `len`,
-/// `pager`, …) are reached through `Deref`.
+/// Queries (`knn`, `range`) come from [`sr_query::SpatialIndex`]; the
+/// shared core's other methods (`contains`, `len`, `pager`, …) are
+/// reached through `Deref`.
 pub struct SrTree {
     core: Paged<SrRegion>,
 }
@@ -195,12 +196,12 @@ impl PagedTree for SrTree {
         self.check_fill_and_region(id, node, stored)
     }
 
-    fn insert_point(&mut self, point: Point, data: u64) -> std::result::Result<(), IndexError> {
-        Ok(self.insert(point, data)?)
+    fn insert_point(&mut self, point: Point, data: u64) -> Result<()> {
+        self.insert(point, data)
     }
 
-    fn delete_point(&mut self, point: &Point, data: u64) -> std::result::Result<bool, IndexError> {
-        Ok(self.delete(point, data)?)
+    fn delete_point(&mut self, point: &Point, data: u64) -> Result<bool> {
+        self.delete(point, data)
     }
 }
 
@@ -248,7 +249,7 @@ impl Dynamic for SrTree {
 mod tests {
     use super::*;
     use crate::RadiusRule;
-    use sr_query::paged::TreeError;
+    use sr_query::IndexError;
 
     #[test]
     fn options_default_is_the_paper_configuration() {
@@ -270,7 +271,7 @@ mod tests {
         pf.set_user_meta(&[0u8; 40]).unwrap();
         assert!(matches!(
             SrTree::open_from(pf),
-            Err(TreeError::NotThisIndex(_))
+            Err(IndexError::NotThisIndex(_))
         ));
     }
 

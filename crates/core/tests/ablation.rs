@@ -5,7 +5,7 @@
 
 use sr_dataset::{real_sim, sample_queries, uniform};
 use sr_pager::PageFile;
-use sr_query::brute_force_knn;
+use sr_query::{brute_force_knn, SpatialIndex};
 use sr_tree::{verify, DistanceBound, RadiusRule, SrOptions, SrTree};
 
 fn build_with(points: &[sr_geometry::Point], options: SrOptions) -> SrTree {

@@ -4,7 +4,7 @@
 use sr_dataset::{real_sim, sample_queries, uniform};
 use sr_geometry::Point;
 use sr_pager::PageFile;
-use sr_query::brute_force_knn;
+use sr_query::{brute_force_knn, SpatialIndex};
 use sr_tree::{verify, SrTree};
 
 fn with_ids(points: &[Point]) -> Vec<(Point, u64)> {

@@ -12,7 +12,8 @@
 
 use sr_dataset::uniform;
 use sr_pager::{FaultInjector, FaultKind, MemLogStore, MemPageStore, PageFile, PagerError};
-use sr_tree::{SrTree, TreeError};
+use sr_query::{IndexError, SpatialIndex};
+use sr_tree::SrTree;
 
 /// Wrap both halves of the pager — page store *and* write-ahead log —
 /// around one fault state, so the budget counts every I/O the tree
@@ -27,7 +28,7 @@ fn faulted_pagefile(page_size: usize) -> (PageFile, sr_pager::FaultHandle) {
 }
 
 /// Drive inserts until the injected cutoff fires; the error must be a
-/// clean `TreeError::Pager`, at any failure point.
+/// clean `IndexError::Pager`, at any failure point.
 #[test]
 fn insert_failures_surface_as_errors() {
     let points = uniform(300, 4, 501);
@@ -42,7 +43,7 @@ fn insert_failures_surface_as_errors() {
         for (i, p) in points.iter().enumerate() {
             match tree.insert(p.clone(), i as u64) {
                 Ok(()) => {}
-                Err(TreeError::Pager(PagerError::Injected { kind, .. })) => {
+                Err(IndexError::Pager(PagerError::Injected { kind, .. })) => {
                     assert_eq!(kind, FaultKind::Crash);
                     saw_error = true;
                     break;
@@ -58,14 +59,14 @@ fn insert_failures_surface_as_errors() {
         // Queries against the dead store also error cleanly rather than
         // panic.
         match tree.knn(points[0].coords(), 3) {
-            Ok(_) | Err(TreeError::Pager(_)) => {}
+            Ok(_) | Err(IndexError::Pager(_)) => {}
             Err(other) => panic!("unexpected error kind: {other}"),
         }
         // Once the store recovers, queries run again without panicking
         // (the tree may legitimately be mid-split, so no answer check).
         handle.clear();
         match tree.knn(points[0].coords(), 3) {
-            Ok(_) | Err(TreeError::Pager(_)) => {}
+            Ok(_) | Err(IndexError::Pager(_)) => {}
             Err(other) => panic!("unexpected error kind: {other}"),
         }
     }
@@ -89,7 +90,7 @@ fn query_failures_do_not_poison_the_tree() {
     handle.fail_nth_read(0);
     assert!(matches!(
         tree.knn(points[0].coords(), 5),
-        Err(TreeError::Pager(PagerError::Injected {
+        Err(IndexError::Pager(PagerError::Injected {
             kind: FaultKind::Read,
             ..
         }))

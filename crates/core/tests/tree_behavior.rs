@@ -7,7 +7,7 @@
 use sr_dataset::{cluster, real_sim, uniform, ClusterSpec};
 use sr_geometry::Point;
 use sr_pager::PageFile;
-use sr_query::brute_force_knn;
+use sr_query::{brute_force_knn, SpatialIndex};
 use sr_tree::{verify, SrTree};
 
 /// A small page size keeps fanout low so tests exercise deep trees with

@@ -10,7 +10,12 @@
 use sr_geometry::Rect;
 use sr_pager::PageId;
 
-use sr_query::paged::{Entry, LeafEntry, Node, Paged, Result, TreeError};
+use sr_query::paged::{Entry, LeafEntry, Node, Paged, Result};
+use sr_query::IndexError;
+
+/// Why a point page of coincident points cannot split: the K-D-B-tree
+/// splits *space*, and no coordinate plane separates equal points.
+const UNSPLITTABLE: &str = "K-D-B-tree point page cannot split (coincident points)";
 
 use crate::tree::{clip_above, clip_below, full_space, kdb_contains, KdbRegion};
 
@@ -18,7 +23,7 @@ use crate::tree::{clip_above, clip_below, full_space, kdb_contains, KdbRegion};
 /// root first, with each page's region (the root's is all of space).
 ///
 /// # Errors
-/// [`TreeError::Corrupt`] on a coverage hole or a point page above the
+/// [`IndexError::Corrupt`] on a coverage hole or a point page above the
 /// leaf level.
 pub(crate) fn descend(tree: &Paged<KdbRegion>, p: &[f32]) -> Result<Vec<(PageId, Rect)>> {
     let mut path = Vec::with_capacity(tree.height as usize);
@@ -26,7 +31,7 @@ pub(crate) fn descend(tree: &Paged<KdbRegion>, p: &[f32]) -> Result<Vec<(PageId,
     let mut region = full_space(tree.params.dim);
     for level in (1..tree.height).rev() {
         let Node::Inner { entries, .. } = tree.read_node(id, level as u16)? else {
-            return Err(TreeError::Corrupt(
+            return Err(IndexError::Corrupt(
                 "point page found above the leaf level while descending".into(),
             ));
         };
@@ -34,7 +39,7 @@ pub(crate) fn descend(tree: &Paged<KdbRegion>, p: &[f32]) -> Result<Vec<(PageId,
             .into_iter()
             .find(|e| kdb_contains(&e.region.0, p))
             .ok_or_else(|| {
-                TreeError::Corrupt("coverage hole: no region contains the point".into())
+                IndexError::Corrupt("coverage hole: no region contains the point".into())
             })?;
         path.push((id, region));
         id = e.child;
@@ -109,7 +114,7 @@ pub(crate) fn insert_point(
             let pos = entries
                 .iter()
                 .position(|e| e.child == path[idx].0)
-                .ok_or_else(|| TreeError::Corrupt("parent lost track of its child".into()))?;
+                .ok_or_else(|| IndexError::Corrupt("parent lost track of its child".into()))?;
             entries[pos] = Entry {
                 region: KdbRegion(left_rect),
                 child: path[idx].0,
@@ -164,7 +169,8 @@ fn choose_point_plane(entries: &[LeafEntry]) -> Result<(usize, f32)> {
             _ => best = Some((spread, d, value)),
         }
     }
-    best.map(|(_, d, v)| (d, v)).ok_or(TreeError::Unsplittable)
+    best.map(|(_, d, v)| (d, v))
+        .ok_or(IndexError::Unsupported(UNSPLITTABLE))
 }
 
 /// Region pages: consider every child boundary on every dimension; pick
@@ -209,7 +215,8 @@ fn choose_region_plane(entries: &[Entry<KdbRegion>]) -> Result<(usize, f32)> {
             }
         }
     }
-    best.map(|(_, d, v)| (d, v)).ok_or(TreeError::Unsplittable)
+    best.map(|(_, d, v)| (d, v))
+        .ok_or(IndexError::Unsupported(UNSPLITTABLE))
 }
 
 /// Split a materialized page by the plane `x[dim] = value`, recursively
@@ -333,7 +340,7 @@ mod tests {
         let entries = leaf_entries(&[[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]);
         assert!(matches!(
             choose_point_plane(&entries),
-            Err(TreeError::Unsplittable)
+            Err(IndexError::Unsupported(UNSPLITTABLE))
         ));
     }
 

@@ -7,7 +7,7 @@ use std::path::Path;
 use sr_geometry::{Point, Rect};
 use sr_pager::{PageCodec, PageFile, PageId, PageReader};
 use sr_query::paged::{
-    get_rect, put_rect, rect_contains_raw, Kind, Node, Paged, PagedTree, Region, Result, TreeError,
+    get_rect, put_rect, rect_contains_raw, Kind, Node, Paged, PagedTree, Region, Result,
     DEFAULT_DATA_AREA,
 };
 use sr_query::{Expansion, IndexError};
@@ -107,9 +107,9 @@ fn half_open_disjoint(a: &Rect, b: &Rect) -> bool {
 }
 
 /// A disk-based K-D-B-tree over points: disjoint subregions, forced
-/// splits, no minimum storage utilization. The shared core's methods
-/// (`knn`, `range`, `contains`, `len`, `pager`, …) are reached through
-/// `Deref`.
+/// splits, no minimum storage utilization. Queries (`knn`, `range`)
+/// come from [`sr_query::SpatialIndex`]; the shared core's other methods
+/// (`contains`, `len`, `pager`, …) are reached through `Deref`.
 pub struct KdbTree {
     core: Paged<KdbRegion>,
 }
@@ -149,7 +149,7 @@ impl KdbTree {
 
     /// Insert a point with a `u64` payload.
     ///
-    /// Fails with [`TreeError::Unsplittable`] if a point page overflows
+    /// Fails with [`IndexError::Unsupported`] if a point page overflows
     /// with more coincident points than one page can hold (no coordinate
     /// plane can separate them).
     pub fn insert(&mut self, point: Point, data: u64) -> Result<()> {
@@ -166,7 +166,7 @@ impl KdbTree {
         let id = path[path.len() - 1].0;
         let mut leaf = self.core.read_node(id, 0)?;
         let Node::Leaf(entries) = &mut leaf else {
-            return Err(TreeError::Corrupt(
+            return Err(IndexError::Corrupt(
                 "descent ended above the leaf level".into(),
             ));
         };
@@ -221,7 +221,7 @@ impl PagedTree for KdbTree {
                     let path = insert::descend(&self.core, e.point.coords())?;
                     let found = path[path.len() - 1].0;
                     if found != id {
-                        return Err(TreeError::Corrupt(format!(
+                        return Err(IndexError::Corrupt(format!(
                             "point {:?} stored in page {id} but routed to page {found}",
                             e.point
                         )));
@@ -232,7 +232,7 @@ impl PagedTree for KdbTree {
                 let region = stored.map_or_else(|| self.root_region(), |r| r.0.clone());
                 for (i, a) in entries.iter().enumerate() {
                     if !region.contains_rect(&a.region.0) {
-                        return Err(TreeError::Corrupt(format!(
+                        return Err(IndexError::Corrupt(format!(
                             "page {id}: child region {:?} escapes parent {region:?}",
                             a.region
                         )));
@@ -241,7 +241,7 @@ impl PagedTree for KdbTree {
                         .iter()
                         .find(|b| !half_open_disjoint(&a.region.0, &b.region.0))
                     {
-                        return Err(TreeError::Corrupt(format!(
+                        return Err(IndexError::Corrupt(format!(
                             "page {id}: sibling regions overlap: {:?} and {:?}",
                             a.region, b.region
                         )));
@@ -252,12 +252,12 @@ impl PagedTree for KdbTree {
         Ok(())
     }
 
-    fn insert_point(&mut self, point: Point, data: u64) -> std::result::Result<(), IndexError> {
-        Ok(self.insert(point, data)?)
+    fn insert_point(&mut self, point: Point, data: u64) -> Result<()> {
+        self.insert(point, data)
     }
 
-    fn delete_point(&mut self, point: &Point, data: u64) -> std::result::Result<bool, IndexError> {
-        Ok(self.delete(point, data)?)
+    fn delete_point(&mut self, point: &Point, data: u64) -> Result<bool> {
+        self.delete(point, data)
     }
 }
 

@@ -4,9 +4,9 @@
 
 use sr_dataset::{cluster, real_sim, uniform, ClusterSpec};
 use sr_geometry::Point;
-use sr_kdbtree::{verify, KdbTree, TreeError};
+use sr_kdbtree::{verify, KdbTree};
 use sr_pager::PageFile;
-use sr_query::brute_force_knn;
+use sr_query::{brute_force_knn, IndexError, SpatialIndex};
 
 const SMALL_PAGE: usize = 1024;
 
@@ -150,8 +150,13 @@ fn coincident_point_overflow_is_reported() {
         }
     }
     assert!(
-        matches!(err, Some(TreeError::Unsplittable)),
-        "expected Unsplittable, got {err:?}"
+        matches!(
+            err,
+            Some(IndexError::Unsupported(
+                "K-D-B-tree point page cannot split (coincident points)"
+            ))
+        ),
+        "expected the coincident-point refusal, got {err:?}"
     );
 }
 

@@ -4,22 +4,21 @@
 //! A workspace-wide registry maps every public function to the
 //! concrete error type it returns (`Result<_, XError>`, or the crate's
 //! `Result<T>` alias error; names registered with conflicting errors
-//! become ambiguous and drop out). Three rules consume it:
+//! become ambiguous and drop out). The first of the two rules uses it:
 //!
-//! * **L6/error-conversion** — a `?` inside a public function whose
-//!   error type is `E`, applied to a registry call returning `X`, must
-//!   have a `From<X> for E` chain (`map_err` escapes naturally: it
-//!   becomes the call the `?` applies to).
 //! * **L6/swallowed-error** — `.ok()`, `.unwrap_or_default()`,
 //!   `.unwrap_or(..)`, `.unwrap_or_else(..)` directly on a registry
-//!   call silently discards a typed error (`PagerError`, `TreeError`,
-//!   `IndexError`, `ExecError`, ...); match on it or propagate it.
+//!   call silently discards a typed error (`PagerError`, `IndexError`,
+//!   `ExecError`, ...); match on it or propagate it.
 //! * **L6/stale-deprecated** — `#[deprecated]` items may live in a
 //!   library crate for at most one PR: the PR that deprecates an item
 //!   hatches it with `allow(stale-deprecated)`, and the next PR must
 //!   delete both.
+//!
+//! There is no check that a `?` converts its error: rustc already
+//! rejects one without a `From` conversion (E0277).
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{open_of, Kind, Lexed, Token};
 use crate::locks::is_acquisition;
@@ -29,15 +28,13 @@ use crate::{Diagnostic, ParsedFile};
 /// Methods that silently discard a `Result`'s error.
 const SWALLOWERS: &[&str] = &["ok", "unwrap_or_default", "unwrap_or", "unwrap_or_else"];
 
-/// Workspace registry of public fallible functions and `From` chains.
+/// Workspace registry of public fallible functions.
 #[derive(Debug, Default)]
 pub struct ErrorRegistry {
     /// Function name → concrete error type (last path ident).
     fns: BTreeMap<String, String>,
     /// Names registered with conflicting error types: skipped.
     ambiguous: BTreeSet<String>,
-    /// `impl From<Source> for Target` pairs, by last path ident.
-    froms: BTreeSet<(String, String)>,
 }
 
 impl ErrorRegistry {
@@ -63,29 +60,6 @@ impl ErrorRegistry {
                 self.fns.insert(name.to_string(), error.to_string());
             }
         }
-    }
-
-    /// Is there a `From` chain converting `src` into `dst`?
-    fn converts(&self, src: &str, dst: &str) -> bool {
-        if src == dst {
-            return true;
-        }
-        let mut seen = HashSet::new();
-        let mut stack = vec![src];
-        while let Some(s) = stack.pop() {
-            if !seen.insert(s) {
-                continue;
-            }
-            for (a, b) in &self.froms {
-                if a == s {
-                    if b == dst {
-                        return true;
-                    }
-                    stack.push(b);
-                }
-            }
-        }
-        false
     }
 }
 
@@ -115,29 +89,13 @@ pub fn crate_alias_error(files: &[ParsedFile]) -> Option<String> {
     None
 }
 
-/// Phase 1: feed one crate's public functions and `From` impls into
-/// the workspace registry.
+/// Phase 1: feed one crate's public functions into the workspace
+/// registry.
 pub fn collect_registry(files: &[ParsedFile], alias_error: Option<&str>, reg: &mut ErrorRegistry) {
     for f in files {
         let lexed = &f.lexed;
         walk_items(&f.items, false, &mut |item, in_pub_trait| {
             if lexed.test_mask.get(item.first).copied().unwrap_or(false) {
-                return;
-            }
-            if item.kind == ItemKind::Impl {
-                if item.impl_trait.first().map(String::as_str) == Some("From") {
-                    let src = item
-                        .impl_trait
-                        .iter()
-                        .skip(1)
-                        .next_back()
-                        .cloned()
-                        .unwrap_or_default();
-                    let dst = item.impl_ty.last().cloned().unwrap_or_default();
-                    if !src.is_empty() && !dst.is_empty() {
-                        reg.froms.insert((src, dst));
-                    }
-                }
                 return;
             }
             if item.kind != ItemKind::Fn || !(item.is_pub || in_pub_trait) {
@@ -198,56 +156,17 @@ fn fn_error(item: &Item, tokens: &[Token], alias_error: Option<&str>) -> Option<
     last_ident_after_comma
 }
 
-/// Phase 2: check one file's `?` conversions, swallowed errors, and
-/// stale deprecations.
+/// Phase 2: check one file's swallowed errors and stale deprecations.
 pub fn l6_errors(
     path: &str,
     lexed: &mut Lexed,
     items: &[Item],
     reg: &ErrorRegistry,
-    alias_error: Option<&str>,
     diags: &mut Vec<Diagnostic>,
 ) {
     // Findings are collected first (the item walk borrows `lexed`), then
     // flagged.
     let mut found: Vec<((u32, u32), &str, String)> = Vec::new();
-    // `?` conversion inside public fns with a concrete error type.
-    walk_items(items, false, &mut |item, _| {
-        if item.kind != ItemKind::Fn
-            || !item.is_pub
-            || lexed.test_mask.get(item.first).copied().unwrap_or(false)
-        {
-            return;
-        }
-        let Some(body) = &item.body else { return };
-        let Some(own) = fn_error(item, &lexed.tokens, alias_error) else {
-            return;
-        };
-        if !is_concrete_error(&own) {
-            return;
-        }
-        for k in body.open + 1..body.close.min(lexed.tokens.len()) {
-            if !lexed.tokens[k].is_punct('?') {
-                continue;
-            }
-            let Some(callee) = call_before(&lexed.tokens, k) else {
-                continue;
-            };
-            let Some(x) = reg.error_of(&callee) else {
-                continue;
-            };
-            if !reg.converts(x, &own) {
-                let t = &lexed.tokens[k];
-                let message = format!(
-                    "`?` on `{callee}()` propagates `{x}` but the function returns \
-                     `Result<_, {own}>` and no `From<{x}> for {own}` chain exists; \
-                     convert with `map_err` or add the impl"
-                );
-                found.push(((t.line, t.col), "L6/error-conversion", message));
-            }
-        }
-    });
-
     // Swallowed typed errors, anywhere in non-test code.
     for k in 0..lexed.tokens.len() {
         let t = &lexed.tokens[k];

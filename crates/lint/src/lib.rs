@@ -29,10 +29,9 @@
 //!   ([`ordering`]) — every atomic `Ordering::` argument needs a
 //!   same-item `// srlint: ordering -- reason` note; `Relaxed` on the
 //!   accounting files must state its invariant.
-//! * **L6/error-conversion, L6/swallowed-error, L6/stale-deprecated**
-//!   ([`errors`]) — `?` in public fns must convert into the function's
-//!   typed error through a `From` chain, typed errors must not be
-//!   silently swallowed, and `#[deprecated]` items expire after one PR.
+//! * **L6/swallowed-error, L6/stale-deprecated** ([`errors`]) — typed
+//!   errors must not be silently swallowed, and `#[deprecated]` items
+//!   expire after one PR.
 //!
 //! A workspace call graph ([`callgraph`]) built over the shared
 //! function registry feeds two interprocedural families:
@@ -55,7 +54,7 @@
 //! `<rule>` is the rule id's tail (`assert`, `error-type`,
 //! `dead-variant`, `lock-order`, `lock-io`, `lock-cycle`,
 //! `guard-escape`, `ordering`, `ordering-relaxed`, `ordering-unused`,
-//! `error-conversion`, `swallowed-error`, `stale-deprecated`,
+//! `swallowed-error`, `stale-deprecated`,
 //! `unchecked-length`, `unchecked-offset`, `tainted-alloc`,
 //! `hot-alloc`, `hot-lock`, `hot-io`). A hatch covers its own line and
 //! the next code line; unused or malformed hatches are themselves
@@ -176,6 +175,10 @@ pub struct CrateSources {
 /// The rule families, for per-family reporting and `--rule`. The gaps
 /// are retired families whose checks rustc or clippy now make.
 pub const RULE_FAMILIES: &[&str] = &["L1", "L3", "L4", "L5", "L6", "L9", "L10"];
+
+/// Retired rules of live families, refused by `--rule` like the
+/// retired families: rustc or clippy now make their checks.
+pub const RETIRED_RULES: &[&str] = &["L1/panic", "L6/error-conversion"];
 
 /// Result of a lint run.
 #[derive(Clone, Debug, Default)]
@@ -339,7 +342,7 @@ pub fn lint_crates(crates: &[CrateSources], extra_sources: &[SourceFile]) -> Lin
     // Per-crate passes.
     let mut enums = Vec::new();
     let mut constructed: HashSet<(String, String)> = HashSet::new();
-    for (span, alias_error) in spans.iter().zip(&alias_errors) {
+    for span in &spans {
         let crate_files = &mut files[span.clone()];
         let has_alias = crate_files
             .iter()
@@ -365,15 +368,7 @@ pub fn lint_crates(crates: &[CrateSources], extra_sources: &[SourceFile]) -> Lin
             let accounting = ACCOUNTING_FILES.contains(&f.path.as_str());
             ordering::l5_ordering(&f.path, &mut f.lexed, &f.items, accounting, &mut diags);
             t.lap("L5");
-            let alias = alias_error.as_deref();
-            errors::l6_errors(
-                &f.path,
-                &mut f.lexed,
-                &f.items,
-                &registry,
-                alias,
-                &mut diags,
-            );
+            errors::l6_errors(&f.path, &mut f.lexed, &f.items, &registry, &mut diags);
             t.lap("L6");
         }
     }

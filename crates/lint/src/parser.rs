@@ -140,11 +140,8 @@ pub struct Item {
     pub body: Option<Block>,
     /// Nested items (impl/trait/mod bodies).
     pub children: Vec<Item>,
-    /// `impl Trait for Ty`: identifier tokens of the trait path
-    /// (generic arguments included, e.g. `["From", "PagerError"]`).
-    pub impl_trait: Vec<String>,
-    /// Identifier tokens of the implemented type (or the sole path for
-    /// inherent impls).
+    /// Identifier tokens of the implemented type: `Ty` of
+    /// `impl Trait for Ty`, or the sole path of an inherent impl.
     pub impl_ty: Vec<String>,
 }
 
@@ -385,7 +382,6 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
             ret,
             body,
             children,
-            impl_trait,
             impl_ty,
         });
     }
@@ -535,7 +531,6 @@ mod tests {
     #[test]
     fn from_impl_paths() {
         let (items, _) = parse_src("impl From<PagerError> for TreeError { fn from(e: PagerError) -> Self { Self::Pager(e) } }\n");
-        assert_eq!(items[0].impl_trait, vec!["From", "PagerError"]);
         assert_eq!(items[0].impl_ty, vec!["TreeError"]);
     }
 

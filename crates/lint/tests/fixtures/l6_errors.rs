@@ -1,9 +1,5 @@
-//! L6 fixture: a `?` that escapes the typed-error `From` chains, silent
-//! swallowing of typed errors, and a stale `#[deprecated]` item.
-
-pub enum FixtureError {
-    Broken,
-}
+//! L6 fixture: silent swallowing of typed errors, and a stale
+//! `#[deprecated]` item.
 
 pub enum OtherError {
     Bad,
@@ -13,33 +9,12 @@ pub enum ThirdError {
     Worse,
 }
 
-impl From<OtherError> for FixtureError {
-    fn from(_e: OtherError) -> FixtureError {
-        FixtureError::Broken
-    }
-}
-
 pub fn make_other() -> Result<u32, OtherError> {
     Err(OtherError::Bad)
 }
 
 pub fn make_third() -> Result<u32, ThirdError> {
     Err(ThirdError::Worse)
-}
-
-pub fn converts(x: u32) -> Result<u32, FixtureError> {
-    let v = make_other()?;
-    Ok(v + x)
-}
-
-pub fn leaks() -> Result<u32, FixtureError> {
-    let v = make_third()?;
-    Ok(v)
-}
-
-pub fn mapped() -> Result<u32, FixtureError> {
-    let v = make_third().map_err(|_| FixtureError::Broken)?;
-    Ok(v)
 }
 
 pub fn swallows() -> u32 {

@@ -97,7 +97,6 @@ fn every_new_pass_fires_somewhere_in_the_goldens() {
         "L5/ordering",
         "L5/ordering-relaxed",
         "L5/ordering-unused",
-        "L6/error-conversion",
         "L6/swallowed-error",
         "L6/stale-deprecated",
         "L9/unchecked-length",

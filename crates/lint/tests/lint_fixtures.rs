@@ -190,45 +190,37 @@ fn l5_accounting_files_demand_an_invariant_for_relaxed() {
 }
 
 #[test]
-fn l6_flags_unconverted_question_marks_swallows_and_stale_deprecations() {
+fn l6_flags_swallows_and_stale_deprecations() {
     let diags = lint_one("l6_errors.rs", include_str!("fixtures/l6_errors.rs"));
     assert_eq!(
         rules_at(&diags),
         vec![
-            ("L6/error-conversion".to_string(), 36),
-            ("L6/swallowed-error".to_string(), 46),
-            ("L6/swallowed-error".to_string(), 47),
-            ("L6/stale-deprecated".to_string(), 52),
+            ("L6/swallowed-error".to_string(), 21),
+            ("L6/swallowed-error".to_string(), 22),
+            ("L6/stale-deprecated".to_string(), 27),
         ],
-        "converts() and mapped() must stay clean: {diags:#?}"
+        "{diags:#?}"
     );
-    assert_eq!(diags[0].col, 25);
-    assert_eq!(
-        diags[0].message,
-        "`?` on `make_third()` propagates `ThirdError` but the function returns \
-         `Result<_, FixtureError>` and no `From<ThirdError> for FixtureError` chain exists; \
-         convert with `map_err` or add the impl"
-    );
-    assert_eq!(diags[1].col, 26);
+    assert_eq!(diags[0].col, 26);
     assert!(
-        diags[1]
+        diags[0]
             .message
             .contains("silently discards the `ThirdError`"),
         "{:?}",
+        diags[0]
+    );
+    assert!(
+        diags[1].message.contains("`.unwrap_or_default(..)`"),
+        "{:?}",
         diags[1]
     );
+    assert_eq!(diags[2].col, 8);
     assert!(
-        diags[2].message.contains("`.unwrap_or_default(..)`"),
-        "{:?}",
         diags[2]
-    );
-    assert_eq!(diags[3].col, 8);
-    assert!(
-        diags[3]
             .message
             .contains("outlived its one-PR grace period"),
         "{:?}",
-        diags[3]
+        diags[2]
     );
 }
 

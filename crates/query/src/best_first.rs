@@ -18,6 +18,7 @@ use sr_obs::{Gauge, Hist, Noop, Recorder, SpanTimer};
 
 use crate::heap::{CandidateSet, Neighbor};
 use crate::knn::{record_expansion, record_prune, Expansion, KnnSource, RegionBound};
+use crate::IndexError;
 
 enum Item<N> {
     /// An unexpanded region and the provenance of its lower bound (kept
@@ -71,7 +72,7 @@ pub fn knn_best_first<S: KnnSource>(
     src: &S,
     query: &[f32],
     k: usize,
-) -> Result<Vec<Neighbor>, S::Error> {
+) -> Result<Vec<Neighbor>, IndexError> {
     knn_best_first_with(src, query, k, &Noop)
 }
 
@@ -82,7 +83,7 @@ pub fn knn_best_first_with<S: KnnSource, R: Recorder + ?Sized>(
     query: &[f32],
     k: usize,
     rec: &R,
-) -> Result<Vec<Neighbor>, S::Error> {
+) -> Result<Vec<Neighbor>, IndexError> {
     let _span = SpanTimer::start(rec, Hist::QueryNs);
     if k == 0 {
         return Ok(Vec::new());

@@ -4,8 +4,8 @@
 //! harness, the batch-query executor — used to dispatch over the concrete
 //! tree types with five-arm `match` blocks. [`SpatialIndex`] replaces
 //! that: a `Box<dyn SpatialIndex>` (or a generic bound) gives callers the
-//! whole read/write surface, and [`IndexError`] folds the trees'
-//! [`crate::paged::TreeError`] into one type they can actually handle.
+//! whole read/write surface, and [`IndexError`] is the one error every
+//! layer from page decode to this API returns.
 //!
 //! The trait is deliberately object-safe (recorders are passed as
 //! `&dyn Recorder`) and its query methods take `&self`: with the sharded
@@ -85,8 +85,8 @@ impl QueryOutput {
     }
 }
 
-/// Errors from operations on a [`SpatialIndex`], folding the trees'
-/// [`crate::paged::TreeError`] into one API-level type.
+/// The error of the whole index stack: page decode, the paged core, the
+/// five trees, the query engines and the [`SpatialIndex`] API.
 #[derive(Debug)]
 pub enum IndexError {
     /// Underlying page I/O failed.
@@ -98,18 +98,32 @@ pub enum IndexError {
         /// Dimensionality of the offending point.
         got: usize,
     },
-    /// The page file does not contain this kind of index.
+    /// The page file does not contain this kind of index (bad magic or
+    /// incompatible version in the tree metadata).
     NotThisIndex(String),
     /// A range query was asked with a negative or NaN radius.
     InvalidRadius(f64),
     /// The operation is not supported by this index structure (e.g.
-    /// inserting into the bulk-load-only VAMSplit R-tree).
+    /// inserting into the bulk-load-only VAMSplit R-tree, or splitting a
+    /// K-D-B-tree point page of coincident points, which no plane can
+    /// separate).
     Unsupported(&'static str),
-    /// The page cannot hold two entries per node and per leaf at the
-    /// requested dimensionality and data area.
-    InvalidParams(String),
-    /// A structural invariant of the index does not hold — on-disk
-    /// corruption or an internal bug, never well-formed input.
+    /// The page cannot hold two entries per node and per leaf at this
+    /// dimensionality and data area (or `dim` is 0, or the data area is
+    /// under the 8-byte payload).
+    InvalidParams {
+        /// Usable payload bytes per page.
+        page_capacity: usize,
+        /// The requested dimensionality.
+        dim: usize,
+        /// The requested per-entry data area in bytes.
+        data_area: usize,
+    },
+    /// A structural invariant of the index does not hold — a decoded page
+    /// contradicts itself or its parent (empty node, dangling child link,
+    /// misplaced level, invalid region geometry, overlapping K-D-B
+    /// siblings). Always a sign of on-disk corruption or an internal bug;
+    /// never raised on well-formed input.
     Corrupt(String),
 }
 
@@ -128,7 +142,16 @@ impl fmt::Display for IndexError {
                 write!(f, "invalid range radius {r}: must be non-negative")
             }
             IndexError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
-            IndexError::InvalidParams(msg) => write!(f, "{msg}"),
+            IndexError::InvalidParams {
+                page_capacity,
+                dim,
+                data_area,
+            } => write!(
+                f,
+                "{dim}-d points with {data_area}-byte data areas do not fit two entries \
+                 per node and leaf in a {page_capacity}-byte page payload (need dim > 0 \
+                 and data area >= 8)"
+            ),
             IndexError::Corrupt(msg) => write!(f, "index structure corrupt: {msg}"),
         }
     }
@@ -340,5 +363,13 @@ mod tests {
         let e: IndexError = PagerError::Corrupt("boom".into()).into();
         assert!(std::error::Error::source(&e).is_some());
         assert!(IndexError::Unsupported("x").to_string().contains('x'));
+        let e = IndexError::InvalidParams {
+            page_capacity: 8187,
+            dim: 600,
+            data_area: 512,
+        };
+        assert!(e
+            .to_string()
+            .starts_with("600-d points with 512-byte data areas"));
     }
 }

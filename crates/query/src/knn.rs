@@ -4,6 +4,7 @@
 use sr_obs::{Counter, Gauge, Hist, Noop, Recorder, SpanTimer};
 
 use crate::heap::{CandidateSet, Neighbor};
+use crate::IndexError;
 
 /// Which region shape produced a branch's lower bound — the provenance
 /// the prune-breakdown metrics attribute skipped branches to.
@@ -122,11 +123,9 @@ impl<N> Expansion<N> {
 pub trait KnnSource {
     /// Opaque node handle (typically a page id plus a leaf flag).
     type Node;
-    /// Error produced while fetching nodes (typically a pager error).
-    type Error;
 
     /// The root node, or `None` for an empty tree.
-    fn root(&self) -> Result<Option<Self::Node>, Self::Error>;
+    fn root(&self) -> Result<Option<Self::Node>, IndexError>;
 
     /// Expand `node`: push scored children (internal node) or scored
     /// points (leaf) into `out`. `out` arrives cleared.
@@ -143,7 +142,7 @@ pub trait KnnSource {
         query: &[f32],
         prune2: f64,
         out: &mut Expansion<Self::Node>,
-    ) -> Result<(), Self::Error>;
+    ) -> Result<(), IndexError>;
 }
 
 /// Count one node expansion: node-vs-leaf split, points scored, branches
@@ -198,7 +197,7 @@ pub(crate) fn record_prune<R: Recorder + ?Sized>(
 /// candidate. The quality of the region distance is the only thing a tree
 /// controls — the SR-tree's `max(d_sphere, d_rect)` bound prunes strictly
 /// more than either bound alone.
-pub fn knn<S: KnnSource>(src: &S, query: &[f32], k: usize) -> Result<Vec<Neighbor>, S::Error> {
+pub fn knn<S: KnnSource>(src: &S, query: &[f32], k: usize) -> Result<Vec<Neighbor>, IndexError> {
     knn_with(src, query, k, &Noop)
 }
 
@@ -209,7 +208,7 @@ pub fn knn_with<S: KnnSource, R: Recorder + ?Sized>(
     query: &[f32],
     k: usize,
     rec: &R,
-) -> Result<Vec<Neighbor>, S::Error> {
+) -> Result<Vec<Neighbor>, IndexError> {
     let _span = SpanTimer::start(rec, Hist::QueryNs);
     if k == 0 {
         // A 0-NN query has exactly one right answer, known without
@@ -232,7 +231,7 @@ fn visit<S: KnnSource, R: Recorder + ?Sized>(
     cands: &mut CandidateSet,
     rec: &R,
     pool: &mut Vec<Expansion<S::Node>>,
-) -> Result<(), S::Error> {
+) -> Result<(), IndexError> {
     // Recycle an expansion from the pool: the depth-first walk would
     // otherwise allocate fresh vectors at every level of every path.
     let mut exp = pool.pop().unwrap_or_default();
@@ -366,9 +365,8 @@ pub(crate) mod mock {
 
     impl KnnSource for MockTree {
         type Node = usize;
-        type Error = std::convert::Infallible;
 
-        fn root(&self) -> Result<Option<Self::Node>, Self::Error> {
+        fn root(&self) -> Result<Option<Self::Node>, IndexError> {
             Ok((!self.nodes.is_empty()).then_some(0))
         }
 
@@ -378,7 +376,7 @@ pub(crate) mod mock {
             query: &[f32],
             _prune2: f64,
             out: &mut Expansion<Self::Node>,
-        ) -> Result<(), Self::Error> {
+        ) -> Result<(), IndexError> {
             match &self.nodes[*node] {
                 MockNode::Inner { children, .. } => {
                     for &c in children {

@@ -24,6 +24,8 @@
 //! [`SpatialIndex`] is the unified, object-safe API all five tree crates
 //! implement on top of these engines — the single dispatch surface the
 //! CLI, the benchmark harness, and the `sr-exec` batch executor use.
+//! [`IndexError`] is the one error of the whole stack: a page decode, a
+//! tree operation, an engine and the trait all fail with it.
 //! [`paged`] is the paged-tree core those crates share: page codec,
 //! `expand()`, verification and the one `SpatialIndex` implementation.
 //!
@@ -34,7 +36,6 @@
 
 mod best_first;
 mod bruteforce;
-mod error;
 mod heap;
 mod index;
 mod knn;
@@ -44,7 +45,6 @@ mod range;
 
 pub use best_first::{knn_best_first, knn_best_first_with};
 pub use bruteforce::{brute_force_knn, brute_force_range, pairwise_distance_stats, DistanceStats};
-pub use error::QueryError;
 pub use heap::{CandidateSet, Neighbor};
 pub use index::{IndexError, QueryOutput, QueryShape, QuerySpec, SpatialIndex};
 pub use knn::{knn, knn_with, Branch, Expansion, KnnSource, RegionBound};

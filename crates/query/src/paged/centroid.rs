@@ -10,11 +10,12 @@ use std::collections::HashSet;
 use sr_geometry::{Centroid, Point};
 use sr_pager::{PageCodec, PageId};
 
-use super::error::{Result, TreeError};
 use super::node::{AnyEntry, Entry, Node};
 use super::params::Params;
 use super::region::Region;
 use super::update::take_farthest;
+use super::Result;
+use crate::IndexError;
 
 /// A region with a center and a subtree point count — the bounding
 /// sphere the centroid policies measure from.
@@ -29,7 +30,7 @@ pub trait Centered: Region {
 /// children's centers weighted by their point counts.
 ///
 /// # Errors
-/// [`TreeError::Corrupt`] for an empty or zero-weight node — reachable
+/// [`IndexError::Corrupt`] for an empty or zero-weight node — reachable
 /// from a corrupted page, never from a well-formed tree.
 pub fn centroid<R: Centered>(node: &Node<R>) -> Result<Point> {
     let weighted: Vec<(&[f32], u64)> = match node {
@@ -44,16 +45,16 @@ pub fn centroid<R: Centered>(node: &Node<R>) -> Result<Point> {
         c.add(p, w);
     }
     c.finish()
-        .ok_or_else(|| TreeError::Corrupt("centroid of an empty or zero-weight node".into()))
+        .ok_or_else(|| IndexError::Corrupt("centroid of an empty or zero-weight node".into()))
 }
 
 /// Write a subtree weight in its on-disk `u32` field.
 ///
 /// # Errors
-/// [`TreeError::Corrupt`] when the weight overflows the field.
+/// [`IndexError::Corrupt`] when the weight overflows the field.
 pub fn put_weight(c: &mut PageCodec<'_>, weight: u64) -> Result<()> {
     let w = u32::try_from(weight).map_err(|_| {
-        TreeError::Corrupt(format!("subtree weight {weight} overflows the u32 field"))
+        IndexError::Corrupt(format!("subtree weight {weight} overflows the u32 field"))
     })?;
     c.put_u32(w)?;
     Ok(())

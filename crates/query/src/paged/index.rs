@@ -5,11 +5,11 @@ use sr_geometry::Point;
 use sr_obs::Recorder;
 use sr_pager::{PageFile, PageId};
 
-use super::error::Result;
 use super::node::Node;
 use super::region::Region;
 use super::tree::Paged;
 use super::verify::verify;
+use super::Result;
 use crate::{IndexError, QueryOutput, QuerySpec, SpatialIndex};
 
 /// A tree built on the [`Paged`] core. Implementing it yields the
@@ -35,14 +35,14 @@ pub trait PagedTree: Send + Sync {
 
     /// Insert one point. Structures that only support bulk construction
     /// keep this default refusal.
-    fn insert_point(&mut self, point: Point, data: u64) -> std::result::Result<(), IndexError> {
+    fn insert_point(&mut self, point: Point, data: u64) -> Result<()> {
         let _ = (point, data);
         Err(IndexError::Unsupported("this index is bulk-load only"))
     }
 
     /// Remove one exact entry, reporting whether it was present.
     /// Structures without a delete path keep this default refusal.
-    fn delete_point(&mut self, point: &Point, data: u64) -> std::result::Result<bool, IndexError> {
+    fn delete_point(&mut self, point: &Point, data: u64) -> Result<bool> {
         let _ = (point, data);
         Err(IndexError::Unsupported("delete"))
     }
@@ -50,7 +50,7 @@ pub trait PagedTree: Send + Sync {
 
 /// Turn an API-level point into a [`Point`], refusing the empty slice
 /// (which no tree can hold) as a dimension mismatch.
-fn to_point<T: PagedTree>(tree: &T, point: &[f32]) -> std::result::Result<Point, IndexError> {
+fn to_point<T: PagedTree>(tree: &T, point: &[f32]) -> Result<Point> {
     Point::try_new(point).map_err(|_| IndexError::DimensionMismatch {
         expected: tree.core().dim(),
         got: point.len(),
@@ -74,37 +74,33 @@ impl<T: PagedTree> SpatialIndex for T {
         self.core().height()
     }
 
-    fn num_leaves(&self) -> std::result::Result<u64, IndexError> {
-        Ok(self.core().num_leaves()?)
+    fn num_leaves(&self) -> Result<u64> {
+        self.core().num_leaves()
     }
 
-    fn insert(&mut self, point: &[f32], data: u64) -> std::result::Result<(), IndexError> {
+    fn insert(&mut self, point: &[f32], data: u64) -> Result<()> {
         let point = to_point(self, point)?;
         self.insert_point(point, data)
     }
 
-    fn delete(&mut self, point: &[f32], data: u64) -> std::result::Result<bool, IndexError> {
+    fn delete(&mut self, point: &[f32], data: u64) -> Result<bool> {
         let point = to_point(self, point)?;
         self.delete_point(&point, data)
     }
 
-    fn query(
-        &self,
-        spec: &QuerySpec<'_>,
-        rec: &dyn Recorder,
-    ) -> std::result::Result<QueryOutput, IndexError> {
-        Ok(self.core().search(spec, Default::default(), rec)?)
+    fn query(&self, spec: &QuerySpec<'_>, rec: &dyn Recorder) -> Result<QueryOutput> {
+        self.core().search(spec, Default::default(), rec)
     }
 
     fn pager(&self) -> &PageFile {
         self.core().pager()
     }
 
-    fn flush(&self) -> std::result::Result<(), IndexError> {
-        Ok(self.core().flush()?)
+    fn flush(&self) -> Result<()> {
+        self.core().flush()
     }
 
-    fn verify(&self) -> std::result::Result<String, IndexError> {
-        Ok(verify(self)?.to_string())
+    fn verify(&self) -> Result<String> {
+        verify(self).map(|report| report.to_string())
     }
 }

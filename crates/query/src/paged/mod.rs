@@ -4,7 +4,7 @@
 //! split and reinsertion policy alone (§2, §4). Everything else lives
 //! here once, generic over a small [`Region`] trait:
 //!
-//! * [`TreeError`] and the [`Params`] calculator (Table 1 fanouts);
+//! * the [`Params`] calculator (Table 1 fanouts);
 //! * the metadata header and the [`Node`] page codec;
 //! * [`Paged`], the tree core: page I/O, the zero-copy `expand()` under
 //!   the k-NN / range engines, exact-match lookup, the verify walker;
@@ -25,7 +25,6 @@
 #![allow(clippy::indexing_slicing)]
 
 pub mod centroid;
-mod error;
 mod index;
 mod node;
 mod params;
@@ -35,7 +34,6 @@ mod tree;
 mod update;
 mod verify;
 
-pub use error::{Result, TreeError};
 pub use index::PagedTree;
 pub use node::{AnyEntry, Entry, LeafEntry, Node};
 pub use params::{Params, DEFAULT_DATA_AREA};
@@ -46,3 +44,7 @@ pub use search::Source;
 pub use tree::{stored_magic, Kind, Paged};
 pub use update::{take_farthest, Dynamic};
 pub use verify::{verify, VerifyReport};
+
+/// Result alias for paged-tree operations: every layer of the stack
+/// fails with the one [`crate::IndexError`].
+pub type Result<T> = std::result::Result<T, crate::IndexError>;

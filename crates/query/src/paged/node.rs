@@ -7,9 +7,10 @@
 use sr_geometry::Point;
 use sr_pager::{put_leaf_columns, LeafColumns, PageCodec, PageId, PageKind, PageReader};
 
-use super::error::{Result, TreeError};
 use super::params::{Params, NODE_HEADER};
 use super::region::Region;
+use super::Result;
+use crate::IndexError;
 
 /// One point stored in a leaf.
 #[derive(Clone, Debug)]
@@ -92,7 +93,7 @@ impl<R: Region> Node<R> {
     /// Serialize into a page payload.
     ///
     /// # Errors
-    /// [`TreeError::Corrupt`] when the node violates the on-disk format's
+    /// [`IndexError::Corrupt`] when the node violates the on-disk format's
     /// field widths or the encoded entries overrun `capacity`.
     pub fn encode(&self, params: &Params<R>, capacity: usize) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; capacity];
@@ -106,7 +107,7 @@ impl<R: Region> Node<R> {
             Node::Inner { level, entries } => {
                 c.put_u16(*level)?;
                 let n = u16::try_from(entries.len()).map_err(|_| {
-                    TreeError::Corrupt(format!("{} entries overflow the u16 count", entries.len()))
+                    IndexError::Corrupt(format!("{} entries overflow the u16 count", entries.len()))
                 })?;
                 c.put_u16(n)?;
                 for e in entries {
@@ -137,7 +138,7 @@ impl<R: Region> Node<R> {
                     // constructor turns a zero-dimensional page into a
                     // typed error instead of a panic.
                     let point = Point::try_new(coords.as_slice())
-                        .map_err(|e| TreeError::Corrupt(e.to_string()))?;
+                        .map_err(|e| IndexError::Corrupt(e.to_string()))?;
                     entries.push(LeafEntry { point, data });
                 }
                 Ok(Node::Leaf(entries))
@@ -155,9 +156,22 @@ impl<R: Region> Node<R> {
     }
 }
 
+/// Reject a page whose stored level is not the level its parent's entry
+/// puts it at — a misplaced page, which no well-formed tree holds. The
+/// one level check of every walk: node reads, `expand()` and the
+/// exact-match lookup.
+pub(super) fn check_level(id: PageId, stored: u16, expected: u16) -> Result<()> {
+    if stored != expected {
+        return Err(IndexError::Corrupt(format!(
+            "page {id}: stored level {stored} but expected {expected}"
+        )));
+    }
+    Ok(())
+}
+
 /// The error of a leaf holding a NaN or infinite coordinate.
-pub(super) fn non_finite_leaf() -> TreeError {
-    TreeError::Corrupt("non-finite leaf coordinate".into())
+pub(super) fn non_finite_leaf() -> IndexError {
+    IndexError::Corrupt("non-finite leaf coordinate".into())
 }
 
 /// A node page with its header checked and its entries left on the page:
@@ -182,7 +196,7 @@ impl<'a> Layout<'a> {
     /// entries of the level's size.
     pub(super) fn parse<R: Region>(payload: &'a [u8], params: &Params<R>) -> Result<Self> {
         if payload.len() < NODE_HEADER {
-            return Err(TreeError::NotThisIndex("node page too short".into()));
+            return Err(IndexError::Corrupt("node page too short".into()));
         }
         let mut rest = PageReader::new(payload);
         let level = rest.get_u16()?;
@@ -190,12 +204,12 @@ impl<'a> Layout<'a> {
         let dim = params.dim;
         if level == 0 {
             if rest.remaining() < n * Params::<R>::leaf_entry_bytes(dim, params.data_area) {
-                return Err(TreeError::NotThisIndex("truncated leaf page".into()));
+                return Err(IndexError::Corrupt("truncated leaf page".into()));
             }
             return Ok(Layout::Leaf(LeafColumns::parse(payload, dim)?));
         }
         if rest.remaining() < n * Params::<R>::node_entry_bytes(dim) {
-            return Err(TreeError::NotThisIndex("truncated node page".into()));
+            return Err(IndexError::Corrupt("truncated node page".into()));
         }
         Ok(Layout::Inner { level, n, rest })
     }

@@ -16,8 +16,9 @@
 use std::fmt;
 use std::marker::PhantomData;
 
-use super::error::{Result, TreeError};
 use super::region::Region;
+use super::Result;
+use crate::IndexError;
 
 /// Per-node header: level (u16) + entry count (u16).
 pub(super) const NODE_HEADER: usize = 4;
@@ -96,10 +97,10 @@ impl<R: Region> Params<R> {
     /// policy.
     ///
     /// # Errors
-    /// [`TreeError::InvalidParams`] unless `dim > 0`, `data_area >= 8`,
+    /// [`IndexError::InvalidParams`] unless `dim > 0`, `data_area >= 8`,
     /// and the page holds at least 2 entries per node and per leaf.
     pub fn try_derive(page_capacity: usize, dim: usize, data_area: usize) -> Result<Self> {
-        let invalid = TreeError::InvalidParams {
+        let invalid = IndexError::InvalidParams {
             page_capacity,
             dim,
             data_area,
@@ -212,7 +213,7 @@ mod tests {
         let err = Params::<Rect>::try_derive(300, 64, 512).unwrap_err();
         assert!(matches!(
             err,
-            TreeError::InvalidParams {
+            IndexError::InvalidParams {
                 page_capacity: 300,
                 dim: 64,
                 data_area: 512

@@ -9,9 +9,10 @@ use sr_geometry::{
 };
 use sr_pager::{narrow_lane, PageCodec, PageReader};
 
-use super::error::{Result, TreeError};
 use super::node::Node;
+use super::Result;
 use crate::knn::Expansion;
+use crate::IndexError;
 
 /// The region an inner entry stores for its child — the only thing the
 /// page codec, `expand()` and exact-match lookup need to know about a
@@ -33,7 +34,7 @@ pub trait Region: Clone + PartialEq + fmt::Debug {
 
     /// Deserialize and validate a region: every field whose misvalue
     /// would later feed a panicking constructor is rejected as
-    /// [`TreeError::Corrupt`].
+    /// [`IndexError::Corrupt`].
     fn decode(c: &mut PageReader<'_>, dim: usize) -> Result<Self>;
 
     /// Score the raw region bytes (`Self::bytes(dim)` of them, straight
@@ -74,8 +75,8 @@ pub trait Region: Clone + PartialEq + fmt::Debug {
     }
 }
 
-fn corrupt(e: impl fmt::Display) -> TreeError {
-    TreeError::Corrupt(e.to_string())
+fn corrupt(e: impl fmt::Display) -> IndexError {
+    IndexError::Corrupt(e.to_string())
 }
 
 const BAD_RECT: &str = "invalid rectangle bound on disk";
@@ -104,10 +105,10 @@ pub fn get_rect(c: &mut PageReader<'_>, dim: usize, allow_infinite: bool) -> Res
     let max = c.get_coords(dim)?;
     let valid = |v: &f32| v.is_finite() || (allow_infinite && !v.is_nan());
     if !min.iter().chain(max.iter()).all(valid) {
-        return Err(TreeError::Corrupt(BAD_RECT.into()));
+        return Err(IndexError::Corrupt(BAD_RECT.into()));
     }
     if !min.iter().zip(max.iter()).all(|(lo, hi)| lo <= hi) {
-        return Err(TreeError::Corrupt(INVERTED_RECT.into()));
+        return Err(IndexError::Corrupt(INVERTED_RECT.into()));
     }
     Ok(Rect::new(min, max))
 }
@@ -134,10 +135,10 @@ pub fn rect_contains_raw(
         hit &= inside(lo, hi, x);
     }
     if invalid {
-        return Err(TreeError::Corrupt(BAD_RECT.into()));
+        return Err(IndexError::Corrupt(BAD_RECT.into()));
     }
     if inverted {
-        return Err(TreeError::Corrupt(INVERTED_RECT.into()));
+        return Err(IndexError::Corrupt(INVERTED_RECT.into()));
     }
     Ok(hit)
 }
@@ -155,7 +156,7 @@ pub fn get_sphere(c: &mut PageReader<'_>, dim: usize) -> Result<Sphere> {
     let center = c.get_coords(dim)?;
     let radius = c.get_f64()? as f32;
     if !center.iter().all(|v| v.is_finite()) || !radius.is_finite() || radius < 0.0 {
-        return Err(TreeError::Corrupt(BAD_SPHERE.into()));
+        return Err(IndexError::Corrupt(BAD_SPHERE.into()));
     }
     Ok(Sphere::new(
         Point::try_new(center).map_err(corrupt)?,
@@ -176,7 +177,7 @@ pub fn sphere_contains_raw(c: &mut PageReader<'_>, p: &[f32]) -> Result<bool> {
     }
     let radius = c.get_f64()? as f32;
     if !finite || !radius.is_finite() || radius < 0.0 {
-        return Err(TreeError::Corrupt(BAD_SPHERE.into()));
+        return Err(IndexError::Corrupt(BAD_SPHERE.into()));
     }
     Ok(within_radius(d2, radius, CONTAINMENT_EPS))
 }
@@ -226,7 +227,7 @@ impl Region for Rect {
 /// update of the rectangle trees.
 ///
 /// # Errors
-/// [`TreeError::Corrupt`] for an empty node: reachable from a corrupted
+/// [`IndexError::Corrupt`] for an empty node: reachable from a corrupted
 /// page, never from a well-formed tree.
 pub fn mbr(node: &Node<Rect>) -> Result<Rect> {
     let rect = match node {
@@ -239,7 +240,7 @@ pub fn mbr(node: &Node<Rect>) -> Result<Rect> {
             r
         }),
     };
-    rect.ok_or_else(|| TreeError::Corrupt("MBR of an empty node".into()))
+    rect.ok_or_else(|| IndexError::Corrupt("MBR of an empty node".into()))
 }
 
 #[cfg(test)]

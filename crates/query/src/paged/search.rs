@@ -1,11 +1,12 @@
 //! The zero-copy `expand()` every tree's searches run through.
 
-use sr_pager::{LeafColumns, PageId, PageKind, PageReader};
+use sr_pager::{LeafColumns, PageId, PageKind, PageReader, PagerError};
 
-use super::error::{Result, TreeError};
+use super::node::check_level;
 use super::region::Region;
 use super::tree::Paged;
-use crate::{scan_leaf_columns, Expansion, KnnSource};
+use super::Result;
+use crate::{scan_leaf_columns, Expansion, IndexError, KnnSource};
 
 /// A paged tree as the generic k-NN / range engines see it: node
 /// handles are `(page, level)` pairs.
@@ -16,7 +17,6 @@ pub struct Source<'a, R: Region> {
 
 impl<R: Region> KnnSource for Source<'_, R> {
     type Node = (PageId, u16);
-    type Error = TreeError;
 
     fn root(&self) -> Result<Option<Self::Node>> {
         Ok(self.tree.root_level().map(|level| (self.tree.root, level)))
@@ -38,7 +38,7 @@ impl<R: Region> KnnSource for Source<'_, R> {
             // expansion, so `node_expansions == node_reads` holds.
             let payload = self.tree.pager().read(id, PageKind::Node)?;
             let mut r = PageReader::new(&payload);
-            let _level = r.get_u16()?;
+            check_level(id, r.get_u16()?, level)?;
             let n = r.get_u16()?;
             // The entry count came off the page: bound it by the bytes
             // actually present before it drives the read loop, so a
@@ -46,7 +46,7 @@ impl<R: Region> KnnSource for Source<'_, R> {
             // partway through the entries.
             let need = usize::from(n) * (R::bytes(dim) + 8);
             if need > r.remaining() {
-                return Err(TreeError::Corrupt(format!(
+                return Err(IndexError::Corrupt(format!(
                     "inner node claims {n} entries but only {} payload bytes remain",
                     r.remaining()
                 )));
@@ -62,7 +62,21 @@ impl<R: Region> KnnSource for Source<'_, R> {
         // buffer, never materialising per-entry `Point`s. One read per
         // expansion, so `leaf_expansions == leaf_reads` holds too.
         let payload = self.tree.pager().read(id, PageKind::Leaf)?;
-        let cols = LeafColumns::parse(&payload, dim)?;
-        scan_leaf_columns(&cols, query, prune2, out).map_err(|e| TreeError::Corrupt(e.to_string()))
+        let cols = match LeafColumns::parse(&payload, dim) {
+            Ok(cols) => cols,
+            Err(e) => {
+                // A node payload in a leaf slot fails the parse's own
+                // level check: name the misplaced page as `read_node`
+                // does, and any other bad leaf as corrupt, not as I/O.
+                if let Some(level) = payload.first_chunk() {
+                    check_level(id, u16::from_le_bytes(*level), 0)?;
+                }
+                return Err(match e {
+                    PagerError::Corrupt(msg) => IndexError::Corrupt(format!("page {id}: {msg}")),
+                    e => IndexError::Pager(e),
+                });
+            }
+        };
+        scan_leaf_columns(&cols, query, prune2, out).map_err(|e| IndexError::Corrupt(e.to_string()))
     }
 }

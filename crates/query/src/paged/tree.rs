@@ -2,21 +2,21 @@
 //! and the query entry points every tree shares.
 
 use sr_geometry::Point;
-use sr_obs::{Noop, Recorder};
+use sr_obs::Recorder;
 use sr_pager::{
     narrow_lane, LeafColumns, PageBuf, PageCodec, PageFile, PageId, PageKind, PageReader,
 };
 
-use super::error::{Result, TreeError};
-use super::node::{non_finite_leaf, Layout, LeafEntry, Node};
+use super::node::{check_level, non_finite_leaf, Layout, LeafEntry, Node};
 use super::params::Params;
 use super::region::Region;
 use super::search::Source;
-use crate::{knn_with, range_with, Neighbor, QueryError, QueryOutput, QueryShape, QuerySpec};
+use super::Result;
+use crate::{knn_with, range_with, IndexError, QueryOutput, QueryShape, QuerySpec};
 
 /// Metadata layout version. Version 2: leaves are columnar
 /// (dimension-major). Version-1 files are rejected with
-/// [`TreeError::NotThisIndex`] rather than silently misread — the byte
+/// [`IndexError::NotThisIndex`] rather than silently misread — the byte
 /// totals match, but the entry layout moved.
 const META_VERSION: u32 = 2;
 
@@ -79,7 +79,7 @@ impl<R: Region> Paged<R> {
     /// file.
     ///
     /// # Errors
-    /// [`TreeError::InvalidParams`] if the page is too small for the
+    /// [`IndexError::InvalidParams`] if the page is too small for the
     /// dimensionality and data area.
     pub fn create(
         pf: PageFile,
@@ -102,14 +102,17 @@ impl<R: Region> Paged<R> {
         let meta = pf.user_meta();
         let flagged = R::policy_flags(&R::Policy::default()).is_some();
         if meta.len() < META_BYTES + if flagged { 4 } else { 0 } {
-            return Err(TreeError::NotThisIndex("metadata too short".into()));
+            return Err(IndexError::NotThisIndex("metadata too short".into()));
         }
         let mut c = PageReader::new(&meta);
         if c.get_u32()? != kind.magic {
-            return Err(TreeError::NotThisIndex(format!("not a {} file", kind.name)));
+            return Err(IndexError::NotThisIndex(format!(
+                "not a {} file",
+                kind.name
+            )));
         }
         if c.get_u32()? != META_VERSION {
-            return Err(TreeError::NotThisIndex(format!(
+            return Err(IndexError::NotThisIndex(format!(
                 "unsupported {} version",
                 kind.name
             )));
@@ -120,7 +123,7 @@ impl<R: Region> Paged<R> {
         let height = c.get_u32()?;
         let count = c.get_u64()?;
         let mut params = Params::try_derive(pf.capacity(), dim, data_area)
-            .map_err(|e| TreeError::NotThisIndex(format!("stored parameters: {e}")))?;
+            .map_err(|e| IndexError::NotThisIndex(format!("stored parameters: {e}")))?;
         if flagged {
             params.policy = R::policy_from_flags(c.get_u32()?);
         }
@@ -199,7 +202,7 @@ impl<R: Region> Paged<R> {
     /// Reject a point or query of the wrong dimensionality.
     pub fn check_dim(&self, got: usize) -> Result<()> {
         if got != self.params.dim {
-            return Err(TreeError::DimensionMismatch {
+            return Err(IndexError::DimensionMismatch {
                 expected: self.params.dim,
                 got,
             });
@@ -228,8 +231,14 @@ impl<R: Region> Paged<R> {
     }
 
     /// Read and decode the node at `id`, expected at `level`.
+    ///
+    /// # Errors
+    /// [`IndexError::Corrupt`] when the page decodes to a node of another
+    /// level: a misplaced page.
     pub fn read_node(&self, id: PageId, level: u16) -> Result<Node<R>> {
-        Node::decode(&self.read_payload(id, level)?, &self.params)
+        let node = Node::decode(&self.read_payload(id, level)?, &self.params)?;
+        check_level(id, node.level(), level)?;
+        Ok(node)
     }
 
     /// Encode and write `node` to page `id`.
@@ -317,12 +326,19 @@ impl<R: Region> Paged<R> {
         ) -> Result<Option<Vec<PageId>>> {
             let payload = t.read_payload(id, level)?;
             let (n, mut rest) = match Layout::parse(&payload, &t.params)? {
-                Layout::Leaf(cols) => return Ok(leaf_holds(&cols, point, data)?.then(|| vec![id])),
-                Layout::Inner { n, rest, .. } => (n, rest),
+                Layout::Leaf(cols) => {
+                    check_level(id, 0, level)?;
+                    return Ok(leaf_holds(&cols, point, data)?.then(|| vec![id]));
+                }
+                Layout::Inner {
+                    level: stored,
+                    n,
+                    rest,
+                } => {
+                    check_level(id, stored, level)?;
+                    (n, rest)
+                }
             };
-            let below = level.checked_sub(1).ok_or_else(|| {
-                TreeError::Corrupt(format!("page {id} is an inner node at the leaf level"))
-            })?;
             // Probe every entry before descending into any: a region that
             // `decode` rejects fails the lookup wherever it sits.
             let mut hits = Vec::new();
@@ -334,7 +350,7 @@ impl<R: Region> Paged<R> {
                 }
             }
             for child in hits {
-                if let Some(mut path) = walk(t, child, below, point, data)? {
+                if let Some(mut path) = walk(t, child, level - 1, point, data)? {
                     path.insert(0, id);
                     return Ok(Some(path));
                 }
@@ -350,8 +366,8 @@ impl<R: Region> Paged<R> {
     /// Whether an exact entry `(point, data)` is stored.
     ///
     /// # Errors
-    /// [`TreeError::Corrupt`] or [`TreeError::NotThisIndex`] for a page
-    /// on the lookup's path that [`Node::decode`] rejects.
+    /// [`IndexError::Corrupt`] for a page on the lookup's path that
+    /// [`Paged::read_node`] rejects.
     pub fn contains(&self, point: &Point, data: u64) -> Result<bool> {
         self.check_dim(point.dim())?;
         Ok(self.find_leaf(point, data)?.is_some())
@@ -364,7 +380,7 @@ impl<R: Region> Paged<R> {
     }
 
     /// Answer one query — the single search entry point behind
-    /// [`crate::SpatialIndex::query`], [`Paged::knn`] and [`Paged::range`].
+    /// [`crate::SpatialIndex::query`] (and so its `knn` and `range`).
     /// Results are sorted by ascending distance (ties by payload).
     pub fn search<Rec: Recorder + ?Sized>(
         &self,
@@ -376,30 +392,9 @@ impl<R: Region> Paged<R> {
         let src = self.source(bound);
         let rows = match spec.shape {
             QueryShape::Knn { k } => knn_with(&src, spec.point, k, rec)?,
-            QueryShape::Range { radius } => {
-                range_with(&src, spec.point, radius, rec).map_err(|e| match e {
-                    QueryError::InvalidRadius(r) => TreeError::InvalidRadius(r),
-                    QueryError::Source(e) => e,
-                })?
-            }
+            QueryShape::Range { radius } => range_with(&src, spec.point, radius, rec)?,
         };
         Ok(QueryOutput::from_rows(rows))
-    }
-
-    /// The `k` nearest neighbors of `query`, sorted by ascending distance.
-    pub fn knn(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        Ok(self
-            .search(&QuerySpec::knn(query, k), R::Bound::default(), &Noop)?
-            .rows)
-    }
-
-    /// Every point within `radius` of `query`, sorted by ascending
-    /// distance. A negative or NaN radius is rejected with
-    /// [`TreeError::InvalidRadius`].
-    pub fn range(&self, query: &[f32], radius: f64) -> Result<Vec<Neighbor>> {
-        Ok(self
-            .search(&QuerySpec::range(query, radius), R::Bound::default(), &Noop)?
-            .rows)
     }
 }
 

@@ -11,12 +11,13 @@
 use sr_geometry::Point;
 use sr_pager::PageId;
 
-use super::error::{Result, TreeError};
 use super::index::PagedTree;
 use super::node::{AnyEntry, Entry, LeafEntry, Node};
 use super::params::Params;
 use super::region::Region;
 use super::tree::Paged;
+use super::Result;
+use crate::IndexError;
 
 /// The policies by which the dynamic trees differ (§2, §4 of the paper).
 pub trait Dynamic: PagedTree + Sized {
@@ -82,7 +83,7 @@ pub trait Dynamic: PagedTree + Sized {
                 .iter()
                 .position(|e| e.point == *point && e.data == data)
                 .ok_or_else(|| {
-                    TreeError::Corrupt("find_leaf returned a leaf without the entry".into())
+                    IndexError::Corrupt("find_leaf returned a leaf without the entry".into())
                 })?;
             entries.remove(pos);
         }
@@ -107,7 +108,7 @@ pub trait Dynamic: PagedTree + Sized {
                 let pos = entries
                     .iter()
                     .position(|e| e.child == path[idx + 1])
-                    .ok_or_else(|| TreeError::Corrupt("parent lost track of its child".into()))?;
+                    .ok_or_else(|| IndexError::Corrupt("parent lost track of its child".into()))?;
                 entries.remove(pos);
             }
             node = parent;
@@ -138,7 +139,7 @@ pub trait Dynamic: PagedTree + Sized {
         let (min, max) = (params.min_at(node.level()), params.max_at(node.level()));
         let Some(stored) = stored else {
             if !node.is_leaf() && node.len() < 2 {
-                return Err(TreeError::Corrupt(format!(
+                return Err(IndexError::Corrupt(format!(
                     "inner root {id} has {} < 2 entries",
                     node.len()
                 )));
@@ -146,7 +147,7 @@ pub trait Dynamic: PagedTree + Sized {
             return Ok(());
         };
         if node.len() < min || node.len() > max {
-            return Err(TreeError::Corrupt(format!(
+            return Err(IndexError::Corrupt(format!(
                 "page {id} (level {}): {} entries outside [{min}, {max}]",
                 node.level(),
                 node.len()
@@ -154,7 +155,7 @@ pub trait Dynamic: PagedTree + Sized {
         }
         let region = self.region_of(node)?;
         if region != *stored {
-            return Err(TreeError::Corrupt(format!(
+            return Err(IndexError::Corrupt(format!(
                 "page {id}: recorded region {stored:?} differs from the recomputed {region:?}"
             )));
         }
@@ -178,7 +179,7 @@ fn insert_at<T: Dynamic>(
         (AnyEntry::Leaf(e), Node::Leaf(entries)) => entries.push(e),
         (AnyEntry::Inner(e), Node::Inner { entries, .. }) => entries.push(e),
         _ => {
-            return Err(TreeError::Corrupt(
+            return Err(IndexError::Corrupt(
                 "insertion target level does not match the node kind on disk".into(),
             ))
         }
@@ -208,14 +209,14 @@ fn insert_at<T: Dynamic>(
         idx -= 1;
         let mut parent = t.core().read_node(path[idx], level + 1)?;
         let Node::Inner { entries, .. } = &mut parent else {
-            return Err(TreeError::Corrupt(
+            return Err(IndexError::Corrupt(
                 "parent of a split node is not an inner node".into(),
             ));
         };
         let slot = entries
             .iter_mut()
             .find(|e| e.child == path[idx + 1])
-            .ok_or_else(|| TreeError::Corrupt("parent lost track of its child".into()))?;
+            .ok_or_else(|| IndexError::Corrupt("parent lost track of its child".into()))?;
         slot.region = a_region;
         entries.push(Entry {
             region: b_region,
@@ -239,13 +240,13 @@ fn choose_path<T: Dynamic>(
     while level > target_level {
         let node = core.read_node(id, level)?;
         let Node::Inner { entries, .. } = &node else {
-            return Err(TreeError::Corrupt(
+            return Err(IndexError::Corrupt(
                 "leaf found above the target level while descending".into(),
             ));
         };
         id = entries
             .get(t.choose_subtree(entries, entry, level))
-            .ok_or_else(|| TreeError::Corrupt("ChooseSubtree left the node".into()))?
+            .ok_or_else(|| IndexError::Corrupt("ChooseSubtree left the node".into()))?
             .child;
         path.push(id);
         level -= 1;
@@ -273,7 +274,7 @@ fn propagate<T: Dynamic>(
             let slot = entries
                 .iter_mut()
                 .find(|e| e.child == child_id)
-                .ok_or_else(|| TreeError::Corrupt("parent lost track of its child".into()))?;
+                .ok_or_else(|| IndexError::Corrupt("parent lost track of its child".into()))?;
             if slot.region == child_region {
                 return Ok(()); // nothing changed; ancestors are exact
             }
@@ -340,7 +341,7 @@ fn shrink_root<R: Region>(core: &mut Paged<R>) -> Result<()> {
             return Ok(());
         }
         let Node::Inner { entries, .. } = core.read_node(core.root, level)? else {
-            return Err(TreeError::Corrupt(
+            return Err(IndexError::Corrupt(
                 "root is a leaf but the recorded height says otherwise".into(),
             ));
         };

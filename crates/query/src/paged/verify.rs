@@ -12,10 +12,11 @@ use std::fmt;
 
 use sr_pager::PageId;
 
-use super::error::{Result, TreeError};
 use super::index::PagedTree;
 use super::node::Node;
 use super::region::Region;
+use super::Result;
+use crate::IndexError;
 
 /// Summary of a verified tree.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -46,18 +47,18 @@ impl fmt::Display for VerifyReport {
 /// Walk the whole tree, validating every structural invariant.
 ///
 /// # Errors
-/// [`TreeError::Corrupt`] naming the offending page and invariant;
-/// [`TreeError::Pager`] when a page cannot be read at all.
+/// [`IndexError::Corrupt`] naming the offending page and invariant;
+/// [`IndexError::Pager`] when a page cannot be read at all.
 pub fn verify<T: PagedTree>(tree: &T) -> Result<VerifyReport> {
     let core = tree.core();
     if core.height == 0 {
-        return Err(TreeError::Corrupt("metadata records height 0".into()));
+        return Err(IndexError::Corrupt("metadata records height 0".into()));
     }
     let mut report = VerifyReport::default();
     let root_level = (core.height - 1) as u16;
     walk(tree, core.root, root_level, &mut Vec::new(), &mut report)?;
     if report.points != core.len() {
-        return Err(TreeError::Corrupt(format!(
+        return Err(IndexError::Corrupt(format!(
             "metadata says {} points, tree holds {}",
             core.len(),
             report.points
@@ -77,12 +78,6 @@ fn walk<T: PagedTree>(
 ) -> Result<()> {
     let core = tree.core();
     let node = core.read_node(id, level)?;
-    if node.level() != level {
-        return Err(TreeError::Corrupt(format!(
-            "page {id}: stored level {} but expected {level}",
-            node.level()
-        )));
-    }
     tree.check_node(id, &node, path.last())?;
     match &node {
         Node::Leaf(entries) => {
@@ -92,7 +87,7 @@ fn walk<T: PagedTree>(
             report.full_leaves += u64::from(entries.len() == core.params.max_leaf);
             for e in entries {
                 if let Some(r) = path.iter().find(|r| !r.contains_point(e.point.coords())) {
-                    return Err(TreeError::Corrupt(format!(
+                    return Err(IndexError::Corrupt(format!(
                         "page {id}: point {:?} escapes the recorded region {r:?}",
                         e.point
                     )));
@@ -102,7 +97,7 @@ fn walk<T: PagedTree>(
         Node::Inner { entries, .. } => {
             report.nodes += 1;
             if entries.is_empty() {
-                return Err(TreeError::Corrupt(format!(
+                return Err(IndexError::Corrupt(format!(
                     "inner page {id} has no entries"
                 )));
             }

@@ -3,9 +3,9 @@
 
 use sr_obs::{Hist, Noop, Recorder, SpanTimer};
 
-use crate::error::QueryError;
 use crate::heap::Neighbor;
 use crate::knn::{record_expansion, record_prune, Expansion, KnnSource};
+use crate::IndexError;
 
 /// Find every point within `radius` of `query`, sorted by ascending
 /// distance (ties broken by payload).
@@ -15,12 +15,12 @@ use crate::knn::{record_expansion, record_prune, Expansion, KnnSource};
 /// exactly `radius`) are included.
 ///
 /// A negative or NaN radius is rejected with
-/// [`QueryError::InvalidRadius`] — never a panic.
+/// [`IndexError::InvalidRadius`] — never a panic.
 pub fn range<S: KnnSource>(
     src: &S,
     query: &[f32],
     radius: f64,
-) -> Result<Vec<Neighbor>, QueryError<S::Error>> {
+) -> Result<Vec<Neighbor>, IndexError> {
     range_with(src, query, radius, &Noop)
 }
 
@@ -31,16 +31,16 @@ pub fn range_with<S: KnnSource, R: Recorder + ?Sized>(
     query: &[f32],
     radius: f64,
     rec: &R,
-) -> Result<Vec<Neighbor>, QueryError<S::Error>> {
+) -> Result<Vec<Neighbor>, IndexError> {
     if radius.is_nan() || radius < 0.0 {
-        return Err(QueryError::InvalidRadius(radius));
+        return Err(IndexError::InvalidRadius(radius));
     }
     let _span = SpanTimer::start(rec, Hist::QueryNs);
     let r2 = radius * radius;
     let mut out = Vec::new();
     let mut pool = Vec::new();
-    if let Some(root) = src.root().map_err(QueryError::Source)? {
-        visit(src, &root, query, r2, &mut out, rec, &mut pool).map_err(QueryError::Source)?;
+    if let Some(root) = src.root()? {
+        visit(src, &root, query, r2, &mut out, rec, &mut pool)?;
     }
     out.sort_by(|a, b| {
         a.dist2
@@ -59,7 +59,7 @@ fn visit<S: KnnSource, R: Recorder + ?Sized>(
     out: &mut Vec<Neighbor>,
     rec: &R,
     pool: &mut Vec<Expansion<S::Node>>,
-) -> Result<(), S::Error> {
+) -> Result<(), IndexError> {
     let mut exp = pool.pop().unwrap_or_default();
     exp.clear();
     // A range query's pruning threshold is fixed at r²: an entry whose
@@ -139,12 +139,12 @@ mod tests {
         let pts = grid_points();
         let tree = MockTree::build(pts, 7);
         match range(&tree, &[0.0, 0.0], -1.0) {
-            Err(QueryError::InvalidRadius(r)) => assert_eq!(r, -1.0),
+            Err(IndexError::InvalidRadius(r)) => assert_eq!(r, -1.0),
             other => panic!("expected InvalidRadius, got {other:?}"),
         }
         assert!(matches!(
             range(&tree, &[0.0, 0.0], f64::NAN),
-            Err(QueryError::InvalidRadius(_))
+            Err(IndexError::InvalidRadius(_))
         ));
         // Zero stays valid: it returns exact matches only.
         assert!(range(&tree, &[0.0, 0.0], 0.0).is_ok());

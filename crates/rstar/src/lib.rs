@@ -18,6 +18,7 @@
 //! ```
 //! use sr_rstar::RstarTree;
 //! use sr_geometry::Point;
+//! use sr_query::SpatialIndex;
 //!
 //! let mut tree = RstarTree::create_in_memory(2, 8192).unwrap();
 //! for (i, xy) in [[0.0f32, 0.0], [1.0, 1.0], [0.2, 0.1]].iter().enumerate() {
@@ -37,10 +38,8 @@ mod insert;
 mod split;
 mod tree;
 
-pub use sr_query::paged::TreeError;
-
 /// Result alias for tree operations.
-pub type Result<T> = std::result::Result<T, TreeError>;
+pub type Result<T> = std::result::Result<T, sr_query::IndexError>;
 pub use sr_query::Neighbor;
 pub use tree::{RstarTree, KIND};
 

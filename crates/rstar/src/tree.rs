@@ -9,7 +9,6 @@ use sr_pager::{PageFile, PageId};
 use sr_query::paged::{
     mbr, AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result, DEFAULT_DATA_AREA,
 };
-use sr_query::IndexError;
 
 use crate::{insert, split};
 
@@ -20,8 +19,9 @@ pub const KIND: Kind = Kind {
 };
 
 /// A disk-based R\*-tree over points, used by the paper as the
-/// rectangle-region baseline. The shared core's methods (`knn`,
-/// `range`, `contains`, `len`, `pager`, …) are reached through `Deref`.
+/// rectangle-region baseline. Queries (`knn`, `range`) come from
+/// [`sr_query::SpatialIndex`]; the shared core's other methods
+/// (`contains`, `len`, `pager`, …) are reached through `Deref`.
 pub struct RstarTree {
     core: Paged<Rect>,
 }
@@ -104,12 +104,12 @@ impl PagedTree for RstarTree {
         self.check_fill_and_region(id, node, stored)
     }
 
-    fn insert_point(&mut self, point: Point, data: u64) -> std::result::Result<(), IndexError> {
-        Ok(self.insert(point, data)?)
+    fn insert_point(&mut self, point: Point, data: u64) -> Result<()> {
+        self.insert(point, data)
     }
 
-    fn delete_point(&mut self, point: &Point, data: u64) -> std::result::Result<bool, IndexError> {
-        Ok(self.delete(point, data)?)
+    fn delete_point(&mut self, point: &Point, data: u64) -> Result<bool> {
+        self.delete(point, data)
     }
 }
 

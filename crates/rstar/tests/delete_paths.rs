@@ -8,7 +8,7 @@
 use sr_dataset::{uniform, SeededRng};
 use sr_geometry::Point;
 use sr_pager::PageFile;
-use sr_query::brute_force_knn;
+use sr_query::{brute_force_knn, SpatialIndex};
 use sr_rstar::{verify, RstarTree};
 
 fn build(points: &[Point]) -> RstarTree {

@@ -19,6 +19,7 @@
 //! ```
 //! use sr_sstree::SsTree;
 //! use sr_geometry::Point;
+//! use sr_query::SpatialIndex;
 //!
 //! let mut tree = SsTree::create_in_memory(2, 8192).unwrap();
 //! for (i, xy) in [[0.0f32, 0.0], [1.0, 1.0], [0.2, 0.1]].iter().enumerate() {
@@ -32,10 +33,8 @@
 
 mod tree;
 
-pub use sr_query::paged::TreeError;
-
 /// Result alias for tree operations.
-pub type Result<T> = std::result::Result<T, TreeError>;
+pub type Result<T> = std::result::Result<T, sr_query::IndexError>;
 pub use sr_query::Neighbor;
 pub use tree::{SsRegion, SsTree, KIND};
 

@@ -13,7 +13,7 @@ use sr_pager::{PageCodec, PageFile, PageId, PageReader};
 use sr_query::paged::centroid::{self, Centered};
 use sr_query::paged::{
     get_sphere, put_sphere, sphere_contains_raw, AnyEntry, Dynamic, Entry, Kind, Node, Paged,
-    PagedTree, Region, Result, TreeError, DEFAULT_DATA_AREA,
+    PagedTree, Region, Result, DEFAULT_DATA_AREA,
 };
 use sr_query::{Expansion, IndexError};
 
@@ -65,7 +65,7 @@ impl Region for SsRegion {
         let mut r = PageReader::new(raw);
         let center = r.get_bytes(query.len() * 8)?;
         let d2 = sphere_min_dist2_f64le(center, r.get_f64()?, query)
-            .map_err(|e| TreeError::Corrupt(e.to_string()))?;
+            .map_err(|e| IndexError::Corrupt(e.to_string()))?;
         out.push_sphere_branch(d2, node);
         Ok(())
     }
@@ -97,14 +97,14 @@ impl Centered for SsRegion {
 /// sphere (every point, for a leaf).
 ///
 /// # Errors
-/// [`TreeError::Corrupt`] for an empty or zero-weight node — both are
+/// [`IndexError::Corrupt`] for an empty or zero-weight node — both are
 /// reachable from a corrupted page, never from a well-formed tree.
 fn region_of(node: &Node<SsRegion>) -> Result<SsRegion> {
     let sphere = match node {
         Node::Leaf(entries) => {
             let pts: Vec<&[f32]> = entries.iter().map(|e| e.point.coords()).collect();
             bounding_sphere_of_points(&pts)
-                .ok_or_else(|| TreeError::Corrupt("region of an empty leaf".into()))?
+                .ok_or_else(|| IndexError::Corrupt("region of an empty leaf".into()))?
         }
         Node::Inner { entries, .. } => {
             let center = centroid::centroid(node)?;
@@ -124,8 +124,9 @@ fn region_of(node: &Node<SsRegion>) -> Result<SsRegion> {
 }
 
 /// A disk-based SS-tree over points — bounding-sphere regions, centroid
-/// insertion. The shared core's methods (`knn`, `range`, `contains`,
-/// `len`, `pager`, …) are reached through `Deref`.
+/// insertion. Queries (`knn`, `range`) come from
+/// [`sr_query::SpatialIndex`]; the shared core's other methods
+/// (`contains`, `len`, `pager`, …) are reached through `Deref`.
 pub struct SsTree {
     core: Paged<SsRegion>,
 }
@@ -224,12 +225,12 @@ impl PagedTree for SsTree {
         self.check_fill_and_region(id, node, stored)
     }
 
-    fn insert_point(&mut self, point: Point, data: u64) -> std::result::Result<(), IndexError> {
-        Ok(self.insert(point, data)?)
+    fn insert_point(&mut self, point: Point, data: u64) -> Result<()> {
+        self.insert(point, data)
     }
 
-    fn delete_point(&mut self, point: &Point, data: u64) -> std::result::Result<bool, IndexError> {
-        Ok(self.delete(point, data)?)
+    fn delete_point(&mut self, point: &Point, data: u64) -> Result<bool> {
+        self.delete(point, data)
     }
 }
 

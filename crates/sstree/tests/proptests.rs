@@ -10,7 +10,7 @@
 use sr_dataset::SeededRng;
 use sr_geometry::Point;
 use sr_pager::PageFile;
-use sr_query::{brute_force_knn, brute_force_range};
+use sr_query::{brute_force_knn, brute_force_range, SpatialIndex};
 use sr_sstree::{verify, SsTree};
 
 const CASES: u64 = 48;

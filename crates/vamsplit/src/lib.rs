@@ -19,6 +19,7 @@
 //! ```
 //! use sr_vamsplit::VamTree;
 //! use sr_geometry::Point;
+//! use sr_query::SpatialIndex;
 //!
 //! let points: Vec<(Point, u64)> = (0..100)
 //!     .map(|i| (Point::new(vec![i as f32, (i * 7 % 13) as f32]), i as u64))
@@ -37,10 +38,8 @@
 mod build;
 mod tree;
 
-pub use sr_query::paged::TreeError;
-
 /// Result alias for tree operations.
-pub type Result<T> = std::result::Result<T, TreeError>;
+pub type Result<T> = std::result::Result<T, sr_query::IndexError>;
 pub use sr_query::Neighbor;
 pub use tree::{VamTree, KIND};
 

@@ -5,9 +5,8 @@ use std::path::Path;
 
 use sr_geometry::{bounding_rect_of_points, Point, Rect};
 use sr_pager::{PageFile, PageId};
-use sr_query::paged::{
-    mbr, Kind, Node, Paged, PagedTree, Params, Result, TreeError, DEFAULT_DATA_AREA,
-};
+use sr_query::paged::{mbr, Kind, Node, Paged, PagedTree, Params, Result, DEFAULT_DATA_AREA};
+use sr_query::IndexError;
 
 use crate::build;
 
@@ -17,9 +16,10 @@ pub const KIND: Kind = Kind {
     name: "VAMSplit R-tree",
 };
 
-/// A static VAMSplit R-tree, bulk-built from a complete data set. The
-/// shared core's methods (`knn`, `range`, `contains`, `len`, `pager`, …)
-/// are reached through `Deref`.
+/// A static VAMSplit R-tree, bulk-built from a complete data set.
+/// Queries (`knn`, `range`) come from [`sr_query::SpatialIndex`]; the
+/// shared core's other methods (`contains`, `len`, `pager`, …) are
+/// reached through `Deref`.
 pub struct VamTree {
     core: Paged<Rect>,
 }
@@ -53,7 +53,7 @@ impl VamTree {
         data_area: usize,
     ) -> Result<Self> {
         if let Some((p, _)) = points.iter().find(|(p, _)| p.dim() != dim) {
-            return Err(TreeError::DimensionMismatch {
+            return Err(IndexError::DimensionMismatch {
                 expected: dim,
                 got: p.dim(),
             });
@@ -111,7 +111,7 @@ impl PagedTree for VamTree {
     fn check_node(&self, id: PageId, node: &Node<Rect>, stored: Option<&Rect>) -> Result<()> {
         let max = self.core.params.max_at(node.level());
         if node.len() > max {
-            return Err(TreeError::Corrupt(format!(
+            return Err(IndexError::Corrupt(format!(
                 "page {id}: {} entries exceed capacity {max}",
                 node.len()
             )));
@@ -120,13 +120,13 @@ impl PagedTree for VamTree {
             return Ok(());
         };
         if node.is_empty() {
-            return Err(TreeError::Corrupt(format!(
+            return Err(IndexError::Corrupt(format!(
                 "page {id} is an empty non-root page"
             )));
         }
         let region = mbr(node)?;
         if region != *stored {
-            return Err(TreeError::Corrupt(format!(
+            return Err(IndexError::Corrupt(format!(
                 "page {id}: stored rect {stored:?} differs from the MBR {region:?}"
             )));
         }

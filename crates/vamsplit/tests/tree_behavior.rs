@@ -5,7 +5,7 @@
 use sr_dataset::{cluster, real_sim, uniform, ClusterSpec};
 use sr_geometry::Point;
 use sr_pager::PageFile;
-use sr_query::brute_force_knn;
+use sr_query::{brute_force_knn, SpatialIndex};
 use sr_vamsplit::{verify, VamTree};
 
 fn with_ids(points: Vec<Point>) -> Vec<(Point, u64)> {

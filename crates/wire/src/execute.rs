@@ -180,6 +180,12 @@ mod tests {
             spec: &QuerySpec<'_>,
             _rec: &dyn Recorder,
         ) -> Result<QueryOutput, IndexError> {
+            if spec.point.len() != 2 {
+                return Err(IndexError::DimensionMismatch {
+                    expected: 2,
+                    got: spec.point.len(),
+                });
+            }
             let flat = self.points.iter().map(|(p, id)| (p.as_slice(), *id));
             let rows = match spec.shape {
                 QueryShape::Knn { k } => brute_force_knn(flat, spec.point, k),
@@ -425,9 +431,12 @@ mod tests {
             query: vec![1.0, 2.0, 3.0],
             k: 1,
         };
-        // brute_force_knn ignores dim, so exercise the taxonomy through
-        // insert (DimensionMismatch) and range (InvalidRadius).
-        let _ = bad_dim;
+        assert_eq!(
+            execute_read(&bad_dim, &ix, &sr_obs::Noop),
+            Response::Error(RemoteError::BadRequest(
+                "dimension mismatch: index is 2-d, point is 3-d".to_string()
+            ))
+        );
         assert!(matches!(
             execute(
                 &Request::Insert {
@@ -454,6 +463,59 @@ mod tests {
             execute_read(&Request::Ping, &ix, &sr_obs::Noop),
             Response::Ack { n: 0 }
         );
+    }
+
+    #[test]
+    fn remote_maps_every_index_error_variant() {
+        use sr_pager::PagerError;
+        use RemoteError::{BadRequest, Failed, Unsupported};
+        // The K-D-B-tree's refusal to split a page of coincident points.
+        let kdb = "K-D-B-tree point page cannot split (coincident points)";
+        let params = "600-d points with 512-byte data areas do not fit two entries per node \
+                      and leaf in a 8187-byte page payload (need dim > 0 and data area >= 8)";
+        let level = "page 38: stored level 0 but expected 1";
+        let table = [
+            (
+                IndexError::Pager(PagerError::Corrupt("boom".into())),
+                Failed("page I/O failed: page file corrupt: boom".into()),
+            ),
+            (
+                IndexError::DimensionMismatch {
+                    expected: 2,
+                    got: 3,
+                },
+                BadRequest("dimension mismatch: index is 2-d, point is 3-d".into()),
+            ),
+            (
+                IndexError::NotThisIndex("not a SR-tree file".into()),
+                Failed("not a valid index file: not a SR-tree file".into()),
+            ),
+            (
+                IndexError::InvalidRadius(-1.0),
+                BadRequest("invalid range radius -1: must be non-negative".into()),
+            ),
+            (
+                IndexError::Unsupported("delete"),
+                Unsupported("delete".into()),
+            ),
+            (IndexError::Unsupported(kdb), Unsupported(kdb.into())),
+            (
+                IndexError::InvalidParams {
+                    page_capacity: 8187,
+                    dim: 600,
+                    data_area: 512,
+                },
+                Failed(params.into()),
+            ),
+            (
+                IndexError::Corrupt(level.into()),
+                Failed(format!("index structure corrupt: {level}")),
+            ),
+        ];
+        for (e, want) in table {
+            let shown = format!("{e:?}");
+            assert_eq!(remote(e), want, "{shown}");
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use sr_testkit::{generate, seed_line, DataDist, FaultInjector, WorkloadSpec};
 use srtree::dataset::uniform;
 use srtree::pager::{MemLogStore, MemPageStore, PageFile};
+use srtree::query::SpatialIndex;
 use srtree::tree::SrTree;
 
 fn main() {

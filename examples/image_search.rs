@@ -11,7 +11,7 @@
 //! ```
 
 use srtree::dataset::{real_sim, sample_queries};
-use srtree::query::brute_force_knn;
+use srtree::query::{brute_force_knn, SpatialIndex};
 use srtree::tree::SrTree;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

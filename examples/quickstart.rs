@@ -6,6 +6,7 @@
 //! ```
 
 use srtree::dataset::uniform;
+use srtree::query::SpatialIndex;
 use srtree::tree::SrTree;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

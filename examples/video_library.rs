@@ -12,6 +12,7 @@
 //! ```
 
 use srtree::dataset::{cluster, ClusterSpec};
+use srtree::query::SpatialIndex;
 use srtree::sstree::SsTree;
 use srtree::tree::SrTree;
 

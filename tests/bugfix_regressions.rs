@@ -37,6 +37,7 @@
 use srtree::dataset::{cluster, uniform, ClusterSpec};
 use srtree::geometry::Point;
 use srtree::kdbtree::KdbTree;
+use srtree::query::{IndexError, SpatialIndex};
 use srtree::rstar::RstarTree;
 use srtree::sstree::SsTree;
 use srtree::tree::SrTree;
@@ -239,30 +240,17 @@ fn negative_radius_is_rejected_not_a_panic() {
         .collect();
     let vam = VamTree::build_in_memory(with_ids, 4, 4096).unwrap();
 
-    use srtree::kdbtree::TreeError as KdbError;
-    use srtree::rstar::TreeError as RsError;
-    use srtree::sstree::TreeError as SsError;
-    use srtree::tree::TreeError as SrError;
-    use srtree::vamsplit::TreeError as VamError;
-
-    assert!(matches!(
-        sr.range(&q, -1.0),
-        Err(SrError::InvalidRadius(r)) if r == -1.0
-    ));
-    assert!(matches!(ss.range(&q, -1.0), Err(SsError::InvalidRadius(_))));
-    assert!(matches!(rs.range(&q, -1.0), Err(RsError::InvalidRadius(_))));
-    assert!(matches!(
-        kdb.range(&q, -1.0),
-        Err(KdbError::InvalidRadius(_))
-    ));
-    assert!(matches!(
-        vam.range(&q, -1.0),
-        Err(VamError::InvalidRadius(_))
-    ));
-    assert!(matches!(
-        sr.range(&q, f64::NAN),
-        Err(SrError::InvalidRadius(_))
-    ));
+    let trees: [&dyn SpatialIndex; 5] = [&sr, &ss, &rs, &kdb, &vam];
+    for tree in trees {
+        for bad in [-1.0, f64::NAN] {
+            let got = tree.range(&q, bad);
+            assert!(
+                matches!(got, Err(IndexError::InvalidRadius(r)) if r.to_bits() == bad.to_bits()),
+                "{}: {got:?}",
+                tree.kind_name()
+            );
+        }
+    }
 
     // Zero and +inf stay valid: a degenerate and a full-scan radius.
     assert!(sr.range(&q, 0.0).is_ok());

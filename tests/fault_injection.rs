@@ -18,7 +18,8 @@ use srtree::dataset::uniform;
 use srtree::pager::{
     wal_file_path, FileLogStore, FilePageStore, MemLogStore, MemPageStore, PageFile, PagerError,
 };
-use srtree::tree::{verify, SrOptions, SrTree, TreeError};
+use srtree::query::{IndexError, SpatialIndex};
+use srtree::tree::{verify, SrOptions, SrTree};
 
 const DIM: usize = 4;
 const PAGE: usize = 1024;
@@ -103,7 +104,7 @@ fn write_failure_during_split_surfaces_as_err() {
                 assert_eq!(tree.height(), 2);
                 false
             }
-            Err(TreeError::Pager(PagerError::Injected { kind, .. })) => {
+            Err(IndexError::Pager(PagerError::Injected { kind, .. })) => {
                 assert_eq!(kind, FaultKind::Write);
                 injected_errs += 1;
                 true
@@ -134,7 +135,7 @@ fn read_failure_during_query_is_clean_and_clears() {
 
     handle.fail_nth_read(0);
     match tree.knn(points[0].coords(), 5) {
-        Err(TreeError::Pager(PagerError::Injected { kind, .. })) => {
+        Err(IndexError::Pager(PagerError::Injected { kind, .. })) => {
             assert_eq!(kind, FaultKind::Read)
         }
         Ok(_) => panic!("armed read fault never fired"),
@@ -162,7 +163,7 @@ fn check_reopen_exact(path: &std::path::Path, want_len: u64, what: &str) {
         pf.set_cache_capacity(0)?;
         let tree = SrTree::open_from(pf)?;
         let verdict = verify::check(&tree).map(|_| tree.len());
-        Ok::<_, TreeError>(verdict)
+        Ok::<_, IndexError>(verdict)
     });
     let result = match reopened {
         Ok(r) => r,
@@ -197,7 +198,7 @@ fn crash_mid_update_then_reopen_recovers_the_flushed_state() {
             for (i, p) in points.iter().enumerate().skip(60) {
                 match tree.insert(p.clone(), i as u64) {
                     Ok(()) => {}
-                    Err(TreeError::Pager(PagerError::Injected { kind, .. })) => {
+                    Err(IndexError::Pager(PagerError::Injected { kind, .. })) => {
                         assert_eq!(kind, FaultKind::Crash);
                         saw_cutoff = true;
                         break;
@@ -233,7 +234,7 @@ fn flush_write_failure_surfaces_as_err_and_clears() {
     // not panic or swallow it.
     handle.fail_nth_write(0);
     match tree.flush() {
-        Err(TreeError::Pager(PagerError::Injected { kind, .. })) => {
+        Err(IndexError::Pager(PagerError::Injected { kind, .. })) => {
             assert_eq!(kind, FaultKind::Write)
         }
         Ok(()) => panic!("armed write fault never fired during flush"),
@@ -325,7 +326,7 @@ fn torn_write_then_reopen_recovers_the_flushed_state() {
             for (i, p) in points.iter().enumerate().skip(80) {
                 match tree.insert(p.clone(), i as u64) {
                     Ok(()) => {}
-                    Err(TreeError::Pager(PagerError::Injected { kind, .. })) => {
+                    Err(IndexError::Pager(PagerError::Injected { kind, .. })) => {
                         assert_eq!(kind, FaultKind::TornWrite);
                         torn = true;
                         break;

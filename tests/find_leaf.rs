@@ -12,13 +12,19 @@
 //!   corrupt ones included (same answer, or the same error).
 //! * Corruption: an inner node whose region has a NaN coordinate,
 //!   inverted corners or a negative radius makes `delete` and `contains`
-//!   fail with `TreeError::Corrupt`, even when the corrupt entry is not
+//!   fail with `IndexError::Corrupt`, even when the corrupt entry is not
 //!   the one the lookup descends into.
+//! * Misplaced pages: a level-1 node's payload in one of its leaves'
+//!   slots, or a leaf's payload in its parent's slot, makes every walk
+//!   that reads the page (`walk_leaves`, `num_leaves`, k-NN, `contains`,
+//!   `verify`) fail with `IndexError::Corrupt` naming it — never a
+//!   panic, a wild page read or a silent miscount.
 
 use srtree::dataset::{uniform, SeededRng};
 use srtree::geometry::{Point, Rect, Sphere, CONTAINMENT_EPS};
 use srtree::pager::{PageCodec, PageId, PageKind, PageReader};
-use srtree::query::paged::{Dynamic, Node, Paged, Region, TreeError};
+use srtree::query::paged::{Dynamic, Node, Paged, Region};
+use srtree::query::{IndexError, SpatialIndex};
 use srtree::rstar::RstarTree;
 use srtree::sstree::{SsRegion, SsTree};
 use srtree::tree::{SrRegion, SrTree};
@@ -30,14 +36,14 @@ type Path = Option<Vec<PageId>>;
 
 /// The lookup `find_leaf` replaced: decode every node on the way, probe
 /// regions with `contains_point`, and compare materialised leaf entries.
-fn reference<R: Region>(t: &Paged<R>, point: &Point, data: u64) -> Result<Path, TreeError> {
+fn reference<R: Region>(t: &Paged<R>, point: &Point, data: u64) -> Result<Path, IndexError> {
     fn walk<R: Region>(
         t: &Paged<R>,
         id: PageId,
         level: u16,
         point: &Point,
         data: u64,
-    ) -> Result<Path, TreeError> {
+    ) -> Result<Path, IndexError> {
         match t.read_node(id, level)? {
             Node::Leaf(entries) => {
                 let found = entries.iter().any(|e| e.point == *point && e.data == data);
@@ -148,7 +154,7 @@ fn agree<R: Region>(raw: &[u8], p: &[f32]) -> Option<bool> {
             Some(a)
         }
         (Err(a), Err(b)) => {
-            assert!(matches!(a, TreeError::Corrupt(_)), "{a}");
+            assert!(matches!(a, IndexError::Corrupt(_)), "{a}");
             assert_eq!(a.to_string(), b.to_string(), "raw {raw:?} p {p:?}");
             None
         }
@@ -317,21 +323,24 @@ fn corrupt_root<T: Dynamic>(tree: T, lanes: &[(usize, f64)]) {
         .write(core.root, PageKind::Node, &payload)
         .unwrap();
     assert!(
-        matches!(core.read_node(core.root, level), Err(TreeError::Corrupt(_))),
+        matches!(
+            core.read_node(core.root, level),
+            Err(IndexError::Corrupt(_))
+        ),
         "{name}: decode must reject the patched root"
     );
     assert!(matches!(
         reference(core, &p, id),
-        Err(TreeError::Corrupt(_))
+        Err(IndexError::Corrupt(_))
     ));
     let contains = core.contains(&p, id);
     assert!(
-        matches!(contains, Err(TreeError::Corrupt(_))),
+        matches!(contains, Err(IndexError::Corrupt(_))),
         "{name}: contains gave {contains:?}"
     );
     let deleted = tree.delete(&p, id);
     assert!(
-        matches!(deleted, Err(TreeError::Corrupt(_))),
+        matches!(deleted, Err(IndexError::Corrupt(_))),
         "{name}: delete gave {deleted:?}"
     );
 }
@@ -377,4 +386,69 @@ fn inverted_region_corners_are_corrupt() {
 fn negative_region_radius_is_corrupt() {
     corrupt_root(SrTree::create_in_memory(DIM, PAGE).unwrap(), &[(DIM, -1.0)]);
     corrupt_root(SsTree::create_in_memory(DIM, PAGE).unwrap(), &[(DIM, -1.0)]);
+}
+
+/// Build a tree over 2,000 points, then copy the payload of the root's
+/// first level-1 descendant into the slot of that node's first leaf
+/// (`inner_into_leaf`), or the leaf's payload into the node's slot. The
+/// slot keeps its page kind, so only the stored level betrays the page.
+fn misplace<T: Dynamic>(mut tree: T, inner_into_leaf: bool) {
+    for (i, p) in uniform(2000, DIM, 5).iter().enumerate() {
+        tree.insert(p.clone(), i as u64).unwrap();
+    }
+    let core = tree.core();
+    let name = core.kind().name;
+    let first_child = |id, level| match core.read_node(id, level).unwrap() {
+        Node::Inner { entries, .. } => entries[0].child,
+        Node::Leaf(_) => panic!("{name}: page {id} is a leaf"),
+    };
+    let mut inner = core.root;
+    for level in (2..=core.root_level().unwrap()).rev() {
+        inner = first_child(inner, level);
+    }
+    let leaf = first_child(inner, 1);
+    let Node::Leaf(entries) = core.read_node(leaf, 0).unwrap() else {
+        panic!("{name}: page {leaf} is not a leaf")
+    };
+    let (point, data) = (&entries[0].point, entries[0].data);
+    let leaves = core.num_leaves().unwrap();
+    let ((from, from_kind), (to, to_kind), (stored, expected)) = if inner_into_leaf {
+        ((inner, PageKind::Node), (leaf, PageKind::Leaf), (1, 0))
+    } else {
+        ((leaf, PageKind::Leaf), (inner, PageKind::Node), (0, 1))
+    };
+    let payload = core.pager().read(from, from_kind).unwrap().to_vec();
+    core.pager().write(to, to_kind, &payload).unwrap();
+
+    let misplaced = format!("page {to}: stored level {stored} but expected {expected}");
+    let corrupt = |what: &str, got: Result<(), IndexError>, want: &str| match got {
+        Err(IndexError::Corrupt(msg)) => assert_eq!(msg, want, "{name}: {what}"),
+        other => panic!("{name}: {what}: expected Corrupt({want:?}), got {other:?}"),
+    };
+    corrupt("walk_leaves", core.walk_leaves(|_| Ok(())), &misplaced);
+    corrupt("contains", core.contains(point, data).map(drop), &misplaced);
+    corrupt("verify", tree.verify().map(drop), &misplaced);
+    // k = every point, so the search must expand every page.
+    corrupt("knn", tree.knn(point.coords(), 2000).map(drop), &misplaced);
+    if inner_into_leaf {
+        // Leaves are counted from their parents' entries, never read, so
+        // the count is an intact tree's.
+        assert_eq!(core.num_leaves().unwrap(), leaves, "{name}");
+    } else {
+        corrupt("num_leaves", core.num_leaves().map(drop), &misplaced);
+    }
+}
+
+#[test]
+fn inner_page_in_a_leaf_slot_is_corrupt() {
+    misplace(SrTree::create_in_memory(DIM, PAGE).unwrap(), true);
+    misplace(SsTree::create_in_memory(DIM, PAGE).unwrap(), true);
+    misplace(RstarTree::create_in_memory(DIM, PAGE).unwrap(), true);
+}
+
+#[test]
+fn leaf_page_in_an_inner_slot_is_corrupt() {
+    misplace(SrTree::create_in_memory(DIM, PAGE).unwrap(), false);
+    misplace(SsTree::create_in_memory(DIM, PAGE).unwrap(), false);
+    misplace(RstarTree::create_in_memory(DIM, PAGE).unwrap(), false);
 }

@@ -14,6 +14,7 @@
 
 use srtree::dataset::{sample_queries, uniform};
 use srtree::pager::{IoStats, PageKind};
+use srtree::query::SpatialIndex;
 use srtree::tree::SrTree;
 
 fn build_tree(n: usize, dim: usize) -> SrTree {

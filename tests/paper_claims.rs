@@ -5,6 +5,7 @@
 
 use srtree::dataset::{cluster, real_sim, sample_queries, uniform, ClusterSpec};
 use srtree::geometry::Point;
+use srtree::query::SpatialIndex;
 use srtree::rstar::RstarTree;
 use srtree::sstree::SsTree;
 use srtree::tree::SrTree;

@@ -6,6 +6,7 @@ use sr_testkit::TempDir;
 use srtree::dataset::{sample_queries, uniform};
 use srtree::geometry::Point;
 use srtree::kdbtree::KdbTree;
+use srtree::query::SpatialIndex;
 use srtree::rstar::RstarTree;
 use srtree::sstree::SsTree;
 use srtree::tree::SrTree;

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use sr_testkit::TempDir;
 use srtree::dataset::{sample_queries, uniform};
-use srtree::query::{brute_force_knn, brute_force_range};
+use srtree::query::{brute_force_knn, brute_force_range, SpatialIndex};
 use srtree::serve::{Client, ServeConfig, ServeError, Server};
 use srtree::tree::SrTree;
 use srtree::wire::{RemoteError, Request, Response};

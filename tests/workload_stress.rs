@@ -5,7 +5,7 @@
 use srtree::dataset::SeededRng;
 use srtree::dataset::{real_sim, uniform};
 use srtree::geometry::Point;
-use srtree::query::brute_force_knn;
+use srtree::query::{brute_force_knn, SpatialIndex};
 use srtree::sstree::SsTree;
 use srtree::tree::SrTree;
 
