@@ -131,12 +131,14 @@ fn batch_trace_json(
 /// Lower an executed [`Response`] to `(id, distance)` pairs, folding
 /// typed remote errors back into the CLI error taxonomy: caller
 /// mistakes stay usage errors (exit 2), everything else fails (exit 1).
+/// A failed query prints the index's own error, as `srtool verify` does.
 fn response_rows(resp: Response) -> Result<Vec<(u64, f64)>, CmdError> {
     match resp {
         Response::Rows(rows) => Ok(rows.iter().map(|r| (r.data, r.dist)).collect()),
         Response::Error(RemoteError::BadRequest(msg) | RemoteError::Unsupported(msg)) => {
             Err(CmdError::Usage(msg))
         }
+        Response::Error(RemoteError::Failed(msg)) => Err(CmdError::Failure(msg)),
         Response::Error(e) => Err(CmdError::Failure(e.to_string())),
         other => Err(CmdError::Failure(format!(
             "query returned a non-row response: {other:?}"

@@ -7,6 +7,7 @@ use std::process::Output;
 
 use sr_cli::{parse, ArgError};
 use sr_pager::{PageFile, PageKind};
+use sr_testkit::TempDir;
 
 fn srtool(args: &[&str]) -> Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_srtool"))
@@ -15,25 +16,21 @@ fn srtool(args: &[&str]) -> Output {
         .unwrap()
 }
 
-fn tmpfile(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("srtool-errors-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// A scratch directory for one test's files, removed when it drops.
+fn scratch() -> TempDir {
+    TempDir::new("srtool-errors").unwrap()
 }
 
-/// Generate `n` uniform 4-d points and build an SR-tree over them,
-/// returning the data file and the index file.
-fn sr_index(name: &str, n: &str, seed: &str) -> (PathBuf, PathBuf) {
-    let (data, index) = (
-        tmpfile(&format!("{name}.tsv")),
-        tmpfile(&format!("{name}.pages")),
-    );
+/// Generate `n` uniform 4-d points into `dir` and build an SR-tree over
+/// them, returning the index file.
+fn sr_index(dir: &TempDir, n: &str, seed: &str) -> PathBuf {
+    let (data, index) = (dir.file("points.tsv"), dir.file("index.pages"));
     let (d, i) = (data.to_str().unwrap(), index.to_str().unwrap());
     let gen = srtool(&["gen", "--n", n, "--dim", "4", "--seed", seed, d]);
     assert!(gen.status.success());
     let build = srtool(&["build", "--index", "sr", "--dim", "4", i, d]);
     assert!(build.status.success());
-    (data, index)
+    index
 }
 
 fn parse_err(args: &[&str]) -> ArgError {
@@ -91,9 +88,10 @@ fn malformed_query_vector_exits_2() {
 
 #[test]
 fn malformed_data_file_exits_1_with_location() {
-    let data = tmpfile("bad.tsv");
+    let dir = scratch();
+    let data = dir.file("bad.tsv");
     std::fs::write(&data, "1\t0.5\t0.5\nnot-an-id\t0.5\t0.5\n").unwrap();
-    let index = tmpfile("bad.pages");
+    let index = dir.file("bad.pages");
     let out = srtool(&[
         "build",
         "--index",
@@ -108,8 +106,6 @@ fn malformed_data_file_exits_1_with_location() {
     // The DataError names the file and line of the bad id.
     assert!(stderr.contains(":2:"), "{stderr}");
     assert!(stderr.contains("bad id"), "{stderr}");
-    std::fs::remove_file(&data).ok();
-    std::fs::remove_file(&index).ok();
 }
 
 #[test]
@@ -136,8 +132,9 @@ fn trace_json_emits_metrics_schema() {
     // Build a small index through the binary, query it with
     // --trace --json, and check the structured line's schema: the
     // fields CI depends on must exist with sane values.
-    let data = tmpfile("trace.tsv");
-    let index = tmpfile("trace.pages");
+    let dir = scratch();
+    let data = dir.file("trace.tsv");
+    let index = dir.file("trace.pages");
     let gen = srtool(&[
         "gen",
         "--n",
@@ -215,9 +212,6 @@ fn trace_json_emits_metrics_schema() {
     assert!(!stdout.contains('{'), "{stdout}");
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("\"metrics\":"), "{stderr}");
-
-    std::fs::remove_file(&data).ok();
-    std::fs::remove_file(&index).ok();
 }
 
 /// Pull the integer following `key` out of a flat JSON line.
@@ -272,7 +266,8 @@ fn help_documents_serving_and_exit_codes() {
 
 #[test]
 fn missing_data_file_exits_1() {
-    let index = tmpfile("missing.pages");
+    let dir = scratch();
+    let index = dir.file("missing.pages");
     let out = srtool(&[
         "build",
         "--index",
@@ -285,7 +280,6 @@ fn missing_data_file_exits_1() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("nope.tsv"), "{stderr}");
-    std::fs::remove_file(&index).ok();
 }
 
 #[test]
@@ -293,7 +287,8 @@ fn dimension_too_large_for_the_page_exits_2() {
     // 600-d points are valid data, but no 8 KiB page holds two 600-d
     // leaf entries: a usage error naming the dimension and the page
     // size, for the dynamic trees and the bulk-loaded one alike.
-    let data = tmpfile("wide.tsv");
+    let dir = scratch();
+    let data = dir.file("wide.tsv");
     let gen = srtool(&[
         "gen",
         "--kind",
@@ -308,7 +303,7 @@ fn dimension_too_large_for_the_page_exits_2() {
     ]);
     assert_eq!(gen.status.code(), Some(0));
     for kind in ["sr", "rstar", "vam"] {
-        let index = tmpfile(&format!("wide-{kind}.pages"));
+        let index = dir.file(&format!("wide-{kind}.pages"));
         let out = srtool(&[
             "build",
             "--index",
@@ -324,10 +319,7 @@ fn dimension_too_large_for_the_page_exits_2() {
             stderr.contains("--dim 600") && stderr.contains("8192-byte"),
             "{kind}: {stderr}"
         );
-        std::fs::remove_file(&index).ok();
-        std::fs::remove_file(format!("{}.wal", index.display())).ok();
     }
-    std::fs::remove_file(&data).ok();
 }
 
 #[test]
@@ -335,7 +327,8 @@ fn huge_k_answers_every_point_instead_of_aborting() {
     // The largest `k` a wire `Knn` frame can carry (`u32::MAX`) once
     // aborted the process allocating the candidate heap; `srtool serve`
     // answers through the same path.
-    let (_data, index) = sr_index("hugek", "500", "13");
+    let dir = scratch();
+    let index = sr_index(&dir, "500", "13");
     let out = srtool(&[
         "knn",
         index.to_str().unwrap(),
@@ -356,10 +349,12 @@ fn huge_k_answers_every_point_instead_of_aborting() {
 #[test]
 fn corrupt_root_entry_count_reads_as_corruption_on_every_path() {
     // An SR-tree file whose root claims more entries than its page
-    // holds: one corruption, so `verify` and `knn` must classify it
-    // alike, as a corrupt structure rather than a foreign file.
-    let (data, index) = sr_index("badroot", "3000", "17");
-    {
+    // holds: one corruption, so `verify` and `knn` must report it with
+    // the same line, naming the page, as a corrupt structure rather than
+    // a foreign file.
+    let dir = scratch();
+    let index = sr_index(&dir, "3000", "17");
+    let root = {
         // The metadata header: magic, version, dim, data area (u32
         // each), then the root page id (u64).
         let pf = PageFile::open(&index).unwrap();
@@ -370,30 +365,23 @@ fn corrupt_root_entry_count_reads_as_corruption_on_every_path() {
         payload[2..4].copy_from_slice(&32767u16.to_le_bytes());
         pf.write(root, PageKind::Node, &payload).unwrap();
         pf.flush().unwrap();
-    }
-    let verify = srtool(&["verify", index.to_str().unwrap()]);
-    let stderr = String::from_utf8(verify.stderr).unwrap();
-    assert_eq!(verify.status.code(), Some(1), "{stderr}");
-    assert_eq!(
-        stderr.trim_end(),
-        "srtool: index structure corrupt: truncated node page"
+        root
+    };
+    let index = index.to_str().unwrap();
+    let verify = srtool(&["verify", index]);
+    let knn = srtool(&["knn", index, "--k", "3", "--query", "0.1,0.2,0.3,0.4"]);
+    let (verify_err, knn_err) = (
+        String::from_utf8(verify.stderr).unwrap(),
+        String::from_utf8(knn.stderr).unwrap(),
     );
-    let knn = srtool(&[
-        "knn",
-        index.to_str().unwrap(),
-        "--k",
-        "3",
-        "--query",
-        "0.1,0.2,0.3,0.4",
-    ]);
-    let stderr = String::from_utf8(knn.stderr).unwrap();
+    assert_eq!(verify.status.code(), Some(1), "{verify_err}");
+    assert_eq!(knn.status.code(), Some(1), "{knn_err}");
+    assert_eq!(verify_err, knn_err);
+    let line = verify_err.trim_end();
     assert!(
-        stderr.contains("index structure corrupt: inner node claims 32767 entries"),
-        "{stderr}"
+        line.starts_with(&format!("srtool: index structure corrupt: page {root}: ")),
+        "{line}"
     );
-    std::fs::remove_file(&index).ok();
-    std::fs::remove_file(format!("{}.wal", index.display())).ok();
-    std::fs::remove_file(&data).ok();
 }
 
 #[test]

@@ -267,7 +267,7 @@ mod tests {
             level: 4,
             entries: vec![entry(1.0, 2.0, 0.5, 17)],
         };
-        let back = Node::decode(&node.encode(&p, 8187).unwrap(), &p).unwrap();
+        let back = Node::decode(1, 4, &node.encode(&p, 8187).unwrap(), &p).unwrap();
         let Node::Inner { entries, level } = back else {
             panic!("expected inner")
         };

@@ -317,7 +317,7 @@ mod tests {
                 child: 3,
             }],
         };
-        let back = Node::decode(&node.encode(&p, 8187).unwrap(), &p).unwrap();
+        let back = Node::decode(1, 1, &node.encode(&p, 8187).unwrap(), &p).unwrap();
         let Node::Inner { entries, .. } = back else {
             panic!("expected region page")
         };
@@ -327,11 +327,11 @@ mod tests {
         );
         // A rectangle tree refuses the same infinite bounds.
         let rect = Params::<Rect>::derive(8187, 2, 512);
-        assert!(Node::<Rect>::decode(&node.encode(&p, 8187).unwrap(), &rect).is_err());
+        assert!(Node::<Rect>::decode(1, 1, &node.encode(&p, 8187).unwrap(), &rect).is_err());
         let leaf: Node<KdbRegion> = Node::Leaf(vec![LeafEntry {
             point: Point::new(vec![3.5, -1.25]),
             data: 77,
         }]);
-        assert!(Node::decode(&leaf.encode(&p, 8187).unwrap(), &p).is_ok());
+        assert!(Node::decode(1, 0, &leaf.encode(&p, 8187).unwrap(), &p).is_ok());
     }
 }

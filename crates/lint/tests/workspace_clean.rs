@@ -360,7 +360,7 @@ fn seeded_tainted_alloc_fails_the_gate() {
     // of a decoder that trusts its length prefix.
     let report = lint_with_seed(
         "crates/pager/src/leaf.rs",
-        "pub fn seeded_taint(c: &mut ReadHeader) -> Result<Vec<u8>> {\n    \
+        "pub fn seeded_taint(c: &mut PageReader) -> Result<Vec<u8>> {\n    \
          let n = usize::from(c.get_u16()?);\n    Ok(vec![0u8; n])\n}",
     );
     assert_fires(&report, "L9/tainted-alloc", "crates/pager/src/leaf.rs");

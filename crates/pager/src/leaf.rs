@@ -32,7 +32,7 @@
 #![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 use crate::error::{PagerError, Result};
-use crate::page::{narrow_lane, PageCodec};
+use crate::page::{narrow_lane, PageCodec, PageReader};
 
 /// Bytes of the `(level, count)` leaf header — the same `NODE_HEADER`
 /// every index crate uses.
@@ -50,29 +50,29 @@ pub struct LeafColumns<'a> {
 }
 
 impl<'a> LeafColumns<'a> {
-    /// Parse a leaf payload, validating the header and that the payload
-    /// covers the coordinate and data columns for the claimed count.
-    pub fn parse(payload: &'a [u8], dim: usize) -> Result<Self> {
-        let header = payload
-            .get(..LEAF_HEADER)
-            .ok_or_else(|| PagerError::Corrupt("leaf payload shorter than its header".into()))?;
-        let mut c = ReadHeader::new(header);
-        let level = c.get_u16()?;
+    /// Parse a leaf payload: read its `(level, n)` header once, then
+    /// check the level (a leaf is level 0) and that the payload holds `n`
+    /// whole entries of `dim` coordinates and `data_area` bytes each,
+    /// reserved area included — the size [`put_leaf_columns`] writes.
+    ///
+    /// # Errors
+    /// [`PagerError::CodecOverrun`] for a payload shorter than its header;
+    /// [`PagerError::Corrupt`] for a nonzero level, a `data_area` too small
+    /// for the data id, or a body shorter than its count.
+    pub fn parse(payload: &'a [u8], dim: usize, data_area: usize) -> Result<Self> {
+        let mut header = PageReader::new(payload);
+        let level = header.get_u16()?;
         if level != 0 {
             return Err(PagerError::Corrupt(format!(
-                "leaf payload claims level {level}"
+                "stored level {level} but expected 0"
             )));
         }
-        let n = usize::from(c.get_u16()?);
-        let need = n
-            .checked_mul(dim.checked_add(1).ok_or_else(overflow)?)
-            .and_then(|v| v.checked_mul(8))
-            .and_then(|v| v.checked_add(LEAF_HEADER))
-            .ok_or_else(overflow)?;
-        if payload.len() < need {
+        let n = usize::from(header.get_u16()?);
+        let entry = entry_bytes(dim, data_area)?;
+        let have = header.remaining();
+        if n.checked_mul(entry).is_none_or(|need| need > have) {
             return Err(PagerError::Corrupt(format!(
-                "truncated columnar leaf: {} bytes for {n} entries of {dim} dims",
-                payload.len()
+                "leaf claims {n} entries of {entry} bytes but {have} bytes follow the header"
             )));
         }
         Ok(LeafColumns { payload, n, dim })
@@ -142,6 +142,19 @@ fn overflow() -> PagerError {
     PagerError::Corrupt("columnar leaf size overflows usize".into())
 }
 
+/// Bytes one leaf entry occupies on the page: `dim` f64 coordinates plus
+/// the `data_area` that holds the data id and the reserved padding.
+fn entry_bytes(dim: usize, data_area: usize) -> Result<usize> {
+    if data_area < 8 {
+        return Err(PagerError::Corrupt(format!(
+            "data_area {data_area} smaller than the data id"
+        )));
+    }
+    dim.checked_mul(8)
+        .and_then(|b| b.checked_add(data_area))
+        .ok_or_else(overflow)
+}
+
 /// Encode a leaf payload in the columnar layout: `(level=0, n)` header,
 /// then the dimension-major coordinate columns, the data-id column, and
 /// the zero-filled reserved area (`n * (data_area - 8)` bytes).
@@ -179,33 +192,6 @@ pub fn put_leaf_columns(
     Ok(())
 }
 
-/// Minimal u16 reader for the leaf header, kept local so the hot-path
-/// view does not need a full [`crate::PageReader`].
-struct ReadHeader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ReadHeader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ReadHeader { buf, pos: 0 }
-    }
-
-    fn get_u16(&mut self) -> Result<u16> {
-        let lane = self
-            .buf
-            .get(self.pos..)
-            .and_then(|s| s.first_chunk::<2>())
-            .ok_or(PagerError::CodecOverrun {
-                pos: self.pos,
-                want: 2,
-                len: self.buf.len(),
-            })?;
-        self.pos += 2;
-        Ok(u16::from_le_bytes(*lane))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,7 +210,7 @@ mod tests {
     fn roundtrip_columnar() {
         let entries = vec![(vec![1.0f32, 2.0, 3.0], 10u64), (vec![-4.5, 0.25, 6.0], 11)];
         let payload = encode(3, 16, &entries);
-        let cols = LeafColumns::parse(&payload, 3).unwrap();
+        let cols = LeafColumns::parse(&payload, 3, 16).unwrap();
         assert_eq!(cols.len(), 2);
         assert_eq!(cols.data_ids().collect::<Vec<_>>(), vec![10, 11]);
         let mut p = Vec::new();
@@ -238,7 +224,7 @@ mod tests {
     fn coords_block_is_dimension_major() {
         let entries = vec![(vec![1.0f32, 3.0], 0u64), (vec![2.0, 4.0], 1)];
         let payload = encode(2, 8, &entries);
-        let cols = LeafColumns::parse(&payload, 2).unwrap();
+        let cols = LeafColumns::parse(&payload, 2, 8).unwrap();
         let block = cols.coords();
         let vals: Vec<f64> = block
             .as_chunks::<8>()
@@ -254,20 +240,33 @@ mod tests {
         let entries = vec![(vec![1.0f32, 2.0], 7u64)];
         let mut payload = encode(2, 8, &entries);
         payload.truncate(payload.len() - 1);
-        assert!(LeafColumns::parse(&payload, 2).is_err());
+        assert!(LeafColumns::parse(&payload, 2, 8).is_err());
+        // The reserved area is part of the entry: a page cut inside it
+        // is as truncated as one cut inside the coordinates.
+        let mut payload = encode(2, 24, &entries);
+        payload.truncate(payload.len() - 1);
+        assert!(matches!(
+            LeafColumns::parse(&payload, 2, 24),
+            Err(PagerError::Corrupt(msg))
+                if msg == "leaf claims 1 entries of 40 bytes but 39 bytes follow the header"
+        ));
+        assert!(LeafColumns::parse(&payload[..3], 2, 24).is_err());
     }
 
     #[test]
     fn wrong_level_rejected() {
         let mut payload = encode(1, 8, &[(vec![0.0f32], 0u64)]);
         payload[0] = 3; // level = 3
-        assert!(LeafColumns::parse(&payload, 1).is_err());
+        assert!(matches!(
+            LeafColumns::parse(&payload, 1, 8),
+            Err(PagerError::Corrupt(msg)) if msg == "stored level 3 but expected 0"
+        ));
     }
 
     #[test]
     fn empty_leaf_parses() {
         let payload = encode(4, 512, &[]);
-        let cols = LeafColumns::parse(&payload, 4).unwrap();
+        let cols = LeafColumns::parse(&payload, 4, 512).unwrap();
         assert!(cols.is_empty());
         assert_eq!(cols.coords(), &[] as &[u8]);
         assert_eq!(cols.data_ids().count(), 0);

@@ -58,27 +58,26 @@ impl PageKind {
     }
 }
 
-/// A cursor-based little-endian encoder/decoder over a byte buffer.
+/// A cursor-based little-endian encoder over a byte buffer; its reading
+/// mirror is [`PageReader`].
 ///
 /// All node serialization in the index crates goes through this type, so
 /// the on-disk format is uniform: fixed-width little-endian scalars, no
-/// padding, no self-description. Every accessor is fallible: reads and
-/// writes past the end of the buffer return
-/// [`PagerError::CodecOverrun`] instead of panicking, which is what lets
-/// the fault injector corrupt arbitrary pages without aborting the
-/// process.
+/// padding, no self-description. Every accessor is fallible: writes past
+/// the end of the buffer return [`PagerError::CodecOverrun`] instead of
+/// panicking.
 pub struct PageCodec<'a> {
     buf: &'a mut [u8],
     pos: usize,
 }
 
 impl<'a> PageCodec<'a> {
-    /// Wrap a buffer for encoding or decoding from offset 0.
+    /// Wrap a buffer for encoding from offset 0.
     pub fn new(buf: &'a mut [u8]) -> Self {
         PageCodec { buf, pos: 0 }
     }
 
-    /// Current cursor position (bytes consumed or produced so far).
+    /// Current cursor position (bytes produced so far).
     #[inline]
     pub fn pos(&self) -> usize {
         self.pos
@@ -110,13 +109,6 @@ impl<'a> PageCodec<'a> {
         }
     }
 
-    /// Read the next `N` bytes as a fixed-size array.
-    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let s = self.take(N)?;
-        <[u8; N]>::try_from(&*s)
-            .map_err(|_| PagerError::Corrupt("codec take() length mismatch".into()))
-    }
-
     /// Append a `u8`.
     pub fn put_u8(&mut self, v: u8) -> Result<()> {
         self.take(1)?.copy_from_slice(&[v]);
@@ -138,20 +130,6 @@ impl<'a> PageCodec<'a> {
     /// Append a `u64` (little-endian).
     pub fn put_u64(&mut self, v: u64) -> Result<()> {
         self.take(8)?.copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    /// Append an `f32` (little-endian bit pattern).
-    pub fn put_f32(&mut self, v: f32) -> Result<()> {
-        self.take(4)?.copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    /// Append a slice of `f32`s.
-    pub fn put_f32_slice(&mut self, vs: &[f32]) -> Result<()> {
-        for &v in vs {
-            self.put_f32(v)?;
-        }
         Ok(())
     }
 
@@ -186,60 +164,16 @@ impl<'a> PageCodec<'a> {
         self.take(bs.len())?.copy_from_slice(bs);
         Ok(())
     }
-
-    /// Read a `u8`.
-    pub fn get_u8(&mut self) -> Result<u8> {
-        Ok(u8::from_le_bytes(self.take_array()?))
-    }
-
-    /// Read a `u16`.
-    pub fn get_u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take_array()?))
-    }
-
-    /// Read a `u32`.
-    pub fn get_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take_array()?))
-    }
-
-    /// Read a `u64`.
-    pub fn get_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take_array()?))
-    }
-
-    /// Read an `f32`.
-    pub fn get_f32(&mut self) -> Result<f32> {
-        Ok(f32::from_le_bytes(self.take_array()?))
-    }
-
-    /// Read `n` `f32`s into a fresh vector.
-    pub fn get_f32_vec(&mut self, n: usize) -> Result<Vec<f32>> {
-        (0..n).map(|_| self.get_f32()).collect()
-    }
-
-    /// Read an `f64`.
-    pub fn get_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take_array()?))
-    }
-
-    /// Skip `n` bytes.
-    pub fn skip(&mut self, n: usize) -> Result<()> {
-        self.take(n)?;
-        Ok(())
-    }
-
-    /// Read `n` raw bytes.
-    pub fn get_bytes(&mut self, n: usize) -> Result<&[u8]> {
-        Ok(&*self.take(n)?)
-    }
 }
 
-/// A read-only cursor over a borrowed page image.
+/// A read-only cursor over a borrowed page image: the one page decoder.
 ///
-/// The decoding mirror of [`PageCodec`]: same little-endian accessors and
-/// the same [`PagerError::CodecOverrun`] contract, but over `&[u8]`, so
-/// pages served straight from the buffer pool (shared, immutable images)
-/// can be parsed without copying them into a scratch buffer first.
+/// The reading mirror of [`PageCodec`]: the same little-endian scalars
+/// and the same [`PagerError::CodecOverrun`] contract, but over `&[u8]`,
+/// so pages served straight from the buffer pool (shared, immutable
+/// images) are parsed without copying them into a scratch buffer first.
+/// Every read is fallible, which is what lets the fault injector corrupt
+/// arbitrary pages without aborting the process.
 pub struct PageReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -310,16 +244,6 @@ impl<'a> PageReader<'a> {
         Ok(u64::from_le_bytes(self.take_array()?))
     }
 
-    /// Read an `f32`.
-    pub fn get_f32(&mut self) -> Result<f32> {
-        Ok(f32::from_le_bytes(self.take_array()?))
-    }
-
-    /// Read `n` `f32`s into a fresh vector.
-    pub fn get_f32_vec(&mut self, n: usize) -> Result<Vec<f32>> {
-        (0..n).map(|_| self.get_f32()).collect()
-    }
-
     /// Read an `f64`.
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_le_bytes(self.take_array()?))
@@ -382,15 +306,15 @@ mod tests {
         w.put_u16(0xBEEF).unwrap();
         w.put_u32(0xDEAD_BEEF).unwrap();
         w.put_u64(u64::MAX - 1).unwrap();
-        w.put_f32(-1.5).unwrap();
+        w.put_f64(-1.5).unwrap();
         let end = w.pos();
 
-        let mut r = PageCodec::new(&mut buf);
+        let mut r = PageReader::new(&buf);
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_u16().unwrap(), 0xBEEF);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_f32().unwrap(), -1.5);
+        assert_eq!(r.get_f64().unwrap(), -1.5);
         assert_eq!(r.pos(), end);
     }
 
@@ -399,10 +323,10 @@ mod tests {
         let mut buf = vec![0u8; 64];
         let vals = [1.0f32, -0.25, f32::MIN_POSITIVE, 3.25e7];
         let mut w = PageCodec::new(&mut buf);
-        w.put_f32_slice(&vals).unwrap();
+        w.put_coords(&vals).unwrap();
         w.put_bytes(b"tail").unwrap();
-        let mut r = PageCodec::new(&mut buf);
-        assert_eq!(r.get_f32_vec(4).unwrap(), vals);
+        let mut r = PageReader::new(&buf);
+        assert_eq!(r.get_coords(4).unwrap(), vals);
         assert_eq!(r.get_bytes(4).unwrap(), b"tail");
     }
 
@@ -466,24 +390,24 @@ mod tests {
         w.put_u8(1).unwrap();
         w.put_padding(8).unwrap();
         w.put_u8(2).unwrap();
-        let mut r = PageCodec::new(&mut buf);
+        let mut r = PageReader::new(&buf);
         assert_eq!(r.get_u8().unwrap(), 1);
         assert_eq!(r.get_bytes(8).unwrap(), &[0u8; 8]);
         assert_eq!(r.get_u8().unwrap(), 2);
-        let mut r2 = PageCodec::new(&mut buf);
+        let mut r2 = PageReader::new(&buf);
         r2.skip(9).unwrap();
         assert_eq!(r2.get_u8().unwrap(), 2);
     }
 
     #[test]
     fn nan_and_infinity_roundtrip() {
-        let mut buf = vec![0u8; 16];
+        let mut buf = vec![0u8; 24];
         let mut w = PageCodec::new(&mut buf);
-        w.put_f32(f32::INFINITY).unwrap();
-        w.put_f32(f32::NEG_INFINITY).unwrap();
-        let mut r = PageCodec::new(&mut buf);
-        assert_eq!(r.get_f32().unwrap(), f32::INFINITY);
-        assert_eq!(r.get_f32().unwrap(), f32::NEG_INFINITY);
+        w.put_coords(&[f32::INFINITY, f32::NEG_INFINITY, f32::NAN])
+            .unwrap();
+        let back = PageReader::new(&buf).get_coords(3).unwrap();
+        assert_eq!(back[..2], [f32::INFINITY, f32::NEG_INFINITY]);
+        assert!(back[2].is_nan());
     }
 
     #[test]
@@ -525,7 +449,7 @@ mod tests {
     #[test]
     fn overrun_is_an_error_not_a_panic() {
         let mut buf = vec![0u8; 4];
-        let mut r = PageCodec::new(&mut buf);
+        let mut r = PageReader::new(&buf);
         assert!(r.get_u16().is_ok());
         assert!(matches!(
             r.get_u32(),
@@ -539,7 +463,7 @@ mod tests {
         assert!(matches!(w.put_u64(1), Err(PagerError::CodecOverrun { .. })));
         // a failed access leaves the cursor where it was
         assert_eq!(w.pos(), 0);
-        let mut s = PageCodec::new(&mut buf);
+        let mut s = PageReader::new(&buf);
         assert!(s.skip(5).is_err());
         assert!(s.skip(4).is_ok());
     }

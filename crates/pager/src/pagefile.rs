@@ -387,7 +387,7 @@ impl PageFile {
 
         let mut buf = vec![0u8; page_size];
         store.read_page(0, &mut buf)?;
-        let mut c = PageCodec::new(&mut buf);
+        let mut c = PageReader::new(&buf);
         if c.get_u32()? != MAGIC {
             return Err(PagerError::Corrupt("bad magic in meta page".into()));
         }

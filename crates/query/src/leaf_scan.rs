@@ -75,7 +75,7 @@ mod tests {
             (vec![-1.0, 1.0], 3),
         ];
         let payload = leaf_payload(2, &entries);
-        let cols = LeafColumns::parse(&payload, 2).unwrap();
+        let cols = LeafColumns::parse(&payload, 2, 16).unwrap();
         let mut out: Expansion<()> = Expansion::default();
         scan_leaf_columns(&cols, &[0.0, 0.0], f64::INFINITY, &mut out).unwrap();
         assert_eq!(out.abandoned, 0);
@@ -95,7 +95,7 @@ mod tests {
         tied[dim - 1] = 2.0; // dist2 exactly 4.0
         let entries = vec![(near, 1u64), (far, 2), (tied, 3)];
         let payload = leaf_payload(dim, &entries);
-        let cols = LeafColumns::parse(&payload, dim).unwrap();
+        let cols = LeafColumns::parse(&payload, dim, 16).unwrap();
         let mut out: Expansion<()> = Expansion::default();
         let q = vec![0.0f32; dim];
         scan_leaf_columns(&cols, &q, 4.0, &mut out).unwrap();

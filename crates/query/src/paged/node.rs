@@ -1,13 +1,18 @@
 //! The in-memory node and its page codec, shared by every tree.
 //!
-//! Leaves use the columnar (dimension-major) layout of
-//! [`sr_pager::LeafColumns`]; inner nodes are a `(level, n)` header
-//! followed by `n` entries of region bytes plus a child page id.
+//! Every node page starts with a `(level, n)` header. Leaves continue in
+//! the columnar (dimension-major) layout of [`sr_pager::LeafColumns`];
+//! inner nodes with `n` entries of region bytes plus a child page id.
+//! [`Layout::parse`] is the one reader of that header.
+
+use std::fmt;
 
 use sr_geometry::Point;
-use sr_pager::{put_leaf_columns, LeafColumns, PageCodec, PageId, PageKind, PageReader};
+use sr_pager::{
+    put_leaf_columns, LeafColumns, PageCodec, PageId, PageKind, PageReader, PagerError,
+};
 
-use super::params::{Params, NODE_HEADER};
+use super::params::Params;
 use super::region::Region;
 use super::Result;
 use crate::IndexError;
@@ -121,11 +126,17 @@ impl<R: Region> Node<R> {
         Ok(buf)
     }
 
-    /// Deserialize from a page payload, validating every field whose
-    /// misvalue would later feed a panicking constructor.
-    pub fn decode(payload: &[u8], params: &Params<R>) -> Result<Self> {
+    /// Deserialize page `id`'s payload, which its parent puts at `level`:
+    /// the header checks every walk shares (stored level, then count
+    /// against body), then every field whose misvalue would later feed a
+    /// panicking constructor.
+    ///
+    /// # Errors
+    /// [`IndexError::Corrupt`] for a bad header (`page N: …`), a
+    /// non-finite leaf coordinate, or an invalid region.
+    pub fn decode(id: PageId, level: u16, payload: &[u8], params: &Params<R>) -> Result<Self> {
         let dim = params.dim;
-        match Layout::parse(payload, params)? {
+        match Layout::parse(id, level, payload, params)? {
             Layout::Leaf(cols) => {
                 let mut entries = Vec::with_capacity(cols.len());
                 let mut coords = Vec::with_capacity(dim);
@@ -143,7 +154,7 @@ impl<R: Region> Node<R> {
                 }
                 Ok(Node::Leaf(entries))
             }
-            Layout::Inner { level, n, mut rest } => {
+            Layout::Inner { n, mut rest } => {
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     let region = R::decode(&mut rest, dim)?;
@@ -156,34 +167,33 @@ impl<R: Region> Node<R> {
     }
 }
 
-/// Reject a page whose stored level is not the level its parent's entry
-/// puts it at — a misplaced page, which no well-formed tree holds. The
-/// one level check of every walk: node reads, `expand()` and the
-/// exact-match lookup.
-pub(super) fn check_level(id: PageId, stored: u16, expected: u16) -> Result<()> {
-    if stored != expected {
-        return Err(IndexError::Corrupt(format!(
-            "page {id}: stored level {stored} but expected {expected}"
-        )));
-    }
-    Ok(())
-}
-
 /// The error of a leaf holding a NaN or infinite coordinate.
 pub(super) fn non_finite_leaf() -> IndexError {
     IndexError::Corrupt("non-finite leaf coordinate".into())
 }
 
-/// A node page with its header checked and its entries left on the page:
-/// the validation [`Node::decode`] runs before it reads an entry, shared
-/// with the zero-copy lookup so both reject the same pages.
+/// A node page with its `(level, n)` header checked and its entries left
+/// on the page. [`Layout::parse`] is the only reader of that header, so
+/// `expand()`, `find_leaf` and [`Node::decode`] (hence `read_node`,
+/// `verify`, the leaf walks and the update paths) reject a bad page alike.
+/// It reads the header once and checks, in order:
+///
+/// 1. the stored level against the level the parent puts the page at
+///    (`stored level S but expected L`: a misplaced page);
+/// 2. the count against the body: `n` whole entries of
+///    [`Params::leaf_entry_bytes`] for a leaf (reserved area included;
+///    [`LeafColumns::parse`] checks it) or [`Params::node_entry_bytes`]
+///    for an inner node (`… claims n entries of B bytes but H bytes
+///    follow the header`).
+///
+/// A payload too short for its header fails at the field it cuts. Every
+/// error is [`IndexError::Corrupt`] starting `page N:`; entry bytes are
+/// the reader's to check.
 pub(super) enum Layout<'a> {
     /// A columnar leaf.
     Leaf(LeafColumns<'a>),
     /// An inner node whose payload holds all `n` entries.
     Inner {
-        /// The stored level (never 0).
-        level: u16,
         /// The entry count.
         n: usize,
         /// A reader at the first entry.
@@ -192,27 +202,49 @@ pub(super) enum Layout<'a> {
 }
 
 impl<'a> Layout<'a> {
-    /// Check the `(level, n)` header and that the payload covers `n`
-    /// entries of the level's size.
-    pub(super) fn parse<R: Region>(payload: &'a [u8], params: &Params<R>) -> Result<Self> {
-        if payload.len() < NODE_HEADER {
-            return Err(IndexError::Corrupt("node page too short".into()));
+    /// Check the header of page `id`, which its parent puts at `level`.
+    /// Allocates only on the error path.
+    pub(super) fn parse<R: Region>(
+        id: PageId,
+        level: u16,
+        payload: &'a [u8],
+        params: &Params<R>,
+    ) -> Result<Self> {
+        let fault = |e: PagerError| match e {
+            PagerError::Corrupt(msg) => page_fault(id, msg),
+            e => page_fault(id, e),
+        };
+        if level == 0 {
+            return LeafColumns::parse(payload, params.dim, params.data_area)
+                .map(Layout::Leaf)
+                .map_err(fault);
         }
         let mut rest = PageReader::new(payload);
-        let level = rest.get_u16()?;
-        let n = usize::from(rest.get_u16()?);
-        let dim = params.dim;
-        if level == 0 {
-            if rest.remaining() < n * Params::<R>::leaf_entry_bytes(dim, params.data_area) {
-                return Err(IndexError::Corrupt("truncated leaf page".into()));
-            }
-            return Ok(Layout::Leaf(LeafColumns::parse(payload, dim)?));
+        let stored = rest.get_u16().map_err(fault)?;
+        if stored != level {
+            return Err(page_fault(
+                id,
+                format_args!("stored level {stored} but expected {level}"),
+            ));
         }
-        if rest.remaining() < n * Params::<R>::node_entry_bytes(dim) {
-            return Err(IndexError::Corrupt("truncated node page".into()));
+        let n = usize::from(rest.get_u16().map_err(fault)?);
+        let entry = Params::<R>::node_entry_bytes(params.dim);
+        let have = rest.remaining();
+        if n * entry > have {
+            return Err(page_fault(
+                id,
+                format_args!(
+                    "inner node claims {n} entries of {entry} bytes but {have} bytes follow the header"
+                ),
+            ));
         }
-        Ok(Layout::Inner { level, n, rest })
+        Ok(Layout::Inner { n, rest })
     }
+}
+
+/// The `Corrupt` error of page `id`.
+fn page_fault(id: PageId, what: impl fmt::Display) -> IndexError {
+    IndexError::Corrupt(format!("page {id}: {what}"))
 }
 
 #[cfg(test)]
@@ -237,7 +269,7 @@ mod tests {
                 data: u64::MAX,
             },
         ]);
-        let back = Node::decode(&node.encode(&p, 8187).unwrap(), &p).unwrap();
+        let back = Node::decode(1, 0, &node.encode(&p, 8187).unwrap(), &p).unwrap();
         let Node::Leaf(entries) = back else {
             panic!("expected leaf")
         };
@@ -256,7 +288,7 @@ mod tests {
                 child: 77,
             }],
         };
-        let back = Node::decode(&node.encode(&p, 8187).unwrap(), &p).unwrap();
+        let back = Node::decode(1, 3, &node.encode(&p, 8187).unwrap(), &p).unwrap();
         assert_eq!(back.level(), 3);
         let Node::Inner { entries, .. } = back else {
             panic!("expected inner")
@@ -267,16 +299,41 @@ mod tests {
     #[test]
     fn empty_leaf_roundtrip() {
         let p = params();
-        let back = Node::decode(&Node::<Rect>::Leaf(vec![]).encode(&p, 8187).unwrap(), &p);
+        let back = Node::decode(
+            1,
+            0,
+            &Node::<Rect>::Leaf(vec![]).encode(&p, 8187).unwrap(),
+            &p,
+        );
         assert!(back.unwrap().is_empty());
     }
 
     #[test]
     fn decode_rejects_garbage() {
         let p = params();
-        assert!(Node::decode(&[1], &p).is_err());
+        let corrupt = |level, payload: &[u8]| match Node::decode(7, level, payload, &p) {
+            Err(IndexError::Corrupt(msg)) => msg,
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        assert!(corrupt(0, &[1]).starts_with("page 7: page codec overrun"));
+        assert!(corrupt(1, &[1]).starts_with("page 7: page codec overrun"));
         // claims 100 entries but has no bytes
-        assert!(Node::decode(&[0, 0, 100, 0], &p).is_err());
-        assert!(Node::decode(&[1, 0, 100, 0], &p).is_err());
+        assert_eq!(
+            corrupt(0, &[0, 0, 100, 0]),
+            "page 7: leaf claims 100 entries of 544 bytes but 0 bytes follow the header"
+        );
+        assert_eq!(
+            corrupt(1, &[1, 0, 100, 0]),
+            "page 7: inner node claims 100 entries of 72 bytes but 0 bytes follow the header"
+        );
+        // The level is checked before the count, on both kinds.
+        assert_eq!(
+            corrupt(0, &[1, 0, 100, 0]),
+            "page 7: stored level 1 but expected 0"
+        );
+        assert_eq!(
+            corrupt(2, &[0, 0, 100, 0]),
+            "page 7: stored level 0 but expected 2"
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! The zero-copy `expand()` every tree's searches run through.
 
-use sr_pager::{LeafColumns, PageId, PageKind, PageReader, PagerError};
+use sr_pager::PageId;
 
-use super::node::check_level;
+use super::node::Layout;
 use super::region::Region;
 use super::tree::Paged;
 use super::Result;
@@ -29,54 +29,27 @@ impl<R: Region> KnnSource for Source<'_, R> {
         prune2: f64,
         out: &mut Expansion<Self::Node>,
     ) -> Result<()> {
-        let dim = self.tree.params.dim;
-        if level > 0 {
-            // Zero-copy inner expansion: score each child's region
-            // straight off the page buffer. Decoding a node page would
+        // One logical read per expansion, so `node_expansions ==
+        // node_reads` and `leaf_expansions == leaf_reads` hold. The page
+        // is scored straight off the buffer once `Layout::parse` has
+        // checked its header, as every walk does.
+        let payload = self.tree.read_payload(id, level)?;
+        match Layout::parse(id, level, &payload, &self.tree.params)? {
+            // Columnar leaf scan: never materialises per-entry `Point`s.
+            Layout::Leaf(cols) => scan_leaf_columns(&cols, query, prune2, out)
+                .map_err(|e| IndexError::Corrupt(e.to_string())),
+            // Score each child's region in place. Decoding the node would
             // materialise a heap vector per coordinate block — at bench
-            // scale ~10k allocations per query. One logical read per
-            // expansion, so `node_expansions == node_reads` holds.
-            let payload = self.tree.pager().read(id, PageKind::Node)?;
-            let mut r = PageReader::new(&payload);
-            check_level(id, r.get_u16()?, level)?;
-            let n = r.get_u16()?;
-            // The entry count came off the page: bound it by the bytes
-            // actually present before it drives the read loop, so a
-            // corrupt header fails here with one clear error instead of
-            // partway through the entries.
-            let need = usize::from(n) * (R::bytes(dim) + 8);
-            if need > r.remaining() {
-                return Err(IndexError::Corrupt(format!(
-                    "inner node claims {n} entries but only {} payload bytes remain",
-                    r.remaining()
-                )));
-            }
-            for _ in 0..n {
-                let raw = r.get_bytes(R::bytes(dim))?;
-                let child = (r.get_u64()?, level - 1);
-                R::push_branch(raw, query, self.bound, child, out)?;
-            }
-            return Ok(());
-        }
-        // Columnar leaf scan: score the leaf straight off the page
-        // buffer, never materialising per-entry `Point`s. One read per
-        // expansion, so `leaf_expansions == leaf_reads` holds too.
-        let payload = self.tree.pager().read(id, PageKind::Leaf)?;
-        let cols = match LeafColumns::parse(&payload, dim) {
-            Ok(cols) => cols,
-            Err(e) => {
-                // A node payload in a leaf slot fails the parse's own
-                // level check: name the misplaced page as `read_node`
-                // does, and any other bad leaf as corrupt, not as I/O.
-                if let Some(level) = payload.first_chunk() {
-                    check_level(id, u16::from_le_bytes(*level), 0)?;
+            // scale ~10k allocations per query.
+            Layout::Inner { n, mut rest } => {
+                let bytes = R::bytes(self.tree.params.dim);
+                for _ in 0..n {
+                    let raw = rest.get_bytes(bytes)?;
+                    let child = (rest.get_u64()?, level - 1);
+                    R::push_branch(raw, query, self.bound, child, out)?;
                 }
-                return Err(match e {
-                    PagerError::Corrupt(msg) => IndexError::Corrupt(format!("page {id}: {msg}")),
-                    e => IndexError::Pager(e),
-                });
+                Ok(())
             }
-        };
-        scan_leaf_columns(&cols, query, prune2, out).map_err(|e| IndexError::Corrupt(e.to_string()))
+        }
     }
 }

@@ -7,7 +7,7 @@ use sr_pager::{
     narrow_lane, LeafColumns, PageBuf, PageCodec, PageFile, PageId, PageKind, PageReader,
 };
 
-use super::node::{check_level, non_finite_leaf, Layout, LeafEntry, Node};
+use super::node::{non_finite_leaf, Layout, LeafEntry, Node};
 use super::params::Params;
 use super::region::Region;
 use super::search::Source;
@@ -221,7 +221,7 @@ impl<R: Region> Paged<R> {
     }
 
     /// Read the payload of the node at `id`, expected at `level`.
-    fn read_payload(&self, id: PageId, level: u16) -> Result<PageBuf> {
+    pub(super) fn read_payload(&self, id: PageId, level: u16) -> Result<PageBuf> {
         let kind = if level == 0 {
             PageKind::Leaf
         } else {
@@ -233,12 +233,10 @@ impl<R: Region> Paged<R> {
     /// Read and decode the node at `id`, expected at `level`.
     ///
     /// # Errors
-    /// [`IndexError::Corrupt`] when the page decodes to a node of another
-    /// level: a misplaced page.
+    /// [`IndexError::Corrupt`] for a page [`Node::decode`] rejects — a
+    /// misplaced page among them.
     pub fn read_node(&self, id: PageId, level: u16) -> Result<Node<R>> {
-        let node = Node::decode(&self.read_payload(id, level)?, &self.params)?;
-        check_level(id, node.level(), level)?;
-        Ok(node)
+        Node::decode(id, level, &self.read_payload(id, level)?, &self.params)
     }
 
     /// Encode and write `node` to page `id`.
@@ -312,10 +310,10 @@ impl<R: Region> Paged<R> {
     ///
     /// The walk is zero-copy, like `expand()`: regions are probed with
     /// [`Region::contains_raw`] and leaves matched on their id and
-    /// coordinate lanes, straight off the page buffers. It validates
-    /// every page it reads exactly as [`Node::decode`] would, so it finds
-    /// the same path and fails on the same corrupt pages as a walk over
-    /// decoded nodes.
+    /// coordinate lanes, straight off the page buffers. Its header checks
+    /// are [`Node::decode`]'s own, and it validates every entry it reads
+    /// as `decode` would, so it finds the same path and fails on the same
+    /// corrupt pages as a walk over decoded nodes.
     pub fn find_leaf(&self, point: &Point, data: u64) -> Result<Option<Vec<PageId>>> {
         fn walk<R: Region>(
             t: &Paged<R>,
@@ -325,19 +323,11 @@ impl<R: Region> Paged<R> {
             data: u64,
         ) -> Result<Option<Vec<PageId>>> {
             let payload = t.read_payload(id, level)?;
-            let (n, mut rest) = match Layout::parse(&payload, &t.params)? {
+            let (n, mut rest) = match Layout::parse(id, level, &payload, &t.params)? {
                 Layout::Leaf(cols) => {
-                    check_level(id, 0, level)?;
                     return Ok(leaf_holds(&cols, point, data)?.then(|| vec![id]));
                 }
-                Layout::Inner {
-                    level: stored,
-                    n,
-                    rest,
-                } => {
-                    check_level(id, stored, level)?;
-                    (n, rest)
-                }
+                Layout::Inner { n, rest } => (n, rest),
             };
             // Probe every entry before descending into any: a region that
             // `decode` rejects fails the lookup wherever it sits.

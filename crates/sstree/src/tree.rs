@@ -349,7 +349,7 @@ mod tests {
                 child: 31,
             }],
         };
-        let back = Node::decode(&node.encode(&p, 8187).unwrap(), &p).unwrap();
+        let back = Node::decode(1, 2, &node.encode(&p, 8187).unwrap(), &p).unwrap();
         let Node::Inner { entries, .. } = back else {
             panic!("expected inner")
         };

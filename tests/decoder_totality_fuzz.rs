@@ -7,13 +7,22 @@
 //! taint pass: the lint proves every decoded count is checked before
 //! use, this arm hammers the same decoders with inputs that lie.
 //!
+//! The node-page arm goes one step further for the `(level, n)` header
+//! of a tree's pages: a header fault must not only fail, it must fail
+//! with the same `IndexError::Corrupt` text, naming the page, on every
+//! path that reads it (k-NN, `contains`, `verify`).
+//!
 //! Set `SRTREE_FUZZ_SEED` (decimal or `0x`-hex) to replay a failure;
 //! the fixed default seeds keep CI deterministic.
 
-use srtree::dataset::SeededRng;
+use srtree::dataset::{uniform, SeededRng};
 use srtree::pager::{
-    encode_header, encode_page_frame, put_leaf_columns, scan_log, LeafColumns, PageCodec,
+    encode_header, encode_page_frame, put_leaf_columns, scan_log, LeafColumns, PageCodec, PageKind,
 };
+use srtree::query::paged::PagedTree;
+use srtree::query::{IndexError, SpatialIndex};
+use srtree::rstar::RstarTree;
+use srtree::tree::SrTree;
 use srtree::wire::{
     decode_request, decode_response, encode_request, encode_response, Request, Response, Row,
     DEFAULT_MAX_BODY,
@@ -108,7 +117,7 @@ fn leaf_columns_parse_is_total() {
                 put_leaf_columns(&mut c, dim, data_area, &refs).expect("valid leaf");
                 mutate(&mut rng, &valid)
             };
-            if let Ok(cols) = LeafColumns::parse(&buf, dim) {
+            if let Ok(cols) = LeafColumns::parse(&buf, dim, 16) {
                 // A successful parse must expose in-bounds views.
                 let n = cols.len();
                 assert!(cols.coords().len() >= n * dim * 8, "seed {si} case {case}");
@@ -178,5 +187,125 @@ fn wal_scan_is_total() {
             // or truncated tail) — it must never panic on any bytes.
             let _ = scan_log(&buf, PS);
         }
+    }
+}
+
+/// Points per tree of the node-page arm: at 4-d on 4 KiB pages, a tree
+/// of height 3.
+const NODE_POINTS: usize = 3_000;
+const NODE_DIM: usize = 4;
+const NODE_PAGE: usize = 4096;
+/// Faulted pages per tree, alternating between the root and a leaf.
+const NODE_CASES: usize = 60;
+
+/// One way a node page's `(level, n)` header can lie.
+#[derive(Clone, Copy, Debug)]
+enum HeaderFault {
+    /// A count the body cannot hold.
+    Count,
+    /// A level the parent does not expect.
+    Level,
+    /// A payload cut below its count.
+    Cut,
+}
+
+/// `payload` with one header fault; `expected` is the page's level.
+fn fault_header(rng: &mut SeededRng, payload: &[u8], expected: u16, fault: HeaderFault) -> Vec<u8> {
+    let mut buf = payload.to_vec();
+    match fault {
+        HeaderFault::Count => {
+            // Every page is written holding exactly its `n` entries.
+            let n = usize::from(u16::from_le_bytes([buf[2], buf[3]]));
+            let lie = rng.random_range(n + 1..usize::from(u16::MAX) + 1) as u16;
+            buf[2..4].copy_from_slice(&lie.to_le_bytes());
+        }
+        HeaderFault::Level => {
+            let lie = match rng.random_range(0..3) {
+                0 => expected + 1,
+                1 => expected.wrapping_sub(1),
+                _ => rng.next_u64() as u16,
+            };
+            let lie = if lie == expected {
+                expected ^ 0x8000
+            } else {
+                lie
+            };
+            buf[..2].copy_from_slice(&lie.to_le_bytes());
+        }
+        HeaderFault::Cut => buf.truncate(rng.random_range(0..buf.len())),
+    }
+    buf
+}
+
+/// The text of an `IndexError::Corrupt`, or a failure naming `what`.
+fn corrupt_text(got: Result<(), IndexError>, what: &str) -> String {
+    match got {
+        Err(IndexError::Corrupt(msg)) => msg,
+        other => panic!("{what}: expected Corrupt, got {other:?}"),
+    }
+}
+
+/// Fill `tree` with seeded points, then fault the header of its root or
+/// of the leaf holding a probe point, one fault per case, and require
+/// `knn(probe, 1)`, `contains(probe)` and `verify()` to fail with the
+/// identical `Corrupt` text, starting `page N:`. Each case restores the
+/// page before the next.
+fn node_header_faults_read_alike<T: PagedTree>(mut tree: T, seed: u64) {
+    let name = tree.kind_name();
+    let mut rng = SeededRng::seed_from_u64(seed);
+    let points = uniform(NODE_POINTS, NODE_DIM, rng.next_u64());
+    for (i, p) in points.iter().enumerate() {
+        tree.insert(p.coords(), i as u64).expect("insert");
+    }
+    let core = tree.core();
+    let root_level = core.root_level().expect("a non-empty tree");
+    assert!(root_level >= 1, "{name}: the root must be an inner node");
+    for case in 0..NODE_CASES {
+        let i = rng.random_range(0..NODE_POINTS);
+        let (probe, data) = (&points[i], i as u64);
+        let (id, level, kind) = if case % 2 == 0 {
+            (core.root, root_level, PageKind::Node)
+        } else {
+            let path = core.find_leaf(probe, data).expect("intact tree");
+            let leaf = path.and_then(|p| p.last().copied()).expect("stored probe");
+            (leaf, 0, PageKind::Leaf)
+        };
+        let fault =
+            [HeaderFault::Count, HeaderFault::Level, HeaderFault::Cut][rng.random_range(0..3)];
+        let intact = core.pager().read(id, kind).expect("read").to_vec();
+        let faulted = fault_header(&mut rng, &intact, level, fault);
+        core.pager().write(id, kind, &faulted).expect("write");
+
+        let what = format!("{name} seed {seed:#x} case {case}: {fault:?} on page {id}");
+        let knn = corrupt_text(
+            tree.knn(probe.coords(), 1).map(drop),
+            &format!("{what}: knn"),
+        );
+        let contains = corrupt_text(
+            core.contains(probe, data).map(drop),
+            &format!("{what}: contains"),
+        );
+        let verify = corrupt_text(tree.verify().map(drop), &format!("{what}: verify"));
+        assert_eq!(knn, contains, "{what}: knn and contains disagree");
+        assert_eq!(knn, verify, "{what}: knn and verify disagree");
+        assert!(knn.starts_with(&format!("page {id}: ")), "{what}: {knn}");
+
+        core.pager().write(id, kind, &intact).expect("restore");
+    }
+    tree.verify().expect("every faulted page was restored");
+}
+
+#[test]
+fn node_header_faults_read_alike_on_every_path() {
+    for base in [0x4EADu64 << 16 | 1, 0x4EAD << 16 | 2] {
+        let seed = seed_for(base);
+        node_header_faults_read_alike(
+            SrTree::create_in_memory(NODE_DIM, NODE_PAGE).expect("SR-tree"),
+            seed,
+        );
+        node_header_faults_read_alike(
+            RstarTree::create_in_memory(NODE_DIM, NODE_PAGE).expect("R*-tree"),
+            seed,
+        );
     }
 }
