@@ -4,7 +4,7 @@
 use sr_geometry::{
     bounding_rect_of_points, bounding_sphere_of_points, enclosing_radius_rects,
     enclosing_radius_spheres, next_radius_up, rect_min_dist2_f64le, sphere_min_dist2_f64le,
-    GeometryError, Point, Rect, Sphere, CONTAINMENT_EPS,
+    sphere_rect_min_dist2_f64le, GeometryError, Point, Rect, Sphere, CONTAINMENT_EPS,
 };
 use sr_pager::{PageCodec, PageReader};
 use sr_query::paged::centroid::{self, Centered};
@@ -108,7 +108,8 @@ impl Region for SrRegion {
     /// to its bounding rectangle" (§4.4): `max(d_s, d_r)`, a valid lower
     /// bound for the intersection and tighter than either shape alone.
     /// The combined form keeps both components so prune events can be
-    /// attributed to the shape that earned them.
+    /// attributed to the shape that earned them, and computes them in one
+    /// pass over the entry ([`sphere_rect_min_dist2_f64le`]).
     fn push_branch<N>(
         raw: &[u8],
         query: &[f32],
@@ -122,12 +123,19 @@ impl Region for SrRegion {
         let radius = r.get_f64()?;
         let lo = r.get_bytes(row)?;
         let hi = r.get_bytes(row)?;
-        let sphere = || sphere_min_dist2_f64le(center, radius, query).map_err(corrupt);
-        let rect = || rect_min_dist2_f64le(lo, hi, query).map_err(corrupt);
         match bound {
-            DistanceBound::Both => out.push_max_branch(sphere()?, rect()?, node),
-            DistanceBound::SphereOnly => out.push_sphere_branch(sphere()?, node),
-            DistanceBound::RectOnly => out.push_rect_branch(rect()?, node),
+            DistanceBound::Both => {
+                let (sphere, rect) =
+                    sphere_rect_min_dist2_f64le(center, radius, lo, hi, query).map_err(corrupt)?;
+                out.push_max_branch(sphere, rect, node);
+            }
+            DistanceBound::SphereOnly => out.push_sphere_branch(
+                sphere_min_dist2_f64le(center, radius, query).map_err(corrupt)?,
+                node,
+            ),
+            DistanceBound::RectOnly => {
+                out.push_rect_branch(rect_min_dist2_f64le(lo, hi, query).map_err(corrupt)?, node)
+            }
         }
         Ok(())
     }

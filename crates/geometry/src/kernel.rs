@@ -42,6 +42,8 @@
 #![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 use crate::error::GeometryError;
+use crate::rect::min_dist_term;
+use crate::sphere::surface_dist2;
 
 /// Leading dimensions scored columnar for every point before the first
 /// early-abandon check; past this prefix, survivors are finished one
@@ -100,36 +102,57 @@ pub fn sphere_min_dist2_f64le(
     radius: f64,
     query: &[f32],
 ) -> Result<f64, GeometryError> {
-    Ok(crate::sphere::surface_dist2(
-        dist2_f64le(center, query)?,
-        radius,
-    ))
+    Ok(surface_dist2(dist2_f64le(center, query)?, radius))
 }
 
 /// `MINDIST²`: squared distance from `query` to a bounding rectangle
 /// stored raw (`lo`/`hi` as row-major f64-LE) — bit-identical to
 /// [`Rect::min_dist2`](crate::Rect::min_dist2) of the decoded rectangle.
 ///
-/// The in-memory form compares in `f32` and widens per term; widening is
-/// exact and order-preserving, so comparing against the stored `f64`
-/// image is the same predicate and the same arithmetic.
+/// Both forms widen each bound to `f64` and compute the same
+/// branch-free per-axis term, `(lo − x).max(0) + (x − hi).max(0)`;
+/// widening is exact, so the stored `f64` image is the same operand.
 // srlint: hot
 pub fn rect_min_dist2_f64le(lo: &[u8], hi: &[u8], query: &[f32]) -> Result<f64, GeometryError> {
     check_row(lo, query.len())?;
     check_row(hi, query.len())?;
     let mut acc = 0.0f64;
     for ((l, h), x) in f64le_lanes(lo).zip(f64le_lanes(hi)).zip(query.iter()) {
-        let x = f64::from(*x);
-        let d = if x < l {
-            l - x
-        } else if x > h {
-            x - h
-        } else {
-            0.0
-        };
+        let d = min_dist_term(l, h, f64::from(*x));
         acc += d * d;
     }
     Ok(acc)
+}
+
+/// The SR-tree's two region bounds in one pass over the dimensions:
+/// `(d_s², MINDIST²)` of a sphere and a rectangle stored raw, as
+/// [`sphere_min_dist2_f64le`] and [`rect_min_dist2_f64le`] lay them out.
+///
+/// Each bound keeps its own accumulator, summed in ascending dimension
+/// order, so each half is bit-identical to its single-shape kernel; one
+/// loop instead of two reads the query once and overlaps the two
+/// dependency chains.
+// srlint: hot
+pub fn sphere_rect_min_dist2_f64le(
+    center: &[u8],
+    radius: f64,
+    lo: &[u8],
+    hi: &[u8],
+    query: &[f32],
+) -> Result<(f64, f64), GeometryError> {
+    check_row(center, query.len())?;
+    check_row(lo, query.len())?;
+    check_row(hi, query.len())?;
+    let (mut center2, mut rect2) = (0.0f64, 0.0f64);
+    let bounds = f64le_lanes(lo).zip(f64le_lanes(hi));
+    for ((c, (l, h)), x) in f64le_lanes(center).zip(bounds).zip(query.iter()) {
+        let x = f64::from(*x);
+        let dc = c - x;
+        center2 += dc * dc;
+        let d = min_dist_term(l, h, x);
+        rect2 += d * d;
+    }
+    Ok((surface_dist2(center2, radius), rect2))
 }
 
 /// Validate that `coords` holds exactly `n * dim` f64-LE values.

@@ -31,7 +31,7 @@ pub mod vector;
 pub use error::GeometryError;
 pub use kernel::{
     dist2_columnar_early_abandon, dist2_f64le, rect_min_dist2_f64le, sphere_min_dist2_f64le,
-    EARLY_ABANDON_HEAD_DIMS,
+    sphere_rect_min_dist2_f64le, EARLY_ABANDON_HEAD_DIMS,
 };
 pub use mbr::{
     bounding_rect_of_points, bounding_sphere_of_points, enclosing_radius_rects,

@@ -12,6 +12,24 @@
 
 use crate::vector::Point;
 
+/// One axis of `MINDIST`: how far `x` lies outside `[lo, hi]`, zero
+/// inside. The term of [`Rect::min_dist2`] and of the raw-bytes kernels
+/// (`rect_min_dist2_f64le`, `sphere_rect_min_dist2_f64le`).
+///
+/// Clamped rather than branched: at most one of the two differences is
+/// positive, so the sum is that difference, or zero. It is bit-identical
+/// to the three-way `if x < lo { lo - x } else if x > hi { x - hi } else
+/// { 0 }` for every ordered `[lo, hi]`, ±0.0 and ±∞ bounds included, and
+/// for NaN bounds: `f64::max` drops a NaN difference just as the branch
+/// drops a false comparison. Only an inverted `lo > hi` (corrupt page
+/// bytes, which the search path does not validate) can differ. The
+/// branches it replaces follow the data, so the predictor missed them on
+/// about every other axis.
+#[inline]
+pub(crate) fn min_dist_term(lo: f64, hi: f64, x: f64) -> f64 {
+    (lo - x).max(0.0) + (x - hi).max(0.0)
+}
+
 /// An axis-aligned hyper-rectangle, stored as per-dimension `[min, max]`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Rect {
@@ -250,13 +268,7 @@ impl Rect {
         debug_assert_eq!(p.len(), self.dim());
         let mut acc = 0.0f64;
         for ((&lo, &hi), &x) in self.min.iter().zip(self.max.iter()).zip(p.iter()) {
-            let d = if x < lo {
-                f64::from(lo) - f64::from(x)
-            } else if x > hi {
-                f64::from(x) - f64::from(hi)
-            } else {
-                0.0
-            };
+            let d = min_dist_term(f64::from(lo), f64::from(hi), f64::from(x));
             acc += d * d;
         }
         acc

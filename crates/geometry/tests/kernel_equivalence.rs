@@ -277,3 +277,160 @@ fn raw_bounds_match_decoded_shapes_bitwise() {
         }
     }
 }
+
+/// The three-way `MINDIST` term the branch-free kernels replaced, kept
+/// as the reference they must match bit for bit.
+fn branchy_term(lo: f64, hi: f64, x: f64) -> f64 {
+    if x < lo {
+        lo - x
+    } else if x > hi {
+        x - hi
+    } else {
+        0.0
+    }
+}
+
+/// `MINDIST²` summed in ascending dimension order over [`branchy_term`].
+fn branchy_min_dist2(lo: &[f32], hi: &[f32], query: &[f32]) -> f64 {
+    let mut acc = 0.0f64;
+    for ((&l, &h), &x) in lo.iter().zip(hi).zip(query) {
+        let d = branchy_term(f64::from(l), f64::from(h), f64::from(x));
+        acc += d * d;
+    }
+    acc
+}
+
+/// The kinds of axis the bitwise suite plants.
+#[derive(Clone, Copy, Debug)]
+enum Axis {
+    /// The query exactly on `lo`.
+    OnLo,
+    /// The query exactly on `hi`.
+    OnHi,
+    /// `lo == hi`, the query below, on or above it.
+    Degenerate,
+    /// `±0.0` bounds and queries.
+    SignedZero,
+    /// `±∞` bounds, as the K-D-B root's partitions carry.
+    Infinite,
+    /// NaN bounds (corrupt bytes; only the raw kernels can hold them).
+    Nan,
+    /// An ordinary ordered axis.
+    Random,
+}
+
+const AXES: [Axis; 7] = [
+    Axis::OnLo,
+    Axis::OnHi,
+    Axis::Degenerate,
+    Axis::SignedZero,
+    Axis::Infinite,
+    Axis::Nan,
+    Axis::Random,
+];
+
+/// One `(lo, hi, x)` axis of `kind`.
+fn axis(rng: &mut SeededRng, kind: Axis) -> (f32, f32, f32) {
+    let mut pick = |choices: &[f32]| choices[rng.random_range(0..choices.len())];
+    let (a, b, x) = (
+        pick(&[-3.5, -1.0, 0.25, 2.0]),
+        pick(&[2.5, 4.0, 1e6]),
+        pick(&[-1e6, -2.0, 0.0, 1.0, 3.0, 7.5]),
+    );
+    match kind {
+        Axis::OnLo => (a, b, a),
+        Axis::OnHi => (a, b, b),
+        Axis::Degenerate => (a, a, pick(&[a, a.next_down(), a.next_up(), x])),
+        Axis::SignedZero => (
+            pick(&[-0.0, 0.0]),
+            pick(&[-0.0, 0.0, b]),
+            pick(&[-0.0, 0.0, -1.0, 1.0]),
+        ),
+        Axis::Infinite => {
+            let (lo, hi) = [
+                (f32::NEG_INFINITY, b),
+                (a, f32::INFINITY),
+                (f32::NEG_INFINITY, f32::INFINITY),
+                (f32::INFINITY, f32::INFINITY),
+                (f32::NEG_INFINITY, f32::NEG_INFINITY),
+            ][rng.random_range(0..5)];
+            (lo, hi, x)
+        }
+        Axis::Nan => {
+            let (lo, hi) =
+                [(f32::NAN, b), (a, f32::NAN), (f32::NAN, f32::NAN)][rng.random_range(0..3)];
+            (lo, hi, x)
+        }
+        Axis::Random => {
+            let (p, q) = (
+                rng.random::<f32>() * 20.0 - 10.0,
+                rng.random::<f32>() * 20.0 - 10.0,
+            );
+            (p.min(q), p.max(q), rng.random::<f32>() * 30.0 - 15.0)
+        }
+    }
+}
+
+/// The branch-free `MINDIST` — [`rect_min_dist2_f64le`], [`Rect::min_dist2`]
+/// and both halves of [`sphere_rect_min_dist2_f64le`] — equals the
+/// three-way reference bit for bit, on every edge the clamp could get
+/// wrong: the query on a bound, `lo == hi`, `±0.0`, `±∞` and NaN bounds.
+/// Each dimensionality runs one case per axis kind on every axis, then
+/// cases that mix the kinds.
+#[test]
+fn branch_free_min_dist_matches_the_three_way_term_bitwise() {
+    use sr_geometry::{
+        rect_min_dist2_f64le, sphere_min_dist2_f64le, sphere_rect_min_dist2_f64le, Rect,
+    };
+    let f64le = |coords: &[f32]| -> Vec<u8> {
+        coords
+            .iter()
+            .flat_map(|&c| f64::from(c).to_le_bytes())
+            .collect()
+    };
+    for dim in 1..=64usize {
+        let seed = 0x0C1A_49ED ^ (dim as u64);
+        let mut rng = SeededRng::seed_from_u64(seed);
+        let cases = AXES.iter().map(|&k| Some(k)).chain([None; 16]);
+        for (case, kind) in cases.enumerate() {
+            let (mut lo, mut hi, mut query) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..dim {
+                let k = kind.unwrap_or_else(|| AXES[rng.random_range(0..AXES.len())]);
+                let (l, h, x) = axis(&mut rng, k);
+                lo.push(l);
+                hi.push(h);
+                query.push(x);
+            }
+            let center = arb_points(&mut rng, 1, dim).remove(0);
+            let radius = f64::from(rng.random::<f32>() * 500.0);
+            let want = branchy_min_dist2(&lo, &hi, &query);
+            let ctx = format!("dim {dim} case {case} ({kind:?}) seed {seed:#x}");
+            let (raw_lo, raw_hi, raw_center) = (f64le(&lo), f64le(&hi), f64le(&center));
+
+            let raw = rect_min_dist2_f64le(&raw_lo, &raw_hi, &query).unwrap();
+            assert_eq!(
+                raw.to_bits(),
+                want.to_bits(),
+                "raw kernel {raw} != {want}: {ctx}"
+            );
+            // `Rect` holds only ordered, NaN-free bounds.
+            if !lo.iter().chain(&hi).any(|v| v.is_nan()) {
+                let got = Rect::new(lo.clone(), hi.clone()).min_dist2(&query);
+                assert_eq!(got.to_bits(), want.to_bits(), "Rect {got} != {want}: {ctx}");
+            }
+            let (sphere, rect) =
+                sphere_rect_min_dist2_f64le(&raw_center, radius, &raw_lo, &raw_hi, &query).unwrap();
+            assert_eq!(
+                rect.to_bits(),
+                want.to_bits(),
+                "fused rect {rect} != {want}: {ctx}"
+            );
+            let alone = sphere_min_dist2_f64le(&raw_center, radius, &query).unwrap();
+            assert_eq!(
+                sphere.to_bits(),
+                alone.to_bits(),
+                "fused sphere {sphere} != {alone}: {ctx}"
+            );
+        }
+    }
+}

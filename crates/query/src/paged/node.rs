@@ -132,38 +132,63 @@ impl<R: Region> Node<R> {
     /// panicking constructor.
     ///
     /// # Errors
-    /// [`IndexError::Corrupt`] for a bad header (`page N: …`), a
+    /// [`IndexError::Corrupt`] starting `page N:` for a bad header, a
     /// non-finite leaf coordinate, or an invalid region.
     pub fn decode(id: PageId, level: u16, payload: &[u8], params: &Params<R>) -> Result<Self> {
         let dim = params.dim;
-        match Layout::parse(id, level, payload, params)? {
-            Layout::Leaf(cols) => {
-                let mut entries = Vec::with_capacity(cols.len());
-                let mut coords = Vec::with_capacity(dim);
-                for (i, data) in cols.data_ids().enumerate() {
-                    cols.point_into(i, &mut coords)?;
-                    if !coords.iter().all(|v| v.is_finite()) {
-                        return Err(non_finite_leaf());
-                    }
-                    // On-disk bytes are untrusted input: the fallible
-                    // constructor turns a zero-dimensional page into a
-                    // typed error instead of a panic.
-                    let point = Point::try_new(coords.as_slice())
-                        .map_err(|e| IndexError::Corrupt(e.to_string()))?;
-                    entries.push(LeafEntry { point, data });
-                }
-                Ok(Node::Leaf(entries))
+        let node = match Layout::parse(id, level, payload, params)? {
+            Layout::Leaf(cols) => decode_leaf(&cols, dim).map(Node::Leaf),
+            Layout::Inner { n, rest } => {
+                decode_inner(n, rest, dim).map(|entries| Node::Inner { level, entries })
             }
-            Layout::Inner { n, mut rest } => {
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let region = R::decode(&mut rest, dim)?;
-                    let child = rest.get_u64()?;
-                    entries.push(Entry { region, child });
-                }
-                Ok(Node::Inner { level, entries })
-            }
+        };
+        node.map_err(|e| in_page(id, e))
+    }
+}
+
+/// Materialise an inner node's `n` entries, each region validated by
+/// [`Region::decode`].
+fn decode_inner<R: Region>(
+    n: usize,
+    mut rest: PageReader<'_>,
+    dim: usize,
+) -> Result<Vec<Entry<R>>> {
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        let region = R::decode(&mut rest, dim)?;
+        let child = rest.get_u64()?;
+        entries.push(Entry { region, child });
+    }
+    Ok(entries)
+}
+
+/// Materialise a leaf's entries, rejecting every field whose misvalue
+/// would later feed a panicking constructor.
+fn decode_leaf(cols: &LeafColumns<'_>, dim: usize) -> Result<Vec<LeafEntry>> {
+    let mut entries = Vec::with_capacity(cols.len());
+    let mut coords = Vec::with_capacity(dim);
+    for (i, data) in cols.data_ids().enumerate() {
+        cols.point_into(i, &mut coords)?;
+        if !coords.iter().all(|v| v.is_finite()) {
+            return Err(non_finite_leaf());
         }
+        // On-disk bytes are untrusted input: the fallible constructor
+        // turns a zero-dimensional page into a typed error instead of a
+        // panic.
+        let point =
+            Point::try_new(coords.as_slice()).map_err(|e| IndexError::Corrupt(e.to_string()))?;
+        entries.push(LeafEntry { point, data });
+    }
+    Ok(entries)
+}
+
+/// `e`, met while reading the entries of page `id`, as a fault of that
+/// page: a `Corrupt` text gets the `page N: ` prefix [`Layout::parse`]'s
+/// own errors carry. Other errors pass unchanged.
+pub(super) fn in_page(id: PageId, e: IndexError) -> IndexError {
+    match e {
+        IndexError::Corrupt(msg) => page_fault(id, msg),
+        e => e,
     }
 }
 
@@ -188,7 +213,8 @@ pub(super) fn non_finite_leaf() -> IndexError {
 ///
 /// A payload too short for its header fails at the field it cuts. Every
 /// error is [`IndexError::Corrupt`] starting `page N:`; entry bytes are
-/// the reader's to check.
+/// the reader's to check, and a reader that rejects them names the page
+/// the same way ([`in_page`]).
 pub(super) enum Layout<'a> {
     /// A columnar leaf.
     Leaf(LeafColumns<'a>),

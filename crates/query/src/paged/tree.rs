@@ -7,7 +7,7 @@ use sr_pager::{
     narrow_lane, LeafColumns, PageBuf, PageCodec, PageFile, PageId, PageKind, PageReader,
 };
 
-use super::node::{non_finite_leaf, Layout, LeafEntry, Node};
+use super::node::{in_page, non_finite_leaf, Layout, LeafEntry, Node};
 use super::params::Params;
 use super::region::Region;
 use super::search::Source;
@@ -325,20 +325,22 @@ impl<R: Region> Paged<R> {
             let payload = t.read_payload(id, level)?;
             let (n, mut rest) = match Layout::parse(id, level, &payload, &t.params)? {
                 Layout::Leaf(cols) => {
-                    return Ok(leaf_holds(&cols, point, data)?.then(|| vec![id]));
+                    let found = leaf_holds(&cols, point, data).map_err(|e| in_page(id, e))?;
+                    return Ok(found.then(|| vec![id]));
                 }
                 Layout::Inner { n, rest } => (n, rest),
             };
             // Probe every entry before descending into any: a region that
             // `decode` rejects fails the lookup wherever it sits.
-            let mut hits = Vec::new();
-            for _ in 0..n {
-                let raw = rest.get_bytes(R::bytes(t.params.dim))?;
-                let child = rest.get_u64()?;
-                if R::contains_raw(raw, point.coords())? {
-                    hits.push(child);
-                }
-            }
+            let hits = (0..n)
+                .map(|_| {
+                    let raw = rest.get_bytes(R::bytes(t.params.dim))?;
+                    let child = rest.get_u64()?;
+                    Ok(R::contains_raw(raw, point.coords())?.then_some(child))
+                })
+                .filter_map(Result::transpose)
+                .collect::<Result<Vec<_>>>()
+                .map_err(|e| in_page(id, e))?;
             for child in hits {
                 if let Some(mut path) = walk(t, child, level - 1, point, data)? {
                     path.insert(0, id);

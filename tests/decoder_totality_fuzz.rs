@@ -12,14 +12,20 @@
 //! with the same `IndexError::Corrupt` text, naming the page, on every
 //! path that reads it (k-NN, `contains`, `verify`).
 //!
-//! Set `SRTREE_FUZZ_SEED` (decimal or `0x`-hex) to replay a failure;
-//! the fixed default seeds keep CI deterministic.
+//! The entry-byte arm does the same for faults inside a page's entries
+//! (a NaN lane, an inverted rectangle, a negative radius): `contains`
+//! and `verify` must fail with the identical text, naming the page.
+//!
+//! Each arm has a fixed default seed, which keeps CI deterministic.
+//! Setting `SRTREE_FUZZ_SEED` (decimal or `0x`-hex) mixes it into every
+//! arm's default, so the arms still run distinct inputs; each arm prints
+//! the seed it ran, and the same `SRTREE_FUZZ_SEED` replays a failure.
 
 use srtree::dataset::{uniform, SeededRng};
 use srtree::pager::{
     encode_header, encode_page_frame, put_leaf_columns, scan_log, LeafColumns, PageCodec, PageKind,
 };
-use srtree::query::paged::PagedTree;
+use srtree::query::paged::{PagedTree, Region};
 use srtree::query::{IndexError, SpatialIndex};
 use srtree::rstar::RstarTree;
 use srtree::tree::SrTree;
@@ -33,11 +39,21 @@ use srtree::wire::{
 /// decoder is hit many times per run.
 const CASES: usize = 4_000;
 
+/// The seed of the arm whose fixed seed is `default`: `default` itself,
+/// or, with `SRTREE_FUZZ_SEED` set, the override mixed with `default`
+/// (one SplitMix64-seeded draw of `override ^ default`), so every arm
+/// still runs its own inputs. Prints the seed it returns; a failure
+/// replays with the same `SRTREE_FUZZ_SEED`.
 fn seed_for(default: u64) -> u64 {
-    match std::env::var("SRTREE_FUZZ_SEED") {
-        Ok(s) => parse_seed(&s).unwrap_or_else(|| panic!("bad SRTREE_FUZZ_SEED {s:?}")),
+    let seed = match std::env::var("SRTREE_FUZZ_SEED") {
+        Ok(s) => {
+            let over = parse_seed(&s).unwrap_or_else(|| panic!("bad SRTREE_FUZZ_SEED {s:?}"));
+            SeededRng::seed_from_u64(over ^ default).next_u64()
+        }
         Err(_) => default,
-    }
+    };
+    eprintln!("arm {default:#x}: seed {seed:#x}");
+    seed
 }
 
 fn parse_seed(s: &str) -> Option<u64> {
@@ -305,6 +321,144 @@ fn node_header_faults_read_alike_on_every_path() {
         );
         node_header_faults_read_alike(
             RstarTree::create_in_memory(NODE_DIM, NODE_PAGE).expect("R*-tree"),
+            seed,
+        );
+    }
+}
+
+/// Lane offsets of a region's fields within an inner-node entry, in f64
+/// lanes: a sphere's center then radius, a rectangle's min then max.
+#[derive(Clone, Copy, Debug)]
+struct RegionLanes {
+    sphere: Option<usize>,
+    rect: Option<usize>,
+}
+
+/// The SR-tree's region: sphere (center, radius) then rectangle.
+const SR_LANES: RegionLanes = RegionLanes {
+    sphere: Some(0),
+    rect: Some(NODE_DIM + 1),
+};
+/// The R*-tree's region: a rectangle.
+const RECT_LANES: RegionLanes = RegionLanes {
+    sphere: None,
+    rect: Some(0),
+};
+
+/// One way an entry inside a node page can lie.
+#[derive(Clone, Copy, Debug)]
+enum EntryFault {
+    /// A NaN in one of a leaf's coordinate lanes.
+    LeafNan,
+    /// A NaN in one lane of a root entry's region.
+    RegionNan,
+    /// A root entry's rectangle with `min > max` on one axis.
+    Inverted,
+    /// A root entry's sphere with a negative radius.
+    NegativeRadius,
+}
+
+/// Overwrite f64 lane `lane` of the region bytes starting at `at`.
+fn set_lane(buf: &mut [u8], at: usize, lane: usize, v: f64) {
+    let at = at + lane * 8;
+    buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Fill `tree` with seeded points, then fault one entry of its root or
+/// one coordinate of the leaf holding a probe point, one fault per case,
+/// and require `contains(probe)` and `verify()` to fail with the
+/// identical `Corrupt` text, starting `page N:`. k-NN scores entries
+/// without validating them (its bounds read the raw bytes), so it need
+/// not fail, only return. Each case restores the page before the next.
+fn node_entry_faults_read_alike<T: PagedTree>(mut tree: T, lanes: RegionLanes, seed: u64) {
+    let name = tree.kind_name();
+    let mut rng = SeededRng::seed_from_u64(seed);
+    let points = uniform(NODE_POINTS, NODE_DIM, rng.next_u64());
+    for (i, p) in points.iter().enumerate() {
+        tree.insert(p.coords(), i as u64).expect("insert");
+    }
+    let core = tree.core();
+    let root_level = core.root_level().expect("a non-empty tree");
+    assert!(root_level >= 1, "{name}: the root must be an inner node");
+    let mut faults = vec![EntryFault::LeafNan, EntryFault::RegionNan];
+    if lanes.rect.is_some() {
+        faults.push(EntryFault::Inverted);
+    }
+    if lanes.sphere.is_some() {
+        faults.push(EntryFault::NegativeRadius);
+    }
+    let region_lanes = T::Region::bytes(NODE_DIM) / 8;
+    for case in 0..NODE_CASES {
+        let i = rng.random_range(0..NODE_POINTS);
+        let (probe, data) = (&points[i], i as u64);
+        let fault = faults[rng.random_range(0..faults.len())];
+        let (id, kind) = match fault {
+            EntryFault::LeafNan => {
+                let path = core.find_leaf(probe, data).expect("intact tree");
+                let leaf = path.and_then(|p| p.last().copied()).expect("stored probe");
+                (leaf, PageKind::Leaf)
+            }
+            _ => (core.root, PageKind::Node),
+        };
+        let intact = core.pager().read(id, kind).expect("read").to_vec();
+        let mut faulted = intact.clone();
+        // Both kinds of page hold `n` entries after a 4-byte header.
+        let n = usize::from(u16::from_le_bytes([intact[2], intact[3]]));
+        let entry = 4 + rng.random_range(0..n) * (T::Region::bytes(NODE_DIM) + 8);
+        let d = rng.random_range(0..NODE_DIM);
+        match fault {
+            // Coordinate lanes are dimension-major, `n · dim` of them.
+            EntryFault::LeafNan => {
+                set_lane(&mut faulted, 4, rng.random_range(0..n * NODE_DIM), f64::NAN)
+            }
+            EntryFault::RegionNan => set_lane(
+                &mut faulted,
+                entry,
+                rng.random_range(0..region_lanes),
+                f64::NAN,
+            ),
+            EntryFault::Inverted => {
+                let min = lanes.rect.expect("a rectangle");
+                set_lane(&mut faulted, entry, min + d, 5.0);
+                set_lane(&mut faulted, entry, min + NODE_DIM + d, -5.0);
+            }
+            EntryFault::NegativeRadius => {
+                let center = lanes.sphere.expect("a sphere");
+                set_lane(&mut faulted, entry, center + NODE_DIM, -1.0);
+            }
+        }
+        core.pager().write(id, kind, &faulted).expect("write");
+
+        let what = format!("{name} seed {seed:#x} case {case}: {fault:?} on page {id}");
+        let _ = tree.knn(probe.coords(), 1);
+        let contains = corrupt_text(
+            core.contains(probe, data).map(drop),
+            &format!("{what}: contains"),
+        );
+        let verify = corrupt_text(tree.verify().map(drop), &format!("{what}: verify"));
+        assert_eq!(contains, verify, "{what}: contains and verify disagree");
+        assert!(
+            contains.starts_with(&format!("page {id}: ")),
+            "{what}: {contains}"
+        );
+
+        core.pager().write(id, kind, &intact).expect("restore");
+    }
+    tree.verify().expect("every faulted page was restored");
+}
+
+#[test]
+fn node_entry_faults_read_alike_on_every_path() {
+    for base in [0xE7A1u64 << 16 | 1, 0xE7A1 << 16 | 2] {
+        let seed = seed_for(base);
+        node_entry_faults_read_alike(
+            SrTree::create_in_memory(NODE_DIM, NODE_PAGE).expect("SR-tree"),
+            SR_LANES,
+            seed,
+        );
+        node_entry_faults_read_alike(
+            RstarTree::create_in_memory(NODE_DIM, NODE_PAGE).expect("R*-tree"),
+            RECT_LANES,
             seed,
         );
     }

@@ -12,8 +12,9 @@
 //!   corrupt ones included (same answer, or the same error).
 //! * Corruption: an inner node whose region has a NaN coordinate,
 //!   inverted corners or a negative radius makes `delete` and `contains`
-//!   fail with `IndexError::Corrupt`, even when the corrupt entry is not
-//!   the one the lookup descends into.
+//!   fail with the `IndexError::Corrupt` text decoding gives, naming the
+//!   page, even when the corrupt entry is not the one the lookup
+//!   descends into.
 //! * Misplaced pages: a level-1 node's payload in one of its leaves'
 //!   slots, or a leaf's payload in its parent's slot, makes every walk
 //!   that reads the page (`walk_leaves`, `num_leaves`, k-NN, `contains`,
@@ -302,8 +303,9 @@ fn built<T: Dynamic>(mut tree: T) -> (T, Point, u64) {
 
 /// Overwrite `(lane, value)` f64 lanes of the region of the root's *last*
 /// entry, then check that `delete` and `contains` of an entry under the
-/// *first* child fail with `Corrupt`, as the decoded walk does.
-fn corrupt_root<T: Dynamic>(tree: T, lanes: &[(usize, f64)]) {
+/// *first* child fail with `Corrupt("page <root>: <want>")`, as decoding
+/// the root and the decoded walk do.
+fn corrupt_root<T: Dynamic>(tree: T, lanes: &[(usize, f64)], want: &str) {
     let (mut tree, p, id) = built(tree);
     let core = tree.core();
     let name = core.kind().name;
@@ -322,28 +324,20 @@ fn corrupt_root<T: Dynamic>(tree: T, lanes: &[(usize, f64)]) {
     core.pager()
         .write(core.root, PageKind::Node, &payload)
         .unwrap();
-    assert!(
-        matches!(
-            core.read_node(core.root, level),
-            Err(IndexError::Corrupt(_))
-        ),
-        "{name}: decode must reject the patched root"
-    );
-    assert!(matches!(
-        reference(core, &p, id),
-        Err(IndexError::Corrupt(_))
-    ));
-    let contains = core.contains(&p, id);
-    assert!(
-        matches!(contains, Err(IndexError::Corrupt(_))),
-        "{name}: contains gave {contains:?}"
-    );
-    let deleted = tree.delete(&p, id);
-    assert!(
-        matches!(deleted, Err(IndexError::Corrupt(_))),
-        "{name}: delete gave {deleted:?}"
-    );
+    let want = format!("page {}: {want}", core.root);
+    let corrupt = |what: &str, got: Result<(), IndexError>| match got {
+        Err(IndexError::Corrupt(msg)) => assert_eq!(msg, want, "{name}: {what}"),
+        other => panic!("{name}: {what}: expected Corrupt({want:?}), got {other:?}"),
+    };
+    corrupt("decode", core.read_node(core.root, level).map(drop));
+    corrupt("reference walk", reference(core, &p, id).map(drop));
+    corrupt("contains", core.contains(&p, id).map(drop));
+    corrupt("delete", tree.delete(&p, id).map(drop));
 }
+
+const BAD_RECT: &str = "invalid rectangle bound on disk";
+const INVERTED_RECT: &str = "inverted bounding rectangle on disk";
+const BAD_SPHERE: &str = "invalid bounding sphere on disk";
 
 // Region lanes: SR = center[DIM], radius, min[DIM], max[DIM];
 // SS = center[DIM], radius; Rect = min[DIM], max[DIM].
@@ -353,18 +347,22 @@ fn nan_region_coordinate_is_corrupt() {
     corrupt_root(
         SrTree::create_in_memory(DIM, PAGE).unwrap(),
         &[(1, f64::NAN)],
+        BAD_SPHERE,
     );
     corrupt_root(
         SrTree::create_in_memory(DIM, PAGE).unwrap(),
         &[(DIM + 2, f64::NAN)],
+        BAD_RECT,
     );
     corrupt_root(
         SsTree::create_in_memory(DIM, PAGE).unwrap(),
         &[(2, f64::NAN)],
+        BAD_SPHERE,
     );
     corrupt_root(
         RstarTree::create_in_memory(DIM, PAGE).unwrap(),
         &[(DIM + 3, f64::NAN)],
+        BAD_RECT,
     );
 }
 
@@ -375,17 +373,27 @@ fn inverted_region_corners_are_corrupt() {
     corrupt_root(
         SrTree::create_in_memory(DIM, PAGE).unwrap(),
         &[(sr_min, 5.0), (sr_max, -5.0)],
+        INVERTED_RECT,
     );
     corrupt_root(
         RstarTree::create_in_memory(DIM, PAGE).unwrap(),
         &[(0, 5.0), (DIM, -5.0)],
+        INVERTED_RECT,
     );
 }
 
 #[test]
 fn negative_region_radius_is_corrupt() {
-    corrupt_root(SrTree::create_in_memory(DIM, PAGE).unwrap(), &[(DIM, -1.0)]);
-    corrupt_root(SsTree::create_in_memory(DIM, PAGE).unwrap(), &[(DIM, -1.0)]);
+    corrupt_root(
+        SrTree::create_in_memory(DIM, PAGE).unwrap(),
+        &[(DIM, -1.0)],
+        BAD_SPHERE,
+    );
+    corrupt_root(
+        SsTree::create_in_memory(DIM, PAGE).unwrap(),
+        &[(DIM, -1.0)],
+        BAD_SPHERE,
+    );
 }
 
 /// Build a tree over 2,000 points, then copy the payload of the root's
