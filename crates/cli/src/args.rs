@@ -33,7 +33,7 @@ srtool — build, query, and serve SR-tree-family index files
   srtool client  ping|knn|range|insert|stats|shutdown --addr HOST:PORT
                  [--k N] [--query v,..] [--batch q.tsv] [--radius R] [--data d.tsv]
   srtool fuzz    --seed 0xd1ff0001 --ops 2000 --dim 8 --dist uniform|cluster|real
-  srtool lint    [--json] [--root <workspace-root>] [--rule <id>] [--stats] [--timings]
+  srtool lint    [--json] [--root <workspace-root>] [--rule <id>] [--stats]
 
 Data files are TSV: one point per line, `id <TAB> c0 <TAB> c1 ...`.
 
@@ -183,8 +183,6 @@ pub enum Command {
         rule: Option<String>,
         /// Append a one-line run summary (files, findings, elapsed ms).
         stats: bool,
-        /// Append a one-line per-pass wall-clock summary.
-        timings: bool,
     },
     /// Serve an index over TCP until a `shutdown` request drains it.
     Serve {
@@ -325,8 +323,7 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
         "--help" | "-h" | "help" => Ok(Command::Help),
         "fuzz" => parse_fuzz(&rest),
         "lint" => {
-            let mut json = false;
-            let (mut stats, mut timings) = (false, false);
+            let (mut json, mut stats) = (false, false);
             let mut root = None;
             let mut rule = None;
             let mut i = 0;
@@ -338,10 +335,6 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                     }
                     "--stats" => {
                         stats = true;
-                        i += 1;
-                    }
-                    "--timings" => {
-                        timings = true;
                         i += 1;
                     }
                     "--root" => {
@@ -371,7 +364,7 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                             flag: "lint",
                             detail: format!(
                                 "unknown argument {other:?} (--json, --root <dir>, --rule <id>, \
-                                 --stats, --timings)"
+                                 --stats)"
                             ),
                         })
                     }
@@ -382,7 +375,6 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                 root,
                 rule,
                 stats,
-                timings,
             })
         }
         other => Err(ArgError::UnknownCommand(other.to_string())),
@@ -907,7 +899,6 @@ mod tests {
                 root: None,
                 rule: None,
                 stats: false,
-                timings: false,
             }
         );
         assert_eq!(
@@ -917,17 +908,15 @@ mod tests {
                 root: Some(PathBuf::from("/tmp/ws")),
                 rule: None,
                 stats: false,
-                timings: false,
             }
         );
         assert_eq!(
-            p(&["lint", "--rule", "L4", "--stats", "--timings"]).unwrap(),
+            p(&["lint", "--rule", "L4", "--stats"]).unwrap(),
             Command::Lint {
                 json: false,
                 root: None,
                 rule: Some("L4".to_string()),
                 stats: true,
-                timings: true,
             }
         );
         assert_eq!(
@@ -937,12 +926,14 @@ mod tests {
                 root: None,
                 rule: Some("L4/lock-io".to_string()),
                 stats: false,
-                timings: false,
             }
         );
         assert!(p(&["lint", "--rule", "no-such-family"]).is_err());
         assert!(p(&["lint", "--rule", "L7"]).is_err());
         assert!(p(&["lint", "--rule", "L6/error-conversion"]).is_err());
+        assert!(p(&["lint", "--rule", "L3/dead-variant"]).is_err());
+        assert!(p(&["lint", "--rule", "L6/swallowed-error"]).is_err());
+        assert!(p(&["lint", "--timings"]).is_err());
         assert!(p(&["lint", "--rule"]).is_err());
         assert!(p(&["lint", "--frobnicate"]).is_err());
     }

@@ -9,7 +9,7 @@ use sr_geometry::Point;
 use sr_obs::{Counter, Recorder, StatsRecorder};
 use sr_pager::{IoStats, PageFile, PageKind, WalStats, DEFAULT_PAGE_SIZE};
 use sr_query::paged::DEFAULT_DATA_AREA;
-use sr_query::{IndexError, SpatialIndex};
+use sr_query::{IndexError, QuerySpec, SpatialIndex};
 use sr_testkit::{
     failure_report, generate, minimize, run_tape, DiffConfig, TreeKind, WorkloadSpec,
 };
@@ -217,13 +217,12 @@ fn run_knn_batch(
     json: bool,
     out: &mut dyn Write,
 ) -> Result<(), CmdError> {
-    let queries: Vec<Vec<f32>> = read_points(batch_path)
-        .map_err(|e| e.to_string())?
-        .into_iter()
-        .map(|(p, _)| p.coords().to_vec())
+    let points = read_points(batch_path).map_err(|e| e.to_string())?;
+    let specs: Vec<QuerySpec<'_>> = (points.iter())
+        .map(|(p, _)| QuerySpec::knn(p.coords(), k))
         .collect();
-    let n_queries = queries.len();
-    let result = sr_exec::run_knn_batch(index, &queries, k, threads)
+    let n_queries = specs.len();
+    let result = sr_exec::run_query_batch(index, &specs, threads)
         .map_err(|e| CmdError::Failure(format!("{}: {e}", batch_path.display())))?;
     let cap = index.pager().cache_capacity();
     let total: usize = result.results.iter().map(Vec::len).sum();
@@ -542,7 +541,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
             root,
             rule,
             stats,
-            timings,
         } => {
             let root = root
                 .or_else(|| {
@@ -588,13 +586,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
                     report.files_scanned, findings, elapsed_ms
                 )
                 .map_err(|e| e.to_string())?;
-            }
-            if timings {
-                let per_pass: Vec<String> = (report.timings.iter())
-                    .map(|(name, d)| format!("{name}={:.1}ms", d.as_secs_f64() * 1000.0))
-                    .collect();
-                writeln!(out, "srlint-timings: {}", per_pass.join(" "))
-                    .map_err(|e| e.to_string())?;
             }
             if report.is_clean() {
                 Ok(())

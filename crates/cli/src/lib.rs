@@ -15,7 +15,7 @@
 //! srtool serve   index.pages --addr 127.0.0.1:7878 --threads 4 --max-conns 64
 //! srtool client  ping|knn|range|insert|stats|shutdown --addr HOST:PORT ...
 //! srtool fuzz    --seed 0xd1ff0001 --ops 2000 --dim 8 --dist uniform|cluster|real
-//! srtool lint    [--json] [--root <workspace-root>] [--rule <id>] [--stats] [--timings]
+//! srtool lint    [--json] [--root <workspace-root>] [--rule <id>] [--stats]
 //! ```
 //!
 //! Data files are TSV: one point per line, `id <TAB> c0 <TAB> c1 ...`.

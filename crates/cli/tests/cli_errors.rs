@@ -387,8 +387,7 @@ fn corrupt_root_entry_count_reads_as_corruption_on_every_path() {
 #[test]
 fn lint_rejects_unknown_rule_family() {
     // A name outside the `L<n>` scheme, so no future rule family can
-    // make it valid, and the retired families and rules whose checks
-    // rustc and clippy now make.
+    // make it valid, and the retired families and rules.
     for family in [
         "no-such-family",
         "L2",
@@ -397,6 +396,8 @@ fn lint_rejects_unknown_rule_family() {
         "L7/unguarded-access",
         "L1/panic",
         "L6/error-conversion",
+        "L3/dead-variant",
+        "L6/swallowed-error",
     ] {
         let out = srtool(&["lint", "--rule", family]);
         assert_eq!(out.status.code(), Some(2), "--rule {family}");
@@ -445,7 +446,26 @@ fn lint_rule_filter_and_stats_line() {
         .expect("stats line present");
     assert!(stats_line.contains("files="), "{stats_line}");
     assert!(stats_line.contains("elapsed_ms="), "{stats_line}");
-    assert!(extract_u64(stats_line, "files=") > 100, "{stats_line}");
+    // Only the library crates' sources are lexed: one per `.rs` file.
+    let lib_files: u64 = sr_lint::LIB_CRATES
+        .iter()
+        .map(|c| count_rs_files(&root.join("crates").join(c).join("src")))
+        .sum();
+    assert_eq!(extract_u64(stats_line, "files="), lib_files, "{stats_line}");
+}
+
+fn count_rs_files(dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|p| {
+            if p.is_dir() {
+                count_rs_files(&p)
+            } else {
+                u64::from(p.extension().is_some_and(|e| e == "rs"))
+            }
+        })
+        .sum()
 }
 
 #[test]

@@ -86,11 +86,6 @@ impl DirichletMixture {
         DirichletMixture { components, rng }
     }
 
-    /// Number of mixture components.
-    pub fn num_components(&self) -> usize {
-        self.components.len()
-    }
-
     /// Draw one histogram vector (non-negative, sums to 1).
     pub fn sample(&mut self) -> Vec<f32> {
         let c = self.rng.random_range(0..self.components.len());

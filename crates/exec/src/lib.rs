@@ -3,7 +3,7 @@
 //! The paper's experiments (§5) report per-query page reads averaged over
 //! a *batch* of queries, and any realistic serving scenario answers many
 //! queries against one index at once. This crate provides the execution
-//! layer for that: [`run_knn_batch`] fans a batch of k-NN queries across
+//! layer for that: [`run_query_batch`] fans a batch of queries across
 //! a pool of worker threads that all read the *same* index through the
 //! lock-striped pager cache (`sr-pager` shards its LRU by page id, so
 //! concurrent readers rarely contend on the same lock).
@@ -31,11 +31,9 @@
 //!    [`ExecError::WorkerPanic`] without poisoning anything, because the
 //!    scope owns no shared mutable state.
 //!
-//! [`run_batch`] is the generic core (any `Fn(index, query, recorder)`
-//! job); [`run_query_batch`] fans a heterogeneous batch of
-//! [`QuerySpec`]s (mixed k-NN and range — what the `sr-serve` request
-//! coalescer produces) over one index, and [`run_knn_batch`] is the
-//! homogeneous k-NN entry point the CLI and `sr-bench` use.
+//! A batch is a slice of [`QuerySpec`]s, k-NN and range mixed freely:
+//! the `sr-serve` request coalescer produces such mixed batches, and the
+//! CLI's `knn --batch` lowers its queries to [`QuerySpec::knn`].
 //!
 //! [`StatsRecorder`]: sr_obs::StatsRecorder
 
@@ -105,17 +103,17 @@ impl std::error::Error for ExecError {
 
 /// Outcome of a generic [`run_batch`] call.
 #[derive(Debug)]
-pub struct BatchOutput<T> {
+struct BatchOutput<T> {
     /// One result per input query, in input order.
-    pub results: Vec<T>,
+    results: Vec<T>,
     /// Per-worker `sr-obs` metrics, merged.
-    pub metrics: MetricsSnapshot,
+    metrics: MetricsSnapshot,
     /// Number of worker threads actually used (after clamping).
-    pub threads: usize,
+    threads: usize,
 }
 
-/// Outcome of [`run_knn_batch`] / [`run_query_batch`]: results plus the
-/// pager I/O window spanning the whole batch.
+/// Outcome of [`run_query_batch`]: results plus the pager I/O window
+/// spanning the whole batch.
 #[derive(Debug)]
 pub struct BatchResult {
     /// One neighbor list per input query, in input order.
@@ -131,7 +129,7 @@ pub struct BatchResult {
 /// Clamp a positive requested thread count to at most one worker per
 /// query. Zero threads and zero queries are rejected by [`run_batch`]
 /// before this is consulted.
-pub fn effective_threads(requested: usize, n_queries: usize) -> usize {
+fn effective_threads(requested: usize, n_queries: usize) -> usize {
     requested.max(1).min(n_queries.max(1))
 }
 
@@ -145,11 +143,7 @@ pub fn effective_threads(requested: usize, n_queries: usize) -> usize {
 /// thread count or an empty batch is rejected up front with a typed
 /// error ([`ExecError::ZeroThreads`] / [`ExecError::EmptyBatch`]) —
 /// degenerate requests fail loudly instead of being reinterpreted.
-pub fn run_batch<Q, T, F>(
-    queries: &[Q],
-    threads: usize,
-    job: F,
-) -> Result<BatchOutput<T>, ExecError>
+fn run_batch<Q, T, F>(queries: &[Q], threads: usize, job: F) -> Result<BatchOutput<T>, ExecError>
 where
     Q: Sync,
     T: Send,
@@ -235,34 +229,13 @@ where
     })
 }
 
-/// Answer a batch of k-NN queries against one index in parallel.
+/// Answer a batch of [`QuerySpec`]s — k-NN and range, mixed freely —
+/// against one index in parallel. This is the fan-out the `sr-serve`
+/// coalescer uses when it folds adjacent read requests from one
+/// connection into a single batch.
 ///
 /// Results come back in input order and are identical to a sequential
 /// loop; the returned [`IoStats`] window covers the whole batch.
-pub fn run_knn_batch<I: SpatialIndex + ?Sized>(
-    index: &I,
-    queries: &[Vec<f32>],
-    k: usize,
-    threads: usize,
-) -> Result<BatchResult, ExecError> {
-    let before = index.io_stats();
-    let out = run_batch(queries, threads, |_, q, rec| {
-        index.query(&QuerySpec::knn(q, k), rec).map(|o| o.rows)
-    })?;
-    Ok(BatchResult {
-        results: out.results,
-        metrics: out.metrics,
-        io: index.io_stats().since(&before),
-        threads: out.threads,
-    })
-}
-
-/// Answer a heterogeneous batch of [`QuerySpec`]s — mixed k-NN and
-/// range — against one index in
-/// parallel. This is the fan-out the `sr-serve` coalescer uses when it
-/// folds adjacent read requests from one connection into a single
-/// batch; results come back in input order exactly like
-/// [`run_knn_batch`].
 pub fn run_query_batch<I: SpatialIndex + ?Sized>(
     index: &I,
     specs: &[QuerySpec<'_>],
@@ -364,6 +337,17 @@ mod tests {
 
     fn queries(n: usize) -> Vec<Vec<f32>> {
         (0..n).map(|i| vec![i as f32 * 0.5, 3.0]).collect()
+    }
+
+    /// [`run_query_batch`] over k-NN specs for `queries`.
+    fn run_knn_batch(
+        ix: &BruteIndex,
+        queries: &[Vec<f32>],
+        k: usize,
+        threads: usize,
+    ) -> Result<BatchResult, ExecError> {
+        let specs: Vec<QuerySpec<'_>> = queries.iter().map(|q| QuerySpec::knn(q, k)).collect();
+        run_query_batch(ix, &specs, threads)
     }
 
     #[test]

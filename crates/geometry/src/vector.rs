@@ -69,12 +69,6 @@ impl Point {
         &self.0
     }
 
-    /// Mutable coordinates.
-    #[inline]
-    pub fn coords_mut(&mut self) -> &mut [f32] {
-        &mut self.0
-    }
-
     /// Squared Euclidean distance to another point.
     #[inline]
     pub fn dist2(&self, other: &Point) -> f64 {

@@ -12,9 +12,8 @@
 //!
 //! * **L1/assert** — no release-mode `assert!` in non-test library
 //!   code; every fallible path returns a typed error.
-//! * **L3/error-type, L3/dead-variant** — public `Result`-returning
-//!   functions name crate-local typed errors, and every error variant is
-//!   constructed somewhere.
+//! * **L3/error-type** — public `Result`-returning functions name
+//!   crate-local typed errors.
 //!
 //! On top of the token passes, a structural parser ([`parser`])
 //! recovers the item tree and block structure, feeding three
@@ -29,8 +28,7 @@
 //!   ([`ordering`]) — every atomic `Ordering::` argument needs a
 //!   same-item `// srlint: ordering -- reason` note; `Relaxed` on the
 //!   accounting files must state its invariant.
-//! * **L6/swallowed-error, L6/stale-deprecated** ([`errors`]) — typed
-//!   errors must not be silently swallowed, and `#[deprecated]` items
+//! * **L6/stale-deprecated** ([`rules`]) — `#[deprecated]` items
 //!   expire after one PR.
 //!
 //! A workspace call graph ([`callgraph`]) built over the shared
@@ -52,9 +50,8 @@
 //!
 //! The escape hatch is `// srlint: allow(<rule>) -- <reason>`, where
 //! `<rule>` is the rule id's tail (`assert`, `error-type`,
-//! `dead-variant`, `lock-order`, `lock-io`, `lock-cycle`,
-//! `guard-escape`, `ordering`, `ordering-relaxed`, `ordering-unused`,
-//! `swallowed-error`, `stale-deprecated`,
+//! `lock-order`, `lock-io`, `lock-cycle`, `guard-escape`, `ordering`,
+//! `ordering-relaxed`, `ordering-unused`, `stale-deprecated`,
 //! `unchecked-length`, `unchecked-offset`, `tainted-alloc`,
 //! `hot-alloc`, `hot-lock`, `hot-io`). A hatch covers its own line and
 //! the next code line; unused or malformed hatches are themselves
@@ -65,7 +62,6 @@
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
-pub mod errors;
 pub mod hot;
 pub mod lexer;
 pub mod locks;
@@ -177,8 +173,15 @@ pub struct CrateSources {
 pub const RULE_FAMILIES: &[&str] = &["L1", "L3", "L4", "L5", "L6", "L9", "L10"];
 
 /// Retired rules of live families, refused by `--rule` like the
-/// retired families: rustc or clippy now make their checks.
-pub const RETIRED_RULES: &[&str] = &["L1/panic", "L6/error-conversion"];
+/// retired families: rustc or clippy now make their checks
+/// (`L1/panic`, `L6/error-conversion`), or the rule caught nothing its
+/// machinery paid for (`L3/dead-variant`, `L6/swallowed-error`).
+pub const RETIRED_RULES: &[&str] = &[
+    "L1/panic",
+    "L3/dead-variant",
+    "L6/error-conversion",
+    "L6/swallowed-error",
+];
 
 /// Result of a lint run.
 #[derive(Clone, Debug, Default)]
@@ -187,11 +190,8 @@ pub struct LintReport {
     /// Escape hatches that suppressed at least one finding (including
     /// used `validated(...)` notes — same budget).
     pub hatches_used: usize,
-    /// Source files lexed and parsed (lib crates + census extras).
+    /// Library source files lexed and parsed.
     pub files_scanned: usize,
-    /// Wall-clock per analysis pass, accumulated across crates, in run
-    /// order (for `--timings`; not part of the JSON report).
-    pub timings: Vec<(String, std::time::Duration)>,
 }
 
 impl LintReport {
@@ -282,36 +282,13 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Per-pass wall clock, accumulated across crates, in run order.
-struct Timer {
-    lap: std::time::Instant,
-    table: Vec<(String, std::time::Duration)>,
-}
-
-impl Timer {
-    /// Charge the time since the previous lap to pass `name`.
-    fn lap(&mut self, name: &str) {
-        let d = self.lap.elapsed();
-        self.lap = std::time::Instant::now();
-        match self.table.iter_mut().find(|(n, _)| n == name) {
-            Some(e) => e.1 += d,
-            None => self.table.push((name.to_string(), d)),
-        }
-    }
-}
-
-/// Lint a set of library crates. `extra_sources` (tests, benches, other
-/// crates) feed the L3 dead-variant construction census only.
-pub fn lint_crates(crates: &[CrateSources], extra_sources: &[SourceFile]) -> LintReport {
+/// Lint a set of library crates.
+pub fn lint_crates(crates: &[CrateSources]) -> LintReport {
     let mut diags = Vec::new();
-    let mut t = Timer {
-        lap: std::time::Instant::now(),
-        table: Vec::new(),
-    };
 
     // Prep: lex and parse every file once, then fold the workspace-wide
     // context the passes share — the I/O registry, each fn's direct
-    // facts, the error registry and the call graph.
+    // facts and the call graph.
     let mut files: Vec<ParsedFile> = Vec::new();
     let mut io_fns: HashSet<String> = IO_FNS.iter().map(|s| (*s).to_string()).collect();
     let mut spans = Vec::new();
@@ -327,21 +304,10 @@ pub fn lint_crates(crates: &[CrateSources], extra_sources: &[SourceFile]) -> Lin
     for f in &mut files {
         f.fns = callgraph::collect_fn_metas(&f.items, &mut f.lexed, &io_fns);
     }
-    let alias_errors: Vec<Option<String>> = (spans.iter())
-        .map(|span| errors::crate_alias_error(&files[span.clone()]))
-        .collect();
-    let mut registry = errors::ErrorRegistry::default();
-    for (span, alias) in spans.iter().zip(&alias_errors) {
-        errors::collect_registry(&files[span.clone()], alias.as_deref(), &mut registry);
-    }
-    t.lap("prep");
     let graph = callgraph::CallGraph::build(&files);
     let lock_summaries = locks::lock_summaries(&graph, &files);
-    t.lap("callgraph");
 
     // Per-crate passes.
-    let mut enums = Vec::new();
-    let mut constructed: HashSet<(String, String)> = HashSet::new();
     for span in &spans {
         let crate_files = &mut files[span.clone()];
         let has_alias = crate_files
@@ -350,10 +316,7 @@ pub fn lint_crates(crates: &[CrateSources], extra_sources: &[SourceFile]) -> Lin
         for f in crate_files.iter_mut() {
             rules::l1_assert(&mut f.lexed, &f.path, &mut diags);
             rules::l3_result_signatures(&mut f.lexed, &f.path, has_alias, &mut diags);
-            enums.extend(rules::collect_error_enums(&f.lexed, &f.path));
-            rules::collect_constructions(&f.lexed, &mut constructed);
         }
-        t.lap("L1+L3");
         let decls: Vec<(String, String)> = (crate_files.iter().flat_map(|f| &f.lexed.notes))
             .filter(|n| n.kind == lexer::NoteKind::LockOrder)
             .filter_map(|n| n.arg.split_once('<'))
@@ -363,26 +326,16 @@ pub fn lint_crates(crates: &[CrateSources], extra_sources: &[SourceFile]) -> Lin
         locks::l4_locks(
             &mut files, range, &graph, summaries, &io_fns, &decls, &mut diags,
         );
-        t.lap("L4");
         for f in &mut files[span.clone()] {
             let accounting = ACCOUNTING_FILES.contains(&f.path.as_str());
             ordering::l5_ordering(&f.path, &mut f.lexed, &f.items, accounting, &mut diags);
-            t.lap("L5");
-            errors::l6_errors(&f.path, &mut f.lexed, &f.items, &registry, &mut diags);
-            t.lap("L6");
+            rules::l6_stale_deprecated(&f.path, &mut f.lexed, &f.items, &mut diags);
         }
     }
-    for file in extra_sources {
-        rules::collect_constructions(&lexer::lex(&file.source), &mut constructed);
-    }
-    rules::l3_dead_variants(&enums, &constructed, &mut files, &mut diags);
-    t.lap("L3-census");
 
     // Workspace-wide interprocedural passes over the call graph.
     taint::l9_taint(&graph, &mut files, &mut diags);
-    t.lap("L9");
     hot::l10_hot(&graph, &mut files, &mut diags);
-    t.lap("L10");
 
     let mut hatches_used = 0;
     for f in &mut files {
@@ -394,13 +347,11 @@ pub fn lint_crates(crates: &[CrateSources], extra_sources: &[SourceFile]) -> Lin
             })
             .count();
     }
-    t.lap("hygiene");
     diags.sort_by(|a, b| (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule)));
     LintReport {
         diagnostics: diags,
         hatches_used,
-        files_scanned: files.len() + extra_sources.len(),
-        timings: t.table,
+        files_scanned: files.len(),
     }
 }
 
@@ -433,31 +384,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
             files,
         });
     }
-    // Everything else only feeds the construction census: other crates,
-    // integration tests, benches, examples.
-    let mut extra = Vec::new();
-    for dir in ["crates", "src", "tests", "examples", "benches"] {
-        let dir = root.join(dir);
-        if !dir.exists() {
-            continue;
-        }
-        for path in rust_files(&dir)? {
-            let rel = rel_path(root, &path);
-            let in_lib_src = LIB_CRATES
-                .iter()
-                .any(|c| rel.starts_with(&format!("crates/{c}/src/")));
-            // The linter's own fixtures deliberately violate the rules
-            // and must not feed the census.
-            if in_lib_src || rel.starts_with("crates/lint/tests/") {
-                continue;
-            }
-            extra.push(SourceFile {
-                path: rel,
-                source: std::fs::read_to_string(&path)?,
-            });
-        }
-    }
-    Ok(lint_crates(&crates, &extra))
+    Ok(lint_crates(&crates))
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {

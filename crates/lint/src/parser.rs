@@ -2,8 +2,7 @@
 //!
 //! This is not a Rust grammar: it recovers exactly the structure the
 //! scope-aware passes need — the item tree (functions, impls, traits,
-//! mods, type aliases) with attributes, visibility, and return-type
-//! spans, plus a brace-matched block tree whose statements are
+//! mods, type aliases) with attributes, plus a brace-matched block tree whose statements are
 //! segmented at `;` / `,` boundaries. Everything else (patterns,
 //! expressions, generics) stays a flat token range that the passes
 //! inspect with local patterns. The parser never fails: unrecognized
@@ -124,7 +123,6 @@ pub struct Item {
     pub kind: ItemKind,
     /// Item name; empty for impls.
     pub name: String,
-    pub is_pub: bool,
     pub attrs: Vec<Attr>,
     /// Token index of the first token (attributes included).
     pub first: usize,
@@ -133,9 +131,6 @@ pub struct Item {
     /// Position of the name (or the introducing keyword for impls).
     pub line: u32,
     pub col: u32,
-    /// Token range `[start, end)` of the return type: after `->` up to
-    /// the body `{` / `;`, cut at a `where` clause.
-    pub ret: Option<(usize, usize)>,
     /// Function body (fns only).
     pub body: Option<Block>,
     /// Nested items (impl/trait/mod bodies).
@@ -219,12 +214,10 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
         }
 
         // Visibility and qualifiers.
-        let mut is_pub = false;
         let mut q = i;
         while q < end && tokens[q].kind == Kind::Ident {
             let t = tokens[q].text.as_str();
             if t == "pub" {
-                is_pub = true;
                 q += 1;
                 // `pub(crate)` / `pub(super)` etc.
                 if q < end && tokens[q].is_punct('(') {
@@ -283,12 +276,9 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
         // collecting what the passes need along the way.
         let mut impl_trait = Vec::new();
         let mut impl_ty = Vec::new();
-        let mut ret_start = None;
-        let mut ret = None;
         let mut seen_for = false;
         let mut sig_end = end; // index of `{` or `;`
         let mut has_body = false;
-        let mut angle = 0usize; // `<...>` nesting in the signature
         let mut where_seen = false;
         let mut j = i;
         while j < end {
@@ -308,21 +298,6 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
                 j = close_of(&tokens[..end], j) + 1;
                 continue;
             }
-            if t.is_punct('-') && tokens.get(j + 1).is_some_and(|n| n.is_punct('>')) {
-                // The fn's own return arrow is the one outside generic
-                // brackets and before any `where` clause; arrows in
-                // `Fn(..) -> X` bounds must not shadow it.
-                if angle == 0 && !where_seen {
-                    ret_start = Some(j + 2);
-                }
-                j += 2;
-                continue;
-            }
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                angle = angle.saturating_sub(1);
-            }
             if kind == ItemKind::Impl && t.kind == Kind::Ident && !where_seen {
                 if t.text == "for" {
                     seen_for = true;
@@ -334,16 +309,8 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
                     }
                 }
             }
-            if angle == 0 && t.is_ident("where") {
-                where_seen = true;
-                if let Some(rs) = ret_start.take() {
-                    ret = Some((rs, j));
-                }
-            }
+            where_seen |= t.is_ident("where");
             j += 1;
-        }
-        if let Some(rs) = ret_start {
-            ret = Some((rs, sig_end));
         }
         if kind == ItemKind::Impl && !seen_for {
             // Inherent impl: the collected path names the type.
@@ -373,13 +340,11 @@ fn parse_items(tokens: &[Token], start: usize, end: usize) -> Vec<Item> {
         items.push(Item {
             kind,
             name,
-            is_pub,
             attrs,
             first: item_first,
             last,
             line,
             col,
-            ret,
             body,
             children,
             impl_ty,
@@ -500,19 +465,16 @@ mod tests {
         let (items, _) = parse_src(
             "pub fn f() -> u32 { 1 }\nfn g() {}\npub(crate) struct S;\npub enum E { A }\n",
         );
-        let kinds: Vec<_> = items.iter().map(|i| (i.kind, i.is_pub)).collect();
+        let kinds: Vec<_> = items.iter().map(|i| (i.kind, i.name.as_str())).collect();
         assert_eq!(
             kinds,
             vec![
-                (ItemKind::Fn, true),
-                (ItemKind::Fn, false),
-                (ItemKind::Struct, true),
-                (ItemKind::Enum, true),
+                (ItemKind::Fn, "f"),
+                (ItemKind::Fn, "g"),
+                (ItemKind::Struct, "S"),
+                (ItemKind::Enum, "E"),
             ]
         );
-        assert_eq!(items[0].name, "f");
-        assert!(items[0].ret.is_some());
-        assert!(items[1].ret.is_none());
     }
 
     #[test]
@@ -525,7 +487,6 @@ mod tests {
         assert_eq!(items[0].impl_ty, vec!["Foo"]);
         assert_eq!(items[0].children.len(), 2);
         assert_eq!(items[0].children[1].name, "b");
-        assert!(items[0].children[1].ret.is_some());
     }
 
     #[test]
@@ -561,19 +522,6 @@ mod tests {
         let (items, _) = parse_src("#[doc = \"srlint: io\"]\nfn read_page() {}\n");
         assert!(items[0].has_doc_marker("srlint: io"));
         assert!(!items[0].has_doc_marker("srlint: pure"));
-    }
-
-    #[test]
-    fn where_clause_cut_from_ret_range() {
-        let (items, toks) =
-            parse_src("pub fn f<T>() -> Result<T, AError> where T: Clone { todo()\n}\n");
-        let (rs, re) = items[0].ret.unwrap();
-        let names: Vec<_> = toks[rs..re]
-            .iter()
-            .filter(|t| t.kind == Kind::Ident)
-            .map(|t| t.text.clone())
-            .collect();
-        assert_eq!(names, vec!["Result", "T", "AError"]);
     }
 
     #[test]

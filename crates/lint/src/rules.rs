@@ -9,13 +9,13 @@
 //!   reason. (`unwrap`/`expect`/`panic!` and friends, slice indexing and
 //!   `as` casts are clippy's: the workspace deny-set and
 //!   `clippy::as_conversions` check them with type information.)
-//! * **L3 (error-type / dead-variant)** — every public `fn` returning
-//!   `Result` names a typed error, and every declared error-enum variant
-//!   is constructed somewhere in the workspace.
-
-use std::collections::HashSet;
+//! * **L3 (error-type)** — every public `fn` returning `Result` names a
+//!   typed error.
+//! * **L6 (stale-deprecated)** — `#[deprecated]` items may live in a
+//!   library crate for at most one PR.
 
 use crate::lexer::{close_of, Kind, Lexed, NoteKind, Token};
+use crate::parser::Item;
 use crate::Diagnostic;
 
 /// Release-mode assert macros L1 flags when invoked as `name!`.
@@ -51,75 +51,6 @@ pub fn l1_assert(lexed: &mut Lexed, file: &str, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// An error enum declared in a library crate.
-#[derive(Clone, Debug)]
-pub struct ErrorEnum {
-    pub name: String,
-    /// Variant name with the declaration position.
-    pub variants: Vec<(String, u32, u32)>,
-    pub file: String,
-}
-
-/// Collect declarations of enums whose name ends in `Error`.
-pub fn collect_error_enums(lexed: &Lexed, file: &str) -> Vec<ErrorEnum> {
-    let toks = &lexed.tokens;
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if !(toks[i].is_ident("enum")
-            && toks
-                .get(i + 1)
-                .is_some_and(|t| t.kind == Kind::Ident && t.text.ends_with("Error")))
-        {
-            i += 1;
-            continue;
-        }
-        let name = toks[i + 1].text.clone();
-        // Find the enum body.
-        let mut j = i + 2;
-        while j < toks.len() && !toks[j].is_punct('{') {
-            j += 1;
-        }
-        let mut depth = 0usize;
-        let mut expect_variant = false;
-        let mut variants = Vec::new();
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.is_punct('{') {
-                depth += 1;
-                if depth == 1 {
-                    expect_variant = true;
-                }
-            } else if t.is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if depth == 1 {
-                if t.is_punct(',') {
-                    expect_variant = true;
-                } else if t.is_punct('#') {
-                    // Skip a variant attribute.
-                    if toks.get(j + 1).is_some_and(|t| t.is_punct('[')) {
-                        j = close_of(toks, j + 1);
-                    }
-                } else if expect_variant && t.kind == Kind::Ident {
-                    variants.push((t.text.clone(), t.line, t.col));
-                    expect_variant = false;
-                }
-            }
-            j += 1;
-        }
-        out.push(ErrorEnum {
-            name,
-            variants,
-            file: file.to_string(),
-        });
-        i = j + 1;
-    }
-    out
-}
-
 /// Does the file declare a `type Result` alias?
 pub fn has_result_alias(lexed: &Lexed) -> bool {
     lexed
@@ -128,72 +59,7 @@ pub fn has_result_alias(lexed: &Lexed) -> bool {
         .any(|w| w[0].is_ident("type") && w[1].is_ident("Result"))
 }
 
-/// Collect `Enum::Variant` value constructions (not match patterns) into
-/// `(enum, variant)` pairs. `Self::Variant` records the enum as `"Self"`,
-/// which [`l3_dead_variants`] treats as a wildcard.
-pub fn collect_constructions(lexed: &Lexed, out: &mut HashSet<(String, String)>) {
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        if toks[i].kind != Kind::Ident {
-            continue;
-        }
-        // Shape: Ident :: Ident, where the second is the variant.
-        if !(toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 3).is_some_and(|t| t.kind == Kind::Ident))
-        {
-            continue;
-        }
-        let enum_name = &toks[i].text;
-        let variant = &toks[i + 3].text;
-        // Longer paths (a::b::C::V) re-match at each segment; only the
-        // final pair matters, and spurious earlier pairs are harmless
-        // (they record non-variant names nothing looks up).
-        // Skip past a payload to see what follows the construction.
-        let mut j = i + 4;
-        if toks
-            .get(j)
-            .is_some_and(|t| t.is_punct('(') || t.is_punct('{'))
-        {
-            j = close_of(toks, j) + 1;
-        }
-        // `=> ...` or `= ...` after the path means a match/let pattern,
-        // not a construction.
-        if toks.get(j).is_some_and(|t| t.is_punct('=')) {
-            continue;
-        }
-        out.insert((enum_name.clone(), variant.clone()));
-    }
-}
-
-/// L3b: report declared variants never constructed anywhere.
-pub fn l3_dead_variants(
-    enums: &[ErrorEnum],
-    constructed: &HashSet<(String, String)>,
-    files: &mut [crate::ParsedFile],
-    diags: &mut Vec<Diagnostic>,
-) {
-    for e in enums {
-        for (variant, line, col) in &e.variants {
-            let live = constructed.contains(&(e.name.clone(), variant.clone()))
-                || constructed.contains(&("Self".to_string(), variant.clone()));
-            if live {
-                continue;
-            }
-            // Enums are collected from these files, so the lookup hits.
-            if let Some(f) = files.iter_mut().find(|f| f.path == e.file) {
-                let message = format!(
-                    "error variant `{}::{variant}` is never constructed; delete it or construct it",
-                    e.name
-                );
-                f.lexed
-                    .flag(diags, &e.file, (*line, *col), "L3/dead-variant", message);
-            }
-        }
-    }
-}
-
-/// L3a: every public `fn` returning `Result` must name a typed error —
+/// L3: every public `fn` returning `Result` must name a typed error —
 /// the crate's `Result` alias, a `*Error` type, an associated
 /// `::Error`, or `Infallible`. `String`, `Box<dyn ...>`, and
 /// `std::io::Result` are not typed errors.
@@ -329,6 +195,32 @@ fn untyped_result_error(ret: &[Token], crate_has_alias: bool) -> Option<String> 
         Some(last) if last.ends_with("Error") || *last == "Infallible" => None,
         Some(last) => Some(format!("`Result<_, {last}>`")),
         None => Some("`Result` with an empty error type".to_string()),
+    }
+}
+
+/// L6: a `#[deprecated]` item outside test code is stale. The PR that
+/// deprecates an item hatches it with `allow(stale-deprecated)`, and
+/// the next PR must delete both, so a shim never outlives its callers'
+/// migration.
+pub fn l6_stale_deprecated(
+    file: &str,
+    lexed: &mut Lexed,
+    items: &[Item],
+    diags: &mut Vec<Diagnostic>,
+) {
+    for item in items {
+        let in_test = lexed.test_mask.get(item.first).copied().unwrap_or(false);
+        if item.has_attr_ident("deprecated") && !in_test {
+            let message = format!(
+                "`#[deprecated]` item `{}` has outlived its one-PR grace period; \
+                 delete it (hatch with allow(stale-deprecated) only in the PR that \
+                 deprecates it)",
+                item.name
+            );
+            let pos = (item.line, item.col);
+            lexed.flag(diags, file, pos, "L6/stale-deprecated", message);
+        }
+        l6_stale_deprecated(file, lexed, &item.children, diags);
     }
 }
 

@@ -51,3 +51,32 @@ fn hot_hatched(xs: &[f64]) -> Vec<f64> {
     // srlint: allow(hot-alloc) -- one-time warmup, measured off the query path
     xs.to_vec()
 }
+
+/// `new` and `insert` are cut from name-match resolution, so both
+/// allocations below are reachable only through the typed tier:
+/// `Lanes::new` by its path, `self.insert` by the impl's self type.
+pub struct Lanes {
+    xs: Vec<f64>,
+}
+
+impl Lanes {
+    fn new(xs: &[f64]) -> Lanes {
+        Lanes { xs: xs.to_vec() }
+    }
+
+    fn insert(&mut self, x: f64) {
+        let mut xs = self.xs.clone();
+        xs.push(x);
+        self.xs = xs;
+    }
+
+    // srlint: hot
+    fn hot_self_call_alloc(&mut self, x: f64) {
+        self.insert(x);
+    }
+}
+
+// srlint: hot
+fn hot_path_call_alloc(xs: &[f64]) -> usize {
+    Lanes::new(xs).xs.len()
+}

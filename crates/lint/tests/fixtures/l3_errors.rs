@@ -1,12 +1,9 @@
-//! Fixture: L3 violations — untyped Result errors and a dead error
-//! variant. NOT compiled.
+//! Fixture: L3 violations — public fns whose `Result` names no typed
+//! error. NOT compiled.
 
-/// A typed error with one live and one dead variant.
+/// A typed error.
 pub enum FixtureError {
-    /// Constructed below: live.
-    Live(String),
-    /// Never constructed anywhere: dead.
-    Dead,
+    Bad(String),
 }
 
 pub fn stringly(x: u32) -> Result<u32, String> {
@@ -25,13 +22,6 @@ pub fn typed(x: u32) -> Result<u32, FixtureError> {
     if x > 0 {
         Ok(x)
     } else {
-        Err(FixtureError::Live("zero".into()))
-    }
-}
-
-pub fn matches_are_not_constructions(e: &FixtureError) -> &'static str {
-    match e {
-        FixtureError::Live(_) => "live",
-        FixtureError::Dead => "dead",
+        Err(FixtureError::Bad("zero".into()))
     }
 }

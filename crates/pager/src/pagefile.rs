@@ -339,12 +339,6 @@ impl PageFile {
         )
     }
 
-    /// Open a page file over any store already containing a meta page,
-    /// with an (empty) in-memory write-ahead log.
-    pub fn open_from_store(store: Box<dyn PageStore>) -> Result<PageFile> {
-        Self::open_from_parts(store, Box::new(MemLogStore::new()))
-    }
-
     /// Open a page file over an explicit page store and log store,
     /// replaying the log's committed frames into the store *before* the
     /// pager serves any read. Torn or uncommitted tail frames are

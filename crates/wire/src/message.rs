@@ -46,14 +46,6 @@ pub enum Request {
     Shutdown,
 }
 
-impl Request {
-    /// Whether this request only reads the index (safe to run on the
-    /// shared read path and to coalesce into one `sr-exec` batch).
-    pub fn is_read(&self) -> bool {
-        !matches!(self, Request::Insert { .. } | Request::Delete { .. })
-    }
-}
-
 /// One query hit: payload id and Euclidean distance (not squared — the
 /// same number the CLI prints).
 #[derive(Debug, Clone, Copy, PartialEq)]

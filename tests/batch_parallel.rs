@@ -9,10 +9,10 @@
 //! index for subsequent batches.
 
 use srtree::dataset::{sample_queries, uniform};
-use srtree::exec::{run_knn_batch, ExecError};
+use srtree::exec::{run_query_batch, ExecError};
 use srtree::geometry::Point;
 use srtree::pager::{FaultInjector, MemLogStore, MemPageStore, PageFile, PagerError};
-use srtree::query::{IndexError, SpatialIndex};
+use srtree::query::{IndexError, QuerySpec, SpatialIndex};
 use srtree::tree::SrTree;
 
 use sr_testkit::{Model, TreeKind};
@@ -45,6 +45,11 @@ fn query_batch(points: &[Point], n: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// One k-NN spec per query, as `srtool knn --batch` lowers its file.
+fn knn_specs(queries: &[Vec<f32>]) -> Vec<QuerySpec<'_>> {
+    queries.iter().map(|q| QuerySpec::knn(q, K)).collect()
+}
+
 /// T=1 and T=8 produce byte-identical neighbor lists on every structure,
 /// and both match the brute-force oracle.
 #[test]
@@ -60,8 +65,8 @@ fn t1_and_t8_agree_on_all_five_trees() {
     for index in build_all(&points) {
         // A small pool forces real churn through the sharded cache.
         index.pager().set_cache_capacity(16).unwrap();
-        let seq = run_knn_batch(index.as_ref(), &queries, K, 1).unwrap();
-        let par = run_knn_batch(index.as_ref(), &queries, K, 8).unwrap();
+        let seq = run_query_batch(index.as_ref(), &knn_specs(&queries), 1).unwrap();
+        let par = run_query_batch(index.as_ref(), &knn_specs(&queries), 8).unwrap();
         assert_eq!(seq.threads, 1);
         assert_eq!(par.threads, 8);
         assert_eq!(
@@ -91,7 +96,7 @@ fn batch_io_window_stays_exact_at_t8() {
     for index in build_all(&points) {
         index.pager().set_cache_capacity(8).unwrap();
         index.pager().reset_stats();
-        let out = run_knn_batch(index.as_ref(), &queries, K, 8).unwrap();
+        let out = run_query_batch(index.as_ref(), &knn_specs(&queries), 8).unwrap();
         assert_eq!(
             out.io.cache_misses(),
             out.io.physical_reads(),
@@ -123,10 +128,11 @@ fn injected_read_fault_is_typed_and_does_not_poison_the_pool() {
     tree.pager().set_cache_capacity(0).unwrap();
     let queries = query_batch(&points, 32);
 
-    let clean = run_knn_batch(&tree, &queries, K, 1).unwrap();
+    let clean = run_query_batch(&tree, &knn_specs(&queries), 1).unwrap();
 
     faults.fail_nth_read(40);
-    let err = run_knn_batch(&tree, &queries, K, 4).expect_err("armed fault must surface");
+    let err =
+        run_query_batch(&tree, &knn_specs(&queries), 4).expect_err("armed fault must surface");
     match err {
         ExecError::Query { index, source } => {
             assert!(index < queries.len());
@@ -141,7 +147,7 @@ fn injected_read_fault_is_typed_and_does_not_poison_the_pool() {
     // The store is healthy again and no shard lock, stat counter, or
     // cached page was poisoned: the identical batch now succeeds.
     faults.clear();
-    let retry = run_knn_batch(&tree, &queries, K, 4).unwrap();
+    let retry = run_query_batch(&tree, &knn_specs(&queries), 4).unwrap();
     assert_eq!(clean.results, retry.results, "results changed after fault");
 }
 
@@ -159,13 +165,13 @@ fn degenerate_batch_requests_are_typed_errors() {
     let queries = query_batch(&points, 8);
 
     assert!(matches!(
-        run_knn_batch(&tree, &queries, K, 0).expect_err("zero threads"),
+        run_query_batch(&tree, &knn_specs(&queries), 0).expect_err("zero threads"),
         ExecError::ZeroThreads
     ));
     assert!(matches!(
-        run_knn_batch(&tree, &[], K, 4).expect_err("empty batch"),
+        run_query_batch(&tree, &[], 4).expect_err("empty batch"),
         ExecError::EmptyBatch
     ));
-    let out = run_knn_batch(&tree, &queries, K, 4).expect("corrected request");
+    let out = run_query_batch(&tree, &knn_specs(&queries), 4).expect("corrected request");
     assert_eq!(out.results.len(), queries.len());
 }
