@@ -653,6 +653,53 @@ mod tests {
     }
 
     #[test]
+    fn path_typed_call_resolves_through_type_name() {
+        // `new` is cut from name-match, so only the `Ty::` tier finds it.
+        let (graph, _) = build(&[(
+            "a",
+            "a/src/lib.rs",
+            "pub struct Lanes {}\n\
+             impl Lanes { pub fn new(xs: &[f32]) -> Lanes { Lanes {} } }\n\
+             pub struct Other {}\n\
+             impl Other { pub fn new() -> Other { Other {} } }\n\
+             pub fn run(xs: &[f32]) { let _ = Lanes::new(xs); }\n\
+             pub fn untyped() { let _ = new(); }\n",
+        )]);
+        let run = id_of(&graph, "run");
+        assert_eq!(graph.calls[run].len(), 1);
+        let callee = &graph.defs[graph.calls[run][0].callee];
+        assert_eq!(
+            (callee.self_ty.as_deref(), callee.name.as_str()),
+            (Some("Lanes"), "new")
+        );
+        assert!(graph.calls[id_of(&graph, "untyped")].is_empty());
+    }
+
+    #[test]
+    fn self_method_call_resolves_to_own_impl() {
+        // `insert` is cut from name-match; the caller's impl type picks
+        // the callee among same-named methods.
+        let (graph, _) = build(&[(
+            "a",
+            "a/src/lib.rs",
+            "pub struct Buf {}\n\
+             impl Buf {\n\
+                 pub fn insert(&mut self, x: u32) {}\n\
+                 pub fn push_all(&mut self, x: u32) { self.insert(x); }\n\
+             }\n\
+             pub struct Set {}\n\
+             impl Set { pub fn insert(&mut self, x: u32) {} }\n",
+        )]);
+        let push_all = id_of(&graph, "push_all");
+        assert_eq!(graph.calls[push_all].len(), 1);
+        let callee = &graph.defs[graph.calls[push_all][0].callee];
+        assert_eq!(
+            (callee.self_ty.as_deref(), callee.name.as_str()),
+            (Some("Buf"), "insert")
+        );
+    }
+
+    #[test]
     fn trait_object_call_degrades_to_name_match() {
         let (graph, _) = build(&[(
             "a",

@@ -177,6 +177,33 @@ fn l6_flags_stale_deprecations() {
 }
 
 #[test]
+fn stale_deprecation_spares_test_code_and_the_deprecating_hatch() {
+    // Test-only shims and the hatched item of the deprecating change
+    // stay silent; the unhatched shim beside them does not.
+    let source = "#[deprecated(note = \"use new_name\")]\n\
+                  // srlint: allow(stale-deprecated) -- deprecated in this change\n\
+                  pub fn hatched() {}\n\
+                  \n\
+                  #[cfg(test)]\n\
+                  mod tests {\n\
+                      #[deprecated]\n\
+                      fn shim() {}\n\
+                  }\n\
+                  \n\
+                  impl Store {\n\
+                      #[deprecated]\n\
+                      pub fn stale(&self) {}\n\
+                  }\n";
+    let diags = lint_one("l6_inline.rs", source);
+    assert_eq!(
+        rules_at(&diags),
+        vec![("L6/stale-deprecated".to_string(), 13)],
+        "{diags:#?}"
+    );
+    assert!(diags[0].message.contains("`stale`"), "{:?}", diags[0]);
+}
+
+#[test]
 fn hatches_suppress_exactly_once_each() {
     let diags = lint_one("hatch.rs", include_str!("fixtures/hatch.rs"));
     assert_eq!(

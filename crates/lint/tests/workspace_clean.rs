@@ -203,6 +203,36 @@ fn seeded_stale_deprecation_fails_the_gate() {
     );
 }
 
+#[test]
+fn lint_workspace_reads_only_library_sources() {
+    // A library crate's `src/` is linted; its tests, benches and the
+    // root's own `src/` and `tests/` are not, whatever they contain.
+    let root = std::env::temp_dir().join(format!("srlint-scope-{}", std::process::id()));
+    let krate = root.join("crates").join(sr_lint::LIB_CRATES[0]);
+    let stale = "#[deprecated]\npub fn stale() {}\n";
+    let files = [
+        (krate.join("src/lib.rs"), "pub fn live() {}\n"),
+        (krate.join("src/inner/mod.rs"), stale),
+        (krate.join("tests/t.rs"), stale),
+        (krate.join("benches/b.rs"), stale),
+        (root.join("src/main.rs"), stale),
+        (root.join("tests/it.rs"), stale),
+    ];
+    for (path, source) in &files {
+        std::fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+        std::fs::write(path, source).expect("write source");
+    }
+    let report = sr_lint::lint_workspace(&root);
+    std::fs::remove_dir_all(&root).expect("remove scratch workspace");
+    let report = report.expect("lint run");
+    assert_eq!(report.files_scanned, 2);
+    let found: Vec<(&str, &str)> = (report.diagnostics.iter())
+        .map(|d| (d.file.as_str(), d.rule.as_str()))
+        .collect();
+    let inner = format!("crates/{}/src/inner/mod.rs", sr_lint::LIB_CRATES[0]);
+    assert_eq!(found, [(inner.as_str(), "L6/stale-deprecated")]);
+}
+
 fn walk(dir: &std::path::Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
