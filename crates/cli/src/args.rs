@@ -11,6 +11,8 @@ use std::path::PathBuf;
 
 use sr_testkit::{DataDist, TreeKind};
 
+use crate::data::parse_coord;
+
 /// The usage banner printed alongside argument errors.
 pub const USAGE: &str =
     "usage: srtool <gen|build|insert|knn|range|stats|verify|serve|client|fuzz|lint> ...\n\
@@ -646,7 +648,7 @@ fn positionals<'a>(rest: &[&'a str], want: usize) -> Result<Vec<&'a str>, ArgErr
 }
 
 fn parse_query(s: &str) -> Result<Vec<f32>, ArgError> {
-    let coords: Result<Vec<f32>, _> = s.split(',').map(|c| c.trim().parse::<f32>()).collect();
+    let coords: Result<Vec<f32>, _> = s.split(',').map(|c| parse_coord(c.trim())).collect();
     let coords = coords.map_err(bad("--query"))?;
     if coords.is_empty() {
         return Err(ArgError::BadValue {
@@ -858,13 +860,19 @@ mod tests {
                 ..
             })
         ));
-        assert!(matches!(
-            p(&["knn", "i.pages", "--query", "a,b"]),
-            Err(ArgError::BadValue {
-                flag: "--query",
-                ..
-            })
-        ));
+        // `str::parse` alone would accept a NaN or infinite coordinate.
+        for q in ["a,b", "NaN,1", "1,inf", "-inf,0"] {
+            assert!(
+                matches!(
+                    p(&["knn", "i.pages", "--query", q]),
+                    Err(ArgError::BadValue {
+                        flag: "--query",
+                        ..
+                    })
+                ),
+                "query {q}"
+            );
+        }
         assert_eq!(
             p(&["range", "i.pages", "--query", "1"]),
             Err(ArgError::MissingFlag("--radius"))

@@ -21,7 +21,7 @@ pub enum DataError {
         line: usize,
         detail: String,
     },
-    /// A coordinate field is not an `f32`.
+    /// A coordinate field is not a finite `f32`.
     BadCoordinate {
         path: PathBuf,
         line: usize,
@@ -74,6 +74,16 @@ impl std::error::Error for DataError {
     }
 }
 
+/// Parse one coordinate: a finite `f32`. `str::parse` alone accepts
+/// `NaN` and `inf`, which no index can store or answer.
+pub fn parse_coord(field: &str) -> Result<f32, String> {
+    match field.parse::<f32>() {
+        Ok(x) if x.is_finite() => Ok(x),
+        Ok(_) => Err(format!("{field} is not a finite number")),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
 /// Read a TSV point file. Every line must have the same dimensionality.
 pub fn read_points(path: &Path) -> Result<Vec<(Point, u64)>, DataError> {
     let io_err = |source| DataError::Io {
@@ -104,11 +114,11 @@ pub fn read_points(path: &Path) -> Result<Vec<(Point, u64)>, DataError> {
                 line: lineno,
                 detail: e.to_string(),
             })?;
-        let coords: Result<Vec<f32>, _> = fields.map(|f| f.parse::<f32>()).collect();
-        let coords = coords.map_err(|e| DataError::BadCoordinate {
+        let coords: Result<Vec<f32>, _> = fields.map(parse_coord).collect();
+        let coords = coords.map_err(|detail| DataError::BadCoordinate {
             path: path.to_path_buf(),
             line: lineno,
-            detail: e.to_string(),
+            detail,
         })?;
         if coords.is_empty() {
             return Err(DataError::NoCoordinates {
@@ -210,13 +220,16 @@ mod tests {
     #[test]
     fn garbage_rejected_with_location() {
         let path = tmpfile("garbage.tsv");
-        std::fs::write(&path, "1\tx\n").unwrap();
-        let err = read_points(&path).unwrap_err();
-        assert!(
-            matches!(err, DataError::BadCoordinate { line: 1, .. }),
-            "{err}"
-        );
-        assert!(err.to_string().contains(":1:"), "{err}");
+        // Not a number, or a number no index can hold.
+        for bad in ["x", "NaN", "inf", "-inf"] {
+            std::fs::write(&path, format!("1\t{bad}\n")).unwrap();
+            let err = read_points(&path).unwrap_err();
+            assert!(
+                matches!(err, DataError::BadCoordinate { line: 1, .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains(":1:"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

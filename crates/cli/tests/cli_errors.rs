@@ -128,6 +128,22 @@ fn negative_radius_exits_2() {
 }
 
 #[test]
+fn non_finite_query_exits_2() {
+    // Rejected at parse time, like a bad radius: no index can answer a
+    // NaN or infinite query, and `str::parse` alone accepts both.
+    for bad in ["NaN,0.2", "0.1,inf", "-inf,0.2"] {
+        let out = srtool(&["knn", "index.pages", "--k", "3", "--query", bad]);
+        assert_eq!(out.status.code(), Some(2), "query {bad}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("--query"), "query {bad}: {stderr}");
+        assert!(
+            stderr.contains("not a finite number"),
+            "query {bad}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn trace_json_emits_metrics_schema() {
     // Build a small index through the binary, query it with
     // --trace --json, and check the structured line's schema: the

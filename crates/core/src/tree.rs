@@ -12,7 +12,7 @@ use sr_query::paged::centroid;
 use sr_query::paged::{
     AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result, DEFAULT_DATA_AREA,
 };
-use sr_query::{Neighbor, QuerySpec};
+use sr_query::{Neighbor, QuerySpec, SearchOrder};
 
 use crate::region::{leaf_shapes, region_of, DistanceBound, SrOptions, SrRegion};
 
@@ -89,7 +89,7 @@ impl SrTree {
     /// Panics if the tree already contains points.
     pub fn bulk_load(&mut self, points: Vec<(Point, u64)>) -> Result<()> {
         for (p, _) in &points {
-            self.core.check_dim(p.dim())?;
+            self.core.check_point(p.coords())?;
         }
         crate::bulk::bulk_load(&mut self.core, points)
     }
@@ -106,8 +106,9 @@ impl SrTree {
 
     /// k-NN via best-first ("distance browsing", Hjaltason & Samet)
     /// traversal instead of the paper's depth-first search — an
-    /// extension. Returns exactly the same neighbors; reads no more
-    /// pages than any traversal order can (I/O-optimal for the tree).
+    /// extension: the same search loop over a heap of nodes instead of a
+    /// stack. Returns exactly the same neighbors; reads no more pages
+    /// than any traversal order can (I/O-optimal for the tree).
     pub fn knn_best_first(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
         self.knn_best_first_with(query, k, &Noop)
     }
@@ -119,9 +120,12 @@ impl SrTree {
         k: usize,
         rec: &R,
     ) -> Result<Vec<Neighbor>> {
-        self.core.check_dim(query.len())?;
-        let src = self.core.source(DistanceBound::Both);
-        sr_query::knn_best_first_with(&src, query, k, rec)
+        let spec = QuerySpec::knn(query, k);
+        let order = SearchOrder::BestFirst;
+        Ok(self
+            .core
+            .search(&spec, DistanceBound::Both, order, rec)?
+            .rows)
     }
 
     /// k-NN with an explicit region-distance bound — the ablation knob
@@ -147,10 +151,9 @@ impl SrTree {
         bound: DistanceBound,
         rec: &R,
     ) -> Result<Vec<Neighbor>> {
-        Ok(self
-            .core
-            .search(&QuerySpec::knn(query, k), bound, rec)?
-            .rows)
+        let spec = QuerySpec::knn(query, k);
+        let order = SearchOrder::DepthFirst;
+        Ok(self.core.search(&spec, bound, order, rec)?.rows)
     }
 
     /// The (sphere, rectangle) region pairs of all non-empty leaves.

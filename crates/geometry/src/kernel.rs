@@ -35,8 +35,8 @@
 //! `+inf` ever abandons, and a NaN partial compares false, so a NaN that
 //! reaches the accumulator completes to the same NaN total as the scalar
 //! path. (A NaN in a dimension the scan never reaches — because a finite
-//! prefix already overshot — can still be abandoned; the engines
-//! validate coordinates on insert, so that case only arises from page
+//! prefix already overshot — can still be abandoned; the trees refuse
+//! non-finite coordinates on insert, so that case only arises from page
 //! corruption.)
 
 #![cfg_attr(not(test), deny(clippy::as_conversions))]

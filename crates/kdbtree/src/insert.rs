@@ -55,7 +55,7 @@ pub(crate) fn insert_point(
     point: sr_geometry::Point,
     data: u64,
 ) -> Result<()> {
-    tree.check_dim(point.dim())?;
+    tree.check_point(point.coords())?;
     // The regions along the path derive the regions of split halves.
     let path = descend(tree, point.coords())?;
     let id = path[path.len() - 1].0;

@@ -160,7 +160,7 @@ impl KdbTree {
     /// existed. Pages are never merged (the classic K-D-B-tree leaves
     /// reorganization to offline rebuilds), so deletion cannot underflow.
     pub fn delete(&mut self, point: &Point, data: u64) -> Result<bool> {
-        self.core.check_dim(point.dim())?;
+        self.core.check_point(point.coords())?;
         // Disjointness: only the point's own root-to-leaf path can hold it.
         let path = insert::descend(&self.core, point.coords())?;
         let id = path[path.len() - 1].0;

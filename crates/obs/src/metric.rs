@@ -128,8 +128,8 @@ impl Counter {
 /// High-water-mark gauges (recorded with `max`, never reset implicitly).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Gauge {
-    /// Largest size the search frontier reached: the priority queue for
-    /// best-first, the candidate heap for depth-first.
+    /// Largest size a k-NN search's heap reached: best-first's queue of
+    /// nodes (points never enter it), or depth-first's candidate set.
     HeapHighWater,
 }
 

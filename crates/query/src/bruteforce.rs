@@ -14,7 +14,7 @@ fn dist2(a: &[f32], b: &[f32]) -> f64 {
 }
 
 /// Exact k-NN by linear scan, sorted by ascending distance (ties broken by
-/// payload, matching the tree engines).
+/// payload, matching the tree search).
 pub fn brute_force_knn<'a, I>(points: I, query: &[f32], k: usize) -> Vec<Neighbor>
 where
     I: IntoIterator<Item = (&'a [f32], u64)>,

@@ -61,8 +61,8 @@ const PREALLOC_CAP: usize = 1 << 16;
 
 impl CandidateSet {
     /// A candidate set for the `k` nearest neighbors. With `k == 0` it
-    /// holds nothing; the engines answer a 0-NN query before reading a
-    /// page.
+    /// holds nothing; [`crate::search`] answers a 0-NN query before
+    /// reading a page.
     pub fn new(k: usize) -> Self {
         CandidateSet {
             k,
@@ -91,7 +91,12 @@ impl CandidateSet {
     ///    bound must never round above a stored point's distance.
     pub fn offer(&mut self, dist2: f64, data: u64) {
         if self.heap.len() < self.k {
-            self.heap.push(HeapEntry(Neighbor { dist2, data }));
+            // A NaN distance (a corrupt leaf's) orders against nothing, so
+            // it is never a candidate; a full set's comparison below
+            // refuses it on its own.
+            if !dist2.is_nan() {
+                self.heap.push(HeapEntry(Neighbor { dist2, data }));
+            }
         } else if let Some(worst) = self.heap.peek() {
             // The payload tie-break keeps results deterministic even when
             // several points sit at exactly the k-th distance.
@@ -193,6 +198,21 @@ mod tests {
         let got = c.into_sorted();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].data, 1);
+    }
+
+    #[test]
+    fn nan_distance_is_never_a_candidate() {
+        // Not full, then full: a NaN offer is refused either way, and
+        // neither panics nor disturbs the heap's order.
+        let mut c = CandidateSet::new(2);
+        c.offer(f64::NAN, 9);
+        assert!(c.is_empty());
+        c.offer(2.0, 2);
+        c.offer(1.0, 1);
+        c.offer(f64::NAN, 0);
+        assert_eq!(c.prune_dist2(), 2.0);
+        let got = c.into_sorted();
+        assert_eq!(got.iter().map(|n| n.data).collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl QueryOutput {
 }
 
 /// The error of the whole index stack: page decode, the paged core, the
-/// five trees, the query engines and the [`SpatialIndex`] API.
+/// five trees, the search and the [`SpatialIndex`] API.
 #[derive(Debug)]
 pub enum IndexError {
     /// Underlying page I/O failed.
@@ -97,6 +97,13 @@ pub enum IndexError {
         expected: usize,
         /// Dimensionality of the offending point.
         got: usize,
+    },
+    /// A point or query with a NaN or infinite coordinate was offered.
+    NonFinite {
+        /// Position of the first non-finite coordinate.
+        axis: usize,
+        /// Its value.
+        value: f32,
     },
     /// The page file does not contain this kind of index (bad magic or
     /// incompatible version in the tree metadata).
@@ -137,6 +144,10 @@ impl fmt::Display for IndexError {
                     "dimension mismatch: index is {expected}-d, point is {got}-d"
                 )
             }
+            IndexError::NonFinite { axis, value } => write!(
+                f,
+                "non-finite coordinate {value} at axis {axis}: points and queries must be finite"
+            ),
             IndexError::NotThisIndex(msg) => write!(f, "not a valid index file: {msg}"),
             IndexError::InvalidRadius(r) => {
                 write!(f, "invalid range radius {r}: must be non-negative")

@@ -1,10 +1,15 @@
-//! The depth-first branch-and-bound k-NN search of Roussopoulos, Kelley &
-//! Vincent (SIGMOD 1995), generic over the tree it runs on.
+//! The one search loop behind every query: the depth-first
+//! branch-and-bound k-NN search of Roussopoulos, Kelley & Vincent
+//! (SIGMOD 1995), generic over the tree it runs on. Best-first order and
+//! range queries are the same walk over another frontier or sink.
 
-use sr_obs::{Counter, Gauge, Hist, Noop, Recorder, SpanTimer};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+use sr_obs::{Counter, Gauge, Hist, Recorder, SpanTimer};
 
 use crate::heap::{CandidateSet, Neighbor};
-use crate::IndexError;
+use crate::{IndexError, QueryShape, QuerySpec};
 
 /// Which region shape produced a branch's lower bound — the provenance
 /// the prune-breakdown metrics attribute skipped branches to.
@@ -77,9 +82,9 @@ impl<N> Default for Expansion<N> {
 }
 
 impl<N> Expansion<N> {
-    /// Clear the per-expansion state, keeping capacity (the engines reuse
-    /// `Expansion`s across visits). The kernel scratch buffers are
-    /// managed by the kernels themselves.
+    /// Clear the per-expansion state, keeping capacity ([`search`] reuses
+    /// one `Expansion` for every visit of a query). The kernel scratch
+    /// buffers are managed by the kernels themselves.
     pub fn clear(&mut self) {
         self.branches.clear();
         self.points.clear();
@@ -119,7 +124,7 @@ impl<N> Expansion<N> {
     }
 }
 
-/// A tree that the generic k-NN / range engines can traverse.
+/// A tree that [`search`] can traverse.
 pub trait KnnSource {
     /// Opaque node handle (typically a page id plus a leaf flag).
     type Node;
@@ -130,7 +135,7 @@ pub trait KnnSource {
     /// Expand `node`: push scored children (internal node) or scored
     /// points (leaf) into `out`. `out` arrives cleared.
     ///
-    /// `prune2` is the engine's current pruning threshold — the running
+    /// `prune2` is the search's current pruning threshold — the running
     /// k-th candidate's squared distance (`+inf` until `k` candidates
     /// exist) or a range query's squared radius. A leaf scan may use it
     /// to abandon entries whose partial distance already exceeds it
@@ -145,9 +150,210 @@ pub trait KnnSource {
     ) -> Result<(), IndexError>;
 }
 
+/// The order in which [`search`] visits the branches it cannot prune.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SearchOrder {
+    /// The paper's order (§4.4): depth-first, nearest child first. Every
+    /// [`crate::SpatialIndex`] query runs in it.
+    DepthFirst,
+    /// Best-first ("distance browsing", Hjaltason & Samet; an extension):
+    /// always the nearest queued region. A k-NN query then expands only
+    /// regions within the final k-th distance, so it reads no more pages
+    /// than depth-first; a range query reads the same pages either way.
+    BestFirst,
+}
+
+/// Answer `spec` over `src`: the `k` nearest neighbors, or every point
+/// within the radius (boundary included), ascending by distance with
+/// ties broken by payload.
+///
+/// This is the search of the paper's §4.4: visit children in order of
+/// their region distance and prune every branch whose region distance
+/// cannot beat the current k-th candidate (for range: exceeds `radius²`).
+/// The region distance is the only thing a tree controls — the SR-tree's
+/// `max(d_sphere, d_rect)` prunes strictly more than either bound alone.
+///
+/// One loop serves both kinds and both orders: pop a branch, prune it
+/// unless its bound is within the sink's threshold, expand it, offer its
+/// points to the sink, push its children onto the frontier. `order`
+/// picks the frontier, `spec.shape` the sink. With [`sr_obs::Noop`] as
+/// `rec` this monomorphizes to the uninstrumented search.
+///
+/// # Errors
+/// [`IndexError::InvalidRadius`] for a negative or NaN radius — never a
+/// panic — and any error of `src`.
+pub fn search<S: KnnSource, R: Recorder + ?Sized>(
+    src: &S,
+    spec: &QuerySpec<'_>,
+    order: SearchOrder,
+    rec: &R,
+) -> Result<Vec<Neighbor>, IndexError> {
+    if let QueryShape::Range { radius } = spec.shape {
+        if radius.is_nan() || radius < 0.0 {
+            return Err(IndexError::InvalidRadius(radius));
+        }
+    }
+    let _span = SpanTimer::start(rec, Hist::QueryNs);
+    let mut sink = match spec.shape {
+        // A 0-NN query has exactly one right answer, known without
+        // reading a page.
+        QueryShape::Knn { k: 0 } => return Ok(Vec::new()),
+        QueryShape::Knn { k } => Sink::Knn(CandidateSet::new(k)),
+        QueryShape::Range { radius } => Sink::Range(radius * radius, Vec::new()),
+    };
+    let mut frontier = match order {
+        SearchOrder::DepthFirst => Frontier::Stack(Vec::new()),
+        SearchOrder::BestFirst => Frontier::Heap(BinaryHeap::new(), 0),
+    };
+    // One expansion serves every visit of the query.
+    let mut exp = Expansion::default();
+    if let Some(root) = src.root()? {
+        // The root's provenance never matters: at distance 0 it is
+        // expanded before anything can prune it.
+        exp.push_rect_branch(0.0, root);
+        frontier.push(&mut exp.branches, sink.bound(), rec);
+    }
+    while let Some(b) = frontier.pop() {
+        // Prune only a region strictly beyond the threshold: one at
+        // exactly the k-th distance can hold a tied point with a smaller
+        // id, which `CandidateSet::offer`'s tie-break admits. Written as
+        // `<=` so a NaN bound (a corrupt region) is pruned, not expanded.
+        let thr = sink.bound();
+        if b.dist2 <= thr {
+            exp.clear();
+            src.expand(&b.node, spec.point, thr, &mut exp)?;
+            record_expansion(rec, &exp);
+            sink.offer(&exp.points);
+            frontier.push(&mut exp.branches, sink.bound(), rec);
+        } else {
+            record_prune(rec, b.bound, thr);
+            // A heap pops nearest first and the threshold only shrinks,
+            // so every region still queued is pruned too: stop, unless a
+            // recorder counts them.
+            if matches!(frontier, Frontier::Heap(..)) && !rec.enabled() {
+                break;
+            }
+        }
+    }
+    if let (Frontier::Stack(_), Sink::Knn(cands)) = (&frontier, &sink) {
+        // Depth-first's heap is its candidate set; best-first's node
+        // queue is gauged as it grows.
+        rec.gauge_max(Gauge::HeapHighWater, cands.len() as u64);
+    }
+    Ok(sink.into_rows())
+}
+
+/// Where a search puts the points it scores, and so what it prunes at.
+enum Sink {
+    /// k-NN: the best `k` so far; the threshold is the k-th distance.
+    Knn(CandidateSet),
+    /// Range: every point within the fixed threshold `r²`. An entry whose
+    /// partial distance strictly exceeds `r²` can never be `<= r²`, so a
+    /// leaf's early-abandon scan is exact here too.
+    Range(f64, Vec<Neighbor>),
+}
+
+impl Sink {
+    /// The pruning threshold: nothing beyond it can join the answer.
+    fn bound(&self) -> f64 {
+        match self {
+            Sink::Knn(cands) => cands.prune_dist2(),
+            Sink::Range(r2, _) => *r2,
+        }
+    }
+
+    fn offer(&mut self, points: &[Neighbor]) {
+        match self {
+            Sink::Knn(cands) => points.iter().for_each(|n| cands.offer(n.dist2, n.data)),
+            Sink::Range(r2, rows) => rows.extend(points.iter().filter(|n| n.dist2 <= *r2)),
+        }
+    }
+
+    /// The answer, ascending by distance, ties by payload.
+    fn into_rows(self) -> Vec<Neighbor> {
+        match self {
+            Sink::Knn(cands) => cands.into_sorted(),
+            Sink::Range(_, mut rows) => {
+                rows.sort_by(|a, b| a.dist2.total_cmp(&b.dist2).then(a.data.cmp(&b.data)));
+                rows
+            }
+        }
+    }
+}
+
+/// The branches a search has yet to visit: the two orders differ only
+/// here.
+enum Frontier<N> {
+    /// Depth-first: the nearest unvisited child of the deepest expanded
+    /// node on top. A branch meets the threshold when it is popped, just
+    /// when the recursive search would have reached it.
+    Stack(Vec<Branch<N>>),
+    /// Best-first: nodes only, nearest first, ties by push count. Points
+    /// never wait here: they go straight to the sink.
+    Heap(BinaryHeap<Queued<N>>, u64),
+}
+
+impl<N> Frontier<N> {
+    fn pop(&mut self) -> Option<Branch<N>> {
+        match self {
+            Frontier::Stack(stack) => stack.pop(),
+            Frontier::Heap(heap, _) => heap.pop().map(|q| q.0),
+        }
+    }
+
+    /// Queue an expanded node's children, leaving `children` empty;
+    /// `thr` is the sink's threshold once the node's points are in.
+    fn push<R: Recorder + ?Sized>(&mut self, children: &mut Vec<Branch<N>>, thr: f64, rec: &R) {
+        match self {
+            Frontier::Stack(stack) => {
+                // Nearer regions first: they tighten the pruning bound
+                // fastest, which is what lets the later, farther siblings
+                // be skipped. Pushed reversed, so the nearest pops first
+                // and ties pop in entry order.
+                children.sort_by(|a, b| a.dist2.total_cmp(&b.dist2));
+                stack.extend(children.drain(..).rev());
+            }
+            Frontier::Heap(heap, pushed) => {
+                // Only bounds within the threshold are queued, so no NaN.
+                for b in children.drain(..) {
+                    if b.dist2 <= thr {
+                        *pushed += 1;
+                        heap.push(Queued(b, *pushed));
+                    } else {
+                        record_prune(rec, b.bound, thr);
+                    }
+                }
+                rec.gauge_max(Gauge::HeapHighWater, heap.len() as u64);
+            }
+        }
+    }
+}
+
+/// A best-first heap entry and its push count. `BinaryHeap` pops its
+/// greatest entry, so the nearer region compares greater, then the
+/// earlier push.
+struct Queued<N>(Branch<N>, u64);
+
+impl<N> Ord for Queued<N> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.0.dist2.total_cmp(&self.0.dist2)).then(other.1.cmp(&self.1))
+    }
+}
+impl<N> PartialOrd for Queued<N> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<N> PartialEq for Queued<N> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl<N> Eq for Queued<N> {}
+
 /// Count one node expansion: node-vs-leaf split, points scored, branches
 /// considered, fan-out histogram.
-pub(crate) fn record_expansion<N, R: Recorder + ?Sized>(rec: &R, exp: &Expansion<N>) {
+fn record_expansion<N, R: Recorder + ?Sized>(rec: &R, exp: &Expansion<N>) {
     if exp.branches.is_empty() {
         rec.incr(Counter::LeafExpansions, 1);
     } else {
@@ -165,108 +371,28 @@ pub(crate) fn record_expansion<N, R: Recorder + ?Sized>(rec: &R, exp: &Expansion
     rec.incr(Counter::EarlyAbandons, exp.abandoned);
 }
 
-/// Count one pruned branch, attributing the event to every shape whose
-/// bound would have pruned on its own (`would_prune` applies the engine's
-/// prune comparison — `> thr` for k-NN, `> r²` for range).
-pub(crate) fn record_prune<R: Recorder + ?Sized>(
-    rec: &R,
-    bound: RegionBound,
-    would_prune: impl Fn(f64) -> bool,
-) {
+/// Count one branch pruned at threshold `thr`, attributing the event to
+/// every shape whose bound alone lies strictly beyond it.
+fn record_prune<R: Recorder + ?Sized>(rec: &R, bound: RegionBound, thr: f64) {
     rec.incr(Counter::PruneEvents, 1);
     match bound {
         RegionBound::Rect => rec.incr(Counter::PruneRect, 1),
         RegionBound::Sphere => rec.incr(Counter::PruneSphere, 1),
         RegionBound::Max { sphere2, rect2 } => {
-            if would_prune(sphere2) {
+            if sphere2 > thr {
                 rec.incr(Counter::PruneSphere, 1);
             }
-            if would_prune(rect2) {
+            if rect2 > thr {
                 rec.incr(Counter::PruneRect, 1);
             }
         }
     }
 }
 
-/// Find the `k` nearest neighbors of `query`, sorted by ascending
-/// distance.
-///
-/// This is the algorithm the paper's §4.4 describes: a depth-first
-/// traversal that visits children in order of their region distance and
-/// prunes every branch whose region distance cannot beat the current k-th
-/// candidate. The quality of the region distance is the only thing a tree
-/// controls — the SR-tree's `max(d_sphere, d_rect)` bound prunes strictly
-/// more than either bound alone.
-pub fn knn<S: KnnSource>(src: &S, query: &[f32], k: usize) -> Result<Vec<Neighbor>, IndexError> {
-    knn_with(src, query, k, &Noop)
-}
-
-/// [`knn`] with a metrics recorder. With [`Noop`] this monomorphizes to
-/// exactly the uninstrumented search.
-pub fn knn_with<S: KnnSource, R: Recorder + ?Sized>(
-    src: &S,
-    query: &[f32],
-    k: usize,
-    rec: &R,
-) -> Result<Vec<Neighbor>, IndexError> {
-    let _span = SpanTimer::start(rec, Hist::QueryNs);
-    if k == 0 {
-        // A 0-NN query has exactly one right answer, known without
-        // reading a page.
-        return Ok(Vec::new());
-    }
-    let mut cands = CandidateSet::new(k);
-    let mut pool = Vec::new();
-    if let Some(root) = src.root()? {
-        visit(src, &root, query, &mut cands, rec, &mut pool)?;
-    }
-    rec.gauge_max(Gauge::HeapHighWater, cands.len() as u64);
-    Ok(cands.into_sorted())
-}
-
-fn visit<S: KnnSource, R: Recorder + ?Sized>(
-    src: &S,
-    node: &S::Node,
-    query: &[f32],
-    cands: &mut CandidateSet,
-    rec: &R,
-    pool: &mut Vec<Expansion<S::Node>>,
-) -> Result<(), IndexError> {
-    // Recycle an expansion from the pool: the depth-first walk would
-    // otherwise allocate fresh vectors at every level of every path.
-    let mut exp = pool.pop().unwrap_or_default();
-    exp.clear();
-    src.expand(node, query, cands.prune_dist2(), &mut exp)?;
-    record_expansion(rec, &exp);
-    for n in &exp.points {
-        cands.offer(n.dist2, n.data);
-    }
-    // Visit nearer regions first: they tighten the pruning bound fastest,
-    // which is what lets the later, farther siblings be skipped.
-    exp.branches.sort_by(|a, b| {
-        a.dist2
-            .partial_cmp(&b.dist2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    for b in &exp.branches {
-        // Prune only a region strictly beyond the k-th distance: one at
-        // exactly that distance can hold a tied point with a smaller id,
-        // which `CandidateSet::offer`'s tie-break admits.
-        let thr = cands.prune_dist2();
-        if b.dist2 <= thr {
-            visit(src, &b.node, query, cands, rec, pool)?;
-        } else {
-            record_prune(rec, b.bound, |c| c > thr);
-        }
-    }
-    pool.push(exp);
-    Ok(())
-}
-
 #[cfg(test)]
 pub(crate) mod mock {
     //! A tiny in-memory binary "index" over points, used to test the
-    //! engine without dragging a real tree in: splits points in half on
+    //! search without dragging a real tree in: splits points in half on
     //! the widest dimension and bounds each half with a rectangle. Nodes
     //! live in an arena and node handles are arena indices, so the mock
     //! stays within `#![forbid(unsafe_code)]`.
@@ -405,8 +531,52 @@ pub(crate) mod mock {
 mod tests {
     use super::mock::MockTree;
     use super::*;
-    use crate::bruteforce::brute_force_knn;
-    use sr_obs::StatsRecorder;
+    use crate::bruteforce::{brute_force_knn, brute_force_range};
+    use sr_obs::{Noop, StatsRecorder};
+
+    fn knn_with<R: Recorder>(
+        tree: &MockTree,
+        q: &[f32],
+        k: usize,
+        rec: &R,
+    ) -> Result<Vec<Neighbor>, IndexError> {
+        search(tree, &QuerySpec::knn(q, k), SearchOrder::DepthFirst, rec)
+    }
+
+    fn knn(tree: &MockTree, q: &[f32], k: usize) -> Result<Vec<Neighbor>, IndexError> {
+        knn_with(tree, q, k, &Noop)
+    }
+
+    fn knn_best_first_with<R: Recorder>(
+        tree: &MockTree,
+        q: &[f32],
+        k: usize,
+        rec: &R,
+    ) -> Result<Vec<Neighbor>, IndexError> {
+        search(tree, &QuerySpec::knn(q, k), SearchOrder::BestFirst, rec)
+    }
+
+    fn knn_best_first(tree: &MockTree, q: &[f32], k: usize) -> Result<Vec<Neighbor>, IndexError> {
+        knn_best_first_with(tree, q, k, &Noop)
+    }
+
+    fn range_with<R: Recorder>(
+        tree: &MockTree,
+        q: &[f32],
+        radius: f64,
+        rec: &R,
+    ) -> Result<Vec<Neighbor>, IndexError> {
+        search(
+            tree,
+            &QuerySpec::range(q, radius),
+            SearchOrder::DepthFirst,
+            rec,
+        )
+    }
+
+    fn range(tree: &MockTree, q: &[f32], radius: f64) -> Result<Vec<Neighbor>, IndexError> {
+        range_with(tree, q, radius, &Noop)
+    }
 
     fn pseudo_points(n: usize, d: usize, seed: u64) -> Vec<(Vec<f32>, u64)> {
         // Deterministic xorshift so the test needs no external RNG.
@@ -420,6 +590,16 @@ mod tests {
         (0..n)
             .map(|i| ((0..d).map(|_| next()).collect(), i as u64))
             .collect()
+    }
+
+    fn grid_points() -> Vec<(Vec<f32>, u64)> {
+        let mut pts = Vec::new();
+        for x in 0..10 {
+            for y in 0..10 {
+                pts.push((vec![x as f32, y as f32], (x * 10 + y) as u64));
+            }
+        }
+        pts
     }
 
     #[test]
@@ -505,7 +685,7 @@ mod tests {
                 sphere2: 12.0,
                 rect2: 5.0,
             },
-            |c| c > thr,
+            thr,
         );
         // Both suffice.
         record_prune(
@@ -514,11 +694,144 @@ mod tests {
                 sphere2: 11.0,
                 rect2: 13.0,
             },
-            |c| c > thr,
+            thr,
         );
         let s = rec.snapshot();
         assert_eq!(s.counter(Counter::PruneEvents), 2);
         assert_eq!(s.counter(Counter::PruneSphere), 2);
         assert_eq!(s.counter(Counter::PruneRect), 1);
+    }
+
+    #[test]
+    fn range_matches_brute_force() {
+        let pts = grid_points();
+        let tree = MockTree::build(pts.clone(), 7);
+        let flat: Vec<(&[f32], u64)> = pts.iter().map(|(p, id)| (p.as_slice(), *id)).collect();
+        for radius in [0.0, 1.0, 1.5, 3.7, 100.0] {
+            let q = [4.5f32, 4.5];
+            let got = range(&tree, &q, radius).unwrap();
+            let want = brute_force_range(flat.iter().copied(), &q, radius);
+            assert_eq!(
+                got.iter().map(|n| n.data).collect::<Vec<_>>(),
+                want.iter().map(|n| n.data).collect::<Vec<_>>(),
+                "radius {radius}"
+            );
+        }
+    }
+
+    #[test]
+    fn boundary_point_included() {
+        let pts = grid_points();
+        let tree = MockTree::build(pts.clone(), 7);
+        // query at (0,0); point (3,4) is at distance exactly 5
+        let got = range(&tree, &[0.0, 0.0], 5.0).unwrap();
+        assert!(got.iter().any(|n| n.data == 34));
+    }
+
+    #[test]
+    fn empty_result_for_far_query() {
+        let pts = grid_points();
+        let tree = MockTree::build(pts, 7);
+        let got = range(&tree, &[1000.0, 1000.0], 1.0).unwrap();
+        assert!(got.is_empty());
+    }
+
+    #[test]
+    fn negative_radius_is_a_typed_error_not_a_panic() {
+        let pts = grid_points();
+        let tree = MockTree::build(pts, 7);
+        match range(&tree, &[0.0, 0.0], -1.0) {
+            Err(IndexError::InvalidRadius(r)) => assert_eq!(r, -1.0),
+            other => panic!("expected InvalidRadius, got {other:?}"),
+        }
+        assert!(matches!(
+            range(&tree, &[0.0, 0.0], f64::NAN),
+            Err(IndexError::InvalidRadius(_))
+        ));
+        // Zero stays valid: it returns exact matches only.
+        assert!(range(&tree, &[0.0, 0.0], 0.0).is_ok());
+    }
+
+    #[test]
+    fn traced_range_counts_prunes() {
+        let pts = grid_points();
+        let tree = MockTree::build(pts, 7);
+        let rec = StatsRecorder::new();
+        let got = range_with(&tree, &[4.5, 4.5], 1.5, &rec).unwrap();
+        assert!(!got.is_empty());
+        let s = rec.snapshot();
+        assert!(s.counter(Counter::LeafExpansions) > 0);
+        // A 1.5-radius ball over a 10x10 grid skips most of the tree.
+        assert!(s.counter(Counter::PruneEvents) > 0);
+        assert_eq!(
+            s.counter(Counter::PruneEvents),
+            s.counter(Counter::PruneRect)
+        );
+    }
+
+    #[test]
+    fn best_first_matches_brute_force() {
+        for d in [2usize, 8] {
+            let pts = pseudo_points(400, d, 17 + d as u64);
+            let tree = MockTree::build(pts.clone(), 16);
+            let flat: Vec<(&[f32], u64)> = pts.iter().map(|(p, id)| (p.as_slice(), *id)).collect();
+            for (qi, k) in [(0usize, 1usize), (11, 5), (200, 21)] {
+                let q = &pts[qi].0;
+                let got = knn_best_first(&tree, q, k).unwrap();
+                let want = brute_force_knn(flat.iter().copied(), q, k);
+                assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(want.iter()) {
+                    assert!((g.dist2 - w.dist2).abs() < 1e-9, "d={d} k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn best_first_equals_depth_first() {
+        let pts = pseudo_points(500, 4, 99);
+        let tree = MockTree::build(pts.clone(), 12);
+        for k in [1usize, 7, 30] {
+            let q = &pts[k].0;
+            let bf = knn_best_first(&tree, q, k).unwrap();
+            let df = knn(&tree, q, k).unwrap();
+            assert_eq!(
+                bf.iter().map(|n| n.data).collect::<Vec<_>>(),
+                df.iter().map(|n| n.data).collect::<Vec<_>>(),
+                "k={k}"
+            );
+        }
+    }
+
+    #[test]
+    fn k_larger_than_dataset() {
+        let pts = pseudo_points(9, 3, 7);
+        let tree = MockTree::build(pts.clone(), 4);
+        let got = knn_best_first(&tree, &pts[0].0, 100).unwrap();
+        assert_eq!(got.len(), 9);
+        for w in got.windows(2) {
+            assert!(w[0].dist2 <= w[1].dist2);
+        }
+    }
+
+    #[test]
+    fn traced_best_first_tracks_heap_high_water() {
+        let pts = pseudo_points(500, 8, 321);
+        let tree = MockTree::build(pts.clone(), 16);
+        let rec = StatsRecorder::new();
+        let got = knn_best_first_with(&tree, &pts[3].0, 5, &rec).unwrap();
+        let plain = knn_best_first(&tree, &pts[3].0, 5).unwrap();
+        assert_eq!(got, plain, "tracing must not change results");
+        let s = rec.snapshot();
+        assert!(s.gauge(Gauge::HeapHighWater) > 0);
+        assert!(s.counter(Counter::LeafExpansions) > 0);
+        // Best-first reads no more pages than DFS on the same tree.
+        let df_rec = StatsRecorder::new();
+        let _ = knn_with(&tree, &pts[3].0, 5, &df_rec).unwrap();
+        let df = df_rec.snapshot();
+        assert!(
+            s.counter(Counter::NodeExpansions) + s.counter(Counter::LeafExpansions)
+                <= df.counter(Counter::NodeExpansions) + df.counter(Counter::LeafExpansions)
+        );
     }
 }

@@ -16,7 +16,7 @@ use crate::knn::Expansion;
 /// Score one leaf's entries against `query`, pushing scored points into
 /// `out.points` and crediting early-abandoned entries to `out.abandoned`.
 ///
-/// `prune2` is the engine's current pruning threshold (the running k-th
+/// `prune2` is the search's current pruning threshold (the running k-th
 /// candidate's squared distance, or a range query's squared radius). An
 /// entry is abandoned only once its partial distance strictly exceeds
 /// it, the comparison the [`crate::CandidateSet::offer`] tie-break

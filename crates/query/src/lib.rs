@@ -1,4 +1,4 @@
-//! Query engines for the SR-tree reproduction.
+//! The query search of the SR-tree reproduction.
 //!
 //! All five tree structures in this workspace answer k-nearest-neighbor
 //! queries with the *same* algorithm — the depth-first branch-and-bound
@@ -12,20 +12,22 @@
 //! * SR-tree: `max` of the two — the better lower bound that is the whole
 //!   point of the paper.
 //!
-//! To keep that distinction in one place per tree, the engine is generic
+//! To keep that distinction in one place per tree, the search is generic
 //! over [`KnnSource`]: a tree exposes its root and a way to *expand* a node
-//! into scored child branches or leaf points, and [`knn`] / [`range`] do
-//! the rest. Branches carry their bound's provenance ([`RegionBound`]), so
-//! the `_with` engine variants (which take any `sr-obs` recorder; the
-//! plain forms are `Noop` conveniences) can attribute every prune event to
-//! the shape whose bound achieved it — the measurement behind the paper's
-//! Figure 8–10 series.
+//! into scored child branches or leaf points, and [`search`] does the
+//! rest. It is one loop for every query: k-NN and range differ only in
+//! where scored points go, and the paper's depth-first order and the
+//! best-first extension ([`SearchOrder`]) only in how pending branches
+//! are queued. Branches carry their bound's provenance ([`RegionBound`]),
+//! so the search, given any `sr-obs` recorder, can attribute every prune
+//! event to the shape whose bound achieved it — the measurement behind
+//! the paper's Figure 8–10 series.
 //!
 //! [`SpatialIndex`] is the unified, object-safe API all five tree crates
-//! implement on top of these engines — the single dispatch surface the
+//! implement on top of this search — the single dispatch surface the
 //! CLI, the benchmark harness, and the `sr-exec` batch executor use.
 //! [`IndexError`] is the one error of the whole stack: a page decode, a
-//! tree operation, an engine and the trait all fail with it.
+//! tree operation, the search and the trait all fail with it.
 //! [`paged`] is the paged-tree core those crates share: page codec,
 //! `expand()`, verification and the one `SpatialIndex` implementation.
 //!
@@ -34,19 +36,15 @@
 
 #![forbid(unsafe_code)]
 
-mod best_first;
 mod bruteforce;
 mod heap;
 mod index;
 mod knn;
 mod leaf_scan;
 pub mod paged;
-mod range;
 
-pub use best_first::{knn_best_first, knn_best_first_with};
 pub use bruteforce::{brute_force_knn, brute_force_range, pairwise_distance_stats, DistanceStats};
 pub use heap::{CandidateSet, Neighbor};
 pub use index::{IndexError, QueryOutput, QueryShape, QuerySpec, SpatialIndex};
-pub use knn::{knn, knn_with, Branch, Expansion, KnnSource, RegionBound};
+pub use knn::{search, Branch, Expansion, KnnSource, RegionBound, SearchOrder};
 pub use leaf_scan::scan_leaf_columns;
-pub use range::{range, range_with};

@@ -10,7 +10,7 @@ use super::region::Region;
 use super::tree::Paged;
 use super::verify::verify;
 use super::Result;
-use crate::{IndexError, QueryOutput, QuerySpec, SpatialIndex};
+use crate::{IndexError, QueryOutput, QuerySpec, SearchOrder, SpatialIndex};
 
 /// A tree built on the [`Paged`] core. Implementing it yields the
 /// [`SpatialIndex`] implementation; the tree type keeps only its own
@@ -89,7 +89,8 @@ impl<T: PagedTree> SpatialIndex for T {
     }
 
     fn query(&self, spec: &QuerySpec<'_>, rec: &dyn Recorder) -> Result<QueryOutput> {
-        self.core().search(spec, Default::default(), rec)
+        self.core()
+            .search(spec, Default::default(), SearchOrder::DepthFirst, rec)
     }
 
     fn pager(&self) -> &PageFile {

@@ -7,7 +7,7 @@
 //! * the [`Params`] calculator (Table 1 fanouts);
 //! * the metadata header and the [`Node`] page codec;
 //! * [`Paged`], the tree core: page I/O, the zero-copy `expand()` under
-//!   the k-NN / range engines, exact-match lookup, the verify walker;
+//!   the one search loop, exact-match lookup, the verify walker;
 //! * [`PagedTree`], the hook a tree type implements to get the
 //!   [`crate::SpatialIndex`] implementation;
 //! * [`Dynamic`], the R-tree-family insertion and condense-tree

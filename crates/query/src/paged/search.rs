@@ -8,8 +8,8 @@ use super::tree::Paged;
 use super::Result;
 use crate::{scan_leaf_columns, Expansion, IndexError, KnnSource};
 
-/// A paged tree as the generic k-NN / range engines see it: node
-/// handles are `(page, level)` pairs.
+/// A paged tree as [`crate::search`] sees it: node handles are
+/// `(page, level)` pairs.
 pub struct Source<'a, R: Region> {
     pub(super) tree: &'a Paged<R>,
     pub(super) bound: R::Bound,

@@ -12,7 +12,7 @@ use super::params::Params;
 use super::region::Region;
 use super::search::Source;
 use super::Result;
-use crate::{knn_with, range_with, IndexError, QueryOutput, QueryShape, QuerySpec};
+use crate::{IndexError, QueryOutput, QuerySpec, SearchOrder};
 
 /// Metadata layout version. Version 2: leaves are columnar
 /// (dimension-major). Version-1 files are rejected with
@@ -199,15 +199,23 @@ impl<R: Region> Paged<R> {
         Ok(())
     }
 
-    /// Reject a point or query of the wrong dimensionality.
-    pub fn check_dim(&self, got: usize) -> Result<()> {
-        if got != self.params.dim {
+    /// Reject a point or query the index cannot hold or answer: one of
+    /// the wrong dimensionality ([`IndexError::DimensionMismatch`]), or
+    /// one with a NaN or infinite coordinate ([`IndexError::NonFinite`]).
+    /// Every insert, build, delete, lookup and query checks here first:
+    /// a region bound over a non-finite point is NaN, so one such insert
+    /// would leave every page on its path failing verification.
+    pub fn check_point(&self, coords: &[f32]) -> Result<()> {
+        if coords.len() != self.params.dim {
             return Err(IndexError::DimensionMismatch {
                 expected: self.params.dim,
-                got,
+                got: coords.len(),
             });
         }
-        Ok(())
+        match coords.iter().enumerate().find(|(_, c)| !c.is_finite()) {
+            Some((axis, &value)) => Err(IndexError::NonFinite { axis, value }),
+            None => Ok(()),
+        }
     }
 
     /// The root's level, or `None` when there is nothing to search: no
@@ -361,31 +369,28 @@ impl<R: Region> Paged<R> {
     /// [`IndexError::Corrupt`] for a page on the lookup's path that
     /// [`Paged::read_node`] rejects.
     pub fn contains(&self, point: &Point, data: u64) -> Result<bool> {
-        self.check_dim(point.dim())?;
+        self.check_point(point.coords())?;
         Ok(self.find_leaf(point, data)?.is_some())
     }
 
-    /// The k-NN / range engines' view of this tree, scoring regions with
-    /// `bound`.
+    /// The view [`crate::search`] walks, scoring regions with `bound`.
     pub fn source(&self, bound: R::Bound) -> Source<'_, R> {
         Source { tree: self, bound }
     }
 
-    /// Answer one query — the single search entry point behind
-    /// [`crate::SpatialIndex::query`] (and so its `knn` and `range`).
-    /// Results are sorted by ascending distance (ties by payload).
+    /// Answer one query in `order` — the single search entry point
+    /// behind [`crate::SpatialIndex::query`] (and so its `knn` and
+    /// `range`), which runs depth-first. Results are sorted by ascending
+    /// distance (ties by payload).
     pub fn search<Rec: Recorder + ?Sized>(
         &self,
         spec: &QuerySpec<'_>,
         bound: R::Bound,
+        order: SearchOrder,
         rec: &Rec,
     ) -> Result<QueryOutput> {
-        self.check_dim(spec.point.len())?;
-        let src = self.source(bound);
-        let rows = match spec.shape {
-            QueryShape::Knn { k } => knn_with(&src, spec.point, k, rec)?,
-            QueryShape::Range { radius } => range_with(&src, spec.point, radius, rec)?,
-        };
+        self.check_point(spec.point)?;
+        let rows = crate::search(&self.source(bound), spec, order, rec)?;
         Ok(QueryOutput::from_rows(rows))
     }
 }

@@ -56,7 +56,7 @@ pub trait Dynamic: PagedTree + Sized {
 
     /// Insert one point.
     fn insert(&mut self, point: Point, data: u64) -> Result<()> {
-        self.core().check_dim(point.dim())?;
+        self.core().check_point(point.coords())?;
         let mut budget = self.budget();
         insert_at(
             self,
@@ -72,7 +72,7 @@ pub trait Dynamic: PagedTree + Sized {
     /// Delete the exact entry `(point, data)`; returns whether it
     /// existed.
     fn delete(&mut self, point: &Point, data: u64) -> Result<bool> {
-        self.core().check_dim(point.dim())?;
+        self.core().check_point(point.coords())?;
         let Some(path) = self.core().find_leaf(point, data)? else {
             return Ok(false);
         };

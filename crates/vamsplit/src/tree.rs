@@ -52,14 +52,11 @@ impl VamTree {
         dim: usize,
         data_area: usize,
     ) -> Result<Self> {
-        if let Some((p, _)) = points.iter().find(|(p, _)| p.dim() != dim) {
-            return Err(IndexError::DimensionMismatch {
-                expected: dim,
-                got: p.dim(),
-            });
-        }
         let params = Params::try_derive(pf.capacity(), dim, data_area)?;
         let mut core = Paged::new(pf, KIND, params);
+        for (p, _) in &points {
+            core.check_point(p.coords())?;
+        }
         core.count = points.len() as u64;
         (core.root, core.height) = build::bulk_build(&mut core, points)?;
         core.save_meta()?;

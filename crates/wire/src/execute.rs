@@ -26,9 +26,9 @@ use crate::stats::stats_json;
 fn remote(e: IndexError) -> RemoteError {
     match e {
         IndexError::Unsupported(what) => RemoteError::Unsupported(what.to_string()),
-        IndexError::DimensionMismatch { .. } | IndexError::InvalidRadius(_) => {
-            RemoteError::BadRequest(e.to_string())
-        }
+        IndexError::DimensionMismatch { .. }
+        | IndexError::NonFinite { .. }
+        | IndexError::InvalidRadius(_) => RemoteError::BadRequest(e.to_string()),
         other => RemoteError::Failed(other.to_string()),
     }
 }
@@ -485,6 +485,15 @@ mod tests {
                     got: 3,
                 },
                 BadRequest("dimension mismatch: index is 2-d, point is 3-d".into()),
+            ),
+            (
+                IndexError::NonFinite {
+                    axis: 1,
+                    value: f32::NAN,
+                },
+                BadRequest(
+                    "non-finite coordinate NaN at axis 1: points and queries must be finite".into(),
+                ),
             ),
             (
                 IndexError::NotThisIndex("not a SR-tree file".into()),

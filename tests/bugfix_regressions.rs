@@ -33,6 +33,11 @@
 //!    `k` of `u32::MAX` (a wire `Knn` request carries a `u32`) aborted the
 //!    process allocating 64 GiB, and `usize::MAX` overflowed. The heap now
 //!    preallocates at most a fixed cap and grows with what it keeps.
+//! 8. **Non-finite coordinates** — nothing checked them: a NaN insert
+//!    returned `Ok` and left every page on its path with a NaN region
+//!    that failed verification, and a NaN or infinite query returned
+//!    rows at NaN or infinite distances. Every insert, build, delete and
+//!    query path now refuses them with `IndexError::NonFinite`.
 
 use srtree::dataset::{cluster, uniform, ClusterSpec};
 use srtree::geometry::Point;
@@ -510,4 +515,71 @@ fn huge_k_returns_every_point() {
         sr.insert(p.clone(), *i).unwrap();
     }
     assert_eq!(rows(&sr.knn_best_first(&q, usize::MAX).unwrap()), want);
+}
+
+// ---------------------------------------------------------------------
+// Bug 8: non-finite coordinates.
+// ---------------------------------------------------------------------
+
+#[track_caller]
+fn assert_non_finite<T: std::fmt::Debug>(got: Result<T, IndexError>) {
+    match got {
+        Err(IndexError::NonFinite { axis: 1, value }) => assert!(!value.is_finite()),
+        other => panic!("expected NonFinite at axis 1, got {other:?}"),
+    }
+}
+
+/// A NaN or infinite coordinate is refused with the typed error on every
+/// tree's insert, delete and query paths, in both search orders and on
+/// both bulk builders, and a refused write leaves the index whole.
+#[test]
+fn non_finite_coordinates_are_refused_on_every_path() {
+    use sr_testkit::TreeKind;
+    use srtree::pager::PageFile;
+    use srtree::query::{paged::DEFAULT_DATA_AREA, QuerySpec};
+
+    let with_ids: Vec<(Point, u64)> = uniform(200, 4, 67).into_iter().zip(0u64..).collect();
+    for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let bad = [0.1, x, 0.3, 0.4];
+        for kind in TreeKind::ALL {
+            let pf = PageFile::create_in_memory(4096).unwrap();
+            let mut tree = kind
+                .build(pf, 4, DEFAULT_DATA_AREA, with_ids.clone())
+                .unwrap();
+            let name = kind.kind_name();
+            if kind == TreeKind::Vam {
+                // Bulk-built only: every write is refused before its point
+                // is looked at.
+                let unsupported = |r: Result<(), IndexError>| {
+                    assert!(matches!(r, Err(IndexError::Unsupported(_))), "{r:?}")
+                };
+                unsupported(tree.insert(&bad, 999));
+                unsupported(tree.delete(&bad, 0).map(|_| ()));
+            } else {
+                assert_non_finite(tree.insert(&bad, 999));
+                assert_non_finite(tree.delete(&bad, 0));
+            }
+            assert_non_finite(tree.knn(&bad, 3));
+            let range = QuerySpec::range(&bad, 0.5);
+            assert_non_finite(tree.query(&range, &srtree::obs::Noop));
+            assert_eq!(tree.len(), 200, "{name}");
+            tree.verify()
+                .unwrap_or_else(|e| panic!("{name} after refused writes: {e}"));
+        }
+
+        let mut sr = SrTree::create_in_memory(4, 4096).unwrap();
+        for (p, i) in &with_ids {
+            sr.insert(p.clone(), *i).unwrap();
+        }
+        assert_non_finite(sr.knn_best_first(&bad, 3));
+        assert_non_finite(sr.contains(&Point::new(bad.to_vec()), 0));
+
+        let mut points = with_ids.clone();
+        points.push((Point::new(bad.to_vec()), 999));
+        let mut bulk = SrTree::create_in_memory(4, 4096).unwrap();
+        assert_non_finite(bulk.bulk_load(points.clone()));
+        assert_eq!(bulk.len(), 0);
+        let pf = PageFile::create_in_memory(4096).unwrap();
+        assert_non_finite(VamTree::build_from(pf, points, 4, DEFAULT_DATA_AREA).map(|_| ()));
+    }
 }

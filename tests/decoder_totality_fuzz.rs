@@ -22,6 +22,7 @@
 //! the seed it ran, and the same `SRTREE_FUZZ_SEED` replays a failure.
 
 use srtree::dataset::{uniform, SeededRng};
+use srtree::obs::StatsRecorder;
 use srtree::pager::{
     encode_header, encode_page_frame, put_leaf_columns, scan_log, LeafColumns, PageCodec, PageKind,
 };
@@ -369,8 +370,14 @@ fn set_lane(buf: &mut [u8], at: usize, lane: usize, v: f64) {
 /// and require `contains(probe)` and `verify()` to fail with the
 /// identical `Corrupt` text, starting `page N:`. k-NN scores entries
 /// without validating them (its bounds read the raw bytes), so it need
-/// not fail, only return. Each case restores the page before the next.
-fn node_entry_faults_read_alike<T: PagedTree>(mut tree: T, lanes: RegionLanes, seed: u64) {
+/// not fail, only return; so must `also_query`, which runs each tree's
+/// other searches. Each case restores the page before the next.
+fn node_entry_faults_read_alike<T: PagedTree>(
+    mut tree: T,
+    lanes: RegionLanes,
+    seed: u64,
+    also_query: fn(&T, &[f32]),
+) {
     let name = tree.kind_name();
     let mut rng = SeededRng::seed_from_u64(seed);
     let points = uniform(NODE_POINTS, NODE_DIM, rng.next_u64());
@@ -430,7 +437,10 @@ fn node_entry_faults_read_alike<T: PagedTree>(mut tree: T, lanes: RegionLanes, s
         core.pager().write(id, kind, &faulted).expect("write");
 
         let what = format!("{name} seed {seed:#x} case {case}: {fault:?} on page {id}");
-        let _ = tree.knn(probe.coords(), 1);
+        for k in [1, 5] {
+            let _ = tree.knn(probe.coords(), k);
+        }
+        also_query(&tree, probe.coords());
         let contains = corrupt_text(
             core.contains(probe, data).map(drop),
             &format!("{what}: contains"),
@@ -451,15 +461,23 @@ fn node_entry_faults_read_alike<T: PagedTree>(mut tree: T, lanes: RegionLanes, s
 fn node_entry_faults_read_alike_on_every_path() {
     for base in [0xE7A1u64 << 16 | 1, 0xE7A1 << 16 | 2] {
         let seed = seed_for(base);
+        // Best-first queues the bounds it reads off a faulted page, so a
+        // NaN one must be pruned before it reaches the heap. Untraced, the
+        // search stops at its first pruned pop; traced, it drains.
         node_entry_faults_read_alike(
             SrTree::create_in_memory(NODE_DIM, NODE_PAGE).expect("SR-tree"),
             SR_LANES,
             seed,
+            |tree, q| {
+                let _ = tree.knn_best_first(q, 5);
+                let _ = tree.knn_best_first_with(q, 5, &StatsRecorder::new());
+            },
         );
         node_entry_faults_read_alike(
             RstarTree::create_in_memory(NODE_DIM, NODE_PAGE).expect("R*-tree"),
             RECT_LANES,
             seed,
+            |_, _| {},
         );
     }
 }

@@ -12,8 +12,9 @@ use sr_testkit::{
     DiffConfig, DiffReport, Model, Op, OpTape, TreeKind, WorkloadSpec,
 };
 use srtree::geometry::Point;
-use srtree::pager::PageFile;
-use srtree::query::SpatialIndex;
+use srtree::pager::{PageFile, PageKind};
+use srtree::query::{Neighbor, SpatialIndex};
+use srtree::tree::SrTree;
 
 /// Per-tape op count. The issue floor is 2,000 ops per tape.
 const OPS: usize = 2_000;
@@ -260,6 +261,54 @@ fn crash_mid_tape_recovers_and_continues_matching_oracle() {
         .unwrap_or_else(|e| panic!("final flush: {e}\n{ctx}"));
     matches_model(tree.as_ref(), &model, &probes, 5, 0.6)
         .unwrap_or_else(|e| panic!("end state diverged from oracle: {e}\n{ctx}"));
+}
+
+/// Best-first arm: replay a tape on an SR-tree and answer every k-NN op
+/// in both search orders. The rows must be identical — ids, order and
+/// distance bits — and best-first must read no more node and leaf pages
+/// than depth-first, since it expands only regions within the final k-th
+/// distance, all of which depth-first expands too.
+#[test]
+fn best_first_matches_depth_first_and_reads_no_more() {
+    let seed = seed_for(0xD1FF_0006);
+    let tape = generate(&WorkloadSpec::standard(OPS, 6, DataDist::Clustered), seed);
+    let ctx = seed_line(&tape);
+    let pf = PageFile::create_in_memory(2048).unwrap();
+    let mut tree = SrTree::create_from(pf, tape.dim, 64).unwrap();
+    let reads = |tree: &SrTree| {
+        let io = tree.pager().stats();
+        io.logical_reads(PageKind::Node) + io.logical_reads(PageKind::Leaf)
+    };
+    let rows = |v: &[Neighbor]| {
+        v.iter()
+            .map(|n| (n.data, n.dist2.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let mut knns = 0;
+    for (step, op) in tape.ops.iter().enumerate() {
+        match op {
+            Op::Insert(p, id) => tree.insert(p.clone(), *id).unwrap(),
+            Op::Delete(p, id) => {
+                tree.delete(p, *id).unwrap();
+            }
+            Op::Knn(q, k) => {
+                tree.pager().reset_stats();
+                let df = SpatialIndex::knn(&tree, q.coords(), *k).unwrap();
+                let df_reads = reads(&tree);
+                tree.pager().reset_stats();
+                let bf = tree.knn_best_first(q.coords(), *k).unwrap();
+                let bf_reads = reads(&tree);
+                assert_eq!(rows(&bf), rows(&df), "step {step}: rows differ\n{ctx}");
+                assert!(
+                    bf_reads <= df_reads,
+                    "step {step}: best-first read {bf_reads} pages, depth-first {df_reads}\n{ctx}"
+                );
+                knns += 1;
+            }
+            Op::Range(..) => {}
+        }
+    }
+    assert!(knns > 0, "tape had no k-NN queries\n{ctx}");
 }
 
 #[test]

@@ -184,3 +184,118 @@ fn expansions_match_page_reads() {
         "leaf expansions != leaf reads"
     );
 }
+
+/// FNV-1a over each row's payload and distance bits: one number that
+/// changes when any row, its order or its distance does.
+fn rows_digest(rows: &[srtree::query::Neighbor]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for n in rows {
+        for b in n
+            .data
+            .to_le_bytes()
+            .into_iter()
+            .chain(n.dist2.to_bits().to_le_bytes())
+        {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The depth-first work counters a workload adds up to, in a fixed order:
+/// node and leaf expansions, branches, prune events, sphere and rect
+/// prunes, points scored, early abandons, and the heap high-water mark.
+fn work(rec: &StatsRecorder) -> [u64; 9] {
+    let s = rec.snapshot();
+    [
+        s.counter(Counter::NodeExpansions),
+        s.counter(Counter::LeafExpansions),
+        s.counter(Counter::BranchesConsidered),
+        s.counter(Counter::PruneEvents),
+        s.counter(Counter::PruneSphere),
+        s.counter(Counter::PruneRect),
+        s.counter(Counter::PointsScored),
+        s.counter(Counter::EarlyAbandons),
+        s.gauge(srtree::obs::Gauge::HeapHighWater),
+    ]
+}
+
+/// Pins the depth-first search's exact work on a seeded SR-tree: every
+/// counter total, the page reads and each query's rows (as a digest),
+/// for k-NN and for range. Any change to the visit order — which child
+/// goes first, when a branch is pruned, what threshold a leaf scan sees —
+/// moves at least one of these numbers.
+#[test]
+fn depth_first_work_is_pinned() {
+    let dim = 16;
+    let tree = build(3_000, dim, 59);
+    let queries = sample_queries(&uniform(3_000, dim, 59), 15, 61);
+
+    let run = |spec: &dyn Fn(&[f32]) -> QuerySpec<'_>| {
+        let rec = StatsRecorder::new();
+        tree.pager().reset_stats();
+        let rows: Vec<(usize, u64)> = queries
+            .iter()
+            .map(|q| {
+                let rows = tree.query(&spec(q.coords()), &rec).unwrap().rows;
+                (rows.len(), rows_digest(&rows))
+            })
+            .collect();
+        let io = tree.pager().stats();
+        let reads = [
+            io.logical_reads(PageKind::Node),
+            io.logical_reads(PageKind::Leaf),
+        ];
+        (work(&rec), reads, rows)
+    };
+
+    let (knn_work, knn_reads, knn_rows) = run(&|q| QuerySpec::knn(q, 21));
+    let (range_work, range_reads, range_rows) = run(&|q| QuerySpec::range(q, 0.9));
+    assert_eq!(
+        knn_work,
+        [1590, 7773, 11835, 2487, 643, 2485, 36945, 34597, 21]
+    );
+    assert_eq!(knn_reads, [1590, 7773]);
+    let knn_digests = [
+        0x8db8_5381_2e5a_6642,
+        0x9a13_a916_8f9a_cefe,
+        0x6362_4515_6ad7_bd48,
+        0x28cd_03e6_5206_be42,
+        0x050d_f0e4_d663_89b1,
+        0xb1ba_ca51_e7fa_501c,
+        0x0fac_52b9_7458_8389,
+        0x40bb_5809_5dce_185d,
+        0x465f_94be_40dd_38a8,
+        0x4840_528c_d05c_da7e,
+        0xb079_1e86_dce9_6b5a,
+        0xaf96_f439_b331_0583,
+        0xffac_60c1_6b24_3637,
+        0x10df_8d69_9de6_5467,
+        0xd60f_23be_e168_3ff7,
+    ];
+    assert_eq!(knn_rows, knn_digests.map(|d| (21, d)));
+
+    assert_eq!(
+        range_work,
+        [1590, 4707, 11835, 5553, 2264, 5537, 23733, 23579, 0]
+    );
+    assert_eq!(range_reads, [1590, 4707]);
+    let range_rows_want = [
+        (5, 0x258d_5e53_9b69_1096),
+        (2, 0xafd7_d7d3_2028_052c),
+        (5, 0xfea9_b1a4_ad2f_690b),
+        (5, 0x39a2_3e38_f776_2a9b),
+        (8, 0x65a0_140f_aa93_78bb),
+        (3, 0x83d1_8b2a_0468_d823),
+        (2, 0x7716_0b3d_a44a_56eb),
+        (3, 0x6bb3_f195_f373_db45),
+        (1, 0x1a1f_2496_366f_bc7f),
+        (8, 0x337f_8a11_3ff7_b678),
+        (7, 0x4e81_c31c_9088_2d6a),
+        (5, 0xfba7_81e8_8200_fdfe),
+        (2, 0x85fc_1a1f_d058_cfda),
+        (10, 0x0dee_e578_ca85_a9a0),
+        (1, 0xa515_917e_95d9_35c4),
+    ];
+    assert_eq!(range_rows, range_rows_want);
+}

@@ -247,3 +247,55 @@ fn kind_namespaces_are_disjoint() {
         ));
     }
 }
+
+/// The frame format carries any `f32`, so a NaN or infinite coordinate
+/// decodes; the index refuses it. Each such request is answered
+/// `BadRequest` — on the write path and the read path alike — and the
+/// index it was sent to still verifies and keeps serving writes.
+#[test]
+fn non_finite_coordinates_are_bad_requests_and_leave_the_index_whole() {
+    use srtree::query::SpatialIndex;
+    use srtree::wire::{execute, execute_read};
+
+    let mut tree = srtree::tree::SrTree::create_in_memory(2, 4096).unwrap();
+    for i in 0..40u64 {
+        let p = [i as f32 * 0.25, (i % 7) as f32];
+        SpatialIndex::insert(&mut tree, &p, i).unwrap();
+    }
+    let decode =
+        |req: &Request| match decode_request(&encode_request(req).unwrap(), DEFAULT_MAX_BODY) {
+            Ok(Decoded::Frame { msg, .. }) => msg,
+            other => panic!("frame must decode: {other:?}"),
+        };
+    let bad_request = |resp: Response| match resp {
+        Response::Error(RemoteError::BadRequest(msg)) => {
+            assert!(msg.contains("non-finite"), "{msg}")
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    };
+    for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let insert = decode(&Request::Insert {
+            point: vec![x, 1.0],
+            data: 999,
+        });
+        bad_request(execute(&insert, &mut tree, &srtree::obs::Noop));
+        let knn = decode(&Request::Knn {
+            query: vec![1.0, x],
+            k: 3,
+        });
+        bad_request(execute_read(&knn, &tree, &srtree::obs::Noop));
+        let range = decode(&Request::Range {
+            query: vec![x, x],
+            radius: 1.0,
+        });
+        bad_request(execute_read(&range, &tree, &srtree::obs::Noop));
+    }
+    assert_eq!(tree.len(), 40);
+    tree.verify().unwrap();
+    // Still writable and readable: delete a live point, insert a new one.
+    assert!(SpatialIndex::delete(&mut tree, &[0.5, 2.0], 2).unwrap());
+    SpatialIndex::insert(&mut tree, &[3.0, 3.0], 1000).unwrap();
+    tree.verify().unwrap();
+    let got = tree.knn(&[3.0, 3.0], 1).unwrap();
+    assert_eq!(got[0].data, 1000);
+}
