@@ -144,15 +144,19 @@ impl AnyIndex {
         self.kind
     }
 
-    /// k-nearest-neighbor query.
+    /// k-nearest-neighbor query, depth-first (see [`AnyIndex::knn_with`]).
     pub fn knn(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         self.knn_with(query, k, &sr_obs::Noop)
     }
 
     /// [`AnyIndex::knn`] with a metrics recorder (see `sr-obs`).
+    ///
+    /// The harness asks for the paper's depth-first order (§4.4), so its
+    /// figures count the reads the paper counts; served queries run
+    /// best-first and read fewer.
     pub fn knn_with(&self, query: &[f32], k: usize, rec: &dyn sr_obs::Recorder) -> Vec<Neighbor> {
         self.index
-            .query(&sr_query::QuerySpec::knn(query, k), rec)
+            .query(&sr_query::QuerySpec::knn(query, k).depth_first(), rec)
             .unwrap()
             .rows
     }

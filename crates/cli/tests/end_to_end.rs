@@ -189,7 +189,9 @@ fn insert_into_existing_index() {
 #[test]
 fn vam_rejects_insert() {
     let dir = tmpdir();
-    let data = dir.join("vam.tsv");
+    // Not `vam.pages`: `full_workflow_for_every_index_kind` builds that
+    // file in the same directory, on a parallel test thread.
+    let data = dir.join("vam-insert.tsv");
     sh(&[
         "gen",
         "--n",
@@ -201,7 +203,7 @@ fn vam_rejects_insert() {
         data.to_str().unwrap(),
     ])
     .unwrap();
-    let index = dir.join("vam.pages");
+    let index = dir.join("vam-insert.pages");
     sh(&[
         "build",
         "--index",

@@ -12,7 +12,7 @@ use sr_query::paged::centroid;
 use sr_query::paged::{
     AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result, DEFAULT_DATA_AREA,
 };
-use sr_query::{Neighbor, QuerySpec, SearchOrder};
+use sr_query::{Neighbor, QuerySpec};
 
 use crate::region::{leaf_shapes, region_of, DistanceBound, SrOptions, SrRegion};
 
@@ -104,34 +104,11 @@ impl SrTree {
         Dynamic::delete(self, point, data)
     }
 
-    /// k-NN via best-first ("distance browsing", Hjaltason & Samet)
-    /// traversal instead of the paper's depth-first search — an
-    /// extension: the same search loop over a heap of nodes instead of a
-    /// stack. Returns exactly the same neighbors; reads no more pages
-    /// than any traversal order can (I/O-optimal for the tree).
-    pub fn knn_best_first(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        self.knn_best_first_with(query, k, &Noop)
-    }
-
-    /// [`SrTree::knn_best_first`] with a metrics recorder.
-    pub fn knn_best_first_with<R: Recorder + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        rec: &R,
-    ) -> Result<Vec<Neighbor>> {
-        let spec = QuerySpec::knn(query, k);
-        let order = SearchOrder::BestFirst;
-        Ok(self
-            .core
-            .search(&spec, DistanceBound::Both, order, rec)?
-            .rows)
-    }
-
     /// k-NN with an explicit region-distance bound — the ablation knob
-    /// for the paper's §4.4 combined bound. Results are identical for
-    /// every bound (all are valid lower bounds); only the pruning power,
-    /// and therefore the page reads, differ.
+    /// for the paper's §4.4 combined bound — in the paper's depth-first
+    /// order. Results are identical for every bound (all are valid lower
+    /// bounds); only the pruning power, and therefore the page reads,
+    /// differ.
     pub fn knn_with_bound(
         &self,
         query: &[f32],
@@ -151,9 +128,8 @@ impl SrTree {
         bound: DistanceBound,
         rec: &R,
     ) -> Result<Vec<Neighbor>> {
-        let spec = QuerySpec::knn(query, k);
-        let order = SearchOrder::DepthFirst;
-        Ok(self.core.search(&spec, bound, order, rec)?.rows)
+        let spec = QuerySpec::knn(query, k).depth_first();
+        Ok(self.core.search(&spec, bound, rec)?.rows)
     }
 
     /// The (sphere, rectangle) region pairs of all non-empty leaves.

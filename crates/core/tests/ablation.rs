@@ -4,8 +4,9 @@
 #![cfg(test)]
 
 use sr_dataset::{real_sim, sample_queries, uniform};
+use sr_obs::Noop;
 use sr_pager::PageFile;
-use sr_query::{brute_force_knn, SpatialIndex};
+use sr_query::{brute_force_knn, QuerySpec, SpatialIndex};
 use sr_tree::{verify, DistanceBound, RadiusRule, SrOptions, SrTree};
 
 fn build_with(points: &[sr_geometry::Point], options: SrOptions) -> SrTree {
@@ -181,11 +182,14 @@ fn best_first_equals_depth_first_and_reads_no_more() {
     for q in &queries {
         t.pager().set_cache_capacity(0).unwrap();
         t.pager().reset_stats();
-        let df = t.knn(q.coords(), 21).unwrap();
+        let df = t
+            .query(&QuerySpec::knn(q.coords(), 21).depth_first(), &Noop)
+            .unwrap()
+            .rows;
         df_reads += t.pager().stats().tree_reads();
 
         t.pager().reset_stats();
-        let bf = t.knn_best_first(q.coords(), 21).unwrap();
+        let bf = t.knn(q.coords(), 21).unwrap();
         bf_reads += t.pager().stats().tree_reads();
 
         assert_eq!(

@@ -89,11 +89,11 @@ pub const LIB_CRATES: &[&str] = &[
 pub const ACCOUNTING_FILES: &[&str] = &["crates/pager/src/stats.rs"];
 
 /// Built-in I/O function registry for L4's guard-across-I/O rule, on
-/// top of `#[doc = "srlint: io"]` markers.
+/// top of `#[doc = "srlint: io"]` markers: std names only, which cannot
+/// carry a marker. The workspace's own store methods are marked where
+/// they are declared, so a local fn that shares a name such as `grow`
+/// is not taken for I/O.
 pub const IO_FNS: &[&str] = &[
-    "read_page",
-    "write_page",
-    "grow",
     "sync",
     "sync_data",
     "read_exact_at",

@@ -80,3 +80,22 @@ impl Lanes {
 fn hot_path_call_alloc(xs: &[f64]) -> usize {
     Lanes::new(xs).xs.len()
 }
+
+/// A local `grow` that only reserves capacity. The name is a store
+/// method's too, but this fn is not marked as I/O, so the hot root that
+/// calls it stays silent.
+pub struct Pool {
+    xs: Vec<u64>,
+}
+
+impl Pool {
+    fn grow(&mut self) {
+        self.xs.reserve(8);
+    }
+}
+
+// srlint: hot
+fn hot_grows_a_local_pool(pool: &mut Pool) -> usize {
+    pool.grow();
+    pool.xs.len()
+}

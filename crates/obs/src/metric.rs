@@ -128,8 +128,10 @@ impl Counter {
 /// High-water-mark gauges (recorded with `max`, never reset implicitly).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Gauge {
-    /// Largest size a k-NN search's heap reached: best-first's queue of
-    /// nodes (points never enter it), or depth-first's candidate set.
+    /// Largest size a k-NN search's queue reached. Served (best-first)
+    /// k-NN counts its queued branches — nodes only, points never wait
+    /// there — and this is what `srtool knn --trace` prints; a
+    /// depth-first search reports its candidate set's size instead.
     HeapHighWater,
 }
 

@@ -18,6 +18,7 @@ use sr_obs::{Noop, Recorder};
 use sr_pager::{IoStats, PageFile, PagerError};
 
 use crate::heap::Neighbor;
+use crate::knn::SearchOrder;
 
 /// What a query wants back: the `k` nearest neighbors, or every point
 /// within a radius. Carried by [`QuerySpec`] so one [`SpatialIndex::query`]
@@ -36,10 +37,10 @@ pub enum QueryShape {
     },
 }
 
-/// A fully-specified query: the point and the shape (kNN or range). This
-/// is the one argument of [`SpatialIndex::query`], which is what lets the
-/// wire layer, the CLI, and the batch executor share a single dispatch
-/// path.
+/// A fully-specified query: the point, the shape (kNN or range) and the
+/// visit order. This is the one argument of [`SpatialIndex::query`],
+/// which is what lets the wire layer, the CLI, and the batch executor
+/// share a single dispatch path.
 ///
 /// The query point is borrowed, so building a spec is free: batch drivers
 /// can construct one per query without cloning coordinate buffers.
@@ -49,14 +50,19 @@ pub struct QuerySpec<'q> {
     pub point: &'q [f32],
     /// What to return: kNN or range.
     pub shape: QueryShape,
+    /// The order a k-NN search visits branches in. Range queries read
+    /// the same pages in either order and always run depth-first.
+    pub order: SearchOrder,
 }
 
 impl<'q> QuerySpec<'q> {
-    /// A k-nearest-neighbor spec.
+    /// A k-nearest-neighbor spec, answered best-first: the served order,
+    /// which reads no more pages than the paper's.
     pub fn knn(point: &'q [f32], k: usize) -> Self {
         QuerySpec {
             point,
             shape: QueryShape::Knn { k },
+            order: SearchOrder::BestFirst,
         }
     }
 
@@ -65,6 +71,16 @@ impl<'q> QuerySpec<'q> {
         QuerySpec {
             point,
             shape: QueryShape::Range { radius },
+            order: SearchOrder::DepthFirst,
+        }
+    }
+
+    /// This spec in the paper's depth-first order (§4.4) — what the
+    /// paper-figure harness counts reads in. The answer is the same.
+    pub fn depth_first(self) -> Self {
+        QuerySpec {
+            order: SearchOrder::DepthFirst,
+            ..self
         }
     }
 }

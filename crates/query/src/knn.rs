@@ -4,7 +4,7 @@
 //! range queries are the same walk over another frontier or sink.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use sr_obs::{Counter, Gauge, Hist, Recorder, SpanTimer};
 
@@ -127,7 +127,7 @@ impl<N> Expansion<N> {
 /// A tree that [`search`] can traverse.
 pub trait KnnSource {
     /// Opaque node handle (typically a page id plus a leaf flag).
-    type Node;
+    type Node: Copy;
 
     /// The root node, or `None` for an empty tree.
     fn root(&self) -> Result<Option<Self::Node>, IndexError>;
@@ -150,16 +150,18 @@ pub trait KnnSource {
     ) -> Result<(), IndexError>;
 }
 
-/// The order in which [`search`] visits the branches it cannot prune.
+/// The order in which [`search`] visits the k-NN branches it cannot
+/// prune; a [`QuerySpec`] carries it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SearchOrder {
-    /// The paper's order (§4.4): depth-first, nearest child first. Every
-    /// [`crate::SpatialIndex`] query runs in it.
+    /// The paper's order (§4.4): depth-first, nearest child first. The
+    /// paper-figure harness counts reads in it, and every range query
+    /// runs in it.
     DepthFirst,
     /// Best-first ("distance browsing", Hjaltason & Samet; an extension):
     /// always the nearest queued region. A k-NN query then expands only
     /// regions within the final k-th distance, so it reads no more pages
-    /// than depth-first; a range query reads the same pages either way.
+    /// than depth-first. [`QuerySpec::knn`] serves it.
     BestFirst,
 }
 
@@ -175,9 +177,11 @@ pub enum SearchOrder {
 ///
 /// One loop serves both kinds and both orders: pop a branch, prune it
 /// unless its bound is within the sink's threshold, expand it, offer its
-/// points to the sink, push its children onto the frontier. `order`
-/// picks the frontier, `spec.shape` the sink. With [`sr_obs::Noop`] as
-/// `rec` this monomorphizes to the uninstrumented search.
+/// points to the sink, push its children onto the frontier.
+/// `spec.order` picks the frontier of a k-NN query (a range query reads
+/// the same pages in either order and always takes the stack, which has
+/// no queue cost), `spec.shape` the sink. With [`sr_obs::Noop`] as `rec`
+/// this monomorphizes to the uninstrumented search.
 ///
 /// # Errors
 /// [`IndexError::InvalidRadius`] for a negative or NaN radius — never a
@@ -185,7 +189,6 @@ pub enum SearchOrder {
 pub fn search<S: KnnSource, R: Recorder + ?Sized>(
     src: &S,
     spec: &QuerySpec<'_>,
-    order: SearchOrder,
     rec: &R,
 ) -> Result<Vec<Neighbor>, IndexError> {
     if let QueryShape::Range { radius } = spec.shape {
@@ -201,9 +204,9 @@ pub fn search<S: KnnSource, R: Recorder + ?Sized>(
         QueryShape::Knn { k } => Sink::Knn(CandidateSet::new(k)),
         QueryShape::Range { radius } => Sink::Range(radius * radius, Vec::new()),
     };
-    let mut frontier = match order {
-        SearchOrder::DepthFirst => Frontier::Stack(Vec::new()),
-        SearchOrder::BestFirst => Frontier::Heap(BinaryHeap::new(), 0),
+    let mut frontier = match (&sink, spec.order) {
+        (Sink::Knn(_), SearchOrder::BestFirst) => Frontier::Runs(Runs::default()),
+        _ => Frontier::Stack(Vec::new()),
     };
     // One expansion serves every visit of the query.
     let mut exp = Expansion::default();
@@ -227,17 +230,17 @@ pub fn search<S: KnnSource, R: Recorder + ?Sized>(
             frontier.push(&mut exp.branches, sink.bound(), rec);
         } else {
             record_prune(rec, b.bound, thr);
-            // A heap pops nearest first and the threshold only shrinks,
-            // so every region still queued is pruned too: stop, unless a
-            // recorder counts them.
-            if matches!(frontier, Frontier::Heap(..)) && !rec.enabled() {
+            // Best-first pops nearest first and the threshold only
+            // shrinks, so every region still queued is pruned too: stop,
+            // unless a recorder counts them.
+            if matches!(frontier, Frontier::Runs(_)) && !rec.enabled() {
                 break;
             }
         }
     }
     if let (Frontier::Stack(_), Sink::Knn(cands)) = (&frontier, &sink) {
-        // Depth-first's heap is its candidate set; best-first's node
-        // queue is gauged as it grows.
+        // Depth-first's heap is its candidate set; best-first's queued
+        // branches are gauged as they grow.
         rec.gauge_max(Gauge::HeapHighWater, cands.len() as u64);
     }
     Ok(sink.into_rows())
@@ -288,68 +291,138 @@ enum Frontier<N> {
     /// node on top. A branch meets the threshold when it is popped, just
     /// when the recursive search would have reached it.
     Stack(Vec<Branch<N>>),
-    /// Best-first: nodes only, nearest first, ties by push count. Points
+    /// Best-first: nodes only, nearest first, ties in push order. Points
     /// never wait here: they go straight to the sink.
-    Heap(BinaryHeap<Queued<N>>, u64),
+    Runs(Runs<N>),
 }
 
-impl<N> Frontier<N> {
+impl<N: Copy> Frontier<N> {
     fn pop(&mut self) -> Option<Branch<N>> {
         match self {
             Frontier::Stack(stack) => stack.pop(),
-            Frontier::Heap(heap, _) => heap.pop().map(|q| q.0),
+            Frontier::Runs(runs) => runs.pop(),
         }
     }
 
     /// Queue an expanded node's children, leaving `children` empty;
     /// `thr` is the sink's threshold once the node's points are in.
     fn push<R: Recorder + ?Sized>(&mut self, children: &mut Vec<Branch<N>>, thr: f64, rec: &R) {
+        // Nearer regions first: they tighten the pruning bound fastest,
+        // which is what lets the later, farther siblings be skipped. The
+        // sort is stable, so equal bounds keep their entry order.
         match self {
             Frontier::Stack(stack) => {
-                // Nearer regions first: they tighten the pruning bound
-                // fastest, which is what lets the later, farther siblings
-                // be skipped. Pushed reversed, so the nearest pops first
-                // and ties pop in entry order.
+                // Pushed reversed, so the nearest pops first and ties pop
+                // in entry order.
                 children.sort_by(|a, b| a.dist2.total_cmp(&b.dist2));
                 stack.extend(children.drain(..).rev());
             }
-            Frontier::Heap(heap, pushed) => {
-                // Only bounds within the threshold are queued, so no NaN.
-                for b in children.drain(..) {
-                    if b.dist2 <= thr {
-                        *pushed += 1;
-                        heap.push(Queued(b, *pushed));
-                    } else {
-                        record_prune(rec, b.bound, thr);
-                    }
-                }
-                rec.gauge_max(Gauge::HeapHighWater, heap.len() as u64);
-            }
+            Frontier::Runs(runs) => runs.push(children, thr, rec),
         }
     }
 }
 
-/// A best-first heap entry and its push count. `BinaryHeap` pops its
-/// greatest entry, so the nearer region compares greater, then the
-/// earlier push.
-struct Queued<N>(Branch<N>, u64);
+/// The best-first queue as sorted sibling runs: each expansion's queued
+/// children are one run, sorted by bound and appended to a per-query
+/// arena, and a small heap holds each non-empty run's next branch. The
+/// heap then has about one entry per expanded inner node instead of one
+/// per queued branch, so a pop sifts a few hundred entries, not
+/// thousands.
+///
+/// The pop order is exactly that of one heap over every queued branch
+/// keyed by (bound, push count): a branch's arena position orders equal
+/// bounds as their push counts do — runs are appended in push order,
+/// and the stable sort keeps entry order within a run — so each run is
+/// sorted by that key, and the least run head is the least branch.
+struct Runs<N> {
+    /// Every branch queued by the query, one sorted run per expansion.
+    arena: Vec<Branch<N>>,
+    /// The next branch of each non-empty run, nearest on top.
+    heads: BinaryHeap<Head>,
+    /// Branches queued and not yet popped: the heap a single-heap
+    /// frontier would hold, which `HeapHighWater` gauges.
+    queued: u64,
+}
 
-impl<N> Ord for Queued<N> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.0.dist2.total_cmp(&self.0.dist2)).then(other.1.cmp(&self.1))
+impl<N> Default for Runs<N> {
+    fn default() -> Self {
+        Runs {
+            arena: Vec::new(),
+            heads: BinaryHeap::new(),
+            queued: 0,
+        }
     }
 }
-impl<N> PartialOrd for Queued<N> {
+
+impl<N: Copy> Runs<N> {
+    fn pop(&mut self) -> Option<Branch<N>> {
+        let mut head = self.heads.peek_mut()?;
+        let b = *self.arena.get(head.next)?;
+        head.next += 1;
+        match self.arena.get(head.next) {
+            // One sift down: the run's next bound is no nearer.
+            Some(next) if head.next < head.end => head.dist2 = next.dist2,
+            _ => {
+                PeekMut::pop(head);
+            }
+        }
+        self.queued -= 1;
+        Some(b)
+    }
+
+    /// Append the children within `thr` as one sorted run, counting the
+    /// rest as prunes. Only bounds within the threshold are queued, so
+    /// never a NaN.
+    fn push<R: Recorder + ?Sized>(&mut self, children: &mut Vec<Branch<N>>, thr: f64, rec: &R) {
+        let start = self.arena.len();
+        for b in children.drain(..) {
+            if b.dist2 <= thr {
+                self.arena.push(b);
+            } else {
+                record_prune(rec, b.bound, thr);
+            }
+        }
+        let end = self.arena.len();
+        if let Some(run) = self.arena.get_mut(start..) {
+            run.sort_by(|a, b| a.dist2.total_cmp(&b.dist2));
+            if let Some(first) = run.first() {
+                self.heads.push(Head {
+                    dist2: first.dist2,
+                    next: start,
+                    end,
+                });
+            }
+        }
+        self.queued += (end - start) as u64;
+        rec.gauge_max(Gauge::HeapHighWater, self.queued);
+    }
+}
+
+/// A run's next branch in the arena: its bound, its position `next` and
+/// the run's `end`. `BinaryHeap` pops its greatest entry, so the nearer
+/// bound compares greater, then the earlier position.
+struct Head {
+    dist2: f64,
+    next: usize,
+    end: usize,
+}
+
+impl Ord for Head {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.dist2.total_cmp(&self.dist2)).then(other.next.cmp(&self.next))
+    }
+}
+impl PartialOrd for Head {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<N> PartialEq for Queued<N> {
+impl PartialEq for Head {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other).is_eq()
     }
 }
-impl<N> Eq for Queued<N> {}
+impl Eq for Head {}
 
 /// Count one node expansion: node-vs-leaf split, points scored, branches
 /// considered, fan-out histogram.
@@ -540,7 +613,7 @@ mod tests {
         k: usize,
         rec: &R,
     ) -> Result<Vec<Neighbor>, IndexError> {
-        search(tree, &QuerySpec::knn(q, k), SearchOrder::DepthFirst, rec)
+        search(tree, &QuerySpec::knn(q, k).depth_first(), rec)
     }
 
     fn knn(tree: &MockTree, q: &[f32], k: usize) -> Result<Vec<Neighbor>, IndexError> {
@@ -553,7 +626,7 @@ mod tests {
         k: usize,
         rec: &R,
     ) -> Result<Vec<Neighbor>, IndexError> {
-        search(tree, &QuerySpec::knn(q, k), SearchOrder::BestFirst, rec)
+        search(tree, &QuerySpec::knn(q, k), rec)
     }
 
     fn knn_best_first(tree: &MockTree, q: &[f32], k: usize) -> Result<Vec<Neighbor>, IndexError> {
@@ -566,12 +639,7 @@ mod tests {
         radius: f64,
         rec: &R,
     ) -> Result<Vec<Neighbor>, IndexError> {
-        search(
-            tree,
-            &QuerySpec::range(q, radius),
-            SearchOrder::DepthFirst,
-            rec,
-        )
+        search(tree, &QuerySpec::range(q, radius), rec)
     }
 
     fn range(tree: &MockTree, q: &[f32], radius: f64) -> Result<Vec<Neighbor>, IndexError> {
@@ -767,6 +835,55 @@ mod tests {
             s.counter(Counter::PruneEvents),
             s.counter(Counter::PruneRect)
         );
+    }
+
+    /// The run frontier pops exactly as one heap of every queued branch
+    /// keyed by (bound, push count) does, ties included.
+    #[test]
+    fn runs_pop_in_the_order_of_one_heap() {
+        use std::cmp::Reverse;
+        let mut s = 0x5eedu64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let thr = 3.5;
+        let mut runs = Runs::default();
+        let mut heap = BinaryHeap::new();
+        let (mut node, mut pushed) = (0usize, 0u64);
+        let mut popped = (Vec::new(), Vec::new());
+        for _ in 0..300 {
+            // Bounds on a coarse grid, so ties are common.
+            let mut children: Vec<Branch<usize>> = (0..next() % 6)
+                .map(|_| {
+                    node += 1;
+                    Branch {
+                        dist2: (next() % 5) as f64,
+                        bound: RegionBound::Rect,
+                        node,
+                    }
+                })
+                .collect();
+            for b in children.iter().filter(|b| b.dist2 <= thr) {
+                pushed += 1;
+                heap.push(Reverse((b.dist2 as u64, pushed, b.node)));
+            }
+            runs.push(&mut children, thr, &Noop);
+            for _ in 0..next() % 3 {
+                popped.0.extend(runs.pop().map(|b| b.node));
+                popped.1.extend(heap.pop().map(|Reverse((_, _, n))| n));
+            }
+        }
+        popped
+            .0
+            .extend(std::iter::from_fn(|| runs.pop()).map(|b| b.node));
+        popped
+            .1
+            .extend(std::iter::from_fn(|| heap.pop()).map(|Reverse((_, _, n))| n));
+        assert!(popped.1.len() > 300);
+        assert_eq!(popped.0, popped.1);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! rest. It is one loop for every query: k-NN and range differ only in
 //! where scored points go, and the paper's depth-first order and the
 //! best-first extension ([`SearchOrder`]) only in how pending branches
-//! are queued. Branches carry their bound's provenance ([`RegionBound`]),
+//! are queued. Served k-NN runs best-first, which returns the same rows
+//! from fewer pages; [`QuerySpec::depth_first`] asks for the paper's
+//! order, which the paper-figure harness counts reads in. Branches carry their bound's provenance ([`RegionBound`]),
 //! so the search, given any `sr-obs` recorder, can attribute every prune
 //! event to the shape whose bound achieved it — the measurement behind
 //! the paper's Figure 8–10 series.

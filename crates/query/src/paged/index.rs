@@ -10,7 +10,7 @@ use super::region::Region;
 use super::tree::Paged;
 use super::verify::verify;
 use super::Result;
-use crate::{IndexError, QueryOutput, QuerySpec, SearchOrder, SpatialIndex};
+use crate::{IndexError, QueryOutput, QuerySpec, SpatialIndex};
 
 /// A tree built on the [`Paged`] core. Implementing it yields the
 /// [`SpatialIndex`] implementation; the tree type keeps only its own
@@ -89,8 +89,7 @@ impl<T: PagedTree> SpatialIndex for T {
     }
 
     fn query(&self, spec: &QuerySpec<'_>, rec: &dyn Recorder) -> Result<QueryOutput> {
-        self.core()
-            .search(spec, Default::default(), SearchOrder::DepthFirst, rec)
+        self.core().search(spec, Default::default(), rec)
     }
 
     fn pager(&self) -> &PageFile {

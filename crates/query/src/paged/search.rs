@@ -2,7 +2,7 @@
 
 use sr_pager::PageId;
 
-use super::node::Layout;
+use super::node::{in_page, non_finite_leaf, Layout};
 use super::region::Region;
 use super::tree::Paged;
 use super::Result;
@@ -36,8 +36,18 @@ impl<R: Region> KnnSource for Source<'_, R> {
         let payload = self.tree.read_payload(id, level)?;
         match Layout::parse(id, level, &payload, &self.tree.params)? {
             // Columnar leaf scan: never materialises per-entry `Point`s.
-            Layout::Leaf(cols) => scan_leaf_columns(&cols, query, prune2, out)
-                .map_err(|e| IndexError::Corrupt(e.to_string())),
+            Layout::Leaf(cols) => {
+                scan_leaf_columns(&cols, query, prune2, out)
+                    .map_err(|e| IndexError::Corrupt(e.to_string()))?;
+                // The query is finite, so only a NaN or infinite lane
+                // scores a non-finite distance: fail the page as `verify`
+                // and `contains` do. Only survivors are checked; an entry
+                // abandoned before its bad lane stays unseen.
+                if out.points.iter().any(|p| !p.dist2.is_finite()) {
+                    return Err(in_page(id, non_finite_leaf()));
+                }
+                Ok(())
+            }
             // Score each child's region in place. Decoding the node would
             // materialise a heap vector per coordinate block — at bench
             // scale ~10k allocations per query.

@@ -12,7 +12,7 @@ use super::params::Params;
 use super::region::Region;
 use super::search::Source;
 use super::Result;
-use crate::{IndexError, QueryOutput, QuerySpec, SearchOrder};
+use crate::{IndexError, QueryOutput, QuerySpec};
 
 /// Metadata layout version. Version 2: leaves are columnar
 /// (dimension-major). Version-1 files are rejected with
@@ -378,19 +378,18 @@ impl<R: Region> Paged<R> {
         Source { tree: self, bound }
     }
 
-    /// Answer one query in `order` — the single search entry point
-    /// behind [`crate::SpatialIndex::query`] (and so its `knn` and
-    /// `range`), which runs depth-first. Results are sorted by ascending
-    /// distance (ties by payload).
+    /// Answer one query in the spec's order — the single search entry
+    /// point behind [`crate::SpatialIndex::query`] (and so its `knn` and
+    /// `range`). Results are sorted by ascending distance (ties by
+    /// payload).
     pub fn search<Rec: Recorder + ?Sized>(
         &self,
         spec: &QuerySpec<'_>,
         bound: R::Bound,
-        order: SearchOrder,
         rec: &Rec,
     ) -> Result<QueryOutput> {
         self.check_point(spec.point)?;
-        let rows = crate::search(&self.source(bound), spec, order, rec)?;
+        let rows = crate::search(&self.source(bound), spec, rec)?;
         Ok(QueryOutput::from_rows(rows))
     }
 }

@@ -38,15 +38,31 @@
 //!    that failed verification, and a NaN or infinite query returned
 //!    rows at NaN or infinite distances. Every insert, build, delete and
 //!    query path now refuses them with `IndexError::NonFinite`.
+//! 9. **NaN leaf lanes** — the columnar leaf scan scored a NaN
+//!    coordinate into a NaN distance, which the candidate set and the
+//!    range filter then dropped: k-NN and range answered without the
+//!    entry, while `contains` and `verify` failed the same page as
+//!    corrupt. The search now fails the page with the same text.
 
 use srtree::dataset::{cluster, uniform, ClusterSpec};
 use srtree::geometry::Point;
 use srtree::kdbtree::KdbTree;
-use srtree::query::{IndexError, SpatialIndex};
+use srtree::query::{IndexError, Neighbor, QuerySpec, SpatialIndex};
 use srtree::rstar::RstarTree;
 use srtree::sstree::SsTree;
 use srtree::tree::SrTree;
 use srtree::vamsplit::VamTree;
+
+/// k-NN in the paper's depth-first order; `SpatialIndex::knn` serves
+/// best-first.
+fn knn_depth_first(
+    tree: &dyn SpatialIndex,
+    q: &[f32],
+    k: usize,
+) -> Result<Vec<Neighbor>, IndexError> {
+    tree.query(&QuerySpec::knn(q, k).depth_first(), &srtree::obs::Noop)
+        .map(|o| o.rows)
+}
 
 // ---------------------------------------------------------------------
 // Bug 1: sphere-boundary containment.
@@ -129,7 +145,7 @@ fn empty_trees_answer_every_query_shape() {
 
     let mut sr = SrTree::create_in_memory(8, 4096).unwrap();
     assert!(sr.knn(&q, 5).unwrap().is_empty());
-    assert!(sr.knn_best_first(&q, 5).unwrap().is_empty());
+    assert!(knn_depth_first(&sr, &q, 5).unwrap().is_empty());
     assert!(sr.range(&q, 1.0).unwrap().is_empty());
     assert!(!sr.contains(&p, 0).unwrap());
     assert!(!sr.delete(&p, 0).unwrap());
@@ -187,8 +203,12 @@ fn zero_k_answers_empty_without_reading_a_page() {
     let vam = VamTree::build_in_memory(with_ids.clone(), 4, 4096).unwrap();
 
     sr.pager().reset_stats();
-    assert!(sr.knn_best_first(&q, 0).unwrap().is_empty());
-    assert_eq!(sr.pager().stats().tree_reads(), 0, "best-first read a page");
+    assert!(knn_depth_first(&sr, &q, 0).unwrap().is_empty());
+    assert_eq!(
+        sr.pager().stats().tree_reads(),
+        0,
+        "depth-first read a page"
+    );
     let trees: [(&str, &dyn SpatialIndex); 5] = [
         ("sr", &sr),
         ("ss", &ss),
@@ -462,9 +482,9 @@ fn knn_ties_across_leaves_match_the_oracle() {
             for (name, tree) in &trees {
                 let got = ids(&tree.knn(&q, k).unwrap());
                 assert_eq!(got, want, "{set}: {name} k = {k}");
+                let got = ids(&knn_depth_first(*tree, &q, k).unwrap());
+                assert_eq!(got, want, "{set}: {name} depth-first k = {k}");
             }
-            let got = ids(&sr.knn_best_first(&q, k).unwrap());
-            assert_eq!(got, want, "{set}: sr best-first k = {k}");
         }
         if set == "lattice" {
             let want = ids(&brute_force_range(flat(), &q, 1105.0));
@@ -514,7 +534,9 @@ fn huge_k_returns_every_point() {
     for (p, i) in &with_ids {
         sr.insert(p.clone(), *i).unwrap();
     }
-    assert_eq!(rows(&sr.knn_best_first(&q, usize::MAX).unwrap()), want);
+    assert_eq!(rows(&sr.knn(&q, usize::MAX).unwrap()), want);
+    let got = knn_depth_first(&sr, &q, usize::MAX).unwrap();
+    assert_eq!(rows(&got), want);
 }
 
 // ---------------------------------------------------------------------
@@ -571,7 +593,7 @@ fn non_finite_coordinates_are_refused_on_every_path() {
         for (p, i) in &with_ids {
             sr.insert(p.clone(), *i).unwrap();
         }
-        assert_non_finite(sr.knn_best_first(&bad, 3));
+        assert_non_finite(knn_depth_first(&sr, &bad, 3));
         assert_non_finite(sr.contains(&Point::new(bad.to_vec()), 0));
 
         let mut points = with_ids.clone();
@@ -581,5 +603,61 @@ fn non_finite_coordinates_are_refused_on_every_path() {
         assert_eq!(bulk.len(), 0);
         let pf = PageFile::create_in_memory(4096).unwrap();
         assert_non_finite(VamTree::build_from(pf, points, 4, DEFAULT_DATA_AREA).map(|_| ()));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bug 9: a NaN leaf lane.
+// ---------------------------------------------------------------------
+
+/// A leaf with a NaN coordinate fails every search that scores the
+/// entry, with the `Corrupt` text `verify` reports. With `k` at least
+/// the entry count the threshold stays `+inf` (as does a range radius of
+/// `+inf`), so no entry is abandoned before its NaN lane.
+#[test]
+fn nan_leaf_lane_fails_knn_and_range_in_both_orders() {
+    use srtree::pager::PageKind;
+    use srtree::query::SearchOrder;
+
+    let dim = 4;
+    let points = uniform(5, dim, 71);
+    let mut sr = SrTree::create_in_memory(dim, 4096).unwrap();
+    for (i, p) in points.iter().enumerate() {
+        sr.insert(p.clone(), i as u64).unwrap();
+    }
+    assert_eq!(sr.root_level(), Some(0), "one leaf");
+    let root = sr.root;
+    let mut page = sr.pager().read(root, PageKind::Leaf).unwrap().to_vec();
+    // Lanes are f64, dimension-major, after the 4-byte header: plant the
+    // NaN in coordinate 2 of entry 3.
+    let at = 4 + (2 * points.len() + 3) * 8;
+    page[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+    sr.pager().write(root, PageKind::Leaf, &page).unwrap();
+
+    let want = format!("page {root}: non-finite leaf coordinate");
+    match sr.verify() {
+        Err(IndexError::Corrupt(msg)) => assert_eq!(msg, want, "verify"),
+        other => panic!("verify: expected Corrupt, got {other:?}"),
+    }
+    let q = points[0].coords();
+    for order in [SearchOrder::BestFirst, SearchOrder::DepthFirst] {
+        for k in [points.len(), 100] {
+            let spec = QuerySpec {
+                order,
+                ..QuerySpec::knn(q, k)
+            };
+            match sr.query(&spec, &srtree::obs::Noop) {
+                Err(IndexError::Corrupt(msg)) => assert_eq!(msg, want, "{order:?} k = {k}"),
+                other => panic!("{order:?} k = {k}: expected Corrupt, got {other:?}"),
+            }
+        }
+        let spec = QuerySpec {
+            order,
+            ..QuerySpec::range(q, f64::INFINITY)
+        };
+        match sr.query(&spec, &srtree::obs::Noop) {
+            Err(IndexError::Corrupt(msg)) => assert_eq!(msg, want, "{order:?} range"),
+            other => panic!("{order:?} range: expected Corrupt, got {other:?}"),
+        }
     }
 }

@@ -22,12 +22,12 @@
 //! the seed it ran, and the same `SRTREE_FUZZ_SEED` replays a failure.
 
 use srtree::dataset::{uniform, SeededRng};
-use srtree::obs::StatsRecorder;
+use srtree::obs::{Noop, StatsRecorder};
 use srtree::pager::{
     encode_header, encode_page_frame, put_leaf_columns, scan_log, LeafColumns, PageCodec, PageKind,
 };
 use srtree::query::paged::{PagedTree, Region};
-use srtree::query::{IndexError, SpatialIndex};
+use srtree::query::{IndexError, QuerySpec, SpatialIndex};
 use srtree::rstar::RstarTree;
 use srtree::tree::SrTree;
 use srtree::wire::{
@@ -439,6 +439,8 @@ fn node_entry_faults_read_alike<T: PagedTree>(
         let what = format!("{name} seed {seed:#x} case {case}: {fault:?} on page {id}");
         for k in [1, 5] {
             let _ = tree.knn(probe.coords(), k);
+            let depth_first = QuerySpec::knn(probe.coords(), k).depth_first();
+            let _ = tree.query(&depth_first, &Noop);
         }
         also_query(&tree, probe.coords());
         let contains = corrupt_text(
@@ -462,15 +464,14 @@ fn node_entry_faults_read_alike_on_every_path() {
     for base in [0xE7A1u64 << 16 | 1, 0xE7A1 << 16 | 2] {
         let seed = seed_for(base);
         // Best-first queues the bounds it reads off a faulted page, so a
-        // NaN one must be pruned before it reaches the heap. Untraced, the
-        // search stops at its first pruned pop; traced, it drains.
+        // NaN one must be pruned before it reaches the queue. Untraced,
+        // the search stops at its first pruned pop; traced, it drains.
         node_entry_faults_read_alike(
             SrTree::create_in_memory(NODE_DIM, NODE_PAGE).expect("SR-tree"),
             SR_LANES,
             seed,
             |tree, q| {
-                let _ = tree.knn_best_first(q, 5);
-                let _ = tree.knn_best_first_with(q, 5, &StatsRecorder::new());
+                let _ = tree.query(&QuerySpec::knn(q, 5), &StatsRecorder::new());
             },
         );
         node_entry_faults_read_alike(

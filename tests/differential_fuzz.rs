@@ -12,9 +12,9 @@ use sr_testkit::{
     DiffConfig, DiffReport, Model, Op, OpTape, TreeKind, WorkloadSpec,
 };
 use srtree::geometry::Point;
+use srtree::obs::Noop;
 use srtree::pager::{PageFile, PageKind};
-use srtree::query::{Neighbor, SpatialIndex};
-use srtree::tree::SrTree;
+use srtree::query::{Neighbor, QuerySpec, SpatialIndex};
 
 /// Per-tape op count. The issue floor is 2,000 ops per tape.
 const OPS: usize = 2_000;
@@ -263,7 +263,8 @@ fn crash_mid_tape_recovers_and_continues_matching_oracle() {
         .unwrap_or_else(|e| panic!("end state diverged from oracle: {e}\n{ctx}"));
 }
 
-/// Best-first arm: replay a tape on an SR-tree and answer every k-NN op
+/// Best-first arm: replay a tape on each dynamic tree, and bulk-load the
+/// VAMSplit R-tree once from the tape's points, answering every k-NN op
 /// in both search orders. The rows must be identical — ids, order and
 /// distance bits — and best-first must read no more node and leaf pages
 /// than depth-first, since it expands only regions within the final k-th
@@ -273,42 +274,69 @@ fn best_first_matches_depth_first_and_reads_no_more() {
     let seed = seed_for(0xD1FF_0006);
     let tape = generate(&WorkloadSpec::standard(OPS, 6, DataDist::Clustered), seed);
     let ctx = seed_line(&tape);
-    let pf = PageFile::create_in_memory(2048).unwrap();
-    let mut tree = SrTree::create_from(pf, tape.dim, 64).unwrap();
-    let reads = |tree: &SrTree| {
+    let (page, data_area) = (2048, 64);
+    let mut knns = 0;
+    for kind in TreeKind::DYNAMIC {
+        let pf = PageFile::create_in_memory(page).unwrap();
+        let mut tree = kind.create(pf, tape.dim, data_area).unwrap();
+        for (step, op) in tape.ops.iter().enumerate() {
+            match op {
+                Op::Insert(p, id) => tree.insert(p.coords(), *id).unwrap(),
+                Op::Delete(p, id) => {
+                    tree.delete(p.coords(), *id).unwrap();
+                }
+                Op::Knn(q, k) => {
+                    let at = format!("{} step {step}", kind.kind_name());
+                    both_orders_agree(tree.as_ref(), q.coords(), *k, &at, &ctx);
+                    knns += 1;
+                }
+                Op::Range(..) => {}
+            }
+        }
+    }
+    let points: Vec<(Point, u64)> = (tape.ops.iter())
+        .filter_map(|op| match op {
+            Op::Insert(p, id) => Some((p.clone(), *id)),
+            _ => None,
+        })
+        .collect();
+    let pf = PageFile::create_in_memory(page).unwrap();
+    let vam = TreeKind::Vam
+        .build(pf, tape.dim, data_area, points)
+        .unwrap();
+    for (step, op) in tape.ops.iter().enumerate() {
+        if let Op::Knn(q, k) = op {
+            let at = format!("vam step {step}");
+            both_orders_agree(vam.as_ref(), q.coords(), *k, &at, &ctx);
+        }
+    }
+    assert!(knns > 0, "tape had no k-NN queries\n{ctx}");
+}
+
+/// Answer one k-NN query best-first (the served order) and depth-first,
+/// requiring bit-identical rows and no more best-first page reads.
+fn both_orders_agree(tree: &dyn SpatialIndex, q: &[f32], k: usize, at: &str, ctx: &str) {
+    let reads = || {
         let io = tree.pager().stats();
         io.logical_reads(PageKind::Node) + io.logical_reads(PageKind::Leaf)
     };
-    let rows = |v: &[Neighbor]| {
+    let rows = |v: Vec<Neighbor>| {
         v.iter()
             .map(|n| (n.data, n.dist2.to_bits()))
             .collect::<Vec<_>>()
     };
-    let mut knns = 0;
-    for (step, op) in tape.ops.iter().enumerate() {
-        match op {
-            Op::Insert(p, id) => tree.insert(p.clone(), *id).unwrap(),
-            Op::Delete(p, id) => {
-                tree.delete(p, *id).unwrap();
-            }
-            Op::Knn(q, k) => {
-                tree.pager().reset_stats();
-                let df = SpatialIndex::knn(&tree, q.coords(), *k).unwrap();
-                let df_reads = reads(&tree);
-                tree.pager().reset_stats();
-                let bf = tree.knn_best_first(q.coords(), *k).unwrap();
-                let bf_reads = reads(&tree);
-                assert_eq!(rows(&bf), rows(&df), "step {step}: rows differ\n{ctx}");
-                assert!(
-                    bf_reads <= df_reads,
-                    "step {step}: best-first read {bf_reads} pages, depth-first {df_reads}\n{ctx}"
-                );
-                knns += 1;
-            }
-            Op::Range(..) => {}
-        }
-    }
-    assert!(knns > 0, "tape had no k-NN queries\n{ctx}");
+    tree.pager().reset_stats();
+    let bf = rows(tree.knn(q, k).unwrap());
+    let bf_reads = reads();
+    tree.pager().reset_stats();
+    let depth_first = QuerySpec::knn(q, k).depth_first();
+    let df = rows(tree.query(&depth_first, &Noop).unwrap().rows);
+    let df_reads = reads();
+    assert_eq!(bf, df, "{at}: rows differ\n{ctx}");
+    assert!(
+        bf_reads <= df_reads,
+        "{at}: best-first read {bf_reads} pages, depth-first {df_reads}\n{ctx}"
+    );
 }
 
 #[test]

@@ -5,7 +5,8 @@
 
 use srtree::dataset::{cluster, real_sim, sample_queries, uniform, ClusterSpec};
 use srtree::geometry::Point;
-use srtree::query::SpatialIndex;
+use srtree::obs::Noop;
+use srtree::query::{QuerySpec, SpatialIndex};
 use srtree::rstar::RstarTree;
 use srtree::sstree::SsTree;
 use srtree::tree::SrTree;
@@ -13,15 +14,16 @@ use srtree::tree::SrTree;
 const DIM: usize = 16;
 const K: usize = 21;
 
-fn reads_per_query<F: Fn(&[f32])>(
-    pager: &srtree::pager::PageFile,
-    queries: &[Point],
-    go: F,
-) -> f64 {
+/// Mean page reads per k-NN query under a cold cache, in the paper's
+/// depth-first order (§4.4): the reads its figures count. Served
+/// queries run best-first and read fewer.
+fn reads_per_query(index: &dyn SpatialIndex, queries: &[Point]) -> f64 {
+    let pager = index.pager();
     pager.set_cache_capacity(0).unwrap();
     pager.reset_stats();
     for q in queries {
-        go(q.coords());
+        let spec = QuerySpec::knn(q.coords(), K).depth_first();
+        index.query(&spec, &Noop).unwrap();
     }
     pager.stats().tree_reads() as f64 / queries.len() as f64
 }
@@ -43,15 +45,9 @@ fn sr_beats_ss_beats_rstar_on_real_data() {
         rs.insert(p.clone(), i as u64).unwrap();
     }
 
-    let sr_reads = reads_per_query(sr.pager(), &queries, |q| {
-        sr.knn(q, K).unwrap();
-    });
-    let ss_reads = reads_per_query(ss.pager(), &queries, |q| {
-        ss.knn(q, K).unwrap();
-    });
-    let rs_reads = reads_per_query(rs.pager(), &queries, |q| {
-        rs.knn(q, K).unwrap();
-    });
+    let sr_reads = reads_per_query(&sr, &queries);
+    let ss_reads = reads_per_query(&ss, &queries);
+    let rs_reads = reads_per_query(&rs, &queries);
 
     assert!(
         sr_reads < 0.85 * ss_reads,
@@ -77,24 +73,16 @@ fn fanout_problem_tradeoff() {
         ss.insert(p.clone(), i as u64).unwrap();
     }
 
-    let run = |pager: &srtree::pager::PageFile, go: &dyn Fn(&[f32])| {
-        pager.set_cache_capacity(0).unwrap();
-        pager.reset_stats();
-        for q in &queries {
-            go(q.coords());
-        }
-        let s = pager.stats();
+    let run = |index: &dyn SpatialIndex| {
+        reads_per_query(index, &queries);
+        let s = index.pager().stats();
         (
             s.logical_reads(srtree::pager::PageKind::Node) as f64,
             s.logical_reads(srtree::pager::PageKind::Leaf) as f64,
         )
     };
-    let (sr_node, sr_leaf) = run(sr.pager(), &|q| {
-        sr.knn(q, K).unwrap();
-    });
-    let (ss_node, ss_leaf) = run(ss.pager(), &|q| {
-        ss.knn(q, K).unwrap();
-    });
+    let (sr_node, sr_leaf) = run(&sr);
+    let (ss_node, ss_leaf) = run(&ss);
 
     assert!(
         sr_leaf < ss_leaf,
@@ -211,12 +199,8 @@ fn advantage_grows_with_clustering() {
             sr.insert(p.clone(), i as u64).unwrap();
             ss.insert(p.clone(), i as u64).unwrap();
         }
-        let sr_reads = reads_per_query(sr.pager(), &queries, |q| {
-            sr.knn(q, K).unwrap();
-        });
-        let ss_reads = reads_per_query(ss.pager(), &queries, |q| {
-            ss.knn(q, K).unwrap();
-        });
+        let sr_reads = reads_per_query(&sr, &queries);
+        let ss_reads = reads_per_query(&ss, &queries);
         ratios.push(sr_reads / ss_reads);
     }
     // Clustered data must show a clearly larger advantage than uniform

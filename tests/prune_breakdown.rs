@@ -10,14 +10,19 @@
 //! count is exactly the advantage of combining them.
 
 use srtree::dataset::{sample_queries, uniform};
+use srtree::geometry::Point;
 use srtree::obs::{Counter, StatsRecorder};
 use srtree::pager::PageKind;
 use srtree::query::{brute_force_knn, QuerySpec, SpatialIndex};
 use srtree::tree::{DistanceBound, SrTree};
 
 fn build(n: usize, dim: usize, seed: u64) -> SrTree {
-    let points = uniform(n, dim, seed);
-    let mut tree = SrTree::create_in_memory(dim, 4096).unwrap();
+    tree_of(&uniform(n, dim, seed))
+}
+
+/// An SR-tree on 4 KiB pages holding `points`, inserted in order.
+fn tree_of(points: &[Point]) -> SrTree {
+    let mut tree = SrTree::create_in_memory(points[0].dim(), 4096).unwrap();
     for (i, p) in points.iter().enumerate() {
         tree.insert(p.clone(), i as u64).unwrap();
     }
@@ -220,6 +225,57 @@ fn work(rec: &StatsRecorder) -> [u64; 9] {
     ]
 }
 
+/// A pinned workload's totals: the nine work counters, node and leaf
+/// page reads, and each query's row count and digest.
+type Pinned = ([u64; 9], [u64; 2], Vec<(usize, u64)>);
+
+/// The seeded 3,000-point 16-d SR-tree and 15 queries the pinned-work
+/// tests run on.
+fn pinned_tree() -> (SrTree, Vec<Point>) {
+    let dim = 16;
+    let tree = build(3_000, dim, 59);
+    let queries = sample_queries(&uniform(3_000, dim, 59), 15, 61);
+    (tree, queries)
+}
+
+/// Run `spec` for every query, adding up the work it does.
+fn pinned_run(tree: &SrTree, queries: &[Point], spec: &dyn Fn(&[f32]) -> QuerySpec<'_>) -> Pinned {
+    let rec = StatsRecorder::new();
+    tree.pager().reset_stats();
+    let rows = queries
+        .iter()
+        .map(|q| {
+            let rows = tree.query(&spec(q.coords()), &rec).unwrap().rows;
+            (rows.len(), rows_digest(&rows))
+        })
+        .collect();
+    let io = tree.pager().stats();
+    let reads = [
+        io.logical_reads(PageKind::Node),
+        io.logical_reads(PageKind::Leaf),
+    ];
+    (work(&rec), reads, rows)
+}
+
+/// Both orders return the same rows for the pinned queries at k = 21.
+const KNN_DIGESTS: [u64; 15] = [
+    0x8db8_5381_2e5a_6642,
+    0x9a13_a916_8f9a_cefe,
+    0x6362_4515_6ad7_bd48,
+    0x28cd_03e6_5206_be42,
+    0x050d_f0e4_d663_89b1,
+    0xb1ba_ca51_e7fa_501c,
+    0x0fac_52b9_7458_8389,
+    0x40bb_5809_5dce_185d,
+    0x465f_94be_40dd_38a8,
+    0x4840_528c_d05c_da7e,
+    0xb079_1e86_dce9_6b5a,
+    0xaf96_f439_b331_0583,
+    0xffac_60c1_6b24_3637,
+    0x10df_8d69_9de6_5467,
+    0xd60f_23be_e168_3ff7,
+];
+
 /// Pins the depth-first search's exact work on a seeded SR-tree: every
 /// counter total, the page reads and each query's rows (as a digest),
 /// for k-NN and for range. Any change to the visit order — which child
@@ -227,53 +283,17 @@ fn work(rec: &StatsRecorder) -> [u64; 9] {
 /// moves at least one of these numbers.
 #[test]
 fn depth_first_work_is_pinned() {
-    let dim = 16;
-    let tree = build(3_000, dim, 59);
-    let queries = sample_queries(&uniform(3_000, dim, 59), 15, 61);
-
-    let run = |spec: &dyn Fn(&[f32]) -> QuerySpec<'_>| {
-        let rec = StatsRecorder::new();
-        tree.pager().reset_stats();
-        let rows: Vec<(usize, u64)> = queries
-            .iter()
-            .map(|q| {
-                let rows = tree.query(&spec(q.coords()), &rec).unwrap().rows;
-                (rows.len(), rows_digest(&rows))
-            })
-            .collect();
-        let io = tree.pager().stats();
-        let reads = [
-            io.logical_reads(PageKind::Node),
-            io.logical_reads(PageKind::Leaf),
-        ];
-        (work(&rec), reads, rows)
-    };
-
-    let (knn_work, knn_reads, knn_rows) = run(&|q| QuerySpec::knn(q, 21));
-    let (range_work, range_reads, range_rows) = run(&|q| QuerySpec::range(q, 0.9));
+    let (tree, queries) = pinned_tree();
+    let (knn_work, knn_reads, knn_rows) =
+        pinned_run(&tree, &queries, &|q| QuerySpec::knn(q, 21).depth_first());
+    let (range_work, range_reads, range_rows) =
+        pinned_run(&tree, &queries, &|q| QuerySpec::range(q, 0.9));
     assert_eq!(
         knn_work,
         [1590, 7773, 11835, 2487, 643, 2485, 36945, 34597, 21]
     );
     assert_eq!(knn_reads, [1590, 7773]);
-    let knn_digests = [
-        0x8db8_5381_2e5a_6642,
-        0x9a13_a916_8f9a_cefe,
-        0x6362_4515_6ad7_bd48,
-        0x28cd_03e6_5206_be42,
-        0x050d_f0e4_d663_89b1,
-        0xb1ba_ca51_e7fa_501c,
-        0x0fac_52b9_7458_8389,
-        0x40bb_5809_5dce_185d,
-        0x465f_94be_40dd_38a8,
-        0x4840_528c_d05c_da7e,
-        0xb079_1e86_dce9_6b5a,
-        0xaf96_f439_b331_0583,
-        0xffac_60c1_6b24_3637,
-        0x10df_8d69_9de6_5467,
-        0xd60f_23be_e168_3ff7,
-    ];
-    assert_eq!(knn_rows, knn_digests.map(|d| (21, d)));
+    assert_eq!(knn_rows, KNN_DIGESTS.map(|d| (21, d)));
 
     assert_eq!(
         range_work,
@@ -298,4 +318,57 @@ fn depth_first_work_is_pinned() {
         (1, 0xa515_917e_95d9_35c4),
     ];
     assert_eq!(range_rows, range_rows_want);
+}
+
+/// Pins the served best-first k-NN's exact work on the same tree and
+/// queries: which branch pops next, when the search stops, what each
+/// leaf scan's threshold is and how many branches wait at once. The rows
+/// equal depth-first's; the leaf reads are fewer.
+///
+/// Ties on a bound pop in push order. On the pinned tree no tie moves a
+/// counter, so the test repeats on the same points and queries snapped
+/// to a grid of four steps per axis, where bounds and distances tie
+/// exactly: popping ties in any other order moves the prune attribution,
+/// the early abandons and the high-water mark there.
+#[test]
+fn best_first_work_is_pinned() {
+    let (tree, queries) = pinned_tree();
+    let (work, reads, rows) = pinned_run(&tree, &queries, &|q| QuerySpec::knn(q, 21));
+    assert_eq!(
+        work,
+        [1590, 6699, 11835, 3561, 941, 3554, 32736, 31452, 642]
+    );
+    assert_eq!(reads, [1590, 6699]);
+    assert_eq!(rows, KNN_DIGESTS.map(|d| (21, d)));
+
+    let snap = |p: &Point| {
+        let coords: Vec<f32> = p.coords().iter().map(|c| (c * 4.0).floor()).collect();
+        Point::new(coords)
+    };
+    let grid = tree_of(&uniform(3_000, 16, 59).iter().map(snap).collect::<Vec<_>>());
+    let queries: Vec<Point> = queries.iter().map(snap).collect();
+    let (work, reads, rows) = pinned_run(&grid, &queries, &|q| QuerySpec::knn(q, 21));
+    assert_eq!(
+        work,
+        [1635, 6018, 11730, 4092, 926, 4090, 30118, 28722, 640]
+    );
+    assert_eq!(reads, [1635, 6018]);
+    let grid_digests = [
+        0x9a61_55a6_f95e_7c81,
+        0x0da6_4a00_24d4_c46c,
+        0x883a_f653_6b03_26d3,
+        0xf857_f0ad_221d_0a73,
+        0x1437_445d_2dc7_842d,
+        0x2ac6_339e_e718_e943,
+        0xc284_c640_7656_4d95,
+        0xf1d4_dfd6_66f8_d3d3,
+        0xb5b2_37bc_db9a_6610,
+        0x0323_0d49_d8f7_b918,
+        0x4a1d_e35f_82c0_3c10,
+        0xab1f_2312_c54c_a128,
+        0xe211_afd6_4ed8_929d,
+        0xde91_7a65_3f3c_f643,
+        0x6667_7fcc_73cd_9f09,
+    ];
+    assert_eq!(rows, grid_digests.map(|d| (21, d)));
 }
