@@ -222,14 +222,18 @@ fn run_knn_batch(
         .map(|(p, _)| QuerySpec::knn(p.coords(), k))
         .collect();
     let n_queries = specs.len();
-    let result = sr_exec::run_query_batch(index, &specs, threads)
-        .map_err(|e| CmdError::Failure(format!("{}: {e}", batch_path.display())))?;
+    let failed = |e: String| CmdError::Failure(format!("{}: {e}", batch_path.display()));
+    let result =
+        sr_exec::run_query_batch(index, &specs, threads).map_err(|e| failed(e.to_string()))?;
+    // The first failing query, by input index, fails the command.
+    let answers = (result.results.into_iter().enumerate())
+        .map(|(i, r)| r.map_err(|e| failed(format!("batch query #{i} failed: {e}"))))
+        .collect::<Result<Vec<_>, _>>()?;
     let cap = index.pager().cache_capacity();
-    let total: usize = result.results.iter().map(Vec::len).sum();
+    let total: usize = answers.iter().map(Vec::len).sum();
     let e = |err: std::io::Error| CmdError::Failure(err.to_string());
     if json {
-        let per_query: Vec<String> = result
-            .results
+        let per_query: Vec<String> = answers
             .iter()
             .map(|hits| {
                 let pairs: Vec<(u64, f64)> =
@@ -262,7 +266,7 @@ fn run_knn_batch(
         )
         .map_err(e)?;
     } else {
-        for (qidx, hits) in result.results.iter().enumerate() {
+        for (qidx, hits) in answers.iter().enumerate() {
             for n in hits {
                 writeln!(out, "{qidx}\t{}\t{}", n.data, n.dist2.sqrt()).map_err(e)?;
             }
@@ -611,7 +615,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CmdError> {
                 threads,
                 max_conns,
                 max_batch,
-                max_body: sr_wire::DEFAULT_MAX_BODY,
             };
             let server = sr_serve::Server::start(index, cfg)
                 .map_err(|e| CmdError::Failure(e.to_string()))?;

@@ -280,6 +280,37 @@ fn help_documents_serving_and_exit_codes() {
     }
 }
 
+/// A batch whose queries fail reports the first failing one by input
+/// index, naming the batch file, and exits 1.
+#[test]
+fn failing_batch_query_names_the_first_by_input_index_and_exits_1() {
+    let dir = scratch();
+    let index = sr_index(&dir, "200", "5");
+    let batch = dir.file("wide.tsv");
+    let b = batch.to_str().unwrap();
+    let gen = srtool(&["gen", "--n", "6", "--dim", "5", "--seed", "7", b]);
+    assert!(gen.status.success());
+    let out = srtool(&[
+        "knn",
+        index.to_str().unwrap(),
+        "--k",
+        "3",
+        "--batch",
+        b,
+        "--threads",
+        "4",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains(&format!(
+            "{b}: batch query #0 failed: dimension mismatch: index is 4-d, point is 5-d"
+        )),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "a failed batch printed rows");
+}
+
 #[test]
 fn missing_data_file_exits_1() {
     let dir = scratch();

@@ -269,6 +269,24 @@ mod tests {
     }
 
     #[test]
+    fn empty_nodes_are_corrupt_not_a_panic() {
+        let leaf = Node::<SrRegion>::Leaf(Vec::new());
+        let inner = Node::<SrRegion>::Inner {
+            level: 1,
+            entries: Vec::new(),
+        };
+        for node in [&leaf, &inner] {
+            assert!(matches!(
+                centroid::centroid(node),
+                Err(IndexError::Corrupt(_))
+            ));
+            for rule in [RadiusRule::MinDsDr, RadiusRule::SphereOnly] {
+                assert!(matches!(region_of(node, rule), Err(IndexError::Corrupt(_))));
+            }
+        }
+    }
+
+    #[test]
     fn inner_roundtrip() {
         let p = Params::<SrRegion>::derive(8187, 2, 512);
         let node = Node::Inner {

@@ -24,10 +24,12 @@
 //!    ([`MetricsSnapshot::merge`]) into one batch-level snapshot, and the
 //!    pager's [`IoStats`] are windowed over the whole batch, so `--trace`
 //!    output means the same thing at any thread count.
-//! 4. **Failure is typed and partial work is discarded.** The first
-//!    failing query (by *input index*, not completion order) surfaces as
-//!    [`ExecError::Query`]; a panicking worker (only possible through a
-//!    caller-supplied closure — this crate denies panics) surfaces as
+//! 4. **Each query carries its own result.** A failing query (a wrong
+//!    dimension, a pager fault) fills its own slot of
+//!    [`BatchResult::results`] with its [`IndexError`]; every other query
+//!    is still answered, once. Only a whole-batch failure is an
+//!    [`ExecError`]: a panicking worker (only possible through an index
+//!    whose `query` panics — this crate denies panics) surfaces as
 //!    [`ExecError::WorkerPanic`] without poisoning anything, because the
 //!    scope owns no shared mutable state.
 //!
@@ -41,25 +43,17 @@
 
 use std::fmt;
 
-use sr_obs::{MetricsSnapshot, Recorder, StatsRecorder};
+use sr_obs::{MetricsSnapshot, StatsRecorder};
 use sr_pager::IoStats;
 use sr_query::{IndexError, Neighbor, QuerySpec, SpatialIndex};
 
-/// Errors from a batch execution.
+/// Errors that fail a whole batch. One query's failure is not among
+/// them: it is that query's entry in [`BatchResult::results`].
 #[derive(Debug)]
 pub enum ExecError {
-    /// A query failed. `index` is the query's position in the input batch;
-    /// when several queries fail, the smallest input index is reported
-    /// regardless of which worker finished first.
-    Query {
-        /// Position of the failing query in the input batch.
-        index: usize,
-        /// The underlying index error.
-        source: IndexError,
-    },
-    /// A worker thread panicked (only reachable through a caller-supplied
-    /// job closure). The remaining workers finish normally and the pool
-    /// is not poisoned.
+    /// A worker thread panicked (only reachable through an index whose
+    /// `query` panics). The remaining workers finish normally and the
+    /// pool is not poisoned.
     WorkerPanic {
         /// Which worker (0-based) panicked.
         worker: usize,
@@ -79,9 +73,6 @@ pub enum ExecError {
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::Query { index, source } => {
-                write!(f, "batch query #{index} failed: {source}")
-            }
             ExecError::WorkerPanic { worker } => {
                 write!(f, "batch worker {worker} panicked")
             }
@@ -92,32 +83,15 @@ impl fmt::Display for ExecError {
     }
 }
 
-impl std::error::Error for ExecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ExecError::Query { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for ExecError {}
 
-/// Outcome of a generic [`run_batch`] call.
-#[derive(Debug)]
-struct BatchOutput<T> {
-    /// One result per input query, in input order.
-    results: Vec<T>,
-    /// Per-worker `sr-obs` metrics, merged.
-    metrics: MetricsSnapshot,
-    /// Number of worker threads actually used (after clamping).
-    threads: usize,
-}
-
-/// Outcome of [`run_query_batch`]: results plus the pager I/O window
-/// spanning the whole batch.
+/// Outcome of [`run_query_batch`]: one result per query plus the pager
+/// I/O window spanning the whole batch.
 #[derive(Debug)]
 pub struct BatchResult {
-    /// One neighbor list per input query, in input order.
-    pub results: Vec<Vec<Neighbor>>,
+    /// One entry per input spec, in input order: the query's neighbors,
+    /// or the error that query alone failed with.
+    pub results: Vec<Result<Vec<Neighbor>, IndexError>>,
     /// Per-worker `sr-obs` metrics, merged.
     pub metrics: MetricsSnapshot,
     /// Pager I/O counters attributable to this batch (after − before).
@@ -127,144 +101,91 @@ pub struct BatchResult {
 }
 
 /// Clamp a positive requested thread count to at most one worker per
-/// query. Zero threads and zero queries are rejected by [`run_batch`]
-/// before this is consulted.
+/// query. Zero threads and zero queries are rejected by
+/// [`run_query_batch`] before this is consulted.
 fn effective_threads(requested: usize, n_queries: usize) -> usize {
     requested.max(1).min(n_queries.max(1))
 }
 
-/// Run `job` once per query across `threads` workers, returning results
-/// in input order together with merged per-worker metrics.
+/// Answer a batch of [`QuerySpec`]s — k-NN and range, mixed freely —
+/// against one index in parallel, each exactly once. This is the
+/// fan-out the `sr-serve` coalescer uses when it folds adjacent read
+/// requests from one connection into a single batch.
 ///
-/// `job` receives the query's input index, the query itself, and a
-/// per-worker recorder; it must be `Sync` because every worker calls it.
-/// The first failing query by input index aborts the batch with
-/// [`ExecError::Query`] (other queries' work is discarded). A zero
+/// Results come back in input order and are identical to a sequential
+/// loop; the returned [`IoStats`] window covers the whole batch. A zero
 /// thread count or an empty batch is rejected up front with a typed
 /// error ([`ExecError::ZeroThreads`] / [`ExecError::EmptyBatch`]) —
 /// degenerate requests fail loudly instead of being reinterpreted.
-fn run_batch<Q, T, F>(queries: &[Q], threads: usize, job: F) -> Result<BatchOutput<T>, ExecError>
-where
-    Q: Sync,
-    T: Send,
-    F: Fn(usize, &Q, &dyn Recorder) -> Result<T, IndexError> + Sync,
-{
-    if threads == 0 {
-        return Err(ExecError::ZeroThreads);
-    }
-    if queries.is_empty() {
-        return Err(ExecError::EmptyBatch);
-    }
-    let threads = effective_threads(threads, queries.len());
-
-    // Each worker returns its own (input index, result) pairs plus its
-    // metrics snapshot; the scope owns no shared mutable state, so a
-    // panicking worker cannot poison anything the others touch.
-    type WorkerOut<T> = (Vec<(usize, Result<T, IndexError>)>, MetricsSnapshot);
-    let worker_outs: Vec<Result<WorkerOut<T>, usize>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let job = &job;
-                scope.spawn(move || {
-                    let rec = StatsRecorder::new();
-                    let out: Vec<(usize, Result<T, IndexError>)> = queries
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(threads)
-                        .map(|(i, q)| (i, job(i, q, &rec)))
-                        .collect();
-                    (out, rec.snapshot())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(w, h)| h.join().map_err(|_| w))
-            .collect()
-    });
-
-    let mut metrics = MetricsSnapshot::empty();
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(queries.len(), || None);
-    // Scan worker outputs for the smallest failing input index before
-    // committing any results, so the reported error is deterministic.
-    let mut first_err: Option<(usize, IndexError)> = None;
-    for out in worker_outs {
-        let (pairs, snap) = out.map_err(|worker| ExecError::WorkerPanic { worker })?;
-        metrics = metrics.merge(&snap);
-        for (i, res) in pairs {
-            match res {
-                Ok(v) => {
-                    if let Some(slot) = slots.get_mut(i) {
-                        *slot = Some(v);
-                    } else {
-                        return Err(ExecError::Internal("worker produced out-of-range index"));
-                    }
-                }
-                Err(e) => {
-                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_err = Some((i, e));
-                    }
-                }
-            }
-        }
-    }
-    if let Some((index, source)) = first_err {
-        return Err(ExecError::Query { index, source });
-    }
-
-    let mut results = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot {
-            Some(v) => results.push(v),
-            None => return Err(ExecError::Internal("query slot left unfilled")),
-        }
-    }
-    Ok(BatchOutput {
-        results,
-        metrics,
-        threads,
-    })
-}
-
-/// Answer a batch of [`QuerySpec`]s — k-NN and range, mixed freely —
-/// against one index in parallel. This is the fan-out the `sr-serve`
-/// coalescer uses when it folds adjacent read requests from one
-/// connection into a single batch.
-///
-/// Results come back in input order and are identical to a sequential
-/// loop; the returned [`IoStats`] window covers the whole batch.
 pub fn run_query_batch<I: SpatialIndex + ?Sized>(
     index: &I,
     specs: &[QuerySpec<'_>],
     threads: usize,
 ) -> Result<BatchResult, ExecError> {
+    if threads == 0 {
+        return Err(ExecError::ZeroThreads);
+    }
+    if specs.is_empty() {
+        return Err(ExecError::EmptyBatch);
+    }
+    let threads = effective_threads(threads, specs.len());
     let before = index.io_stats();
-    let out = run_batch(specs, threads, |_, spec, rec| {
-        index.query(spec, rec).map(|o| o.rows)
-    })?;
+
+    // Worker `w` answers specs `w, w+T, …` in that order and returns them
+    // with its metrics snapshot; the scope owns no shared mutable state,
+    // so a panicking worker cannot poison anything the others touch.
+    type Stride = (Vec<Result<Vec<Neighbor>, IndexError>>, MetricsSnapshot);
+    let strides: Vec<std::thread::Result<Stride>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|w| {
+                scope.spawn(move || {
+                    let rec = StatsRecorder::new();
+                    let out = (specs.iter().skip(w).step_by(threads))
+                        .map(|spec| index.query(spec, &rec).map(|o| o.rows))
+                        .collect();
+                    (out, rec.snapshot())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+
+    let mut metrics = MetricsSnapshot::empty();
+    let mut answers = Vec::with_capacity(threads);
+    for (worker, stride) in strides.into_iter().enumerate() {
+        let (out, snap) = stride.map_err(|_| ExecError::WorkerPanic { worker })?;
+        metrics = metrics.merge(&snap);
+        answers.push(out.into_iter());
+    }
+    // Interleave the strides back into input order.
+    let mut results = Vec::with_capacity(specs.len());
+    for i in 0..specs.len() {
+        let next = answers.get_mut(i % threads).and_then(Iterator::next);
+        results.push(next.ok_or(ExecError::Internal("a worker answered too few queries"))?);
+    }
     Ok(BatchResult {
-        results: out.results,
-        metrics: out.metrics,
+        results,
+        metrics,
         io: index.io_stats().since(&before),
-        threads: out.threads,
+        threads,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sr_obs::Recorder;
     use sr_pager::PageFile;
     use sr_query::brute_force_knn;
 
     /// Minimal in-memory index for exercising the executor without
-    /// pulling a tree crate into the dependency graph.
+    /// pulling a tree crate into the dependency graph. A `panicking`
+    /// index panics on every query.
     struct BruteIndex {
         pager: PageFile,
         dim: usize,
         points: Vec<(Vec<f32>, u64)>,
+        panicking: bool,
     }
 
     impl BruteIndex {
@@ -277,6 +198,7 @@ mod tests {
                 pager: PageFile::create_in_memory(512).expect("in-memory pager"),
                 dim: 2,
                 points,
+                panicking: false,
             }
         }
     }
@@ -306,6 +228,7 @@ mod tests {
             spec: &QuerySpec<'_>,
             rec: &dyn Recorder,
         ) -> Result<sr_query::QueryOutput, IndexError> {
+            assert!(!self.panicking, "deliberate test panic");
             let flat = self.points.iter().map(|(p, id)| (p.as_slice(), *id));
             let rows = match spec.shape {
                 sr_query::QueryShape::Knn { k } => {
@@ -350,16 +273,24 @@ mod tests {
         run_query_batch(ix, &specs, threads)
     }
 
+    /// Every query's neighbors, in input order; panics on a failed query.
+    fn rows(out: BatchResult) -> Vec<Vec<Neighbor>> {
+        (out.results.into_iter())
+            .map(|r| r.expect("query failed"))
+            .collect()
+    }
+
     #[test]
     fn parallel_matches_sequential_in_input_order() {
         let ix = BruteIndex::grid(200);
         let qs = queries(37);
         let seq = run_knn_batch(&ix, &qs, 5, 1).expect("sequential");
         assert_eq!(seq.threads, 1);
+        let seq = rows(seq);
         for t in [2, 4, 8] {
             let par = run_knn_batch(&ix, &qs, 5, t).expect("parallel");
             assert_eq!(par.threads, t.min(qs.len()));
-            assert_eq!(seq.results, par.results, "thread count {t} diverged");
+            assert_eq!(seq, rows(par), "thread count {t} diverged");
         }
     }
 
@@ -401,67 +332,40 @@ mod tests {
     }
 
     #[test]
-    fn first_failing_query_by_input_index_wins() {
-        let qs: Vec<u32> = (0..40).collect();
-        // every query >= 7 fails; with 8 workers many fail concurrently,
-        // but index 7 must be the one reported
-        let err = run_batch(&qs, 8, |i, _, _rec| {
-            if i >= 7 {
-                Err(IndexError::Unsupported("boom"))
-            } else {
-                Ok(i)
-            }
-        })
-        .expect_err("must fail");
-        match err {
-            ExecError::Query { index, source } => {
-                assert_eq!(index, 7);
-                assert!(matches!(source, IndexError::Unsupported(_)));
-            }
-            other => panic!("wrong error: {other}"),
+    fn each_failing_query_fills_only_its_own_slot() {
+        let ix = BruteIndex::grid(40);
+        let clean = rows(run_knn_batch(&ix, &queries(12), 3, 1).expect("clean"));
+        // 3-d queries against the 2-d index at inputs 2, 7 and 11: with
+        // 8 workers several fail concurrently, each in its own slot.
+        let mut qs = queries(12);
+        for i in [2, 7, 11] {
+            qs[i] = vec![1.0, 2.0, 3.0];
         }
-    }
-
-    #[test]
-    fn dimension_mismatch_surfaces_as_query_error() {
-        let ix = BruteIndex::grid(10);
-        let mut qs = queries(5);
-        qs.insert(2, vec![1.0, 2.0, 3.0]); // 3-d query against a 2-d index
-        let err = run_knn_batch(&ix, &qs, 3, 4).expect_err("must fail");
-        match err {
-            ExecError::Query { index, source } => {
-                assert_eq!(index, 2);
-                assert!(matches!(source, IndexError::DimensionMismatch { .. }));
+        let out = run_knn_batch(&ix, &qs, 3, 8).expect("batch");
+        assert_eq!(out.metrics.counter(sr_obs::Counter::NodeExpansions), 9);
+        for (i, (got, want)) in out.results.iter().zip(&clean).enumerate() {
+            match got {
+                Err(IndexError::DimensionMismatch {
+                    expected: 2,
+                    got: 3,
+                }) => assert!([2, 7, 11].contains(&i), "query {i} failed"),
+                Ok(hits) => assert_eq!(hits, want, "query {i} diverged"),
+                Err(other) => panic!("query {i}: wrong error {other}"),
             }
-            other => panic!("wrong error: {other}"),
         }
+        assert_eq!(out.results.iter().filter(|r| r.is_err()).count(), 3);
     }
 
     #[test]
     fn worker_panic_is_typed_and_pool_is_reusable() {
-        let qs: Vec<u32> = (0..16).collect();
-        let err = run_batch(&qs, 4, |i, q, _rec| -> Result<u32, IndexError> {
-            assert!(i != 5, "deliberate test panic");
-            Ok(*q)
-        })
-        .expect_err("must fail");
-        assert!(matches!(err, ExecError::WorkerPanic { .. }));
+        let mut ix = BruteIndex::grid(10);
+        ix.panicking = true;
+        let err = run_knn_batch(&ix, &queries(16), 3, 4).expect_err("must fail");
+        assert!(matches!(err, ExecError::WorkerPanic { worker: 0 }));
+        assert!(err.to_string().contains("worker 0"));
         // the executor holds no poisoned state: the next batch works
-        let ok = run_batch(&qs, 4, |_, q, _rec| Ok::<u32, IndexError>(*q * 2)).expect("reuse");
-        assert_eq!(ok.results, (0..16).map(|i| i * 2).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn exec_error_display_and_source() {
-        let e = ExecError::Query {
-            index: 3,
-            source: IndexError::InvalidRadius(-1.0),
-        };
-        assert!(e.to_string().contains('3'));
-        assert!(std::error::Error::source(&e).is_some());
-        assert!(ExecError::WorkerPanic { worker: 2 }
-            .to_string()
-            .contains('2'));
-        assert!(std::error::Error::source(&ExecError::WorkerPanic { worker: 2 }).is_none());
+        ix.panicking = false;
+        let out = run_knn_batch(&ix, &queries(16), 3, 4).expect("reuse");
+        assert_eq!(rows(out).len(), 16);
     }
 }

@@ -312,29 +312,15 @@ impl FaultHandle {
 
 /// A [`PageStore`] adapter that injects deterministic faults.
 ///
-/// Built with [`FaultInjector::wrap`] (page store only) or
-/// [`FaultInjector::wrap_parts`] (page store + log store sharing one
-/// fault state), which return the boxed store(s) to hand to the page
-/// file plus the [`FaultHandle`] to keep.
+/// Built with [`FaultInjector::wrap_parts`] (page store + log store
+/// sharing one fault state), which returns the boxed stores to hand to
+/// the page file plus the [`FaultHandle`] to keep.
 pub struct FaultInjector {
     inner: Box<dyn PageStore>,
     state: Arc<FaultState>,
 }
 
 impl FaultInjector {
-    /// Wrap `inner`, returning the injector (as a boxed store, ready for
-    /// [`PageFile::create_from_store`](crate::PageFile::create_from_store))
-    /// and the handle that controls it. Note that a page file built this
-    /// way logs to an *unfaulted* in-memory WAL; tests that want faults
-    /// on the write path should use [`FaultInjector::wrap_parts`].
-    pub fn wrap(inner: Box<dyn PageStore>) -> (Box<dyn PageStore>, FaultHandle) {
-        let state = Arc::new(FaultState::new());
-        let handle = FaultHandle {
-            state: state.clone(),
-        };
-        (Box::new(FaultInjector { inner, state }), handle)
-    }
-
     /// Wrap a page store and a log store around one shared fault state,
     /// ready for
     /// [`PageFile::create_from_parts`](crate::PageFile::create_from_parts)
@@ -464,7 +450,11 @@ mod tests {
     use crate::store::MemPageStore;
 
     fn wrapped(page_size: usize) -> (Box<dyn PageStore>, FaultHandle) {
-        FaultInjector::wrap(Box::new(MemPageStore::new(page_size)))
+        let (store, _log, faults) = FaultInjector::wrap_parts(
+            Box::new(MemPageStore::new(page_size)),
+            Box::new(MemLogStore::new()),
+        );
+        (store, faults)
     }
 
     #[test]

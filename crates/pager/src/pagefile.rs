@@ -246,7 +246,10 @@ impl PageFile {
     /// Create a page file over an in-memory store (with an in-memory
     /// write-ahead log).
     pub fn create_in_memory(page_size: usize) -> Result<PageFile> {
-        Self::create_from_store(Box::new(MemPageStore::new(page_size)))
+        Self::create_from_parts(
+            Box::new(MemPageStore::new(page_size)),
+            Box::new(MemLogStore::new()),
+        )
     }
 
     /// Create a page file at `path` with the default 8192-byte pages.
@@ -261,12 +264,6 @@ impl PageFile {
             Box::new(FilePageStore::create(path, page_size)?),
             Box::new(FileLogStore::create(&wal_file_path(path))?),
         )
-    }
-
-    /// Create a page file over any store (the store must be empty), with
-    /// an in-memory write-ahead log.
-    pub fn create_from_store(store: Box<dyn PageStore>) -> Result<PageFile> {
-        Self::create_from_parts(store, Box::new(MemLogStore::new()))
     }
 
     /// Create a page file over an explicit page store and log store

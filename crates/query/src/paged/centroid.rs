@@ -40,12 +40,13 @@ pub fn centroid<R: Centered>(node: &Node<R>) -> Result<Point> {
             .map(|e| (e.region.center().coords(), e.region.weight()))
             .collect(),
     };
-    let mut c = Centroid::new(weighted.first().map_or(0, |(p, _)| p.len()));
+    let corrupt = || IndexError::Corrupt("centroid of an empty or zero-weight node".into());
+    let (first, _) = weighted.first().ok_or_else(corrupt)?;
+    let mut c = Centroid::new(first.len());
     for (p, w) in weighted {
         c.add(p, w);
     }
-    c.finish()
-        .ok_or_else(|| IndexError::Corrupt("centroid of an empty or zero-weight node".into()))
+    c.finish().ok_or_else(corrupt)
 }
 
 /// Write a subtree weight in its on-disk `u32` field.

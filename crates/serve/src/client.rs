@@ -21,7 +21,6 @@ const READ_CHUNK: usize = 16 * 1024;
 pub struct Client {
     stream: TcpStream,
     buf: Vec<u8>,
-    max_body: usize,
 }
 
 impl Client {
@@ -32,7 +31,6 @@ impl Client {
         Ok(Client {
             stream,
             buf: Vec::new(),
-            max_body: sr_wire::DEFAULT_MAX_BODY,
         })
     }
 
@@ -46,7 +44,7 @@ impl Client {
     pub fn recv(&mut self) -> Result<Response, ServeError> {
         let mut chunk = vec![0u8; READ_CHUNK];
         loop {
-            match sr_wire::decode_response(&self.buf, self.max_body)? {
+            match sr_wire::decode_response(&self.buf, sr_wire::DEFAULT_MAX_BODY)? {
                 Decoded::Frame { msg, consumed } => {
                     self.buf.drain(..consumed);
                     return Ok(msg);

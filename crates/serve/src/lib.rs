@@ -6,15 +6,20 @@
 //! async runtime, no protocol dependencies), and answers every frame
 //! with exactly one typed response. The interpretation of a request is
 //! *not* defined here — it is [`sr_wire::execute`], the same entry
-//! point the offline CLI uses, so a served answer and an offline
-//! answer for the same index state are byte-identical.
+//! point the offline CLI uses, or for a coalesced run its two halves
+//! [`sr_wire::lower`] and [`sr_wire::answer`], so a served answer and
+//! an offline answer for the same index state are byte-identical, and
+//! every request is executed exactly once.
 //!
 //! What this crate adds on top of the wire layer:
 //!
 //! * **Threading** — one accept loop, one thread per admitted
 //!   connection. Adjacent k-NN/range requests pipelined on one
 //!   connection are coalesced into a single [`sr_exec::run_query_batch`]
-//!   fan-out under one shared read lock.
+//!   fan-out under one shared read lock, and each gets its own answer:
+//!   a request refused in the run (an over-cap k-NN, a wrong dimension)
+//!   is answered with its typed error while its neighbours still run. A
+//!   lone request is answered on the connection thread.
 //! * **Admission control** — at most `max_conns` connections are
 //!   served; the next one is answered with a typed
 //!   [`RemoteError::Overloaded`](sr_wire::RemoteError::Overloaded)

@@ -4,10 +4,12 @@
 //! One [`Server`] owns one index behind a reader-writer lock. Reads
 //! (k-NN, range, stats) run under the shared lock — concurrently
 //! across connections — while inserts and deletes take the exclusive
-//! lock. Adjacent read requests pipelined on one connection are
-//! coalesced into a single [`sr_exec::run_query_batch`] fan-out, whose
-//! merged metrics snapshot is folded into the service-lifetime
-//! recorder.
+//! lock. Adjacent k-NN/range requests pipelined on one connection are
+//! lowered once by [`sr_wire::lower`] and coalesced into a single
+//! [`sr_exec::run_query_batch`] fan-out, whose merged metrics snapshot
+//! is folded into the service-lifetime recorder. Every other request, a
+//! lone query included, is answered on the connection thread by
+//! [`sr_wire::execute`] (a `Stats` request adds the recorder's metrics).
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,15 +44,14 @@ const READ_CHUNK: usize = 16 * 1024;
 pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7878` (port 0 picks one).
     pub addr: String,
-    /// Worker threads for one coalesced query batch.
+    /// Worker threads for one coalesced query batch; 0 is taken as 1,
+    /// as `max_batch` is.
     pub threads: usize,
     /// Admission cap: connections beyond this are answered with a
     /// typed `Overloaded` error and closed.
     pub max_conns: usize,
     /// Most requests coalesced into one batch per connection round.
     pub max_batch: usize,
-    /// Largest accepted frame body in bytes.
-    pub max_body: usize,
 }
 
 impl Default for ServeConfig {
@@ -60,7 +61,6 @@ impl Default for ServeConfig {
             threads: 4,
             max_conns: 64,
             max_batch: 128,
-            max_body: sr_wire::DEFAULT_MAX_BODY,
         }
     }
 }
@@ -232,7 +232,7 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
             if batch.len() >= shared.cfg.max_batch.max(1) {
                 break;
             }
-            match sr_wire::decode_request(&buf, shared.cfg.max_body) {
+            match sr_wire::decode_request(&buf, sr_wire::DEFAULT_MAX_BODY) {
                 Ok(Decoded::Frame { msg, consumed }) => {
                     buf.drain(..consumed);
                     batch.push(msg);
@@ -276,91 +276,85 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
     }
 }
 
-/// Answer one decoded batch in request order. Maximal runs of k-NN and
-/// range requests are coalesced into a single `sr-exec` fan-out;
-/// writes and stats are answered individually.
+/// Answer one decoded batch in request order. A run of two or more
+/// adjacent k-NN/range requests goes out as one [`fan_out`]; every
+/// other request, a lone query included, is answered on this thread.
 fn process_batch(shared: &Shared, stream: &mut TcpStream, batch: &[Request]) -> Flow {
-    let mut i = 0usize;
-    while i < batch.len() {
-        let Some(req) = batch.get(i) else { break };
-        if matches!(req, Request::Knn { .. } | Request::Range { .. }) {
-            let mut j = i;
-            let mut specs: Vec<QuerySpec<'_>> = Vec::new();
-            while let Some(run) = batch.get(j) {
-                match run {
-                    Request::Knn { query, k } => specs.push(QuerySpec::knn(query, *k as usize)),
-                    Request::Range { query, radius } => {
-                        specs.push(QuerySpec::range(query, *radius));
-                    }
-                    _ => break,
-                }
-                j += 1;
-            }
-            for resp in run_reads(shared, &specs, batch, i, j) {
-                if write_response(stream, &resp).is_err() {
-                    return Flow::Close;
-                }
-            }
-            i = j;
-            continue;
-        }
-        let resp = match req {
-            Request::Insert { .. } | Request::Delete { .. } => {
-                let mut guard = shared.index.write();
-                sr_wire::execute(req, guard.as_mut(), &shared.recorder)
-            }
-            Request::Stats => {
-                let guard = shared.index.read();
-                Response::Stats {
-                    json: sr_wire::stats_json_with(guard.as_ref(), &shared.recorder.snapshot()),
-                }
-            }
-            Request::Shutdown => Response::Ack { n: 0 },
-            other => {
-                let guard = shared.index.read();
-                sr_wire::execute_read(other, guard.as_ref(), &shared.recorder)
-            }
+    let mut rest = batch;
+    while let Some(req) = rest.first() {
+        let run = (rest.iter())
+            .take_while(|r| matches!(r, Request::Knn { .. } | Request::Range { .. }))
+            .count();
+        let answers = match rest.get(..run) {
+            Some(reads) if run > 1 => fan_out(shared, reads),
+            _ => vec![answer_one(shared, req)],
         };
-        let closing = matches!(req, Request::Shutdown);
-        if write_response(stream, &resp).is_err() {
-            return Flow::Close;
+        rest = rest.get(answers.len()..).unwrap_or_default();
+        for resp in &answers {
+            if write_response(stream, resp).is_err() {
+                return Flow::Close;
+            }
         }
-        if closing {
+        if matches!(req, Request::Shutdown) {
             return Flow::Shutdown;
         }
-        i += 1;
     }
     Flow::Continue
 }
 
-/// Answer `batch[start..end]` (all k-NN/range, pre-lowered to `specs`)
-/// under one shared read lock. Two or more queries go through the
-/// `sr-exec` pool as one batch; if the pool rejects the batch, or a
-/// request's answer cannot fit one frame (refused before it runs), fall
-/// back to per-request execution so each request still gets its own
-/// typed answer.
-fn run_reads(
-    shared: &Shared,
-    specs: &[QuerySpec<'_>],
-    batch: &[Request],
-    start: usize,
-    end: usize,
-) -> Vec<Response> {
-    let guard = shared.index.read();
-    let reqs = batch.get(start..end).unwrap_or(&[]);
-    let fits = |req: &Request| sr_wire::oversized_answer(req, guard.as_ref()).is_none();
-    if specs.len() > 1 && reqs.iter().all(fits) {
-        if let Ok(out) = sr_exec::run_query_batch(guard.as_ref(), specs, shared.cfg.threads) {
-            shared.recorder.absorb(&out.metrics);
-            return out
-                .results
-                .iter()
-                .map(|rows| sr_wire::rows_response(rows))
-                .collect();
+/// Answer one request under the lock it needs.
+fn answer_one(shared: &Shared, req: &Request) -> Response {
+    match req {
+        Request::Insert { .. } | Request::Delete { .. } => {
+            let mut guard = shared.index.write();
+            sr_wire::execute(req, guard.as_mut(), &shared.recorder)
+        }
+        Request::Stats => {
+            let guard = shared.index.read();
+            Response::Stats {
+                json: sr_wire::stats_json_with(guard.as_ref(), &shared.recorder.snapshot()),
+            }
+        }
+        read => {
+            let guard = shared.index.read();
+            sr_wire::execute_read(read, guard.as_ref(), &shared.recorder)
         }
     }
-    reqs.iter()
-        .map(|req| sr_wire::execute_read(req, guard.as_ref(), &shared.recorder))
+}
+
+/// Answer a run of k-NN/range requests under one shared read lock: each
+/// is lowered once, the specs go out in one `sr-exec` fan-out, and each
+/// request gets its own answer, in order. A request refused while
+/// lowering is answered with its refusal and does not stop its
+/// neighbours from running.
+fn fan_out(shared: &Shared, reads: &[Request]) -> Vec<Response> {
+    let guard = shared.index.read();
+    let index = guard.as_ref();
+    let lowered: Vec<Result<QuerySpec<'_>, RemoteError>> = (reads.iter())
+        .filter_map(|req| sr_wire::lower(req, index))
+        .collect();
+    let specs: Vec<QuerySpec<'_>> = lowered
+        .iter()
+        .filter_map(|l| l.as_ref().ok().copied())
+        .collect();
+    let threads = shared.cfg.threads.max(1);
+    let answers: Vec<Response> = match sr_exec::run_query_batch(index, &specs, threads) {
+        Ok(out) => {
+            shared.recorder.absorb(&out.metrics);
+            out.results.into_iter().map(sr_wire::answer).collect()
+        }
+        // Nothing to run (every request was refused), or the batch
+        // itself failed: each spec gets the same typed failure.
+        Err(e) => vec![Response::Error(RemoteError::Failed(e.to_string())); specs.len()],
+    };
+    let mut answers = answers.into_iter();
+    (lowered.into_iter())
+        .map(|l| match l {
+            Ok(_) => answers.next().unwrap_or_else(|| {
+                Response::Error(RemoteError::Failed("batch answer missing".to_string()))
+            }),
+            Err(refused) => Response::Error(refused),
+        })
         .collect()
 }
 
@@ -383,4 +377,117 @@ fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()
         }
     };
     stream.write_all(&bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use sr_obs::Recorder;
+    use sr_pager::PageFile;
+    use sr_query::{IndexError, Neighbor, QueryOutput, QueryShape};
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    /// An index that claims more points than one frame can answer and
+    /// answers a k-NN with one row whose id is `k`, logging the thread
+    /// each query runs on.
+    struct Huge {
+        pager: PageFile,
+        ran_on: Arc<Mutex<Vec<ThreadId>>>,
+    }
+
+    impl SpatialIndex for Huge {
+        fn kind_name(&self) -> &'static str {
+            "huge"
+        }
+        fn dim(&self) -> usize {
+            2
+        }
+        fn len(&self) -> u64 {
+            u64::from(u32::MAX)
+        }
+        fn height(&self) -> u32 {
+            1
+        }
+        fn num_leaves(&self) -> Result<u64, IndexError> {
+            Ok(1)
+        }
+        fn insert(&mut self, _point: &[f32], _data: u64) -> Result<(), IndexError> {
+            Err(IndexError::Unsupported("insert"))
+        }
+        fn query(
+            &self,
+            spec: &QuerySpec<'_>,
+            _rec: &dyn Recorder,
+        ) -> Result<QueryOutput, IndexError> {
+            self.ran_on.lock().unwrap().push(thread::current().id());
+            let QueryShape::Knn { k } = spec.shape else {
+                return Err(IndexError::Unsupported("range"));
+            };
+            let rows = vec![Neighbor {
+                dist2: 0.0,
+                data: k as u64,
+            }];
+            Ok(QueryOutput::from_rows(rows))
+        }
+        fn pager(&self) -> &PageFile {
+            &self.pager
+        }
+        fn flush(&self) -> Result<(), IndexError> {
+            Ok(())
+        }
+    }
+
+    fn knn(k: u32) -> Request {
+        Request::Knn {
+            query: vec![0.0, 0.0],
+            k,
+        }
+    }
+
+    fn row(data: u64) -> Response {
+        Response::Rows(vec![sr_wire::Row { data, dist: 0.0 }])
+    }
+
+    #[test]
+    fn a_refused_knn_between_two_good_ones_leaves_them_one_fan_out() {
+        for threads in [0, 1] {
+            refused_knn_between_two_good_ones(threads);
+        }
+    }
+
+    fn refused_knn_between_two_good_ones(threads: usize) {
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let index = Huge {
+            pager: PageFile::create_in_memory(512).unwrap(),
+            ran_on: Arc::clone(&ran_on),
+        };
+        let cfg = ServeConfig {
+            threads,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(Box::new(index), cfg).unwrap();
+        let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+
+        // A lone query runs on the connection thread.
+        assert_eq!(client.call(&knn(3)).unwrap(), row(3));
+        // u32::MAX rows cannot fit one frame: refused before it runs,
+        // while both its neighbours are answered, in order.
+        let resps = client.pipeline(&[knn(1), knn(u32::MAX), knn(2)]).unwrap();
+        assert_eq!(resps.first(), Some(&row(1)));
+        assert!(matches!(
+            resps.get(1),
+            Some(Response::Error(RemoteError::TooLarge { .. }))
+        ));
+        assert_eq!(resps.get(2), Some(&row(2)));
+
+        let ran_on = ran_on.lock().unwrap().clone();
+        assert_eq!(ran_on.len(), 3, "the refused query ran, or one ran twice");
+        let (conn, worker) = (ran_on[0], ran_on[1]);
+        assert_ne!(conn, worker, "the run was not fanned out");
+        assert_eq!(ran_on[2], worker, "the good queries took two fan-outs");
+        server.stop();
+        server.wait().unwrap();
+    }
 }

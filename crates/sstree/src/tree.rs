@@ -327,6 +327,22 @@ mod tests {
     }
 
     #[test]
+    fn empty_nodes_are_corrupt_not_a_panic() {
+        let leaf = Node::<SsRegion>::Leaf(Vec::new());
+        let inner = Node::<SsRegion>::Inner {
+            level: 1,
+            entries: Vec::new(),
+        };
+        for node in [&leaf, &inner] {
+            assert!(matches!(
+                centroid::centroid(node),
+                Err(IndexError::Corrupt(_))
+            ));
+            assert!(matches!(region_of(node), Err(IndexError::Corrupt(_))));
+        }
+    }
+
+    #[test]
     fn paper_capacities_at_16_dimensions() {
         let p = crate::SsParams::derive(8187, 16, 512);
         // node entry = 17*8 + 12 = 148 → (8187-4)/148 = 55: nearly double

@@ -3,9 +3,13 @@
 //! Both the server's per-connection dispatch and the CLI's offline
 //! `knn` / `range` / `insert` subcommands call [`execute`] (or
 //! [`execute_read`] on the shared read path), so "what does a Knn
-//! request do" has exactly one answer regardless of transport. Every
-//! failure comes back as a [`Response::Error`] with a typed
-//! [`RemoteError`] — executing a request cannot fail out-of-band.
+//! request do" has exactly one answer regardless of transport. A server
+//! that fans a run of queries out in one batch uses the two halves
+//! `execute_read` is made of: [`lower`] turns a request into the
+//! [`QuerySpec`] the index answers, and [`answer`] turns the index's
+//! result into the response. Every failure comes back as a
+//! [`Response::Error`] with a typed [`RemoteError`] — executing a
+//! request cannot fail out-of-band.
 //!
 //! That includes an answer too large for one frame: a `Rows` body past
 //! [`DEFAULT_MAX_BODY`], the cap a client decodes with, is answered with
@@ -42,13 +46,21 @@ fn rows_too_large(rows: u64) -> Option<RemoteError> {
     (len > max).then_some(RemoteError::TooLarge { len, max })
 }
 
-/// The typed refusal for a request whose answer cannot fit one frame,
-/// decided before any work is done: a k-NN request answers
-/// `min(k, index.len())` rows. `None` for every other request; a range
-/// answer's size is known only after it runs.
-pub fn oversized_answer(req: &Request, index: &dyn SpatialIndex) -> Option<RemoteError> {
+/// Lower a k-NN or range request to the [`QuerySpec`] the index
+/// answers; `None` for every other request. A k-NN request answers
+/// `min(k, index.len())` rows, so one whose answer cannot fit a frame is
+/// refused here, before the index does any work; a range answer's size
+/// is known only after it runs.
+pub fn lower<'r>(
+    req: &'r Request,
+    index: &dyn SpatialIndex,
+) -> Option<Result<QuerySpec<'r>, RemoteError>> {
     match req {
-        Request::Knn { k, .. } => rows_too_large(u64::from(*k).min(index.len())),
+        Request::Knn { query, k } => Some(match rows_too_large(u64::from(*k).min(index.len())) {
+            Some(refused) => Err(refused),
+            None => Ok(QuerySpec::knn(query, *k as usize)),
+        }),
+        Request::Range { query, radius } => Some(Ok(QuerySpec::range(query, *radius))),
         _ => None,
     }
 }
@@ -71,9 +83,11 @@ pub fn rows_response(rows: &[Neighbor]) -> Response {
     )
 }
 
-fn run_query(index: &dyn SpatialIndex, spec: &QuerySpec<'_>, rec: &dyn Recorder) -> Response {
-    match index.query(spec, rec) {
-        Ok(out) => rows_response(&out.rows),
+/// The response to one query's result: its rows ([`rows_response`]) or
+/// its error in the remote taxonomy.
+pub fn answer(result: Result<Vec<Neighbor>, IndexError>) -> Response {
+    match result {
+        Ok(rows) => rows_response(&rows),
         Err(e) => Response::Error(remote(e)),
     }
 }
@@ -96,27 +110,25 @@ pub fn execute(req: &Request, index: &mut dyn SpatialIndex, rec: &dyn Recorder) 
 }
 
 /// Execute a read-only request over `&dyn SpatialIndex` — the path the
-/// server runs under a shared read lock and coalesces into `sr-exec`
-/// batches. A write request arriving here is answered with a typed
+/// server runs under a shared read lock for a request it does not
+/// batch. A write request arriving here is answered with a typed
 /// `BadRequest`, not executed.
 pub fn execute_read(req: &Request, index: &dyn SpatialIndex, rec: &dyn Recorder) -> Response {
-    if let Some(e) = oversized_answer(req, index) {
-        return Response::Error(e);
-    }
-    match req {
-        // Shutdown's side effects (drain + flush) belong to the server
-        // loop; as a request *per se* it acknowledges like a ping.
-        Request::Ping | Request::Shutdown => Response::Ack { n: 0 },
-        Request::Knn { query, k } => run_query(index, &QuerySpec::knn(query, *k as usize), rec),
-        Request::Range { query, radius } => {
-            run_query(index, &QuerySpec::range(query, *radius), rec)
-        }
-        Request::Stats => Response::Stats {
-            json: stats_json(index),
+    match lower(req, index) {
+        Some(Ok(spec)) => answer(index.query(&spec, rec).map(|o| o.rows)),
+        Some(Err(refused)) => Response::Error(refused),
+        None => match req {
+            Request::Stats => Response::Stats {
+                json: stats_json(index),
+            },
+            Request::Insert { .. } | Request::Delete { .. } => Response::Error(
+                RemoteError::BadRequest("write request on a read-only execution path".to_string()),
+            ),
+            // Ping, and Shutdown: its side effects (drain + flush) belong
+            // to the server loop; as a request *per se* it acknowledges
+            // like a ping.
+            _ => Response::Ack { n: 0 },
         },
-        Request::Insert { .. } | Request::Delete { .. } => Response::Error(
-            RemoteError::BadRequest("write request on a read-only execution path".to_string()),
-        ),
     }
 }
 
@@ -341,7 +353,10 @@ mod tests {
             len: 4 + 16 * 300_000,
             max: DEFAULT_MAX_BODY as u64,
         };
-        assert_eq!(oversized_answer(&req, &ix), Some(too_large.clone()));
+        assert_eq!(
+            lower(&req, &ix).and_then(Result::err),
+            Some(too_large.clone())
+        );
         assert_eq!(
             execute_read(&req, &ix, &sr_obs::Noop),
             Response::Error(too_large)
@@ -352,7 +367,7 @@ mod tests {
             query: vec![0.0, 0.0],
             k: u32::try_from((DEFAULT_MAX_BODY - 4) / 16).unwrap(),
         };
-        assert_eq!(oversized_answer(&fits, &ix), None);
+        assert!(matches!(lower(&fits, &ix), Some(Ok(_))));
         assert!(matches!(
             execute_read(&fits, &ix, &sr_obs::Noop),
             Response::Rows(_)
@@ -367,9 +382,8 @@ mod tests {
             query: vec![0.0, 0.0],
             radius: 1.0,
         };
-        assert_eq!(
-            oversized_answer(&req, &ix),
-            None,
+        assert!(
+            matches!(lower(&req, &ix), Some(Ok(_))),
             "known only after it runs"
         );
         assert_eq!(
@@ -525,6 +539,34 @@ mod tests {
             let shown = format!("{e:?}");
             assert_eq!(remote(e), want, "{shown}");
         }
+    }
+
+    #[test]
+    fn only_queries_lower_and_answers_fold_both_outcomes() {
+        let ix = Brute::sample();
+        for req in [
+            Request::Ping,
+            Request::Stats,
+            Request::Shutdown,
+            Request::Insert {
+                point: vec![0.0, 0.0],
+                data: 1,
+            },
+        ] {
+            assert!(lower(&req, &ix).is_none(), "{req:?} lowered");
+        }
+        let hit = Neighbor {
+            dist2: 4.0,
+            data: 7,
+        };
+        assert_eq!(
+            answer(Ok(vec![hit])),
+            Response::Rows(vec![Row { data: 7, dist: 2.0 }])
+        );
+        assert_eq!(
+            answer(Err(IndexError::InvalidRadius(-1.0))),
+            Response::Error(remote(IndexError::InvalidRadius(-1.0)))
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ mod message;
 mod stats;
 
 pub use error::{RemoteError, WireError};
-pub use execute::{execute, execute_read, oversized_answer, rows_response};
+pub use execute::{answer, execute, execute_read, lower, rows_response};
 pub use frame::{
     decode_request, decode_response, encode_request, encode_response, Decoded, DEFAULT_MAX_BODY,
     WIRE_MAGIC, WIRE_VERSION,

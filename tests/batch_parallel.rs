@@ -6,13 +6,14 @@
 //! neighbor lists to a single-threaded loop, for every index structure,
 //! while the answers stay equal to the brute-force oracle. A read fault
 //! in one worker must surface as a typed error without poisoning the
-//! index for subsequent batches.
+//! index for subsequent batches: the faulted query alone carries the
+//! error, and every other query in the batch keeps its clean answer.
 
 use srtree::dataset::{sample_queries, uniform};
-use srtree::exec::{run_query_batch, ExecError};
+use srtree::exec::{run_query_batch, BatchResult, ExecError};
 use srtree::geometry::Point;
 use srtree::pager::{FaultInjector, MemLogStore, MemPageStore, PageFile, PagerError};
-use srtree::query::{IndexError, QuerySpec, SpatialIndex};
+use srtree::query::{IndexError, Neighbor, QuerySpec, SpatialIndex};
 use srtree::tree::SrTree;
 
 use sr_testkit::{Model, TreeKind};
@@ -50,6 +51,13 @@ fn knn_specs(queries: &[Vec<f32>]) -> Vec<QuerySpec<'_>> {
     queries.iter().map(|q| QuerySpec::knn(q, K)).collect()
 }
 
+/// Every query's neighbors, in input order; panics on a failed query.
+fn rows(out: BatchResult) -> Vec<Vec<Neighbor>> {
+    (out.results.into_iter())
+        .map(|r| r.expect("query failed"))
+        .collect()
+}
+
 /// T=1 and T=8 produce byte-identical neighbor lists on every structure,
 /// and both match the brute-force oracle.
 #[test]
@@ -69,13 +77,14 @@ fn t1_and_t8_agree_on_all_five_trees() {
         let par = run_query_batch(index.as_ref(), &knn_specs(&queries), 8).unwrap();
         assert_eq!(seq.threads, 1);
         assert_eq!(par.threads, 8);
+        let seq = rows(seq);
         assert_eq!(
-            seq.results,
-            par.results,
+            seq,
+            rows(par),
             "{}: T=8 diverged from T=1",
             index.kind_name()
         );
-        for (q, hits) in queries.iter().zip(&seq.results) {
+        for (q, hits) in queries.iter().zip(&seq) {
             let expect = oracle.knn(q, K);
             assert_eq!(
                 hits,
@@ -107,10 +116,11 @@ fn batch_io_window_stays_exact_at_t8() {
     }
 }
 
-/// One worker hitting an injected read fault aborts the batch with a
-/// typed [`ExecError::Query`] whose source is the pager fault — and the
-/// index is *not* poisoned: the same batch succeeds afterwards with
-/// results identical to a clean run.
+/// One worker hitting an injected read fault fails exactly the query
+/// that read the page, with the typed pager fault in that query's slot;
+/// every other query in the batch keeps its clean answer. The index is
+/// *not* poisoned: the same batch succeeds afterwards with results
+/// identical to a clean run.
 #[test]
 fn injected_read_fault_is_typed_and_does_not_poison_the_pool() {
     let points = uniform(1_000, DIM, 0xFA17);
@@ -128,27 +138,26 @@ fn injected_read_fault_is_typed_and_does_not_poison_the_pool() {
     tree.pager().set_cache_capacity(0).unwrap();
     let queries = query_batch(&points, 32);
 
-    let clean = run_query_batch(&tree, &knn_specs(&queries), 1).unwrap();
+    let clean = rows(run_query_batch(&tree, &knn_specs(&queries), 1).unwrap());
 
     faults.fail_nth_read(40);
-    let err =
-        run_query_batch(&tree, &knn_specs(&queries), 4).expect_err("armed fault must surface");
-    match err {
-        ExecError::Query { index, source } => {
-            assert!(index < queries.len());
-            assert!(
-                matches!(source, IndexError::Pager(PagerError::Injected { .. })),
-                "fault must arrive as a pager error, got: {source}"
-            );
+    let out = run_query_batch(&tree, &knn_specs(&queries), 4)
+        .expect("one query's fault does not fail the batch");
+    let mut faulted = 0;
+    for (i, (got, want)) in out.results.iter().zip(&clean).enumerate() {
+        match got {
+            Ok(hits) => assert_eq!(hits, want, "query {i} diverged from the clean run"),
+            Err(IndexError::Pager(PagerError::Injected { .. })) => faulted += 1,
+            Err(other) => panic!("query {i}: fault must arrive as a pager error, got: {other}"),
         }
-        other => panic!("wrong error shape: {other}"),
     }
+    assert_eq!(faulted, 1, "exactly one query reads the faulted page");
 
     // The store is healthy again and no shard lock, stat counter, or
     // cached page was poisoned: the identical batch now succeeds.
     faults.clear();
     let retry = run_query_batch(&tree, &knn_specs(&queries), 4).unwrap();
-    assert_eq!(clean.results, retry.results, "results changed after fault");
+    assert_eq!(clean, rows(retry), "results changed after fault");
 }
 
 /// Degenerate batch requests fail with a typed error instead of hanging

@@ -260,7 +260,8 @@ fn corrupt_header_variants_error_typed_not_panic() {
     let good = dir.file("good.pages");
     {
         let store = FilePageStore::create(&good, PAGE).unwrap();
-        let pf = PageFile::create_from_store(Box::new(store)).unwrap();
+        let pf =
+            PageFile::create_from_parts(Box::new(store), Box::new(MemLogStore::new())).unwrap();
         let mut tree = SrTree::create_with_options(pf, DIM, DATA_AREA, split_opts()).unwrap();
         for (i, p) in points.iter().enumerate() {
             tree.insert(p.clone(), i as u64).unwrap();

@@ -198,6 +198,91 @@ fn pipelined_batches_match_individual_calls_and_drain_before_shutdown() {
     server.wait().unwrap();
 }
 
+/// The unsigned integer member `key` of a stats document (every key the
+/// tests read appears once in it).
+fn stats_field(json: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\":");
+    let at = json
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {key} in {json}"))
+        + pat.len();
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
+/// A wrong-dimension k-NN in the middle of a pipelined run is answered
+/// with its own `BadRequest` and does not disturb its neighbours: every
+/// other request gets the rows an offline `execute_read` gives, and each
+/// runs exactly once — the service's pager reads equal its query
+/// metrics' expansions, at one worker and at four.
+#[test]
+fn a_bad_query_in_a_pipelined_run_fails_alone_and_every_query_runs_once() {
+    use srtree::wire::execute_read;
+    for threads in [1, 4] {
+        let points = uniform(N, DIM, 61);
+        let mut tree = SrTree::create_in_memory(DIM, PAGE).unwrap();
+        for (i, p) in points.iter().enumerate() {
+            tree.insert(p.clone(), i as u64).unwrap();
+        }
+        let mut reqs: Vec<Request> = sample_queries(&points, 8, 67)
+            .iter()
+            .map(|q| Request::Knn {
+                query: q.coords().to_vec(),
+                k: K as u32,
+            })
+            .collect();
+        let bad = reqs.len() / 2;
+        reqs.insert(
+            bad,
+            Request::Knn {
+                query: vec![0.5; DIM + 1],
+                k: K as u32,
+            },
+        );
+        let offline: Vec<Response> = (reqs.iter())
+            .map(|r| execute_read(r, &tree, &srtree::obs::Noop))
+            .collect();
+        tree.pager().reset_stats();
+        let server = Server::start(Box::new(tree), cfg(threads, 4)).unwrap();
+        let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+
+        let resps = client.pipeline(&reqs).unwrap();
+        assert_eq!(resps.len(), reqs.len());
+        for (i, (got, want)) in resps.iter().zip(&offline).enumerate() {
+            if i == bad {
+                assert!(
+                    matches!(got, Response::Error(RemoteError::BadRequest(_))),
+                    "T={threads}: the 9-d query got {got:?}"
+                );
+            } else {
+                assert!(
+                    matches!(got, Response::Rows(_)),
+                    "T={threads} #{i}: {got:?}"
+                );
+                assert_eq!(got, want, "T={threads}: request {i} diverged from offline");
+            }
+        }
+
+        let stats = client.stats().unwrap();
+        for (io, metric) in [
+            ("node_reads", "node_expansions"),
+            ("leaf_reads", "leaf_expansions"),
+        ] {
+            assert!(stats_field(&stats, metric) > 0, "T={threads}: {stats}");
+            assert_eq!(
+                stats_field(&stats, io),
+                stats_field(&stats, metric),
+                "T={threads}: {io} != {metric}: a query ran more than once"
+            );
+        }
+        server.stop();
+        server.wait().unwrap();
+    }
+}
+
 #[test]
 fn over_capacity_connections_get_typed_overloaded_and_slots_recycle() {
     let points = uniform(200, DIM, 53);
