@@ -39,7 +39,7 @@ pub(crate) fn region_table(
     for &n in sizes {
         let points = gen(n);
         let rs = build_rstar(&points);
-        let rects = rs.leaf_regions().map_err(|e| e.to_string())?;
+        let rects = rs.leaf_rects().map_err(|e| e.to_string())?;
         let rs_vol = mean(rects.iter().map(|r| r.volume()));
         let rs_diam = mean(rects.iter().map(|r| r.diagonal()));
 

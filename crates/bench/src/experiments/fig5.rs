@@ -29,7 +29,7 @@ pub fn run(scale: &Scale) -> Result<(), String> {
         let ss_diam = mean(spheres.iter().map(|s| s.diameter()));
 
         let rs = build_rstar(&points);
-        let rects = rs.leaf_regions().map_err(|e| e.to_string())?;
+        let rects = rs.leaf_rects().map_err(|e| e.to_string())?;
         let rs_vol = mean(rects.iter().map(|r| r.volume()));
         let rs_diam = mean(rects.iter().map(|r| r.diagonal()));
 

@@ -25,14 +25,14 @@ pub fn run(scale: &Scale) -> Result<(), String> {
                 .map(|s| s.volume()),
         );
         let rect_vol = mean(
-            ss.leaf_bounding_rects()
+            ss.leaf_rects()
                 .map_err(|e| e.to_string())?
                 .iter()
                 .map(|r| r.volume()),
         );
         let rs = build_rstar(&points);
         let rs_vol = mean(
-            rs.leaf_regions()
+            rs.leaf_rects()
                 .map_err(|e| e.to_string())?
                 .iter()
                 .map(|r| r.volume()),

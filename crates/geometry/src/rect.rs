@@ -88,21 +88,6 @@ impl Rect {
         &self.max
     }
 
-    /// Extent along dimension `i` (`max - min`); `0.0` for an
-    /// out-of-range dimension.
-    #[inline]
-    pub fn extent(&self, i: usize) -> f32 {
-        debug_assert!(
-            i < self.dim(),
-            "extent of dimension {i} in {}-d",
-            self.dim()
-        );
-        match (self.min.get(i), self.max.get(i)) {
-            (Some(&lo), Some(&hi)) => hi - lo,
-            _ => 0.0,
-        }
-    }
-
     /// The center point of the rectangle.
     pub fn center(&self) -> Point {
         let coords: Vec<f32> = self
@@ -137,13 +122,6 @@ impl Rect {
         debug_assert_eq!(self.dim(), other.dim());
         self.min.iter().zip(other.min.iter()).all(|(&a, &b)| a <= b)
             && other.max.iter().zip(self.max.iter()).all(|(&a, &b)| a <= b)
-    }
-
-    /// Whether the two rectangles intersect (boundary touching counts).
-    pub fn intersects(&self, other: &Rect) -> bool {
-        debug_assert_eq!(self.dim(), other.dim());
-        self.min.iter().zip(other.max.iter()).all(|(&a, &b)| a <= b)
-            && other.min.iter().zip(self.max.iter()).all(|(&a, &b)| a <= b)
     }
 
     /// Smallest rectangle containing both inputs.
@@ -293,30 +271,6 @@ impl Rect {
         }
         acc
     }
-
-    /// Squared distance between the nearest points of two rectangles
-    /// (`0` when they intersect). Used by spatial-join-style pruning and by
-    /// the structural verifiers.
-    pub fn rect_min_dist2(&self, other: &Rect) -> f64 {
-        debug_assert_eq!(self.dim(), other.dim());
-        let mut acc = 0.0f64;
-        for ((&slo, &shi), (&olo, &ohi)) in self
-            .min
-            .iter()
-            .zip(self.max.iter())
-            .zip(other.min.iter().zip(other.max.iter()))
-        {
-            let d = if ohi < slo {
-                f64::from(slo) - f64::from(ohi)
-            } else if olo > shi {
-                f64::from(olo) - f64::from(shi)
-            } else {
-                0.0
-            };
-            acc += d * d;
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -331,8 +285,6 @@ mod tests {
     fn basic_accessors() {
         let a = r(&[0.0, 1.0], &[2.0, 3.0]);
         assert_eq!(a.dim(), 2);
-        assert_eq!(a.extent(0), 2.0);
-        assert_eq!(a.extent(1), 2.0);
         assert_eq!(a.center().coords(), &[1.0, 2.0]);
     }
 
@@ -343,15 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn containment_and_intersection() {
+    fn containment() {
         let outer = r(&[0.0, 0.0], &[10.0, 10.0]);
         let inner = r(&[2.0, 2.0], &[3.0, 3.0]);
-        let crossing = r(&[9.0, 9.0], &[12.0, 12.0]);
-        let outside = r(&[20.0, 20.0], &[21.0, 21.0]);
         assert!(outer.contains_rect(&inner));
         assert!(!inner.contains_rect(&outer));
-        assert!(outer.intersects(&crossing));
-        assert!(!outer.intersects(&outside));
         assert!(outer.contains_point(&[0.0, 10.0])); // boundary inclusive
         assert!(!outer.contains_point(&[10.1, 5.0]));
     }
@@ -464,17 +412,6 @@ mod tests {
         ] {
             assert!(a.min_dist2(&p) <= a.max_dist2(&p), "p={p:?}");
         }
-    }
-
-    #[test]
-    fn rect_min_dist2_cases() {
-        let a = r(&[0.0, 0.0], &[1.0, 1.0]);
-        let b = r(&[3.0, 0.0], &[4.0, 1.0]);
-        assert_eq!(a.rect_min_dist2(&b), 4.0);
-        let c = r(&[0.5, 0.5], &[2.0, 2.0]);
-        assert_eq!(a.rect_min_dist2(&c), 0.0);
-        let d = r(&[2.0, 3.0], &[3.0, 4.0]);
-        assert_eq!(a.rect_min_dist2(&d), 1.0 + 4.0);
     }
 
     #[test]

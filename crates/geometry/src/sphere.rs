@@ -9,7 +9,6 @@
 #![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 use crate::ln_unit_ball_volume;
-use crate::rect::Rect;
 use crate::vector::{dist2, Point};
 
 /// Radius tolerance for sphere-containment descents over *stored* points.
@@ -142,23 +141,11 @@ impl Sphere {
         d * d
     }
 
-    /// Whether the two spheres intersect (touching counts).
-    pub fn intersects(&self, other: &Sphere) -> bool {
-        let d = self.center.dist(&other.center);
-        d <= f64::from(self.radius) + f64::from(other.radius)
-    }
-
     /// Whether `other` lies entirely inside `self`, with relative tolerance
     /// `eps` on the radius.
     pub fn contains_sphere(&self, other: &Sphere, eps: f64) -> bool {
         let d = self.center.dist(&other.center);
         d + f64::from(other.radius) <= f64::from(self.radius) * (1.0 + eps) + eps
-    }
-
-    /// Whether the sphere and a rectangle intersect: true iff
-    /// `MINDIST(center, R) <= r`.
-    pub fn intersects_rect(&self, rect: &Rect) -> bool {
-        rect.min_dist2(self.center.coords()) <= f64::from(self.radius) * f64::from(self.radius)
     }
 
     /// Volume of the ball. Underflows/overflows for extreme radii and
@@ -172,13 +159,6 @@ impl Sphere {
     pub fn ln_volume(&self) -> f64 {
         ln_unit_ball_volume(self.dim())
             + crate::usize_to_f64(self.dim()) * f64::from(self.radius).ln()
-    }
-
-    /// The smallest axis-aligned rectangle enclosing the sphere.
-    pub fn bounding_rect(&self) -> Rect {
-        let min: Vec<f32> = self.center.iter().map(|&c| c - self.radius).collect();
-        let max: Vec<f32> = self.center.iter().map(|&c| c + self.radius).collect();
-        Rect::new(min, max)
     }
 }
 
@@ -267,25 +247,12 @@ mod tests {
     }
 
     #[test]
-    fn sphere_sphere_relations() {
+    fn sphere_containment() {
         let a = s(&[0.0, 0.0], 2.0);
         let b = s(&[1.0, 0.0], 0.5);
         let c = s(&[5.0, 0.0], 1.0);
-        let d = s(&[3.0, 0.0], 1.0); // touching a
         assert!(a.contains_sphere(&b, 0.0));
         assert!(!a.contains_sphere(&c, 0.0));
-        assert!(!a.intersects(&c));
-        assert!(a.intersects(&d));
-        assert!(a.intersects(&b));
-    }
-
-    #[test]
-    fn rect_intersection() {
-        let a = s(&[0.0, 0.0], 1.0);
-        assert!(a.intersects_rect(&Rect::new(vec![0.5, 0.5], vec![2.0, 2.0])));
-        assert!(!a.intersects_rect(&Rect::new(vec![2.0, 2.0], vec![3.0, 3.0])));
-        // corner exactly touching the surface: nearest corner is (1, 0)
-        assert!(a.intersects_rect(&Rect::new(vec![1.0, 0.0], vec![2.0, 2.0])));
     }
 
     #[test]
@@ -304,14 +271,6 @@ mod tests {
         let a = Sphere::new(Point::zeros(d), 0.01);
         assert!(a.ln_volume().is_finite());
         assert!(a.ln_volume() < 0.0);
-    }
-
-    #[test]
-    fn bounding_rect_encloses_sphere() {
-        let a = s(&[1.0, -1.0], 0.5);
-        let r = a.bounding_rect();
-        assert_eq!(r.min(), &[0.5, -1.5]);
-        assert_eq!(r.max(), &[1.5, -0.5]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! [`Paged`], the tree core: metadata header, page helpers, leaf walks
 //! and the query entry points every tree shares.
 
-use sr_geometry::Point;
+use sr_geometry::{bounding_rect_of_points, Point, Rect};
 use sr_obs::Recorder;
 use sr_pager::{
     narrow_lane, LeafColumns, PageBuf, PageCodec, PageFile, PageId, PageKind, PageReader,
@@ -291,6 +291,20 @@ impl<R: Region> Paged<R> {
             self.height.saturating_sub(1) as u16,
             &mut f,
         )
+    }
+
+    /// Bounding rectangles of all non-empty leaves, left to right: the
+    /// leaf-level regions whose volumes and diameters Figures 5, 6 and 12
+    /// measure, whatever shape the tree itself stores.
+    pub fn leaf_rects(&self) -> Result<Vec<Rect>> {
+        let mut out = Vec::new();
+        self.walk_leaves(|entries| {
+            out.extend(bounding_rect_of_points(
+                entries.iter().map(|e| e.point.coords()),
+            ));
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Total number of leaf pages (used by the Figure 16 leaf-access

@@ -4,7 +4,7 @@
 use std::ops::Deref;
 use std::path::Path;
 
-use sr_geometry::{bounding_rect_of_points, Point, Rect};
+use sr_geometry::{Point, Rect};
 use sr_pager::{PageFile, PageId};
 use sr_query::paged::{
     mbr, AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result, DEFAULT_DATA_AREA,
@@ -69,19 +69,6 @@ impl RstarTree {
     /// Returns `true` if an entry was removed.
     pub fn delete(&mut self, point: &Point, data: u64) -> Result<bool> {
         Dynamic::delete(self, point, data)
-    }
-
-    /// Bounding rectangles of all (non-empty) leaves — the "leaf-level
-    /// regions" whose volumes and diameters Figures 5, 12 and 13 measure.
-    pub fn leaf_regions(&self) -> Result<Vec<Rect>> {
-        let mut out = Vec::new();
-        self.core.walk_leaves(|entries| {
-            out.extend(bounding_rect_of_points(
-                entries.iter().map(|e| e.point.coords()),
-            ));
-            Ok(())
-        })?;
-        Ok(out)
     }
 }
 

@@ -25,8 +25,10 @@
 //!   [`RemoteError::Overloaded`](sr_wire::RemoteError::Overloaded)
 //!   frame and closed. Overload is always an answer, never a silent
 //!   drop or an unbounded queue.
-//! * **Graceful shutdown** — a `Shutdown` request acknowledges, stops
-//!   admissions, drains in-flight connections, then flushes the index
+//! * **Graceful shutdown** — a `Shutdown` request acknowledges, refuses
+//!   every request pipelined behind it on its connection with
+//!   [`RemoteError::ShuttingDown`](sr_wire::RemoteError::ShuttingDown),
+//!   stops admissions, drains in-flight connections, then flushes the index
 //!   under the write lock so the WAL checkpoints and a subsequent open
 //!   replays zero frames. (Pure-std code cannot catch SIGTERM; abrupt
 //!   kills are instead covered by the pager's WAL crash recovery.)

@@ -235,7 +235,11 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
             match sr_wire::decode_request(&buf, sr_wire::DEFAULT_MAX_BODY) {
                 Ok(Decoded::Frame { msg, consumed }) => {
                     buf.drain(..consumed);
+                    let shutdown = matches!(msg, Request::Shutdown);
                     batch.push(msg);
+                    if shutdown {
+                        break;
+                    }
                 }
                 Ok(Decoded::Incomplete) => break,
                 Err(WireError::TooLarge { len, max }) => {
@@ -258,6 +262,18 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream) {
                 Flow::Close => return,
                 Flow::Shutdown => {
                     begin_shutdown(shared);
+                    // A `Shutdown` ends its batch: every complete frame
+                    // already read behind it is refused, so each frame
+                    // still gets its response.
+                    while let Ok(Decoded::Frame { consumed, .. }) =
+                        sr_wire::decode_request(&buf, sr_wire::DEFAULT_MAX_BODY)
+                    {
+                        buf.drain(..consumed);
+                        let refusal = Response::Error(RemoteError::ShuttingDown);
+                        if write_response(&mut stream, &refusal).is_err() {
+                            break;
+                        }
+                    }
                     return;
                 }
             }

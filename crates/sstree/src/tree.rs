@@ -6,8 +6,8 @@ use std::ops::Deref;
 use std::path::Path;
 
 use sr_geometry::{
-    bounding_rect_of_points, bounding_sphere_of_points, enclosing_radius_spheres, next_radius_up,
-    sphere_min_dist2_f64le, Point, Rect, Sphere, CONTAINMENT_EPS,
+    bounding_sphere_of_points, enclosing_radius_spheres, next_radius_up, sphere_min_dist2_f64le,
+    Point, Sphere, CONTAINMENT_EPS,
 };
 use sr_pager::{PageCodec, PageFile, PageId, PageReader};
 use sr_query::paged::centroid::{self, Centered};
@@ -181,20 +181,6 @@ impl SsTree {
         self.core.walk_leaves(|entries| {
             let pts: Vec<&[f32]> = entries.iter().map(|e| e.point.coords()).collect();
             out.extend(bounding_sphere_of_points(&pts));
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// Bounding *rectangles* of all non-empty leaves — the hypothetical
-    /// measurement of the paper's Figure 6 (what SS-tree leaf regions
-    /// would be if determined by rectangles instead of spheres).
-    pub fn leaf_bounding_rects(&self) -> Result<Vec<Rect>> {
-        let mut out = Vec::new();
-        self.core.walk_leaves(|entries| {
-            out.extend(bounding_rect_of_points(
-                entries.iter().map(|e| e.point.coords()),
-            ));
             Ok(())
         })?;
         Ok(out)

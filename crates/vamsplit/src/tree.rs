@@ -3,7 +3,7 @@
 use std::ops::Deref;
 use std::path::Path;
 
-use sr_geometry::{bounding_rect_of_points, Point, Rect};
+use sr_geometry::{Point, Rect};
 use sr_pager::{PageFile, PageId};
 use sr_query::paged::{mbr, Kind, Node, Paged, PagedTree, Params, Result, DEFAULT_DATA_AREA};
 use sr_query::IndexError;
@@ -72,18 +72,6 @@ impl VamTree {
     pub fn open_from(pf: PageFile) -> Result<Self> {
         let core = Paged::open(pf, KIND)?;
         Ok(VamTree { core })
-    }
-
-    /// Bounding rectangles of all (non-empty) leaves.
-    pub fn leaf_regions(&self) -> Result<Vec<Rect>> {
-        let mut out = Vec::new();
-        self.core.walk_leaves(|entries| {
-            out.extend(bounding_rect_of_points(
-                entries.iter().map(|e| e.point.coords()),
-            ));
-            Ok(())
-        })?;
-        Ok(out)
     }
 }
 

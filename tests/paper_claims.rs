@@ -120,7 +120,7 @@ fn sr_regions_are_small_and_short() {
     let ss_vol = mean(ss_spheres.iter().map(|s| s.volume()).collect());
     let ss_diam = mean(ss_spheres.iter().map(|s| s.diameter()).collect());
 
-    let rs_rects = rs.leaf_regions().unwrap();
+    let rs_rects = rs.leaf_rects().unwrap();
     let rs_vol = mean(rs_rects.iter().map(|r| r.volume()).collect());
 
     // Figure 12 shows SR and R* leaf volumes at near-parity (both far
@@ -158,7 +158,7 @@ fn rectangles_small_spheres_short() {
     let ss_spheres = ss.leaf_regions().unwrap();
     let ss_vol = mean(ss_spheres.iter().map(|s| s.volume()).collect());
     let ss_diam = mean(ss_spheres.iter().map(|s| s.diameter()).collect());
-    let rs_rects = rs.leaf_regions().unwrap();
+    let rs_rects = rs.leaf_rects().unwrap();
     let rs_vol = mean(rs_rects.iter().map(|r| r.volume()).collect());
     let rs_diam = mean(rs_rects.iter().map(|r| r.diagonal()).collect());
 

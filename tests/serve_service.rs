@@ -198,6 +198,30 @@ fn pipelined_batches_match_individual_calls_and_drain_before_shutdown() {
     server.wait().unwrap();
 }
 
+/// A request pipelined behind a `Shutdown` gets its own typed refusal,
+/// not a closed connection: in the `Shutdown`'s batch, and (at
+/// `max_batch` 1) still buffered past it.
+#[test]
+fn a_request_pipelined_behind_shutdown_is_refused_not_dropped() {
+    for max_batch in [ServeConfig::default().max_batch, 1] {
+        let tree = SrTree::create_in_memory(DIM, PAGE).unwrap();
+        let config = ServeConfig {
+            max_batch,
+            ..cfg(1, 4)
+        };
+        let server = Server::start(Box::new(tree), config).unwrap();
+        let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+        // One write, so the server reads both frames at once.
+        let resps = client.pipeline(&[Request::Shutdown, Request::Ping]);
+        let want = [
+            Response::Ack { n: 0 },
+            Response::Error(RemoteError::ShuttingDown),
+        ];
+        assert_eq!(resps.unwrap(), want, "max_batch {max_batch}");
+        server.wait().unwrap();
+    }
+}
+
 /// The unsigned integer member `key` of a stats document (every key the
 /// tests read appears once in it).
 fn stats_field(json: &str, key: &str) -> u64 {
