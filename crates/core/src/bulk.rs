@@ -33,9 +33,11 @@ pub(crate) fn bulk_load(tree: &mut Paged<SrRegion>, points: Vec<(Point, u64)>) -
     let (max_leaf, max_node) = (tree.params.max_leaf, tree.params.max_node);
     // Allocate `node`, returning the entry its parent records for it.
     let mut place = |node: Node<SrRegion>| -> Result<Entry<SrRegion>> {
-        let region = region_of(&node, rule)?;
-        let child = tree.allocate_node(&node)?;
-        Ok(Entry { region, child })
+        let page = tree.allocate_node(&node)?;
+        Ok(Entry {
+            region: region_of(&page, rule)?,
+            child: page.id(),
+        })
     };
 
     // --- leaf level -----------------------------------------------------
@@ -86,7 +88,7 @@ pub(crate) fn bulk_load(tree: &mut Paged<SrRegion>, points: Vec<(Point, u64)>) -
             level,
             entries: level_entries,
         })?;
-        (id, u32::from(level) + 1)
+        (id.id(), u32::from(level) + 1)
     };
     tree.root = root;
     tree.height = height;

@@ -2,16 +2,16 @@
 //! bounding rectangle — with its §4.2 update rule and §4.4 search bound.
 
 use sr_geometry::{
-    bounding_rect_of_points, bounding_sphere_of_points, enclosing_radius_rects,
-    enclosing_radius_spheres, next_radius_up, rect_min_dist2_f64le, sphere_min_dist2_f64le,
-    sphere_rect_min_dist2_f64le, GeometryError, Point, Rect, Sphere, CONTAINMENT_EPS,
+    bounding_rect_of_points, bounding_sphere_of_points, enclosing_radius_rects, next_radius_up,
+    rect_min_dist2_f64le, sphere_min_dist2_f64le, sphere_rect_min_dist2_f64le, GeometryError,
+    Point, Rect, Sphere, CONTAINMENT_EPS,
 };
 use sr_pager::{PageCodec, PageReader};
 use sr_query::paged::centroid::{self, Centered};
 use sr_query::paged::Result;
 use sr_query::paged::{
-    get_rect, get_sphere, put_rect, put_sphere, rect_contains_raw, sphere_contains_raw, LeafEntry,
-    Node, Region,
+    check_rect_raw, check_sphere_raw, get_rect, get_sphere, leaf_rect, put_rect, put_sphere,
+    rect_contains_raw, rect_union, sphere_contains_raw, LeafEntry, NodePage, Region,
 };
 use sr_query::Expansion;
 use sr_query::IndexError;
@@ -76,12 +76,18 @@ fn corrupt(e: GeometryError) -> IndexError {
     IndexError::Corrupt(e.to_string())
 }
 
+/// The lane an SR region's rectangle starts at: after the sphere's
+/// center and radius.
+fn rect_lane(dim: usize) -> usize {
+    dim + 1
+}
+
 impl Region for SrRegion {
     type Policy = SrOptions;
     type Bound = DistanceBound;
 
     fn bytes(dim: usize) -> usize {
-        (dim + 1) * 8 + 2 * dim * 8 + 4
+        (rect_lane(dim) + 2 * dim) * 8 + 4
     }
 
     fn encode(&self, c: &mut PageCodec<'_>) -> Result<()> {
@@ -157,6 +163,12 @@ impl Region for SrRegion {
         Ok(in_rect && in_sphere)
     }
 
+    fn check_raw(raw: &[u8], dim: usize) -> Result<()> {
+        let mut c = PageReader::new(raw);
+        check_sphere_raw(&mut c, dim)?;
+        check_rect_raw(&mut c, dim, false)
+    }
+
     fn policy_flags(options: &SrOptions) -> Option<u32> {
         let sphere_only = u32::from(options.radius_rule == RadiusRule::SphereOnly);
         Some(sphere_only | u32::from(options.disable_reinsertion) << 1)
@@ -194,7 +206,7 @@ pub(crate) fn leaf_shapes(entries: &[LeafEntry]) -> Option<(Sphere, Rect)> {
     ))
 }
 
-/// The §4.2 region computation.
+/// The §4.2 region computation, from the lanes of the node's page.
 ///
 /// * Center: the weighted centroid of the children (the points, for a
 ///   leaf).
@@ -208,54 +220,49 @@ pub(crate) fn leaf_shapes(entries: &[LeafEntry]) -> Option<(Sphere, Rect)> {
 /// # Errors
 /// [`IndexError::Corrupt`] for an empty or zero-weight node — both are
 /// reachable from a corrupted page, never from a well-formed tree.
-pub(crate) fn region_of(node: &Node<SrRegion>, rule: RadiusRule) -> Result<SrRegion> {
-    let weight = centroid::weight(node);
-    match node {
-        Node::Leaf(entries) => {
-            let (sphere, rect) = leaf_shapes(entries)
-                .ok_or_else(|| IndexError::Corrupt("region of an empty leaf".into()))?;
-            Ok(SrRegion {
-                sphere,
-                rect,
-                weight,
-            })
-        }
-        Node::Inner { entries, .. } => {
-            let center = centroid::centroid(node)?;
-            let d_s = enclosing_radius_spheres(
-                &center,
-                entries
-                    .iter()
-                    .map(|e| (e.region.sphere.center().coords(), e.region.sphere.radius())),
-            );
-            let radius = match rule {
-                RadiusRule::MinDsDr => {
-                    let d_r =
-                        enclosing_radius_rects(&center, entries.iter().map(|e| &e.region.rect));
-                    next_radius_up(d_s.min(d_r))
-                }
-                RadiusRule::SphereOnly => next_radius_up(d_s),
-            };
-            let (first, rest) = entries
-                .split_first()
-                .ok_or_else(|| IndexError::Corrupt("region of an empty node".into()))?;
-            let mut rect = first.region.rect.clone();
-            for e in rest {
-                rect.expand_to_rect(&e.region.rect);
-            }
-            Ok(SrRegion {
-                sphere: Sphere::new(center, radius),
-                rect,
-                weight,
-            })
-        }
+pub(crate) fn region_of(page: &NodePage<SrRegion>, rule: RadiusRule) -> Result<SrRegion> {
+    let weight = centroid::page_weight(page);
+    if page.is_leaf() {
+        let (sphere, rect) = centroid::leaf_sphere(page)
+            .zip(leaf_rect(page))
+            .ok_or_else(|| IndexError::Corrupt("region of an empty leaf".into()))?;
+        return Ok(SrRegion {
+            sphere,
+            rect,
+            weight,
+        });
     }
+    let rows = page.region_rows();
+    let (center, d_s) = centroid::inner_sphere(page, &rows)?;
+    let rects = || rows.rects(rect_lane(page.dim()));
+    let radius = match rule {
+        RadiusRule::MinDsDr => next_radius_up(d_s.min(enclosing_radius_rects(&center, rects()))),
+        RadiusRule::SphereOnly => next_radius_up(d_s),
+    };
+    let rect =
+        rect_union(rects()).ok_or_else(|| IndexError::Corrupt("region of an empty node".into()))?;
+    Ok(SrRegion {
+        sphere: Sphere::new(center, radius),
+        rect,
+        weight,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sr_query::paged::{Entry, Params};
+    use sr_dataset::SeededRng;
+    use sr_geometry::enclosing_radius_spheres;
+    use sr_query::paged::{Entry, Node, Params};
+
+    /// The page `node` encodes to, in a tree of `dim` dimensions.
+    fn page_in(node: &Node<SrRegion>, dim: usize) -> NodePage<SrRegion> {
+        NodePage::encode(1, node, &Params::derive(8187, dim, 64), 8187).unwrap()
+    }
+
+    fn page(node: &Node<SrRegion>) -> NodePage<SrRegion> {
+        page_in(node, 2)
+    }
 
     fn entry(x: f32, y: f32, r: f32, w: u64) -> Entry<SrRegion> {
         Entry {
@@ -281,7 +288,10 @@ mod tests {
                 Err(IndexError::Corrupt(_))
             ));
             for rule in [RadiusRule::MinDsDr, RadiusRule::SphereOnly] {
-                assert!(matches!(region_of(node, rule), Err(IndexError::Corrupt(_))));
+                assert!(matches!(
+                    region_of(&page(node), rule),
+                    Err(IndexError::Corrupt(_))
+                ));
             }
         }
     }
@@ -313,7 +323,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let r = region_of(&node, RadiusRule::MinDsDr).unwrap();
+        let r = region_of(&page(&node), RadiusRule::MinDsDr).unwrap();
         assert_eq!(
             (r.rect.min(), r.rect.max()),
             (&[0.0, 0.0][..], &[2.0, 0.0][..])
@@ -338,11 +348,11 @@ mod tests {
             level: 1,
             entries: vec![child.clone()],
         };
-        let r = region_of(&node, RadiusRule::MinDsDr).unwrap();
+        let r = region_of(&page(&node), RadiusRule::MinDsDr).unwrap();
         // d_s = 5.0; d_r = MAXDIST from (3,0) to the farthest corner ≈ 0.1414.
         assert!(r.sphere.radius() < 0.2, "radius {}", r.sphere.radius());
         assert_eq!(r.rect, child.region.rect);
-        let ss = region_of(&node, RadiusRule::SphereOnly).unwrap();
+        let ss = region_of(&page(&node), RadiusRule::SphereOnly).unwrap();
         assert!(ss.sphere.radius() >= 5.0);
     }
 
@@ -357,7 +367,7 @@ mod tests {
             level: 1,
             entries: entries.clone(),
         };
-        let r = region_of(&node, RadiusRule::MinDsDr).unwrap();
+        let r = region_of(&page(&node), RadiusRule::MinDsDr).unwrap();
         for e in &entries {
             let (c, rad) = (e.region.sphere.center(), e.region.sphere.radius());
             for p in [
@@ -374,6 +384,119 @@ mod tests {
         // The weighted centroid: (0·3 + 4·9) / 12 = 3.
         assert!((r.sphere.center()[0] - 3.0).abs() < 1e-6);
         assert_eq!(r.weight, 12);
+    }
+
+    /// The §4.2 computation over a decoded node, with the geometry
+    /// crate's point-set and enclosing-radius functions.
+    fn decoded_region_of(node: &Node<SrRegion>, rule: RadiusRule) -> SrRegion {
+        match node {
+            Node::Leaf(entries) => {
+                let (sphere, rect) = leaf_shapes(entries).unwrap();
+                let weight = entries.len() as u64;
+                SrRegion {
+                    sphere,
+                    rect,
+                    weight,
+                }
+            }
+            Node::Inner { entries, .. } => {
+                let center = centroid::centroid(node).unwrap();
+                let d_s = enclosing_radius_spheres(
+                    &center,
+                    entries
+                        .iter()
+                        .map(|e| (e.region.sphere.center().coords(), e.region.sphere.radius())),
+                );
+                let d_r = enclosing_radius_rects(
+                    &center,
+                    entries
+                        .iter()
+                        .map(|e| (e.region.rect.min(), e.region.rect.max())),
+                );
+                let radius = match rule {
+                    RadiusRule::MinDsDr => next_radius_up(d_s.min(d_r)),
+                    RadiusRule::SphereOnly => next_radius_up(d_s),
+                };
+                let mut rect = entries[0].region.rect.clone();
+                for e in &entries[1..] {
+                    rect.expand_to_rect(&e.region.rect);
+                }
+                SrRegion {
+                    sphere: Sphere::new(center, radius),
+                    rect,
+                    weight: entries.iter().map(|e| e.region.weight).sum(),
+                }
+            }
+        }
+    }
+
+    fn bytes_of(region: &SrRegion, dim: usize) -> Vec<u8> {
+        let mut buf = vec![0u8; SrRegion::bytes(dim)];
+        region.encode(&mut PageCodec::new(&mut buf)).unwrap();
+        buf
+    }
+
+    #[test]
+    fn lane_regions_are_bit_identical_to_decoded_ones() {
+        // Few distinct values, signed zeros among them, so ties, repeats
+        // and `-0.0` against `0.0` in min/max all occur.
+        const VALUES: [f32; 7] = [-0.0, 0.0, 0.25, -1.5, 3.0, 1e-3, -7.125];
+        let mut rng = SeededRng::seed_from_u64(0x5EED_0036);
+        let value = |rng: &mut SeededRng| {
+            let v = VALUES[rng.random_range(0..VALUES.len())];
+            if rng.random_range(0..3) == 0 {
+                v * (1.0 + rng.random_range(0..1000) as f32 * 1e-4)
+            } else {
+                v
+            }
+        };
+        for case in 0..400 {
+            let dim = 1 + rng.random_range(0..6);
+            let n = 1 + rng.random_range(0..12);
+            let node = if case % 2 == 0 {
+                Node::Leaf(
+                    (0..n)
+                        .map(|i| LeafEntry {
+                            point: Point::new(
+                                (0..dim).map(|_| value(&mut rng)).collect::<Vec<_>>(),
+                            ),
+                            data: i as u64,
+                        })
+                        .collect(),
+                )
+            } else {
+                let entries = (0..n)
+                    .map(|i| {
+                        let center: Vec<f32> = (0..dim).map(|_| value(&mut rng)).collect();
+                        let (lo, hi): (Vec<f32>, Vec<f32>) = center
+                            .iter()
+                            .map(|&c| {
+                                let (a, b) = (c - value(&mut rng).abs(), c + value(&mut rng).abs());
+                                (a.min(b), a.max(b))
+                            })
+                            .unzip();
+                        Entry {
+                            region: SrRegion {
+                                sphere: Sphere::new(Point::new(center), value(&mut rng).abs()),
+                                rect: Rect::new(lo, hi),
+                                weight: 1 + rng.random_range(0..50) as u64,
+                            },
+                            child: i as u64,
+                        }
+                    })
+                    .collect();
+                Node::Inner { level: 1, entries }
+            };
+            for rule in [RadiusRule::MinDsDr, RadiusRule::SphereOnly] {
+                let lanes = region_of(&page_in(&node, dim), rule).unwrap();
+                let decoded = decoded_region_of(&node, rule);
+                assert_eq!(
+                    bytes_of(&lanes, dim),
+                    bytes_of(&decoded, dim),
+                    "case {case} {rule:?}: {lanes:?} != {decoded:?}"
+                );
+            }
+        }
     }
 
     #[test]

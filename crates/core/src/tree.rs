@@ -10,7 +10,7 @@ use sr_obs::{Noop, Recorder};
 use sr_pager::{PageFile, PageId};
 use sr_query::paged::centroid;
 use sr_query::paged::{
-    AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result, DEFAULT_DATA_AREA,
+    AnyEntry, Dynamic, Entry, Kind, Node, NodePage, Paged, PagedTree, Result, DEFAULT_DATA_AREA,
 };
 use sr_query::{Neighbor, QuerySpec};
 
@@ -211,8 +211,8 @@ impl Dynamic for SrTree {
         centroid::choose_nearest(entries, entry)
     }
 
-    fn region_of(&self, node: &Node<SrRegion>) -> Result<SrRegion> {
-        region_of(node, self.options().radius_rule)
+    fn region_of(&self, page: &NodePage<SrRegion>) -> Result<SrRegion> {
+        region_of(page, self.options().radius_rule)
     }
 
     fn split(&self, node: Node<SrRegion>) -> (Node<SrRegion>, Node<SrRegion>) {

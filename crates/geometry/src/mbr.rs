@@ -13,7 +13,7 @@
 //!   (paper §4.2): the SS-tree uses `d_s` alone; the SR-tree uses
 //!   `min(d_s, d_r)`.
 
-use crate::rect::Rect;
+use crate::rect::{max_dist2, Rect};
 use crate::sphere::Sphere;
 use crate::vector::{dist2, Point};
 
@@ -119,14 +119,15 @@ where
 }
 
 /// `d_r` of the paper's §4.2: the radius around `center` needed to enclose
-/// every child *rectangle* — `max_k MAXDIST(center, R_k)`.
+/// every child *rectangle*, each given by its `(min, max)` corners —
+/// `max_k MAXDIST(center, R_k)`.
 pub fn enclosing_radius_rects<'a, I>(center: &Point, rects: I) -> f64
 where
-    I: Iterator<Item = &'a Rect>,
+    I: Iterator<Item = (&'a [f32], &'a [f32])>,
 {
     let mut d = 0.0f64;
-    for r in rects {
-        d = d.max(r.max_dist2(center.coords()).sqrt());
+    for (min, max) in rects {
+        d = d.max(max_dist2(min, max, center.coords()).sqrt());
     }
     d
 }
@@ -226,7 +227,7 @@ mod tests {
     fn enclosing_radius_rects_uses_farthest_vertex() {
         let center = Point::new(vec![0.0, 0.0]);
         let rects = [Rect::new(vec![1.0, 1.0], vec![2.0, 2.0])];
-        let d = enclosing_radius_rects(&center, rects.iter());
+        let d = enclosing_radius_rects(&center, rects.iter().map(|r| (r.min(), r.max())));
         assert!((d - 8f64.sqrt()).abs() < 1e-9);
     }
 
@@ -241,7 +242,7 @@ mod tests {
         let rect = Rect::new(vec![2.5, -0.1], vec![3.5, 0.1]);
         let d_s =
             enclosing_radius_spheres(&center, std::iter::once((child_center, child_sphere_r)));
-        let d_r = enclosing_radius_rects(&center, std::iter::once(&rect));
+        let d_r = enclosing_radius_rects(&center, std::iter::once((rect.min(), rect.max())));
         assert!(d_r < d_s);
         assert!(d_s.min(d_r) == d_r);
     }

@@ -158,11 +158,18 @@ impl Rect {
 
     /// Grow `self` in place to cover `other`.
     pub fn expand_to_rect(&mut self, other: &Rect) {
-        debug_assert_eq!(self.dim(), other.dim());
-        for (lo, &x) in self.min.iter_mut().zip(other.min.iter()) {
+        self.expand_to_bounds(&other.min, &other.max);
+    }
+
+    /// Grow `self` in place to cover the rectangle with corners `min` and
+    /// `max` — [`Rect::expand_to_rect`] for bounds not held in a `Rect`.
+    pub fn expand_to_bounds(&mut self, min: &[f32], max: &[f32]) {
+        debug_assert_eq!(self.dim(), min.len());
+        debug_assert_eq!(self.dim(), max.len());
+        for (lo, &x) in self.min.iter_mut().zip(min) {
             *lo = lo.min(x);
         }
-        for (hi, &x) in self.max.iter_mut().zip(other.max.iter()) {
+        for (hi, &x) in self.max.iter_mut().zip(max) {
             *hi = hi.max(x);
         }
     }
@@ -260,17 +267,24 @@ impl Rect {
     /// the farther of the two bounds.
     #[inline]
     pub fn max_dist2(&self, p: &[f32]) -> f64 {
-        debug_assert_eq!(p.len(), self.dim());
-        let mut acc = 0.0f64;
-        for ((&lo, &hi), &xp) in self.min.iter().zip(self.max.iter()).zip(p.iter()) {
-            let x = f64::from(xp);
-            let dlo = (x - f64::from(lo)).abs();
-            let dhi = (x - f64::from(hi)).abs();
-            let d = dlo.max(dhi);
-            acc += d * d;
-        }
-        acc
+        max_dist2(&self.min, &self.max, p)
     }
+}
+
+/// [`Rect::max_dist2`] of the rectangle with corners `min` and `max`,
+/// for bounds not held in a `Rect`.
+#[inline]
+pub fn max_dist2(min: &[f32], max: &[f32], p: &[f32]) -> f64 {
+    debug_assert_eq!(p.len(), min.len());
+    let mut acc = 0.0f64;
+    for ((&lo, &hi), &xp) in min.iter().zip(max).zip(p) {
+        let x = f64::from(xp);
+        let dlo = (x - f64::from(lo)).abs();
+        let dhi = (x - f64::from(hi)).abs();
+        let d = dlo.max(dhi);
+        acc += d * d;
+    }
+    acc
 }
 
 #[cfg(test)]

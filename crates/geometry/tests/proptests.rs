@@ -283,7 +283,7 @@ fn enclosing_radii_cover() {
                 )
             })
             .collect();
-        let d_r = enclosing_radius_rects(&center, rects.iter());
+        let d_r = enclosing_radius_rects(&center, rects.iter().map(|r| (r.min(), r.max())));
         for rect in &rects {
             for corner_mask in 0..8u32 {
                 let corner: Vec<f32> = (0..3)

@@ -86,8 +86,8 @@ pub(crate) fn insert_point(
         let right_rect = clip_above(region, dim, value);
         if idx == 0 {
             // Root split: the tree grows one level.
-            let left_id = tree.allocate_node(&left)?;
-            let right_id = tree.allocate_node(&right)?;
+            let left_id = tree.allocate_node(&left)?.id();
+            let right_id = tree.allocate_node(&right)?.id();
             let new_root = Node::Inner {
                 level: level + 1,
                 entries: vec![
@@ -102,12 +102,12 @@ pub(crate) fn insert_point(
                 ],
             };
             tree.free(tree.root)?;
-            tree.root = tree.allocate_node(&new_root)?;
+            tree.root = tree.allocate_node(&new_root)?.id();
             tree.height += 1;
             break;
         }
         tree.write_node(path[idx].0, &left)?;
-        let right_id = tree.allocate_node(&right)?;
+        let right_id = tree.allocate_node(&right)?.id();
         let parent_level = level + 1;
         let mut parent = tree.read_node(path[idx - 1].0, parent_level)?;
         if let Node::Inner { entries, .. } = &mut parent {
@@ -284,7 +284,7 @@ fn force_split_page(
     let node = tree.read_node(id, level)?;
     let (left, right) = split_in_memory(tree, node, dim, value)?;
     tree.write_node(id, &left)?;
-    let right_id = tree.allocate_node(&right)?;
+    let right_id = tree.allocate_node(&right)?.id();
     Ok((id, right_id))
 }
 

@@ -7,10 +7,10 @@
 
 use std::collections::HashSet;
 
-use sr_geometry::{Centroid, Point};
+use sr_geometry::{bounding_sphere_of_points, enclosing_radius_spheres, Centroid, Point, Sphere};
 use sr_pager::{PageCodec, PageId};
 
-use super::node::{AnyEntry, Entry, Node};
+use super::node::{AnyEntry, Entry, Node, NodePage, RegionRows};
 use super::params::Params;
 use super::region::Region;
 use super::update::take_farthest;
@@ -18,7 +18,9 @@ use super::Result;
 use crate::IndexError;
 
 /// A region with a center and a subtree point count — the bounding
-/// sphere the centroid policies measure from.
+/// sphere the centroid policies measure from. On disk it starts with its
+/// sphere ([`super::put_sphere`]) and ends with its weight
+/// ([`put_weight`]), which is how the lane computations below read it.
 pub trait Centered: Region {
     /// The region's center (its bounding sphere's).
     fn center(&self) -> &Point;
@@ -33,16 +35,22 @@ pub trait Centered: Region {
 /// [`IndexError::Corrupt`] for an empty or zero-weight node — reachable
 /// from a corrupted page, never from a well-formed tree.
 pub fn centroid<R: Centered>(node: &Node<R>) -> Result<Point> {
-    let weighted: Vec<(&[f32], u64)> = match node {
-        Node::Leaf(entries) => entries.iter().map(|e| (e.point.coords(), 1)).collect(),
-        Node::Inner { entries, .. } => entries
-            .iter()
-            .map(|e| (e.region.center().coords(), e.region.weight()))
-            .collect(),
-    };
+    match node {
+        Node::Leaf(entries) => weighted_centroid(entries.iter().map(|e| (e.point.coords(), 1))),
+        Node::Inner { entries, .. } => weighted_centroid(
+            entries
+                .iter()
+                .map(|e| (e.region.center().coords(), e.region.weight())),
+        ),
+    }
+}
+
+/// The centroid of `(center, weight)` pairs.
+fn weighted_centroid<'a>(mut weighted: impl Iterator<Item = (&'a [f32], u64)>) -> Result<Point> {
     let corrupt = || IndexError::Corrupt("centroid of an empty or zero-weight node".into());
-    let (first, _) = weighted.first().ok_or_else(corrupt)?;
+    let (first, w) = weighted.next().ok_or_else(corrupt)?;
     let mut c = Centroid::new(first.len());
+    c.add(first, w);
     for (p, w) in weighted {
         c.add(p, w);
     }
@@ -61,12 +69,44 @@ pub fn put_weight(c: &mut PageCodec<'_>, weight: u64) -> Result<()> {
     Ok(())
 }
 
-/// Points in a node's subtree.
-pub fn weight<R: Centered>(node: &Node<R>) -> u64 {
-    match node {
-        Node::Leaf(entries) => entries.len() as u64,
-        Node::Inner { entries, .. } => entries.iter().map(|e| e.region.weight()).sum(),
+/// The weight a centered region's raw bytes end with.
+fn raw_weight(raw: &[u8]) -> u64 {
+    raw.last_chunk::<4>()
+        .map_or(0, |w| u64::from(u32::from_le_bytes(*w)))
+}
+
+/// Points in a node page's subtree: a leaf's entries, or the weights its
+/// inner entries record.
+pub fn page_weight<R: Centered>(page: &NodePage<R>) -> u64 {
+    if page.is_leaf() {
+        page.len() as u64
+    } else {
+        page.regions().map(raw_weight).sum()
     }
+}
+
+/// The sphere part of an inner page's region (§4.2), from the page and
+/// its [`NodePage::region_rows`]: the weighted centroid of the entries'
+/// centers, and `d_s`, the radius around it that encloses every entry's
+/// sphere.
+///
+/// # Errors
+/// [`IndexError::Corrupt`] for an empty or zero-weight node — reachable
+/// from a corrupted page, never from a well-formed tree.
+pub fn inner_sphere<R: Centered>(page: &NodePage<R>, rows: &RegionRows) -> Result<(Point, f64)> {
+    let centers = rows.spheres().map(|(center, _)| center);
+    let center = weighted_centroid(centers.zip(page.regions().map(raw_weight)))?;
+    let d_s = enclosing_radius_spheres(&center, rows.spheres());
+    Ok((center, d_s))
+}
+
+/// The leaf region of the SS- and SR-tree: a sphere centered on the
+/// centroid of a leaf page's points, its radius reaching the farthest
+/// one. `None` for an empty or inner page.
+pub fn leaf_sphere<R: Region>(page: &NodePage<R>) -> Option<Sphere> {
+    let points = page.points();
+    let rows: Vec<&[f32]> = points.chunks_exact(page.dim()).collect();
+    bounding_sphere_of_points(&rows)
 }
 
 /// ChooseSubtree: the child whose centroid is nearest the entry's

@@ -5,7 +5,8 @@
 //! here once, generic over a small [`Region`] trait:
 //!
 //! * the [`Params`] calculator (Table 1 fanouts);
-//! * the metadata header and the [`Node`] page codec;
+//! * the metadata header, the [`Node`] page codec, and [`NodePage`], the
+//!   write path's in-place page editor;
 //! * [`Paged`], the tree core: page I/O, the zero-copy `expand()` under
 //!   the one search loop, exact-match lookup, the verify walker;
 //! * [`PagedTree`], the hook a tree type implements to get the
@@ -18,7 +19,10 @@
 //! bound it pushes into an [`crate::Expansion`] (rectangle, sphere or
 //! their max, so prune attribution stays per shape), and point
 //! containment. `Rect` (R\*-tree, VAMSplit R-tree) is implemented here;
-//! the other shapes live with their trees.
+//! the other shapes live with their trees. A tree computes the region a
+//! parent records for a child from the child's page lanes
+//! ([`Dynamic::region_of`], [`mbr`]), so a page patched in place and a
+//! page encoded from a [`Node`] get their region the same way.
 
 // Tree internals index into child/entry vectors whose bounds are
 // maintained as structural invariants (checked by the verify walker).
@@ -35,10 +39,11 @@ mod update;
 mod verify;
 
 pub use index::PagedTree;
-pub use node::{AnyEntry, Entry, LeafEntry, Node};
+pub use node::{AnyEntry, Entry, LeafEntry, Node, NodePage, RegionRows};
 pub use params::{Params, DEFAULT_DATA_AREA};
 pub use region::{
-    get_rect, get_sphere, mbr, put_rect, put_sphere, rect_contains_raw, sphere_contains_raw, Region,
+    check_rect_raw, check_sphere_raw, get_rect, get_sphere, leaf_rect, mbr, put_rect, put_sphere,
+    rect_contains_raw, rect_union, sphere_contains_raw, Region,
 };
 pub use search::Source;
 pub use tree::{stored_magic, Kind, Paged};

@@ -3,16 +3,19 @@
 //! Every node page starts with a `(level, n)` header. Leaves continue in
 //! the columnar (dimension-major) layout of [`sr_pager::LeafColumns`];
 //! inner nodes with `n` entries of region bytes plus a child page id.
-//! [`Layout::parse`] is the one reader of that header.
+//! [`Layout::parse`] is the one reader of that header; [`NodePage`] is
+//! the one writer that edits a page without decoding it.
 
 use std::fmt;
+use std::marker::PhantomData;
 
 use sr_geometry::Point;
 use sr_pager::{
-    put_leaf_columns, LeafColumns, PageCodec, PageId, PageKind, PageReader, PagerError,
+    narrow_lane, put_leaf_columns, LeafColumns, PageCodec, PageId, PageKind, PageReader,
+    PagerError, LEAF_HEADER,
 };
 
-use super::params::Params;
+use super::params::{Params, NODE_HEADER};
 use super::region::Region;
 use super::Result;
 use crate::IndexError;
@@ -265,6 +268,338 @@ impl<'a> Layout<'a> {
             ));
         }
         Ok(Layout::Inner { n, rest })
+    }
+}
+
+/// A node page copied out of the pool once and edited on its bytes: the
+/// write path's view of a node. It keeps exactly the bytes
+/// [`Node::encode`] would write — `n` whole entries after the header, no
+/// stale tail — so a patched page equals the encoding of its decoded
+/// self. Every edit keeps entry order: removal shifts, appending adds at
+/// the end, as `Vec::remove` and `Vec::push` do on a [`Node`].
+///
+/// Leaves are columnar ([`sr_pager::LeafColumns`]): `dim` coordinate
+/// columns, then the data-id column, then the zeroed reserved area, each
+/// column `n` lanes long. Inner entries are row-major: region bytes, then
+/// the child id.
+pub struct NodePage<R> {
+    id: PageId,
+    level: u16,
+    n: usize,
+    dim: usize,
+    /// Bytes of one entry: a leaf's coordinates and data area, or an
+    /// inner entry's region and child id.
+    entry: usize,
+    /// The payload, `NODE_HEADER + n * entry` bytes long.
+    buf: Vec<u8>,
+    region: PhantomData<fn() -> R>,
+}
+
+impl<R: Region> NodePage<R> {
+    /// Copy page `id`'s payload, which its parent puts at `level`, and
+    /// check it as [`Node::decode`] does: the header by [`Layout::parse`],
+    /// then every leaf coordinate or inner region, failing with the same
+    /// `page N:` text on the same bytes. Allocates only the copy.
+    pub(super) fn parse(
+        id: PageId,
+        level: u16,
+        payload: &[u8],
+        params: &Params<R>,
+    ) -> Result<Self> {
+        let (n, entry) = match Layout::parse(id, level, payload, params)? {
+            Layout::Leaf(cols) => {
+                let (lanes, _) = cols.coords().as_chunks::<8>();
+                if !lanes.iter().all(|lane| narrow_lane(lane).is_finite()) {
+                    return Err(in_page(id, non_finite_leaf()));
+                }
+                let entry = Params::<R>::leaf_entry_bytes(params.dim, params.data_area);
+                (cols.len(), entry)
+            }
+            Layout::Inner { n, .. } => (n, Params::<R>::node_entry_bytes(params.dim)),
+        };
+        let len = NODE_HEADER + n * entry;
+        let page = NodePage {
+            id,
+            level,
+            n,
+            dim: params.dim,
+            entry,
+            buf: payload.get(..len).unwrap_or(payload).to_vec(),
+            region: PhantomData,
+        };
+        for raw in page.regions() {
+            R::check_raw(raw, page.dim).map_err(|e| in_page(id, e))?;
+        }
+        Ok(page)
+    }
+
+    /// The page `node` encodes to, as page `id`.
+    ///
+    /// # Errors
+    /// [`Node::encode`]'s.
+    pub fn encode(id: PageId, node: &Node<R>, params: &Params<R>, capacity: usize) -> Result<Self> {
+        let level = node.level();
+        let entry = if level == 0 {
+            Params::<R>::leaf_entry_bytes(params.dim, params.data_area)
+        } else {
+            Params::<R>::node_entry_bytes(params.dim)
+        };
+        Ok(NodePage {
+            id,
+            level,
+            n: node.len(),
+            dim: params.dim,
+            entry,
+            buf: node.encode(params, capacity)?,
+            region: PhantomData,
+        })
+    }
+
+    /// The page this view is of.
+    pub fn id(&self) -> PageId {
+        self.id
+    }
+
+    /// Height above the leaves (0 for a leaf).
+    pub fn level(&self) -> u16 {
+        self.level
+    }
+
+    /// Whether this is a leaf.
+    pub fn is_leaf(&self) -> bool {
+        self.level == 0
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Whether the page holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Dimensionality of the tree the page belongs to.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The page kind this node is stored as.
+    pub fn kind(&self) -> PageKind {
+        if self.is_leaf() {
+            PageKind::Leaf
+        } else {
+            PageKind::Node
+        }
+    }
+
+    /// The payload bytes.
+    pub fn payload(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Decode the page into a [`Node`], for the edits that rearrange
+    /// entries (split, reinsertion, condense).
+    pub(super) fn decode(&self, params: &Params<R>) -> Result<Node<R>> {
+        Node::decode(self.id, self.level, &self.buf, params)
+    }
+
+    /// A leaf's points in entry order, row-major, each lane narrowed
+    /// exactly as [`PageReader::get_coords`] narrows it. Empty for an
+    /// inner node.
+    pub fn points(&self) -> Vec<f32> {
+        let (n, dim) = (self.n, self.dim);
+        if !self.is_leaf() || n == 0 {
+            return Vec::new();
+        }
+        let (lanes, _) = self.buf[LEAF_HEADER..].as_chunks::<8>();
+        let mut rows = vec![0.0f32; n * dim];
+        // Coordinate `d` of entry `i` is lane `d * n + i`.
+        for (d, column) in lanes[..n * dim].chunks_exact(n).enumerate() {
+            for (i, lane) in column.iter().enumerate() {
+                rows[i * dim + d] = narrow_lane(lane);
+            }
+        }
+        rows
+    }
+
+    /// Each inner entry's region lanes (its trailing weight, if any,
+    /// excluded), narrowed once exactly as [`PageReader::get_coords`]
+    /// narrows them. Empty for a leaf.
+    pub fn region_rows(&self) -> RegionRows {
+        let width = R::bytes(self.dim) / 8;
+        let mut rows = Vec::with_capacity(self.n * width);
+        for raw in self.regions() {
+            let (lanes, _) = raw.as_chunks::<8>();
+            rows.extend(lanes.iter().map(narrow_lane));
+        }
+        RegionRows {
+            rows,
+            width,
+            dim: self.dim,
+        }
+    }
+
+    /// The region bytes ([`Region::bytes`] of them) of each inner entry,
+    /// in entry order. Nothing for a leaf.
+    pub fn regions(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let bytes = R::bytes(self.dim);
+        let body = if self.is_leaf() {
+            &[][..]
+        } else {
+            &self.buf[NODE_HEADER..]
+        };
+        body.chunks_exact(self.entry).map(move |e| &e[..bytes])
+    }
+
+    /// The slot of the entry pointing at `child`.
+    pub(super) fn slot_of(&self, child: PageId) -> Result<usize> {
+        let bytes = R::bytes(self.dim);
+        (0..self.n)
+            .find(|&slot| {
+                let at = NODE_HEADER + slot * self.entry + bytes;
+                self.buf[at..at + 8] == child.to_le_bytes()
+            })
+            .ok_or_else(|| IndexError::Corrupt("parent lost track of its child".into()))
+    }
+
+    /// The region recorded in inner slot `slot`.
+    pub(super) fn region(&self, slot: usize) -> Result<R> {
+        let at = NODE_HEADER + slot * self.entry;
+        R::decode(
+            &mut PageReader::new(&self.buf[at..at + R::bytes(self.dim)]),
+            self.dim,
+        )
+    }
+
+    /// Overwrite the region lanes of inner slot `slot`.
+    pub(super) fn set_region(&mut self, slot: usize, region: &R) -> Result<()> {
+        let at = NODE_HEADER + slot * self.entry;
+        region.encode(&mut PageCodec::new(
+            &mut self.buf[at..at + R::bytes(self.dim)],
+        ))
+    }
+
+    /// The first leaf entry equal to `(point, data)`, coordinates compared
+    /// as `f32`s (so `-0.0` matches `0.0`, as `Point` equality does).
+    pub(super) fn position(&self, point: &[f32], data: u64) -> Option<usize> {
+        let n = self.n;
+        let (lanes, _) = self.buf[LEAF_HEADER..].as_chunks::<8>();
+        let ids = &lanes[self.dim * n..(self.dim + 1) * n];
+        (0..n).find(|&i| {
+            u64::from_le_bytes(ids[i]) == data
+                && point
+                    .iter()
+                    .enumerate()
+                    .all(|(d, &x)| narrow_lane(&lanes[d * n + i]) == x)
+        })
+    }
+
+    /// Remove leaf entry `i`, shifting the later entries of every column
+    /// down by one.
+    pub(super) fn remove_point(&mut self, i: usize) -> Result<()> {
+        let n = self.n;
+        let mut to = LEAF_HEADER;
+        for col in 0..=self.dim {
+            let from = LEAF_HEADER + col * n * 8;
+            self.buf.copy_within(from..from + i * 8, to);
+            to += i * 8;
+            self.buf.copy_within(from + (i + 1) * 8..from + n * 8, to);
+            to += (n - 1 - i) * 8;
+        }
+        self.resize(n - 1, to)
+    }
+
+    /// Append `entry` after the last entry: a point to a leaf, a subtree
+    /// to an inner node.
+    ///
+    /// # Errors
+    /// [`IndexError::Corrupt`] when the entry's kind does not match the
+    /// page's, or a field overflows its on-disk width.
+    pub(super) fn push(&mut self, entry: &AnyEntry<R>) -> Result<()> {
+        let n = self.n;
+        match entry {
+            AnyEntry::Leaf(e) if self.is_leaf() => {
+                let coords = e.point.coords();
+                if coords.len() != self.dim {
+                    return Err(IndexError::Corrupt(format!(
+                        "leaf entry has {} coords, index expects {}",
+                        coords.len(),
+                        self.dim
+                    )));
+                }
+                let end = LEAF_HEADER + (self.dim + 1) * (n + 1) * 8;
+                self.buf.resize(NODE_HEADER + (n + 1) * self.entry, 0);
+                // Widen each column by one lane, the data-id column first,
+                // so no column lands on one not yet moved.
+                for col in (0..=self.dim).rev() {
+                    let (from, to) = (LEAF_HEADER + col * n * 8, LEAF_HEADER + col * (n + 1) * 8);
+                    self.buf.copy_within(from..from + n * 8, to);
+                    let lane = if col == self.dim {
+                        e.data.to_le_bytes()
+                    } else {
+                        f64::from(coords[col]).to_le_bytes()
+                    };
+                    self.buf[to + n * 8..to + (n + 1) * 8].copy_from_slice(&lane);
+                }
+                self.resize(n + 1, end)
+            }
+            AnyEntry::Inner(e) if !self.is_leaf() => {
+                let at = self.buf.len();
+                self.buf.resize(at + self.entry, 0);
+                let mut c = PageCodec::new(&mut self.buf[at..]);
+                e.region.encode(&mut c)?;
+                c.put_u64(e.child)?;
+                self.resize(n + 1, self.buf.len())
+            }
+            _ => Err(IndexError::Corrupt(
+                "insertion target level does not match the node kind on disk".into(),
+            )),
+        }
+    }
+
+    /// Record `n` entries: zero from `from` (the end of the moved lanes)
+    /// to the end of the last entry, the reserved area of a leaf, and cut
+    /// the payload there.
+    fn resize(&mut self, n: usize, from: usize) -> Result<()> {
+        let count = u16::try_from(n)
+            .map_err(|_| IndexError::Corrupt(format!("{n} entries overflow the u16 count")))?;
+        let len = NODE_HEADER + n * self.entry;
+        self.buf.resize(len, 0);
+        self.buf[from.min(len)..].fill(0);
+        self.buf[2..NODE_HEADER].copy_from_slice(&count.to_le_bytes());
+        self.n = n;
+        Ok(())
+    }
+}
+
+/// The regions of an inner page as [`NodePage::region_rows`] narrows
+/// them: one row of `f32` lanes per entry, read by field.
+pub struct RegionRows {
+    rows: Vec<f32>,
+    /// Lanes per entry.
+    width: usize,
+    dim: usize,
+}
+
+impl RegionRows {
+    /// The center and radius of each entry's sphere, for regions that
+    /// start with one ([`super::put_sphere`]).
+    pub fn spheres(&self) -> impl Iterator<Item = (&[f32], f32)> + '_ {
+        let dim = self.dim;
+        self.rows
+            .chunks_exact(self.width)
+            .map(move |row| (&row[..dim], row[dim]))
+    }
+
+    /// The `min` and `max` corners of each entry's rectangle, which
+    /// starts `at` lanes into its region ([`super::put_rect`]).
+    pub fn rects(&self, at: usize) -> impl Iterator<Item = (&[f32], &[f32])> + '_ {
+        let dim = self.dim;
+        self.rows
+            .chunks_exact(self.width)
+            .map(move |row| row[at..at + 2 * dim].split_at(dim))
     }
 }
 

@@ -2,6 +2,7 @@
 //! rectangle implementation.
 
 use std::fmt;
+use std::iter;
 
 use sr_geometry::{
     bounding_rect_of_points, rect_min_dist2_f64le, within_radius, Point, Rect, Sphere,
@@ -9,7 +10,7 @@ use sr_geometry::{
 };
 use sr_pager::{narrow_lane, PageCodec, PageReader};
 
-use super::node::Node;
+use super::node::NodePage;
 use super::Result;
 use crate::knn::Expansion;
 use crate::IndexError;
@@ -60,6 +61,14 @@ pub trait Region: Clone + PartialEq + fmt::Debug {
     /// the same error for every region it rejects. `p` has the tree's
     /// dimensionality.
     fn contains_raw(raw: &[u8], p: &[f32]) -> Result<bool>;
+
+    /// [`Region::decode`]'s checks alone, straight off the raw region
+    /// bytes (`Self::bytes(dim)` of them): the same error for every region
+    /// `decode` rejects. The default decodes; the write path's regions
+    /// override it to check without allocating.
+    fn check_raw(raw: &[u8], dim: usize) -> Result<()> {
+        Self::decode(&mut PageReader::new(raw), dim).map(drop)
+    }
 
     /// The policy as the metadata flags word, or `None` for trees whose
     /// metadata has no flags word.
@@ -113,22 +122,23 @@ pub fn get_rect(c: &mut PageReader<'_>, dim: usize, allow_infinite: bool) -> Res
     Ok(Rect::new(min, max))
 }
 
-/// [`get_rect`] then a containment test, over the rectangle bytes at the
-/// cursor and without allocating: the same error for the same bytes, and
-/// otherwise whether `inside(lo, hi, x)` holds on every axis. Every axis
-/// is read, so a bad bound after an axis that already misses still fails
-/// as it does in `get_rect`.
-pub fn rect_contains_raw(
+/// [`get_rect`] then the test `inside(lo, hi, x)` on every axis against
+/// the coordinates `xs`, over the rectangle bytes at the cursor and
+/// without allocating: the same error for the same bytes, and otherwise
+/// whether every axis holds. Every axis is read, so a bad bound after an
+/// axis that already misses still fails as it does in `get_rect`.
+fn rect_scan(
     c: &mut PageReader<'_>,
-    p: &[f32],
+    dim: usize,
+    xs: impl Iterator<Item = f32>,
     allow_infinite: bool,
     inside: impl Fn(f32, f32, f32) -> bool,
 ) -> Result<bool> {
-    let min = coords(c, p.len())?;
-    let max = coords(c, p.len())?;
+    let min = coords(c, dim)?;
+    let max = coords(c, dim)?;
     let valid = |v: f32| v.is_finite() || (allow_infinite && !v.is_nan());
     let (mut invalid, mut inverted, mut hit) = (false, false, true);
-    for ((lo, hi), &x) in min.zip(max).zip(p) {
+    for ((lo, hi), x) in min.zip(max).zip(xs) {
         invalid |= !valid(lo) || !valid(hi);
         // NaN is already `invalid`, which takes precedence.
         inverted |= lo > hi;
@@ -141,6 +151,24 @@ pub fn rect_contains_raw(
         return Err(IndexError::Corrupt(INVERTED_RECT.into()));
     }
     Ok(hit)
+}
+
+/// [`get_rect`] then a containment test, over the rectangle bytes at the
+/// cursor and without allocating: the same error for the same bytes, and
+/// otherwise whether `inside(lo, hi, x)` holds on every axis of `p`.
+pub fn rect_contains_raw(
+    c: &mut PageReader<'_>,
+    p: &[f32],
+    allow_infinite: bool,
+    inside: impl Fn(f32, f32, f32) -> bool,
+) -> Result<bool> {
+    rect_scan(c, p.len(), p.iter().copied(), allow_infinite, inside)
+}
+
+/// [`get_rect`]'s checks alone, over the rectangle bytes at the cursor
+/// and without allocating: the same error for the same bytes.
+pub fn check_rect_raw(c: &mut PageReader<'_>, dim: usize, allow_infinite: bool) -> Result<()> {
+    rect_scan(c, dim, iter::repeat(0.0), allow_infinite, |_, _, _| true).map(drop)
 }
 
 /// Write a sphere as its center then its radius (as f64).
@@ -164,13 +192,17 @@ pub fn get_sphere(c: &mut PageReader<'_>, dim: usize) -> Result<Sphere> {
     ))
 }
 
-/// [`get_sphere`] then the [`CONTAINMENT_EPS`]-tolerant test every tree
-/// probes stored points with, over the sphere bytes at the cursor and
-/// without allocating: the same error for the same bytes, and otherwise
-/// the answer of [`Sphere::contains_point`].
-pub fn sphere_contains_raw(c: &mut PageReader<'_>, p: &[f32]) -> Result<bool> {
+/// [`get_sphere`] then the squared distance from its center to the
+/// coordinates `xs`, over the sphere bytes at the cursor and without
+/// allocating: the same error for the same bytes, and otherwise the
+/// distance and the radius.
+fn sphere_scan(
+    c: &mut PageReader<'_>,
+    dim: usize,
+    xs: impl Iterator<Item = f32>,
+) -> Result<(f64, f32)> {
     let (mut finite, mut d2) = (true, 0.0f64);
-    for (v, &x) in coords(c, p.len())?.zip(p) {
+    for (v, x) in coords(c, dim)?.zip(xs) {
         finite &= v.is_finite();
         let d = f64::from(v) - f64::from(x);
         d2 += d * d;
@@ -179,7 +211,22 @@ pub fn sphere_contains_raw(c: &mut PageReader<'_>, p: &[f32]) -> Result<bool> {
     if !finite || !radius.is_finite() || radius < 0.0 {
         return Err(IndexError::Corrupt(BAD_SPHERE.into()));
     }
+    Ok((d2, radius))
+}
+
+/// [`get_sphere`] then the [`CONTAINMENT_EPS`]-tolerant test every tree
+/// probes stored points with, over the sphere bytes at the cursor and
+/// without allocating: the same error for the same bytes, and otherwise
+/// the answer of [`Sphere::contains_point`].
+pub fn sphere_contains_raw(c: &mut PageReader<'_>, p: &[f32]) -> Result<bool> {
+    let (d2, radius) = sphere_scan(c, p.len(), p.iter().copied())?;
     Ok(within_radius(d2, radius, CONTAINMENT_EPS))
+}
+
+/// [`get_sphere`]'s checks alone, over the sphere bytes at the cursor and
+/// without allocating: the same error for the same bytes.
+pub fn check_sphere_raw(c: &mut PageReader<'_>, dim: usize) -> Result<()> {
+    sphere_scan(c, dim, iter::repeat(0.0)).map(drop)
 }
 
 /// Minimum bounding rectangles: the R\*-tree's and the VAMSplit
@@ -221,24 +268,40 @@ impl Region for Rect {
     fn contains_raw(raw: &[u8], p: &[f32]) -> Result<bool> {
         rect_contains_raw(&mut PageReader::new(raw), p, false, Rect::contains_coord)
     }
+
+    fn check_raw(raw: &[u8], dim: usize) -> Result<()> {
+        check_rect_raw(&mut PageReader::new(raw), dim, false)
+    }
 }
 
-/// Exact minimum bounding rectangle of a node's entries — the region
-/// update of the rectangle trees.
+/// The bounding rectangle of a leaf page's points. `None` for an empty or
+/// inner page.
+pub fn leaf_rect<R: Region>(page: &NodePage<R>) -> Option<Rect> {
+    bounding_rect_of_points(page.points().chunks_exact(page.dim()))
+}
+
+/// The smallest rectangle covering `rects`, each given by its `(min,
+/// max)` corners, in order (R-tree rule). `None` for no rectangles.
+pub fn rect_union<'a>(mut rects: impl Iterator<Item = (&'a [f32], &'a [f32])>) -> Option<Rect> {
+    let (min, max) = rects.next()?;
+    let mut rect = Rect::new(min, max);
+    for (min, max) in rects {
+        rect.expand_to_bounds(min, max);
+    }
+    Some(rect)
+}
+
+/// Exact minimum bounding rectangle of a node page — the region update
+/// of the rectangle trees.
 ///
 /// # Errors
 /// [`IndexError::Corrupt`] for an empty node: reachable from a corrupted
 /// page, never from a well-formed tree.
-pub fn mbr(node: &Node<Rect>) -> Result<Rect> {
-    let rect = match node {
-        Node::Leaf(entries) => bounding_rect_of_points(entries.iter().map(|e| e.point.coords())),
-        Node::Inner { entries, .. } => entries.split_first().map(|(first, rest)| {
-            let mut r = first.region.clone();
-            for e in rest {
-                r.expand_to_rect(&e.region);
-            }
-            r
-        }),
+pub fn mbr(page: &NodePage<Rect>) -> Result<Rect> {
+    let rect = if page.is_leaf() {
+        leaf_rect(page)
+    } else {
+        rect_union(page.region_rows().rects(0))
     };
     rect.ok_or_else(|| IndexError::Corrupt("MBR of an empty node".into()))
 }
@@ -246,10 +309,13 @@ pub fn mbr(node: &Node<Rect>) -> Result<Rect> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paged::{Entry, LeafEntry};
+    use crate::paged::{Entry, LeafEntry, Node, Params};
 
     #[test]
     fn mbr_of_leaf_and_inner() {
+        let page = |node: &Node<Rect>, dim| {
+            NodePage::encode(1, node, &Params::derive(1024, dim, 64), 1024).unwrap()
+        };
         let leaf = Node::Leaf(vec![
             LeafEntry {
                 point: Point::new(vec![0.0, 5.0]),
@@ -260,7 +326,7 @@ mod tests {
                 data: 1,
             },
         ]);
-        let r = mbr(&leaf).unwrap();
+        let r = mbr(&page(&leaf, 2)).unwrap();
         assert_eq!((r.min(), r.max()), (&[0.0, -1.0][..], &[3.0, 5.0][..]));
 
         let inner = Node::Inner {
@@ -276,8 +342,8 @@ mod tests {
                 },
             ],
         };
-        let r = mbr(&inner).unwrap();
+        let r = mbr(&page(&inner, 1)).unwrap();
         assert_eq!((r.min(), r.max()), (&[0.0][..], &[9.0][..]));
-        assert!(mbr(&Node::<Rect>::Leaf(Vec::new())).is_err());
+        assert!(mbr(&page(&Node::Leaf(Vec::new()), 1)).is_err());
     }
 }

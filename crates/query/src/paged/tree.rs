@@ -7,7 +7,7 @@ use sr_pager::{
     narrow_lane, LeafColumns, PageBuf, PageCodec, PageFile, PageId, PageKind, PageReader,
 };
 
-use super::node::{in_page, non_finite_leaf, Layout, LeafEntry, Node};
+use super::node::{in_page, non_finite_leaf, Layout, LeafEntry, Node, NodePage};
 use super::params::Params;
 use super::region::Region;
 use super::search::Source;
@@ -91,7 +91,7 @@ impl<R: Region> Paged<R> {
         let mut params = Params::try_derive(pf.capacity(), dim, data_area)?;
         params.policy = policy;
         let mut core = Paged::new(pf, kind, params);
-        core.root = core.allocate_node(&Node::Leaf(Vec::new()))?;
+        core.root = core.allocate_node(&Node::Leaf(Vec::new()))?.id();
         core.save_meta()?;
         Ok(core)
     }
@@ -247,18 +247,35 @@ impl<R: Region> Paged<R> {
         Node::decode(id, level, &self.read_payload(id, level)?, &self.params)
     }
 
-    /// Encode and write `node` to page `id`.
-    pub fn write_node(&mut self, id: PageId, node: &Node<R>) -> Result<()> {
-        let payload = node.encode(&self.params, self.pf.capacity())?;
-        self.pf.write(id, node.kind(), &payload)?;
+    /// Copy the node at `id`, expected at `level`, into a [`NodePage`] to
+    /// patch in place. It fails on the pages [`Paged::read_node`] rejects,
+    /// with the same error.
+    pub fn read_page(&self, id: PageId, level: u16) -> Result<NodePage<R>> {
+        NodePage::parse(id, level, &self.read_payload(id, level)?, &self.params)
+    }
+
+    /// The page `node` encodes to as page `id`, without writing it.
+    pub fn encode_node(&self, id: PageId, node: &Node<R>) -> Result<NodePage<R>> {
+        NodePage::encode(id, node, &self.params, self.pf.capacity())
+    }
+
+    /// Write `page` back to its page.
+    pub fn write_page(&mut self, page: &NodePage<R>) -> Result<()> {
+        self.pf.write(page.id(), page.kind(), page.payload())?;
         Ok(())
     }
 
-    /// Write `node` to a freshly allocated page.
-    pub fn allocate_node(&mut self, node: &Node<R>) -> Result<PageId> {
+    /// Encode and write `node` to page `id`; returns the page written.
+    pub fn write_node(&mut self, id: PageId, node: &Node<R>) -> Result<NodePage<R>> {
+        let page = self.encode_node(id, node)?;
+        self.write_page(&page)?;
+        Ok(page)
+    }
+
+    /// Write `node` to a freshly allocated page; returns the page written.
+    pub fn allocate_node(&mut self, node: &Node<R>) -> Result<NodePage<R>> {
         let id = self.pf.allocate(node.kind())?;
-        self.write_node(id, node)?;
-        Ok(id)
+        self.write_node(id, node)
     }
 
     /// Return page `id` to the free list.

@@ -7,12 +7,18 @@
 //! three structures (§4.3): underflowing nodes are dissolved, their
 //! pages freed, and their points reinserted. The trees differ only in
 //! the [`Dynamic`] hooks.
+//!
+//! The common writes patch pages in place through [`NodePage`]: a delete
+//! that leaves its leaf at least minimally full, an insert whose node has
+//! room, and every ancestor's region refresh. Only the edits that
+//! rearrange entries — split, reinsertion and condense — decode a
+//! [`Node`]. Either way a region is computed from the page bytes written.
 
 use sr_geometry::Point;
 use sr_pager::PageId;
 
 use super::index::PagedTree;
-use super::node::{AnyEntry, Entry, LeafEntry, Node};
+use super::node::{AnyEntry, Entry, LeafEntry, Node, NodePage};
 use super::params::Params;
 use super::region::Region;
 use super::tree::Paged;
@@ -44,8 +50,9 @@ pub trait Dynamic: PagedTree + Sized {
         level: u16,
     ) -> usize;
 
-    /// Region update: the region a parent records for `node`.
-    fn region_of(&self, node: &Node<Self::Region>) -> Result<Self::Region>;
+    /// Region update: the region a parent records for the node whose
+    /// page is `page`, computed from its lanes.
+    fn region_of(&self, page: &NodePage<Self::Region>) -> Result<Self::Region>;
 
     /// Split an overflowing node into two, each at least minimally full.
     fn split(&self, node: Node<Self::Region>) -> (Node<Self::Region>, Node<Self::Region>);
@@ -76,44 +83,20 @@ pub trait Dynamic: PagedTree + Sized {
         let Some(path) = self.core().find_leaf(point, data)? else {
             return Ok(false);
         };
-        let mut idx = path.len() - 1;
-        let mut node = self.core().read_node(path[idx], 0)?;
-        if let Node::Leaf(entries) = &mut node {
-            let pos = entries
-                .iter()
-                .position(|e| e.point == *point && e.data == data)
-                .ok_or_else(|| {
-                    IndexError::Corrupt("find_leaf returned a leaf without the entry".into())
-                })?;
-            entries.remove(pos);
-        }
-        let mut orphans = Vec::new();
-        loop {
-            let core = self.core_mut();
-            if idx == 0 {
-                core.write_node(path[0], &node)?;
-                break;
-            }
-            if node.len() >= core.params.min_at(node.level()) {
-                core.write_node(path[idx], &node)?;
-                propagate(self, &path, idx, &node)?;
-                break;
-            }
-            // Dissolve this node: free its pages and collect its points.
-            collect_points(core, &node, &mut orphans)?;
-            core.free(path[idx])?;
-            idx -= 1;
-            let mut parent = core.read_node(path[idx], node.level() + 1)?;
-            if let Node::Inner { entries, .. } = &mut parent {
-                let pos = entries
-                    .iter()
-                    .position(|e| e.child == path[idx + 1])
-                    .ok_or_else(|| IndexError::Corrupt("parent lost track of its child".into()))?;
-                entries.remove(pos);
-            }
-            node = parent;
-        }
-        shrink_root(self.core_mut())?;
+        let idx = path.len() - 1;
+        let mut leaf = self.core().read_page(path[idx], 0)?;
+        let pos = leaf.position(point.coords(), data).ok_or_else(|| {
+            IndexError::Corrupt("find_leaf returned a leaf without the entry".into())
+        })?;
+        leaf.remove_point(pos)?;
+        let orphans = if idx == 0 || leaf.len() >= self.core().params.min_leaf {
+            self.core_mut().write_page(&leaf)?;
+            propagate(self, &path, idx, &leaf)?;
+            Vec::new()
+        } else {
+            let node = leaf.decode(&self.core().params)?;
+            condense(self, &path, node)?
+        };
         // Reinsert orphaned points; each gets its own reinsertion budget.
         for e in orphans {
             let mut budget = self.budget();
@@ -153,7 +136,7 @@ pub trait Dynamic: PagedTree + Sized {
                 node.len()
             )));
         }
-        let region = self.region_of(node)?;
+        let region = self.region_of(&self.core().encode_node(id, node)?)?;
         if region != *stored {
             return Err(IndexError::Corrupt(format!(
                 "page {id}: recorded region {stored:?} differs from the recomputed {region:?}"
@@ -174,7 +157,13 @@ fn insert_at<T: Dynamic>(
 ) -> Result<()> {
     let path = choose_path(t, &entry, target_level)?;
     let mut idx = path.len() - 1;
-    let mut node = t.core().read_node(path[idx], target_level)?;
+    let mut page = t.core().read_page(path[idx], target_level)?;
+    if page.len() < t.core().params.max_at(target_level) {
+        page.push(&entry)?;
+        t.core_mut().write_page(&page)?;
+        return propagate(t, &path, idx, &page);
+    }
+    let mut node = page.decode(&t.core().params)?;
     match (entry, &mut node) {
         (AnyEntry::Leaf(e), Node::Leaf(entries)) => entries.push(e),
         (AnyEntry::Inner(e), Node::Inner { entries, .. }) => entries.push(e),
@@ -187,24 +176,24 @@ fn insert_at<T: Dynamic>(
     loop {
         let level = node.level();
         if node.len() <= t.core().params.max_at(level) {
-            t.core_mut().write_node(path[idx], &node)?;
-            return propagate(t, &path, idx, &node);
+            let page = t.core_mut().write_node(path[idx], &node)?;
+            return propagate(t, &path, idx, &page);
         }
         if idx == 0 {
             return split_root(t, node);
         }
         if t.may_reinsert(budget, path[idx], level) {
             let removed = t.take_reinsert(&mut node)?;
-            t.core_mut().write_node(path[idx], &node)?;
-            propagate(t, &path, idx, &node)?;
+            let page = t.core_mut().write_node(path[idx], &node)?;
+            propagate(t, &path, idx, &page)?;
             for e in removed.into_iter().rev() {
                 insert_at(t, e, level, budget)?;
             }
             return Ok(());
         }
         let (a, b) = t.split(node);
-        let b_id = t.core_mut().allocate_node(&b)?;
-        t.core_mut().write_node(path[idx], &a)?;
+        let b = t.core_mut().allocate_node(&b)?;
+        let a = t.core_mut().write_node(path[idx], &a)?;
         let (a_region, b_region) = (t.region_of(&a)?, t.region_of(&b)?);
         idx -= 1;
         let mut parent = t.core().read_node(path[idx], level + 1)?;
@@ -220,10 +209,51 @@ fn insert_at<T: Dynamic>(
         slot.region = a_region;
         entries.push(Entry {
             region: b_region,
-            child: b_id,
+            child: b.id(),
         });
         node = parent;
     }
+}
+
+/// The condense-tree rule for `node`, the underflowing leaf at the end
+/// of `path`, not yet written: dissolve each underflowing node up the
+/// path, freeing its pages, write the first ancestor that stays full
+/// enough, refresh the regions above it, and shrink the root. Returns
+/// the dissolved nodes' points, for reinsertion.
+fn condense<T: Dynamic>(
+    t: &mut T,
+    path: &[PageId],
+    mut node: Node<T::Region>,
+) -> Result<Vec<LeafEntry>> {
+    let mut orphans = Vec::new();
+    let mut idx = path.len() - 1;
+    loop {
+        let core = t.core_mut();
+        if idx == 0 {
+            core.write_node(path[0], &node)?;
+            break;
+        }
+        if node.len() >= core.params.min_at(node.level()) {
+            let page = core.write_node(path[idx], &node)?;
+            propagate(t, path, idx, &page)?;
+            break;
+        }
+        // Dissolve this node: free its pages and collect its points.
+        collect_points(core, &node, &mut orphans)?;
+        core.free(path[idx])?;
+        idx -= 1;
+        let mut parent = core.read_node(path[idx], node.level() + 1)?;
+        if let Node::Inner { entries, .. } = &mut parent {
+            let pos = entries
+                .iter()
+                .position(|e| e.child == path[idx + 1])
+                .ok_or_else(|| IndexError::Corrupt("parent lost track of its child".into()))?;
+            entries.remove(pos);
+        }
+        node = parent;
+    }
+    shrink_root(t.core_mut())?;
+    Ok(orphans)
 }
 
 /// Descend from the root to `target_level` with the tree's
@@ -254,34 +284,33 @@ fn choose_path<T: Dynamic>(
     Ok(path)
 }
 
-/// After writing `node` at `path[idx]`, refresh the region recorded for
-/// it in every ancestor, stopping as soon as one is already current.
+/// After writing `page` at `path[idx]`, refresh the region recorded for
+/// it in every ancestor, patching each ancestor's slot in place and
+/// stopping as soon as one already holds the region (compared as
+/// `Region`s, so `-0.0` equals `0.0`).
 fn propagate<T: Dynamic>(
     t: &mut T,
     path: &[PageId],
     idx: usize,
-    node: &Node<T::Region>,
+    page: &NodePage<T::Region>,
 ) -> Result<()> {
     if idx == 0 {
         return Ok(());
     }
-    let mut child_region = t.region_of(node)?;
+    let mut child_region = t.region_of(page)?;
     let mut child_id = path[idx];
     for j in (0..idx).rev() {
         let level = (t.core().height as usize - 1 - j) as u16;
-        let mut parent = t.core().read_node(path[j], level)?;
-        if let Node::Inner { entries, .. } = &mut parent {
-            let slot = entries
-                .iter_mut()
-                .find(|e| e.child == child_id)
-                .ok_or_else(|| IndexError::Corrupt("parent lost track of its child".into()))?;
-            if slot.region == child_region {
-                return Ok(()); // nothing changed; ancestors are exact
-            }
-            slot.region = child_region;
+        let mut parent = t.core().read_page(path[j], level)?;
+        let slot = parent.slot_of(child_id)?;
+        if parent.region(slot)? == child_region {
+            return Ok(()); // nothing changed; ancestors are exact
         }
-        t.core_mut().write_node(path[j], &parent)?;
-        child_region = t.region_of(&parent)?;
+        parent.set_region(slot, &child_region)?;
+        t.core_mut().write_page(&parent)?;
+        if j > 0 {
+            child_region = t.region_of(&parent)?;
+        }
         child_id = path[j];
     }
     Ok(())
@@ -291,23 +320,26 @@ fn propagate<T: Dynamic>(
 fn split_root<T: Dynamic>(t: &mut T, node: Node<T::Region>) -> Result<()> {
     let level = node.level();
     let (a, b) = t.split(node);
-    let (a_region, b_region) = (t.region_of(&a)?, t.region_of(&b)?);
-    let core = t.core_mut();
+    let a = t.core_mut().allocate_node(&a)?;
+    let b = t.core_mut().allocate_node(&b)?;
     let entries = vec![
         Entry {
-            region: a_region,
-            child: core.allocate_node(&a)?,
+            region: t.region_of(&a)?,
+            child: a.id(),
         },
         Entry {
-            region: b_region,
-            child: core.allocate_node(&b)?,
+            region: t.region_of(&b)?,
+            child: b.id(),
         },
     ];
+    let core = t.core_mut();
     core.free(core.root)?;
-    core.root = core.allocate_node(&Node::Inner {
-        level: level + 1,
-        entries,
-    })?;
+    core.root = core
+        .allocate_node(&Node::Inner {
+            level: level + 1,
+            entries,
+        })?
+        .id();
     core.height += 1;
     core.save_meta()
 }
@@ -348,7 +380,7 @@ fn shrink_root<R: Region>(core: &mut Paged<R>) -> Result<()> {
         match entries.first() {
             None => {
                 core.free(core.root)?;
-                core.root = core.allocate_node(&Node::Leaf(Vec::new()))?;
+                core.root = core.allocate_node(&Node::Leaf(Vec::new()))?.id();
                 core.height = 1;
                 return core.save_meta();
             }

@@ -2,8 +2,9 @@
 //! reinsert" victim selection. The shared driver in
 //! [`sr_query::paged::Dynamic`] runs them.
 
-use sr_geometry::Rect;
-use sr_query::paged::{mbr, take_farthest, AnyEntry, Entry, Node, Params, Result};
+use sr_geometry::{bounding_rect_of_points, Point, Rect};
+use sr_query::paged::{rect_union, take_farthest, AnyEntry, Entry, Node, Params, Result};
+use sr_query::IndexError;
 
 /// The (possibly degenerate) rectangle of an entry being inserted.
 fn entry_rect(entry: &AnyEntry<Rect>) -> Rect {
@@ -65,13 +66,26 @@ fn choose_min_enlargement(entries: &[Entry<Rect>], rect: &Rect) -> usize {
     best
 }
 
+/// The center of the minimum bounding rectangle of an overflowing node,
+/// which holds one entry more than a page does.
+fn mbr_center(node: &Node<Rect>) -> Result<Point> {
+    let rect = match node {
+        Node::Leaf(entries) => bounding_rect_of_points(entries.iter().map(|e| e.point.coords())),
+        Node::Inner { entries, .. } => {
+            rect_union(entries.iter().map(|e| (e.region.min(), e.region.max())))
+        }
+    };
+    rect.map(|r| r.center())
+        .ok_or_else(|| IndexError::Corrupt("MBR of an empty node".into()))
+}
+
 /// Remove the reinsert fraction of entries farthest from the node's MBR
 /// center (not its centroid), farthest first.
 pub(crate) fn take_reinsert(
     node: &mut Node<Rect>,
     params: &Params<Rect>,
 ) -> Result<Vec<AnyEntry<Rect>>> {
-    let center = mbr(node)?.center();
+    let center = mbr_center(node)?;
     Ok(take_farthest(
         node,
         params,
@@ -132,7 +146,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let center = mbr(&node).unwrap().center();
+        let center = mbr_center(&node).unwrap();
         let removed = take_reinsert(&mut node, &params).unwrap();
         assert!(!removed.is_empty());
         // Every removed entry is at least as far from the (pre-removal)

@@ -7,7 +7,8 @@ use std::path::Path;
 use sr_geometry::{Point, Rect};
 use sr_pager::{PageFile, PageId};
 use sr_query::paged::{
-    mbr, AnyEntry, Dynamic, Entry, Kind, Node, Paged, PagedTree, Result, DEFAULT_DATA_AREA,
+    mbr, AnyEntry, Dynamic, Entry, Kind, Node, NodePage, Paged, PagedTree, Result,
+    DEFAULT_DATA_AREA,
 };
 
 use crate::{insert, split};
@@ -127,8 +128,8 @@ impl Dynamic for RstarTree {
         insert::choose_subtree(entries, entry, level)
     }
 
-    fn region_of(&self, node: &Node<Rect>) -> Result<Rect> {
-        mbr(node)
+    fn region_of(&self, page: &NodePage<Rect>) -> Result<Rect> {
+        mbr(page)
     }
 
     fn split(&self, node: Node<Rect>) -> (Node<Rect>, Node<Rect>) {

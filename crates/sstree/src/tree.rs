@@ -6,14 +6,14 @@ use std::ops::Deref;
 use std::path::Path;
 
 use sr_geometry::{
-    bounding_sphere_of_points, enclosing_radius_spheres, next_radius_up, sphere_min_dist2_f64le,
-    Point, Sphere, CONTAINMENT_EPS,
+    bounding_sphere_of_points, next_radius_up, sphere_min_dist2_f64le, Point, Sphere,
+    CONTAINMENT_EPS,
 };
 use sr_pager::{PageCodec, PageFile, PageId, PageReader};
 use sr_query::paged::centroid::{self, Centered};
 use sr_query::paged::{
-    get_sphere, put_sphere, sphere_contains_raw, AnyEntry, Dynamic, Entry, Kind, Node, Paged,
-    PagedTree, Region, Result, DEFAULT_DATA_AREA,
+    check_sphere_raw, get_sphere, put_sphere, sphere_contains_raw, AnyEntry, Dynamic, Entry, Kind,
+    Node, NodePage, Paged, PagedTree, Region, Result, DEFAULT_DATA_AREA,
 };
 use sr_query::{Expansion, IndexError};
 
@@ -80,6 +80,10 @@ impl Region for SsRegion {
     fn contains_raw(raw: &[u8], p: &[f32]) -> Result<bool> {
         sphere_contains_raw(&mut PageReader::new(raw), p)
     }
+
+    fn check_raw(raw: &[u8], dim: usize) -> Result<()> {
+        check_sphere_raw(&mut PageReader::new(raw), dim)
+    }
 }
 
 impl Centered for SsRegion {
@@ -92,34 +96,24 @@ impl Centered for SsRegion {
     }
 }
 
-/// The SS-tree region of a node: a sphere centered on the weighted
-/// centroid with radius `d_s` — just enough to enclose every child
-/// sphere (every point, for a leaf).
+/// The SS-tree region of a node, from its page's lanes: a sphere
+/// centered on the weighted centroid with radius `d_s` — just enough to
+/// enclose every child sphere (every point, for a leaf).
 ///
 /// # Errors
 /// [`IndexError::Corrupt`] for an empty or zero-weight node — both are
 /// reachable from a corrupted page, never from a well-formed tree.
-fn region_of(node: &Node<SsRegion>) -> Result<SsRegion> {
-    let sphere = match node {
-        Node::Leaf(entries) => {
-            let pts: Vec<&[f32]> = entries.iter().map(|e| e.point.coords()).collect();
-            bounding_sphere_of_points(&pts)
-                .ok_or_else(|| IndexError::Corrupt("region of an empty leaf".into()))?
-        }
-        Node::Inner { entries, .. } => {
-            let center = centroid::centroid(node)?;
-            let d_s = enclosing_radius_spheres(
-                &center,
-                entries
-                    .iter()
-                    .map(|e| (e.region.sphere.center().coords(), e.region.sphere.radius())),
-            );
-            Sphere::new(center, next_radius_up(d_s))
-        }
+fn region_of(page: &NodePage<SsRegion>) -> Result<SsRegion> {
+    let sphere = if page.is_leaf() {
+        centroid::leaf_sphere(page)
+            .ok_or_else(|| IndexError::Corrupt("region of an empty leaf".into()))?
+    } else {
+        let (center, d_s) = centroid::inner_sphere(page, &page.region_rows())?;
+        Sphere::new(center, next_radius_up(d_s))
     };
     Ok(SsRegion {
         sphere,
-        weight: centroid::weight(node),
+        weight: centroid::page_weight(page),
     })
 }
 
@@ -247,8 +241,8 @@ impl Dynamic for SsTree {
         centroid::choose_nearest(entries, entry)
     }
 
-    fn region_of(&self, node: &Node<SsRegion>) -> Result<SsRegion> {
-        region_of(node)
+    fn region_of(&self, page: &NodePage<SsRegion>) -> Result<SsRegion> {
+        region_of(page)
     }
 
     fn split(&self, node: Node<SsRegion>) -> (Node<SsRegion>, Node<SsRegion>) {
@@ -265,6 +259,11 @@ mod tests {
     use super::*;
     use sr_query::paged::LeafEntry;
 
+    /// The page `node` encodes to, in a 3-d tree.
+    fn page(node: &Node<SsRegion>) -> NodePage<SsRegion> {
+        NodePage::encode(1, node, &crate::SsParams::derive(8187, 3, 512), 8187).unwrap()
+    }
+
     #[test]
     fn leaf_region_contains_points() {
         let node = Node::Leaf(
@@ -277,7 +276,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let r = region_of(&node).unwrap();
+        let r = region_of(&page(&node)).unwrap();
         let Node::Leaf(entries) = &node else {
             panic!("built as a leaf")
         };
@@ -300,7 +299,7 @@ mod tests {
             level: 1,
             entries: vec![mk(0.0, 0.5, 10), mk(4.0, 1.0, 30)],
         };
-        let r = region_of(&node).unwrap();
+        let r = region_of(&page(&node)).unwrap();
         let Node::Inner { entries, .. } = &node else {
             panic!("built as a leaf")
         };
@@ -324,7 +323,10 @@ mod tests {
                 centroid::centroid(node),
                 Err(IndexError::Corrupt(_))
             ));
-            assert!(matches!(region_of(node), Err(IndexError::Corrupt(_))));
+            assert!(matches!(
+                region_of(&page(node)),
+                Err(IndexError::Corrupt(_))
+            ));
         }
     }
 

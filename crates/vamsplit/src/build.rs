@@ -19,7 +19,7 @@ pub(crate) fn bulk_build(
     let m_l = tree.params.max_leaf;
     let m_n = tree.params.max_node;
     if points.is_empty() {
-        let root = tree.allocate_node(&Node::Leaf(Vec::new()))?;
+        let root = tree.allocate_node(&Node::Leaf(Vec::new()))?.id();
         return Ok((root, 1));
     }
     // Smallest height h with M_l * M_n^(h-1) >= n.
@@ -70,8 +70,8 @@ fn build_rec(
             entries,
         }
     };
-    let region = mbr(&node)?;
-    Ok((tree.allocate_node(&node)?, region))
+    let page = tree.allocate_node(&node)?;
+    Ok((page.id(), mbr(&page)?))
 }
 
 /// Recursively split `points` by variance-approximate-median planes until

@@ -109,7 +109,7 @@ impl PagedTree for VamTree {
                 "page {id} is an empty non-root page"
             )));
         }
-        let region = mbr(node)?;
+        let region = mbr(&self.core.encode_node(id, node)?)?;
         if region != *stored {
             return Err(IndexError::Corrupt(format!(
                 "page {id}: stored rect {stored:?} differs from the MBR {region:?}"

@@ -13,8 +13,9 @@
 //! path that reads it (k-NN, `contains`, `verify`).
 //!
 //! The entry-byte arm does the same for faults inside a page's entries
-//! (a NaN lane, an inverted rectangle, a negative radius): `contains`
-//! and `verify` must fail with the identical text, naming the page.
+//! (a NaN lane, an inverted rectangle, a negative radius): `contains`,
+//! `verify`, a `delete` of the probe and an `insert` routed through the
+//! faulted page must fail with the identical text, naming the page.
 //!
 //! Each arm has a fixed default seed, which keeps CI deterministic.
 //! Setting `SRTREE_FUZZ_SEED` (decimal or `0x`-hex) mixes it into every
@@ -22,11 +23,12 @@
 //! the seed it ran, and the same `SRTREE_FUZZ_SEED` replays a failure.
 
 use srtree::dataset::{uniform, SeededRng};
+use srtree::geometry::Point;
 use srtree::obs::{Noop, StatsRecorder};
 use srtree::pager::{
     encode_header, encode_page_frame, put_leaf_columns, scan_log, LeafColumns, PageCodec, PageKind,
 };
-use srtree::query::paged::{PagedTree, Region};
+use srtree::query::paged::{AnyEntry, Dynamic, LeafEntry, Node, PagedTree, Region};
 use srtree::query::{IndexError, QuerySpec, SpatialIndex};
 use srtree::rstar::RstarTree;
 use srtree::tree::SrTree;
@@ -359,6 +361,25 @@ enum EntryFault {
     NegativeRadius,
 }
 
+/// The leaf an insert of `p` descends to: the tree's own ChooseSubtree,
+/// from the root down.
+fn insert_route<T: Dynamic>(tree: &T, p: &Point) -> u64 {
+    let core = tree.core();
+    let entry = AnyEntry::Leaf(LeafEntry {
+        point: p.clone(),
+        data: 0,
+    });
+    let (mut id, mut level) = (core.root, core.root_level().expect("a non-empty tree"));
+    while level > 0 {
+        let Node::Inner { entries, .. } = core.read_node(id, level).expect("intact tree") else {
+            panic!("page {id} at level {level} is a leaf");
+        };
+        id = entries[tree.choose_subtree(&entries, &entry, level)].child;
+        level -= 1;
+    }
+    id
+}
+
 /// Overwrite f64 lane `lane` of the region bytes starting at `at`.
 fn set_lane(buf: &mut [u8], at: usize, lane: usize, v: f64) {
     let at = at + lane * 8;
@@ -367,12 +388,15 @@ fn set_lane(buf: &mut [u8], at: usize, lane: usize, v: f64) {
 
 /// Fill `tree` with seeded points, then fault one entry of its root or
 /// one coordinate of the leaf holding a probe point, one fault per case,
-/// and require `contains(probe)` and `verify()` to fail with the
-/// identical `Corrupt` text, starting `page N:`. k-NN scores entries
-/// without validating them (its bounds read the raw bytes), so it need
-/// not fail, only return; so must `also_query`, which runs each tree's
-/// other searches. Each case restores the page before the next.
-fn node_entry_faults_read_alike<T: PagedTree>(
+/// and require `contains(probe)`, `verify()`, `delete(probe)` and an
+/// insert of a copy of the probe to fail with the identical `Corrupt`
+/// text, starting `page N:`, changing nothing. Every insert passes the
+/// root; for a leaf fault the probe is one whose insert route ends at
+/// the leaf holding it. k-NN scores entries without validating them (its
+/// bounds read the raw bytes), so it need not fail, only return; so must
+/// `also_query`, which runs each tree's other searches. Each case
+/// restores the page before the next.
+fn node_entry_faults_read_alike<T: Dynamic>(
     mut tree: T,
     lanes: RegionLanes,
     seed: u64,
@@ -382,10 +406,9 @@ fn node_entry_faults_read_alike<T: PagedTree>(
     let mut rng = SeededRng::seed_from_u64(seed);
     let points = uniform(NODE_POINTS, NODE_DIM, rng.next_u64());
     for (i, p) in points.iter().enumerate() {
-        tree.insert(p.coords(), i as u64).expect("insert");
+        SpatialIndex::insert(&mut tree, p.coords(), i as u64).expect("insert");
     }
-    let core = tree.core();
-    let root_level = core.root_level().expect("a non-empty tree");
+    let root_level = tree.core().root_level().expect("a non-empty tree");
     assert!(root_level >= 1, "{name}: the root must be an inner node");
     let mut faults = vec![EntryFault::LeafNan, EntryFault::RegionNan];
     if lanes.rect.is_some() {
@@ -395,18 +418,27 @@ fn node_entry_faults_read_alike<T: PagedTree>(
         faults.push(EntryFault::NegativeRadius);
     }
     let region_lanes = T::Region::bytes(NODE_DIM) / 8;
+    let holding_leaf = |tree: &T, i: usize| {
+        let path = tree
+            .core()
+            .find_leaf(&points[i], i as u64)
+            .expect("intact tree");
+        path.and_then(|p| p.last().copied()).expect("stored probe")
+    };
     for case in 0..NODE_CASES {
-        let i = rng.random_range(0..NODE_POINTS);
-        let (probe, data) = (&points[i], i as u64);
+        let mut i = rng.random_range(0..NODE_POINTS);
         let fault = faults[rng.random_range(0..faults.len())];
         let (id, kind) = match fault {
             EntryFault::LeafNan => {
-                let path = core.find_leaf(probe, data).expect("intact tree");
-                let leaf = path.and_then(|p| p.last().copied()).expect("stored probe");
-                (leaf, PageKind::Leaf)
+                while insert_route(&tree, &points[i]) != holding_leaf(&tree, i) {
+                    i = rng.random_range(0..NODE_POINTS);
+                }
+                (holding_leaf(&tree, i), PageKind::Leaf)
             }
-            _ => (core.root, PageKind::Node),
+            _ => (tree.core().root, PageKind::Node),
         };
+        let (probe, data) = (&points[i], i as u64);
+        let core = tree.core();
         let intact = core.pager().read(id, kind).expect("read").to_vec();
         let mut faulted = intact.clone();
         // Both kinds of page hold `n` entries after a 4-byte header.
@@ -453,8 +485,29 @@ fn node_entry_faults_read_alike<T: PagedTree>(
             contains.starts_with(&format!("page {id}: ")),
             "{what}: {contains}"
         );
+        let delete = corrupt_text(
+            SpatialIndex::delete(&mut tree, probe.coords(), data).map(drop),
+            &format!("{what}: delete"),
+        );
+        assert_eq!(delete, contains, "{what}: delete and contains disagree");
+        let copy = (NODE_POINTS + case) as u64;
+        let insert = corrupt_text(
+            SpatialIndex::insert(&mut tree, probe.coords(), copy),
+            &format!("{what}: insert"),
+        );
+        assert_eq!(insert, contains, "{what}: insert and contains disagree");
+        assert_eq!(
+            tree.len(),
+            NODE_POINTS as u64,
+            "{what}: a failed write counted"
+        );
 
-        core.pager().write(id, kind, &intact).expect("restore");
+        let now = tree.core().pager().read(id, kind).expect("read").to_vec();
+        assert!(now == faulted, "{what}: a failed write changed the page");
+        tree.core()
+            .pager()
+            .write(id, kind, &intact)
+            .expect("restore");
     }
     tree.verify().expect("every faulted page was restored");
 }
