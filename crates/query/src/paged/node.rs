@@ -360,11 +360,6 @@ impl<R: Region> NodePage<R> {
         self.id
     }
 
-    /// Height above the leaves (0 for a leaf).
-    pub fn level(&self) -> u16 {
-        self.level
-    }
-
     /// Whether this is a leaf.
     pub fn is_leaf(&self) -> bool {
         self.level == 0

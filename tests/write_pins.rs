@@ -269,7 +269,7 @@ fn signed_zero_and_repeated_points_are_pinned() {
     );
 }
 
-/// Every page of `t`'s file, by id.
+/// Every page of `pf`, by id.
 fn snapshot(pf: &PageFile) -> Vec<Option<(PageKind, Vec<u8>)>> {
     (0..pf.num_pages()).map(|id| read_any(pf, id)).collect()
 }
