@@ -4,10 +4,13 @@
 //! bound on the true intersection region, exactly as the paper reports.
 
 use sr_geometry::Point;
+use sr_tree::rstar::RstarPolicy;
+use sr_tree::sstree::SsPolicy;
+use sr_tree::SrPolicy;
 
 use crate::experiments::fig5::mean;
 use crate::experiments::uniform_data;
-use crate::index::{build_rstar, build_sr, build_ss};
+use crate::index::build_tree;
 use crate::measure::Scale;
 use crate::report::{f, Report};
 
@@ -38,17 +41,17 @@ pub(crate) fn region_table(
     ]);
     for &n in sizes {
         let points = gen(n);
-        let rs = build_rstar(&points);
+        let rs = build_tree::<RstarPolicy>(&points);
         let rects = rs.leaf_rects().map_err(|e| e.to_string())?;
         let rs_vol = mean(rects.iter().map(|r| r.volume()));
         let rs_diam = mean(rects.iter().map(|r| r.diagonal()));
 
-        let ss = build_ss(&points);
+        let ss = build_tree::<SsPolicy>(&points);
         let spheres = ss.leaf_regions().map_err(|e| e.to_string())?;
         let ss_vol = mean(spheres.iter().map(|s| s.volume()));
         let ss_diam = mean(spheres.iter().map(|s| s.diameter()));
 
-        let sr = build_sr(&points);
+        let sr = build_tree::<SrPolicy>(&points);
         let pairs = sr.leaf_regions().map_err(|e| e.to_string())?;
         // Volume upper bound: the bounding rectangle; diameter upper
         // bound: the bounding sphere (the paper's Figure 12/13 markers).

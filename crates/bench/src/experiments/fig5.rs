@@ -3,8 +3,11 @@
 //! paper's §3 motivation: rectangles are small but long-diagonal,
 //! spheres are short-diameter but huge.
 
+use sr_tree::rstar::RstarPolicy;
+use sr_tree::sstree::SsPolicy;
+
 use crate::experiments::uniform_data;
-use crate::index::{build_rstar, build_ss};
+use crate::index::build_tree;
 use crate::measure::Scale;
 use crate::report::{f, Report};
 
@@ -23,12 +26,12 @@ pub fn run(scale: &Scale) -> Result<(), String> {
     for &n in &scale.uniform_sizes() {
         let points = uniform_data(n);
 
-        let ss = build_ss(&points);
+        let ss = build_tree::<SsPolicy>(&points);
         let spheres = ss.leaf_regions().map_err(|e| e.to_string())?;
         let ss_vol = mean(spheres.iter().map(|s| s.volume()));
         let ss_diam = mean(spheres.iter().map(|s| s.diameter()));
 
-        let rs = build_rstar(&points);
+        let rs = build_tree::<RstarPolicy>(&points);
         let rects = rs.leaf_rects().map_err(|e| e.to_string())?;
         let rs_vol = mean(rects.iter().map(|r| r.volume()));
         let rs_diam = mean(rects.iter().map(|r| r.diagonal()));

@@ -3,9 +3,12 @@
 //! rectangles, with the R*-tree leaf rectangles for comparison — the
 //! measurement that motivated adding rectangles to the SS-tree.
 
+use sr_tree::rstar::RstarPolicy;
+use sr_tree::sstree::SsPolicy;
+
 use crate::experiments::fig5::mean;
 use crate::experiments::uniform_data;
-use crate::index::{build_rstar, build_ss};
+use crate::index::build_tree;
 use crate::measure::Scale;
 use crate::report::{f, Report};
 
@@ -17,7 +20,7 @@ pub fn run(scale: &Scale) -> Result<(), String> {
     report.header(["size", "SS sphere vol", "SS rect vol", "R* rect vol"]);
     for &n in &scale.uniform_sizes() {
         let points = uniform_data(n);
-        let ss = build_ss(&points);
+        let ss = build_tree::<SsPolicy>(&points);
         let sphere_vol = mean(
             ss.leaf_regions()
                 .map_err(|e| e.to_string())?
@@ -30,7 +33,7 @@ pub fn run(scale: &Scale) -> Result<(), String> {
                 .iter()
                 .map(|r| r.volume()),
         );
-        let rs = build_rstar(&points);
+        let rs = build_tree::<RstarPolicy>(&points);
         let rs_vol = mean(
             rs.leaf_rects()
                 .map_err(|e| e.to_string())?

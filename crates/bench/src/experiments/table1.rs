@@ -1,19 +1,30 @@
 //! Table 1: the maximum number of entries in a node and in a leaf, per
 //! structure, derived from the 8 KiB page size.
 
-use sr_kdbtree::KdbParams;
-use sr_rstar::RstarParams;
-use sr_sstree::SsParams;
-use sr_tree::SrParams;
-use sr_vamsplit::VamParams;
+use sr_geometry::Rect;
+use sr_query::paged::{Params, Region};
+use sr_tree::kdbtree::KdbRegion;
+use sr_tree::sstree::SsRegion;
+use sr_tree::SrRegion;
 
-use crate::index::{DATA_AREA, PAGE_SIZE};
+use crate::index::{TreeKind, DATA_AREA, PAGE_SIZE};
 use crate::measure::Scale;
 use crate::report::Report;
 
 /// Usable payload per page (page header is 5 bytes).
 fn page_capacity() -> usize {
     PAGE_SIZE - 5
+}
+
+/// The row of `kind`, whose inner entries store an `R`.
+fn row<R: Region>(report: &mut Report, dim: usize, kind: TreeKind) {
+    let p = Params::<R>::derive(page_capacity(), dim, DATA_AREA);
+    report.row([
+        dim.to_string(),
+        kind.label().into(),
+        p.max_node.to_string(),
+        p.max_leaf.to_string(),
+    ]);
 }
 
 pub fn run(_scale: &Scale) -> Result<(), String> {
@@ -23,42 +34,11 @@ pub fn run(_scale: &Scale) -> Result<(), String> {
     );
     report.header(["dims", "index", "node", "leaf"]);
     for dim in [8usize, 16, 32, 64] {
-        let cap = page_capacity();
-        let kdb = KdbParams::derive(cap, dim, DATA_AREA);
-        report.row([
-            dim.to_string(),
-            "K-D-B-tree".into(),
-            kdb.max_node.to_string(),
-            kdb.max_leaf.to_string(),
-        ]);
-        let rs = RstarParams::derive(cap, dim, DATA_AREA);
-        report.row([
-            dim.to_string(),
-            "R*-tree".into(),
-            rs.max_node.to_string(),
-            rs.max_leaf.to_string(),
-        ]);
-        let vam = VamParams::derive(cap, dim, DATA_AREA);
-        report.row([
-            dim.to_string(),
-            "VAMSplit R-tree".into(),
-            vam.max_node.to_string(),
-            vam.max_leaf.to_string(),
-        ]);
-        let ss = SsParams::derive(cap, dim, DATA_AREA);
-        report.row([
-            dim.to_string(),
-            "SS-tree".into(),
-            ss.max_node.to_string(),
-            ss.max_leaf.to_string(),
-        ]);
-        let sr = SrParams::derive(cap, dim, DATA_AREA);
-        report.row([
-            dim.to_string(),
-            "SR-tree".into(),
-            sr.max_node.to_string(),
-            sr.max_leaf.to_string(),
-        ]);
+        row::<KdbRegion>(&mut report, dim, TreeKind::Kdb);
+        row::<Rect>(&mut report, dim, TreeKind::Rstar);
+        row::<Rect>(&mut report, dim, TreeKind::Vam);
+        row::<SsRegion>(&mut report, dim, TreeKind::Ss);
+        row::<SrRegion>(&mut report, dim, TreeKind::Sr);
     }
     report.emit()
 }

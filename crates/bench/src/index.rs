@@ -1,17 +1,14 @@
 //! A uniform wrapper over the five index structures so experiments can
-//! iterate over them. Everything after construction dispatches through
-//! `sr-query`'s [`SpatialIndex`] trait; only construction (and the few
-//! experiments that need structure-specific accessors like
-//! `leaf_regions`) name concrete tree types.
+//! iterate over them. Construction goes through the tree registry
+//! ([`sr_tree::TreeKind`]) and everything after it through `sr-query`'s
+//! [`SpatialIndex`] trait; only the few experiments that need
+//! structure-specific accessors like `leaf_regions` name a concrete tree
+//! type, built by [`build_tree`].
 
 use sr_geometry::Point;
-use sr_kdbtree::KdbTree;
 use sr_pager::{IoStats, PageFile};
 use sr_query::{Neighbor, SpatialIndex};
-use sr_rstar::RstarTree;
-use sr_sstree::SsTree;
-use sr_tree::SrTree;
-use sr_vamsplit::VamTree;
+use sr_tree::{Incremental, SrTree, Tree};
 
 /// Which structure to build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,6 +34,17 @@ impl TreeKind {
             TreeKind::Ss => "SS-tree",
             TreeKind::Vam => "VAMSplit R-tree",
             TreeKind::Sr => "SR-tree",
+        }
+    }
+
+    /// The registry's row for this structure.
+    fn registry(self) -> sr_tree::TreeKind {
+        match self {
+            TreeKind::Kdb => sr_tree::TreeKind::Kdb,
+            TreeKind::Rstar => sr_tree::TreeKind::Rstar,
+            TreeKind::Ss => sr_tree::TreeKind::Ss,
+            TreeKind::Vam => sr_tree::TreeKind::Vam,
+            TreeKind::Sr => sr_tree::TreeKind::Sr,
         }
     }
 
@@ -69,28 +77,12 @@ fn paper_pagefile() -> PageFile {
     PageFile::create_in_memory(PAGE_SIZE).expect("in-memory page file")
 }
 
-/// Build an SS-tree over `points` with the paper's layout (for
-/// experiments that need [`SsTree::leaf_regions`]).
-pub fn build_ss(points: &[Point]) -> SsTree {
-    let mut t = SsTree::create_from(paper_pagefile(), points[0].dim(), DATA_AREA).unwrap();
-    for (i, p) in points.iter().enumerate() {
-        t.insert(p.clone(), i as u64).unwrap();
-    }
-    t
-}
-
-/// Build an R\*-tree over `points` with the paper's layout.
-pub fn build_rstar(points: &[Point]) -> RstarTree {
-    let mut t = RstarTree::create_from(paper_pagefile(), points[0].dim(), DATA_AREA).unwrap();
-    for (i, p) in points.iter().enumerate() {
-        t.insert(p.clone(), i as u64).unwrap();
-    }
-    t
-}
-
-/// Build an SR-tree over `points` with the paper's layout.
-pub fn build_sr(points: &[Point]) -> SrTree {
-    let mut t = SrTree::create_from(paper_pagefile(), points[0].dim(), DATA_AREA).unwrap();
+/// Build a tree over `points` with the paper's layout, inserting them
+/// one at a time with their indices as payloads (for experiments that
+/// need a structure's own accessors, such as
+/// [`sr_tree::sstree::SsTree::leaf_regions`]).
+pub fn build_tree<P: Incremental>(points: &[Point]) -> Tree<P> {
+    let mut t = Tree::<P>::create_from(paper_pagefile(), points[0].dim(), DATA_AREA).unwrap();
     for (i, p) in points.iter().enumerate() {
         t.insert(p.clone(), i as u64).unwrap();
     }
@@ -99,35 +91,19 @@ pub fn build_sr(points: &[Point]) -> SrTree {
 
 impl AnyIndex {
     /// Build an index of `kind` over `points` (in-memory page file, the
-    /// paper's page layout). Dynamic trees insert one point at a time;
-    /// the VAMSplit R-tree bulk-builds.
+    /// paper's page layout) through the tree registry: dynamic trees
+    /// insert one point at a time, the VAMSplit R-tree bulk-builds.
+    /// Payloads are the points' indices.
     ///
     /// # Panics
     /// Panics on I/O errors (in-memory page files cannot fail) and on
     /// K-D-B overflows of coincident points (the paper's data sets are
     /// continuous).
     pub fn build(kind: TreeKind, points: &[Point]) -> AnyIndex {
-        let dim = points[0].dim();
-        let index: Box<dyn SpatialIndex> = match kind {
-            TreeKind::Kdb => {
-                let mut t = KdbTree::create_from(paper_pagefile(), dim, DATA_AREA).unwrap();
-                for (i, p) in points.iter().enumerate() {
-                    t.insert(p.clone(), i as u64).unwrap();
-                }
-                Box::new(t)
-            }
-            TreeKind::Rstar => Box::new(build_rstar(points)),
-            TreeKind::Ss => Box::new(build_ss(points)),
-            TreeKind::Vam => {
-                let with_ids: Vec<(Point, u64)> = points
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (p.clone(), i as u64))
-                    .collect();
-                Box::new(VamTree::build_from(paper_pagefile(), with_ids, dim, DATA_AREA).unwrap())
-            }
-            TreeKind::Sr => Box::new(build_sr(points)),
-        };
+        let with_ids = points.iter().cloned().zip(0u64..).collect();
+        let index = (kind.registry())
+            .build(paper_pagefile(), points[0].dim(), DATA_AREA, with_ids)
+            .unwrap();
         AnyIndex { kind, index }
     }
 
@@ -220,6 +196,13 @@ mod tests {
         // id lists across all five structures.
         for w in answers.windows(2) {
             assert_eq!(w[0], w[1]);
+        }
+    }
+
+    #[test]
+    fn labels_are_the_registry_names() {
+        for &kind in TreeKind::ALL {
+            assert_eq!(kind.label(), kind.registry().kind_name());
         }
     }
 

@@ -1,23 +1,126 @@
-//! K-D-B-tree insertion with plane splits and forced splits.
+//! The insertion algorithms of the two dynamic trees outside the
+//! centroid family (the SS- and SR-trees insert through
+//! `sr_query::paged::centroid`):
 //!
-//! On overflow a page is divided by a coordinate plane. For point pages
-//! the plane passes near the median of the widest dimension (the
-//! R+-tree-style choice the paper adopts, §3.1). For region pages the
-//! plane is chosen among the children's own boundaries to minimize the
-//! number of *forced splits* — children crossing the plane that must be
-//! recursively split by it.
+//! * the R\*-tree's ChooseSubtree and "close reinsert" victim selection,
+//!   which the shared driver in [`sr_query::paged::Dynamic`] runs;
+//! * the K-D-B-tree's own insertion with plane splits and forced splits.
+//!   On overflow a page is divided by a coordinate plane. For point pages
+//!   the plane passes near the median of the widest dimension (the
+//!   R+-tree-style choice the paper adopts, §3.1). For region pages the
+//!   plane is chosen among the children's own boundaries to minimize the
+//!   number of *forced splits* — children crossing the plane that must be
+//!   recursively split by it.
 
-use sr_geometry::Rect;
+// Tree internals index into child/entry vectors whose bounds are
+// maintained as structural invariants (checked by `verify`); the
+// clippy index ban applies to the audited geometry/pager hot paths.
+#![allow(clippy::indexing_slicing)]
+
+use sr_geometry::{bounding_rect_of_points, Point, Rect};
 use sr_pager::PageId;
-
-use sr_query::paged::{Entry, LeafEntry, Node, Paged, Result};
+use sr_query::paged::{
+    rect_union, take_farthest, AnyEntry, Entry, LeafEntry, Node, Paged, Params, Result,
+};
 use sr_query::IndexError;
+
+use crate::tree::kdbtree::{clip_above, clip_below, full_space, kdb_contains, KdbRegion};
+
+// --- R*-tree ------------------------------------------------------------
+
+/// The (possibly degenerate) rectangle of an entry being inserted.
+fn entry_rect(entry: &AnyEntry<Rect>) -> Rect {
+    match entry {
+        AnyEntry::Leaf(e) => Rect::from_point(&e.point),
+        AnyEntry::Inner(e) => e.region.clone(),
+    }
+}
+
+/// R\* ChooseSubtree: least overlap enlargement when the children are
+/// leaves (`level == 1`), least area enlargement above.
+pub(crate) fn choose_subtree(entries: &[Entry<Rect>], entry: &AnyEntry<Rect>, level: u16) -> usize {
+    let rect = entry_rect(entry);
+    if level == 1 {
+        choose_min_overlap(entries, &rect)
+    } else {
+        choose_min_enlargement(entries, &rect)
+    }
+}
+
+/// R\* ChooseSubtree at the leaf-parent level: least overlap enlargement,
+/// ties by least area enlargement, then least area.
+fn choose_min_overlap(entries: &[Entry<Rect>], rect: &Rect) -> usize {
+    let mut best = 0usize;
+    let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    for (i, e) in entries.iter().enumerate() {
+        let enlarged = e.region.union(rect);
+        let mut overlap_delta = 0.0f64;
+        for (j, o) in entries.iter().enumerate() {
+            if i == j {
+                continue;
+            }
+            overlap_delta +=
+                enlarged.overlap_volume(&o.region) - e.region.overlap_volume(&o.region);
+        }
+        let area = e.region.volume();
+        let key = (overlap_delta, enlarged.volume() - area, area);
+        if key < best_key {
+            best_key = key;
+            best = i;
+        }
+    }
+    best
+}
+
+/// ChooseSubtree above the leaf-parent level: least area enlargement,
+/// ties by least area.
+fn choose_min_enlargement(entries: &[Entry<Rect>], rect: &Rect) -> usize {
+    let mut best = 0usize;
+    let mut best_key = (f64::INFINITY, f64::INFINITY);
+    for (i, e) in entries.iter().enumerate() {
+        let area = e.region.volume();
+        let key = (e.region.union(rect).volume() - area, area);
+        if key < best_key {
+            best_key = key;
+            best = i;
+        }
+    }
+    best
+}
+
+/// The center of the minimum bounding rectangle of an overflowing node,
+/// which holds one entry more than a page does.
+fn mbr_center(node: &Node<Rect>) -> Result<Point> {
+    let rect = match node {
+        Node::Leaf(entries) => bounding_rect_of_points(entries.iter().map(|e| e.point.coords())),
+        Node::Inner { entries, .. } => {
+            rect_union(entries.iter().map(|e| (e.region.min(), e.region.max())))
+        }
+    };
+    rect.map(|r| r.center())
+        .ok_or_else(|| IndexError::Corrupt("MBR of an empty node".into()))
+}
+
+/// Remove the reinsert fraction of entries farthest from the node's MBR
+/// center (not its centroid), farthest first.
+pub(crate) fn take_reinsert(
+    node: &mut Node<Rect>,
+    params: &Params<Rect>,
+) -> Result<Vec<AnyEntry<Rect>>> {
+    let center = mbr_center(node)?;
+    Ok(take_farthest(
+        node,
+        params,
+        |e| e.point.dist2(&center),
+        |e| e.region.center().dist2(&center),
+    ))
+}
+
+// --- K-D-B-tree ---------------------------------------------------------
 
 /// Why a point page of coincident points cannot split: the K-D-B-tree
 /// splits *space*, and no coordinate plane separates equal points.
 const UNSPLITTABLE: &str = "K-D-B-tree point page cannot split (coincident points)";
-
-use crate::tree::{clip_above, clip_below, full_space, kdb_contains, KdbRegion};
 
 /// The unique root-to-leaf path whose half-open regions contain `p`,
 /// root first, with each page's region (the root's is all of space).
@@ -50,11 +153,7 @@ pub(crate) fn descend(tree: &Paged<KdbRegion>, p: &[f32]) -> Result<Vec<(PageId,
 }
 
 /// Insert one point.
-pub(crate) fn insert_point(
-    tree: &mut Paged<KdbRegion>,
-    point: sr_geometry::Point,
-    data: u64,
-) -> Result<()> {
+pub(crate) fn insert_point(tree: &mut Paged<KdbRegion>, point: Point, data: u64) -> Result<()> {
     tree.check_point(point.coords())?;
     // The regions along the path derive the regions of split halves.
     let path = descend(tree, point.coords())?;
@@ -291,7 +390,76 @@ fn force_split_page(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sr_geometry::Point;
+
+    fn entry(lo: [f32; 2], hi: [f32; 2], child: u64) -> Entry<Rect> {
+        Entry {
+            region: Rect::new(lo.to_vec(), hi.to_vec()),
+            child,
+        }
+    }
+
+    #[test]
+    fn choose_min_enlargement_prefers_containing_rect() {
+        let entries = vec![
+            entry([0.0, 0.0], [1.0, 1.0], 1),
+            entry([5.0, 5.0], [6.0, 6.0], 2),
+        ];
+        let target = Rect::from_point(&Point::new(vec![0.5, 0.5]));
+        assert_eq!(choose_min_enlargement(&entries, &target), 0);
+        let target2 = Rect::from_point(&Point::new(vec![5.5, 5.5]));
+        assert_eq!(choose_min_enlargement(&entries, &target2), 1);
+    }
+
+    #[test]
+    fn choose_min_overlap_avoids_creating_overlap() {
+        // Enlarging the left rect to x=1.5 does not touch the right one
+        // (which starts at x=2); the converse would.
+        let entries = vec![
+            entry([0.0, 0.0], [1.0, 1.0], 1),
+            entry([2.0, 0.0], [5.0, 5.0], 2),
+        ];
+        let target = Rect::from_point(&Point::new(vec![1.5, 0.5]));
+        assert_eq!(choose_min_overlap(&entries, &target), 0);
+    }
+
+    #[test]
+    fn take_reinsert_takes_entries_farthest_from_the_mbr_center() {
+        let params = Params::<Rect>::derive(1024, 2, 64);
+        let mut node = Node::Leaf(
+            (0..8)
+                .map(|i| LeafEntry {
+                    point: Point::new(if i == 7 {
+                        vec![100.0, 100.0]
+                    } else {
+                        vec![i as f32 * 0.1, 0.0]
+                    }),
+                    data: i as u64,
+                })
+                .collect(),
+        );
+        let center = mbr_center(&node).unwrap();
+        let removed = take_reinsert(&mut node, &params).unwrap();
+        assert!(!removed.is_empty());
+        // Every removed entry is at least as far from the (pre-removal)
+        // MBR center as every kept entry. With one extreme outlier, the
+        // near-origin cluster is what is farthest from that center.
+        let dist = |e: &AnyEntry<Rect>| match e {
+            AnyEntry::Leaf(le) => le.point.dist2(&center),
+            AnyEntry::Inner(ie) => ie.region.center().dist2(&center),
+        };
+        let min_removed = removed.iter().map(dist).fold(f64::INFINITY, f64::min);
+        let Node::Leaf(kept) = &node else {
+            panic!("expected leaf")
+        };
+        let max_kept = kept
+            .iter()
+            .map(|e| e.point.dist2(&center))
+            .fold(0.0f64, f64::max);
+        assert!(
+            min_removed >= max_kept,
+            "removed {min_removed} < kept {max_kept}"
+        );
+    }
 
     fn leaf_entries(coords: &[[f32; 2]]) -> Vec<LeafEntry> {
         coords

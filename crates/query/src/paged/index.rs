@@ -33,19 +33,14 @@ pub trait PagedTree: Send + Sync {
         stored: Option<&Self::Region>,
     ) -> Result<()>;
 
-    /// Insert one point. Structures that only support bulk construction
-    /// keep this default refusal.
-    fn insert_point(&mut self, point: Point, data: u64) -> Result<()> {
-        let _ = (point, data);
-        Err(IndexError::Unsupported("this index is bulk-load only"))
-    }
+    /// Insert one point, or refuse with [`IndexError::Unsupported`] if
+    /// the structure is only bulk-built.
+    fn insert_point(&mut self, point: Point, data: u64) -> Result<()>;
 
-    /// Remove one exact entry, reporting whether it was present.
-    /// Structures without a delete path keep this default refusal.
-    fn delete_point(&mut self, point: &Point, data: u64) -> Result<bool> {
-        let _ = (point, data);
-        Err(IndexError::Unsupported("delete"))
-    }
+    /// Remove one exact entry, reporting whether it was present, or
+    /// refuse with [`IndexError::Unsupported`] if the structure has no
+    /// delete path.
+    fn delete_point(&mut self, point: &Point, data: u64) -> Result<bool>;
 }
 
 /// Turn an API-level point into a [`Point`], refusing the empty slice

@@ -20,9 +20,9 @@ use sr_pager::PageFile;
 use sr_query::paged::DEFAULT_DATA_AREA;
 use sr_query::{Neighbor, QuerySpec, SpatialIndex};
 
-use crate::kinds::TreeKind;
 use crate::model::Model;
 use crate::workload::{Op, OpTape};
+use crate::TreeKind;
 
 /// Distance-squared tolerance for oracle agreement, matching the
 /// integration suites.

@@ -10,12 +10,12 @@
 //! * [`model`] — the brute-force oracle every structure is compared to;
 //! * [`diff`] — the differential executor: replay one tape through the
 //!   SR-, SS-, R*-, K-D-B-, and VAMSplit trees, assert agreement with
-//!   the oracle, run each crate's invariant `verify` on an interval,
+//!   the oracle, run each tree's invariant `verify` on an interval,
 //!   and on failure shrink the tape and print a replayable `SEED=`
 //!   line;
-//! * [`kinds`] — the tree registry: [`TreeKind`] creates, builds and
-//!   reopens each of the five structures as a `Box<dyn SpatialIndex>`,
-//!   the one place outside the tree crates that names them;
+//! * [`TreeKind`] — the tree registry (re-exported from `sr_tree`):
+//!   creates, builds and reopens each of the five structures as a
+//!   `Box<dyn SpatialIndex>`;
 //! * [`crash`] — the crash-point recovery harness: a fault-wrapped
 //!   store pair whose surviving bytes can be reopened like a process
 //!   restart, and oracle-exact recovery checking ([`matches_model`]);
@@ -37,7 +37,6 @@
 
 pub mod crash;
 pub mod diff;
-pub mod kinds;
 pub mod model;
 pub mod stress;
 pub mod tempdir;
@@ -48,9 +47,9 @@ pub use diff::{
     check_answer, failure_report, minimize, run_tape, seed_line, DiffConfig, DiffReport,
     Divergence, DIST2_TOL,
 };
-pub use kinds::TreeKind;
 pub use model::Model;
 pub use sr_pager::{FaultHandle, FaultInjector, FaultKind, FaultStats};
+pub use sr_tree::TreeKind;
 pub use stress::{run_stress, total_logical_reads, StressConfig, StressReport};
 pub use tempdir::TempDir;
 pub use workload::{generate, DataDist, Op, OpTape, WorkloadSpec};

@@ -22,25 +22,26 @@ pub use sr_dataset as dataset;
 pub use sr_exec as exec;
 /// Geometry kernel: points, rectangles, spheres, MINDIST/MAXDIST.
 pub use sr_geometry as geometry;
-/// Baseline: the K-D-B-tree (Robinson, SIGMOD 1981).
-pub use sr_kdbtree as kdbtree;
 /// Observability: counters, histograms, span timers behind `Recorder`.
 pub use sr_obs as obs;
 /// Disk page store: 8 KiB pages, LRU buffer pool, I/O statistics.
 pub use sr_pager as pager;
 /// Generic k-NN / range search engines and brute-force ground truth.
 pub use sr_query as query;
-/// Baseline: the R\*-tree (Beckmann et al., SIGMOD 1990).
-pub use sr_rstar as rstar;
 /// TCP query service: thread-per-connection, admission control,
 /// batch coalescing, graceful shutdown.
 pub use sr_serve as serve;
-/// Baseline: the SS-tree (White & Jain, ICDE 1996).
-pub use sr_sstree as sstree;
-/// The SR-tree itself (paper §4).
+/// The SR-tree itself (paper §4), and the generic tree the five
+/// structures share.
 pub use sr_tree as tree;
+/// Baseline: the K-D-B-tree (Robinson, SIGMOD 1981).
+pub use sr_tree::kdbtree;
+/// Baseline: the R\*-tree (Beckmann et al., SIGMOD 1990).
+pub use sr_tree::rstar;
+/// Baseline: the SS-tree (White & Jain, ICDE 1996).
+pub use sr_tree::sstree;
 /// Baseline: the VAMSplit R-tree (White & Jain, SPIE 1996), static build.
-pub use sr_vamsplit as vamsplit;
+pub use sr_tree::vamsplit;
 /// Typed `Request`/`Response` API, checksummed wire frames, and the
 /// shared `execute` entry point the CLI and the server dispatch through.
 pub use sr_wire as wire;
