@@ -190,6 +190,40 @@ mod tests {
         ));
     }
 
+    /// Build each kind at a real path, drop it, and reopen it through
+    /// the registry: the same structure, shape and k-NN answers come back.
+    #[test]
+    fn build_drop_open_roundtrips_at_temp_paths() {
+        let dir = std::env::temp_dir().join(format!("sr-registry-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let points = sr_dataset::uniform(400, 4, 0x5EED);
+        let queries = sr_dataset::sample_queries(&points, 8, 0xF00D);
+        let with_ids: Vec<(Point, u64)> = points.into_iter().zip(0u64..).collect();
+        for kind in TreeKind::ALL {
+            let path = dir.join(format!("{kind:?}.pages"));
+            let pf = PageFile::create(&path).expect("create page file");
+            let built = kind
+                .build(pf, 4, DEFAULT_DATA_AREA, with_ids.clone())
+                .expect("build");
+            built.flush().expect("flush");
+            let before = (built.kind_name(), built.dim(), built.len());
+            let answers: Vec<_> = (queries.iter())
+                .map(|q| built.knn(q.coords(), 7).expect("knn"))
+                .collect();
+            drop(built);
+
+            let pf = PageFile::open(&path).expect("reopen page file");
+            assert_eq!(TreeKind::stored_in(&pf), Some(kind));
+            let opened = TreeKind::open(pf).expect("open");
+            assert_eq!((opened.kind_name(), opened.dim(), opened.len()), before);
+            assert_eq!(opened.kind_name(), kind.kind_name());
+            for (q, want) in queries.iter().zip(&answers) {
+                assert_eq!(&opened.knn(q.coords(), 7).expect("knn"), want, "{kind:?}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The cross-kind open matrix. Build each kind, drop it, and reopen
     /// its bytes as every kind: its own kind comes back with the same
     /// shape and k-NN answers (as does the magic dispatch of

@@ -27,6 +27,16 @@ fn empty_tree_roundtrips_metadata() {
 }
 
 #[test]
+fn open_rejects_foreign_magic() {
+    let pf = PageFile::create_in_memory(4096).unwrap();
+    pf.set_user_meta(&[0u8; 40]).unwrap();
+    assert!(matches!(
+        SrTree::open_from(pf),
+        Err(IndexError::NotThisIndex(_))
+    ));
+}
+
+#[test]
 fn paper_capacities_at_16_dimensions() {
     // SR-tree: node entry = 136 + 256 + 12 = 404 → (8187-4)/404 = 20:
     // one third of the SS-tree's 55, two thirds of the R*-tree's 30.
