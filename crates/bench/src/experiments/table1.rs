@@ -2,8 +2,8 @@
 //! structure, derived from the 8 KiB page size.
 
 use sr_geometry::Rect;
-use sr_query::paged::{Params, Region};
 use sr_tree::kdbtree::KdbRegion;
+use sr_tree::paged::{Params, Region};
 use sr_tree::sstree::SsRegion;
 use sr_tree::SrRegion;
 

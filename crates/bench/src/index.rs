@@ -71,7 +71,7 @@ pub struct AnyIndex {
 /// The paper's page size.
 pub const PAGE_SIZE: usize = 8192;
 /// The paper's per-leaf-entry data area.
-pub const DATA_AREA: usize = sr_query::paged::DEFAULT_DATA_AREA;
+pub const DATA_AREA: usize = sr_tree::paged::DEFAULT_DATA_AREA;
 
 fn paper_pagefile() -> PageFile {
     PageFile::create_in_memory(PAGE_SIZE).expect("in-memory page file")

@@ -8,11 +8,11 @@ use sr_dataset::{cluster, real_sim, uniform, ClusterSpec};
 use sr_geometry::Point;
 use sr_obs::{Counter, Recorder, StatsRecorder};
 use sr_pager::{IoStats, PageFile, PageKind, WalStats, DEFAULT_PAGE_SIZE};
-use sr_query::paged::DEFAULT_DATA_AREA;
 use sr_query::{IndexError, QuerySpec, SpatialIndex};
 use sr_testkit::{
     failure_report, generate, minimize, run_tape, DiffConfig, TreeKind, WorkloadSpec,
 };
+use sr_tree::paged::DEFAULT_DATA_AREA;
 use sr_wire::{io_json, RemoteError, Request, Response};
 
 use crate::args::{ClientOp, Command, GenKind, HELP};

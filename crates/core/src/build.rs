@@ -13,12 +13,15 @@
 
 use sr_geometry::{Point, Rect};
 use sr_pager::PageId;
-use sr_query::paged::{mbr, Entry, LeafEntry, Node, Paged, Result};
+
+use crate::paged::{mbr, Entry, LeafEntry, Node};
+use crate::vamsplit::VamTree;
+use crate::Result;
 
 /// Build the tree structure for `points`, returning the root page id and
 /// the height.
 pub(crate) fn bulk_build(
-    tree: &mut Paged<Rect>,
+    tree: &mut VamTree,
     mut points: Vec<(Point, u64)>,
 ) -> Result<(PageId, u32)> {
     let m_l = tree.params.max_leaf;
@@ -41,7 +44,7 @@ pub(crate) fn bulk_build(
 /// Build a subtree of exactly `height` levels over `points`, returning
 /// its page id and exact MBR.
 fn build_rec(
-    tree: &mut Paged<Rect>,
+    tree: &mut VamTree,
     points: &mut [(Point, u64)],
     height: u32,
 ) -> Result<(PageId, Rect)> {

@@ -17,13 +17,14 @@
 #![allow(clippy::indexing_slicing)]
 
 use sr_geometry::Point;
-use sr_query::paged::{Entry, LeafEntry, Node, Paged, Result};
 
+use crate::paged::{Entry, LeafEntry, Node};
 use crate::region::{region_of, SrRegion};
+use crate::{Result, SrTree};
 
 /// Bulk-load `points` into the tree, which must be empty. Called via
 /// [`crate::SrTree::bulk_load`], which checks that it is.
-pub(crate) fn bulk_load(tree: &mut Paged<SrRegion>, points: Vec<(Point, u64)>) -> Result<()> {
+pub(crate) fn bulk_load(tree: &mut SrTree, points: Vec<(Point, u64)>) -> Result<()> {
     if points.is_empty() {
         return Ok(());
     }

@@ -1,9 +1,9 @@
 //! The insertion algorithms of the two dynamic trees outside the
 //! centroid family (the SS- and SR-trees insert through
-//! `sr_query::paged::centroid`):
+//! `crate::paged::centroid`):
 //!
 //! * the R\*-tree's ChooseSubtree and "close reinsert" victim selection,
-//!   which the shared driver in [`sr_query::paged::Dynamic`] runs;
+//!   which the shared driver in [`crate::paged::Dynamic`] runs;
 //! * the K-D-B-tree's own insertion with plane splits and forced splits.
 //!   On overflow a page is divided by a coordinate plane. For point pages
 //!   the plane passes near the median of the widest dimension (the
@@ -19,12 +19,11 @@
 
 use sr_geometry::{bounding_rect_of_points, Point, Rect};
 use sr_pager::PageId;
-use sr_query::paged::{
-    rect_union, take_farthest, AnyEntry, Entry, LeafEntry, Node, Paged, Params, Result,
-};
 use sr_query::IndexError;
 
-use crate::tree::kdbtree::{clip_above, clip_below, full_space, kdb_contains, KdbRegion};
+use crate::paged::{rect_union, take_farthest, AnyEntry, Entry, LeafEntry, Node, Params};
+use crate::tree::kdbtree::{clip_above, clip_below, full_space, kdb_contains, KdbRegion, KdbTree};
+use crate::Result;
 
 // --- R*-tree ------------------------------------------------------------
 
@@ -128,12 +127,13 @@ const UNSPLITTABLE: &str = "K-D-B-tree point page cannot split (coincident point
 /// # Errors
 /// [`IndexError::Corrupt`] on a coverage hole or a point page above the
 /// leaf level.
-pub(crate) fn descend(tree: &Paged<KdbRegion>, p: &[f32]) -> Result<Vec<(PageId, Rect)>> {
-    let mut path = Vec::with_capacity(tree.height as usize);
+pub(crate) fn descend(tree: &KdbTree, p: &[f32]) -> Result<Vec<(PageId, Rect)>> {
+    let top = tree.top_level()?;
+    let mut path = Vec::with_capacity(usize::from(top) + 1);
     let mut id = tree.root;
     let mut region = full_space(tree.params.dim);
-    for level in (1..tree.height).rev() {
-        let Node::Inner { entries, .. } = tree.read_node(id, level as u16)? else {
+    for level in (1..=top).rev() {
+        let Node::Inner { entries, .. } = tree.read_node(id, level)? else {
             return Err(IndexError::Corrupt(
                 "point page found above the leaf level while descending".into(),
             ));
@@ -153,7 +153,7 @@ pub(crate) fn descend(tree: &Paged<KdbRegion>, p: &[f32]) -> Result<Vec<(PageId,
 }
 
 /// Insert one point.
-pub(crate) fn insert_point(tree: &mut Paged<KdbRegion>, point: Point, data: u64) -> Result<()> {
+pub(crate) fn insert_point(tree: &mut KdbTree, point: Point, data: u64) -> Result<()> {
     tree.check_point(point.coords())?;
     // The regions along the path derive the regions of split halves.
     let path = descend(tree, point.coords())?;
@@ -322,7 +322,7 @@ fn choose_region_plane(entries: &[Entry<KdbRegion>]) -> Result<(usize, f32)> {
 /// force-splitting children that cross it. Returns the two halves (the
 /// caller assigns page ids).
 fn split_in_memory(
-    tree: &mut Paged<KdbRegion>,
+    tree: &mut KdbTree,
     node: Node<KdbRegion>,
     dim: usize,
     value: f32,
@@ -374,7 +374,7 @@ fn split_in_memory(
 /// or oversized-but-legal — forced splits are exactly why the K-D-B-tree
 /// cannot guarantee minimum utilization.
 fn force_split_page(
-    tree: &mut Paged<KdbRegion>,
+    tree: &mut KdbTree,
     id: PageId,
     level: u16,
     dim: usize,

@@ -11,7 +11,6 @@
 
 use sr_geometry::Point;
 use sr_pager::PageFile;
-use sr_query::paged::{stored_magic, Kind};
 use sr_query::{IndexError, SpatialIndex};
 
 use crate::tree::kdbtree::{KdbPolicy, KdbTree};
@@ -19,7 +18,7 @@ use crate::tree::rstar::{RstarPolicy, RstarTree};
 use crate::tree::sr::{SrPolicy, SrTree};
 use crate::tree::sstree::{SsPolicy, SsTree};
 use crate::tree::vamsplit::{VamPolicy, VamTree};
-use crate::tree::TreePolicy;
+use crate::tree::{stored_magic, Kind, TreePolicy};
 
 /// One of the five index structures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -154,8 +153,8 @@ impl TreeKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paged::DEFAULT_DATA_AREA;
     use sr_pager::{MemLogStore, MemPageStore};
-    use sr_query::paged::DEFAULT_DATA_AREA;
 
     #[test]
     fn parse_accepts_every_cli_name() {

@@ -18,11 +18,17 @@
 //!
 //! The crate holds all five structures the paper compares, as policies
 //! of one generic [`Tree<P>`]: the SR-tree ([`SrTree`]) and the four
-//! baselines in [`sstree`], [`rstar`], [`kdbtree`] and [`vamsplit`]. The
-//! shared paged core (`sr_query::paged`) holds everything they have in
-//! common; each policy keeps only its region shape, choose-subtree,
-//! split and reinsertion. [`TreeKind`] is the one registry that names
-//! them. What §4 says is the SR-tree's own:
+//! baselines in [`sstree`], [`rstar`], [`kdbtree`] and [`vamsplit`].
+//! [`Tree<P>`] holds everything they have in common — page file and
+//! metadata, page I/O, the search's `expand()`, exact-match lookup, the
+//! [`verify`] walker and the one `SpatialIndex` implementation — over
+//! the page codec and update driver of [`paged`]. A structure is a
+//! [`TreePolicy`]: its region shape, its identity and invariants, and
+//! how it inserts and deletes; the R-tree family does the last through
+//! [`paged::Dynamic`] (choose-subtree, split, reinsertion, region
+//! update), and [`Incremental`] marks the structures that grow point by
+//! point. [`TreeKind`] is the one registry that names them. What §4
+//! says is the SR-tree's own:
 //!
 //! * **Region** — sphere + rectangle + subtree point count per entry,
 //!   three times the SS-tree entry, giving ⅓ of its fanout (the "fanout
@@ -34,7 +40,7 @@
 //! * **Search bound** — `max(d_sphere, d_rect)`, a tighter lower bound
 //!   than either baseline uses (§4.4);
 //! * **Insertion** — the SS-tree's centroid algorithm, unchanged
-//!   (`sr_query::paged::centroid`);
+//!   (`paged::centroid`);
 //! * **Bulk build** — an extension: balanced variance splits, packed
 //!   pages, every dynamic invariant kept.
 //!
@@ -57,28 +63,24 @@ mod build;
 mod bulk;
 mod insert;
 mod kinds;
+pub mod paged;
 mod region;
 mod split;
 mod tree;
+pub mod verify;
 
 pub use kinds::TreeKind;
 pub use region::{DistanceBound, RadiusRule, SrOptions, SrRegion};
-/// Result alias for tree operations.
+/// Result alias for tree operations: every layer of the stack fails with
+/// the one [`sr_query::IndexError`].
 pub type Result<T> = std::result::Result<T, sr_query::IndexError>;
 pub use sr_query::Neighbor;
 pub use tree::sr::{SrPolicy, SrTree};
-pub use tree::{kdbtree, rstar, sstree, vamsplit, Incremental, Tree, TreePolicy};
+pub use tree::{kdbtree, rstar, sstree, vamsplit, Incremental, Kind, Tree, TreePolicy};
 
 /// Capacity parameters of an SR-tree (Table 1). A node entry stores
 /// both region shapes: bounding sphere (`(D+1)·8` bytes) + bounding
 /// rectangle (`2·D·8`) + subtree point count (4) + child pointer (8) —
 /// 404 bytes at `D = 16`, so 20 entries per 8 KiB node. Leaves match the
 /// other structures (12 entries).
-pub type SrParams = sr_query::paged::Params<SrRegion>;
-
-/// Structural-invariant checker: the shared walker plus each structure's
-/// own checks ([`TreePolicy::check_node`]) — for the SR-tree, the §4.2
-/// recomputation of every recorded sphere, rectangle and weight.
-pub mod verify {
-    pub use sr_query::paged::{verify as check, VerifyReport};
-}
+pub type SrParams = paged::Params<SrRegion>;

@@ -6,6 +6,11 @@
 //! [`Layout::parse`] is the one reader of that header; [`NodePage`] is
 //! the one writer that edits a page without decoding it.
 
+// Tree internals index into child/entry vectors whose bounds are
+// maintained as structural invariants (checked by `verify`); the
+// clippy index ban applies to the audited geometry/pager hot paths.
+#![allow(clippy::indexing_slicing)]
+
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -14,11 +19,11 @@ use sr_pager::{
     narrow_lane, put_leaf_columns, LeafColumns, PageCodec, PageId, PageKind, PageReader,
     PagerError, LEAF_HEADER,
 };
+use sr_query::IndexError;
 
 use super::params::{Params, NODE_HEADER};
 use super::region::Region;
-use super::Result;
-use crate::IndexError;
+use crate::Result;
 
 /// One point stored in a leaf.
 #[derive(Clone, Debug)]
@@ -188,7 +193,7 @@ fn decode_leaf(cols: &LeafColumns<'_>, dim: usize) -> Result<Vec<LeafEntry>> {
 /// `e`, met while reading the entries of page `id`, as a fault of that
 /// page: a `Corrupt` text gets the `page N: ` prefix [`Layout::parse`]'s
 /// own errors carry. Other errors pass unchanged.
-pub(super) fn in_page(id: PageId, e: IndexError) -> IndexError {
+pub(crate) fn in_page(id: PageId, e: IndexError) -> IndexError {
     match e {
         IndexError::Corrupt(msg) => page_fault(id, msg),
         e => e,
@@ -196,7 +201,7 @@ pub(super) fn in_page(id: PageId, e: IndexError) -> IndexError {
 }
 
 /// The error of a leaf holding a NaN or infinite coordinate.
-pub(super) fn non_finite_leaf() -> IndexError {
+pub(crate) fn non_finite_leaf() -> IndexError {
     IndexError::Corrupt("non-finite leaf coordinate".into())
 }
 
@@ -218,7 +223,7 @@ pub(super) fn non_finite_leaf() -> IndexError {
 /// error is [`IndexError::Corrupt`] starting `page N:`; entry bytes are
 /// the reader's to check, and a reader that rejects them names the page
 /// the same way ([`in_page`]).
-pub(super) enum Layout<'a> {
+pub(crate) enum Layout<'a> {
     /// A columnar leaf.
     Leaf(LeafColumns<'a>),
     /// An inner node whose payload holds all `n` entries.
@@ -233,7 +238,7 @@ pub(super) enum Layout<'a> {
 impl<'a> Layout<'a> {
     /// Check the header of page `id`, which its parent puts at `level`.
     /// Allocates only on the error path.
-    pub(super) fn parse<R: Region>(
+    pub(crate) fn parse<R: Region>(
         id: PageId,
         level: u16,
         payload: &'a [u8],
@@ -300,7 +305,7 @@ impl<R: Region> NodePage<R> {
     /// check it as [`Node::decode`] does: the header by [`Layout::parse`],
     /// then every leaf coordinate or inner region, failing with the same
     /// `page N:` text on the same bytes. Allocates only the copy.
-    pub(super) fn parse(
+    pub(crate) fn parse(
         id: PageId,
         level: u16,
         payload: &[u8],
@@ -396,7 +401,7 @@ impl<R: Region> NodePage<R> {
 
     /// Decode the page into a [`Node`], for the edits that rearrange
     /// entries (split, reinsertion, condense).
-    pub(super) fn decode(&self, params: &Params<R>) -> Result<Node<R>> {
+    pub(crate) fn decode(&self, params: &Params<R>) -> Result<Node<R>> {
         Node::decode(self.id, self.level, &self.buf, params)
     }
 
@@ -449,7 +454,7 @@ impl<R: Region> NodePage<R> {
     }
 
     /// The slot of the entry pointing at `child`.
-    pub(super) fn slot_of(&self, child: PageId) -> Result<usize> {
+    pub(crate) fn slot_of(&self, child: PageId) -> Result<usize> {
         let bytes = R::bytes(self.dim);
         (0..self.n)
             .find(|&slot| {
@@ -460,7 +465,7 @@ impl<R: Region> NodePage<R> {
     }
 
     /// The region recorded in inner slot `slot`.
-    pub(super) fn region(&self, slot: usize) -> Result<R> {
+    pub(crate) fn region(&self, slot: usize) -> Result<R> {
         let at = NODE_HEADER + slot * self.entry;
         R::decode(
             &mut PageReader::new(&self.buf[at..at + R::bytes(self.dim)]),
@@ -469,7 +474,7 @@ impl<R: Region> NodePage<R> {
     }
 
     /// Overwrite the region lanes of inner slot `slot`.
-    pub(super) fn set_region(&mut self, slot: usize, region: &R) -> Result<()> {
+    pub(crate) fn set_region(&mut self, slot: usize, region: &R) -> Result<()> {
         let at = NODE_HEADER + slot * self.entry;
         region.encode(&mut PageCodec::new(
             &mut self.buf[at..at + R::bytes(self.dim)],
@@ -478,7 +483,7 @@ impl<R: Region> NodePage<R> {
 
     /// The first leaf entry equal to `(point, data)`, coordinates compared
     /// as `f32`s (so `-0.0` matches `0.0`, as `Point` equality does).
-    pub(super) fn position(&self, point: &[f32], data: u64) -> Option<usize> {
+    pub(crate) fn position(&self, point: &[f32], data: u64) -> Option<usize> {
         let n = self.n;
         let (lanes, _) = self.buf[LEAF_HEADER..].as_chunks::<8>();
         let ids = &lanes[self.dim * n..(self.dim + 1) * n];
@@ -493,7 +498,7 @@ impl<R: Region> NodePage<R> {
 
     /// Remove leaf entry `i`, shifting the later entries of every column
     /// down by one.
-    pub(super) fn remove_point(&mut self, i: usize) -> Result<()> {
+    pub(crate) fn remove_point(&mut self, i: usize) -> Result<()> {
         let n = self.n;
         let mut to = LEAF_HEADER;
         for col in 0..=self.dim {
@@ -512,7 +517,7 @@ impl<R: Region> NodePage<R> {
     /// # Errors
     /// [`IndexError::Corrupt`] when the entry's kind does not match the
     /// page's, or a field overflows its on-disk width.
-    pub(super) fn push(&mut self, entry: &AnyEntry<R>) -> Result<()> {
+    pub(crate) fn push(&mut self, entry: &AnyEntry<R>) -> Result<()> {
         let n = self.n;
         match entry {
             AnyEntry::Leaf(e) if self.is_leaf() => {
@@ -580,7 +585,7 @@ pub struct RegionRows {
 
 impl RegionRows {
     /// The center and radius of each entry's sphere, for regions that
-    /// start with one ([`super::put_sphere`]).
+    /// start with one (`put_sphere`).
     pub fn spheres(&self) -> impl Iterator<Item = (&[f32], f32)> + '_ {
         let dim = self.dim;
         self.rows
@@ -589,7 +594,7 @@ impl RegionRows {
     }
 
     /// The `min` and `max` corners of each entry's rectangle, which
-    /// starts `at` lanes into its region ([`super::put_rect`]).
+    /// starts `at` lanes into its region (`put_rect`).
     pub fn rects(&self, at: usize) -> impl Iterator<Item = (&[f32], &[f32])> + '_ {
         let dim = self.dim;
         self.rows

@@ -16,12 +16,13 @@
 use std::fmt;
 use std::marker::PhantomData;
 
+use sr_query::IndexError;
+
 use super::region::Region;
-use super::Result;
-use crate::IndexError;
+use crate::Result;
 
 /// Per-node header: level (u16) + entry count (u16).
-pub(super) const NODE_HEADER: usize = 4;
+pub(crate) const NODE_HEADER: usize = 4;
 
 /// The paper's per-leaf-entry data area in bytes (§3.1), used by every
 /// tree's path and in-memory constructors.

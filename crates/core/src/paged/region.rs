@@ -9,11 +9,11 @@ use sr_geometry::{
     CONTAINMENT_EPS,
 };
 use sr_pager::{narrow_lane, PageCodec, PageReader};
+use sr_query::Expansion;
+use sr_query::IndexError;
 
 use super::node::NodePage;
-use super::Result;
-use crate::knn::Expansion;
-use crate::IndexError;
+use crate::Result;
 
 /// The region an inner entry stores for its child — the only thing the
 /// page codec, `expand()` and exact-match lookup need to know about a

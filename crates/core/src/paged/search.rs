@@ -1,25 +1,27 @@
 //! The zero-copy `expand()` every tree's searches run through.
 
 use sr_pager::PageId;
+use sr_query::{scan_leaf_columns, Expansion, IndexError, KnnSource};
 
 use super::node::{in_page, non_finite_leaf, Layout};
 use super::region::Region;
-use super::tree::Paged;
-use super::Result;
-use crate::{scan_leaf_columns, Expansion, IndexError, KnnSource};
+use crate::{Result, Tree, TreePolicy};
 
-/// A paged tree as [`crate::search`] sees it: node handles are
-/// `(page, level)` pairs.
-pub struct Source<'a, R: Region> {
-    pub(super) tree: &'a Paged<R>,
-    pub(super) bound: R::Bound,
+/// A tree as [`sr_query::search`] sees it: node handles are
+/// `(page, level)` pairs, and regions are scored with `bound`.
+pub(crate) struct Source<'a, P: TreePolicy> {
+    pub(crate) tree: &'a Tree<P>,
+    pub(crate) bound: <P::Region as Region>::Bound,
 }
 
-impl<R: Region> KnnSource for Source<'_, R> {
+impl<P: TreePolicy> KnnSource for Source<'_, P> {
     type Node = (PageId, u16);
 
     fn root(&self) -> Result<Option<Self::Node>> {
-        Ok(self.tree.root_level().map(|level| (self.tree.root, level)))
+        if self.tree.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some((self.tree.root, self.tree.top_level()?)))
     }
 
     fn expand(
@@ -52,11 +54,11 @@ impl<R: Region> KnnSource for Source<'_, R> {
             // materialise a heap vector per coordinate block — at bench
             // scale ~10k allocations per query.
             Layout::Inner { n, mut rest } => {
-                let bytes = R::bytes(self.tree.params.dim);
+                let bytes = P::Region::bytes(self.tree.params.dim);
                 for _ in 0..n {
                     let raw = rest.get_bytes(bytes)?;
                     let child = (rest.get_u64()?, level - 1);
-                    R::push_branch(raw, query, self.bound, child, out)?;
+                    P::Region::push_branch(raw, query, self.bound, child, out)?;
                 }
                 Ok(())
             }

@@ -6,7 +6,8 @@
 //! Deletion is the R-tree condense-tree algorithm the paper uses for all
 //! three structures (§4.3): underflowing nodes are dissolved, their
 //! pages freed, and their points reinserted. The trees differ only in
-//! the [`Dynamic`] hooks.
+//! the [`Dynamic`] hooks; [`insert`], [`delete`] and
+//! [`check_fill_and_region`] are their `TreePolicy` methods.
 //!
 //! The common writes patch pages in place through [`NodePage`]: a delete
 //! that leaves its leaf at least minimally full, an insert whose node has
@@ -14,37 +15,37 @@
 //! rearrange entries — split, reinsertion and condense — decode a
 //! [`Node`]. Either way a region is computed from the page bytes written.
 
+// Tree internals index into child/entry vectors whose bounds are
+// maintained as structural invariants (checked by `verify`); the
+// clippy index ban applies to the audited geometry/pager hot paths.
+#![allow(clippy::indexing_slicing)]
+
 use sr_geometry::Point;
 use sr_pager::PageId;
+use sr_query::IndexError;
 
-use super::index::PagedTree;
 use super::node::{AnyEntry, Entry, LeafEntry, Node, NodePage};
 use super::params::Params;
 use super::region::Region;
-use super::tree::Paged;
-use super::Result;
-use crate::IndexError;
+use crate::{Incremental, Result, Tree};
 
 /// The policies by which the dynamic trees differ (§2, §4 of the paper).
-pub trait Dynamic: PagedTree + Sized {
+pub trait Dynamic: Incremental {
     /// What forced reinsertion has already been spent on during one
     /// insertion: levels for the R\*-tree, nodes for the SS/SR-trees.
     type Budget;
 
-    /// The shared core, mutably (root, height and count change).
-    fn core_mut(&mut self) -> &mut Paged<Self::Region>;
-
     /// A fresh budget for one top-level insertion.
-    fn budget(&self) -> Self::Budget;
+    fn budget(tree: &Tree<Self>) -> Self::Budget;
 
     /// Whether the overflowing node at `page`/`level` reinserts instead
     /// of splitting; a `true` answer spends the budget.
-    fn may_reinsert(&self, budget: &mut Self::Budget, page: PageId, level: u16) -> bool;
+    fn may_reinsert(tree: &Tree<Self>, budget: &mut Self::Budget, page: PageId, level: u16)
+        -> bool;
 
     /// ChooseSubtree: the index of the entry of a node at `level` to
     /// descend into for `entry`.
     fn choose_subtree(
-        &self,
         entries: &[Entry<Self::Region>],
         entry: &AnyEntry<Self::Region>,
         level: u16,
@@ -52,118 +53,115 @@ pub trait Dynamic: PagedTree + Sized {
 
     /// Region update: the region a parent records for the node whose
     /// page is `page`, computed from its lanes.
-    fn region_of(&self, page: &NodePage<Self::Region>) -> Result<Self::Region>;
+    fn region_of(tree: &Tree<Self>, page: &NodePage<Self::Region>) -> Result<Self::Region>;
 
     /// Split an overflowing node into two, each at least minimally full.
-    fn split(&self, node: Node<Self::Region>) -> (Node<Self::Region>, Node<Self::Region>);
+    fn split(
+        tree: &Tree<Self>,
+        node: Node<Self::Region>,
+    ) -> (Node<Self::Region>, Node<Self::Region>);
 
     /// Forced reinsertion: remove the entries to reinsert from `node`,
     /// farthest first (they are reinserted closest first).
-    fn take_reinsert(&self, node: &mut Node<Self::Region>) -> Result<Vec<AnyEntry<Self::Region>>>;
+    fn take_reinsert(
+        tree: &Tree<Self>,
+        node: &mut Node<Self::Region>,
+    ) -> Result<Vec<AnyEntry<Self::Region>>>;
+}
 
-    /// Insert one point.
-    fn insert(&mut self, point: Point, data: u64) -> Result<()> {
-        self.core().check_point(point.coords())?;
-        let mut budget = self.budget();
-        insert_at(
-            self,
-            AnyEntry::Leaf(LeafEntry { point, data }),
-            0,
-            &mut budget,
-        )?;
-        let core = self.core_mut();
-        core.count += 1;
-        core.save_meta()
+/// Insert one point.
+pub(crate) fn insert<P: Dynamic>(t: &mut Tree<P>, point: Point, data: u64) -> Result<()> {
+    t.check_point(point.coords())?;
+    let mut budget = P::budget(t);
+    insert_at(t, AnyEntry::Leaf(LeafEntry { point, data }), 0, &mut budget)?;
+    t.count += 1;
+    t.save_meta()
+}
+
+/// Delete the exact entry `(point, data)`; returns whether it existed.
+pub(crate) fn delete<P: Dynamic>(t: &mut Tree<P>, point: &Point, data: u64) -> Result<bool> {
+    t.check_point(point.coords())?;
+    let Some(path) = t.find_leaf(point, data)? else {
+        return Ok(false);
+    };
+    let idx = path.len() - 1;
+    let mut leaf = t.read_page(path[idx], 0)?;
+    let pos = leaf
+        .position(point.coords(), data)
+        .ok_or_else(|| IndexError::Corrupt("find_leaf returned a leaf without the entry".into()))?;
+    leaf.remove_point(pos)?;
+    let orphans = if idx == 0 || leaf.len() >= t.params.min_leaf {
+        t.write_page(&leaf)?;
+        propagate(t, &path, idx, &leaf)?;
+        Vec::new()
+    } else {
+        let node = leaf.decode(&t.params)?;
+        condense(t, &path, node)?
+    };
+    // Reinsert orphaned points; each gets its own reinsertion budget.
+    for e in orphans {
+        let mut budget = P::budget(t);
+        insert_at(t, AnyEntry::Leaf(e), 0, &mut budget)?;
     }
+    t.count -= 1;
+    t.save_meta()?;
+    Ok(true)
+}
 
-    /// Delete the exact entry `(point, data)`; returns whether it
-    /// existed.
-    fn delete(&mut self, point: &Point, data: u64) -> Result<bool> {
-        self.core().check_point(point.coords())?;
-        let Some(path) = self.core().find_leaf(point, data)? else {
-            return Ok(false);
-        };
-        let idx = path.len() - 1;
-        let mut leaf = self.core().read_page(path[idx], 0)?;
-        let pos = leaf.position(point.coords(), data).ok_or_else(|| {
-            IndexError::Corrupt("find_leaf returned a leaf without the entry".into())
-        })?;
-        leaf.remove_point(pos)?;
-        let orphans = if idx == 0 || leaf.len() >= self.core().params.min_leaf {
-            self.core_mut().write_page(&leaf)?;
-            propagate(self, &path, idx, &leaf)?;
-            Vec::new()
-        } else {
-            let node = leaf.decode(&self.core().params)?;
-            condense(self, &path, node)?
-        };
-        // Reinsert orphaned points; each gets its own reinsertion budget.
-        for e in orphans {
-            let mut budget = self.budget();
-            insert_at(self, AnyEntry::Leaf(e), 0, &mut budget)?;
-        }
-        let core = self.core_mut();
-        core.count -= 1;
-        core.save_meta()?;
-        Ok(true)
-    }
-
-    /// The node invariants of the R-tree family, for
-    /// [`PagedTree::check_node`]: fanout within `[min, max]` below the
-    /// root, an inner root with at least 2 entries, and the recorded
-    /// region equal to the deterministic recomputation.
-    fn check_fill_and_region(
-        &self,
-        id: PageId,
-        node: &Node<Self::Region>,
-        stored: Option<&Self::Region>,
-    ) -> Result<()> {
-        let params = &self.core().params;
-        let (min, max) = (params.min_at(node.level()), params.max_at(node.level()));
-        let Some(stored) = stored else {
-            if !node.is_leaf() && node.len() < 2 {
-                return Err(IndexError::Corrupt(format!(
-                    "inner root {id} has {} < 2 entries",
-                    node.len()
-                )));
-            }
-            return Ok(());
-        };
-        if node.len() < min || node.len() > max {
+/// The node invariants of the R-tree family, for `TreePolicy::check_node`:
+/// fanout within `[min, max]` below the root, an inner root with at
+/// least 2 entries, and the recorded region equal to the deterministic
+/// recomputation.
+pub(crate) fn check_fill_and_region<P: Dynamic>(
+    t: &Tree<P>,
+    id: PageId,
+    node: &Node<P::Region>,
+    stored: Option<&P::Region>,
+) -> Result<()> {
+    let (min, max) = (t.params.min_at(node.level()), t.params.max_at(node.level()));
+    let Some(stored) = stored else {
+        if !node.is_leaf() && node.len() < 2 {
             return Err(IndexError::Corrupt(format!(
-                "page {id} (level {}): {} entries outside [{min}, {max}]",
-                node.level(),
+                "inner root {id} has {} < 2 entries",
                 node.len()
             )));
         }
-        let region = self.region_of(&self.core().encode_node(id, node)?)?;
-        if region != *stored {
-            return Err(IndexError::Corrupt(format!(
-                "page {id}: recorded region {stored:?} differs from the recomputed {region:?}"
-            )));
-        }
-        Ok(())
+        return Ok(());
+    };
+    if node.len() < min || node.len() > max {
+        return Err(IndexError::Corrupt(format!(
+            "page {id} (level {}): {} entries outside [{min}, {max}]",
+            node.level(),
+            node.len()
+        )));
     }
+    let region = P::region_of(t, &t.encode_node(id, node)?)?;
+    if region != *stored {
+        return Err(IndexError::Corrupt(format!(
+            "page {id}: recorded region {stored:?} differs from the recomputed {region:?}"
+        )));
+    }
+    Ok(())
 }
 
 /// Insert `entry` at `target_level`, resolving overflow by forced
 /// reinsertion (where the budget allows) or split, and propagating
 /// splits toward the root.
-fn insert_at<T: Dynamic>(
-    t: &mut T,
-    entry: AnyEntry<T::Region>,
+fn insert_at<P: Dynamic>(
+    t: &mut Tree<P>,
+    entry: AnyEntry<P::Region>,
     target_level: u16,
-    budget: &mut T::Budget,
+    budget: &mut P::Budget,
 ) -> Result<()> {
     let path = choose_path(t, &entry, target_level)?;
     let mut idx = path.len() - 1;
-    let mut page = t.core().read_page(path[idx], target_level)?;
-    if page.len() < t.core().params.max_at(target_level) {
+    let mut page = t.read_page(path[idx], target_level)?;
+    if page.len() < t.params.max_at(target_level) {
         page.push(&entry)?;
-        t.core_mut().write_page(&page)?;
+        t.write_page(&page)?;
         return propagate(t, &path, idx, &page);
     }
-    let mut node = page.decode(&t.core().params)?;
+    let mut node = page.decode(&t.params)?;
     match (entry, &mut node) {
         (AnyEntry::Leaf(e), Node::Leaf(entries)) => entries.push(e),
         (AnyEntry::Inner(e), Node::Inner { entries, .. }) => entries.push(e),
@@ -175,28 +173,28 @@ fn insert_at<T: Dynamic>(
     }
     loop {
         let level = node.level();
-        if node.len() <= t.core().params.max_at(level) {
-            let page = t.core_mut().write_node(path[idx], &node)?;
+        if node.len() <= t.params.max_at(level) {
+            let page = t.write_node(path[idx], &node)?;
             return propagate(t, &path, idx, &page);
         }
         if idx == 0 {
             return split_root(t, node);
         }
-        if t.may_reinsert(budget, path[idx], level) {
-            let removed = t.take_reinsert(&mut node)?;
-            let page = t.core_mut().write_node(path[idx], &node)?;
+        if P::may_reinsert(t, budget, path[idx], level) {
+            let removed = P::take_reinsert(t, &mut node)?;
+            let page = t.write_node(path[idx], &node)?;
             propagate(t, &path, idx, &page)?;
             for e in removed.into_iter().rev() {
                 insert_at(t, e, level, budget)?;
             }
             return Ok(());
         }
-        let (a, b) = t.split(node);
-        let b = t.core_mut().allocate_node(&b)?;
-        let a = t.core_mut().write_node(path[idx], &a)?;
-        let (a_region, b_region) = (t.region_of(&a)?, t.region_of(&b)?);
+        let (a, b) = P::split(t, node);
+        let b = t.allocate_node(&b)?;
+        let a = t.write_node(path[idx], &a)?;
+        let (a_region, b_region) = (P::region_of(t, &a)?, P::region_of(t, &b)?);
         idx -= 1;
-        let mut parent = t.core().read_node(path[idx], level + 1)?;
+        let mut parent = t.read_node(path[idx], level + 1)?;
         let Node::Inner { entries, .. } = &mut parent else {
             return Err(IndexError::Corrupt(
                 "parent of a split node is not an inner node".into(),
@@ -220,29 +218,28 @@ fn insert_at<T: Dynamic>(
 /// path, freeing its pages, write the first ancestor that stays full
 /// enough, refresh the regions above it, and shrink the root. Returns
 /// the dissolved nodes' points, for reinsertion.
-fn condense<T: Dynamic>(
-    t: &mut T,
+fn condense<P: Dynamic>(
+    t: &mut Tree<P>,
     path: &[PageId],
-    mut node: Node<T::Region>,
+    mut node: Node<P::Region>,
 ) -> Result<Vec<LeafEntry>> {
     let mut orphans = Vec::new();
     let mut idx = path.len() - 1;
     loop {
-        let core = t.core_mut();
         if idx == 0 {
-            core.write_node(path[0], &node)?;
+            t.write_node(path[0], &node)?;
             break;
         }
-        if node.len() >= core.params.min_at(node.level()) {
-            let page = core.write_node(path[idx], &node)?;
+        if node.len() >= t.params.min_at(node.level()) {
+            let page = t.write_node(path[idx], &node)?;
             propagate(t, path, idx, &page)?;
             break;
         }
         // Dissolve this node: free its pages and collect its points.
-        collect_points(core, &node, &mut orphans)?;
-        core.free(path[idx])?;
+        collect_points(t, &node, &mut orphans)?;
+        t.free(path[idx])?;
         idx -= 1;
-        let mut parent = core.read_node(path[idx], node.level() + 1)?;
+        let mut parent = t.read_node(path[idx], node.level() + 1)?;
         if let Node::Inner { entries, .. } = &mut parent {
             let pos = entries
                 .iter()
@@ -252,30 +249,29 @@ fn condense<T: Dynamic>(
         }
         node = parent;
     }
-    shrink_root(t.core_mut())?;
+    shrink_root(t)?;
     Ok(orphans)
 }
 
 /// Descend from the root to `target_level` with the tree's
 /// ChooseSubtree; returns the page-id path, root first.
-fn choose_path<T: Dynamic>(
-    t: &T,
-    entry: &AnyEntry<T::Region>,
+fn choose_path<P: Dynamic>(
+    t: &Tree<P>,
+    entry: &AnyEntry<P::Region>,
     target_level: u16,
 ) -> Result<Vec<PageId>> {
-    let core = t.core();
-    let mut path = vec![core.root];
-    let mut level = core.height.saturating_sub(1) as u16;
-    let mut id = core.root;
+    let mut path = vec![t.root];
+    let mut level = t.top_level()?;
+    let mut id = t.root;
     while level > target_level {
-        let node = core.read_node(id, level)?;
+        let node = t.read_node(id, level)?;
         let Node::Inner { entries, .. } = &node else {
             return Err(IndexError::Corrupt(
                 "leaf found above the target level while descending".into(),
             ));
         };
         id = entries
-            .get(t.choose_subtree(entries, entry, level))
+            .get(P::choose_subtree(entries, entry, level))
             .ok_or_else(|| IndexError::Corrupt("ChooseSubtree left the node".into()))?
             .child;
         path.push(id);
@@ -288,28 +284,29 @@ fn choose_path<T: Dynamic>(
 /// it in every ancestor, patching each ancestor's slot in place and
 /// stopping as soon as one already holds the region (compared as
 /// `Region`s, so `-0.0` equals `0.0`).
-fn propagate<T: Dynamic>(
-    t: &mut T,
+fn propagate<P: Dynamic>(
+    t: &mut Tree<P>,
     path: &[PageId],
     idx: usize,
-    page: &NodePage<T::Region>,
+    page: &NodePage<P::Region>,
 ) -> Result<()> {
     if idx == 0 {
         return Ok(());
     }
-    let mut child_region = t.region_of(page)?;
+    let mut child_region = P::region_of(t, page)?;
     let mut child_id = path[idx];
+    let top = t.top_level()?;
     for j in (0..idx).rev() {
-        let level = (t.core().height as usize - 1 - j) as u16;
-        let mut parent = t.core().read_page(path[j], level)?;
+        // `path[j]` sits `j` levels below the root.
+        let mut parent = t.read_page(path[j], top - j as u16)?;
         let slot = parent.slot_of(child_id)?;
         if parent.region(slot)? == child_region {
             return Ok(()); // nothing changed; ancestors are exact
         }
         parent.set_region(slot, &child_region)?;
-        t.core_mut().write_page(&parent)?;
+        t.write_page(&parent)?;
         if j > 0 {
-            child_region = t.region_of(&parent)?;
+            child_region = P::region_of(t, &parent)?;
         }
         child_id = path[j];
     }
@@ -317,47 +314,46 @@ fn propagate<T: Dynamic>(
 }
 
 /// Split an overflowing root, growing the tree by one level.
-fn split_root<T: Dynamic>(t: &mut T, node: Node<T::Region>) -> Result<()> {
+fn split_root<P: Dynamic>(t: &mut Tree<P>, node: Node<P::Region>) -> Result<()> {
     let level = node.level();
-    let (a, b) = t.split(node);
-    let a = t.core_mut().allocate_node(&a)?;
-    let b = t.core_mut().allocate_node(&b)?;
+    let (a, b) = P::split(t, node);
+    let a = t.allocate_node(&a)?;
+    let b = t.allocate_node(&b)?;
     let entries = vec![
         Entry {
-            region: t.region_of(&a)?,
+            region: P::region_of(t, &a)?,
             child: a.id(),
         },
         Entry {
-            region: t.region_of(&b)?,
+            region: P::region_of(t, &b)?,
             child: b.id(),
         },
     ];
-    let core = t.core_mut();
-    core.free(core.root)?;
-    core.root = core
+    t.free(t.root)?;
+    t.root = t
         .allocate_node(&Node::Inner {
             level: level + 1,
             entries,
         })?
         .id();
-    core.height += 1;
-    core.save_meta()
+    t.height += 1;
+    t.save_meta()
 }
 
 /// Free every page of `node`'s subtree (the node's own page is freed by
 /// the caller) and collect the points it held.
-fn collect_points<R: Region>(
-    core: &mut Paged<R>,
-    node: &Node<R>,
+fn collect_points<P: Dynamic>(
+    t: &mut Tree<P>,
+    node: &Node<P::Region>,
     out: &mut Vec<LeafEntry>,
 ) -> Result<()> {
     match node {
         Node::Leaf(entries) => out.extend(entries.iter().cloned()),
         Node::Inner { level, entries } => {
             for e in entries {
-                let child = core.read_node(e.child, level - 1)?;
-                collect_points(core, &child, out)?;
-                core.free(e.child)?;
+                let child = t.read_node(e.child, level - 1)?;
+                collect_points(t, &child, out)?;
+                t.free(e.child)?;
             }
         }
     }
@@ -366,29 +362,29 @@ fn collect_points<R: Region>(
 
 /// Shrink the root while it is an inner node with a single child, and
 /// replace an emptied inner root with an empty leaf.
-fn shrink_root<R: Region>(core: &mut Paged<R>) -> Result<()> {
+fn shrink_root<P: Dynamic>(t: &mut Tree<P>) -> Result<()> {
     loop {
-        let level = core.height.saturating_sub(1) as u16;
+        let level = t.top_level()?;
         if level == 0 {
             return Ok(());
         }
-        let Node::Inner { entries, .. } = core.read_node(core.root, level)? else {
+        let Node::Inner { entries, .. } = t.read_node(t.root, level)? else {
             return Err(IndexError::Corrupt(
                 "root is a leaf but the recorded height says otherwise".into(),
             ));
         };
         match entries.first() {
             None => {
-                core.free(core.root)?;
-                core.root = core.allocate_node(&Node::Leaf(Vec::new()))?.id();
-                core.height = 1;
-                return core.save_meta();
+                t.free(t.root)?;
+                t.root = t.allocate_node(&Node::Leaf(Vec::new()))?.id();
+                t.height = 1;
+                return t.save_meta();
             }
             Some(only) if entries.len() == 1 => {
-                core.free(core.root)?;
-                core.root = only.child;
-                core.height -= 1;
-                core.save_meta()?;
+                t.free(t.root)?;
+                t.root = only.child;
+                t.height -= 1;
+                t.save_meta()?;
             }
             Some(_) => return Ok(()),
         }

@@ -7,14 +7,14 @@ use sr_geometry::{
     Point, Rect, Sphere, CONTAINMENT_EPS,
 };
 use sr_pager::{PageCodec, PageReader};
-use sr_query::paged::centroid::{self, Centered};
-use sr_query::paged::Result;
-use sr_query::paged::{
+use sr_query::{Expansion, IndexError};
+
+use crate::paged::centroid::{self, Centered};
+use crate::paged::{
     check_rect_raw, check_sphere_raw, get_rect, get_sphere, leaf_rect, put_rect, put_sphere,
     rect_contains_raw, rect_union, sphere_contains_raw, LeafEntry, NodePage, Region,
 };
-use sr_query::Expansion;
-use sr_query::IndexError;
+use crate::Result;
 
 /// How the parent bounding-sphere radius is computed — an ablation knob
 /// for the paper's §4.2 rule.
@@ -251,9 +251,9 @@ pub(crate) fn region_of(page: &NodePage<SrRegion>, rule: RadiusRule) -> Result<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paged::{Entry, Node, Params};
     use sr_dataset::SeededRng;
     use sr_geometry::enclosing_radius_spheres;
-    use sr_query::paged::{Entry, Node, Params};
 
     /// The page `node` encodes to, in a tree of `dim` dimensions.
     fn page_in(node: &Node<SrRegion>, dim: usize) -> NodePage<SrRegion> {

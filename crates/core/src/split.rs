@@ -7,7 +7,8 @@
 #![allow(clippy::indexing_slicing)]
 
 use sr_geometry::Rect;
-use sr_query::paged::{Node, Params};
+
+use crate::paged::{Node, Params};
 
 /// Split an overflowing node (holding `max + 1` entries) into two nodes,
 /// each holding at least the minimum fill.
@@ -132,8 +133,8 @@ fn prefix_suffix_bbs(rects: &[Rect], order: &[usize]) -> (Vec<Rect>, Vec<Rect>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paged::{Entry, LeafEntry};
     use sr_geometry::Point;
-    use sr_query::paged::{Entry, LeafEntry};
 
     fn pt_rects(coords: &[[f32; 2]]) -> Vec<Rect> {
         coords

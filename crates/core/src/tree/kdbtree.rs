@@ -16,8 +16,8 @@
 //! dimensions, which were reported to cause excessive forced splits:
 //! the dimension with the greatest spread is cut near the median.
 //!
-//! The shared paged core (`sr_query::paged`) supplies the page codec,
-//! search and the verify walker; this module keeps the region (a
+//! The shared [`Tree`] supplies the page codec, search and the verify
+//! walker; this module keeps the region (a
 //! half-open rectangle whose bounds may be infinite), the never-merging
 //! delete and the disjointness checks, and `crate::insert` the plane and
 //! forced splits.
@@ -42,12 +42,12 @@
 
 use sr_geometry::{Point, Rect};
 use sr_pager::{PageCodec, PageId, PageReader};
-use sr_query::paged::{get_rect, put_rect, rect_contains_raw, Kind, Node, Region, Result};
 use sr_query::{Expansion, IndexError};
 
-use super::{Incremental, Tree, TreePolicy};
-use crate::insert;
+use super::{Incremental, Kind, Tree, TreePolicy};
+use crate::paged::{get_rect, put_rect, rect_contains_raw, Node, Region};
 pub use crate::verify;
+use crate::{insert, Result};
 
 /// The K-D-B-tree's policies: half-open partition cells, plane and
 /// forced splits, and no minimum fill.
@@ -80,7 +80,7 @@ impl TreePolicy for KdbPolicy {
         match node {
             Node::Leaf(entries) => {
                 for e in entries {
-                    let path = insert::descend(&tree.core, e.point.coords())?;
+                    let path = insert::descend(tree, e.point.coords())?;
                     let found = path[path.len() - 1].0;
                     if found != id {
                         return Err(IndexError::Corrupt(format!(
@@ -118,32 +118,23 @@ impl TreePolicy for KdbPolicy {
     /// with more coincident points than one page can hold (no coordinate
     /// plane can separate them).
     fn insert(tree: &mut KdbTree, point: Point, data: u64) -> Result<()> {
-        insert::insert_point(&mut tree.core, point, data)
+        insert::insert_point(tree, point, data)
     }
 
     /// Pages are never merged (the classic K-D-B-tree leaves
     /// reorganization to offline rebuilds), so deletion cannot underflow.
     fn delete(tree: &mut KdbTree, point: &Point, data: u64) -> Result<bool> {
-        tree.core.check_point(point.coords())?;
+        tree.check_point(point.coords())?;
         // Disjointness: only the point's own root-to-leaf path can hold it.
-        let path = insert::descend(&tree.core, point.coords())?;
-        let id = path[path.len() - 1].0;
-        let mut leaf = tree.core.read_node(id, 0)?;
-        let Node::Leaf(entries) = &mut leaf else {
-            return Err(IndexError::Corrupt(
-                "descent ended above the leaf level".into(),
-            ));
-        };
-        let Some(pos) = entries
-            .iter()
-            .position(|e| e.point == *point && e.data == data)
-        else {
+        let path = insert::descend(tree, point.coords())?;
+        let mut leaf = tree.read_page(path[path.len() - 1].0, 0)?;
+        let Some(pos) = leaf.position(point.coords(), data) else {
             return Ok(false);
         };
-        entries.remove(pos);
-        tree.core.write_node(id, &leaf)?;
-        tree.core.count -= 1;
-        tree.core.save_meta()?;
+        leaf.remove_point(pos)?;
+        tree.write_page(&leaf)?;
+        tree.count -= 1;
+        tree.save_meta()?;
         Ok(true)
     }
 }
@@ -153,7 +144,7 @@ impl Incremental for KdbPolicy {}
 impl KdbTree {
     /// The region rectangle of the root (all of space).
     pub fn root_region(&self) -> Rect {
-        full_space(self.core.dim())
+        full_space(self.dim())
     }
 }
 

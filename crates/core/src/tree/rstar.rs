@@ -2,9 +2,9 @@
 //! point mode — the rectangle-region baseline of the SR-tree paper (§2.2).
 //!
 //! A disk-based, height-balanced tree of nested minimum bounding
-//! rectangles. The shared paged core (`sr_query::paged`) supplies the
-//! page codec, search, verification and the R-tree-family update
-//! driver; this module keeps the original R\*-tree policies:
+//! rectangles. The shared [`Tree`] and [`crate::paged`] supply the page
+//! codec, search, verification and the R-tree-family update driver; this
+//! module keeps the original R\*-tree policies:
 //!
 //! * **ChooseSubtree** — minimum overlap enlargement at the level above
 //!   the leaves, minimum area enlargement elsewhere;
@@ -30,11 +30,11 @@
 
 use sr_geometry::{Point, Rect};
 use sr_pager::PageId;
-use sr_query::paged::{mbr, AnyEntry, Dynamic, Entry, Kind, Node, NodePage, Paged, Result};
 
-use super::{Incremental, Tree, TreePolicy};
+use super::{Incremental, Kind, Tree, TreePolicy};
+use crate::paged::{mbr, update, AnyEntry, Dynamic, Entry, Node, NodePage};
 pub use crate::verify;
-use crate::{insert, split};
+use crate::{insert, split, Result};
 
 /// The R\*-tree's policies: exact bounding rectangles, R\* ChooseSubtree,
 /// close reinsert and the R\*-split.
@@ -59,15 +59,15 @@ impl TreePolicy for RstarPolicy {
         node: &Node<Rect>,
         stored: Option<&Rect>,
     ) -> Result<()> {
-        tree.check_fill_and_region(id, node, stored)
+        update::check_fill_and_region(tree, id, node, stored)
     }
 
     fn insert(tree: &mut RstarTree, point: Point, data: u64) -> Result<()> {
-        Dynamic::insert(tree, point, data)
+        update::insert(tree, point, data)
     }
 
     fn delete(tree: &mut RstarTree, point: &Point, data: u64) -> Result<bool> {
-        Dynamic::delete(tree, point, data)
+        update::delete(tree, point, data)
     }
 }
 
@@ -75,18 +75,14 @@ impl Incremental for RstarPolicy {}
 
 /// Forced reinsertion runs at most once per level per insertion (the
 /// R\*-tree rule); levels the tree grows into mid-insertion split.
-impl Dynamic for RstarTree {
+impl Dynamic for RstarPolicy {
     type Budget = Vec<bool>;
 
-    fn core_mut(&mut self) -> &mut Paged<Rect> {
-        &mut self.core
+    fn budget(tree: &RstarTree) -> Vec<bool> {
+        vec![false; tree.height as usize]
     }
 
-    fn budget(&self) -> Vec<bool> {
-        vec![false; self.core.height as usize]
-    }
-
-    fn may_reinsert(&self, budget: &mut Vec<bool>, _page: PageId, level: u16) -> bool {
+    fn may_reinsert(_tree: &RstarTree, budget: &mut Vec<bool>, _page: PageId, level: u16) -> bool {
         match budget.get_mut(usize::from(level)) {
             Some(used) if !*used => {
                 *used = true;
@@ -96,19 +92,19 @@ impl Dynamic for RstarTree {
         }
     }
 
-    fn choose_subtree(&self, entries: &[Entry<Rect>], entry: &AnyEntry<Rect>, level: u16) -> usize {
+    fn choose_subtree(entries: &[Entry<Rect>], entry: &AnyEntry<Rect>, level: u16) -> usize {
         insert::choose_subtree(entries, entry, level)
     }
 
-    fn region_of(&self, page: &NodePage<Rect>) -> Result<Rect> {
+    fn region_of(_tree: &RstarTree, page: &NodePage<Rect>) -> Result<Rect> {
         mbr(page)
     }
 
-    fn split(&self, node: Node<Rect>) -> (Node<Rect>, Node<Rect>) {
-        split::split_node(&self.core.params, node)
+    fn split(tree: &RstarTree, node: Node<Rect>) -> (Node<Rect>, Node<Rect>) {
+        split::split_node(&tree.params, node)
     }
 
-    fn take_reinsert(&self, node: &mut Node<Rect>) -> Result<Vec<AnyEntry<Rect>>> {
-        insert::take_reinsert(node, &self.core.params)
+    fn take_reinsert(tree: &RstarTree, node: &mut Node<Rect>) -> Result<Vec<AnyEntry<Rect>>> {
+        insert::take_reinsert(node, &tree.params)
     }
 }

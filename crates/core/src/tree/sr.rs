@@ -6,12 +6,12 @@ use std::collections::HashSet;
 use sr_geometry::{Point, Rect, Sphere};
 use sr_obs::{Noop, Recorder};
 use sr_pager::{PageFile, PageId};
-use sr_query::paged::centroid;
-use sr_query::paged::{AnyEntry, Dynamic, Entry, Kind, Node, NodePage, Paged, Result};
 use sr_query::{IndexError, Neighbor, QuerySpec};
 
-use super::{Incremental, Tree, TreePolicy};
+use super::{Incremental, Kind, Tree, TreePolicy};
+use crate::paged::{centroid, update, AnyEntry, Dynamic, Entry, Node, NodePage};
 use crate::region::{leaf_shapes, region_of, DistanceBound, SrOptions, SrRegion};
+use crate::Result;
 
 /// The SR-tree's policies: the §4.2 region and the SS-tree's centroid
 /// insertion, with the ablation options of [`SrOptions`].
@@ -39,15 +39,15 @@ impl TreePolicy for SrPolicy {
         node: &Node<SrRegion>,
         stored: Option<&SrRegion>,
     ) -> Result<()> {
-        tree.check_fill_and_region(id, node, stored)
+        update::check_fill_and_region(tree, id, node, stored)
     }
 
     fn insert(tree: &mut SrTree, point: Point, data: u64) -> Result<()> {
-        Dynamic::insert(tree, point, data)
+        update::insert(tree, point, data)
     }
 
     fn delete(tree: &mut SrTree, point: &Point, data: u64) -> Result<bool> {
-        Dynamic::delete(tree, point, data)
+        update::delete(tree, point, data)
     }
 }
 
@@ -61,13 +61,12 @@ impl SrTree {
         data_area: usize,
         options: SrOptions,
     ) -> Result<Self> {
-        let core = Paged::create(pf, SrPolicy::KIND, dim, data_area, options)?;
-        Ok(Tree { core })
+        Tree::create_with(pf, dim, data_area, options)
     }
 
     /// The ablation options in force (persisted in the metadata).
     pub fn options(&self) -> SrOptions {
-        self.core.params.policy
+        self.params.policy
     }
 
     /// Bulk-load a complete data set into this (empty) tree — the static
@@ -80,13 +79,13 @@ impl SrTree {
     /// [`IndexError::Unsupported`] if the tree already holds points (it
     /// is left untouched), and the point checks of an insert.
     pub fn bulk_load(&mut self, points: Vec<(Point, u64)>) -> Result<()> {
-        if !self.core.is_empty() {
+        if !self.is_empty() {
             return Err(IndexError::Unsupported("bulk_load requires an empty tree"));
         }
         for (p, _) in &points {
-            self.core.check_point(p.coords())?;
+            self.check_point(p.coords())?;
         }
-        crate::bulk::bulk_load(&mut self.core, points)
+        crate::bulk::bulk_load(self, points)
     }
 
     /// k-NN with an explicit region-distance bound — the ablation knob
@@ -114,7 +113,7 @@ impl SrTree {
         rec: &R,
     ) -> Result<Vec<Neighbor>> {
         let spec = QuerySpec::knn(query, k).depth_first();
-        Ok(self.core.search(&spec, bound, rec)?.rows)
+        Ok(self.search(&spec, bound, rec)?.rows)
     }
 
     /// The (sphere, rectangle) region pairs of all non-empty leaves.
@@ -123,7 +122,7 @@ impl SrTree {
     /// (Figures 12, 13) as upper bounds on the true intersection region.
     pub fn leaf_regions(&self) -> Result<Vec<(Sphere, Rect)>> {
         let mut out = Vec::new();
-        self.core.walk_leaves(|entries| {
+        self.walk_leaves(|entries| {
             out.extend(leaf_shapes(entries));
             Ok(())
         })?;
@@ -134,23 +133,23 @@ impl SrTree {
 /// The SS-tree's centroid algorithm, "applied to the SR-tree" (§4.2),
 /// with forced reinsertion switchable off for the ablation; only the
 /// region update differs.
-impl Dynamic for SrTree {
+impl Dynamic for SrPolicy {
     type Budget = HashSet<PageId>;
 
-    fn core_mut(&mut self) -> &mut Paged<SrRegion> {
-        &mut self.core
-    }
-
-    fn budget(&self) -> HashSet<PageId> {
+    fn budget(_tree: &SrTree) -> HashSet<PageId> {
         HashSet::new()
     }
 
-    fn may_reinsert(&self, budget: &mut HashSet<PageId>, page: PageId, _level: u16) -> bool {
-        !self.options().disable_reinsertion && centroid::reinsert_once_per_node(budget, page)
+    fn may_reinsert(
+        tree: &SrTree,
+        budget: &mut HashSet<PageId>,
+        page: PageId,
+        _level: u16,
+    ) -> bool {
+        !tree.options().disable_reinsertion && centroid::reinsert_once_per_node(budget, page)
     }
 
     fn choose_subtree(
-        &self,
         entries: &[Entry<SrRegion>],
         entry: &AnyEntry<SrRegion>,
         _level: u16,
@@ -158,15 +157,15 @@ impl Dynamic for SrTree {
         centroid::choose_nearest(entries, entry)
     }
 
-    fn region_of(&self, page: &NodePage<SrRegion>) -> Result<SrRegion> {
-        region_of(page, self.options().radius_rule)
+    fn region_of(tree: &SrTree, page: &NodePage<SrRegion>) -> Result<SrRegion> {
+        region_of(page, tree.options().radius_rule)
     }
 
-    fn split(&self, node: Node<SrRegion>) -> (Node<SrRegion>, Node<SrRegion>) {
-        centroid::variance_split(node, &self.core.params)
+    fn split(tree: &SrTree, node: Node<SrRegion>) -> (Node<SrRegion>, Node<SrRegion>) {
+        centroid::variance_split(node, &tree.params)
     }
 
-    fn take_reinsert(&self, node: &mut Node<SrRegion>) -> Result<Vec<AnyEntry<SrRegion>>> {
-        centroid::take_farthest_from_centroid(node, &self.core.params)
+    fn take_reinsert(tree: &SrTree, node: &mut Node<SrRegion>) -> Result<Vec<AnyEntry<SrRegion>>> {
+        centroid::take_farthest_from_centroid(node, &tree.params)
     }
 }

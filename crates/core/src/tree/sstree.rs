@@ -3,7 +3,7 @@
 //!
 //! A disk-based, height-balanced tree whose regions are **bounding
 //! spheres** centered on the centroid of the underlying points. What the
-//! shared paged core (`sr_query::paged`) leaves to this module:
+//! shared [`Tree`] leaves to this module:
 //!
 //! * **Region** — center + radius + subtree weight, `D + 1` floats
 //!   against a rectangle's `2·D`, nearly doubling fanout: 55 vs the
@@ -11,7 +11,7 @@
 //! * **Region update** — the weighted centroid, radius `d_s` enclosing
 //!   every child sphere;
 //! * **Insertion** — the centroid policies of
-//!   `sr_query::paged::centroid`: descend to the nearest centroid;
+//!   `crate::paged::centroid`: descend to the nearest centroid;
 //!   force-reinsert on overflow *unless the same node already reinserted
 //!   during this insertion*; split on the dimension of highest centroid
 //!   variance at the position of least summed variance.
@@ -36,15 +36,16 @@ use sr_geometry::{
     CONTAINMENT_EPS,
 };
 use sr_pager::{PageCodec, PageId, PageReader};
-use sr_query::paged::centroid::{self, Centered};
-use sr_query::paged::{
-    check_sphere_raw, get_sphere, put_sphere, sphere_contains_raw, AnyEntry, Dynamic, Entry, Kind,
-    Node, NodePage, Paged, Region, Result,
-};
 use sr_query::{Expansion, IndexError};
 
-use super::{Incremental, Tree, TreePolicy};
+use super::{Incremental, Kind, Tree, TreePolicy};
+use crate::paged::centroid::{self, Centered};
+use crate::paged::{
+    check_sphere_raw, get_sphere, put_sphere, sphere_contains_raw, update, AnyEntry, Dynamic,
+    Entry, Node, NodePage, Region,
+};
 pub use crate::verify;
+use crate::Result;
 
 /// The SS-tree's policies: bounding-sphere regions and centroid
 /// insertion.
@@ -70,15 +71,15 @@ impl TreePolicy for SsPolicy {
         node: &Node<SsRegion>,
         stored: Option<&SsRegion>,
     ) -> Result<()> {
-        tree.check_fill_and_region(id, node, stored)
+        update::check_fill_and_region(tree, id, node, stored)
     }
 
     fn insert(tree: &mut SsTree, point: Point, data: u64) -> Result<()> {
-        Dynamic::insert(tree, point, data)
+        update::insert(tree, point, data)
     }
 
     fn delete(tree: &mut SsTree, point: &Point, data: u64) -> Result<bool> {
-        Dynamic::delete(tree, point, data)
+        update::delete(tree, point, data)
     }
 }
 
@@ -89,7 +90,7 @@ impl SsTree {
     /// of Figures 5, 12, 13.
     pub fn leaf_regions(&self) -> Result<Vec<Sphere>> {
         let mut out = Vec::new();
-        self.core.walk_leaves(|entries| {
+        self.walk_leaves(|entries| {
             let pts: Vec<&[f32]> = entries.iter().map(|e| e.point.coords()).collect();
             out.extend(bounding_sphere_of_points(&pts));
             Ok(())
@@ -195,23 +196,23 @@ pub(super) fn region_of(page: &NodePage<SsRegion>) -> Result<SsRegion> {
 /// The SS-tree's policies (§2.3): nearest-centroid ChooseSubtree,
 /// forced reinsertion unless the same node already reinserted during
 /// this insertion, and the variance split.
-impl Dynamic for SsTree {
+impl Dynamic for SsPolicy {
     type Budget = HashSet<PageId>;
 
-    fn core_mut(&mut self) -> &mut Paged<SsRegion> {
-        &mut self.core
-    }
-
-    fn budget(&self) -> HashSet<PageId> {
+    fn budget(_tree: &SsTree) -> HashSet<PageId> {
         HashSet::new()
     }
 
-    fn may_reinsert(&self, budget: &mut HashSet<PageId>, page: PageId, _level: u16) -> bool {
+    fn may_reinsert(
+        _tree: &SsTree,
+        budget: &mut HashSet<PageId>,
+        page: PageId,
+        _level: u16,
+    ) -> bool {
         centroid::reinsert_once_per_node(budget, page)
     }
 
     fn choose_subtree(
-        &self,
         entries: &[Entry<SsRegion>],
         entry: &AnyEntry<SsRegion>,
         _level: u16,
@@ -219,15 +220,15 @@ impl Dynamic for SsTree {
         centroid::choose_nearest(entries, entry)
     }
 
-    fn region_of(&self, page: &NodePage<SsRegion>) -> Result<SsRegion> {
+    fn region_of(_tree: &SsTree, page: &NodePage<SsRegion>) -> Result<SsRegion> {
         region_of(page)
     }
 
-    fn split(&self, node: Node<SsRegion>) -> (Node<SsRegion>, Node<SsRegion>) {
-        centroid::variance_split(node, &self.core.params)
+    fn split(tree: &SsTree, node: Node<SsRegion>) -> (Node<SsRegion>, Node<SsRegion>) {
+        centroid::variance_split(node, &tree.params)
     }
 
-    fn take_reinsert(&self, node: &mut Node<SsRegion>) -> Result<Vec<AnyEntry<SsRegion>>> {
-        centroid::take_farthest_from_centroid(node, &self.core.params)
+    fn take_reinsert(tree: &SsTree, node: &mut Node<SsRegion>) -> Result<Vec<AnyEntry<SsRegion>>> {
+        centroid::take_farthest_from_centroid(node, &tree.params)
     }
 }

@@ -4,12 +4,12 @@
 
 use sr_geometry::{Point, Rect, Sphere};
 use sr_pager::PageFile;
-use sr_query::paged::centroid;
-use sr_query::paged::{AnyEntry, Dynamic, Entry, LeafEntry, Node, NodePage, Params};
 use sr_query::IndexError;
 
 use super::kdbtree::{clip_above, clip_below, full_space, kdb_contains, KdbRegion};
-use super::sstree::{self, SsRegion, SsTree};
+use super::sstree::{self, SsPolicy, SsRegion, SsTree};
+use crate::paged::centroid;
+use crate::paged::{AnyEntry, Dynamic, Entry, LeafEntry, Node, NodePage, Params};
 use crate::{RadiusRule, SrOptions, SrParams, SrTree};
 
 #[test]
@@ -174,7 +174,7 @@ fn take_reinsert_removes_the_centroid_outlier_first() {
             })
             .collect(),
     );
-    let removed = t.take_reinsert(&mut node).unwrap();
+    let removed = SsPolicy::take_reinsert(&t, &mut node).unwrap();
     assert!(matches!(&removed[0], AnyEntry::Leaf(e) if e.data == 8));
 }
 

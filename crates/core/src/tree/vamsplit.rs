@@ -11,7 +11,7 @@
 //! data, while the SR-tree edges it out on the real data set.
 //!
 //! The build (`crate::build`) is all this structure adds to the shared
-//! paged core (`sr_query::paged`): the built tree stores R\*-tree-shaped
+//! [`Tree`]: the built tree stores R\*-tree-shaped
 //! pages and answers queries exactly like an R-tree (rectangle MINDIST);
 //! it supports no insertion or deletion — rebuild to change the data,
 //! which is the honest cost of a static structure.
@@ -33,12 +33,12 @@ use std::path::Path;
 
 use sr_geometry::{Point, Rect};
 use sr_pager::{PageFile, PageId};
-use sr_query::paged::{mbr, Kind, Node, Paged, Params, Result, DEFAULT_DATA_AREA};
 use sr_query::IndexError;
 
-use super::{Tree, TreePolicy};
-use crate::build;
+use super::{Kind, Tree, TreePolicy};
+use crate::paged::{mbr, Node, Params, DEFAULT_DATA_AREA};
 pub use crate::verify;
+use crate::{build, Result};
 
 /// The VAMSplit R-tree's policies: R\*-tree-shaped pages, bulk-built and
 /// read-only.
@@ -64,7 +64,7 @@ impl TreePolicy for VamPolicy {
         node: &Node<Rect>,
         stored: Option<&Rect>,
     ) -> Result<()> {
-        let max = tree.core.params.max_at(node.level());
+        let max = tree.params.max_at(node.level());
         if node.len() > max {
             return Err(IndexError::Corrupt(format!(
                 "page {id}: {} entries exceed capacity {max}",
@@ -79,7 +79,7 @@ impl TreePolicy for VamPolicy {
                 "page {id} is an empty non-root page"
             )));
         }
-        let region = mbr(&tree.core.encode_node(id, node)?)?;
+        let region = mbr(&tree.encode_node(id, node)?)?;
         if region != *stored {
             return Err(IndexError::Corrupt(format!(
                 "page {id}: stored rect {stored:?} differs from the MBR {region:?}"
@@ -118,13 +118,13 @@ impl VamTree {
         data_area: usize,
     ) -> Result<Self> {
         let params = Params::try_derive(pf.capacity(), dim, data_area)?;
-        let mut core = Paged::new(pf, VamPolicy::KIND, params);
+        let mut tree = Tree::new(pf, params);
         for (p, _) in &points {
-            core.check_point(p.coords())?;
+            tree.check_point(p.coords())?;
         }
-        core.count = points.len() as u64;
-        (core.root, core.height) = build::bulk_build(&mut core, points)?;
-        core.save_meta()?;
-        Ok(Tree { core })
+        tree.count = points.len() as u64;
+        (tree.root, tree.height) = build::bulk_build(&mut tree, points)?;
+        tree.save_meta()?;
+        Ok(tree)
     }
 }

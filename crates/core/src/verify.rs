@@ -1,22 +1,22 @@
-//! The structural-invariant walker shared by every tree.
+//! Structural-invariant checker: the walker shared by every tree.
 //!
-//! The walk itself checks what holds for all five structures — every
+//! [`check`] itself checks what holds for all five structures — every
 //! inner node is non-empty, every leaf sits at level 0 below a
 //! height-consistent path, every stored point lies inside the region
 //! each ancestor entry records for it, and the metadata count matches
 //! the points on disk — and hands each node to the tree's
-//! [`PagedTree::check_node`] for the structure's own invariants (fanout
-//! bounds, exact region recomputation, K-D-B disjointness).
+//! [`TreePolicy::check_node`] for the structure's own invariants (fanout
+//! bounds, exact region recomputation, K-D-B disjointness; for the
+//! SR-tree, the §4.2 recomputation of every recorded sphere, rectangle
+//! and weight).
 
 use std::fmt;
 
 use sr_pager::PageId;
+use sr_query::IndexError;
 
-use super::index::PagedTree;
-use super::node::Node;
-use super::region::Region;
-use super::Result;
-use crate::IndexError;
+use crate::paged::{Node, Region};
+use crate::{Result, Tree, TreePolicy};
 
 /// Summary of a verified tree.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -49,18 +49,19 @@ impl fmt::Display for VerifyReport {
 /// # Errors
 /// [`IndexError::Corrupt`] naming the offending page and invariant;
 /// [`IndexError::Pager`] when a page cannot be read at all.
-pub fn verify<T: PagedTree>(tree: &T) -> Result<VerifyReport> {
-    let core = tree.core();
-    if core.height == 0 {
-        return Err(IndexError::Corrupt("metadata records height 0".into()));
-    }
+pub fn check<P: TreePolicy>(tree: &Tree<P>) -> Result<VerifyReport> {
     let mut report = VerifyReport::default();
-    let root_level = (core.height - 1) as u16;
-    walk(tree, core.root, root_level, &mut Vec::new(), &mut report)?;
-    if report.points != core.len() {
+    walk(
+        tree,
+        tree.root,
+        tree.top_level()?,
+        &mut Vec::new(),
+        &mut report,
+    )?;
+    if report.points != tree.len() {
         return Err(IndexError::Corrupt(format!(
             "metadata says {} points, tree holds {}",
-            core.len(),
+            tree.len(),
             report.points
         )));
     }
@@ -69,22 +70,21 @@ pub fn verify<T: PagedTree>(tree: &T) -> Result<VerifyReport> {
 
 /// Check the node at `id`; `path` holds the regions every ancestor entry
 /// records for this subtree, nearest last.
-fn walk<T: PagedTree>(
-    tree: &T,
+fn walk<P: TreePolicy>(
+    tree: &Tree<P>,
     id: PageId,
     level: u16,
-    path: &mut Vec<T::Region>,
+    path: &mut Vec<P::Region>,
     report: &mut VerifyReport,
 ) -> Result<()> {
-    let core = tree.core();
-    let node = core.read_node(id, level)?;
-    tree.check_node(id, &node, path.last())?;
+    let node = tree.read_node(id, level)?;
+    P::check_node(tree, id, &node, path.last())?;
     match &node {
         Node::Leaf(entries) => {
             report.leaves += 1;
             report.points += entries.len() as u64;
             report.empty_leaves += u64::from(entries.is_empty());
-            report.full_leaves += u64::from(entries.len() == core.params.max_leaf);
+            report.full_leaves += u64::from(entries.len() == tree.params.max_leaf);
             for e in entries {
                 if let Some(r) = path.iter().find(|r| !r.contains_point(e.point.coords())) {
                     return Err(IndexError::Corrupt(format!(

@@ -101,8 +101,8 @@ impl QueryOutput {
     }
 }
 
-/// The error of the whole index stack: page decode, the paged core, the
-/// five trees, the search and the [`SpatialIndex`] API.
+/// The error of the whole index stack: page decode, the five trees, the
+/// search and the [`SpatialIndex`] API.
 #[derive(Debug)]
 pub enum IndexError {
     /// Underlying page I/O failed.

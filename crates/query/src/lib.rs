@@ -29,12 +29,15 @@
 //! implement on top of this search — the single dispatch surface the
 //! CLI, the benchmark harness, and the `sr-exec` batch executor use.
 //! [`IndexError`] is the one error of the whole stack: a page decode, a
-//! tree operation, the search and the trait all fail with it.
-//! [`paged`] is the paged-tree core those trees share: page codec,
-//! `expand()`, verification and the one `SpatialIndex` implementation.
+//! tree operation, the search and the trait all fail with it. The trees
+//! themselves — page codec, `expand()`, verification and the one
+//! `SpatialIndex` implementation — live in `sr-tree`, which depends on
+//! this crate; nothing here knows a page layout.
 //!
-//! [`brute_force_knn`] provides exact linear-scan answers used as ground
-//! truth by every correctness test in the workspace.
+//! [`scan_leaf_columns`] is the columnar leaf scan every tree's
+//! `expand()` runs; [`brute_force_knn`] provides exact linear-scan
+//! answers used as ground truth by every correctness test in the
+//! workspace.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +46,6 @@ mod heap;
 mod index;
 mod knn;
 mod leaf_scan;
-pub mod paged;
 
 pub use bruteforce::{brute_force_knn, brute_force_range, pairwise_distance_stats, DistanceStats};
 pub use heap::{CandidateSet, Neighbor};

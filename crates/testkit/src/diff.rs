@@ -17,8 +17,8 @@
 
 use sr_obs::Noop;
 use sr_pager::PageFile;
-use sr_query::paged::DEFAULT_DATA_AREA;
 use sr_query::{Neighbor, QuerySpec, SpatialIndex};
+use sr_tree::paged::DEFAULT_DATA_AREA;
 
 use crate::model::Model;
 use crate::workload::{Op, OpTape};

@@ -12,6 +12,11 @@
 # sides alike. Each side runs in its own tree's root, so index files land
 # on the same filesystem for both.
 #
+# The change is recorded as `git rev-parse HEAD` plus `+dirty` when the
+# working tree differs from it, read before anything is built. Building
+# perfbench rewrites the committed perfbench/Cargo.lock, so on exit the
+# script puts that file back in both trees as it found it.
+#
 # Writes `out` (default BENCH_PR.json; name it BENCH_PR<n>.json for the
 # change it measures): per workload, the run header of each side, the
 # seeds, and for every end-to-end metric of BENCHMARK.json the median and
@@ -42,7 +47,19 @@ seconds=$(jq -r '.run_seconds' "$spec")
 work=$root/.perf_gate
 tree=$work/base
 runs=$work/runs.jsonl
+# Lock files kept by keep_lock: where each lives, and its saved copy.
+lock_paths=()
+lock_saved=()
+keep_lock() {
+    lock_paths+=("$1/perfbench/Cargo.lock")
+    lock_saved+=("$work/Cargo.lock.${#lock_saved[@]}")
+    cp "${lock_paths[-1]}" "${lock_saved[-1]}"
+}
 cleanup() {
+    local i
+    for i in "${!lock_paths[@]}"; do
+        cp "${lock_saved[$i]}" "${lock_paths[$i]}" || true
+    done
     git -C "$root" worktree remove --force "$tree" 2> /dev/null || true
     git -C "$root" worktree prune
 }
@@ -50,7 +67,10 @@ trap cleanup EXIT
 cleanup
 rm -rf "$work"
 mkdir -p "$work"
+change=$(git rev-parse HEAD)$(git diff --quiet HEAD -- . ':!'"$out" || echo '+dirty')
 git worktree add --detach --quiet "$tree" "$base"
+keep_lock "$tree"
+keep_lock "$root"
 
 build() {
     (cd "$1" && cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml) \
@@ -88,7 +108,7 @@ for w in $(jq -r '.workloads[].name' "$spec"); do
 done
 
 jq -s --slurpfile spec "$spec" --arg base "$base" \
-    --arg change "$(git rev-parse HEAD)$(git diff --quiet HEAD -- . ':!'"$out" || echo '+dirty')" \
+    --arg change "$change" \
     --argjson pairs "$pairs" --argjson seconds "$seconds" --arg nproc "$(nproc)" '
   # Quartiles by linear interpolation between order statistics.
   def q($p): sort as $v | ($v | length) as $n

@@ -26,13 +26,15 @@ pub use sr_geometry as geometry;
 pub use sr_obs as obs;
 /// Disk page store: 8 KiB pages, LRU buffer pool, I/O statistics.
 pub use sr_pager as pager;
-/// Generic k-NN / range search engines and brute-force ground truth.
+/// The one k-NN / range search loop, the `SpatialIndex` API and its
+/// error, and brute-force ground truth; no page layout.
 pub use sr_query as query;
 /// TCP query service: thread-per-connection, admission control,
 /// batch coalescing, graceful shutdown.
 pub use sr_serve as serve;
-/// The SR-tree itself (paper §4), and the generic tree the five
-/// structures share.
+/// The SR-tree itself (paper §4) and the one generic `Tree<P>` all five
+/// structures are policies of, with its page codec and update driver
+/// (`tree::paged`) and verify walker (`tree::verify`).
 pub use sr_tree as tree;
 /// Baseline: the K-D-B-tree (Robinson, SIGMOD 1981).
 pub use sr_tree::kdbtree;

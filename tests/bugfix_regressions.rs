@@ -43,6 +43,12 @@
 //!    range filter then dropped: k-NN and range answered without the
 //!    entry, while `contains` and `verify` failed the same page as
 //!    corrupt. The search now fails the page with the same text.
+//! 10. **Metadata height outside the level range** — a page stores its
+//!     level as a `u16`, so a tree has 1 to 65,536 levels. `open`
+//!     accepted any stored height, and every walk truncated `height - 1`
+//!     to 16 bits: a height of 65,537 opened as a one-leaf tree that
+//!     verified and took inserts. `open` now refuses such a height with
+//!     `IndexError::NotThisIndex`, like its other metadata checks.
 
 use srtree::dataset::{cluster, uniform, ClusterSpec};
 use srtree::geometry::Point;
@@ -507,7 +513,8 @@ fn knn_ties_across_leaves_match_the_oracle() {
 fn huge_k_returns_every_point() {
     use sr_testkit::TreeKind;
     use srtree::pager::PageFile;
-    use srtree::query::{brute_force_knn, paged::DEFAULT_DATA_AREA, Neighbor};
+    use srtree::query::{brute_force_knn, Neighbor};
+    use srtree::tree::paged::DEFAULT_DATA_AREA;
 
     let with_ids: Vec<(Point, u64)> = uniform(500, 4, 61).into_iter().zip(0u64..).collect();
     let q = [0.1f32, 0.2, 0.3, 0.4];
@@ -558,7 +565,8 @@ fn assert_non_finite<T: std::fmt::Debug>(got: Result<T, IndexError>) {
 fn non_finite_coordinates_are_refused_on_every_path() {
     use sr_testkit::TreeKind;
     use srtree::pager::PageFile;
-    use srtree::query::{paged::DEFAULT_DATA_AREA, QuerySpec};
+    use srtree::query::QuerySpec;
+    use srtree::tree::paged::DEFAULT_DATA_AREA;
 
     let with_ids: Vec<(Point, u64)> = uniform(200, 4, 67).into_iter().zip(0u64..).collect();
     for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
@@ -660,4 +668,49 @@ fn nan_leaf_lane_fails_knn_and_range_in_both_orders() {
             other => panic!("{order:?} range: expected Corrupt, got {other:?}"),
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Bug 10: metadata height outside the u16 level range.
+// ---------------------------------------------------------------------
+
+/// A 3-point SR-tree file whose stored height is rewritten to 0, 65,537
+/// or `u32::MAX` fails to open, with a typed error naming the height;
+/// with the height put back it opens again.
+#[test]
+fn out_of_range_metadata_height_is_refused_on_open() {
+    use srtree::pager::PageFile;
+
+    /// Byte offset of the height in the metadata header: magic,
+    /// version, dim and data area (u32 each), then the root (u64).
+    const HEIGHT_AT: usize = 24;
+
+    let dir = sr_testkit::TempDir::new("srtree-height").unwrap();
+    let path = dir.file("sr.pages");
+    let mut sr = SrTree::create(&path, 2).unwrap();
+    for (i, p) in uniform(3, 2, 5).into_iter().enumerate() {
+        sr.insert(p, i as u64).unwrap();
+    }
+    sr.flush().unwrap();
+    drop(sr);
+    let meta = PageFile::open(&path).unwrap().user_meta().to_vec();
+    assert_eq!(meta[HEIGHT_AT..HEIGHT_AT + 4], 1u32.to_le_bytes());
+    for height in [0u32, 65_537, u32::MAX] {
+        let pf = PageFile::open(&path).unwrap();
+        let mut bad = meta.clone();
+        bad[HEIGHT_AT..HEIGHT_AT + 4].copy_from_slice(&height.to_le_bytes());
+        pf.set_user_meta(&bad).unwrap();
+        match SrTree::open_from(pf) {
+            Err(IndexError::NotThisIndex(msg)) => {
+                assert!(msg.contains(&format!("height {height}")), "{msg}")
+            }
+            Err(e) => panic!("height {height}: expected NotThisIndex, got {e:?}"),
+            Ok(t) => panic!("height {height} opened, verify says {:?}", t.verify()),
+        }
+    }
+    let pf = PageFile::open(&path).unwrap();
+    pf.set_user_meta(&meta).unwrap();
+    let sr = SrTree::open_from(pf).unwrap();
+    assert_eq!((sr.height(), sr.len()), (1, 3));
+    sr.verify().unwrap();
 }

@@ -6,8 +6,8 @@ use sr_testkit::TreeKind;
 use srtree::dataset::{cluster, real_sim, sample_queries, uniform, ClusterSpec};
 use srtree::geometry::Point;
 use srtree::pager::PageFile;
-use srtree::query::paged::DEFAULT_DATA_AREA;
 use srtree::query::{brute_force_knn, SpatialIndex};
+use srtree::tree::paged::DEFAULT_DATA_AREA;
 
 /// One tree of each of `kinds` over `points`.
 fn build_fleet(kinds: &[TreeKind], points: &[Point]) -> Vec<Box<dyn SpatialIndex>> {

@@ -28,10 +28,10 @@ use srtree::obs::{Noop, StatsRecorder};
 use srtree::pager::{
     encode_header, encode_page_frame, put_leaf_columns, scan_log, LeafColumns, PageCodec, PageKind,
 };
-use srtree::query::paged::{AnyEntry, Dynamic, LeafEntry, Node, PagedTree, Region};
 use srtree::query::{IndexError, QuerySpec, SpatialIndex};
 use srtree::rstar::RstarTree;
-use srtree::tree::SrTree;
+use srtree::tree::paged::{AnyEntry, Dynamic, LeafEntry, Node, Region};
+use srtree::tree::{SrTree, Tree, TreePolicy};
 use srtree::wire::{
     decode_request, decode_response, encode_request, encode_response, Request, Response, Row,
     DEFAULT_MAX_BODY,
@@ -269,14 +269,14 @@ fn corrupt_text(got: Result<(), IndexError>, what: &str) -> String {
 /// `knn(probe, 1)`, `contains(probe)` and `verify()` to fail with the
 /// identical `Corrupt` text, starting `page N:`. Each case restores the
 /// page before the next.
-fn node_header_faults_read_alike<T: PagedTree>(mut tree: T, seed: u64) {
+fn node_header_faults_read_alike<P: TreePolicy>(mut tree: Tree<P>, seed: u64) {
     let name = tree.kind_name();
     let mut rng = SeededRng::seed_from_u64(seed);
     let points = uniform(NODE_POINTS, NODE_DIM, rng.next_u64());
     for (i, p) in points.iter().enumerate() {
         tree.insert(p.coords(), i as u64).expect("insert");
     }
-    let core = tree.core();
+    let core = &tree;
     let root_level = core.root_level().expect("a non-empty tree");
     assert!(root_level >= 1, "{name}: the root must be an inner node");
     for case in 0..NODE_CASES {
@@ -363,18 +363,17 @@ enum EntryFault {
 
 /// The leaf an insert of `p` descends to: the tree's own ChooseSubtree,
 /// from the root down.
-fn insert_route<T: Dynamic>(tree: &T, p: &Point) -> u64 {
-    let core = tree.core();
+fn insert_route<P: Dynamic>(tree: &Tree<P>, p: &Point) -> u64 {
     let entry = AnyEntry::Leaf(LeafEntry {
         point: p.clone(),
         data: 0,
     });
-    let (mut id, mut level) = (core.root, core.root_level().expect("a non-empty tree"));
+    let (mut id, mut level) = (tree.root, tree.root_level().expect("a non-empty tree"));
     while level > 0 {
-        let Node::Inner { entries, .. } = core.read_node(id, level).expect("intact tree") else {
+        let Node::Inner { entries, .. } = tree.read_node(id, level).expect("intact tree") else {
             panic!("page {id} at level {level} is a leaf");
         };
-        id = entries[tree.choose_subtree(&entries, &entry, level)].child;
+        id = entries[P::choose_subtree(&entries, &entry, level)].child;
         level -= 1;
     }
     id
@@ -396,11 +395,11 @@ fn set_lane(buf: &mut [u8], at: usize, lane: usize, v: f64) {
 /// bounds read the raw bytes), so it need not fail, only return; so must
 /// `also_query`, which runs each tree's other searches. Each case
 /// restores the page before the next.
-fn node_entry_faults_read_alike<T: Dynamic>(
-    mut tree: T,
+fn node_entry_faults_read_alike<P: Dynamic>(
+    mut tree: Tree<P>,
     lanes: RegionLanes,
     seed: u64,
-    also_query: fn(&T, &[f32]),
+    also_query: fn(&Tree<P>, &[f32]),
 ) {
     let name = tree.kind_name();
     let mut rng = SeededRng::seed_from_u64(seed);
@@ -408,7 +407,7 @@ fn node_entry_faults_read_alike<T: Dynamic>(
     for (i, p) in points.iter().enumerate() {
         SpatialIndex::insert(&mut tree, p.coords(), i as u64).expect("insert");
     }
-    let root_level = tree.core().root_level().expect("a non-empty tree");
+    let root_level = tree.root_level().expect("a non-empty tree");
     assert!(root_level >= 1, "{name}: the root must be an inner node");
     let mut faults = vec![EntryFault::LeafNan, EntryFault::RegionNan];
     if lanes.rect.is_some() {
@@ -417,12 +416,9 @@ fn node_entry_faults_read_alike<T: Dynamic>(
     if lanes.sphere.is_some() {
         faults.push(EntryFault::NegativeRadius);
     }
-    let region_lanes = T::Region::bytes(NODE_DIM) / 8;
-    let holding_leaf = |tree: &T, i: usize| {
-        let path = tree
-            .core()
-            .find_leaf(&points[i], i as u64)
-            .expect("intact tree");
+    let region_lanes = P::Region::bytes(NODE_DIM) / 8;
+    let holding_leaf = |tree: &Tree<P>, i: usize| {
+        let path = tree.find_leaf(&points[i], i as u64).expect("intact tree");
         path.and_then(|p| p.last().copied()).expect("stored probe")
     };
     for case in 0..NODE_CASES {
@@ -435,15 +431,15 @@ fn node_entry_faults_read_alike<T: Dynamic>(
                 }
                 (holding_leaf(&tree, i), PageKind::Leaf)
             }
-            _ => (tree.core().root, PageKind::Node),
+            _ => (tree.root, PageKind::Node),
         };
         let (probe, data) = (&points[i], i as u64);
-        let core = tree.core();
+        let core = &tree;
         let intact = core.pager().read(id, kind).expect("read").to_vec();
         let mut faulted = intact.clone();
         // Both kinds of page hold `n` entries after a 4-byte header.
         let n = usize::from(u16::from_le_bytes([intact[2], intact[3]]));
-        let entry = 4 + rng.random_range(0..n) * (T::Region::bytes(NODE_DIM) + 8);
+        let entry = 4 + rng.random_range(0..n) * (P::Region::bytes(NODE_DIM) + 8);
         let d = rng.random_range(0..NODE_DIM);
         match fault {
             // Coordinate lanes are dimension-major, `n · dim` of them.
@@ -502,12 +498,9 @@ fn node_entry_faults_read_alike<T: Dynamic>(
             "{what}: a failed write counted"
         );
 
-        let now = tree.core().pager().read(id, kind).expect("read").to_vec();
+        let now = tree.pager().read(id, kind).expect("read").to_vec();
         assert!(now == faulted, "{what}: a failed write changed the page");
-        tree.core()
-            .pager()
-            .write(id, kind, &intact)
-            .expect("restore");
+        tree.pager().write(id, kind, &intact).expect("restore");
     }
     tree.verify().expect("every faulted page was restored");
 }

@@ -24,11 +24,11 @@
 use srtree::dataset::{uniform, SeededRng};
 use srtree::geometry::{Point, Rect, Sphere, CONTAINMENT_EPS};
 use srtree::pager::{PageCodec, PageId, PageKind, PageReader};
-use srtree::query::paged::{Dynamic, Node, Paged, Region};
 use srtree::query::{IndexError, SpatialIndex};
 use srtree::rstar::RstarTree;
 use srtree::sstree::{SsRegion, SsTree};
-use srtree::tree::{SrRegion, SrTree};
+use srtree::tree::paged::{Dynamic, Node, Region};
+use srtree::tree::{SrRegion, SrTree, Tree, TreePolicy};
 
 const DIM: usize = 4;
 const PAGE: usize = 4096;
@@ -37,9 +37,9 @@ type Path = Option<Vec<PageId>>;
 
 /// The lookup `find_leaf` replaced: decode every node on the way, probe
 /// regions with `contains_point`, and compare materialised leaf entries.
-fn reference<R: Region>(t: &Paged<R>, point: &Point, data: u64) -> Result<Path, IndexError> {
-    fn walk<R: Region>(
-        t: &Paged<R>,
+fn reference<P: TreePolicy>(t: &Tree<P>, point: &Point, data: u64) -> Result<Path, IndexError> {
+    fn walk<P: TreePolicy>(
+        t: &Tree<P>,
         id: PageId,
         level: u16,
         point: &Point,
@@ -79,8 +79,8 @@ fn points(n: usize, seed: u64) -> Vec<Point> {
     pts
 }
 
-fn differential<T: Dynamic>(mut tree: T, seed: u64) {
-    let name = tree.core().kind().name;
+fn differential<P: Dynamic>(mut tree: Tree<P>, seed: u64) {
+    let name = P::KIND.name;
     let pts = points(1500, seed);
     for (i, p) in pts.iter().enumerate() {
         tree.insert(p.clone(), i as u64).unwrap();
@@ -96,7 +96,7 @@ fn differential<T: Dynamic>(mut tree: T, seed: u64) {
             live[i] = false;
         }
     }
-    let core = tree.core();
+    let core = &tree;
     assert!(
         core.height() >= 3,
         "{name}: tree too shallow to exercise the walk"
@@ -277,12 +277,12 @@ fn raw_probe_equals_decode_on_random_region_bytes() {
 
 /// Build a tree of height ≥ 2 and return a stored entry that sits under
 /// the root's first child.
-fn built<T: Dynamic>(mut tree: T) -> (T, Point, u64) {
+fn built<P: Dynamic>(mut tree: Tree<P>) -> (Tree<P>, Point, u64) {
     let pts = points(600, 21);
     for (i, p) in pts.iter().enumerate() {
         tree.insert(p.clone(), i as u64).unwrap();
     }
-    let core = tree.core();
+    let core = &tree;
     let level = core.root_level().unwrap();
     assert!(level >= 1);
     let Node::Inner { entries, .. } = core.read_node(core.root, level).unwrap() else {
@@ -305,10 +305,10 @@ fn built<T: Dynamic>(mut tree: T) -> (T, Point, u64) {
 /// entry, then check that `delete` and `contains` of an entry under the
 /// *first* child fail with `Corrupt("page <root>: <want>")`, as decoding
 /// the root and the decoded walk do.
-fn corrupt_root<T: Dynamic>(tree: T, lanes: &[(usize, f64)], want: &str) {
+fn corrupt_root<P: Dynamic>(tree: Tree<P>, lanes: &[(usize, f64)], want: &str) {
     let (mut tree, p, id) = built(tree);
-    let core = tree.core();
-    let name = core.kind().name;
+    let core = &tree;
+    let name = P::KIND.name;
     let level = core.root_level().unwrap();
     let mut payload = core
         .pager()
@@ -316,7 +316,7 @@ fn corrupt_root<T: Dynamic>(tree: T, lanes: &[(usize, f64)], want: &str) {
         .unwrap()
         .to_vec();
     let n = usize::from(u16::from_le_bytes([payload[2], payload[3]]));
-    let entry = 4 + (n - 1) * (T::Region::bytes(DIM) + 8);
+    let entry = 4 + (n - 1) * (P::Region::bytes(DIM) + 8);
     for &(lane, v) in lanes {
         let at = entry + lane * 8;
         payload[at..at + 8].copy_from_slice(&v.to_le_bytes());
@@ -400,12 +400,12 @@ fn negative_region_radius_is_corrupt() {
 /// first level-1 descendant into the slot of that node's first leaf
 /// (`inner_into_leaf`), or the leaf's payload into the node's slot. The
 /// slot keeps its page kind, so only the stored level betrays the page.
-fn misplace<T: Dynamic>(mut tree: T, inner_into_leaf: bool) {
+fn misplace<P: Dynamic>(mut tree: Tree<P>, inner_into_leaf: bool) {
     for (i, p) in uniform(2000, DIM, 5).iter().enumerate() {
         tree.insert(p.clone(), i as u64).unwrap();
     }
-    let core = tree.core();
-    let name = core.kind().name;
+    let core = &tree;
+    let name = P::KIND.name;
     let first_child = |id, level| match core.read_node(id, level).unwrap() {
         Node::Inner { entries, .. } => entries[0].child,
         Node::Leaf(_) => panic!("{name}: page {id} is a leaf"),

@@ -16,14 +16,14 @@ use std::path::Path;
 use sr_testkit::TempDir;
 use srtree::dataset::{cluster, real_sim, sample_queries, uniform, ClusterSpec, SeededRng};
 use srtree::geometry::Point;
-use srtree::kdbtree::KdbTree;
+use srtree::kdbtree::KdbPolicy;
 use srtree::pager::PageFile;
-use srtree::query::paged::{verify, PagedTree};
 use srtree::query::{brute_force_knn, brute_force_range, IndexError, Neighbor, SpatialIndex};
-use srtree::rstar::RstarTree;
-use srtree::sstree::SsTree;
-use srtree::tree::SrTree;
-use srtree::vamsplit::VamTree;
+use srtree::rstar::RstarPolicy;
+use srtree::sstree::{SsPolicy, SsTree};
+use srtree::tree::verify::check as verify;
+use srtree::tree::{SrPolicy, SrTree, Tree, TreePolicy};
+use srtree::vamsplit::{VamPolicy, VamTree};
 
 /// A small page keeps fanout low, so few points make a deep tree.
 const SMALL_PAGE: usize = 1024;
@@ -37,14 +37,14 @@ type Res<T> = Result<T, IndexError>;
 /// How the suite makes a tree: dynamic trees insert the points one by
 /// one, the VAMSplit R-tree bulk-builds them. Payloads are the points'
 /// indices.
-trait Tree: PagedTree + Sized {
+trait Build: TreePolicy {
     /// Build over `points` in `pf`, with the 64-byte data area.
-    fn build(pf: PageFile, dim: usize, points: &[Point]) -> Res<Self>;
+    fn build(pf: PageFile, dim: usize, points: &[Point]) -> Res<Tree<Self>>;
     /// Build over `points` in a new file at `path` (8 KiB pages, the
     /// paper's data area).
-    fn build_file(path: &Path, dim: usize, points: &[Point]) -> Res<Self>;
-    /// Reopen a tree built by [`Tree::build_file`].
-    fn reopen(path: &Path) -> Res<Self>;
+    fn build_file(path: &Path, dim: usize, points: &[Point]) -> Res<Tree<Self>>;
+    /// Reopen a tree built by [`Build::build_file`].
+    fn reopen(path: &Path) -> Res<Tree<Self>>;
 }
 
 fn insert_all<T: SpatialIndex>(mut t: T, points: &[Point]) -> Res<T> {
@@ -56,43 +56,43 @@ fn insert_all<T: SpatialIndex>(mut t: T, points: &[Point]) -> Res<T> {
 
 macro_rules! dynamic_tree {
     ($($T:ty),*) => {$(
-        impl Tree for $T {
-            fn build(pf: PageFile, dim: usize, points: &[Point]) -> Res<Self> {
-                insert_all(<$T>::create_from(pf, dim, DATA_AREA)?, points)
+        impl Build for $T {
+            fn build(pf: PageFile, dim: usize, points: &[Point]) -> Res<Tree<Self>> {
+                insert_all(Tree::<$T>::create_from(pf, dim, DATA_AREA)?, points)
             }
-            fn build_file(path: &Path, dim: usize, points: &[Point]) -> Res<Self> {
-                insert_all(<$T>::create(path, dim)?, points)
+            fn build_file(path: &Path, dim: usize, points: &[Point]) -> Res<Tree<Self>> {
+                insert_all(Tree::<$T>::create(path, dim)?, points)
             }
-            fn reopen(path: &Path) -> Res<Self> {
-                <$T>::open(path)
+            fn reopen(path: &Path) -> Res<Tree<Self>> {
+                Tree::<$T>::open(path)
             }
         }
     )*};
 }
-dynamic_tree!(SrTree, RstarTree, SsTree, KdbTree);
+dynamic_tree!(SrPolicy, RstarPolicy, SsPolicy, KdbPolicy);
 
 fn with_ids(points: &[Point]) -> Vec<(Point, u64)> {
     points.iter().cloned().zip(0..).collect()
 }
 
-impl Tree for VamTree {
-    fn build(pf: PageFile, dim: usize, points: &[Point]) -> Res<Self> {
+impl Build for VamPolicy {
+    fn build(pf: PageFile, dim: usize, points: &[Point]) -> Res<Tree<Self>> {
         VamTree::build_from(pf, with_ids(points), dim, DATA_AREA)
     }
-    fn build_file(path: &Path, dim: usize, points: &[Point]) -> Res<Self> {
+    fn build_file(path: &Path, dim: usize, points: &[Point]) -> Res<Tree<Self>> {
         VamTree::build_at(path, with_ids(points), dim)
     }
-    fn reopen(path: &Path) -> Res<Self> {
+    fn reopen(path: &Path) -> Res<Tree<Self>> {
         VamTree::open(path)
     }
 }
 
-fn build<T: Tree>(points: &[Point], page: usize) -> T {
+fn build<T: Build>(points: &[Point], page: usize) -> Tree<T> {
     let pf = PageFile::create_in_memory(page).unwrap();
     T::build(pf, points[0].dim(), points).unwrap()
 }
 
-fn empty<T: Tree>(dim: usize) -> T {
+fn empty<T: Build>(dim: usize) -> Tree<T> {
     T::build(PageFile::create_in_memory(SMALL_PAGE).unwrap(), dim, &[]).unwrap()
 }
 
@@ -107,7 +107,14 @@ fn ids(rows: &[Neighbor]) -> Vec<u64> {
 }
 
 /// The tree's k-NN of `q` has the brute-force distances over `live`.
-fn assert_knn<T: Tree>(t: &T, live: &[(&[f32], u64)], q: &[f32], k: usize, tol: f64, ctx: &str) {
+fn assert_knn<T: Build>(
+    t: &Tree<T>,
+    live: &[(&[f32], u64)],
+    q: &[f32],
+    k: usize,
+    tol: f64,
+    ctx: &str,
+) {
     let got = t.knn(q, k).unwrap();
     let want = brute_force_knn(live.iter().copied(), q, k);
     assert_eq!(got.len(), want.len(), "{ctx}");
@@ -172,7 +179,7 @@ macro_rules! drain_cases {
 
 mod sr {
     use super::*;
-    type T = SrTree;
+    type T = SrPolicy;
     family_cases!(0x5371_0000);
 
     #[test]
@@ -185,19 +192,19 @@ mod sr {
 
 mod rstar {
     use super::*;
-    type T = RstarTree;
+    type T = RstarPolicy;
     family_cases!(0x5257_0000);
     drain_cases!(0x52DE_0000);
 
     #[test]
     fn leaf_regions_cover_all_points() {
-        leaf_regions_cover(|t: &T| t.leaf_rects(), |r, p| r.contains_point(p));
+        leaf_regions_cover(|t: &Tree<T>| t.leaf_rects(), |r, p| r.contains_point(p));
     }
 }
 
 mod ss {
     use super::*;
-    type T = SsTree;
+    type T = SsPolicy;
     family_cases!(0x5537_0000);
     drain_cases!(0x55DE_0000);
 
@@ -209,7 +216,7 @@ mod ss {
 
 mod kdb {
     use super::*;
-    type T = KdbTree;
+    type T = KdbPolicy;
     cases! {
         invariants_hold_during_growth => grows_with_invariants::<T>(),
         knn_matches_brute_force_uniform => knn_uniform::<T>(800),
@@ -288,7 +295,7 @@ mod kdb {
 
 mod vam {
     use super::*;
-    type T = VamTree;
+    type T = VamPolicy;
     cases! {
         knn_matches_brute_force_uniform => knn_uniform::<T>(900),
         knn_matches_brute_force_clustered => knn_clustered::<T>(),
@@ -345,7 +352,7 @@ mod vam {
 
 /// 600 4-d inserts on small pages: the invariants hold every 97 inserts
 /// and the tree ends at least three levels deep.
-fn grows_with_invariants<T: Tree>() {
+fn grows_with_invariants<T: Build>() {
     let pts = uniform(600, 4, 11);
     let mut t = empty::<T>(4);
     for (i, p) in pts.iter().enumerate() {
@@ -358,11 +365,11 @@ fn grows_with_invariants<T: Tree>() {
     assert!(t.height() >= 3, "tree should be deep at this page size");
 }
 
-fn knn_uniform<T: Tree>(n: usize) {
+fn knn_uniform<T: Build>(n: usize) {
     knn_oracle::<T>(uniform(n, 8, 5), 2048, (20, 3), 21);
 }
 
-fn knn_clustered<T: Tree>() {
+fn knn_clustered<T: Build>() {
     let spec = ClusterSpec {
         clusters: 10,
         points_per_cluster: 60,
@@ -372,13 +379,13 @@ fn knn_clustered<T: Tree>() {
 }
 
 /// Simulated color histograms.
-fn knn_histograms<T: Tree>(n: usize) {
+fn knn_histograms<T: Build>(n: usize) {
     knn_oracle::<T>(real_sim(n, 16, 21), 8192, (10, 8), 21);
 }
 
 /// A valid tree whose k-NN equals brute force for `nq` queries sampled
 /// from `pts` with `qseed`.
-fn knn_oracle<T: Tree>(pts: Vec<Point>, page: usize, (nq, qseed): (usize, u64), k: usize) {
+fn knn_oracle<T: Build>(pts: Vec<Point>, page: usize, (nq, qseed): (usize, u64), k: usize) {
     let t = build::<T>(&pts, page);
     verify(&t).unwrap();
     let live = flat(&pts);
@@ -388,7 +395,7 @@ fn knn_oracle<T: Tree>(pts: Vec<Point>, page: usize, (nq, qseed): (usize, u64), 
 }
 
 /// Queries that are not data points: corners and outside the cube.
-fn knn_off_dataset<T: Tree>() {
+fn knn_off_dataset<T: Build>() {
     let pts = uniform(400, 3, 17);
     let t = build::<T>(&pts, SMALL_PAGE);
     let live = flat(&pts);
@@ -403,7 +410,7 @@ fn knn_off_dataset<T: Tree>() {
 }
 
 /// Range answers equal brute force at each `(query index, radius)`.
-fn range_oracle<T: Tree>(n: usize, probes: &[(usize, f64)]) {
+fn range_oracle<T: Build>(n: usize, probes: &[(usize, f64)]) {
     let pts = uniform(n, 4, 23);
     let t = build::<T>(&pts, SMALL_PAGE);
     for &(qi, r) in probes {
@@ -413,17 +420,17 @@ fn range_oracle<T: Tree>(n: usize, probes: &[(usize, f64)]) {
     }
 }
 
-fn contains_every_point<T: Tree>(n: usize) {
+fn contains_every_point<T: Build>(n: usize) {
     let pts = uniform(n, 5, 31);
     let t = build::<T>(&pts, SMALL_PAGE);
     for (i, p) in pts.iter().enumerate() {
-        assert!(t.core().contains(p, i as u64).unwrap(), "point {i} lost");
-        let wrong = t.core().contains(p, u64::MAX).unwrap();
+        assert!(t.contains(p, i as u64).unwrap(), "point {i} lost");
+        let wrong = t.contains(p, u64::MAX).unwrap();
         assert!(!wrong, "wrong payload matched");
     }
 }
 
-fn duplicates_kept<T: Tree>() {
+fn duplicates_kept<T: Build>() {
     let p = Point::new(vec![0.5f32, 0.5]);
     let t = build::<T>(&vec![p.clone(); 100], SMALL_PAGE);
     assert_eq!(t.len(), 100);
@@ -435,7 +442,7 @@ fn duplicates_kept<T: Tree>() {
 
 /// Delete every `every`-th of `n` points: exactly those are gone, the
 /// invariants hold, and k-NN over the survivors matches brute force.
-fn delete_every<T: Tree>(n: usize, every: u64, k: usize) {
+fn delete_every<T: Build>(n: usize, every: u64, k: usize) {
     let pts = uniform(n, 4, 41);
     let mut t = build::<T>(&pts, SMALL_PAGE);
     let (gone, survivors): (Vec<_>, Vec<_>) = flat(&pts)
@@ -448,12 +455,12 @@ fn delete_every<T: Tree>(n: usize, every: u64, k: usize) {
     verify(&t).unwrap();
     for (p, i) in pts.iter().zip(0u64..) {
         let kept = !i.is_multiple_of(every);
-        assert_eq!(t.core().contains(p, i).unwrap(), kept, "point {i}");
+        assert_eq!(t.contains(p, i).unwrap(), kept, "point {i}");
     }
     assert_knn(&t, &survivors, pts[1].coords(), k, 1e-9, "");
 }
 
-fn delete_all<T: Tree>() {
+fn delete_all<T: Build>() {
     let pts = uniform(250, 3, 43);
     let mut t = build::<T>(&pts, SMALL_PAGE);
     for (p, i) in flat(&pts) {
@@ -465,14 +472,14 @@ fn delete_all<T: Tree>() {
     assert!(t.knn(pts[0].coords(), 5).unwrap().is_empty());
 }
 
-fn delete_missing<T: Tree>() {
+fn delete_missing<T: Build>() {
     let mut t = build::<T>(&uniform(50, 2, 47), SMALL_PAGE);
     assert!(!t.delete(&[42.0, 42.0], 0).unwrap());
     assert_eq!(t.len(), 50);
 }
 
 /// 400 points in, then 200 rounds of delete-one-old, insert-one-new.
-fn churn<T: Tree>() {
+fn churn<T: Build>() {
     let pts = uniform(600, 4, 53);
     let mut t = build::<T>(&pts[..400], SMALL_PAGE);
     for i in 0..200 {
@@ -488,7 +495,7 @@ fn churn<T: Tree>() {
 
 /// Build `n` 6-d points on disk, flush, reopen: same contents, same
 /// answers.
-fn persistence<T: Tree>(n: usize) {
+fn persistence<T: Build>(n: usize) {
     let dir = TempDir::new("tree-conformance").unwrap();
     let path = dir.file("tree.pages");
     let pts = uniform(n, 6, 59);
@@ -505,7 +512,7 @@ fn persistence<T: Tree>(n: usize) {
 
 /// A `dim`-d tree refuses the point `wrong` when built (or inserted)
 /// and as a k-NN or delete argument.
-fn dimension_mismatch<T: Tree>(dim: usize, wrong: &[f32]) {
+fn dimension_mismatch<T: Build>(dim: usize, wrong: &[f32]) {
     let pf = || PageFile::create_in_memory(SMALL_PAGE).unwrap();
     assert!(T::build(pf(), dim, &[Point::new(wrong.to_vec())]).is_err());
     let mut t = T::build(pf(), dim, &[]).unwrap();
@@ -513,7 +520,7 @@ fn dimension_mismatch<T: Tree>(dim: usize, wrong: &[f32]) {
     assert!(t.delete(wrong, 0).is_err());
 }
 
-fn empty_tree<T: Tree>() {
+fn empty_tree<T: Build>() {
     let t = empty::<T>(3);
     assert!(t.is_empty());
     assert!(t.knn(&[0.0; 3], 5).unwrap().is_empty());
@@ -523,8 +530,8 @@ fn empty_tree<T: Tree>() {
 
 /// Every point of a 300-point 3-d tree lies in one of the leaf regions
 /// `regions` lists, with membership `holds`.
-fn leaf_regions_cover<T: Tree, R>(
-    regions: impl Fn(&T) -> Res<Vec<R>>,
+fn leaf_regions_cover<T: Build, R>(
+    regions: impl Fn(&Tree<T>) -> Res<Vec<R>>,
     holds: impl Fn(&R, &[f32]) -> bool,
 ) {
     let pts = uniform(300, 3, 67);
@@ -537,16 +544,16 @@ fn leaf_regions_cover<T: Tree, R>(
     }
 }
 
-fn num_leaves_match_leaf_walk<T: Tree>() {
+fn num_leaves_match_leaf_walk<T: Build>() {
     let t = build::<T>(&uniform(300, 3, 71), SMALL_PAGE);
     let n = t.num_leaves().unwrap();
-    assert_eq!(n as usize, t.core().leaf_rects().unwrap().len());
+    assert_eq!(n as usize, t.leaf_rects().unwrap().len());
     assert!(n > 1);
 }
 
 /// With the pool off, a k-NN reads its pages from the store and counts
 /// each one.
-fn cold_reads_counted<T: Tree>() {
+fn cold_reads_counted<T: Build>() {
     let pts = uniform(2000, 8, 73);
     let t = build::<T>(&pts, 8192);
     t.pager().set_cache_capacity(0).unwrap();
@@ -573,7 +580,7 @@ fn arb_points(rng: &mut SeededRng, dim: usize, max_len: usize) -> Vec<Point> {
         .collect()
 }
 
-fn prop_knn<T: Tree>(base: u64) {
+fn prop_knn<T: Build>(base: u64) {
     for seed in seeds(base) {
         let mut rng = SeededRng::seed_from_u64(seed);
         let pts = arb_points(&mut rng, 3, 120);
@@ -585,7 +592,7 @@ fn prop_knn<T: Tree>(base: u64) {
     }
 }
 
-fn prop_range<T: Tree>(base: u64) {
+fn prop_range<T: Build>(base: u64) {
     for seed in seeds(base) {
         let mut rng = SeededRng::seed_from_u64(seed);
         let pts = arb_points(&mut rng, 2, 100);
@@ -598,7 +605,7 @@ fn prop_range<T: Tree>(base: u64) {
     }
 }
 
-fn prop_delete_all<T: Tree>(base: u64) {
+fn prop_delete_all<T: Build>(base: u64) {
     for seed in seeds(base) {
         let pts = arb_points(&mut SeededRng::seed_from_u64(seed), 2, 80);
         let mut t = build::<T>(&pts, SMALL_PAGE);
@@ -612,7 +619,7 @@ fn prop_delete_all<T: Tree>(base: u64) {
     }
 }
 
-fn prop_partial_delete<T: Tree>(base: u64) {
+fn prop_partial_delete<T: Build>(base: u64) {
     for seed in seeds(base) {
         let mut rng = SeededRng::seed_from_u64(seed);
         let pts = arb_points(&mut rng, 3, 100);
@@ -635,13 +642,13 @@ fn prop_partial_delete<T: Tree>(base: u64) {
     }
 }
 
-fn prop_contains_all<T: Tree>(base: u64) {
+fn prop_contains_all<T: Build>(base: u64) {
     for seed in seeds(base) {
         let pts = arb_points(&mut SeededRng::seed_from_u64(seed), 4, 80);
         let t = build::<T>(&pts, SMALL_PAGE);
         verify(&t).unwrap_or_else(|e| panic!("SEED={seed}: {e}"));
         for (i, p) in pts.iter().enumerate() {
-            let found = t.core().contains(p, i as u64).unwrap();
+            let found = t.contains(p, i as u64).unwrap();
             assert!(found, "SEED={seed}: entry {i} unreachable");
         }
     }
@@ -651,7 +658,7 @@ fn prop_contains_all<T: Tree>(base: u64) {
 /// one region and underflow dissolves whole subtrees into orphans: no
 /// entry may be lost, the invariants hold mid-drain, and the reinserted
 /// survivors stay reachable by lookup and search.
-fn drain_region<T: Tree>(seed: u64) {
+fn drain_region<T: Build>(seed: u64) {
     let pts = uniform(400, 3, seed);
     let mut t = build::<T>(&pts, SMALL_PAGE);
     assert!(t.height() >= 2, "tree too shallow to exercise underflow");
@@ -670,7 +677,7 @@ fn drain_region<T: Tree>(seed: u64) {
     verify(&t).unwrap();
     assert_eq!(t.len() as usize, keep.len());
     for &i in keep {
-        let found = t.core().contains(&pts[i], i as u64).unwrap();
+        let found = t.contains(&pts[i], i as u64).unwrap();
         assert!(found, "entry {i} unreachable");
     }
     let survivors: Vec<_> = keep.iter().map(|&i| (pts[i].coords(), i as u64)).collect();
@@ -681,7 +688,7 @@ fn drain_region<T: Tree>(seed: u64) {
 
 /// Draining all but two points walks the root-shrink path back down to
 /// a single leaf that still answers lookups.
-fn drain_to_root<T: Tree>(seed: u64) {
+fn drain_to_root<T: Build>(seed: u64) {
     let pts = uniform(500, 3, seed);
     let mut t = build::<T>(&pts, SMALL_PAGE);
     assert!(t.height() >= 2);
@@ -692,13 +699,13 @@ fn drain_to_root<T: Tree>(seed: u64) {
     verify(&t).unwrap();
     assert_eq!(t.len(), 2);
     for (i, p) in pts.iter().enumerate().skip(498) {
-        assert!(t.core().contains(p, i as u64).unwrap());
+        assert!(t.contains(p, i as u64).unwrap());
     }
 }
 
 /// 600 random deletes and reinserts around minimum fill walk the
 /// dissolve/reinsert path many times in both directions.
-fn churn_min_fill<T: Tree>(seed: u64) {
+fn churn_min_fill<T: Build>(seed: u64) {
     let pts = uniform(240, 3, seed);
     let mut t = build::<T>(&pts, SMALL_PAGE);
     let mut rng = SeededRng::seed_from_u64(seed);
@@ -724,7 +731,7 @@ fn churn_min_fill<T: Tree>(seed: u64) {
     verify(&t).unwrap();
     assert_eq!(t.len() as usize, live.len());
     for &i in &live {
-        let found = t.core().contains(&pts[i], i as u64).unwrap();
+        let found = t.contains(&pts[i], i as u64).unwrap();
         assert!(found, "entry {i} unreachable");
     }
 }

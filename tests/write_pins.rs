@@ -10,7 +10,9 @@
 //!   repeated coordinates, deleted through their sign-flipped twins.
 //! * Canonical bytes: after every operation of a seeded churn, every page
 //!   the operation changed equals `Node::decode(..).encode(..)` of
-//!   itself, payload length included, and `verify()` passes.
+//!   itself, payload length included, and `verify()` passes. The
+//!   K-D-B-tree, whose deletes patch their leaf in place too, runs the
+//!   same churn.
 //! * Allocations: a delete that does not condense allocates the same
 //!   number of times whatever the fanout.
 
@@ -19,12 +21,13 @@ use std::cell::Cell;
 
 use srtree::dataset::{uniform, SeededRng};
 use srtree::geometry::Point;
+use srtree::kdbtree::KdbTree;
 use srtree::pager::{PageFile, PageKind};
-use srtree::query::paged::{Node, PagedTree};
 use srtree::query::SpatialIndex;
 use srtree::rstar::RstarTree;
 use srtree::sstree::SsTree;
-use srtree::tree::SrTree;
+use srtree::tree::paged::Node;
+use srtree::tree::{SrTree, Tree, TreePolicy};
 
 /// Counts the allocations made by the current thread, so tests running
 /// in parallel do not see each other's.
@@ -275,13 +278,12 @@ fn snapshot(pf: &PageFile) -> Vec<Option<(PageKind, Vec<u8>)>> {
 }
 
 /// Every tree page that differs from `before` re-encodes to itself.
-fn check_changed_pages_canonical<T: PagedTree>(
-    t: &T,
+fn check_changed_pages_canonical<P: TreePolicy>(
+    t: &Tree<P>,
     before: &[Option<(PageKind, Vec<u8>)>],
     what: &str,
 ) -> Vec<Option<(PageKind, Vec<u8>)>> {
-    let core = t.core();
-    let pf = core.pager();
+    let pf = t.pager();
     let after = snapshot(pf);
     for (id, page) in after.iter().enumerate() {
         let Some((kind, payload)) = page else {
@@ -294,9 +296,9 @@ fn check_changed_pages_canonical<T: PagedTree>(
             PageKind::Leaf => 0,
             _ => u16::from_le_bytes([payload[0], payload[1]]),
         };
-        let node: Node<T::Region> = Node::decode(id as u64, level, payload, &core.params)
+        let node: Node<P::Region> = Node::decode(id as u64, level, payload, &t.params)
             .unwrap_or_else(|e| panic!("{what}: page {id} does not decode: {e}"));
-        let canonical = node.encode(&core.params, pf.capacity()).unwrap();
+        let canonical = node.encode(&t.params, pf.capacity()).unwrap();
         assert_eq!(
             &canonical,
             payload,
@@ -311,13 +313,13 @@ fn check_changed_pages_canonical<T: PagedTree>(
 /// A seeded churn of inserts and deletes, condensing ones included:
 /// after each operation every page it changed is canonical and the tree
 /// verifies.
-fn canonical_churn<T: PagedTree + SpatialIndex>(mut t: T, seed: u64) {
+fn canonical_churn<P: TreePolicy>(mut t: Tree<P>, seed: u64) {
     let name = t.kind_name();
     let mut rng = SeededRng::seed_from_u64(seed);
     let pts = numbered(uniform(700, DIM, rng.next_u64()));
     let mut live: Vec<usize> = Vec::new();
     let mut next = 0usize;
-    let mut before = snapshot(t.core().pager());
+    let mut before = snapshot(t.pager());
     for step in 0..1_400 {
         // Grow first, then mostly shrink, so deletes condense.
         let insert = next < pts.len() && (step < 500 || rng.random_range(0..4) == 0);
@@ -350,6 +352,7 @@ fn every_write_leaves_canonical_pages() {
             RstarTree::create_from(page_file(1024), DIM, 8).unwrap(),
             seed,
         );
+        canonical_churn(KdbTree::create_from(page_file(1024), DIM, 8).unwrap(), seed);
     }
 }
 
