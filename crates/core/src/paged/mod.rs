@@ -30,11 +30,11 @@ pub(crate) mod update;
 pub(crate) use node::{in_page, non_finite_leaf, Layout};
 pub use node::{AnyEntry, Entry, LeafEntry, Node, NodePage, RegionRows};
 pub use params::{Params, DEFAULT_DATA_AREA};
-pub use region::Region;
 pub(crate) use region::{
-    check_rect_raw, check_sphere_raw, get_rect, get_sphere, leaf_rect, mbr, put_rect, put_sphere,
-    rect_contains_raw, rect_union, sphere_contains_raw,
+    check_rect_raw, check_sphere_raw, get_rect, get_sphere, inner_rows, leaf_rect, mbr, put_rect,
+    put_sphere, rect_contains_raw, rect_union, sphere_contains_raw,
 };
+pub use region::{NodeRef, Region};
 pub(crate) use search::Source;
 pub(crate) use update::take_farthest;
 pub use update::Dynamic;

@@ -217,7 +217,8 @@ pub(crate) fn non_finite_leaf() -> IndexError {
 ///    [`Params::leaf_entry_bytes`] for a leaf (reserved area included;
 ///    [`LeafColumns::parse`] checks it) or [`Params::node_entry_bytes`]
 ///    for an inner node (`… claims n entries of B bytes but H bytes
-///    follow the header`).
+///    follow the header`), and at least one entry in an inner node
+///    (`inner node holds no entries`).
 ///
 /// A payload too short for its header fails at the field it cuts. Every
 /// error is [`IndexError::Corrupt`] starting `page N:`; entry bytes are
@@ -262,6 +263,11 @@ impl<'a> Layout<'a> {
             ));
         }
         let n = usize::from(rest.get_u16().map_err(fault)?);
+        if n == 0 {
+            // Every inner node routes to at least one child; an empty one
+            // would answer every query as if its subtree were empty.
+            return Err(page_fault(id, "inner node holds no entries"));
+        }
         let entry = Params::<R>::node_entry_bytes(params.dim);
         let have = rest.remaining();
         if n * entry > have {

@@ -5,15 +5,19 @@ use std::fmt;
 use std::iter;
 
 use sr_geometry::{
-    bounding_rect_of_points, rect_min_dist2_f64le, within_radius, Point, Rect, Sphere,
+    bounding_rect_of_points, rect_min_dist2_rows_f64le, within_radius, Point, Rect, Sphere,
     CONTAINMENT_EPS,
 };
-use sr_pager::{narrow_lane, PageCodec, PageReader};
+use sr_pager::{narrow_lane, PageCodec, PageId, PageReader};
 use sr_query::Expansion;
 use sr_query::IndexError;
 
 use super::node::NodePage;
+use super::params::Params;
 use crate::Result;
+
+/// A node as the search walks it: its page and its level.
+pub type NodeRef = (PageId, u16);
 
 /// The region an inner entry stores for its child — the only thing the
 /// page codec, `expand()` and exact-match lookup need to know about a
@@ -38,17 +42,20 @@ pub trait Region: Clone + PartialEq + fmt::Debug {
     /// [`IndexError::Corrupt`].
     fn decode(c: &mut PageReader<'_>, dim: usize) -> Result<Self>;
 
-    /// Score the raw region bytes (`Self::bytes(dim)` of them, straight
-    /// off the page buffer) against `query` and push the branch with the
-    /// bound's provenance. The stored f64s are exact widenings of the
-    /// in-memory f32s, so the raw bound is bit-identical to the decoded
-    /// one.
-    fn push_branch<N>(
-        raw: &[u8],
+    /// Score the `n` inner entries at `rest`'s cursor against `query`,
+    /// straight off the page buffer, and push one branch per entry, in
+    /// entry order, with its bound's provenance and its child at
+    /// `level`. Each entry is `Self::bytes(dim)` region bytes then the
+    /// child's page id. The stored f64s are exact widenings of the
+    /// in-memory f32s, so the raw bounds are bit-identical to the
+    /// decoded ones.
+    fn push_branches(
+        rest: PageReader<'_>,
+        n: usize,
         query: &[f32],
         bound: Self::Bound,
-        node: N,
-        out: &mut Expansion<N>,
+        level: u16,
+        out: &mut Expansion<NodeRef>,
     ) -> Result<()>;
 
     /// Whether a stored point may lie under this region — the probe of
@@ -86,6 +93,24 @@ pub trait Region: Clone + PartialEq + fmt::Debug {
 
 fn corrupt(e: impl fmt::Display) -> IndexError {
     IndexError::Corrupt(e.to_string())
+}
+
+/// The `n` inner entries of region `R` at `rest`'s cursor: their
+/// row-major bytes, the stride between rows, and each entry's child at
+/// `level`, in entry order.
+pub(crate) fn inner_rows<'a, R: Region>(
+    mut rest: PageReader<'a>,
+    n: usize,
+    dim: usize,
+    level: u16,
+) -> Result<(&'a [u8], usize, impl Iterator<Item = NodeRef> + 'a)> {
+    let stride = Params::<R>::node_entry_bytes(dim);
+    let rows = rest.get_bytes(n * stride)?;
+    let children = rows.chunks_exact(stride).filter_map(move |row| {
+        let id = row.last_chunk::<8>()?;
+        Some((u64::from_le_bytes(*id), level))
+    });
+    Ok((rows, stride, children))
 }
 
 const BAD_RECT: &str = "invalid rectangle bound on disk";
@@ -247,18 +272,22 @@ impl Region for Rect {
         get_rect(c, dim, false)
     }
 
-    fn push_branch<N>(
-        raw: &[u8],
+    // srlint: hot
+    fn push_branches(
+        rest: PageReader<'_>,
+        n: usize,
         query: &[f32],
         _bound: (),
-        node: N,
-        out: &mut Expansion<N>,
+        level: u16,
+        out: &mut Expansion<NodeRef>,
     ) -> Result<()> {
-        let mut r = PageReader::new(raw);
-        let lo = r.get_bytes(query.len() * 8)?;
-        let hi = r.get_bytes(query.len() * 8)?;
-        out.push_rect_branch(rect_min_dist2_f64le(lo, hi, query).map_err(corrupt)?, node);
-        Ok(())
+        let (rows, stride, mut children) = inner_rows::<Self>(rest, n, query.len(), level)?;
+        rect_min_dist2_rows_f64le(rows, stride, n, query, |rect2| {
+            if let Some(child) = children.next() {
+                out.push_rect_branch(rect2, child);
+            }
+        })
+        .map_err(corrupt)
     }
 
     fn contains_point(&self, p: &[f32]) -> bool {

@@ -1,10 +1,9 @@
 //! The zero-copy `expand()` every tree's searches run through.
 
-use sr_pager::PageId;
 use sr_query::{scan_leaf_columns, Expansion, IndexError, KnnSource};
 
 use super::node::{in_page, non_finite_leaf, Layout};
-use super::region::Region;
+use super::region::{NodeRef, Region};
 use crate::{Result, Tree, TreePolicy};
 
 /// A tree as [`sr_query::search`] sees it: node handles are
@@ -15,7 +14,7 @@ pub(crate) struct Source<'a, P: TreePolicy> {
 }
 
 impl<P: TreePolicy> KnnSource for Source<'_, P> {
-    type Node = (PageId, u16);
+    type Node = NodeRef;
 
     fn root(&self) -> Result<Option<Self::Node>> {
         if self.tree.is_empty() {
@@ -50,17 +49,11 @@ impl<P: TreePolicy> KnnSource for Source<'_, P> {
                 }
                 Ok(())
             }
-            // Score each child's region in place. Decoding the node would
-            // materialise a heap vector per coordinate block — at bench
-            // scale ~10k allocations per query.
-            Layout::Inner { n, mut rest } => {
-                let bytes = P::Region::bytes(self.tree.params.dim);
-                for _ in 0..n {
-                    let raw = rest.get_bytes(bytes)?;
-                    let child = (rest.get_u64()?, level - 1);
-                    P::Region::push_branch(raw, query, self.bound, child, out)?;
-                }
-                Ok(())
+            // Score the children's regions in place, several entries per
+            // pass. Decoding the node would materialise a heap vector per
+            // coordinate block — at bench scale ~10k allocations per query.
+            Layout::Inner { n, rest } => {
+                P::Region::push_branches(rest, n, query, self.bound, level - 1, out)
             }
         }
     }

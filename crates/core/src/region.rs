@@ -3,16 +3,17 @@
 
 use sr_geometry::{
     bounding_rect_of_points, bounding_sphere_of_points, enclosing_radius_rects, next_radius_up,
-    rect_min_dist2_f64le, sphere_min_dist2_f64le, sphere_rect_min_dist2_f64le, GeometryError,
-    Point, Rect, Sphere, CONTAINMENT_EPS,
+    rect_min_dist2_rows_f64le, sphere_min_dist2_rows_f64le, sphere_rect_min_dist2_rows_f64le,
+    GeometryError, Point, Rect, Sphere, CONTAINMENT_EPS,
 };
 use sr_pager::{PageCodec, PageReader};
 use sr_query::{Expansion, IndexError};
 
 use crate::paged::centroid::{self, Centered};
 use crate::paged::{
-    check_rect_raw, check_sphere_raw, get_rect, get_sphere, leaf_rect, put_rect, put_sphere,
-    rect_contains_raw, rect_union, sphere_contains_raw, LeafEntry, NodePage, Region,
+    check_rect_raw, check_sphere_raw, get_rect, get_sphere, inner_rows, leaf_rect, put_rect,
+    put_sphere, rect_contains_raw, rect_union, sphere_contains_raw, LeafEntry, NodePage, NodeRef,
+    Region,
 };
 use crate::Result;
 
@@ -115,35 +116,41 @@ impl Region for SrRegion {
     /// bound for the intersection and tighter than either shape alone.
     /// The combined form keeps both components so prune events can be
     /// attributed to the shape that earned them, and computes them in one
-    /// pass over the entry ([`sphere_rect_min_dist2_f64le`]).
-    fn push_branch<N>(
-        raw: &[u8],
+    /// pass over each entry ([`sphere_rect_min_dist2_rows_f64le`]).
+    // srlint: hot
+    fn push_branches(
+        rest: PageReader<'_>,
+        n: usize,
         query: &[f32],
         bound: DistanceBound,
-        node: N,
-        out: &mut Expansion<N>,
+        level: u16,
+        out: &mut Expansion<NodeRef>,
     ) -> Result<()> {
-        let row = query.len() * 8;
-        let mut r = PageReader::new(raw);
-        let center = r.get_bytes(row)?;
-        let radius = r.get_f64()?;
-        let lo = r.get_bytes(row)?;
-        let hi = r.get_bytes(row)?;
+        let dim = query.len();
+        let (rows, stride, mut children) = inner_rows::<Self>(rest, n, dim, level)?;
         match bound {
             DistanceBound::Both => {
-                let (sphere, rect) =
-                    sphere_rect_min_dist2_f64le(center, radius, lo, hi, query).map_err(corrupt)?;
-                out.push_max_branch(sphere, rect, node);
+                sphere_rect_min_dist2_rows_f64le(rows, stride, n, query, |s, r| {
+                    if let Some(child) = children.next() {
+                        out.push_max_branch(s, r, child);
+                    }
+                })
             }
-            DistanceBound::SphereOnly => out.push_sphere_branch(
-                sphere_min_dist2_f64le(center, radius, query).map_err(corrupt)?,
-                node,
-            ),
+            DistanceBound::SphereOnly => sphere_min_dist2_rows_f64le(rows, stride, n, query, |s| {
+                if let Some(child) = children.next() {
+                    out.push_sphere_branch(s, child);
+                }
+            }),
             DistanceBound::RectOnly => {
-                out.push_rect_branch(rect_min_dist2_f64le(lo, hi, query).map_err(corrupt)?, node)
+                let rects = rows.get(rect_lane(dim) * 8..).unwrap_or_default();
+                rect_min_dist2_rows_f64le(rects, stride, n, query, |r| {
+                    if let Some(child) = children.next() {
+                        out.push_rect_branch(r, child);
+                    }
+                })
             }
         }
-        Ok(())
+        .map_err(corrupt)
     }
 
     /// The rectangle is maintained with exact f32 min/max, so its test

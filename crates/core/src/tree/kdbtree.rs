@@ -45,7 +45,7 @@ use sr_pager::{PageCodec, PageId, PageReader};
 use sr_query::{Expansion, IndexError};
 
 use super::{Incremental, Kind, Tree, TreePolicy};
-use crate::paged::{get_rect, put_rect, rect_contains_raw, Node, Region};
+use crate::paged::{get_rect, put_rect, rect_contains_raw, Node, NodeRef, Region};
 pub use crate::verify;
 use crate::{insert, Result};
 
@@ -173,16 +173,17 @@ impl Region for KdbRegion {
         Ok(KdbRegion(get_rect(c, dim, true)?))
     }
 
-    fn push_branch<N>(
-        raw: &[u8],
+    fn push_branches(
+        rest: PageReader<'_>,
+        n: usize,
         query: &[f32],
         bound: (),
-        node: N,
-        out: &mut Expansion<N>,
+        level: u16,
+        out: &mut Expansion<NodeRef>,
     ) -> Result<()> {
         // Regions are disjoint, so at most one per level has
         // `MINDIST = 0` — what makes point queries single-path.
-        Rect::push_branch(raw, query, bound, node, out)
+        Rect::push_branches(rest, n, query, bound, level, out)
     }
 
     fn contains_point(&self, p: &[f32]) -> bool {

@@ -32,7 +32,7 @@
 use std::collections::HashSet;
 
 use sr_geometry::{
-    bounding_sphere_of_points, next_radius_up, sphere_min_dist2_f64le, Point, Sphere,
+    bounding_sphere_of_points, next_radius_up, sphere_min_dist2_rows_f64le, Point, Sphere,
     CONTAINMENT_EPS,
 };
 use sr_pager::{PageCodec, PageId, PageReader};
@@ -41,8 +41,8 @@ use sr_query::{Expansion, IndexError};
 use super::{Incremental, Kind, Tree, TreePolicy};
 use crate::paged::centroid::{self, Centered};
 use crate::paged::{
-    check_sphere_raw, get_sphere, put_sphere, sphere_contains_raw, update, AnyEntry, Dynamic,
-    Entry, Node, NodePage, Region,
+    check_sphere_raw, get_sphere, inner_rows, put_sphere, sphere_contains_raw, update, AnyEntry,
+    Dynamic, Entry, Node, NodePage, NodeRef, Region,
 };
 pub use crate::verify;
 use crate::Result;
@@ -131,19 +131,22 @@ impl Region for SsRegion {
     }
 
     /// Distance to the sphere surface.
-    fn push_branch<N>(
-        raw: &[u8],
+    // srlint: hot
+    fn push_branches(
+        rest: PageReader<'_>,
+        n: usize,
         query: &[f32],
         _bound: (),
-        node: N,
-        out: &mut Expansion<N>,
+        level: u16,
+        out: &mut Expansion<NodeRef>,
     ) -> Result<()> {
-        let mut r = PageReader::new(raw);
-        let center = r.get_bytes(query.len() * 8)?;
-        let d2 = sphere_min_dist2_f64le(center, r.get_f64()?, query)
-            .map_err(|e| IndexError::Corrupt(e.to_string()))?;
-        out.push_sphere_branch(d2, node);
-        Ok(())
+        let (rows, stride, mut children) = inner_rows::<Self>(rest, n, query.len(), level)?;
+        sphere_min_dist2_rows_f64le(rows, stride, n, query, |d2| {
+            if let Some(child) = children.next() {
+                out.push_sphere_branch(d2, child);
+            }
+        })
+        .map_err(|e| IndexError::Corrupt(e.to_string()))
     }
 
     /// Spheres are rebuilt from rounded f32 centroids, so a stored point

@@ -155,6 +155,231 @@ pub fn sphere_rect_min_dist2_f64le(
     Ok((surface_dist2(center2, radius), rect2))
 }
 
+/// Inner entries the multi-entry bound kernels score per pass. Four
+/// independent accumulator chains hide the add latency that serializes
+/// one entry's sum; eight measured slower.
+const LOCKSTEP: usize = 4;
+
+/// One stored f64-LE value.
+type Lane = [u8; 8];
+
+/// `n` rows of `lanes` f64-LE lanes, `stride` bytes apart: the region
+/// lanes of `n` row-major inner entries. Only the bytes the regions
+/// cover must exist, so the last row may end where its region does.
+struct Rows<'a> {
+    bytes: &'a [u8],
+    stride: usize,
+    n: usize,
+    lanes: usize,
+}
+
+impl<'a> Rows<'a> {
+    fn new(bytes: &'a [u8], stride: usize, n: usize, lanes: usize) -> Result<Self, GeometryError> {
+        let overflow = GeometryError::Layout {
+            expected: usize::MAX,
+            actual: bytes.len(),
+        };
+        let width = lanes.checked_mul(8).ok_or(overflow)?;
+        let expected = match n.checked_sub(1) {
+            None => 0,
+            Some(last) => last
+                .checked_mul(stride)
+                .and_then(|v| v.checked_add(width))
+                .ok_or(overflow)?,
+        };
+        if stride < width || bytes.len() < expected {
+            return Err(GeometryError::Layout {
+                expected,
+                actual: bytes.len(),
+            });
+        }
+        Ok(Rows {
+            bytes,
+            stride,
+            n,
+            lanes,
+        })
+    }
+
+    /// The lanes of row `i < n`.
+    fn row(&self, i: usize) -> Result<&'a [Lane], GeometryError> {
+        let lanes = self
+            .bytes
+            .get(i * self.stride..)
+            .map(|r| r.as_chunks::<8>().0);
+        lanes
+            .and_then(|l| l.get(..self.lanes))
+            .ok_or(GeometryError::Layout {
+                expected: i * self.stride + self.lanes * 8,
+                actual: self.bytes.len(),
+            })
+    }
+
+    /// Rows `i .. i + LOCKSTEP`, the last row repeated past the end: a
+    /// short group runs the same lockstep, and [`Rows::live`] drops the
+    /// repeats' results.
+    fn group(&self, i: usize) -> Result<[&'a [Lane]; LOCKSTEP], GeometryError> {
+        let row = |j: usize| self.row((i + j).min(self.n.saturating_sub(1)));
+        Ok([row(0)?, row(1)?, row(2)?, row(3)?])
+    }
+
+    /// How many entries of the group at `i` are real.
+    fn live(&self, i: usize) -> usize {
+        self.n.saturating_sub(i).min(LOCKSTEP)
+    }
+}
+
+/// Lanes `at .. at + len` of each row of `group`.
+fn fields<'a>(
+    group: &[&'a [Lane]; LOCKSTEP],
+    at: usize,
+    len: usize,
+) -> Result<[&'a [Lane]; LOCKSTEP], GeometryError> {
+    let field = |row: &'a [Lane]| {
+        row.get(at..at + len).ok_or(GeometryError::Layout {
+            expected: (at + len) * 8,
+            actual: row.len() * 8,
+        })
+    };
+    let [a, b, c, d] = *group;
+    Ok([field(a)?, field(b)?, field(c)?, field(d)?])
+}
+
+/// Four fields in lockstep: item `d` holds each field's `d`-th value.
+/// Zipped slice iterators index without bounds checks.
+#[inline]
+fn lockstep<'a>(
+    [a, b, c, d]: [&'a [Lane]; LOCKSTEP],
+) -> impl Iterator<Item = [f64; LOCKSTEP]> + 'a {
+    let lane = |l: &Lane| f64::from_le_bytes(*l);
+    (a.iter().zip(b).zip(c).zip(d))
+        .map(move |(((a, b), c), d)| [lane(a), lane(b), lane(c), lane(d)])
+}
+
+/// Each entry's squared distance from `query` to its center lanes, in
+/// ascending dimension order, as [`dist2_f64le`] sums it.
+#[inline]
+fn center_dist2(centers: [&[Lane]; LOCKSTEP], query: &[f32]) -> [f64; LOCKSTEP] {
+    let mut acc = [0.0f64; LOCKSTEP];
+    for (x, c) in query.iter().zip(lockstep(centers)) {
+        let x = f64::from(*x);
+        for (acc, c) in acc.iter_mut().zip(c) {
+            let d = c - x;
+            *acc += d * d;
+        }
+    }
+    acc
+}
+
+/// Each entry's `MINDIST²` from `query` to its `lo`/`hi` lanes, in
+/// ascending dimension order, as [`rect_min_dist2_f64le`] sums it.
+#[inline]
+fn rect_dist2(lo: [&[Lane]; LOCKSTEP], hi: [&[Lane]; LOCKSTEP], query: &[f32]) -> [f64; LOCKSTEP] {
+    let mut acc = [0.0f64; LOCKSTEP];
+    for (x, (l, h)) in query.iter().zip(lockstep(lo).zip(lockstep(hi))) {
+        let x = f64::from(*x);
+        for (acc, (l, h)) in acc.iter_mut().zip(l.into_iter().zip(h)) {
+            let d = min_dist_term(l, h, x);
+            *acc += d * d;
+        }
+    }
+    acc
+}
+
+/// [`sphere_rect_min_dist2_f64le`] of `n` row-major inner entries, four
+/// per pass. Row `i` starts `i · stride` bytes into `rows` with the
+/// sphere's center and radius, then the rectangle's `lo` and `hi` — the
+/// page codec's order. `each` receives `(d_s², MINDIST²)` per entry, in
+/// entry order.
+///
+/// Each entry keeps its own two accumulators, summed in ascending
+/// dimension order, so every bound is bit-identical to the one-entry
+/// kernel's; one loop over the dimensions advances all eight chains.
+// srlint: hot
+pub fn sphere_rect_min_dist2_rows_f64le(
+    rows: &[u8],
+    stride: usize,
+    n: usize,
+    query: &[f32],
+    mut each: impl FnMut(f64, f64),
+) -> Result<(), GeometryError> {
+    let dim = query.len();
+    let rows = Rows::new(rows, stride, n, 3 * dim + 1)?;
+    for i in (0..n).step_by(LOCKSTEP) {
+        let group = rows.group(i)?;
+        let (centers, lo, hi) = (
+            fields(&group, 0, dim)?,
+            fields(&group, dim + 1, dim)?,
+            fields(&group, 2 * dim + 1, dim)?,
+        );
+        let (mut center2, mut rect2) = ([0.0f64; LOCKSTEP], [0.0f64; LOCKSTEP]);
+        let bounds = lockstep(lo).zip(lockstep(hi));
+        for ((x, c), (l, h)) in query.iter().zip(lockstep(centers)).zip(bounds) {
+            let x = f64::from(*x);
+            let accs = center2.iter_mut().zip(rect2.iter_mut());
+            for ((acc_c, acc_r), (c, (l, h))) in accs.zip(c.into_iter().zip(l.into_iter().zip(h))) {
+                let dc = c - x;
+                *acc_c += dc * dc;
+                let d = min_dist_term(l, h, x);
+                *acc_r += d * d;
+            }
+        }
+        let radii = lockstep(fields(&group, dim, 1)?).flatten();
+        let bounds = center2.into_iter().zip(radii).zip(rect2);
+        for ((center2, radius), rect2) in bounds.take(rows.live(i)) {
+            each(surface_dist2(center2, radius), rect2);
+        }
+    }
+    Ok(())
+}
+
+/// [`sphere_min_dist2_f64le`] of `n` row-major inner entries, four per
+/// pass: row `i` starts `i · stride` bytes into `rows` with the sphere's
+/// center and radius. `each` receives `d_s²` per entry, in entry order,
+/// bit-identical to the one-entry kernel's.
+// srlint: hot
+pub fn sphere_min_dist2_rows_f64le(
+    rows: &[u8],
+    stride: usize,
+    n: usize,
+    query: &[f32],
+    mut each: impl FnMut(f64),
+) -> Result<(), GeometryError> {
+    let dim = query.len();
+    let rows = Rows::new(rows, stride, n, dim + 1)?;
+    for i in (0..n).step_by(LOCKSTEP) {
+        let group = rows.group(i)?;
+        let center2 = center_dist2(fields(&group, 0, dim)?, query);
+        let radii = lockstep(fields(&group, dim, 1)?).flatten();
+        for (center2, radius) in center2.into_iter().zip(radii).take(rows.live(i)) {
+            each(surface_dist2(center2, radius));
+        }
+    }
+    Ok(())
+}
+
+/// [`rect_min_dist2_f64le`] of `n` row-major inner entries, four per
+/// pass: row `i` starts `i · stride` bytes into `rows` with the
+/// rectangle's `lo` then `hi`. `each` receives `MINDIST²` per entry, in
+/// entry order, bit-identical to the one-entry kernel's.
+// srlint: hot
+pub fn rect_min_dist2_rows_f64le(
+    rows: &[u8],
+    stride: usize,
+    n: usize,
+    query: &[f32],
+    mut each: impl FnMut(f64),
+) -> Result<(), GeometryError> {
+    let dim = query.len();
+    let rows = Rows::new(rows, stride, n, 2 * dim)?;
+    for i in (0..n).step_by(LOCKSTEP) {
+        let group = rows.group(i)?;
+        let rect2 = rect_dist2(fields(&group, 0, dim)?, fields(&group, dim, dim)?, query);
+        rect2.into_iter().take(rows.live(i)).for_each(&mut each);
+    }
+    Ok(())
+}
+
 /// Validate that `coords` holds exactly `n * dim` f64-LE values.
 #[inline]
 fn check_layout(coords: &[u8], n: usize, dim: usize) -> Result<(), GeometryError> {

@@ -434,3 +434,176 @@ fn branch_free_min_dist_matches_the_three_way_term_bitwise() {
         }
     }
 }
+
+/// One special or ordinary f32 for a center lane or a query coordinate.
+fn special(rng: &mut SeededRng) -> f32 {
+    match rng.random_range(0..8) {
+        0 => f32::NAN,
+        1 => f32::INFINITY,
+        2 => f32::NEG_INFINITY,
+        3 => -0.0,
+        4 => 0.0,
+        _ => rng.random::<f32>() * 200.0 - 100.0,
+    }
+}
+
+/// The row-major inner entries of an SR-tree page, as the node codec
+/// writes them: sphere center and radius, rectangle `lo` and `hi`, a
+/// 4-byte weight and an 8-byte child id per entry. Returns the bytes and
+/// the stride.
+fn sr_rows(rng: &mut SeededRng, n: usize, dim: usize, plain: bool) -> (Vec<u8>, usize) {
+    let mut rows = Vec::new();
+    for i in 0..n {
+        for _ in 0..dim {
+            let c = if plain {
+                rng.random::<f32>() * 200.0 - 100.0
+            } else {
+                special(rng)
+            };
+            rows.extend_from_slice(&f64::from(c).to_le_bytes());
+        }
+        let radius = match rng.random_range(0..if plain { 1 } else { 6 }) {
+            1 => -1.0,
+            2 => -0.0,
+            3 => f64::NAN,
+            4 => f64::INFINITY,
+            5 => 0.0,
+            _ => f64::from(rng.random::<f32>() * 80.0),
+        };
+        rows.extend_from_slice(&radius.to_le_bytes());
+        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        for _ in 0..dim {
+            let kind = if plain {
+                Axis::Random
+            } else {
+                AXES[rng.random_range(0..AXES.len())]
+            };
+            let (l, h, _) = axis(rng, kind);
+            lo.extend_from_slice(&f64::from(l).to_le_bytes());
+            hi.extend_from_slice(&f64::from(h).to_le_bytes());
+        }
+        rows.extend(lo);
+        rows.extend(hi);
+        rows.extend_from_slice(&(i as u32).to_le_bytes());
+        rows.extend_from_slice(&(i as u64 + 7).to_le_bytes());
+    }
+    (rows, (3 * dim + 1) * 8 + 4 + 8)
+}
+
+/// The multi-entry bound kernels score `n` row-major inner entries four
+/// at a time; every bound must equal the one-entry kernel's on the same
+/// entry bit for bit — the combined bound, and the sphere-only and
+/// rectangle-only bounds the SR-tree's ablation scores the same rows
+/// with. Every `n` from 0 to 9 covers each remainder of a lockstep
+/// group; entries plant NaN, `±∞` and `−0.0` lanes and negative radii.
+#[test]
+fn multi_entry_bounds_match_one_entry_kernels_bitwise() {
+    use sr_geometry::{
+        rect_min_dist2_f64le, rect_min_dist2_rows_f64le, sphere_min_dist2_f64le,
+        sphere_min_dist2_rows_f64le, sphere_rect_min_dist2_f64le, sphere_rect_min_dist2_rows_f64le,
+    };
+    for dim in [1usize, 2, 3, 4, 7, 8, 9, 16, 17, 33] {
+        let seed = 0x4_1A57 ^ (dim as u64);
+        let mut rng = SeededRng::seed_from_u64(seed);
+        for n in 0..=9usize {
+            for plain in [true, false] {
+                let (rows, stride) = sr_rows(&mut rng, n, dim, plain);
+                let query: Vec<f32> = (0..dim)
+                    .map(|_| match rng.random_range(0..4) {
+                        0 => -0.0,
+                        _ => rng.random::<f32>() * 240.0 - 120.0,
+                    })
+                    .collect();
+                let ctx = format!("dim {dim} n {n} plain {plain} seed {seed:#x}");
+                let lane = |i: usize, at: usize, len: usize| {
+                    let start = i * stride + at * 8;
+                    &rows[start..start + len * 8]
+                };
+                let radius = |i: usize| f64::from_le_bytes(lane(i, dim, 1).try_into().unwrap());
+
+                let mut both = Vec::new();
+                sphere_rect_min_dist2_rows_f64le(&rows, stride, n, &query, |s, r| {
+                    both.push((s, r))
+                })
+                .unwrap();
+                let mut sphere = Vec::new();
+                sphere_min_dist2_rows_f64le(&rows, stride, n, &query, |s| sphere.push(s)).unwrap();
+                let mut rect = Vec::new();
+                let rect_rows = &rows[((dim + 1) * 8).min(rows.len())..];
+                rect_min_dist2_rows_f64le(rect_rows, stride, n, &query, |r| rect.push(r)).unwrap();
+                assert_eq!((both.len(), sphere.len(), rect.len()), (n, n, n), "{ctx}");
+
+                for i in 0..n {
+                    let (center, lo, hi) = (
+                        lane(i, 0, dim),
+                        lane(i, dim + 1, dim),
+                        lane(i, 2 * dim + 1, dim),
+                    );
+                    let (s, r) =
+                        sphere_rect_min_dist2_f64le(center, radius(i), lo, hi, &query).unwrap();
+                    assert_eq!(
+                        both[i].0.to_bits(),
+                        s.to_bits(),
+                        "sphere half, entry {i}: {ctx}"
+                    );
+                    assert_eq!(
+                        both[i].1.to_bits(),
+                        r.to_bits(),
+                        "rect half, entry {i}: {ctx}"
+                    );
+                    let s = sphere_min_dist2_f64le(center, radius(i), &query).unwrap();
+                    assert_eq!(
+                        sphere[i].to_bits(),
+                        s.to_bits(),
+                        "sphere only, entry {i}: {ctx}"
+                    );
+                    let r = rect_min_dist2_f64le(lo, hi, &query).unwrap();
+                    assert_eq!(
+                        rect[i].to_bits(),
+                        r.to_bits(),
+                        "rect only, entry {i}: {ctx}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The multi-entry kernels refuse a buffer too short for `n` entries and
+/// a stride narrower than the region, and score nothing for `n = 0`.
+#[test]
+fn multi_entry_kernels_check_their_layout() {
+    use sr_geometry::{
+        rect_min_dist2_rows_f64le, sphere_min_dist2_rows_f64le, sphere_rect_min_dist2_rows_f64le,
+        GeometryError,
+    };
+    let dim = 3;
+    let mut rng = SeededRng::seed_from_u64(0x1A_7007);
+    let (rows, stride) = sr_rows(&mut rng, 5, dim, true);
+    let query = [0.5f32; 3];
+    let short = &rows[..4 * stride + (3 * dim + 1) * 8 - 1];
+    let err = sphere_rect_min_dist2_rows_f64le(short, stride, 5, &query, |_, _| {}).unwrap_err();
+    assert_eq!(
+        err,
+        GeometryError::Layout {
+            expected: 4 * stride + (3 * dim + 1) * 8,
+            actual: short.len()
+        }
+    );
+    // The last row needs only its region's lanes.
+    let mut seen = 0;
+    sphere_rect_min_dist2_rows_f64le(&rows[..short.len() + 1], stride, 5, &query, |_, _| {
+        seen += 1
+    })
+    .unwrap();
+    assert_eq!(seen, 5);
+    assert!(sphere_min_dist2_rows_f64le(&rows, dim * 8, 2, &query, |_| {}).is_err());
+    assert!(rect_min_dist2_rows_f64le(&rows, 2 * dim * 8 - 1, 2, &query, |_| {}).is_err());
+    for n in [0, 1] {
+        let mut calls = 0;
+        rect_min_dist2_rows_f64le(&[], stride, 0, &query, |_| calls += 1).unwrap();
+        sphere_min_dist2_rows_f64le(&rows[..n * stride], stride, n, &query, |_| calls += 1)
+            .unwrap();
+        assert_eq!(calls, n);
+    }
+}

@@ -180,8 +180,13 @@ pub enum SearchOrder {
 /// points to the sink, push its children onto the frontier.
 /// `spec.order` picks the frontier of a k-NN query (a range query reads
 /// the same pages in either order and always takes the stack, which has
-/// no queue cost), `spec.shape` the sink. With [`sr_obs::Noop`] as `rec`
-/// this monomorphizes to the uninstrumented search.
+/// no queue cost), `spec.shape` the sink.
+///
+/// The query's counters and its queue's high-water mark are tallied in
+/// locals and published to `rec` once, when the query ends (also when it
+/// fails); only the per-expansion fan-out histogram and the query's span
+/// reach `rec` while it runs. With [`sr_obs::Noop`] as `rec` this
+/// monomorphizes to the uninstrumented search.
 ///
 /// # Errors
 /// [`IndexError::InvalidRadius`] for a negative or NaN radius — never a
@@ -197,6 +202,19 @@ pub fn search<S: KnnSource, R: Recorder + ?Sized>(
         }
     }
     let _span = SpanTimer::start(rec, Hist::QueryNs);
+    let mut tally = Tally::default();
+    let rows = walk(src, spec, rec, &mut tally);
+    tally.publish(rec);
+    rows
+}
+
+/// The walk behind [`search`], counting its work into `tally`.
+fn walk<S: KnnSource, R: Recorder + ?Sized>(
+    src: &S,
+    spec: &QuerySpec<'_>,
+    rec: &R,
+    tally: &mut Tally,
+) -> Result<Vec<Neighbor>, IndexError> {
     let mut sink = match spec.shape {
         // A 0-NN query has exactly one right answer, known without
         // reading a page.
@@ -214,7 +232,7 @@ pub fn search<S: KnnSource, R: Recorder + ?Sized>(
         // The root's provenance never matters: at distance 0 it is
         // expanded before anything can prune it.
         exp.push_rect_branch(0.0, root);
-        frontier.push(&mut exp.branches, sink.bound(), rec);
+        frontier.push(&mut exp.branches, sink.bound(), tally);
     }
     while let Some(b) = frontier.pop() {
         // Prune only a region strictly beyond the threshold: one at
@@ -225,15 +243,19 @@ pub fn search<S: KnnSource, R: Recorder + ?Sized>(
         if b.dist2 <= thr {
             exp.clear();
             src.expand(&b.node, spec.point, thr, &mut exp)?;
-            record_expansion(rec, &exp);
+            tally.expansion(rec, &exp);
             sink.offer(&exp.points);
-            frontier.push(&mut exp.branches, sink.bound(), rec);
+            frontier.push(&mut exp.branches, sink.bound(), tally);
         } else {
-            record_prune(rec, b.bound, thr);
+            tally.prune(b.bound, thr);
             // Best-first pops nearest first and the threshold only
-            // shrinks, so every region still queued is pruned too: stop,
-            // unless a recorder counts them.
-            if matches!(frontier, Frontier::Runs(_)) && !rec.enabled() {
+            // shrinks, so every region still queued is pruned too, at
+            // this same threshold: stop, counting them in place if a
+            // recorder keeps counts.
+            if let Frontier::Runs(runs) = &frontier {
+                if rec.enabled() {
+                    runs.queued().for_each(|q| tally.prune(q.bound, thr));
+                }
                 break;
             }
         }
@@ -241,9 +263,79 @@ pub fn search<S: KnnSource, R: Recorder + ?Sized>(
     if let (Frontier::Stack(_), Sink::Knn(cands)) = (&frontier, &sink) {
         // Depth-first's heap is its candidate set; best-first's queued
         // branches are gauged as they grow.
-        rec.gauge_max(Gauge::HeapHighWater, cands.len() as u64);
+        tally.heap_high_water = cands.len() as u64;
     }
     Ok(sink.into_rows())
+}
+
+/// One query's work, counted in locals so that recording costs a few
+/// adds per event and one publish per query.
+#[derive(Default)]
+struct Tally {
+    node_expansions: u64,
+    leaf_expansions: u64,
+    branches: u64,
+    prune_events: u64,
+    prune_sphere: u64,
+    prune_rect: u64,
+    points_scored: u64,
+    early_abandons: u64,
+    /// The most branches a k-NN search's queue held at once.
+    heap_high_water: u64,
+}
+
+impl Tally {
+    /// Count one node expansion: node-vs-leaf split, points scored and
+    /// branches considered. The fan-out histogram takes one sample per
+    /// internal node, straight to `rec`.
+    fn expansion<N, R: Recorder + ?Sized>(&mut self, rec: &R, exp: &Expansion<N>) {
+        if exp.branches.is_empty() {
+            self.leaf_expansions += 1;
+        } else {
+            self.node_expansions += 1;
+            self.branches += exp.branches.len() as u64;
+            rec.observe(Hist::NodeFanout, exp.branches.len() as u64);
+        }
+        // Abandoned entries were visited by the scan — only their
+        // distance accumulation stopped early — so they stay in
+        // `PointsScored` and are credited to their own counter on top.
+        self.points_scored += exp.points.len() as u64 + exp.abandoned;
+        self.early_abandons += exp.abandoned;
+    }
+
+    /// Count one branch pruned at threshold `thr`, attributing the event
+    /// to every shape whose bound alone lies strictly beyond it.
+    fn prune(&mut self, bound: RegionBound, thr: f64) {
+        self.prune_events += 1;
+        match bound {
+            RegionBound::Rect => self.prune_rect += 1,
+            RegionBound::Sphere => self.prune_sphere += 1,
+            RegionBound::Max { sphere2, rect2 } => {
+                self.prune_sphere += u64::from(sphere2 > thr);
+                self.prune_rect += u64::from(rect2 > thr);
+            }
+        }
+    }
+
+    /// Add the query's counts to `rec`.
+    fn publish<R: Recorder + ?Sized>(&self, rec: &R) {
+        let counts = [
+            (Counter::NodeExpansions, self.node_expansions),
+            (Counter::LeafExpansions, self.leaf_expansions),
+            (Counter::BranchesConsidered, self.branches),
+            (Counter::PruneEvents, self.prune_events),
+            (Counter::PruneSphere, self.prune_sphere),
+            (Counter::PruneRect, self.prune_rect),
+            (Counter::PointsScored, self.points_scored),
+            (Counter::EarlyAbandons, self.early_abandons),
+        ];
+        for (c, n) in counts.into_iter().filter(|&(_, n)| n > 0) {
+            rec.incr(c, n);
+        }
+        if self.heap_high_water > 0 {
+            rec.gauge_max(Gauge::HeapHighWater, self.heap_high_water);
+        }
+    }
 }
 
 /// Where a search puts the points it scores, and so what it prunes at.
@@ -306,7 +398,7 @@ impl<N: Copy> Frontier<N> {
 
     /// Queue an expanded node's children, leaving `children` empty;
     /// `thr` is the sink's threshold once the node's points are in.
-    fn push<R: Recorder + ?Sized>(&mut self, children: &mut Vec<Branch<N>>, thr: f64, rec: &R) {
+    fn push(&mut self, children: &mut Vec<Branch<N>>, thr: f64, tally: &mut Tally) {
         // Nearer regions first: they tighten the pruning bound fastest,
         // which is what lets the later, farther siblings be skipped. The
         // sort is stable, so equal bounds keep their entry order.
@@ -317,7 +409,7 @@ impl<N: Copy> Frontier<N> {
                 children.sort_by(|a, b| a.dist2.total_cmp(&b.dist2));
                 stack.extend(children.drain(..).rev());
             }
-            Frontier::Runs(runs) => runs.push(children, thr, rec),
+            Frontier::Runs(runs) => runs.push(children, thr, tally),
         }
     }
 }
@@ -370,16 +462,22 @@ impl<N: Copy> Runs<N> {
         Some(b)
     }
 
+    /// Every branch queued and not yet popped, in no particular order:
+    /// what the unpopped part of each run holds.
+    fn queued(&self) -> impl Iterator<Item = &Branch<N>> {
+        (self.heads.iter()).flat_map(|h| self.arena.get(h.next..h.end).unwrap_or_default())
+    }
+
     /// Append the children within `thr` as one sorted run, counting the
     /// rest as prunes. Only bounds within the threshold are queued, so
     /// never a NaN.
-    fn push<R: Recorder + ?Sized>(&mut self, children: &mut Vec<Branch<N>>, thr: f64, rec: &R) {
+    fn push(&mut self, children: &mut Vec<Branch<N>>, thr: f64, tally: &mut Tally) {
         let start = self.arena.len();
         for b in children.drain(..) {
             if b.dist2 <= thr {
                 self.arena.push(b);
             } else {
-                record_prune(rec, b.bound, thr);
+                tally.prune(b.bound, thr);
             }
         }
         let end = self.arena.len();
@@ -394,7 +492,7 @@ impl<N: Copy> Runs<N> {
             }
         }
         self.queued += (end - start) as u64;
-        rec.gauge_max(Gauge::HeapHighWater, self.queued);
+        tally.heap_high_water = tally.heap_high_water.max(self.queued);
     }
 }
 
@@ -423,44 +521,6 @@ impl PartialEq for Head {
     }
 }
 impl Eq for Head {}
-
-/// Count one node expansion: node-vs-leaf split, points scored, branches
-/// considered, fan-out histogram.
-fn record_expansion<N, R: Recorder + ?Sized>(rec: &R, exp: &Expansion<N>) {
-    if exp.branches.is_empty() {
-        rec.incr(Counter::LeafExpansions, 1);
-    } else {
-        rec.incr(Counter::NodeExpansions, 1);
-        rec.incr(Counter::BranchesConsidered, exp.branches.len() as u64);
-        rec.observe(Hist::NodeFanout, exp.branches.len() as u64);
-    }
-    // Abandoned entries were visited by the scan — only their distance
-    // accumulation stopped early — so they stay in `PointsScored` and
-    // are credited to their own counter on top.
-    rec.incr(
-        Counter::PointsScored,
-        exp.points.len() as u64 + exp.abandoned,
-    );
-    rec.incr(Counter::EarlyAbandons, exp.abandoned);
-}
-
-/// Count one branch pruned at threshold `thr`, attributing the event to
-/// every shape whose bound alone lies strictly beyond it.
-fn record_prune<R: Recorder + ?Sized>(rec: &R, bound: RegionBound, thr: f64) {
-    rec.incr(Counter::PruneEvents, 1);
-    match bound {
-        RegionBound::Rect => rec.incr(Counter::PruneRect, 1),
-        RegionBound::Sphere => rec.incr(Counter::PruneSphere, 1),
-        RegionBound::Max { sphere2, rect2 } => {
-            if sphere2 > thr {
-                rec.incr(Counter::PruneSphere, 1);
-            }
-            if rect2 > thr {
-                rec.incr(Counter::PruneRect, 1);
-            }
-        }
-    }
-}
 
 #[cfg(test)]
 pub(crate) mod mock {
@@ -746,9 +806,9 @@ mod tests {
     fn max_bound_prune_attribution_credits_each_sufficient_shape() {
         let rec = StatsRecorder::new();
         let thr = 10.0;
+        let mut tally = Tally::default();
         // Sphere alone suffices.
-        record_prune(
-            &rec,
+        tally.prune(
             RegionBound::Max {
                 sphere2: 12.0,
                 rect2: 5.0,
@@ -756,14 +816,14 @@ mod tests {
             thr,
         );
         // Both suffice.
-        record_prune(
-            &rec,
+        tally.prune(
             RegionBound::Max {
                 sphere2: 11.0,
                 rect2: 13.0,
             },
             thr,
         );
+        tally.publish(&rec);
         let s = rec.snapshot();
         assert_eq!(s.counter(Counter::PruneEvents), 2);
         assert_eq!(s.counter(Counter::PruneSphere), 2);
@@ -870,7 +930,7 @@ mod tests {
                 pushed += 1;
                 heap.push(Reverse((b.dist2 as u64, pushed, b.node)));
             }
-            runs.push(&mut children, thr, &Noop);
+            runs.push(&mut children, thr, &mut Tally::default());
             for _ in 0..next() % 3 {
                 popped.0.extend(runs.pop().map(|b| b.node));
                 popped.1.extend(heap.pop().map(|Reverse((_, _, n))| n));

@@ -226,6 +226,9 @@ enum HeaderFault {
     Level,
     /// A payload cut below its count.
     Cut,
+    /// An inner page whose count is zero: a well-formed body that routes
+    /// nowhere.
+    Empty,
 }
 
 /// `payload` with one header fault; `expected` is the page's level.
@@ -252,6 +255,7 @@ fn fault_header(rng: &mut SeededRng, payload: &[u8], expected: u16, fault: Heade
             buf[..2].copy_from_slice(&lie.to_le_bytes());
         }
         HeaderFault::Cut => buf.truncate(rng.random_range(0..buf.len())),
+        HeaderFault::Empty => buf[2..4].copy_from_slice(&0u16.to_le_bytes()),
     }
     buf
 }
@@ -267,8 +271,9 @@ fn corrupt_text(got: Result<(), IndexError>, what: &str) -> String {
 /// Fill `tree` with seeded points, then fault the header of its root or
 /// of the leaf holding a probe point, one fault per case, and require
 /// `knn(probe, 1)`, `contains(probe)` and `verify()` to fail with the
-/// identical `Corrupt` text, starting `page N:`. Each case restores the
-/// page before the next.
+/// identical `Corrupt` text, starting `page N:`. Only the root, an inner
+/// page, takes the `Empty` fault: a leaf with no entries is a tree's
+/// empty root. Each case restores the page before the next.
 fn node_header_faults_read_alike<P: TreePolicy>(mut tree: Tree<P>, seed: u64) {
     let name = tree.kind_name();
     let mut rng = SeededRng::seed_from_u64(seed);
@@ -279,6 +284,7 @@ fn node_header_faults_read_alike<P: TreePolicy>(mut tree: Tree<P>, seed: u64) {
     let core = &tree;
     let root_level = core.root_level().expect("a non-empty tree");
     assert!(root_level >= 1, "{name}: the root must be an inner node");
+    let mut empties = 0;
     for case in 0..NODE_CASES {
         let i = rng.random_range(0..NODE_POINTS);
         let (probe, data) = (&points[i], i as u64);
@@ -289,8 +295,17 @@ fn node_header_faults_read_alike<P: TreePolicy>(mut tree: Tree<P>, seed: u64) {
             let leaf = path.and_then(|p| p.last().copied()).expect("stored probe");
             (leaf, 0, PageKind::Leaf)
         };
-        let fault =
-            [HeaderFault::Count, HeaderFault::Level, HeaderFault::Cut][rng.random_range(0..3)];
+        let faults: &[HeaderFault] = match kind {
+            PageKind::Leaf => &[HeaderFault::Count, HeaderFault::Level, HeaderFault::Cut],
+            _ => &[
+                HeaderFault::Count,
+                HeaderFault::Level,
+                HeaderFault::Cut,
+                HeaderFault::Empty,
+            ],
+        };
+        let fault = faults[rng.random_range(0..faults.len())];
+        empties += usize::from(matches!(fault, HeaderFault::Empty));
         let intact = core.pager().read(id, kind).expect("read").to_vec();
         let faulted = fault_header(&mut rng, &intact, level, fault);
         core.pager().write(id, kind, &faulted).expect("write");
@@ -311,6 +326,10 @@ fn node_header_faults_read_alike<P: TreePolicy>(mut tree: Tree<P>, seed: u64) {
 
         core.pager().write(id, kind, &intact).expect("restore");
     }
+    assert!(
+        empties > 0,
+        "{name} seed {seed:#x}: no case emptied the root"
+    );
     tree.verify().expect("every faulted page was restored");
 }
 

@@ -14,7 +14,9 @@ use srtree::geometry::Point;
 use srtree::obs::{Counter, StatsRecorder};
 use srtree::pager::PageKind;
 use srtree::query::{brute_force_knn, QuerySpec, SpatialIndex};
-use srtree::tree::{DistanceBound, SrTree};
+use srtree::rstar::RstarTree;
+use srtree::sstree::SsTree;
+use srtree::tree::{DistanceBound, Incremental, SrTree, Tree};
 
 fn build(n: usize, dim: usize, seed: u64) -> SrTree {
     tree_of(&uniform(n, dim, seed))
@@ -22,7 +24,13 @@ fn build(n: usize, dim: usize, seed: u64) -> SrTree {
 
 /// An SR-tree on 4 KiB pages holding `points`, inserted in order.
 fn tree_of(points: &[Point]) -> SrTree {
-    let mut tree = SrTree::create_in_memory(points[0].dim(), 4096).unwrap();
+    tree_in(points)
+}
+
+/// A tree of policy `P` on 4 KiB pages holding `points`, inserted in
+/// order.
+fn tree_in<P: Incremental>(points: &[Point]) -> Tree<P> {
+    let mut tree = Tree::<P>::create_in_memory(points[0].dim(), 4096).unwrap();
     for (i, p) in points.iter().enumerate() {
         tree.insert(p.clone(), i as u64).unwrap();
     }
@@ -239,7 +247,11 @@ fn pinned_tree() -> (SrTree, Vec<Point>) {
 }
 
 /// Run `spec` for every query, adding up the work it does.
-fn pinned_run(tree: &SrTree, queries: &[Point], spec: &dyn Fn(&[f32]) -> QuerySpec<'_>) -> Pinned {
+fn pinned_run(
+    tree: &dyn SpatialIndex,
+    queries: &[Point],
+    spec: &dyn Fn(&[f32]) -> QuerySpec<'_>,
+) -> Pinned {
     let rec = StatsRecorder::new();
     tree.pager().reset_stats();
     let rows = queries
@@ -371,4 +383,27 @@ fn best_first_work_is_pinned() {
         0x6667_7fcc_73cd_9f09,
     ];
     assert_eq!(rows, grid_digests.map(|d| (21, d)));
+}
+
+/// Pins the served best-first k-NN's exact work on an SS-tree and an
+/// R\*-tree over the pinned points and queries: the sphere-only and the
+/// rectangle-only bound take the same inner-node path as the SR-tree's
+/// combined one, so a change to how inner entries are scored moves these
+/// numbers as it would the SR-tree's. The rows equal every other order's
+/// and tree's.
+#[test]
+fn ss_and_rstar_best_first_work_is_pinned() {
+    let points = uniform(3_000, 16, 59);
+    let queries = sample_queries(&points, 15, 61);
+    let ss: SsTree = tree_in(&points);
+    let (work, reads, rows) = pinned_run(&ss, &queries, &|q| QuerySpec::knn(q, 21));
+    assert_eq!(work, [510, 9220, 10920, 1205, 1205, 0, 41572, 40282, 695]);
+    assert_eq!(reads, [510, 9220]);
+    assert_eq!(rows, KNN_DIGESTS.map(|d| (21, d)));
+
+    let rstar: RstarTree = tree_in(&points);
+    let (work, reads, rows) = pinned_run(&rstar, &queries, &|q| QuerySpec::knn(q, 21));
+    assert_eq!(work, [885, 8251, 9645, 524, 0, 524, 42854, 41244, 546]);
+    assert_eq!(reads, [885, 8251]);
+    assert_eq!(rows, KNN_DIGESTS.map(|d| (21, d)));
 }

@@ -13,7 +13,8 @@ use std::time::{Duration, Instant};
 
 use sr_testkit::TempDir;
 use srtree::dataset::{sample_queries, uniform};
-use srtree::query::{brute_force_knn, brute_force_range, SpatialIndex};
+use srtree::obs::{Counter, StatsRecorder};
+use srtree::query::{brute_force_knn, brute_force_range, QuerySpec, SpatialIndex};
 use srtree::serve::{Client, ServeConfig, ServeError, Server};
 use srtree::tree::SrTree;
 use srtree::wire::{RemoteError, Request, Response};
@@ -305,6 +306,63 @@ fn a_bad_query_in_a_pipelined_run_fails_alone_and_every_query_runs_once() {
         server.stop();
         server.wait().unwrap();
     }
+}
+
+/// A served k-NN costs the service's metrics what an offline one costs a
+/// `StatsRecorder`: a pipelined burst (the run the server hands to one
+/// `sr-exec` batch) and a lone k-NN (answered through `execute_read`)
+/// add to the server's `Stats` exactly the work counters the same
+/// queries add in process — expansions, branches, prunes by shape,
+/// points scored and abandons.
+#[test]
+fn served_query_metrics_equal_offline_metrics() {
+    // Past the early-abandon kernel's head dimensions, so leaf scans
+    // abandon entries.
+    let dim = 16;
+    let points = uniform(N, dim, 71);
+    let mut tree = SrTree::create_in_memory(dim, PAGE).unwrap();
+    for (i, p) in points.iter().enumerate() {
+        tree.insert(p.clone(), i as u64).unwrap();
+    }
+    let queries = sample_queries(&points, 9, 73);
+    let rec = StatsRecorder::new();
+    for q in &queries {
+        tree.query(&QuerySpec::knn(q.coords(), K), &rec).unwrap();
+    }
+    let offline = rec.snapshot();
+    let server = Server::start(Box::new(tree), cfg(2, 4)).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+
+    let before = client.stats().unwrap();
+    let (lone, burst) = queries.split_last().unwrap();
+    let reqs: Vec<Request> = (burst.iter())
+        .map(|q| Request::Knn {
+            query: q.coords().to_vec(),
+            k: K as u32,
+        })
+        .collect();
+    let resps = client.pipeline(&reqs).unwrap();
+    assert!(resps.iter().all(|r| matches!(r, Response::Rows(_))));
+    client.knn(lone.coords(), K as u32).unwrap();
+    let after = client.stats().unwrap();
+
+    for c in [
+        Counter::NodeExpansions,
+        Counter::LeafExpansions,
+        Counter::BranchesConsidered,
+        Counter::PruneEvents,
+        Counter::PruneSphere,
+        Counter::PruneRect,
+        Counter::PointsScored,
+        Counter::EarlyAbandons,
+    ] {
+        let served = stats_field(&after, c.name()) - stats_field(&before, c.name());
+        assert_eq!(served, offline.counter(c), "{}: {after}", c.name());
+    }
+    assert!(offline.counter(Counter::PruneEvents) > 0);
+    assert!(offline.counter(Counter::EarlyAbandons) > 0);
+    server.stop();
+    server.wait().unwrap();
 }
 
 #[test]
