@@ -173,6 +173,7 @@ impl Region for KdbRegion {
         Ok(KdbRegion(get_rect(c, dim, true)?))
     }
 
+    // srlint: hot
     fn push_branches(
         rest: PageReader<'_>,
         n: usize,

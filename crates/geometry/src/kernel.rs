@@ -21,6 +21,16 @@
 //! sums) would drift near-tied neighbor sets; see the kernel-equivalence
 //! suite in `tests/kernel_equivalence.rs`.
 //!
+//! The contract extends to the region bounds of inner-node entries,
+//! which are stored **row-major** (one entry's region, then the next).
+//! The one-entry kernels ([`sphere_rect_min_dist2_f64le`] and friends)
+//! give each bound one accumulator in ascending dimension order; the
+//! multi-entry kernels ([`sphere_rect_min_dist2_rows_f64le`],
+//! [`sphere_min_dist2_rows_f64le`], [`rect_min_dist2_rows_f64le`]) run
+//! **across entries**, four in lockstep, each entry keeping its own
+//! accumulators in that same order, so every bound is bit-identical to
+//! the one-entry kernel's.
+//!
 //! # Early abandon
 //!
 //! [`dist2_columnar_early_abandon`] stops scoring a point once its

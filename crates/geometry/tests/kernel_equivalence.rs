@@ -1,7 +1,8 @@
 //! Kernel-equivalence suite: the columnar early-abandon leaf kernel and
 //! the raw-bounds kernels must be **bit-identical** to the canonical
 //! scalar [`dist2`] (the brute-force oracle's distance) for every
-//! dimensionality, threshold, and special value — not merely close.
+//! dimensionality, threshold, and special value — not merely close; the
+//! multi-entry bound kernels, to the one-entry ones.
 //! Every index structure's leaf answers flow through the early-abandon
 //! kernel, and the candidate set breaks ties on exact `f64` equality, so
 //! a single reassociated addition would silently reorder near-tied

@@ -8,11 +8,16 @@ use crate::metric::{Counter, Gauge, Hist};
 /// monomorphizes every recording call into nothing — the instrumented hot
 /// paths cost zero when observation is off. Passing `&StatsRecorder` (or
 /// `&dyn Recorder`) turns the same code paths into relaxed atomic adds.
+///
+/// The search (`sr_query::search`) counts a query's work in locals and
+/// publishes it once per query: one `incr` per non-zero counter and one
+/// `gauge_max`, then the query span's `observe`. Only the per-inner-node
+/// fan-out sample is observed while the query runs.
 pub trait Recorder {
     /// Whether this recorder keeps anything. Lets call sites skip *work
-    /// that only exists to be recorded* (e.g. draining a priority queue to
-    /// count never-visited branches); plain `incr`/`observe` calls do not
-    /// need the guard.
+    /// that only exists to be recorded* (e.g. scanning a finished search's
+    /// queue to count never-visited branches); plain `incr`/`observe`
+    /// calls do not need the guard.
     fn enabled(&self) -> bool;
 
     /// Add `by` to a monotonic counter.

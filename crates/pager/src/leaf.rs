@@ -1,7 +1,7 @@
 //! The shared columnar (structure-of-arrays) leaf payload format.
 //!
-//! Every index crate in the workspace stores the same three things per
-//! leaf entry: `dim` coordinates (widened to `f64`, paper Table 1), a
+//! Every tree in the workspace stores the same three things per leaf
+//! entry: `dim` coordinates (widened to `f64`, paper Table 1), a
 //! `u64` data id, and a zero-filled reserved area padding the entry to
 //! the paper's `data_area` bytes. Since PR 8 the entries are laid out
 //! **dimension-major** so the query scan can score a whole leaf straight
@@ -35,7 +35,7 @@ use crate::error::{PagerError, Result};
 use crate::page::{narrow_lane, PageCodec, PageReader};
 
 /// Bytes of the `(level, count)` leaf header — the same `NODE_HEADER`
-/// every index crate uses.
+/// every tree's node pages use.
 pub const LEAF_HEADER: usize = 4;
 
 /// A parsed, zero-copy view of a columnar leaf payload.

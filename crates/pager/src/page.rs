@@ -140,7 +140,7 @@ impl<'a> PageCodec<'a> {
     }
 
     /// Append coordinates widened to `f64` — the on-disk coordinate format
-    /// of every index crate, reproducing the paper's 8-byte-per-coordinate
+    /// of every tree, reproducing the paper's 8-byte-per-coordinate
     /// fanout arithmetic (Table 1). The whole row is claimed once and
     /// written lane by lane.
     pub fn put_coords(&mut self, vs: &[f32]) -> Result<()> {

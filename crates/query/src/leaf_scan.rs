@@ -1,6 +1,6 @@
 //! The shared columnar leaf scan — one hot loop for all five trees.
 //!
-//! Every index crate stores its leaves in the same dimension-major layout
+//! Every tree stores its leaves in the same dimension-major layout
 //! ([`sr_pager::LeafColumns`]), so the kernel call lives here once
 //! instead of five times. The tree's `KnnSource::expand` parses the leaf
 //! payload straight off the page buffer and hands the view to
