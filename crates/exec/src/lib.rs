@@ -5,7 +5,7 @@
 //! queries against one index at once. This crate provides the execution
 //! layer for that: [`run_query_batch`] fans a batch of queries across
 //! a pool of worker threads that all read the *same* index through the
-//! lock-striped pager cache (`sr-pager` shards its LRU by page id, so
+//! lock-striped pager cache (`sr-pager` shards its pool by page id, so
 //! concurrent readers rarely contend on the same lock).
 //!
 //! Design constraints, in order:
@@ -18,7 +18,9 @@
 //! 2. **No dependencies.** The pool is `std::thread::scope` — no rayon.
 //!    Workers take queries by *striding* (worker `w` of `T` takes indices
 //!    `w, w+T, w+2T, …`), which needs no work-stealing queue and spreads
-//!    any locality gradient in the batch evenly across workers.
+//!    any locality gradient in the batch evenly across workers. The last
+//!    worker is the calling thread: a batch spawns `T − 1` threads, and a
+//!    one-worker batch (the `sr-serve` default) spawns none.
 //! 3. **Observability survives the fan-out.** Each worker runs its own
 //!    `sr-obs` [`StatsRecorder`]; the per-worker snapshots are merged
 //!    ([`MetricsSnapshot::merge`]) into one batch-level snapshot, and the
@@ -42,6 +44,7 @@
 #![forbid(unsafe_code)]
 
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sr_obs::{MetricsSnapshot, StatsRecorder};
 use sr_pager::IoStats;
@@ -51,11 +54,11 @@ use sr_query::{IndexError, Neighbor, QuerySpec, SpatialIndex};
 /// them: it is that query's entry in [`BatchResult::results`].
 #[derive(Debug)]
 pub enum ExecError {
-    /// A worker thread panicked (only reachable through an index whose
-    /// `query` panics). The remaining workers finish normally and the
-    /// pool is not poisoned.
+    /// A worker panicked (only reachable through an index whose `query`
+    /// panics), the calling thread's own stride included. The remaining
+    /// workers finish normally and the pool is not poisoned.
     WorkerPanic {
-        /// Which worker (0-based) panicked.
+        /// Which worker (0-based) panicked; the lowest one if several did.
         worker: usize,
     },
     /// The caller asked for zero worker threads. Rejected up front rather
@@ -133,21 +136,24 @@ pub fn run_query_batch<I: SpatialIndex + ?Sized>(
 
     // Worker `w` answers specs `w, w+T, …` in that order and returns them
     // with its metrics snapshot; the scope owns no shared mutable state,
-    // so a panicking worker cannot poison anything the others touch.
+    // so a panicking worker cannot poison anything the others touch. The
+    // last worker is the calling thread, so a one-worker batch spawns
+    // nothing; its panic is caught like a spawned worker's.
     type Stride = (Vec<Result<Vec<Neighbor>, IndexError>>, MetricsSnapshot);
-    let strides: Vec<std::thread::Result<Stride>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                scope.spawn(move || {
-                    let rec = StatsRecorder::new();
-                    let out = (specs.iter().skip(w).step_by(threads))
-                        .map(|spec| index.query(spec, &rec).map(|o| o.rows))
-                        .collect();
-                    (out, rec.snapshot())
-                })
-            })
+    let stride = move |w: usize| -> Stride {
+        let rec = StatsRecorder::new();
+        let out = (specs.iter().skip(w).step_by(threads))
+            .map(|spec| index.query(spec, &rec).map(|o| o.rows))
             .collect();
-        handles.into_iter().map(|h| h.join()).collect()
+        (out, rec.snapshot())
+    };
+    let last = threads - 1;
+    let strides: Vec<std::thread::Result<Stride>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..last).map(|w| scope.spawn(move || stride(w))).collect();
+        let own = catch_unwind(AssertUnwindSafe(|| stride(last)));
+        (handles.into_iter().map(|h| h.join()))
+            .chain(std::iter::once(own))
+            .collect()
     });
 
     let mut metrics = MetricsSnapshot::empty();
@@ -180,12 +186,14 @@ mod tests {
 
     /// Minimal in-memory index for exercising the executor without
     /// pulling a tree crate into the dependency graph. A `panicking`
-    /// index panics on every query.
+    /// index panics on every query, one with a `home` thread on every
+    /// query made on another thread.
     struct BruteIndex {
         pager: PageFile,
         dim: usize,
         points: Vec<(Vec<f32>, u64)>,
         panicking: bool,
+        home: Option<std::thread::ThreadId>,
     }
 
     impl BruteIndex {
@@ -199,6 +207,7 @@ mod tests {
                 dim: 2,
                 points,
                 panicking: false,
+                home: None,
             }
         }
     }
@@ -229,6 +238,8 @@ mod tests {
             rec: &dyn Recorder,
         ) -> Result<sr_query::QueryOutput, IndexError> {
             assert!(!self.panicking, "deliberate test panic");
+            let here = std::thread::current().id();
+            assert!(self.home.is_none_or(|h| h == here), "query left its thread");
             let flat = self.points.iter().map(|(p, id)| (p.as_slice(), *id));
             let rows = match spec.shape {
                 sr_query::QueryShape::Knn { k } => {
@@ -367,5 +378,30 @@ mod tests {
         ix.panicking = false;
         let out = run_knn_batch(&ix, &queries(16), 3, 4).expect("reuse");
         assert_eq!(rows(out).len(), 16);
+    }
+
+    #[test]
+    fn one_worker_panic_on_the_calling_thread_is_typed() {
+        let mut ix = BruteIndex::grid(10);
+        ix.panicking = true;
+        let err = run_knn_batch(&ix, &queries(5), 3, 1).expect_err("must fail");
+        assert!(matches!(err, ExecError::WorkerPanic { worker: 0 }));
+        // The caught panic leaves the calling thread able to run the next
+        // batch, on itself again.
+        ix.panicking = false;
+        let out = run_knn_batch(&ix, &queries(5), 3, 1).expect("reuse");
+        assert_eq!(out.threads, 1);
+        assert_eq!(rows(out).len(), 5);
+    }
+
+    #[test]
+    fn a_one_worker_batch_runs_on_the_calling_thread() {
+        let mut ix = BruteIndex::grid(20);
+        ix.home = Some(std::thread::current().id());
+        let out = run_knn_batch(&ix, &queries(6), 3, 1).expect("one worker");
+        assert_eq!(rows(out).len(), 6);
+        // With two workers, worker 0 runs on a spawned thread.
+        let err = run_knn_batch(&ix, &queries(6), 3, 2).expect_err("worker 0 is spawned");
+        assert!(matches!(err, ExecError::WorkerPanic { worker: 0 }));
     }
 }

@@ -1,4 +1,4 @@
-//! A read-through LRU buffer pool.
+//! A read-through buffer pool that evicts inner-node pages last.
 //!
 //! The pool holds *clean* copies only: every mutation is logged to the
 //! write-ahead log before the image is cached, so an evicted page is
@@ -6,13 +6,24 @@
 //! has copied it there). Eviction therefore never writes anything back —
 //! it just drops the copy and gets counted.
 //!
-//! Exact LRU at O(1) per operation. Resident pages live in a slab of
-//! frames threaded by an intrusive doubly-linked list, most recently used
-//! first, and one hash table maps a [`PageId`] to its frame, hashed by
-//! [`PageIdHasher`]. A hit is one table probe, a relink (skipped when the
-//! page is already the most recent) and an `Arc` clone. An eviction
-//! unlinks the tail. Slots a `remove` or a shrink frees go on a free list,
-//! so the slab never grows past the capacity.
+//! Eviction rule: the pool keeps two LRU lists, one for pages whose kind
+//! byte (byte 0 of every image) is [`PageKind::Node`] and one for every
+//! other page. The victim is the least recently used page of the
+//! non-inner list; only when that list is empty does the least recently
+//! used inner-node page go. A k-NN query reads the same few inner pages
+//! as every other query and a run of leaves the next queries rarely
+//! reuse, so under plain LRU the leaves push out the upper levels of the
+//! tree (Leutenegger & Lopez, "The Effect of Buffering on the Performance
+//! of R-Trees", ICDE 1998). An overwrite that changes a page's kind moves
+//! it to the other list.
+//!
+//! O(1) per operation. Resident pages live in a slab of frames, each
+//! threaded on one of the two intrusive doubly-linked lists, most
+//! recently used first, and one hash table maps a [`PageId`] to its
+//! frame, hashed by [`PageIdHasher`]. A hit is one table probe, a relink
+//! within the page's list (skipped when the page already heads it) and an
+//! `Arc` clone. An eviction unlinks a tail. Slots a `remove` or a shrink
+//! frees go on a free list, so the slab never grows past the capacity.
 //!
 //! The pool sits on the query path: with `expand()` zero-copy, a warm
 //! k-NN query spends no page (de)serialization work to hide pool
@@ -22,7 +33,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use crate::page::PageId;
+use crate::page::{PageId, PageKind};
 
 /// Hasher for [`PageId`] keys: one multiply by an odd 64-bit constant,
 /// folded so the low bits (the table's bucket index) depend on every
@@ -57,8 +68,15 @@ impl Hasher for PageIdHasher {
 /// A hash map keyed by [`PageId`], hashed by [`PageIdHasher`].
 pub(crate) type PageIdMap<V> = HashMap<PageId, V, BuildHasherDefault<PageIdHasher>>;
 
-/// "No frame": the end of the LRU list.
+/// "No frame": the end of an LRU list.
 const NIL: usize = usize::MAX;
+
+/// Whether a page image belongs on the inner-node list: its kind byte
+/// (byte 0 of every image) is [`PageKind::Node`].
+#[inline]
+fn is_inner(data: &[u8]) -> bool {
+    data.first() == Some(&PageKind::Node.as_u8())
+}
 
 struct Frame {
     id: PageId,
@@ -66,14 +84,33 @@ struct Frame {
     /// `Arc` clone instead of copying the page, and eviction is safe
     /// while readers still hold the image. `None` in a free slot.
     data: Option<Arc<[u8]>>,
-    /// Next more recently used frame, or [`NIL`] at the head.
+    /// Which list the frame is on: the inner-node list or the other one.
+    inner: bool,
+    /// Next more recently used frame of its list, or [`NIL`] at the head.
     prev: usize,
-    /// Next less recently used frame, or [`NIL`] at the tail.
+    /// Next less recently used frame of its list, or [`NIL`] at the tail.
     next: usize,
 }
 
-/// LRU cache of page images. `capacity == 0` disables caching entirely —
-/// the mode query experiments run in so logical reads equal physical reads.
+/// The two ends of one LRU list.
+#[derive(Clone, Copy)]
+struct Ends {
+    /// Most recently used frame.
+    head: usize,
+    /// Least recently used frame.
+    tail: usize,
+}
+
+impl Ends {
+    const EMPTY: Ends = Ends {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
+/// Buffer pool of page images that evicts inner-node pages last.
+/// `capacity == 0` disables caching entirely — the mode query
+/// experiments run in so logical reads equal physical reads.
 pub struct LruCache {
     capacity: usize,
     /// Resident page → its slot in `frames`.
@@ -81,10 +118,11 @@ pub struct LruCache {
     frames: Vec<Frame>,
     /// Slots of `frames` that hold no page.
     free: Vec<usize>,
-    /// Most recently used frame.
-    head: usize,
-    /// Least recently used frame: the next victim.
-    tail: usize,
+    /// Pages whose kind byte is [`PageKind::Node`].
+    inner: Ends,
+    /// Every other page: leaves, free-list and metadata pages. Its tail
+    /// is the next victim while it is non-empty.
+    rest: Ends,
 }
 
 impl LruCache {
@@ -95,8 +133,8 @@ impl LruCache {
             map: PageIdMap::default(),
             frames: Vec::new(),
             free: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            inner: Ends::EMPTY,
+            rest: Ends::EMPTY,
         }
     }
 
@@ -112,41 +150,57 @@ impl LruCache {
         self.map.is_empty()
     }
 
-    /// Detach `slot` from the LRU list.
+    /// The ends of the inner-node list or of the other list.
+    #[inline]
+    fn ends(&mut self, inner: bool) -> &mut Ends {
+        if inner {
+            &mut self.inner
+        } else {
+            &mut self.rest
+        }
+    }
+
+    /// Detach `slot` from its LRU list.
     fn unlink(&mut self, slot: usize) {
         let Some(f) = self.frames.get(slot) else {
             return;
         };
-        let (prev, next) = (f.prev, f.next);
+        let (prev, next, inner) = (f.prev, f.next, f.inner);
         match self.frames.get_mut(prev) {
             Some(p) => p.next = next,
-            None => self.head = next,
+            None => self.ends(inner).head = next,
         }
         match self.frames.get_mut(next) {
             Some(n) => n.prev = prev,
-            None => self.tail = prev,
+            None => self.ends(inner).tail = prev,
         }
     }
 
-    /// Link a detached `slot` in as the most recently used frame.
+    /// Link a detached `slot` in as the most recently used frame of the
+    /// list its `inner` flag names.
     fn push_front(&mut self, slot: usize) {
-        let head = self.head;
-        let Some(f) = self.frames.get_mut(slot) else {
+        let Some(inner) = self.frames.get(slot).map(|f| f.inner) else {
             return;
         };
-        f.prev = NIL;
-        f.next = head;
+        let head = self.ends(inner).head;
+        if let Some(f) = self.frames.get_mut(slot) {
+            f.prev = NIL;
+            f.next = head;
+        }
         match self.frames.get_mut(head) {
             Some(h) => h.prev = slot,
-            None => self.tail = slot,
+            None => self.ends(inner).tail = slot,
         }
-        self.head = slot;
+        self.ends(inner).head = slot;
     }
 
-    /// Make a resident `slot` the most recently used frame.
+    /// Make a resident `slot` the most recently used frame of its list.
     #[inline]
     fn touch(&mut self, slot: usize) {
-        if self.head != slot {
+        let Some(inner) = self.frames.get(slot).map(|f| f.inner) else {
+            return;
+        };
+        if self.ends(inner).head != slot {
             self.unlink(slot);
             self.push_front(slot);
         }
@@ -162,9 +216,15 @@ impl LruCache {
         self.free.push(slot);
     }
 
-    /// Evict the least recently used page; `false` if none is resident.
-    fn evict_lru(&mut self) -> bool {
-        let victim = self.tail;
+    /// Evict the least recently used page of the non-inner list, or of
+    /// the inner-node list when the other is empty; `false` if no page
+    /// is resident.
+    fn evict(&mut self) -> bool {
+        let victim = if self.rest.tail != NIL {
+            self.rest.tail
+        } else {
+            self.inner.tail
+        };
         if victim == NIL {
             return false;
         }
@@ -180,23 +240,27 @@ impl LruCache {
         self.frames.get(slot)?.data.clone()
     }
 
-    /// Insert (or overwrite) a page image. Returns whether a resident
-    /// page was evicted to make room.
+    /// Insert (or overwrite) a page image, on the list its kind byte
+    /// names. Returns whether a resident page was evicted to make room.
     pub fn insert(&mut self, id: PageId, data: Arc<[u8]>) -> bool {
         if self.capacity == 0 {
             return false;
         }
+        let inner = is_inner(&data);
         if let Some(&slot) = self.map.get(&id) {
+            self.unlink(slot);
             if let Some(f) = self.frames.get_mut(slot) {
                 f.data = Some(data);
+                f.inner = inner;
             }
-            self.touch(slot);
+            self.push_front(slot);
             return false;
         }
-        let evicted = self.map.len() >= self.capacity && self.evict_lru();
+        let evicted = self.map.len() >= self.capacity && self.evict();
         let frame = Frame {
             id,
             data: Some(data),
+            inner,
             prev: NIL,
             next: NIL,
         };
@@ -228,7 +292,7 @@ impl LruCache {
     pub fn set_capacity(&mut self, capacity: usize) -> usize {
         self.capacity = capacity;
         let mut spilled = 0;
-        while self.map.len() > self.capacity && self.evict_lru() {
+        while self.map.len() > self.capacity && self.evict() {
             spilled += 1;
         }
         spilled
@@ -262,6 +326,32 @@ mod tests {
         assert!(c.get(2).is_none(), "page 2 was LRU and should be gone");
         assert!(c.get(1).is_some());
         assert!(c.get(3).is_some());
+    }
+
+    #[test]
+    fn evicts_other_pages_before_inner_pages() {
+        let node = PageKind::Node.as_u8();
+        let leaf = PageKind::Leaf.as_u8();
+        let mut c = LruCache::new(2);
+        assert!(!c.insert(1, page(node)));
+        assert!(!c.insert(2, page(leaf)));
+        // 1 is the least recently used page, but it is an inner node.
+        assert!(c.insert(3, page(leaf)), "full pool must evict");
+        assert!(c.get(2).is_none(), "the leaf goes first");
+        assert!(c.get(1).is_some());
+        // Rewritten as a leaf, page 1 is on the other list and goes next.
+        assert!(!c.insert(1, page(leaf)));
+        assert!(!c.insert(3, page(node)));
+        assert!(c.insert(4, page(node)));
+        assert!(c.get(1).is_none(), "the only non-inner page is the victim");
+        // With no other page left, inner pages evict one another in LRU
+        // order.
+        assert!(c.insert(5, page(node)));
+        assert!(
+            c.get(3).is_none(),
+            "the least recently used inner page goes"
+        );
+        assert!(c.get(4).is_some() && c.get(5).is_some());
     }
 
     #[test]
@@ -302,67 +392,106 @@ mod tests {
         assert!(c.get(1).is_none());
     }
 
-    /// The obvious LRU: a deque of `(id, image byte)`, most recent first.
+    /// The obvious two-list pool: one deque of `(id, image byte)` per
+    /// list, most recent first. An image whose byte is
+    /// [`PageKind::Node`]'s goes on `inner`, any other on `rest`; the
+    /// victim is the back of `rest`, or of `inner` when `rest` is empty.
     struct Reference {
         capacity: usize,
-        pages: VecDeque<(PageId, u8)>,
+        inner: VecDeque<(PageId, u8)>,
+        rest: VecDeque<(PageId, u8)>,
     }
 
     impl Reference {
+        fn new(capacity: usize) -> Self {
+            Reference {
+                capacity,
+                inner: VecDeque::new(),
+                rest: VecDeque::new(),
+            }
+        }
+
+        fn list(&mut self, b: u8) -> &mut VecDeque<(PageId, u8)> {
+            if b == PageKind::Node.as_u8() {
+                &mut self.inner
+            } else {
+                &mut self.rest
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len() + self.rest.len()
+        }
+
         fn take(&mut self, id: PageId) -> Option<u8> {
-            let pos = self.pages.iter().position(|&(p, _)| p == id)?;
-            self.pages.remove(pos).map(|(_, b)| b)
+            for list in [&mut self.inner, &mut self.rest] {
+                if let Some(pos) = list.iter().position(|&(p, _)| p == id) {
+                    return list.remove(pos).map(|(_, b)| b);
+                }
+            }
+            None
         }
 
         fn get(&mut self, id: PageId) -> Option<u8> {
             let b = self.take(id)?;
-            self.pages.push_front((id, b));
+            self.list(b).push_front((id, b));
             Some(b)
+        }
+
+        fn evict(&mut self) -> bool {
+            self.rest
+                .pop_back()
+                .or_else(|| self.inner.pop_back())
+                .is_some()
         }
 
         fn insert(&mut self, id: PageId, b: u8) -> bool {
             if self.capacity == 0 {
                 return false;
             }
-            let evicted = self.take(id).is_none()
-                && self.pages.len() >= self.capacity
-                && self.pages.pop_back().is_some();
-            self.pages.push_front((id, b));
+            let evicted = self.take(id).is_none() && self.len() >= self.capacity && self.evict();
+            self.list(b).push_front((id, b));
             evicted
         }
 
         fn set_capacity(&mut self, capacity: usize) -> usize {
             self.capacity = capacity;
             let mut spilled = 0;
-            while self.pages.len() > capacity && self.pages.pop_back().is_some() {
+            while self.len() > capacity && self.evict() {
                 spilled += 1;
             }
             spilled
         }
     }
 
-    /// The pool's resident ids, most recently used first, walked along
-    /// the intrusive list (and checked against the map on the way).
-    fn lru_order(c: &LruCache) -> Vec<PageId> {
+    /// The resident ids of one of the pool's lists, most recently used
+    /// first, walked along the intrusive links (and checked against the
+    /// map and the frames' list flags on the way).
+    fn list_order(c: &LruCache, inner: bool) -> Vec<PageId> {
+        let ends = if inner { c.inner } else { c.rest };
         let mut order = Vec::new();
         let mut prev = NIL;
-        let mut slot = c.head;
+        let mut slot = ends.head;
         while let Some(f) = c.frames.get(slot) {
             assert_eq!(f.prev, prev, "back link of slot {slot}");
+            assert_eq!(f.inner, inner, "slot {slot} sits on the wrong list");
             assert_eq!(c.map.get(&f.id), Some(&slot), "map entry of page {}", f.id);
-            assert!(f.data.is_some(), "resident slot {slot} holds no image");
+            let data = f.data.as_deref().expect("a resident slot holds an image");
+            assert_eq!(is_inner(data), inner, "page {} is on the wrong list", f.id);
             order.push(f.id);
             prev = slot;
             slot = f.next;
-            assert!(order.len() <= c.frames.len(), "the LRU list has a cycle");
+            assert!(order.len() <= c.frames.len(), "an LRU list has a cycle");
         }
-        assert_eq!(c.tail, prev, "tail is the last frame of the list");
+        assert_eq!(ends.tail, prev, "tail is the last frame of the list");
         order
     }
 
-    /// Drive the pool and the reference through the same seeded random
-    /// operations, capacity 0 and shrinks included, and require the same
-    /// answer from both at every step.
+    /// Drive the pool and the two-list reference through the same seeded
+    /// random operations — inner-node and other images, overwrites that
+    /// change a page's kind, removes, capacity 0 and shrinks — and
+    /// require the same answer and the same order of both lists from
+    /// both at every step.
     #[test]
     fn matches_a_reference_lru_on_random_operations() {
         let mut state = 0x5EED_u64;
@@ -377,10 +506,7 @@ mod tests {
         for run in 0..40 {
             let capacity = usize::try_from(next(6)).unwrap();
             let mut pool = LruCache::new(capacity);
-            let mut model = Reference {
-                capacity,
-                pages: VecDeque::new(),
-            };
+            let mut model = Reference::new(capacity);
             let ids = 1 + next(16);
             for step in 0..400 {
                 let ctx = format!("run {run} step {step}");
@@ -392,7 +518,12 @@ mod tests {
                         assert_eq!(got, model.get(id), "{ctx}: get({id})");
                     }
                     9..=15 => {
-                        let b = u8::try_from(next(256)).unwrap();
+                        // Half the images carry the inner-node kind byte,
+                        // so overwrites move pages between the lists.
+                        let b = match next(2) {
+                            0 => PageKind::Node.as_u8(),
+                            _ => u8::try_from(next(256)).unwrap(),
+                        };
                         let got = pool.insert(id, page(b));
                         assert_eq!(got, model.insert(id, b), "{ctx}: insert({id}) evicted");
                     }
@@ -406,8 +537,17 @@ mod tests {
                         assert_eq!(spilled, model.set_capacity(cap), "{ctx}: spills to {cap}");
                     }
                 }
-                let want: Vec<PageId> = model.pages.iter().map(|&(p, _)| p).collect();
-                assert_eq!(lru_order(&pool), want, "{ctx}: LRU order");
+                let ids_of = |l: &VecDeque<(PageId, u8)>| -> Vec<PageId> {
+                    l.iter().map(|&(p, _)| p).collect()
+                };
+                let (inner, rest) = (ids_of(&model.inner), ids_of(&model.rest));
+                assert_eq!(
+                    list_order(&pool, true),
+                    inner,
+                    "{ctx}: inner-node LRU order"
+                );
+                assert_eq!(list_order(&pool, false), rest, "{ctx}: other LRU order");
+                let want: Vec<PageId> = inner.into_iter().chain(rest).collect();
                 assert_eq!(
                     pool.map.keys().copied().collect::<BTreeSet<_>>(),
                     want.iter().copied().collect::<BTreeSet<_>>(),

@@ -28,10 +28,20 @@
 //! checksum. Recovery is idempotent: replaying a committed generation
 //! twice rewrites the same images.
 //!
+//! ## Buffer pool
+//!
+//! Reads go through a pool of clean page images that evicts every other
+//! page before an inner-node page: each shard keeps one LRU list of
+//! [`PageKind::Node`] images and one of all other pages, and takes its
+//! victim from the second list while that list is non-empty. A k-NN
+//! query rereads the inner pages every query shares and reads leaves the
+//! next queries rarely reuse, so a small pool keeps the upper levels of
+//! the tree and lets the leaves churn.
+//!
 //! ## Concurrency
 //!
 //! The read path is safe to drive from many threads at once. The buffer
-//! pool is split into [`PageFile::CACHE_SHARDS`] lock-striped LRU shards
+//! pool is split into [`PageFile::CACHE_SHARDS`] lock-striped shards
 //! keyed by `page_id % CACHE_SHARDS`, so concurrent readers touching
 //! different shards never contend; I/O counters are relaxed atomics
 //! ([`crate::stats`]). A shard's lock is held across the read-through
@@ -179,8 +189,9 @@ impl std::fmt::Debug for PageBuf {
 }
 
 /// A page file: fixed-size pages addressed by [`PageId`], with a
-/// write-ahead log, a sharded LRU buffer pool, a free list, persistent
-/// user metadata, and I/O statistics.
+/// write-ahead log, a sharded buffer pool that evicts leaf pages before
+/// inner-node pages, a free list, persistent user metadata, and I/O
+/// statistics.
 ///
 /// All methods take `&self`. The read path (`read`, `stats`) is safe and
 /// scalable under concurrent use; see the module docs for the locking
@@ -1090,6 +1101,103 @@ mod tests {
         pf.set_cache_capacity(0).unwrap();
         assert_eq!(pf.stats().cache_evictions(), shards as u64);
         assert_eq!(pf.cache_capacity(), 0);
+    }
+
+    /// A flushed page file holding `inner` inner-node pages and then
+    /// `leaves` leaves, with an emptied pool of `capacity` pages and zeroed
+    /// counters. Page ids run consecutively from 1, so every shard gets
+    /// its share of each kind.
+    fn inner_and_leaf_pages(
+        inner: usize,
+        leaves: usize,
+        capacity: usize,
+    ) -> (PageFile, Vec<PageId>, Vec<PageId>) {
+        let pf = PageFile::create_in_memory(512).unwrap();
+        let alloc = |n: usize, kind: PageKind| -> Vec<PageId> {
+            (0..n)
+                .map(|i| {
+                    let id = pf.allocate(kind).unwrap();
+                    pf.write(id, kind, &[i as u8; 8]).unwrap();
+                    id
+                })
+                .collect()
+        };
+        let nodes = alloc(inner, PageKind::Node);
+        let leaves = alloc(leaves, PageKind::Leaf);
+        pf.flush().unwrap();
+        pf.set_cache_capacity(0).unwrap();
+        pf.set_cache_capacity(capacity).unwrap();
+        pf.reset_stats();
+        (pf, nodes, leaves)
+    }
+
+    #[test]
+    fn leaf_sweeps_leave_inner_pages_resident() {
+        // Four pages of pool per shard, two inner pages per shard: room
+        // for every inner page, and a leaf sweep twice the pool's size.
+        let capacity = 4 * PageFile::CACHE_SHARDS;
+        let (pf, nodes, leaves) = inner_and_leaf_pages(capacity / 2, 2 * capacity, capacity);
+        for &id in &nodes {
+            let _ = pf.read(id, PageKind::Node).unwrap();
+        }
+        for &id in &leaves {
+            let _ = pf.read(id, PageKind::Leaf).unwrap();
+        }
+        let s = pf.stats();
+        assert_eq!(s.cache_misses(), (nodes.len() + leaves.len()) as u64);
+        assert_eq!(
+            s.cache_evictions(),
+            (nodes.len() + leaves.len() - capacity) as u64,
+            "every miss past a full pool evicts"
+        );
+
+        // Every eviction took a leaf: the inner pages all hit.
+        pf.reset_stats();
+        for &id in &nodes {
+            let _ = pf.read(id, PageKind::Node).unwrap();
+        }
+        let s = pf.stats();
+        assert_eq!(s.cache_hits(), nodes.len() as u64);
+        assert_eq!((s.cache_misses(), s.physical_reads()), (0, 0));
+    }
+
+    #[test]
+    fn inner_pages_that_overflow_the_pool_evict_in_lru_order() {
+        // Two pages of pool per shard, three inner pages per shard.
+        let shards = PageFile::CACHE_SHARDS;
+        let (pf, nodes, _) = inner_and_leaf_pages(3 * shards, 0, 2 * shards);
+        let read_all = |ids: &[PageId]| {
+            for &id in ids {
+                let _ = pf.read(id, PageKind::Node).unwrap();
+            }
+        };
+        let (first, newer) = nodes.split_at(shards);
+        let (second, third) = newer.split_at(shards);
+        read_all(&nodes);
+        assert_eq!(pf.stats().cache_evictions(), shards as u64);
+
+        // Each shard holds its two most recent inner pages.
+        pf.reset_stats();
+        read_all(newer);
+        assert_eq!(pf.stats().cache_hits(), newer.len() as u64);
+        assert_eq!(pf.stats().cache_misses(), 0);
+
+        // The first third comes back in place of the least recently used
+        // page of its shard, which is in the second third.
+        pf.reset_stats();
+        read_all(first);
+        read_all(third);
+        assert_eq!(pf.stats().cache_misses(), shards as u64);
+        assert_eq!(pf.stats().cache_hits(), shards as u64);
+        pf.reset_stats();
+        read_all(second);
+        let s = pf.stats();
+        assert_eq!(
+            s.cache_misses(),
+            shards as u64,
+            "the second third was evicted"
+        );
+        assert_eq!(s.cache_misses(), s.physical_reads());
     }
 
     #[test]

@@ -400,17 +400,28 @@ mod tests {
     use super::*;
     use crate::Client;
     use sr_obs::Recorder;
+    use sr_pager::IoStats;
     use sr_pager::PageFile;
     use sr_query::{IndexError, Neighbor, QueryOutput, QueryShape};
     use std::sync::Mutex;
-    use std::thread::ThreadId;
+
+    /// What [`Huge`] saw happen, in order.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Seen {
+        /// A query ran.
+        Query,
+        /// Something read the I/O counters: `sr-exec` does so once before
+        /// and once after each batch, and nothing else on the read path
+        /// does.
+        Window,
+    }
 
     /// An index that claims more points than one frame can answer and
-    /// answers a k-NN with one row whose id is `k`, logging the thread
-    /// each query runs on.
+    /// answers a k-NN with one row whose id is `k`, logging each query
+    /// and each read of its I/O counters.
     struct Huge {
         pager: PageFile,
-        ran_on: Arc<Mutex<Vec<ThreadId>>>,
+        seen: Arc<Mutex<Vec<Seen>>>,
     }
 
     impl SpatialIndex for Huge {
@@ -437,7 +448,7 @@ mod tests {
             spec: &QuerySpec<'_>,
             _rec: &dyn Recorder,
         ) -> Result<QueryOutput, IndexError> {
-            self.ran_on.lock().unwrap().push(thread::current().id());
+            self.seen.lock().unwrap().push(Seen::Query);
             let QueryShape::Knn { k } = spec.shape else {
                 return Err(IndexError::Unsupported("range"));
             };
@@ -449,6 +460,10 @@ mod tests {
         }
         fn pager(&self) -> &PageFile {
             &self.pager
+        }
+        fn io_stats(&self) -> IoStats {
+            self.seen.lock().unwrap().push(Seen::Window);
+            self.pager.stats()
         }
         fn flush(&self) -> Result<(), IndexError> {
             Ok(())
@@ -474,10 +489,10 @@ mod tests {
     }
 
     fn refused_knn_between_two_good_ones(threads: usize) {
-        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
         let index = Huge {
             pager: PageFile::create_in_memory(512).unwrap(),
-            ran_on: Arc::clone(&ran_on),
+            seen: Arc::clone(&seen),
         };
         let cfg = ServeConfig {
             threads,
@@ -486,7 +501,7 @@ mod tests {
         let server = Server::start(Box::new(index), cfg).unwrap();
         let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
 
-        // A lone query runs on the connection thread.
+        // A lone query is answered on its own, outside any batch.
         assert_eq!(client.call(&knn(3)).unwrap(), row(3));
         // u32::MAX rows cannot fit one frame: refused before it runs,
         // while both its neighbours are answered, in order.
@@ -498,11 +513,16 @@ mod tests {
         ));
         assert_eq!(resps.get(2), Some(&row(2)));
 
-        let ran_on = ran_on.lock().unwrap().clone();
-        assert_eq!(ran_on.len(), 3, "the refused query ran, or one ran twice");
-        let (conn, worker) = (ran_on[0], ran_on[1]);
-        assert_ne!(conn, worker, "the run was not fanned out");
-        assert_eq!(ran_on[2], worker, "the good queries took two fan-outs");
+        let seen = seen.lock().unwrap().clone();
+        let queries = seen.iter().filter(|&&s| s == Seen::Query).count();
+        assert_eq!(queries, 3, "the refused query ran, or one ran twice");
+        use Seen::{Query, Window};
+        assert_eq!(seen.first(), Some(&Query), "the lone query was batched");
+        assert_eq!(
+            seen.get(1..),
+            Some(&[Window, Query, Query, Window][..]),
+            "the good queries were not one fan-out"
+        );
         server.stop();
         server.wait().unwrap();
     }

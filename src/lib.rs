@@ -24,7 +24,7 @@ pub use sr_exec as exec;
 pub use sr_geometry as geometry;
 /// Observability: counters, histograms, span timers behind `Recorder`.
 pub use sr_obs as obs;
-/// Disk page store: 8 KiB pages, LRU buffer pool, I/O statistics.
+/// Disk page store: 8 KiB pages, a buffer pool that keeps inner-node pages longest, I/O statistics.
 pub use sr_pager as pager;
 /// The one k-NN / range search loop, the `SpatialIndex` API and its
 /// error, and brute-force ground truth; no page layout.

@@ -241,3 +241,50 @@ fn windowed_accounting_large_pool_absorbs_reads() {
     assert_eq!(window.cache_misses(), 0);
     assert!(window.cache_hits() > 0);
 }
+
+/// The buffer pool's eviction rule, pinned on the benchmark's cold-pool
+/// shape: a bulk-loaded 16-d `real_sim` SR-tree on 8 KiB pages, a pool of
+/// 1/20 of its pages and a fixed run of best-first 21-NN queries. The
+/// pool evicts leaves before inner-node pages, so the inner pages every
+/// query reads stay resident while the leaves churn.
+#[test]
+fn a_small_pool_keeps_the_inner_pages_the_queries_share() {
+    use srtree::dataset::real_sim;
+    use srtree::pager::PageFile;
+
+    const MISSES: u64 = 14_045;
+    // The same run under the single-list LRU pool this rule replaced,
+    // which let the leaves push the inner pages out.
+    const LRU_MISSES: u64 = 17_753;
+
+    let points = real_sim(20_000, 16, 41);
+    let pf = PageFile::create_in_memory(8192).unwrap();
+    let mut tree = SrTree::create_from(pf, 16, 512).unwrap();
+    let with_ids = points.iter().cloned().zip(0u64..).collect();
+    tree.bulk_load(with_ids).unwrap();
+    tree.flush().unwrap();
+    let pages = usize::try_from(tree.pager().num_pages()).unwrap();
+    tree.pager().set_cache_capacity(0).unwrap();
+    tree.pager().set_cache_capacity(pages / 20).unwrap();
+    tree.pager().reset_stats();
+
+    for q in &sample_queries(&points, 200, 43) {
+        assert_eq!(tree.knn(q.coords(), 21).unwrap().len(), 21);
+    }
+    let s = tree.pager().stats();
+    assert_eq!(
+        s.cache_hits() + s.cache_misses(),
+        total_logical_reads(&s),
+        "every logical read is one hit or one miss"
+    );
+    assert_eq!(
+        s.cache_misses(),
+        s.physical_reads(),
+        "every miss is one physical read"
+    );
+    assert_eq!(s.cache_misses(), MISSES, "misses of the pinned run");
+    assert!(
+        s.cache_misses() < LRU_MISSES,
+        "evicting leaves first must miss less than LRU"
+    );
+}
